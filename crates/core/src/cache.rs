@@ -1,10 +1,10 @@
 //! Process-wide keyed artifact cache.
 //!
-//! Every sweep cell pays three expensive, *purely content-determined*
-//! builds before the first shot runs: the detector error model + decoding
-//! graph (inside [`MemoryRunner::new`]), the MWPM/greedy all-pairs
-//! shortest-path table, and either the union-find capacity table or the
-//! sliding-window [`WindowPlan`] shapes. Two cells that differ only in
+//! Every sweep cell pays two expensive, *purely content-determined* builds
+//! before the first shot runs: the detector error model + decoding graph
+//! (inside [`MemoryRunner::new`]) and the [`WindowPlan`] with its per-shape
+//! decoder tables (the all-pairs shortest-path table, union-find
+//! capacities, or the sparse boundary index). Two cells that differ only in
 //! policy — or two jobs from different `eraser-serve` clients — rebuild
 //! identical artifacts from scratch.
 //!
@@ -36,7 +36,7 @@ use qec_decoder::WindowBackend;
 use surface_code::MemoryBasis;
 
 /// Default capacity of the process-wide cache: generous for every sweep in
-/// the repo (a d=11, R=121 APSP table is ~58 MB) while bounding a
+/// the repo (a full-cover d=7, R=124 APSP table is ~80 MB) while bounding a
 /// long-running server that sees many tenants' grids.
 const GLOBAL_CAPACITY_BYTES: usize = 256 << 20;
 
@@ -91,16 +91,9 @@ pub enum ArtifactKind {
     /// A full [`MemoryRunner`](crate::runtime::MemoryRunner): DEM, decoding
     /// graph, round schedules, provenance buckets.
     Runner,
-    /// The all-pairs shortest-path table over the monolithic decoding graph
-    /// (shared by the MWPM and greedy decoders).
-    Apsp,
-    /// The union-find edge-capacity quantization of the monolithic graph.
-    UfCapacities,
-    /// The sparse-MWPM boundary index (per-node boundary distance, parity,
-    /// and predecessor) over the monolithic decoding graph.
-    SparseIndex,
-    /// A sliding-window decode plan, additionally keyed by its resolved
-    /// window geometry and per-window backend.
+    /// A window decode plan (the only decode path; a full-cover window is
+    /// whole-shot decoding), additionally keyed by its resolved window
+    /// geometry and per-window backend.
     WindowPlan {
         window: usize,
         stride: usize,
@@ -303,11 +296,20 @@ mod tests {
         }
     }
 
+    /// The full-cover window plan key of a distance-`d`, `2d`-round run.
+    fn plan(d: usize) -> ArtifactKind {
+        ArtifactKind::WindowPlan {
+            window: 2 * d + 1,
+            stride: 2 * d + 1,
+            backend: WindowBackend::Mwpm,
+        }
+    }
+
     #[test]
     fn hit_returns_same_arc() {
         let cache = ArtifactCache::new(1 << 20);
-        let a = cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 100, || vec![1u8, 2, 3]);
-        let b = cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 100, || vec![9u8]);
+        let a = cache.get_or_build(&key(3, plan(3)), |_| 100, || vec![1u8, 2, 3]);
+        let b = cache.get_or_build(&key(3, plan(3)), |_| 100, || vec![9u8]);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -318,8 +320,8 @@ mod tests {
     #[test]
     fn distinct_kinds_do_not_collide() {
         let cache = ArtifactCache::new(1 << 20);
-        let a = cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 1, || 1u32);
-        let b = cache.get_or_build(&key(3, ArtifactKind::UfCapacities), |_| 1, || 2u32);
+        let a = cache.get_or_build(&key(3, ArtifactKind::Runner), |_| 1, || 1u32);
+        let b = cache.get_or_build(&key(3, plan(3)), |_| 1, || 2u32);
         assert_eq!((*a, *b), (1, 2));
         assert_eq!(cache.stats().misses, 2);
     }
@@ -327,30 +329,30 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_first() {
         let cache = ArtifactCache::new(250);
-        cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 100, || 3u32);
-        cache.get_or_build(&key(5, ArtifactKind::Apsp), |_| 100, || 5u32);
+        cache.get_or_build(&key(3, plan(3)), |_| 100, || 3u32);
+        cache.get_or_build(&key(5, plan(5)), |_| 100, || 5u32);
         // Touch d=3 so d=5 becomes the LRU victim.
-        cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 100, || 0u32);
-        cache.get_or_build(&key(7, ArtifactKind::Apsp), |_| 100, || 7u32);
+        cache.get_or_build(&key(3, plan(3)), |_| 100, || 0u32);
+        cache.get_or_build(&key(7, plan(7)), |_| 100, || 7u32);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes <= 250);
         // d=5 was evicted; d=3 survives.
-        cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 100, || 99u32);
+        cache.get_or_build(&key(3, plan(3)), |_| 100, || 99u32);
         assert_eq!(cache.stats().hits, 2);
-        let rebuilt = cache.get_or_build(&key(5, ArtifactKind::Apsp), |_| 100, || 55u32);
+        let rebuilt = cache.get_or_build(&key(5, plan(5)), |_| 100, || 55u32);
         assert_eq!(*rebuilt, 55, "evicted entry rebuilds");
     }
 
     #[test]
     fn oversized_entry_still_served() {
         let cache = ArtifactCache::new(10);
-        let a = cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 1000, || 1u32);
+        let a = cache.get_or_build(&key(3, plan(3)), |_| 1000, || 1u32);
         assert_eq!(*a, 1, "caller gets the artifact even when uncacheable");
         // The oversized entry was evicted immediately (it exceeds the whole
         // budget), so the next lookup rebuilds.
-        let b = cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 1000, || 2u32);
+        let b = cache.get_or_build(&key(3, plan(3)), |_| 1000, || 2u32);
         assert_eq!(*b, 2);
         assert!(cache.stats().bytes <= 1000);
     }
@@ -363,7 +365,7 @@ mod tests {
                 .map(|i| {
                     let cache = Arc::clone(&cache);
                     scope.spawn(move || {
-                        cache.get_or_build(&key(9, ArtifactKind::Apsp), |_| 8, move || i as u64)
+                        cache.get_or_build(&key(9, plan(9)), |_| 8, move || i as u64)
                     })
                 })
                 .collect::<Vec<_>>()
@@ -375,7 +377,7 @@ mod tests {
         // most transiently-held duplicates exist; the cache itself holds
         // exactly one entry.
         assert_eq!(cache.stats().entries, 1);
-        let canonical = cache.get_or_build(&key(9, ArtifactKind::Apsp), |_| 8, || 999u64);
+        let canonical = cache.get_or_build(&key(9, plan(9)), |_| 8, || 999u64);
         assert!(*canonical < 8, "cached value came from one of the racers");
         // Every racer that adopted must agree with the canonical entry,
         // and the canonical entry is one of the racers' builds.
@@ -386,7 +388,7 @@ mod tests {
     #[test]
     fn clear_preserves_counters() {
         let cache = ArtifactCache::new(1 << 20);
-        cache.get_or_build(&key(3, ArtifactKind::Apsp), |_| 10, || 1u32);
+        cache.get_or_build(&key(3, plan(3)), |_| 10, || 1u32);
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);

@@ -82,7 +82,7 @@ pub enum ExperimentError {
     /// A stripe width above the 64-lane word size (0 means auto).
     InvalidStripeWidth(usize),
     /// A sliding-window stride exceeding the window length (window 0 means
-    /// monolithic decoding; stride 0 derives the `window − d` default).
+    /// one full-cover window; stride 0 derives the `window − d` default).
     InvalidWindow {
         /// Configured `window_rounds`.
         window: usize,
@@ -193,7 +193,7 @@ fn validate_stripe_width(width: usize) -> Result<(), ExperimentError> {
 }
 
 /// A sliding-window stride must fit inside its window; window 0 selects
-/// monolithic decoding and stride 0 the `window − d` default (shared by
+/// one full-cover window and stride 0 the `window − d` default (shared by
 /// both builders). The buffer ≥ d guarantee is enforced by that default —
 /// explicit strides may trade buffer for speed.
 fn validate_window(window: usize, stride: usize) -> Result<(), ExperimentError> {
@@ -560,18 +560,17 @@ impl Experiment {
     }
 
     /// The decoder the configured [`DecoderKind`] resolves to for this
-    /// experiment's decoding graph. Goes through
-    /// [`RunConfig::resolved_decoder`] (the `ERASER_DECODER` hook, already
-    /// validated at build time) and then [`DecoderKind::resolve`] — the same
-    /// single-source rule `MemoryRunner::run` applies — so on decode-enabled
-    /// runs `Auto` reports exactly what will decode (runs built with
-    /// `.decode(false)` decode nothing and report `"none"`). Never returns
+    /// experiment. Goes through [`MemoryRunner::resolved_decoder`] (the
+    /// `ERASER_*` hooks, already validated at build time, then `Auto`
+    /// against the graph each window decodes) — the same single-source rule
+    /// `MemoryRunner::run` applies — so on decode-enabled runs `Auto`
+    /// reports exactly what will decode (runs built with `.decode(false)`
+    /// decode nothing and report `"none"`). Never returns
     /// [`DecoderKind::Auto`].
     pub fn resolved_decoder(&self) -> DecoderKind {
-        self.config
-            .resolved_decoder()
-            .unwrap_or(self.config.decoder)
-            .resolve(self.runner.graph())
+        self.runner
+            .resolved_decoder(&self.config)
+            .unwrap_or_else(|_| self.config.decoder.resolve(self.runner.graph()))
     }
 
     /// Swaps the LRC protocol without rebuilding the runner.
@@ -587,7 +586,7 @@ impl Experiment {
     }
 
     /// Swaps the sliding-window configuration without rebuilding the runner:
-    /// the cheap way to compare streaming and monolithic decoding on
+    /// the cheap way to compare sliding and full-cover windows on
     /// identical physical shots (see [`ExperimentBuilder::window_rounds`]).
     ///
     /// # Panics
@@ -610,7 +609,7 @@ impl Experiment {
     /// Runs the experiment under `kind`, reusing this experiment's runner and
     /// configuration. This is the cheap way to compare policies on one code.
     ///
-    /// Decode artifacts (APSP tables, union-find capacities, window plans)
+    /// Decode artifacts (window plans and their per-shape decoder tables)
     /// resolve through the process-wide [`ArtifactCache`], so repeated runs
     /// over the same physics — across policies, experiments, or server
     /// jobs — pay the build once. Artifacts are deterministic functions of
@@ -791,9 +790,10 @@ impl ExperimentBuilder {
 
     /// Sliding-window length in rounds for streaming decoding. The default
     /// 0 resolves at run time: the `ERASER_WINDOW` environment variable if
-    /// set, else monolithic whole-shot decoding (a window larger than the
-    /// round count also auto-selects monolithic). Windows bound peak decoder
-    /// memory at O(window²) regardless of the round count.
+    /// set, else one full-cover window — whole-shot decoding (a window
+    /// larger than the round count is full cover too). Shorter windows
+    /// bound peak decoder memory at O(window²) regardless of the round
+    /// count.
     pub fn window_rounds(mut self, window: usize) -> Self {
         self.window_rounds = window;
         self
@@ -1002,7 +1002,7 @@ impl Sweep {
     /// Routes through the process-wide [`ArtifactCache`]: runners are
     /// shared per content key (distance, rounds, basis, noise) — so two
     /// cells differing only in policy share one DEM build — and the decode
-    /// artifacts (APSP table / union-find capacities / window plan) are
+    /// artifacts (the window plan with its per-shape decoder tables) are
     /// resolved once per cell and shared with every other run of the same
     /// physics, including other sweeps and `eraser-serve` jobs in this
     /// process. The worker-thread partitioning is resolved once up front.
@@ -1261,7 +1261,7 @@ impl SweepBuilder {
     }
 
     /// Sliding-window length in rounds for streaming decoding on every grid
-    /// point (0 = monolithic / `ERASER_WINDOW` resolution, as on
+    /// point (0 = full cover / `ERASER_WINDOW` resolution, as on
     /// [`ExperimentBuilder::window_rounds`]).
     pub fn window_rounds(mut self, window: usize) -> Self {
         self.window_rounds = window;
@@ -1510,7 +1510,7 @@ mod tests {
             tiered.decode_latency.samples() + tiered.predecode.hits[0],
             40 * 4
         );
-        // Same physics as the monolithic run of the same seed.
+        // Same physics as the full-cover run of the same seed.
         let mono = base()
             .shots(40)
             .rounds(9)
@@ -1626,20 +1626,11 @@ mod tests {
         );
         let result = exp.run();
         assert_eq!(result.shots, 4);
-        // The reported decoder reflects the decode path actually taken. By
-        // default that is the monolithic sparse blossom, but an
-        // `ERASER_WINDOW` / `ERASER_FUSION` CI leg forces a streaming chain
-        // whose per-window graph can be back inside dense-MWPM territory —
-        // so compare against the resolved artifacts, not the monolithic
-        // resolution.
-        let artifacts = exp
-            .runner()
-            .decode_artifacts(exp.config(), None)
-            .expect("artifacts resolve");
-        assert_eq!(result.decoder, artifacts.decoder_name());
-        if !artifacts.windowed() {
-            assert_eq!(result.decoder, exp.resolved_decoder().to_string());
-        }
+        // The reported decoder is what the facade predicts. By default that
+        // is the full-cover sparse blossom; an `ERASER_WINDOW` /
+        // `ERASER_FUSION` CI leg decodes shorter windows, which the same
+        // rule can put back inside dense-MWPM territory.
+        assert_eq!(result.decoder, exp.resolved_decoder().to_string());
         assert!(result.logical_errors <= result.shots);
     }
 

@@ -14,26 +14,25 @@
 //! word-parallel [`BatchFrameSimulator`] stripe, driven by a *static* round
 //! schedule (`surface_code::MaskedRound`) whose dynamic LRC decisions are
 //! resolved each round into per-slot lane masks by the [`StripedPolicy`]
-//! layer; the stripe's defect/erasure sets then feed the decoder as one
-//! `decode_batch` call. [`RunConfig::stripe_width`] (or the `ERASER_STRIPE`
-//! environment variable) selects the width; width 1 runs the scalar
-//! reference path, and results are bit-identical at every width — exactly
-//! like the worker-thread count, striping is a pure wall-clock knob.
+//! layer; after the stripe, each lane's defects and logged erasures are fed
+//! to the worker's one streaming decoder, lane by lane.
+//! [`RunConfig::stripe_width`] (or the `ERASER_STRIPE` environment
+//! variable) selects the width; width 1 runs the scalar reference path, and
+//! results are bit-identical at every width — exactly like the
+//! worker-thread count, striping is a pure wall-clock knob.
 //!
-//! Decoding has two paths. **Monolithic** (the default, auto-selected when
-//! [`RunConfig::window_rounds`] is 0 or exceeds the round count): the whole
-//! shot's detection events form one syndrome over the whole-experiment
-//! decoding graph. **Sliding-window streaming** (`window_rounds` in
-//! `1..=rounds`, or the `ERASER_WINDOW` environment variable): each round's
-//! defects and erasure flags are pushed into a per-shot
-//! [`qec_decoder::WindowedDecoder`] as the round completes, and windows of
-//! `window_rounds` rounds are decoded incrementally, committing
-//! `window_stride` rounds each (the remaining buffer — keep it ≥ d — is
-//! re-decoded by the next window). Peak decoder memory is then O(window²)
-//! regardless of R, which is what makes long-memory workloads (R ≫ d)
-//! decodable with MWPM at all; per-window decode latency lands in
-//! [`MemoryRunResult::decode_latency`]. The simulated physics is identical
-//! on both paths — only the decode differs.
+//! Decoding has one path: a [`WindowPlan`]. Each shot's per-round defects
+//! and erasure flags are pushed into a [`qec_decoder::WindowedDecoder`],
+//! and windows of `window_rounds` rounds are decoded incrementally,
+//! committing `window_stride` rounds each (the remaining buffer — keep it
+//! ≥ d — is re-decoded by the next window). Peak decoder memory is then
+//! O(window²) regardless of R, which is what makes long-memory workloads
+//! (R ≫ d) decodable with MWPM at all. A [`RunConfig::window_rounds`] of 0
+//! (with no `ERASER_WINDOW` override), or one longer than the round count,
+//! means one **full-cover** window: the whole shot is one syndrome over the
+//! whole-experiment graph, decoded by exactly the call a whole-shot decoder
+//! makes. Per-window decode latency lands in
+//! [`MemoryRunResult::decode_latency`].
 //!
 //! Metrics collected per run (paper §5.4, §6.4):
 //!
@@ -52,9 +51,8 @@ use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
     build_dem, DecodeOutcome, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan, FusionPool,
-    GreedyFactory, MwpmFactory, ShortestPaths, SparseIndex, SparseMwpmFactory, StreamingDecoder,
-    Syndrome, SyndromeDecoder, TierCounters, TieredDecoder, UnionFindCapacities, UnionFindFactory,
-    WindowBackend, WindowPlan, WindowedDecoder,
+    GreedyFactory, MwpmFactory, SparseMwpmFactory, StreamingDecoder, TierCounters,
+    UnionFindFactory, WindowBackend, WindowPlan, WindowedDecoder,
 };
 use std::sync::Arc;
 use surface_code::{
@@ -75,12 +73,11 @@ pub enum LrcProtocol {
 /// Decoder selection for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecoderKind {
-    /// Dense MWPM below [`DecoderKind::AUTO_MWPM_NODE_LIMIT`] graph nodes,
-    /// sparse MWPM above. On the monolithic path the node count is the
-    /// whole-experiment graph's (where dense MWPM's O(n²) path table prices
-    /// out large d × R products — the sparse blossom keeps the same optimal
-    /// weight with O(n) precomputation); on the sliding-window path it is
-    /// the *window's*.
+    /// Dense MWPM up to [`DecoderKind::AUTO_MWPM_NODE_LIMIT`] nodes in the
+    /// graph actually decoded — the largest window, which for a full-cover
+    /// window is the whole-experiment graph — sparse MWPM above (where
+    /// dense MWPM's O(n²) path table prices out; the sparse blossom keeps
+    /// the same optimal weight with O(n) precomputation).
     #[default]
     Auto,
     /// Exact blossom MWPM (the paper's decoder), dense all-pairs tables.
@@ -97,19 +94,27 @@ pub enum DecoderKind {
 
 impl DecoderKind {
     /// Node count above which `Auto` switches from dense to sparse MWPM.
-    /// This constant — together with [`DecoderKind::resolve`] — is the
-    /// *single* source of the Auto-selection rule; both
+    /// This constant — together with [`DecoderKind::resolve_window`] — is
+    /// the *single* source of the Auto-selection rule; both
     /// [`MemoryRunner::run`] and the `Experiment` facade go through it.
     pub const AUTO_MWPM_NODE_LIMIT: usize = 3000;
 
-    /// Resolves `Auto` against a concrete decoding graph; the other variants
-    /// map to themselves. Never returns [`DecoderKind::Auto`]. Both arms are
-    /// MWPM-accurate: the limit only decides whether the dense all-pairs
-    /// table is affordable.
+    /// Resolves `Auto` against the whole decoding graph — the graph a
+    /// full-cover window decodes; the other variants map to themselves.
+    /// Never returns [`DecoderKind::Auto`].
     pub fn resolve(self, graph: &DecodingGraph) -> DecoderKind {
+        self.resolve_window(graph, 0)
+    }
+
+    /// Resolves `Auto` against the node count of a `window`-round window
+    /// of `graph`: the graph each window decode actually sees. A window of 0, or one spanning every round, is the
+    /// whole graph. The other variants map to themselves; never returns
+    /// [`DecoderKind::Auto`]. Both arms are MWPM-accurate: the limit only
+    /// decides whether the dense all-pairs table is affordable.
+    pub fn resolve_window(self, graph: &DecodingGraph, window: usize) -> DecoderKind {
         match self {
             DecoderKind::Auto => {
-                if graph.num_nodes() <= DecoderKind::AUTO_MWPM_NODE_LIMIT {
+                if window_nodes(graph, window) <= DecoderKind::AUTO_MWPM_NODE_LIMIT {
                     DecoderKind::Mwpm
                 } else {
                     DecoderKind::SparseMwpm
@@ -119,8 +124,9 @@ impl DecoderKind {
         }
     }
 
-    /// Builds the decoder factory for `graph`: the one place decoder
-    /// construction (including Auto selection) happens. The factory owns the
+    /// Builds a whole-graph decoder factory for `graph` (`Auto` resolved by
+    /// [`DecoderKind::resolve`]), for decoding syndromes directly; runs
+    /// decode through a [`WindowPlan`] instead. The factory owns the
     /// expensive per-graph precomputation (shared via `Arc`); every worker
     /// thread then builds its own stateful instance from it.
     pub fn build_factory(self, graph: &DecodingGraph) -> Box<dyn DecoderFactory + '_> {
@@ -133,27 +139,26 @@ impl DecoderKind {
         }
     }
 
-    /// Resolves the per-window backend for sliding-window decoding: `Auto`
-    /// applies [`DecoderKind::AUTO_MWPM_NODE_LIMIT`] to the *window's* node
-    /// count (per-round nodes × window rounds) rather than the whole
-    /// experiment's — the windowed path is exactly what keeps MWPM viable at
-    /// large R.
-    pub fn resolve_window_backend(self, graph: &DecodingGraph, window: usize) -> WindowBackend {
+    /// The window backend of a resolved kind.
+    fn window_backend(self) -> WindowBackend {
         match self {
-            DecoderKind::Auto => {
-                let per_round = graph.num_nodes() / (graph.max_round() + 1).max(1);
-                if per_round * (window + 1) <= DecoderKind::AUTO_MWPM_NODE_LIMIT {
-                    WindowBackend::Mwpm
-                } else {
-                    WindowBackend::SparseMwpm
-                }
-            }
             DecoderKind::Mwpm => WindowBackend::Mwpm,
             DecoderKind::SparseMwpm => WindowBackend::SparseMwpm,
             DecoderKind::UnionFind => WindowBackend::UnionFind,
             DecoderKind::Greedy => WindowBackend::Greedy,
+            DecoderKind::Auto => unreachable!("resolve Auto before picking a backend"),
         }
     }
+}
+
+/// Nodes in a `window`-round window of `graph` (the whole graph when
+/// `window` is 0 or spans every round). Memory-experiment graphs have the
+/// same node count in every round, so every window of one width has the
+/// same size.
+fn window_nodes(graph: &DecodingGraph, window: usize) -> usize {
+    let span = graph.max_round() + 1;
+    let rounds = if window == 0 { span } else { window.min(span) };
+    graph.num_nodes() * rounds / span
 }
 
 /// Leakage-detection model for erasure-aware decoding.
@@ -166,7 +171,7 @@ impl DecoderKind {
 /// exact heralded mechanisms' decoding-graph edges (fault provenance:
 /// `ErrorMechanism::sources` +
 /// [`DecodingGraph::erasure_edges_for_mechanism`]), and hands them to the
-/// decoder as [`Syndrome::erasures`].
+/// decoder as [`qec_decoder::Syndrome::erasures`].
 ///
 /// Detection noise draws from a per-shot stream that is independent of the
 /// simulator's, so enabling erasure decoding never changes the physical
@@ -226,7 +231,7 @@ pub struct RunConfig {
     pub threads: usize,
     /// Decoder selection. `Auto` defers to the `ERASER_DECODER`
     /// environment variable if set, else to the node-count rule in
-    /// [`DecoderKind::resolve`]. An explicit kind always wins.
+    /// [`DecoderKind::resolve_window`]. An explicit kind always wins.
     pub decoder: DecoderKind,
     /// Leakage-removal protocol executed for scheduled pairs.
     pub protocol: LrcProtocol,
@@ -242,9 +247,9 @@ pub struct RunConfig {
     /// bit-identical for every width (shots own their RNG streams).
     pub stripe_width: usize,
     /// Sliding-window length in rounds for streaming decoding; 0 means the
-    /// `ERASER_WINDOW` environment variable if set, else monolithic
-    /// whole-shot decoding. A window larger than the round count also
-    /// auto-selects the monolithic path (one window would cover the shot).
+    /// `ERASER_WINDOW` environment variable if set, else one full-cover
+    /// window (whole-shot decoding). A window larger than the round count
+    /// is a full-cover window too.
     pub window_rounds: usize,
     /// Rounds committed (and advanced) per window; 0 derives the default
     /// `window_rounds − d` (clamped to ≥ 1), which keeps the re-decoded
@@ -452,7 +457,7 @@ impl RunConfig {
     /// The `(window_rounds, window_stride)` pair this configuration resolves
     /// to: the config fields themselves when `window_rounds` is set; else the
     /// `ERASER_WINDOW` environment variable (`"W"` or `"W:S"`, the CI smoke
-    /// leg's hook); else `(0, 0)` — monolithic decoding. A stride of 0 is
+    /// leg's hook); else `(0, 0)` — one full-cover window. A stride of 0 is
     /// resolved later against the code distance (`window − d`, min 1).
     /// A malformed override is an error, never a silent default.
     pub fn resolved_window(&self) -> Result<(usize, usize), EnvOverrideError> {
@@ -473,10 +478,10 @@ impl RunConfig {
     /// The decoder selection this configuration resolves to: `decoder`
     /// itself when it is not `Auto`; else the `ERASER_DECODER` environment
     /// variable (the CI test matrix's hook); else `Auto`, deferred to
-    /// [`DecoderKind::resolve`] against the concrete decoding graph. Every
-    /// resolution is MWPM-accurate or an explicitly requested ablation, so
-    /// the override never silently degrades accuracy. A malformed override
-    /// is an error, never a silent default.
+    /// [`MemoryRunner::resolved_decoder`] against the graph each window
+    /// decodes. Every resolution is MWPM-accurate or an explicitly
+    /// requested ablation, so the override never silently degrades
+    /// accuracy. A malformed override is an error, never a silent default.
     pub fn resolved_decoder(&self) -> Result<DecoderKind, EnvOverrideError> {
         if self.decoder != DecoderKind::Auto {
             return Ok(self.decoder);
@@ -690,9 +695,9 @@ impl PostSelection {
 }
 
 /// Decode-latency distribution in nanoseconds **per committed round**,
-/// aggregated over every decode call of a run (per window on the streaming
-/// path, per shot on the monolithic path — both normalized by the rounds the
-/// call settled, so the two paths are directly comparable).
+/// aggregated over every decoded window of a run (per shot under fusion),
+/// each normalized by the rounds it settled, so window geometries are
+/// directly comparable.
 ///
 /// Samples land in power-of-two histogram buckets, which keeps the stats
 /// O(1) in memory, exactly mergeable across worker threads, and good to
@@ -832,7 +837,8 @@ pub struct MemoryRunResult {
     /// Decoder display name.
     pub decoder: String,
     /// Decode-latency distribution (ns per committed round): one sample per
-    /// window on the streaming path, one per shot on the monolithic path.
+    /// decoded window (a full-cover window is one per shot), one per shot
+    /// under fusion. Windows the predecoder skips (tier 0) take no sample.
     /// Empty when decoding is disabled.
     pub decode_latency: DecodeLatencyStats,
     /// Feedback-controller telemetry (escalations, rounds per mode,
@@ -886,6 +892,35 @@ struct PartialStats {
     predecode: TierCounters,
 }
 
+impl PartialStats {
+    /// Seals a shot whose rounds are all pushed into `stream` and folds it
+    /// in: the window latency samples, the shot's erasure count
+    /// (deduplicated in place — adjacent flagged qubits share checks, and
+    /// flags persist across rounds), and whether the decoded flip missed
+    /// the `actual` observable flip.
+    fn finish_shot(
+        &mut self,
+        stream: &mut ShotStream,
+        erasures: &mut Vec<usize>,
+        actual: bool,
+        suspect: bool,
+    ) {
+        let outcome = stream.finish();
+        for &(nanos, committed) in stream.latencies() {
+            self.decode_latency.record(nanos, committed as usize);
+        }
+        erasures.sort_unstable();
+        erasures.dedup();
+        self.total_erasures += erasures.len() as u64;
+        if outcome.flip != actual {
+            self.logical_errors += 1;
+            if !suspect {
+                self.postselection.errors_on_kept += 1;
+            }
+        }
+    }
+}
+
 /// Reusable memory-experiment runner: owns the experiment description, the
 /// detector list, and the decoding graph (built once from the base no-LRC
 /// circuit — the decoder's *error model* is LRC- and leakage-unaware, the
@@ -929,10 +964,10 @@ pub struct MemoryRunner {
     qubit_round_edges: Vec<Vec<usize>>,
 }
 
-/// The decode-path artifacts resolved for one (runner, config) pair:
-/// either a sliding-window plan or the monolithic decoder's precomputed
-/// tables, `Arc`-shared so an [`ArtifactCache`] can hand one build to many
-/// runs. Built by [`MemoryRunner::decode_artifacts`]; consumed by
+/// The decode-path artifacts resolved for one (runner, config) pair: the
+/// window plan (possibly wrapped in a fusion partition), `Arc`-shared so an
+/// [`ArtifactCache`] can hand one build to many runs. Built by
+/// [`MemoryRunner::decode_artifacts`]; consumed by
 /// [`MemoryRunner::run_with_artifacts`].
 #[derive(Debug, Clone)]
 pub struct DecodeArtifacts {
@@ -941,16 +976,7 @@ pub struct DecodeArtifacts {
 
 #[derive(Debug, Clone)]
 enum ResolvedDecode {
-    /// Whole-experiment decoding; `kind` is resolved (never `Auto`) and
-    /// exactly one of the tables is populated (paths for MWPM/greedy,
-    /// capacities for union-find, the boundary index for sparse MWPM).
-    Monolithic {
-        kind: DecoderKind,
-        paths: Option<Arc<ShortestPaths>>,
-        capacities: Option<Arc<UnionFindCapacities>>,
-        sparse: Option<Arc<SparseIndex>>,
-    },
-    /// Sliding-window streaming decoding.
+    /// Sequential window chain (a full-cover window is a chain of one).
     Windowed(Arc<WindowPlan>),
     /// Sliding-window decoding with intra-shot fusion parallelism: the
     /// window positions are partitioned into leaf blocks decoded
@@ -965,33 +991,50 @@ impl DecodeArtifacts {
         self.resolved.is_some()
     }
 
-    /// Whether the run takes the sliding-window path (sequentially or
-    /// through the fusion decoder).
-    pub fn windowed(&self) -> bool {
-        matches!(
-            self.resolved,
-            Some(ResolvedDecode::Windowed(_) | ResolvedDecode::Fused(_))
-        )
-    }
-
     /// Whether the run decodes each shot's window chain on an intra-shot
     /// fusion pool.
     pub fn fused(&self) -> bool {
         matches!(self.resolved, Some(ResolvedDecode::Fused(_)))
     }
 
-    /// The decoder name a run with these artifacts reports in
-    /// [`MemoryRunResult::decoder`]: the window backend on the streaming
-    /// paths (which an `ERASER_WINDOW` / `ERASER_FUSION` override can
-    /// resolve differently than the monolithic graph would), the resolved
-    /// monolithic kind otherwise, `"none"` when decoding is disabled.
-    pub fn decoder_name(&self) -> String {
+    /// The window plan every decode runs through (`None` when decoding is
+    /// disabled).
+    pub(crate) fn window_plan(&self) -> Option<&WindowPlan> {
         match &self.resolved {
-            Some(ResolvedDecode::Windowed(plan)) => plan.backend().name().to_string(),
-            Some(ResolvedDecode::Fused(fplan)) => fplan.window_plan().backend().name().to_string(),
-            Some(ResolvedDecode::Monolithic { kind, .. }) => kind.to_string(),
-            None => "none".to_string(),
+            Some(ResolvedDecode::Windowed(plan)) => Some(plan),
+            Some(ResolvedDecode::Fused(fplan)) => Some(fplan.window_plan()),
+            None => None,
         }
+    }
+
+    /// The decoder name a run with these artifacts reports in
+    /// [`MemoryRunResult::decoder`]: the window backend, `"none"` when
+    /// decoding is disabled.
+    pub fn decoder_name(&self) -> String {
+        self.window_plan()
+            .map_or("none", |plan| plan.backend().name())
+            .to_string()
+    }
+
+    /// One runtime worker's streaming decoder (`None` when decoding is
+    /// disabled), fronted by the tiered predecoder unless `config` turns it
+    /// off — bit-identical either way. The environment was validated
+    /// upstream, so a malformed `ERASER_PREDECODE` here can only panic,
+    /// never silently default.
+    fn stream(&self, config: &RunConfig) -> Option<ShotStream<'_>> {
+        let mut stream = match self.resolved.as_ref()? {
+            ResolvedDecode::Windowed(plan) => ShotStream::Windowed(plan.streaming()),
+            ResolvedDecode::Fused(fplan) => ShotStream::Fused(FusionDecoder::new(
+                fplan,
+                Arc::new(FusionPool::new(fplan.threads())),
+            )),
+        };
+        stream.set_predecode(
+            config
+                .resolved_predecode()
+                .unwrap_or_else(|e| panic!("{e}")),
+        );
+        Some(stream)
     }
 }
 
@@ -1216,30 +1259,6 @@ impl MemoryRunner {
         }
     }
 
-    /// The word-parallel analogue of [`MemoryRunner::gather_round_defects`]:
-    /// one parity word per detector of the round, scattered into each active
-    /// lane's defect list (ascending node order preserved).
-    fn gather_round_defect_lanes(
-        &self,
-        sim: &BatchFrameSimulator,
-        round: usize,
-        active: u64,
-        lanes: usize,
-        out: &mut [Vec<usize>],
-    ) {
-        for buffer in out.iter_mut().take(lanes) {
-            buffer.clear();
-        }
-        for &(di, node) in &self.detector_nodes_by_round[round] {
-            let mut word = sim.record().parity_word(&self.detectors[di as usize].keys) & active;
-            while word != 0 {
-                let lane = word.trailing_zeros() as usize;
-                out[lane].push(node as usize);
-                word &= word - 1;
-            }
-        }
-    }
-
     /// The content identity of this runner — runs sharing it share every
     /// decode artifact bit-for-bit. See [`ExperimentKey`].
     pub fn cache_key(&self) -> ExperimentKey {
@@ -1268,13 +1287,49 @@ impl MemoryRunner {
         buckets + detectors + segments + graph
     }
 
-    /// Resolves the decode-path artifacts for `config`: the sliding-window
-    /// plan when a window applies, else the monolithic decoder's APSP or
-    /// capacity table. With a cache, artifacts are fetched by content key
-    /// and shared across runs (and across content-identical runners);
-    /// without one they are built fresh — the results are bit-identical
-    /// either way, because every artifact is a deterministic function of
-    /// the key.
+    /// The `(window, stride)` geometry `config` resolves to on this runner.
+    /// A window of 0, or one longer than the round count, is one full-cover
+    /// window (span = stride = every detector round) — unless fusion is
+    /// requested, which needs a window chain to partition: fusion threads
+    /// > 1 with no usable window derive the default `min(3d, rounds)`.
+    fn resolved_geometry(&self, config: &RunConfig) -> Result<(usize, usize), EnvOverrideError> {
+        let (mut window, mut stride) = config.resolved_window()?;
+        let rounds = self.exp.rounds();
+        let d = self.exp.code().distance();
+        if config.resolved_fusion()? > 1 && (window == 0 || window > rounds) {
+            window = (3 * d).min(rounds);
+            stride = 0;
+        }
+        if window == 0 || window > rounds {
+            let span = self.graph.max_round() + 1;
+            return Ok((span, span));
+        }
+        let stride = if stride == 0 {
+            window.saturating_sub(d).max(1)
+        } else {
+            stride.min(window)
+        };
+        Ok((window, stride))
+    }
+
+    /// The decoder `config` resolves to on this runner: the configured (or
+    /// `ERASER_DECODER`) kind, with `Auto` resolved against the graph each
+    /// window decodes. Never returns [`DecoderKind::Auto`]. Fails only on a
+    /// malformed `ERASER_WINDOW` / `ERASER_DECODER` / `ERASER_FUSION`
+    /// override.
+    pub fn resolved_decoder(&self, config: &RunConfig) -> Result<DecoderKind, EnvOverrideError> {
+        let (window, _) = self.resolved_geometry(config)?;
+        Ok(config
+            .resolved_decoder()?
+            .resolve_window(&self.graph, window))
+    }
+
+    /// Resolves the decode-path artifacts for `config`: the window plan,
+    /// wrapped in a fusion partition when fusion is requested. With a
+    /// cache, artifacts are fetched by content key and shared across runs
+    /// (and across content-identical runners); without one they are built
+    /// fresh — the results are bit-identical either way, because every
+    /// artifact is a deterministic function of the key.
     ///
     /// Fails only on a malformed `ERASER_WINDOW` / `ERASER_DECODER` /
     /// `ERASER_FUSION` override.
@@ -1286,115 +1341,44 @@ impl MemoryRunner {
         if !config.decode {
             return Ok(DecodeArtifacts { resolved: None });
         }
-        // Streaming vs monolithic decode path. A window of 0 (or beyond the
-        // round count, where a single window would cover the whole shot)
-        // selects monolithic decoding — unless fusion is requested, which
-        // *requires* a window chain to partition: fusion_threads > 1 with
-        // no usable window derives the default geometry min(3d, rounds).
-        let (mut window, mut stride_raw) = config.resolved_window()?;
-        let decoder = config.resolved_decoder()?;
+        let (window, stride) = self.resolved_geometry(config)?;
+        let backend = self.resolved_decoder(config)?.window_backend();
         let fusion = config.resolved_fusion()?;
-        let d = self.exp.code().distance();
-        if fusion > 1 && (window == 0 || window > self.exp.rounds()) {
-            window = (3 * d).min(self.exp.rounds());
-            stride_raw = 0;
-        }
-        let resolved = if window > 0 && window <= self.exp.rounds() {
-            let stride = if stride_raw == 0 {
-                window.saturating_sub(d).max(1)
-            } else {
-                stride_raw.min(window)
-            };
-            let backend = decoder.resolve_window_backend(&self.graph, window);
-            let plan = match cache {
+        let plan = match cache {
+            Some(cache) => cache.get_or_build(
+                &CacheKey {
+                    experiment: self.cache_key(),
+                    kind: ArtifactKind::WindowPlan {
+                        window,
+                        stride,
+                        backend,
+                    },
+                },
+                WindowPlan::approx_decoder_bytes,
+                || WindowPlan::new(&self.graph, window, stride, backend),
+            ),
+            None => Arc::new(WindowPlan::new(&self.graph, window, stride, backend)),
+        };
+        let resolved = if fusion > 1 {
+            let fplan = match cache {
                 Some(cache) => cache.get_or_build(
                     &CacheKey {
                         experiment: self.cache_key(),
-                        kind: ArtifactKind::WindowPlan {
+                        kind: ArtifactKind::FusionPlan {
                             window,
                             stride,
                             backend,
+                            threads: fusion,
                         },
                     },
-                    WindowPlan::approx_decoder_bytes,
-                    || WindowPlan::new(&self.graph, window, stride, backend),
+                    FusionPlan::approx_bytes,
+                    || FusionPlan::new(Arc::clone(&plan), fusion),
                 ),
-                None => Arc::new(WindowPlan::new(&self.graph, window, stride, backend)),
+                None => Arc::new(FusionPlan::new(Arc::clone(&plan), fusion)),
             };
-            if fusion > 1 {
-                let fplan = match cache {
-                    Some(cache) => cache.get_or_build(
-                        &CacheKey {
-                            experiment: self.cache_key(),
-                            kind: ArtifactKind::FusionPlan {
-                                window,
-                                stride,
-                                backend,
-                                threads: fusion,
-                            },
-                        },
-                        FusionPlan::approx_bytes,
-                        || FusionPlan::new(Arc::clone(&plan), fusion),
-                    ),
-                    None => Arc::new(FusionPlan::new(Arc::clone(&plan), fusion)),
-                };
-                ResolvedDecode::Fused(fplan)
-            } else {
-                ResolvedDecode::Windowed(plan)
-            }
+            ResolvedDecode::Fused(fplan)
         } else {
-            let kind = decoder.resolve(&self.graph);
-            let (paths, capacities, sparse) = match kind {
-                DecoderKind::Mwpm | DecoderKind::Greedy => {
-                    let paths = match cache {
-                        Some(cache) => cache.get_or_build(
-                            &CacheKey {
-                                experiment: self.cache_key(),
-                                kind: ArtifactKind::Apsp,
-                            },
-                            ShortestPaths::approx_bytes,
-                            || ShortestPaths::compute(&self.graph),
-                        ),
-                        None => Arc::new(ShortestPaths::compute(&self.graph)),
-                    };
-                    (Some(paths), None, None)
-                }
-                DecoderKind::SparseMwpm => {
-                    let sparse = match cache {
-                        Some(cache) => cache.get_or_build(
-                            &CacheKey {
-                                experiment: self.cache_key(),
-                                kind: ArtifactKind::SparseIndex,
-                            },
-                            SparseIndex::approx_bytes,
-                            || SparseIndex::compute(&self.graph),
-                        ),
-                        None => Arc::new(SparseIndex::compute(&self.graph)),
-                    };
-                    (None, None, Some(sparse))
-                }
-                DecoderKind::UnionFind => {
-                    let capacities = match cache {
-                        Some(cache) => cache.get_or_build(
-                            &CacheKey {
-                                experiment: self.cache_key(),
-                                kind: ArtifactKind::UfCapacities,
-                            },
-                            UnionFindCapacities::approx_bytes,
-                            || UnionFindCapacities::compute(&self.graph),
-                        ),
-                        None => Arc::new(UnionFindCapacities::compute(&self.graph)),
-                    };
-                    (None, Some(capacities), None)
-                }
-                DecoderKind::Auto => unreachable!("resolve never returns Auto"),
-            };
-            ResolvedDecode::Monolithic {
-                kind,
-                paths,
-                capacities,
-                sparse,
-            }
+            ResolvedDecode::Windowed(plan)
         };
         Ok(DecodeArtifacts {
             resolved: Some(resolved),
@@ -1447,47 +1431,6 @@ impl MemoryRunner {
         artifacts: &DecodeArtifacts,
     ) -> MemoryRunResult {
         assert!(config.shots >= 1, "a run needs at least one shot");
-        let (plan, fused): (Option<&WindowPlan>, Option<&FusionPlan>) = match &artifacts.resolved {
-            Some(ResolvedDecode::Windowed(plan)) => (Some(plan), None),
-            Some(ResolvedDecode::Fused(fplan)) => (Some(fplan.window_plan()), Some(fplan)),
-            _ => (None, None),
-        };
-        // The factory holds the expensive precomputation (APSP table, edge
-        // capacities) — resolved once, possibly from a cache; worker
-        // threads build their own stateful instances from it.
-        let factory: Option<Box<dyn DecoderFactory + '_>> = match &artifacts.resolved {
-            Some(ResolvedDecode::Monolithic {
-                kind,
-                paths,
-                capacities,
-                sparse,
-            }) => Some(match kind {
-                DecoderKind::Mwpm => Box::new(MwpmFactory::with_paths(
-                    &self.graph,
-                    Arc::clone(paths.as_ref().expect("mwpm artifacts carry paths")),
-                )),
-                DecoderKind::SparseMwpm => Box::new(SparseMwpmFactory::with_index(
-                    &self.graph,
-                    Arc::clone(sparse.as_ref().expect("sparse artifacts carry an index")),
-                )),
-                DecoderKind::Greedy => Box::new(GreedyFactory::with_paths(
-                    &self.graph,
-                    Arc::clone(paths.as_ref().expect("greedy artifacts carry paths")),
-                )),
-                DecoderKind::UnionFind => Box::new(UnionFindFactory::with_capacities(
-                    &self.graph,
-                    Arc::clone(
-                        capacities
-                            .as_ref()
-                            .expect("union-find artifacts carry capacities"),
-                    ),
-                )),
-                DecoderKind::Auto => unreachable!("artifacts hold a resolved kind"),
-            }),
-            _ => None,
-        };
-        let factory = factory.as_deref();
-
         let threads = config
             .resolved_threads()
             .unwrap_or_else(|e| panic!("{e}"))
@@ -1517,26 +1460,9 @@ impl MemoryRunner {
                 .map(|(first, count)| {
                     scope.spawn(move || {
                         if width == 1 {
-                            self.run_shots_scalar(
-                                first,
-                                count,
-                                policy_factory,
-                                factory,
-                                plan,
-                                fused,
-                                config,
-                            )
+                            self.run_shots_scalar(first, count, policy_factory, artifacts, config)
                         } else {
-                            self.run_stripes(
-                                first,
-                                count,
-                                width,
-                                policy_factory,
-                                factory,
-                                plan,
-                                fused,
-                                config,
-                            )
+                            self.run_stripes(first, count, width, policy_factory, artifacts, config)
                         }
                     })
                 })
@@ -1602,11 +1528,7 @@ impl MemoryRunner {
             speculation: merged.speculation,
             postselection: merged.postselection,
             policy: policy_name,
-            decoder: plan
-                .map(|p| p.backend().name())
-                .or_else(|| factory.map(|f| f.name()))
-                .unwrap_or("none")
-                .to_string(),
+            decoder: artifacts.decoder_name(),
             decode_latency: merged.decode_latency,
             controller: merged.controller,
             predecode: merged.predecode,
@@ -1616,15 +1538,12 @@ impl MemoryRunner {
     /// The scalar reference path (stripe width 1): one shot at a time on
     /// the scalar [`FrameSimulator`]. The striped path must stay
     /// bit-identical to this, shot for shot.
-    #[allow(clippy::too_many_arguments)]
     fn run_shots_scalar(
         &self,
         first_shot: u64,
         shots: u64,
         policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
-        factory: Option<&dyn DecoderFactory>,
-        plan: Option<&WindowPlan>,
-        fused: Option<&FusionPlan>,
+        artifacts: &DecodeArtifacts,
         config: &RunConfig,
     ) -> PartialStats {
         let code = self.exp.code();
@@ -1634,28 +1553,8 @@ impl MemoryRunner {
         let num_data = code.num_data();
         let num_stabs = code.num_stabs();
 
-        // Per-thread decoder instance: mutable, with scratch buffers reused
-        // across every shot this worker decodes. Exactly one of `decoder`
-        // (monolithic) and `streaming` (sliding-window) is live on
-        // decode-enabled runs. Both are fronted by the tiered predecoder
-        // (bit-identical either way; env validated upstream, so a malformed
-        // `ERASER_PREDECODE` here can only panic, never silently default).
-        let predecode = config
-            .resolved_predecode()
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut decoder = factory.map(|f| TieredDecoder::with_enabled(f.build(), predecode));
-        let mut streaming: Option<ShotStream> = match (fused, plan) {
-            (Some(f), _) => Some(ShotStream::Fused(FusionDecoder::new(
-                f,
-                Arc::new(FusionPool::new(f.threads())),
-            ))),
-            (None, Some(p)) => Some(ShotStream::Windowed(p.streaming())),
-            (None, None) => None,
-        };
-        if let Some(stream) = streaming.as_mut() {
-            stream.set_predecode(predecode);
-        }
-        let erasure_active = config.erasure.enabled && (decoder.is_some() || streaming.is_some());
+        let mut streaming = artifacts.stream(config);
+        let erasure_active = config.erasure.enabled && streaming.is_some();
         let mut policy = policy_factory(code);
         let discriminator = if policy.uses_multilevel() {
             Discriminator::MultiLevel
@@ -1679,11 +1578,8 @@ impl MemoryRunner {
         let mut events = vec![false; num_stabs];
         let mut leaked_readouts = vec![false; num_stabs];
         let mut oracle = vec![false; num_data];
-        let mut det_events = vec![false; self.detectors.len()];
-        let mut syndrome = Syndrome::build(Vec::new()).rounds(rounds).finish();
-        // Streaming-path scratch: the current round's defects / erasure
-        // edges, plus the shot-level erasure log (kept only to report
-        // `total_erasures` with the monolithic dedup-per-shot semantics).
+        // The current round's defects and erasure edges, plus the shot's
+        // erasure log (reported deduplicated as `total_erasures`).
         let mut round_defects: Vec<usize> = Vec::new();
         let mut round_erasures: Vec<usize> = Vec::new();
         let mut erasure_log: Vec<usize> = Vec::new();
@@ -1696,7 +1592,6 @@ impl MemoryRunner {
             sim.reseed(det_rng.fork());
             sim.reset_shot();
             policy.reset_shot();
-            syndrome.clear();
             erasure_log.clear();
             if let Some(stream) = streaming.as_mut() {
                 stream.begin_shot();
@@ -1804,11 +1699,7 @@ impl MemoryRunner {
                                 );
                             }
                         }
-                        if streaming.is_some() {
-                            erasure_log.extend_from_slice(&round_erasures);
-                        } else {
-                            syndrome.erasures.extend_from_slice(&round_erasures);
-                        }
+                        erasure_log.extend_from_slice(&round_erasures);
                     }
                 }
 
@@ -1871,46 +1762,14 @@ impl MemoryRunner {
             if suspect {
                 stats.postselection.flagged_shots += 1;
             }
-            if let Some(decoder) = decoder.as_mut() {
-                for (i, det) in self.detectors.iter().enumerate() {
-                    det_events[i] = sim.record().parity(&det.keys);
-                }
-                self.graph
-                    .defects_from_events_into(&det_events, &mut syndrome.defects);
-                // Adjacent flagged qubits share checks, and flags persist
-                // across rounds: deduplicate the collected erasure edges.
-                syndrome.erasures.sort_unstable();
-                syndrome.erasures.dedup();
-                stats.total_erasures += syndrome.erasures.len() as u64;
-                let outcome = decoder.decode_syndrome(&syndrome);
-                stats.decode_latency.record(outcome.nanos, rounds + 1);
-                let actual = sim.record().parity(&self.observable);
-                if outcome.flip != actual {
-                    stats.logical_errors += 1;
-                    if !suspect {
-                        stats.postselection.errors_on_kept += 1;
-                    }
-                }
-            } else if let Some(stream) = streaming.as_mut() {
+            if let Some(stream) = streaming.as_mut() {
                 // The final transversal detectors (round = rounds) complete
                 // with the final segment; pushing them retires the last
                 // window and seals the shot.
                 self.gather_round_defects(&sim, rounds, &mut round_defects);
                 stream.push_round(&round_defects, &[]);
-                let outcome = stream.finish();
-                for &(nanos, committed) in stream.latencies() {
-                    stats.decode_latency.record(nanos, committed as usize);
-                }
-                erasure_log.sort_unstable();
-                erasure_log.dedup();
-                stats.total_erasures += erasure_log.len() as u64;
                 let actual = sim.record().parity(&self.observable);
-                if outcome.flip != actual {
-                    stats.logical_errors += 1;
-                    if !suspect {
-                        stats.postselection.errors_on_kept += 1;
-                    }
-                }
+                stats.finish_shot(stream, &mut erasure_log, actual, suspect);
             }
         }
         // Controller telemetry accumulates across this worker's shots;
@@ -1918,9 +1777,6 @@ impl MemoryRunner {
         // for the predecoder's tier counters.
         if let Some(controller) = policy.controller() {
             stats.controller.merge(controller);
-        }
-        if let Some(decoder) = decoder.as_ref() {
-            stats.predecode.merge(decoder.counters());
         }
         if let Some(stream) = streaming.as_ref() {
             stats.predecode.merge(&stream.tier_counters());
@@ -1972,19 +1828,19 @@ impl MemoryRunner {
 
     /// The word-parallel path: up to 64 shots per stripe on the
     /// [`BatchFrameSimulator`], with one static schedule per round executed
-    /// under the policy layer's per-slot lane masks, and the stripe's
-    /// defect/erasure sets fed to the decoder as one `decode_batch` call.
-    /// Bit-identical to [`MemoryRunner::run_shots_scalar`], shot for shot.
-    #[allow(clippy::too_many_arguments)]
+    /// under the policy layer's per-slot lane masks. Each lane's erasures
+    /// are logged per round during the stripe; afterwards the worker's one
+    /// streaming decoder decodes the lanes one at a time from the detector
+    /// parity words. A shot's decode is a pure function of what it is fed,
+    /// so this is bit-identical to [`MemoryRunner::run_shots_scalar`], shot
+    /// for shot.
     fn run_stripes(
         &self,
         first_shot: u64,
         shots: u64,
         width: usize,
         policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
-        factory: Option<&dyn DecoderFactory>,
-        plan: Option<&WindowPlan>,
-        fused: Option<&FusionPlan>,
+        artifacts: &DecodeArtifacts,
         config: &RunConfig,
     ) -> PartialStats {
         let code = self.exp.code();
@@ -1998,31 +1854,8 @@ impl MemoryRunner {
             LrcProtocol::Dqlr => &self.masked_dqlr,
         };
 
-        let predecode = config
-            .resolved_predecode()
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut decoder = factory.map(|f| TieredDecoder::with_enabled(f.build(), predecode));
-        // One streaming decoder per lane: each lane is its own shot, so each
-        // needs its own streaming state (the expensive tables stay shared
-        // through the plan). On the fusion path the lanes finish strictly one
-        // at a time, so a single intra-shot pool serves all of this worker's
-        // lanes.
-        let mut streams: Vec<ShotStream> = match (fused, plan) {
-            (Some(f), _) => {
-                let pool = Arc::new(FusionPool::new(f.threads()));
-                (0..width)
-                    .map(|_| ShotStream::Fused(FusionDecoder::new(f, Arc::clone(&pool))))
-                    .collect()
-            }
-            (None, Some(p)) => (0..width)
-                .map(|_| ShotStream::Windowed(p.streaming()))
-                .collect(),
-            (None, None) => Vec::new(),
-        };
-        for stream in &mut streams {
-            stream.set_predecode(predecode);
-        }
-        let erasure_active = config.erasure.enabled && (decoder.is_some() || !streams.is_empty());
+        let mut streaming = artifacts.stream(config);
+        let erasure_active = config.erasure.enabled && streaming.is_some();
         let mut policy = StripedPolicy::new(policy_factory, code, width);
         let discriminator = if policy.uses_multilevel() {
             Discriminator::MultiLevel
@@ -2051,15 +1884,11 @@ impl MemoryRunner {
         let mut planned = vec![0u64; num_data];
         let mut stab_free = vec![0u64; num_stabs];
         let mut det_words = vec![0u64; self.detectors.len()];
-        let mut det_events = vec![false; self.detectors.len()];
-        let mut syndromes: Vec<Syndrome> = (0..width)
-            .map(|_| Syndrome::build(Vec::new()).rounds(rounds).finish())
-            .collect();
-        let mut outcomes: Vec<DecodeOutcome> = Vec::with_capacity(width);
-        // Streaming-path scratch, one slot per lane.
-        let mut lane_round_defects: Vec<Vec<usize>> = vec![Vec::new(); width];
-        let mut lane_round_erasures: Vec<Vec<usize>> = vec![Vec::new(); width];
-        let mut lane_erasure_log: Vec<Vec<usize>> = vec![Vec::new(); width];
+        let mut round_defects: Vec<usize> = Vec::new();
+        // Each lane's erasure edges in push order, and where each of its
+        // rounds ends in that log (`erasure_ends[lane * rounds + r]`).
+        let mut lane_erasures: Vec<Vec<usize>> = vec![Vec::new(); width];
+        let mut erasure_ends = vec![0usize; width * rounds];
 
         let end = first_shot + shots;
         let mut shot = first_shot;
@@ -2078,14 +1907,8 @@ impl MemoryRunner {
             sim.begin_stripe(&sim_rngs);
             let active = sim.active();
             policy.reset_stripe(lanes);
-            for syndrome in &mut syndromes[..lanes] {
-                syndrome.clear();
-            }
-            for log in lane_erasure_log.iter_mut().take(lanes) {
+            for log in &mut lane_erasures[..lanes] {
                 log.clear();
-            }
-            for stream in streams.iter_mut().take(lanes) {
-                stream.begin_shot();
             }
             sim.run_masked(&self.init_segment, active);
             prev_syndrome.fill(0);
@@ -2135,9 +1958,6 @@ impl MemoryRunner {
                     stats.speculation.true_negative += (!p & !o & active).count_ones() as u64;
                 }
 
-                for buffer in lane_round_erasures.iter_mut().take(lanes) {
-                    buffer.clear();
-                }
                 if erasure_active {
                     // Per-lane detection noise, drawing each lane's stream
                     // in exactly the scalar order (data, data_returned,
@@ -2149,7 +1969,7 @@ impl MemoryRunner {
                             continue;
                         };
                         let det_rng = &mut det_rngs[lane];
-                        let erasures = &mut lane_round_erasures[lane];
+                        let erasures = &mut lane_erasures[lane];
                         for (q, &flag) in det.data.iter().enumerate() {
                             let reported = if flag {
                                 !det_rng.bernoulli(fnr)
@@ -2176,12 +1996,10 @@ impl MemoryRunner {
                                 self.extend_qubit_erasures(r - 1..=r - 1, parity, erasures);
                             }
                         }
-                        if streams.is_empty() {
-                            syndromes[lane].erasures.extend_from_slice(erasures);
-                        } else {
-                            lane_erasure_log[lane].extend_from_slice(erasures);
-                        }
                     }
+                }
+                for (lane, log) in lane_erasures[..lanes].iter().enumerate() {
+                    erasure_ends[lane * rounds + r] = log.len();
                 }
 
                 for (s, free) in stab_free.iter_mut().enumerate() {
@@ -2261,72 +2079,47 @@ impl MemoryRunner {
                     }
                     suspect &= active;
                 }
-                if !streams.is_empty() {
-                    self.gather_round_defect_lanes(&sim, r, active, lanes, &mut lane_round_defects);
-                    for lane in 0..lanes {
-                        streams[lane]
-                            .push_round(&lane_round_defects[lane], &lane_round_erasures[lane]);
-                    }
-                }
             }
             sim.run_masked(&self.final_segment, active);
 
             stats.postselection.flagged_shots += suspect.count_ones() as u64;
-            if let Some(decoder) = decoder.as_mut() {
-                // Detector parities for all lanes at once, then per-lane
-                // defect extraction into the stripe's syndrome batch.
-                for (i, det) in self.detectors.iter().enumerate() {
-                    det_words[i] = sim.record().parity_word(&det.keys);
-                }
-                for (lane, syndrome) in syndromes.iter_mut().enumerate().take(lanes) {
-                    for (i, &word) in det_words.iter().enumerate() {
-                        det_events[i] = word >> lane & 1 != 0;
+            if let Some(stream) = streaming.as_mut() {
+                // Detector parities for all lanes at once; each lane then
+                // streams its defects round by round (ascending node order,
+                // exactly as the scalar path reads them) with its logged
+                // erasures, and is sealed before the next lane begins.
+                for round in &self.detector_nodes_by_round {
+                    for &(di, _) in round {
+                        let di = di as usize;
+                        det_words[di] = sim.record().parity_word(&self.detectors[di].keys);
                     }
-                    self.graph
-                        .defects_from_events_into(&det_events, &mut syndrome.defects);
-                    syndrome.erasures.sort_unstable();
-                    syndrome.erasures.dedup();
-                    stats.total_erasures += syndrome.erasures.len() as u64;
                 }
-                decoder.decode_batch(&syndromes[..lanes], &mut outcomes);
                 let actual = sim.record().parity_word(&self.observable);
-                for (lane, outcome) in outcomes.iter().enumerate() {
-                    stats.decode_latency.record(outcome.nanos, rounds + 1);
-                    if outcome.flip != (actual >> lane & 1 != 0) {
-                        stats.logical_errors += 1;
-                        if suspect >> lane & 1 == 0 {
-                            stats.postselection.errors_on_kept += 1;
+                for (lane, erasures) in lane_erasures[..lanes].iter_mut().enumerate() {
+                    stream.begin_shot();
+                    let mut start = 0;
+                    for (r, round) in self.detector_nodes_by_round.iter().enumerate() {
+                        round_defects.clear();
+                        for &(di, node) in round {
+                            if det_words[di as usize] >> lane & 1 != 0 {
+                                round_defects.push(node as usize);
+                            }
                         }
+                        // The final transversal round carries no erasures.
+                        let end = if r < rounds {
+                            erasure_ends[lane * rounds + r]
+                        } else {
+                            start
+                        };
+                        stream.push_round(&round_defects, &erasures[start..end]);
+                        start = end;
                     }
-                }
-            } else if !streams.is_empty() {
-                // Final transversal detectors (round = rounds) arrive with
-                // the final segment; push them, then seal every lane's shot.
-                self.gather_round_defect_lanes(
-                    &sim,
-                    rounds,
-                    active,
-                    lanes,
-                    &mut lane_round_defects,
-                );
-                let actual = sim.record().parity_word(&self.observable);
-                for lane in 0..lanes {
-                    let stream = &mut streams[lane];
-                    stream.push_round(&lane_round_defects[lane], &[]);
-                    let outcome = stream.finish();
-                    for &(nanos, committed) in stream.latencies() {
-                        stats.decode_latency.record(nanos, committed as usize);
-                    }
-                    let log = &mut lane_erasure_log[lane];
-                    log.sort_unstable();
-                    log.dedup();
-                    stats.total_erasures += log.len() as u64;
-                    if outcome.flip != (actual >> lane & 1 != 0) {
-                        stats.logical_errors += 1;
-                        if suspect >> lane & 1 == 0 {
-                            stats.postselection.errors_on_kept += 1;
-                        }
-                    }
+                    stats.finish_shot(
+                        stream,
+                        erasures,
+                        actual >> lane & 1 != 0,
+                        suspect >> lane & 1 != 0,
+                    );
                 }
             }
             shot += lanes as u64;
@@ -2339,10 +2132,7 @@ impl MemoryRunner {
                 stats.controller.merge(controller);
             }
         }
-        if let Some(decoder) = decoder.as_ref() {
-            stats.predecode.merge(decoder.counters());
-        }
-        for stream in &streams {
+        if let Some(stream) = streaming.as_ref() {
             stats.predecode.merge(&stream.tier_counters());
         }
         stats
@@ -2799,25 +2589,61 @@ mod tests {
     #[test]
     fn auto_backend_resolves_against_the_window() {
         let runner = MemoryRunner::new(3, NoiseParams::standard(1e-3), 30);
-        // The whole-experiment graph stays below the monolithic limit here,
-        // but the rule under test is the per-window node count.
+        let graph = runner.graph();
         assert_eq!(
-            DecoderKind::Auto.resolve_window_backend(runner.graph(), 10),
-            WindowBackend::Mwpm
+            DecoderKind::Auto.resolve_window(graph, 10),
+            DecoderKind::Mwpm
         );
         assert_eq!(
-            DecoderKind::Greedy.resolve_window_backend(runner.graph(), 10),
-            WindowBackend::Greedy
+            DecoderKind::Greedy.resolve_window(graph, 10),
+            DecoderKind::Greedy
         );
-        let nodes_per_round = runner.graph().num_nodes() / (runner.graph().max_round() + 1);
-        let huge = DecoderKind::AUTO_MWPM_NODE_LIMIT / nodes_per_round + 2;
-        // A window that large prices out the dense all-pairs table — were
-        // the experiment long enough to host it, Auto would pick the sparse
-        // blossom (same optimal weight, O(n) precomputation).
-        assert_eq!(
-            DecoderKind::Auto.resolve_window_backend(runner.graph(), huge),
-            WindowBackend::SparseMwpm
-        );
+        // A window of 0 or one past the last round is the full cover: the
+        // whole graph, exactly what `resolve` prices.
+        for window in [0, 31, 10_000] {
+            assert_eq!(
+                window_nodes(graph, window),
+                graph.num_nodes(),
+                "window {window}"
+            );
+        }
+        assert_eq!(window_nodes(graph, 10) * 31, graph.num_nodes() * 10);
+    }
+
+    /// Auto prices the graph actually decoded. At the two boundary points
+    /// where the whole-experiment graph holds exactly the node limit (d = 7,
+    /// R = 124 and d = 11, R = 49: 3000 nodes each) the default full-cover
+    /// run must report dense MWPM (pricing `window + 1` rounds would tip
+    /// both to the sparse blossom).
+    #[test]
+    fn default_run_at_the_auto_boundary_reports_mwpm() {
+        let pinned = std::env::var("ERASER_DECODER")
+            .ok()
+            .and_then(|raw| parse_decoder_env(&raw).ok().flatten());
+        for (d, rounds) in [(7usize, 124usize), (11, 49)] {
+            let runner = MemoryRunner::new(d, NoiseParams::standard(1e-3), rounds);
+            let graph = runner.graph();
+            assert_eq!(graph.num_nodes(), DecoderKind::AUTO_MWPM_NODE_LIMIT);
+            assert_eq!(
+                DecoderKind::Auto.resolve_window(graph, 0),
+                DecoderKind::Mwpm,
+                "d={d} R={rounds}"
+            );
+            let result = runner.run(&|_| Box::new(NoLrcPolicy::new()), &cfg(1));
+            let config = RunConfig::default();
+            let expected = match pinned {
+                Some(kind) if kind != DecoderKind::Auto => kind,
+                // An `ERASER_WINDOW` / `ERASER_FUSION` leg decodes a
+                // shorter window, which stays dense MWPM here too.
+                _ => DecoderKind::Mwpm,
+            };
+            assert_eq!(result.decoder, expected.to_string(), "d={d} R={rounds}");
+            assert_eq!(
+                runner.resolved_decoder(&config).unwrap(),
+                expected,
+                "d={d} R={rounds}"
+            );
+        }
     }
 
     /// The windowed path simulates identical physics (it only changes *when*
@@ -2843,8 +2669,9 @@ mod tests {
         };
         let policy =
             |c: &RotatedCode| -> Box<dyn LrcPolicy> { Box::new(EraserPolicy::with_multilevel(c)) };
-        // A window beyond the round count auto-selects monolithic decoding
-        // (and, unlike window 0, is immune to a CI-set `ERASER_WINDOW`).
+        // A window beyond the round count is one full-cover window — whole-
+        // shot decoding (and, unlike window 0, immune to a CI-set
+        // `ERASER_WINDOW`).
         let mono = runner.run(&policy, &config(13));
         let windowed = runner.run(&policy, &config(5));
         // Identical physics: every decode-independent statistic matches.
@@ -2865,7 +2692,7 @@ mod tests {
             windowed.logical_errors,
             mono.logical_errors
         );
-        // Latency probes: one sample per shot monolithically, one per window
+        // Latency probes: one sample per shot at full cover, one per window
         // (⌈(12+1−5)/s⌉+1 windows with the stride defaulting to w−d=2) when
         // streaming.
         assert_eq!(mono.decode_latency.samples(), 200);
@@ -2956,29 +2783,35 @@ mod tests {
     }
 
     /// `fusion_threads > 1` with no window configured derives the
-    /// `min(3d, rounds)` default geometry instead of silently falling back
-    /// to monolithic decoding (which has no chain to partition).
+    /// `min(3d, rounds)` default geometry instead of the full-cover window
+    /// (a chain of one position, nothing to partition).
     #[test]
     fn fusion_derives_a_window_when_none_is_configured() {
         let runner = MemoryRunner::new(3, NoiseParams::standard(1e-3), 20);
+        let geometry = |artifacts: &DecodeArtifacts| {
+            let plan = artifacts.window_plan().expect("decoding runs have a plan");
+            (plan.window(), plan.stride())
+        };
+        // The window fields pin the geometry against any `ERASER_WINDOW`
+        // a CI matrix leg sets; 21 rounds is past the round count.
         let fused = RunConfig {
             fusion_threads: 4,
+            window_rounds: 21,
             ..cfg(10)
         };
         let artifacts = runner.decode_artifacts(&fused, None).unwrap();
-        assert!(artifacts.windowed() && artifacts.fused());
-        // Pinned sequential with no window stays monolithic (unless an
-        // external `ERASER_WINDOW` — e.g. a CI matrix leg — supplies one,
-        // which is a window config, not a fusion derivation).
+        assert!(artifacts.fused());
+        assert_eq!(geometry(&artifacts), (9, 6), "min(3d, R) with stride w - d");
+        // Pinned sequential, the same window is one full-cover position
+        // over all 21 detector rounds.
         let sequential = RunConfig {
             fusion_threads: 1,
-            ..cfg(10)
+            ..fused
         };
         let artifacts = runner.decode_artifacts(&sequential, None).unwrap();
         assert!(!artifacts.fused());
-        if sequential.resolved_window().unwrap().0 == 0 {
-            assert!(!artifacts.windowed());
-        }
+        assert_eq!(geometry(&artifacts), (21, 21));
+        assert_eq!(artifacts.window_plan().unwrap().num_positions(), 1);
         // An explicit window under fusion keeps its configured geometry.
         let windowed = RunConfig {
             fusion_threads: 4,
@@ -2987,7 +2820,8 @@ mod tests {
             ..cfg(10)
         };
         let artifacts = runner.decode_artifacts(&windowed, None).unwrap();
-        assert!(artifacts.windowed() && artifacts.fused());
+        assert!(artifacts.fused());
+        assert_eq!(geometry(&artifacts), (6, 3));
         // And a no-decode run resolves nothing regardless of fusion.
         let no_decode = RunConfig {
             decode: false,

@@ -1,10 +1,10 @@
 //! Tiered sparse-syndrome fast-path decoding (the predecoder).
 //!
 //! At the paper's operating points (p ≈ 1e-3) the vast majority of decode
-//! calls — whole shots on the monolithic path, individual windows on the
-//! streaming path — carry zero, one, or two defects, yet the pipeline pays
-//! full decoder machinery for every one of them. This module fronts every
-//! backend with an *exact* tier ladder:
+//! calls — individual windows, or whole shots under a full-cover window —
+//! carry zero, one, or two defects, yet the pipeline pays full decoder
+//! machinery for every one of them. This module fronts every backend with
+//! an *exact* tier ladder:
 //!
 //! | Tier | Applies to | Resolution |
 //! |------|------------|------------|
@@ -22,10 +22,11 @@
 //! order-free closed form and always defers to tier 2; it still gets the
 //! tier-0 skip.
 //!
-//! [`TieredDecoder`] wraps any [`SyndromeDecoder`] for the monolithic
-//! batch path; the streaming ([`crate::window::WindowedDecoder`]) and
-//! fusion ([`crate::fusion::FusionDecoder`]) paths implement the same
-//! ladder inline (a window's fused carry-in defects count against the
+//! [`TieredDecoder`] wraps any [`SyndromeDecoder`] for whole-syndrome
+//! batch decoding (the benches' and tests' reference); the streaming
+//! ([`crate::window::WindowedDecoder`]) and fusion
+//! ([`crate::fusion::FusionDecoder`]) paths the runtime uses implement the
+//! same ladder inline (a window's fused carry-in defects count against the
 //! tier threshold because they are part of its live defect set).
 //! [`TierCounters`] is the shared mergeable telemetry.
 
@@ -96,9 +97,9 @@ pub(crate) fn tier1_applies(defects: &[usize], erasures: &[usize]) -> bool {
 }
 
 /// A [`SyndromeDecoder`] wrapper that fronts its inner backend with the
-/// tier ladder — the monolithic-path integration point. When disabled it
-/// forwards verbatim (no counters recorded), so the runner can construct
-/// it unconditionally and flip tiers per the resolved configuration.
+/// tier ladder for whole-syndrome decoding. When disabled it forwards
+/// verbatim (no counters recorded), so a caller can construct it
+/// unconditionally and flip tiers per its configuration.
 pub struct TieredDecoder<'a> {
     inner: Box<dyn SyndromeDecoder + 'a>,
     enabled: bool,

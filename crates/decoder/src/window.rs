@@ -23,7 +23,8 @@
 //! commit/buffer boundary, the crossing node is re-injected as an
 //! *artificial defect* for the next window — the overlapping-recovery
 //! bookkeeping that keeps the global correction's defect algebra exact. The
-//! final window commits everything.
+//! final window commits everything: its outcome is the window decoder's own
+//! flip and weight, with no correction edges walked.
 //!
 //! Three pieces implement this:
 //!
@@ -43,10 +44,11 @@
 //!   correction as edges ([`SyndromeDecoder::decode_with_correction`]), so
 //!   MWPM, union-find, and greedy all gain streaming for free.
 //!
-//! A window covering all rounds decodes **bit-identically** to the
-//! monolithic path (asserted by `tests/windowed.rs`): the commit machinery
-//! works from correction edges whose observable-flip XOR is exactly the
-//! monolithic prediction.
+//! A window covering all rounds decodes **bit-identically** to a whole-shot
+//! decoder over the same graph, erasures included (asserted by
+//! `tests/windowed.rs`): its single position is the final one, which makes
+//! exactly the whole-shot decode call. That is why the runtime has no
+//! separate monolithic path — a window of 0 means one full-cover window.
 
 use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 use crate::graph::{DecodingGraph, GraphEdge};
@@ -639,21 +641,33 @@ impl WindowedDecoder<'_> {
         // the backend guarantees bit-identity; otherwise tier 2 runs the
         // full decoder. Carried-in defects are in the live set, so they
         // count against the tier threshold.
+        //
+        // The final position commits everything and carries nothing, so
+        // its outcome is the decoder's own flip and weight and no
+        // correction edges are walked. That is exactly the call a
+        // whole-shot decoder makes, which keeps a full-cover window
+        // bit-identical to it — erasures included, where an edge walk may
+        // pick an equal-weight path of the opposite parity.
+        let last = pos.commit_rel == usize::MAX;
+        let mut correction = (!last).then_some(&mut self.correction);
         let tier1 = self.predecode && tier1_applies(&self.local.defects, &self.local.erasures);
         let inner = &mut self.inner[pos.shape];
-        let tier = if tier1 {
-            inner
-                .decode_tier1(&self.local, Some(&mut self.correction))
-                .map(|out| (1usize, out.nanos))
+        let fast = if tier1 {
+            inner.decode_tier1(&self.local, correction.as_deref_mut())
         } else {
             None
         };
-        let (tier, tier_nanos) = tier.unwrap_or_else(|| {
-            let out = inner.decode_with_correction(&self.local, &mut self.correction);
-            (2, out.nanos)
-        });
+        let (tier, out) = match (fast, correction) {
+            (Some(out), _) => (1, out),
+            (None, Some(c)) => (2, inner.decode_with_correction(&self.local, c)),
+            (None, None) => (2, inner.decode_syndrome(&self.local)),
+        };
         if self.predecode {
-            self.counters.record(tier, tier_nanos);
+            self.counters.record(tier, out.nanos);
+        }
+        if last {
+            self.defects.clear();
+            return (out.flip, out.weight);
         }
 
         // Commit every correction edge touching the commit region; toggle
@@ -706,7 +720,7 @@ impl WindowedDecoder<'_> {
         for &v in &touched {
             if self.par_val[v] {
                 debug_assert!(
-                    commit_rel != usize::MAX && sgraph.node_round(v) >= commit_rel,
+                    sgraph.node_round(v) >= commit_rel,
                     "carried defect in the committed region"
                 );
                 self.defects.push(node_start + v);

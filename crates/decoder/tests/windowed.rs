@@ -3,8 +3,8 @@
 //! The load-bearing guarantees of the sliding-window decode path:
 //!
 //! * a window covering **all** rounds is bit-identical to the monolithic
-//!   path for all three decoders (the correction-edge commit machinery is
-//!   parity-exact, not merely approximate);
+//!   path for all four decoders, erasures included (its single, final
+//!   position makes exactly the whole-shot decode call);
 //! * real sliding windows (commit/buffer, re-injection) still correct every
 //!   single fault mechanism exactly, and agree with monolithic decoding on
 //!   nearly every random multi-fault syndrome;
@@ -98,8 +98,11 @@ fn stream_shot(
 }
 
 /// Property test: a window covering all rounds decodes bit-identically to
-/// the monolithic path — same flip, same defect count — for all three
-/// decoders, across many random syndromes.
+/// the monolithic path — same flip, same f64 weight bits, same defect
+/// count — for all four backends, across many random syndromes. Every
+/// other trial carries a random erasure set streamed in over random rounds:
+/// under erasures, equal-weight paths of opposite parity are common, and
+/// the full-cover window must make the whole-shot decoder's choice.
 #[test]
 fn full_cover_window_is_bit_identical_to_monolithic() {
     for (d, rounds) in [(3usize, 4usize), (5, 3)] {
@@ -111,16 +114,36 @@ fn full_cover_window_is_bit_identical_to_monolithic() {
             let mut windowed = plan.streaming();
             let mut mono = monolithic(backend, &graph);
             let mut rng = Rng::new(0xC0FFEE ^ d as u64);
-            for trial in 0..120 {
+            for trial in 0..240 {
                 let faults = 1 + (trial % 5);
                 let (defects, _) = sample_syndrome(&graph, &dem, &mut rng, faults);
-                let mono_out =
-                    mono.decode_syndrome(&Syndrome::with_rounds(defects.clone(), rounds));
-                let win_out = stream_shot(&mut windowed, &graph, &defects, &[]);
+                let mut erasures_by_round = vec![Vec::new(); span];
+                let mut erasures = Vec::new();
+                if trial % 2 == 1 {
+                    for _ in 0..1 + rng.below(8) {
+                        let ei = rng.below(graph.edges().len() as u64) as usize;
+                        erasures_by_round[rng.below(span as u64) as usize].push(ei);
+                        erasures.push(ei);
+                    }
+                    erasures.sort_unstable();
+                    erasures.dedup();
+                }
+                let syndrome = Syndrome::build(defects.clone())
+                    .rounds(rounds)
+                    .erasures(erasures)
+                    .finish();
+                let mono_out = mono.decode_syndrome(&syndrome);
+                let win_out = stream_shot(&mut windowed, &graph, &defects, &erasures_by_round);
                 assert_eq!(
                     win_out.flip,
                     mono_out.flip,
                     "[{}] d={d} trial {trial}: full-cover window diverged",
+                    backend.name()
+                );
+                assert_eq!(
+                    win_out.weight.to_bits(),
+                    mono_out.weight.to_bits(),
+                    "[{}] d={d} trial {trial}: weight bits diverged",
                     backend.name()
                 );
                 assert_eq!(win_out.defects, mono_out.defects);

@@ -882,20 +882,20 @@ pub fn longmem(opts: &Opts) -> Result<(), String> {
                     .policy(PolicyKind::eraser())
                     .build()
                     .map_err(|e| e.to_string())?;
-                // Pin the decoder both paths resolve to on the *monolithic*
-                // graph, so the comparison isolates windowing itself (Auto
-                // would hand the windowed path MWPM even where the
-                // monolithic graph is union-find territory — a perk, but a
-                // confound here).
+                // `rounds + 1` pins one full-cover window (whole-shot
+                // decoding) independent of any ERASER_WINDOW in the
+                // environment. Pin the decoder both runs resolve to on that
+                // whole graph, so the comparison isolates windowing itself
+                // (Auto would hand the sliding windows dense MWPM even where
+                // the whole graph is sparse-blossom territory — a perk, but
+                // a confound here).
+                exp.set_window(rounds + 1, 0);
                 let resolved = exp.resolved_decoder();
                 exp.set_decoder(resolved);
-                // `rounds + 1` pins monolithic decoding independent of any
-                // ERASER_WINDOW in the environment.
-                exp.set_window(rounds + 1, 0);
                 let mono = exp.run();
-                // At R = d the window exceeds the round count and the
-                // runtime auto-selects monolithic — that row documents the
-                // degenerate case (identical runs).
+                // At R = d the 3d window exceeds the round count and is a
+                // full cover too — that row documents the degenerate case
+                // (identical runs).
                 exp.set_window(window, 0);
                 let win = exp.run();
                 let sigma = (mono.ler_stderr().powi(2) + win.ler_stderr().powi(2))

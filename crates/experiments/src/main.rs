@@ -40,7 +40,7 @@
 //!   --cycles N     QEC cycles (default 10; each cycle is d rounds)
 //!   --decoder K    mwpm | uf | greedy | auto (default auto)
 //!   --window W[:S] sliding-window decoding: W rounds per window, S committed
-//!                  per step (S defaults to W - d; 0/unset = monolithic)
+//!                  per step (S defaults to W - d; 0/unset = full cover)
 //!   --out DIR      CSV output directory (default results/)
 //!   --quick        tiny-budget smoke run (overrides --shots)
 //! ```

@@ -185,7 +185,8 @@ pub struct JobSpec {
     pub erasure_fp: f64,
     /// Imperfect-erasure-check false-negative rate (default 0).
     pub erasure_fn: f64,
-    /// Sliding-window rounds; 0 = monolithic decoding (default 0).
+    /// Sliding-window rounds; 0 = one full-cover window, i.e. whole-shot
+    /// decoding (default 0).
     pub window: usize,
     /// Sliding-window stride; 0 derives `window − d` (default 0).
     pub stride: usize,

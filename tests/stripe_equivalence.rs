@@ -113,6 +113,37 @@ fn stripe_width_is_bit_identical_with_erasure_decoding() {
     }
 }
 
+/// Pinned counts of an erasure-aware ERASER+M run decoded by one
+/// full-cover window (what window 0 resolves to without an
+/// `ERASER_WINDOW` override), recorded from the former whole-shot decoder.
+/// Under erasures, equal-weight paths of opposite parity are common; the
+/// full-cover window must make the whole-shot decoder's choice on every
+/// shot, on both runner paths.
+#[test]
+fn full_cover_erasure_run_matches_the_pinned_whole_shot_counts() {
+    const LOGICAL_ERRORS: u64 = 941;
+    const TOTAL_ERASURES: u64 = 197_997;
+    let rounds = 9;
+    let runner = MemoryRunner::new(3, NoiseParams::standard(2e-3), rounds);
+    let base = RunConfig {
+        shots: 20_000,
+        seed: 0xE2A5,
+        threads: 2,
+        decoder: DecoderKind::Mwpm,
+        erasure: ErasureDetection::imperfect(0.01, 0.05),
+        // Past the round count: the full cover, pinned against an
+        // `ERASER_WINDOW` or `ERASER_FUSION` leg.
+        window_rounds: rounds + 1,
+        fusion_threads: 1,
+        ..RunConfig::default()
+    };
+    for width in [1, 64] {
+        let result = run_width(&runner, &PolicyKind::eraser_m(), &base, width);
+        assert_eq!(result.logical_errors, LOGICAL_ERRORS, "width {width}");
+        assert_eq!(result.total_erasures, TOTAL_ERASURES, "width {width}");
+    }
+}
+
 /// Ragged-tail property: shot counts around the stripe boundary (63, 64,
 /// 65, and a single shot) all agree with the scalar path.
 #[test]
