@@ -44,8 +44,7 @@ use crate::policy::{
     AlwaysLrcPolicy, EraserOptions, EraserPolicy, LrcPolicy, NoLrcPolicy, OptimalPolicy,
 };
 use crate::runtime::{
-    DecoderKind, EnvOverrideError, ErasureDetection, LrcProtocol, MemoryRunResult, MemoryRunner,
-    RunConfig,
+    DecoderKind, EnvOverrideError, LrcProtocol, MemoryRunResult, MemoryRunner, RunConfig,
 };
 use qec_core::NoiseParams;
 use surface_code::{MemoryBasis, RotatedCode};
@@ -173,71 +172,59 @@ fn validate_distance(d: usize) -> Result<(), ExperimentError> {
     }
 }
 
-/// A run needs at least one shot (shared by both builders).
-fn validate_shots(shots: u64) -> Result<(), ExperimentError> {
-    if shots == 0 {
-        Err(ExperimentError::ZeroShots)
-    } else {
-        Ok(())
+/// Validates the run configuration both builders carry: shots, erasure
+/// rates, stripe width, window geometry and leakage profile, then every
+/// `ERASER_*` override this same configuration would consult — so a knob
+/// the builder pinned never reads, or fails on, its variable. The
+/// controller is checked per policy by [`validate_controller`].
+fn validate_run_config(config: &RunConfig) -> Result<(), ExperimentError> {
+    if config.shots == 0 {
+        return Err(ExperimentError::ZeroShots);
     }
-}
-
-/// A stripe packs at most 64 shots into one machine word; 0 defers the
-/// resolution to the runtime (shared by both builders).
-fn validate_stripe_width(width: usize) -> Result<(), ExperimentError> {
-    if width > 64 {
-        Err(ExperimentError::InvalidStripeWidth(width))
-    } else {
-        Ok(())
-    }
-}
-
-/// A sliding-window stride must fit inside its window; window 0 selects
-/// one full-cover window and stride 0 the `window − d` default (shared by
-/// both builders). The buffer ≥ d guarantee is enforced by that default —
-/// explicit strides may trade buffer for speed.
-fn validate_window(window: usize, stride: usize) -> Result<(), ExperimentError> {
-    if stride > window {
-        Err(ExperimentError::InvalidWindow { window, stride })
-    } else {
-        Ok(())
-    }
-}
-
-/// Erasure-detection FP/FN rates are probabilities (shared by both
-/// builders).
-fn validate_erasure(erasure: &ErasureDetection) -> Result<(), ExperimentError> {
+    let erasure = &config.erasure;
     for rate in [erasure.false_positive, erasure.false_negative] {
         if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
             return Err(ExperimentError::InvalidDetectionRate(rate));
         }
     }
-    Ok(())
+    // A stripe packs at most 64 shots into one machine word; 0 defers the
+    // resolution to the runtime.
+    if config.stripe_width > 64 {
+        return Err(ExperimentError::InvalidStripeWidth(config.stripe_width));
+    }
+    // Window 0 selects one full-cover window and stride 0 the `window − d`
+    // default. The buffer ≥ d guarantee is enforced by that default —
+    // explicit strides may trade buffer for speed.
+    if config.window_stride > config.window_rounds {
+        return Err(ExperimentError::InvalidWindow {
+            window: config.window_rounds,
+            stride: config.window_stride,
+        });
+    }
+    config
+        .profile
+        .validate()
+        .map_err(ExperimentError::InvalidProfile)?;
+    Ok(config.validate_env()?)
 }
 
 /// Controller knobs must validate — both a `RunConfig::controller` override
-/// and the knobs embedded in a selected [`PolicyKind::Adaptive`] (shared by
-/// both builders).
+/// and the knobs embedded in a selected [`PolicyKind::Adaptive`].
 fn validate_controller(
-    controller: &Option<ControllerConfig>,
-    policy: Option<&PolicyKind>,
+    controller: Option<&ControllerConfig>,
+    policy: &PolicyKind,
 ) -> Result<(), ExperimentError> {
     if let Some(config) = controller {
         config
             .validate()
             .map_err(ExperimentError::InvalidController)?;
     }
-    if let Some(PolicyKind::Adaptive(config)) = policy {
+    if let PolicyKind::Adaptive(config) = policy {
         config
             .validate()
             .map_err(ExperimentError::InvalidController)?;
     }
     Ok(())
-}
-
-/// Leakage-profile schedules must validate (shared by both builders).
-fn validate_profile(profile: &LeakageProfile) -> Result<(), ExperimentError> {
-    profile.validate().map_err(ExperimentError::InvalidProfile)
 }
 
 // ---------------------------------------------------------------------------
@@ -567,10 +554,16 @@ impl Experiment {
     /// reports exactly what will decode (runs built with `.decode(false)`
     /// decode nothing and report `"none"`). Never returns
     /// [`DecoderKind::Auto`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed `ERASER_*` override, like
+    /// [`Experiment::run_policy`]: the builder validated the environment,
+    /// so only a variable changed since then can trip this.
     pub fn resolved_decoder(&self) -> DecoderKind {
         self.runner
             .resolved_decoder(&self.config)
-            .unwrap_or_else(|_| self.config.decoder.resolve(self.runner.graph()))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Swaps the LRC protocol without rebuilding the runner.
@@ -630,6 +623,160 @@ impl Experiment {
     }
 }
 
+/// The run setters [`ExperimentBuilder`] and [`SweepBuilder`] share,
+/// written once and expanded in both. Each writes one [`RunConfig`] field
+/// (`rounds`, `cycles` and `basis` write the shared geometry), so both
+/// builders map 1:1 onto the configuration the runner receives; on a sweep
+/// every setting applies to every grid point.
+macro_rules! run_setters {
+    () => {
+        /// Fixed rounds per shot (for every distance of a sweep). Required
+        /// unless [`Self::cycles`] is used; the later call wins.
+        pub fn rounds(mut self, rounds: usize) -> Self {
+            self.rounds = Some(RoundsSpec::Fixed(rounds));
+            self
+        }
+
+        /// QEC cycles: each distance runs `d × cycles` rounds, resolved at
+        /// build time.
+        pub fn cycles(mut self, cycles: usize) -> Self {
+            self.rounds = Some(RoundsSpec::Cycles(cycles));
+            self
+        }
+
+        /// Memory basis to preserve (default Z, the paper's workload).
+        pub fn basis(mut self, basis: MemoryBasis) -> Self {
+            self.basis = basis;
+            self
+        }
+
+        /// Monte-Carlo shots (default 1000).
+        pub fn shots(mut self, shots: u64) -> Self {
+            self.config.shots = shots;
+            self
+        }
+
+        /// Root RNG seed (default `0x2023`).
+        pub fn seed(mut self, seed: u64) -> Self {
+            self.config.seed = seed;
+            self
+        }
+
+        /// Worker threads; 0 means all available cores (default).
+        pub fn threads(mut self, threads: usize) -> Self {
+            self.config.threads = threads;
+            self
+        }
+
+        /// Decoder selection (default [`DecoderKind::Auto`]).
+        pub fn decoder(mut self, decoder: DecoderKind) -> Self {
+            self.config.decoder = decoder;
+            self
+        }
+
+        /// Leakage-removal protocol (default [`LrcProtocol::Swap`]).
+        pub fn protocol(mut self, protocol: LrcProtocol) -> Self {
+            self.config.protocol = protocol;
+            self
+        }
+
+        /// Whether to decode at all; LPR-only studies disable this (default
+        /// on).
+        pub fn decode(mut self, decode: bool) -> Self {
+            self.config.decode = decode;
+            self
+        }
+
+        /// Leakage-aware (erasure) decoding: thread the policy's per-round
+        /// leakage-detection flags into the decoder as dynamically
+        /// reweighted (erased) edges. Default off — the paper's
+        /// leakage-blind decoder.
+        pub fn leakage_aware_decoding(mut self, enabled: bool) -> Self {
+            self.config.erasure.enabled = enabled;
+            self
+        }
+
+        /// Imperfect-erasure-check rates (Chang et al. 2024): the
+        /// probability a clean qubit is spuriously flagged per round, and
+        /// the probability a real flag is dropped. Implies nothing about
+        /// `leakage_aware_decoding`; rates are validated at build time.
+        pub fn erasure_detection(mut self, false_positive: f64, false_negative: f64) -> Self {
+            self.config.erasure.false_positive = false_positive;
+            self.config.erasure.false_negative = false_negative;
+            self
+        }
+
+        /// Shots simulated per word-parallel stripe (1..=64). The default 0
+        /// resolves at run time: the `ERASER_STRIPE` environment variable
+        /// if set, else the full 64-lane stripe. Width 1 selects the scalar
+        /// reference path; results are bit-identical for every width.
+        pub fn stripe_width(mut self, width: usize) -> Self {
+            self.config.stripe_width = width;
+            self
+        }
+
+        /// Sliding-window length in rounds for streaming decoding. The
+        /// default 0 resolves at run time: the `ERASER_WINDOW` environment
+        /// variable if set, else one full-cover window — whole-shot
+        /// decoding (a window larger than the round count is full cover
+        /// too). Shorter windows bound peak decoder memory at O(window²)
+        /// regardless of the round count.
+        pub fn window_rounds(mut self, window: usize) -> Self {
+            self.config.window_rounds = window;
+            self
+        }
+
+        /// Rounds committed (and advanced) per window; 0 derives
+        /// `window − d` (min 1), which keeps the re-decoded buffer at d
+        /// rounds. Validated at build time: the stride must not exceed the
+        /// window.
+        pub fn window_stride(mut self, stride: usize) -> Self {
+            self.config.window_stride = stride;
+            self
+        }
+
+        /// Intra-shot fusion threads: each shot's window chain is
+        /// partitioned into that many leaf blocks, decoded concurrently,
+        /// and fused up a balanced merge tree — bit-identical to the
+        /// sequential windowed path at every count. The default 0 resolves
+        /// at run time: the `ERASER_FUSION` environment variable if set,
+        /// else 1 (sequential). Values > 1 imply windowed decoding; when no
+        /// window is configured, `min(3d, rounds)` with the default stride
+        /// is derived.
+        pub fn fusion_threads(mut self, threads: usize) -> Self {
+            self.config.fusion_threads = threads;
+            self
+        }
+
+        /// Run-level controller override for adaptive policies: replaces
+        /// the knobs embedded in a selected [`PolicyKind::Adaptive`] (and
+        /// beats the `ERASER_CONTROL` environment hook). Validated at build
+        /// time; static policies ignore it.
+        pub fn controller(mut self, config: ControllerConfig) -> Self {
+            self.config.controller = Some(config);
+            self
+        }
+
+        /// Time-varying injected-leakage schedule (default
+        /// [`LeakageProfile::Stationary`]: nothing injected). Validated at
+        /// build time; applied identically on the scalar and striped paths.
+        pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
+            self.config.profile = profile;
+            self
+        }
+
+        /// Tiered sparse-syndrome fast path in front of every decode (tier
+        /// 0 skips empty syndromes/windows, tier 1 resolves 1–2 defects in
+        /// closed form) — bit-identical either way. An explicit setting
+        /// beats the `ERASER_PREDECODE` environment hook; unset defaults to
+        /// on.
+        pub fn predecode(mut self, on: bool) -> Self {
+            self.config.predecode = Some(on);
+            self
+        }
+    };
+}
+
 /// Builder for [`Experiment`]. Invalid combinations surface as
 /// [`ExperimentError`]s from [`ExperimentBuilder::build`] instead of panics.
 #[derive(Debug, Clone)]
@@ -639,45 +786,18 @@ pub struct ExperimentBuilder {
     rounds: Option<RoundsSpec>,
     basis: MemoryBasis,
     policy: PolicyKind,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    decoder: DecoderKind,
-    protocol: LrcProtocol,
-    decode: bool,
-    erasure: ErasureDetection,
-    stripe_width: usize,
-    window_rounds: usize,
-    window_stride: usize,
-    fusion_threads: usize,
-    controller: Option<ControllerConfig>,
-    profile: LeakageProfile,
-    predecode: Option<bool>,
+    config: RunConfig,
 }
 
 impl Default for ExperimentBuilder {
     fn default() -> ExperimentBuilder {
-        let config = RunConfig::default();
         ExperimentBuilder {
             distance: None,
             noise: NoiseParams::default(),
             rounds: None,
             basis: MemoryBasis::Z,
             policy: PolicyKind::NoLrc,
-            shots: config.shots,
-            seed: config.seed,
-            threads: config.threads,
-            decoder: config.decoder,
-            protocol: config.protocol,
-            decode: config.decode,
-            erasure: config.erasure,
-            stripe_width: config.stripe_width,
-            window_rounds: config.window_rounds,
-            window_stride: config.window_stride,
-            fusion_threads: config.fusion_threads,
-            controller: config.controller,
-            profile: config.profile,
-            predecode: config.predecode,
+            config: RunConfig::default(),
         }
     }
 }
@@ -700,162 +820,21 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Fixed number of syndrome-extraction rounds. Required unless
-    /// [`ExperimentBuilder::cycles`] is used; the later call wins.
-    pub fn rounds(mut self, rounds: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Fixed(rounds));
-        self
-    }
-
-    /// QEC cycles; resolves to `d × cycles` rounds at build time.
-    pub fn cycles(mut self, cycles: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Cycles(cycles));
-        self
-    }
-
-    /// Memory basis to preserve (default Z, the paper's workload).
-    pub fn basis(mut self, basis: MemoryBasis) -> Self {
-        self.basis = basis;
-        self
-    }
-
     /// Policy to run under (default [`PolicyKind::NoLrc`]).
     pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Monte-Carlo shots (default 1000).
-    pub fn shots(mut self, shots: u64) -> Self {
-        self.shots = shots;
-        self
-    }
-
-    /// Root RNG seed (default `0x2023`).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Worker threads; 0 means all available cores (default).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Decoder selection (default [`DecoderKind::Auto`]).
-    pub fn decoder(mut self, decoder: DecoderKind) -> Self {
-        self.decoder = decoder;
-        self
-    }
-
-    /// Leakage-removal protocol (default [`LrcProtocol::Swap`]).
-    pub fn protocol(mut self, protocol: LrcProtocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Whether to decode at all; LPR-only studies disable this (default on).
-    pub fn decode(mut self, decode: bool) -> Self {
-        self.decode = decode;
-        self
-    }
-
-    /// Leakage-aware (erasure) decoding: thread the policy's per-round
-    /// leakage-detection flags into the decoder as dynamically reweighted
-    /// (erased) edges. Default off — the paper's leakage-blind decoder.
-    pub fn leakage_aware_decoding(mut self, enabled: bool) -> Self {
-        self.erasure.enabled = enabled;
-        self
-    }
-
-    /// Imperfect-erasure-check rates (Chang et al. 2024): the probability a
-    /// clean qubit is spuriously flagged per round, and the probability a
-    /// real flag is dropped. Implies nothing about `leakage_aware_decoding`;
-    /// rates are validated at build time.
-    pub fn erasure_detection(mut self, false_positive: f64, false_negative: f64) -> Self {
-        self.erasure.false_positive = false_positive;
-        self.erasure.false_negative = false_negative;
-        self
-    }
-
-    /// Shots simulated per word-parallel stripe (1..=64). The default 0
-    /// resolves at run time: the `ERASER_STRIPE` environment variable if
-    /// set, else the full 64-lane stripe. Width 1 selects the scalar
-    /// reference path; results are bit-identical for every width.
-    pub fn stripe_width(mut self, width: usize) -> Self {
-        self.stripe_width = width;
-        self
-    }
-
-    /// Sliding-window length in rounds for streaming decoding. The default
-    /// 0 resolves at run time: the `ERASER_WINDOW` environment variable if
-    /// set, else one full-cover window — whole-shot decoding (a window
-    /// larger than the round count is full cover too). Shorter windows
-    /// bound peak decoder memory at O(window²) regardless of the round
-    /// count.
-    pub fn window_rounds(mut self, window: usize) -> Self {
-        self.window_rounds = window;
-        self
-    }
-
-    /// Rounds committed (and advanced) per window; 0 derives `window − d`
-    /// (min 1), which keeps the re-decoded buffer at d rounds. Validated at
-    /// build time: the stride must not exceed the window.
-    pub fn window_stride(mut self, stride: usize) -> Self {
-        self.window_stride = stride;
-        self
-    }
-
-    /// Intra-shot fusion threads: each shot's window chain is partitioned
-    /// into that many leaf blocks, decoded concurrently, and fused up a
-    /// balanced merge tree — bit-identical to the sequential windowed path
-    /// at every count. The default 0 resolves at run time: the
-    /// `ERASER_FUSION` environment variable if set, else 1 (sequential).
-    /// Values > 1 imply windowed decoding; when no window is configured,
-    /// `min(3d, rounds)` with the default stride is derived.
-    pub fn fusion_threads(mut self, threads: usize) -> Self {
-        self.fusion_threads = threads;
-        self
-    }
-
-    /// Run-level controller override for adaptive policies: replaces the
-    /// knobs embedded in the selected [`PolicyKind::Adaptive`] (and beats
-    /// the `ERASER_CONTROL` environment hook). Validated at build time;
-    /// static policies ignore it.
-    pub fn controller(mut self, config: ControllerConfig) -> Self {
-        self.controller = Some(config);
-        self
-    }
-
-    /// Time-varying injected-leakage schedule (default
-    /// [`LeakageProfile::Stationary`]: nothing injected). Validated at
-    /// build time; applied identically on the scalar and striped paths.
-    pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Tiered sparse-syndrome fast path in front of every decode (tier 0
-    /// skips empty syndromes/windows, tier 1 resolves 1–2 defects in
-    /// closed form) — bit-identical either way. An explicit setting beats
-    /// the `ERASER_PREDECODE` environment hook; unset defaults to on.
-    pub fn predecode(mut self, on: bool) -> Self {
-        self.predecode = Some(on);
-        self
-    }
+    run_setters!();
 
     fn validated(&self) -> Result<(usize, usize), ExperimentError> {
         let d = self.distance.ok_or(ExperimentError::MissingDistance)?;
         validate_distance(d)?;
         let spec = self.rounds.ok_or(ExperimentError::MissingRounds)?;
         spec.validate()?;
-        validate_shots(self.shots)?;
-        validate_erasure(&self.erasure)?;
-        validate_stripe_width(self.stripe_width)?;
-        validate_window(self.window_rounds, self.window_stride)?;
-        validate_controller(&self.controller, Some(&self.policy))?;
-        validate_profile(&self.profile)?;
+        validate_run_config(&self.config)?;
+        validate_controller(self.config.controller.as_ref(), &self.policy)?;
         Ok((d, spec.resolve(d)))
     }
 
@@ -863,27 +842,10 @@ impl ExperimentBuilder {
     /// and the decoding graph once).
     pub fn build(self) -> Result<Experiment, ExperimentError> {
         let (d, rounds) = self.validated()?;
-        let config = RunConfig {
-            shots: self.shots,
-            seed: self.seed,
-            threads: self.threads,
-            decoder: self.decoder,
-            protocol: self.protocol,
-            decode: self.decode,
-            erasure: self.erasure,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            controller: self.controller,
-            profile: self.profile,
-            predecode: self.predecode,
-        };
-        config.validate_env()?;
         let runner = MemoryRunner::new_with_basis(d, self.noise, rounds, self.basis);
         Ok(Experiment {
             runner,
-            config,
+            config: self.config,
             policy: self.policy,
         })
     }
@@ -959,20 +921,7 @@ pub struct Sweep {
     noise: NoiseModel,
     rounds: RoundsSpec,
     basis: MemoryBasis,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    decoder: DecoderKind,
-    protocol: LrcProtocol,
-    decode: bool,
-    erasure: ErasureDetection,
-    stripe_width: usize,
-    window_rounds: usize,
-    window_stride: usize,
-    fusion_threads: usize,
-    controller: Option<ControllerConfig>,
-    profile: LeakageProfile,
-    predecode: Option<bool>,
+    config: RunConfig,
 }
 
 impl Sweep {
@@ -1027,24 +976,9 @@ impl Sweep {
         cache: &ArtifactCache,
         mut sink: impl FnMut(SweepPoint) -> bool,
     ) -> bool {
-        let mut config = RunConfig {
-            shots: self.shots,
-            seed: self.seed,
-            threads: self.threads,
-            decoder: self.decoder,
-            protocol: self.protocol,
-            decode: self.decode,
-            erasure: self.erasure,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            controller: self.controller,
-            profile: self.profile,
-            predecode: self.predecode,
-        };
         // The builder validated the environment, but it can have changed
         // since; the panic here is the documented low-level behaviour.
+        let mut config = self.config;
         config.threads = config.resolved_threads().unwrap_or_else(|e| panic!("{e}"));
         // Adaptive kinds resolve the run-level controller override once for
         // the whole grid (every cell shares one configuration).
@@ -1096,7 +1030,7 @@ impl Sweep {
 }
 
 /// Builder for [`Sweep`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepBuilder {
     distances: Vec<usize>,
     error_rates: Vec<f64>,
@@ -1104,48 +1038,7 @@ pub struct SweepBuilder {
     noise: NoiseModel,
     rounds: Option<RoundsSpec>,
     basis: MemoryBasis,
-    shots: u64,
-    seed: u64,
-    threads: usize,
-    decoder: DecoderKind,
-    protocol: LrcProtocol,
-    decode: bool,
-    erasure: ErasureDetection,
-    stripe_width: usize,
-    window_rounds: usize,
-    window_stride: usize,
-    fusion_threads: usize,
-    controller: Option<ControllerConfig>,
-    profile: LeakageProfile,
-    predecode: Option<bool>,
-}
-
-impl Default for SweepBuilder {
-    fn default() -> SweepBuilder {
-        let config = RunConfig::default();
-        SweepBuilder {
-            distances: Vec::new(),
-            error_rates: Vec::new(),
-            policies: Vec::new(),
-            noise: NoiseModel::Standard,
-            rounds: None,
-            basis: MemoryBasis::Z,
-            shots: config.shots,
-            seed: config.seed,
-            threads: config.threads,
-            decoder: config.decoder,
-            protocol: config.protocol,
-            decode: config.decode,
-            erasure: config.erasure,
-            stripe_width: config.stripe_width,
-            window_rounds: config.window_rounds,
-            window_stride: config.window_stride,
-            fusion_threads: config.fusion_threads,
-            controller: config.controller,
-            profile: config.profile,
-            predecode: config.predecode,
-        }
-    }
+    config: RunConfig,
 }
 
 impl SweepBuilder {
@@ -1185,125 +1078,7 @@ impl SweepBuilder {
         self
     }
 
-    /// Fixed rounds per shot for every distance.
-    pub fn rounds(mut self, rounds: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Fixed(rounds));
-        self
-    }
-
-    /// QEC cycles; each distance runs `d × cycles` rounds.
-    pub fn cycles(mut self, cycles: usize) -> Self {
-        self.rounds = Some(RoundsSpec::Cycles(cycles));
-        self
-    }
-
-    /// Memory basis (default Z).
-    pub fn basis(mut self, basis: MemoryBasis) -> Self {
-        self.basis = basis;
-        self
-    }
-
-    /// Monte-Carlo shots per grid point (default 1000).
-    pub fn shots(mut self, shots: u64) -> Self {
-        self.shots = shots;
-        self
-    }
-
-    /// Root RNG seed, shared by every point (default `0x2023`).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Worker threads; 0 resolves to all cores once per sweep (default).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Decoder selection (default auto).
-    pub fn decoder(mut self, decoder: DecoderKind) -> Self {
-        self.decoder = decoder;
-        self
-    }
-
-    /// LRC protocol (default SWAP).
-    pub fn protocol(mut self, protocol: LrcProtocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Whether points decode (default on).
-    pub fn decode(mut self, decode: bool) -> Self {
-        self.decode = decode;
-        self
-    }
-
-    /// Leakage-aware (erasure) decoding for every grid point (default off).
-    pub fn leakage_aware_decoding(mut self, enabled: bool) -> Self {
-        self.erasure.enabled = enabled;
-        self
-    }
-
-    /// Imperfect-erasure-check FP/FN rates for every grid point (validated
-    /// at build time).
-    pub fn erasure_detection(mut self, false_positive: f64, false_negative: f64) -> Self {
-        self.erasure.false_positive = false_positive;
-        self.erasure.false_negative = false_negative;
-        self
-    }
-
-    /// Shots simulated per word-parallel stripe for every grid point
-    /// (1..=64; 0 resolves at run time).
-    pub fn stripe_width(mut self, width: usize) -> Self {
-        self.stripe_width = width;
-        self
-    }
-
-    /// Sliding-window length in rounds for streaming decoding on every grid
-    /// point (0 = full cover / `ERASER_WINDOW` resolution, as on
-    /// [`ExperimentBuilder::window_rounds`]).
-    pub fn window_rounds(mut self, window: usize) -> Self {
-        self.window_rounds = window;
-        self
-    }
-
-    /// Rounds committed per window on every grid point (0 derives the
-    /// `window − d` default; validated at build time).
-    pub fn window_stride(mut self, stride: usize) -> Self {
-        self.window_stride = stride;
-        self
-    }
-
-    /// Intra-shot fusion threads on every grid point (0 = `ERASER_FUSION`
-    /// resolution, else sequential — as on
-    /// [`ExperimentBuilder::fusion_threads`]).
-    pub fn fusion_threads(mut self, threads: usize) -> Self {
-        self.fusion_threads = threads;
-        self
-    }
-
-    /// Run-level controller override for adaptive policies on every grid
-    /// point (validated at build time; static policies ignore it).
-    pub fn controller(mut self, config: ControllerConfig) -> Self {
-        self.controller = Some(config);
-        self
-    }
-
-    /// Time-varying injected-leakage schedule applied to every grid point
-    /// (default [`LeakageProfile::Stationary`]; validated at build time).
-    pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Tiered predecoder on every grid point (bit-identical either way;
-    /// beats the `ERASER_PREDECODE` environment hook, unset defaults to
-    /// on — as on [`ExperimentBuilder::predecode`]).
-    pub fn predecode(mut self, on: bool) -> Self {
-        self.predecode = Some(on);
-        self
-    }
+    run_setters!();
 
     /// Validates the grid and run parameters.
     pub fn build(self) -> Result<Sweep, ExperimentError> {
@@ -1326,23 +1101,10 @@ impl SweepBuilder {
         }
         let rounds = self.rounds.ok_or(ExperimentError::MissingRounds)?;
         rounds.validate()?;
-        validate_shots(self.shots)?;
-        validate_erasure(&self.erasure)?;
-        validate_stripe_width(self.stripe_width)?;
-        validate_window(self.window_rounds, self.window_stride)?;
+        validate_run_config(&self.config)?;
         for kind in &self.policies {
-            validate_controller(&self.controller, Some(kind))?;
+            validate_controller(self.config.controller.as_ref(), kind)?;
         }
-        validate_profile(&self.profile)?;
-        RunConfig {
-            threads: self.threads,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            ..RunConfig::default()
-        }
-        .validate_env()?;
         Ok(Sweep {
             distances: self.distances,
             error_rates: self.error_rates,
@@ -1350,20 +1112,7 @@ impl SweepBuilder {
             noise: self.noise,
             rounds,
             basis: self.basis,
-            shots: self.shots,
-            seed: self.seed,
-            threads: self.threads,
-            decoder: self.decoder,
-            protocol: self.protocol,
-            decode: self.decode,
-            erasure: self.erasure,
-            stripe_width: self.stripe_width,
-            window_rounds: self.window_rounds,
-            window_stride: self.window_stride,
-            fusion_threads: self.fusion_threads,
-            controller: self.controller,
-            profile: self.profile,
-            predecode: self.predecode,
+            config: self.config,
         })
     }
 }

@@ -22,10 +22,12 @@
 //! worker-thread count, striping is a pure wall-clock knob.
 //!
 //! Decoding has one path: a [`WindowPlan`]. Each shot's per-round defects
-//! and erasure flags are pushed into a [`qec_decoder::WindowedDecoder`],
-//! and windows of `window_rounds` rounds are decoded incrementally,
-//! committing `window_stride` rounds each (the remaining buffer — keep it
-//! ≥ d — is re-decoded by the next window). Peak decoder memory is then
+//! and erasure flags are pushed into the worker's [`StreamingDecoder`] —
+//! the plan's [`qec_decoder::WindowedDecoder`], or a [`FusionDecoder`]
+//! running the same window chain on an intra-shot pool — and windows of
+//! `window_rounds` rounds are decoded incrementally, committing
+//! `window_stride` rounds each (the remaining buffer — keep it ≥ d — is
+//! re-decoded by the next window). Peak decoder memory is then
 //! O(window²) regardless of R, which is what makes long-memory workloads
 //! (R ≫ d) decodable with MWPM at all. A [`RunConfig::window_rounds`] of 0
 //! (with no `ERASER_WINDOW` override), or one longer than the round count,
@@ -50,9 +52,9 @@ use leak_sim::{BatchFrameSimulator, Discriminator, FrameSimulator, STRIPE_WIDTH}
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
-    build_dem, DecodeOutcome, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan, FusionPool,
-    GreedyFactory, MwpmFactory, SparseMwpmFactory, StreamingDecoder, TierCounters,
-    UnionFindFactory, WindowBackend, WindowPlan, WindowedDecoder,
+    build_dem, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan, FusionPool, GreedyFactory,
+    MwpmFactory, SparseMwpmFactory, StreamingDecoder, TierCounters, UnionFindFactory,
+    WindowBackend, WindowPlan,
 };
 use std::sync::Arc;
 use surface_code::{
@@ -900,13 +902,13 @@ impl PartialStats {
     /// the `actual` observable flip.
     fn finish_shot(
         &mut self,
-        stream: &mut ShotStream,
+        stream: &mut dyn StreamingDecoder,
         erasures: &mut Vec<usize>,
         actual: bool,
         suspect: bool,
     ) {
         let outcome = stream.finish();
-        for &(nanos, committed) in stream.latencies() {
+        for &(nanos, committed) in stream.latency_samples() {
             self.decode_latency.record(nanos, committed as usize);
         }
         erasures.sort_unstable();
@@ -1017,14 +1019,17 @@ impl DecodeArtifacts {
     }
 
     /// One runtime worker's streaming decoder (`None` when decoding is
-    /// disabled), fronted by the tiered predecoder unless `config` turns it
-    /// off — bit-identical either way. The environment was validated
-    /// upstream, so a malformed `ERASER_PREDECODE` here can only panic,
-    /// never silently default.
-    fn stream(&self, config: &RunConfig) -> Option<ShotStream<'_>> {
-        let mut stream = match self.resolved.as_ref()? {
-            ResolvedDecode::Windowed(plan) => ShotStream::Windowed(plan.streaming()),
-            ResolvedDecode::Fused(fplan) => ShotStream::Fused(FusionDecoder::new(
+    /// disabled): the sequential window chain, or the fusion decoder
+    /// running the same chain's positions on an intra-shot pool — fusion
+    /// pools nest *inside* a shot-level worker and are never shared. It is
+    /// fronted by the tiered predecoder unless `config` turns it off —
+    /// bit-identical either way. The environment was validated upstream,
+    /// so a malformed `ERASER_PREDECODE` here can only panic, never
+    /// silently default.
+    fn stream(&self, config: &RunConfig) -> Option<Box<dyn StreamingDecoder + '_>> {
+        let mut stream: Box<dyn StreamingDecoder + '_> = match self.resolved.as_ref()? {
+            ResolvedDecode::Windowed(plan) => Box::new(plan.streaming()),
+            ResolvedDecode::Fused(fplan) => Box::new(FusionDecoder::new(
                 fplan,
                 Arc::new(FusionPool::new(fplan.threads())),
             )),
@@ -1035,65 +1040,6 @@ impl DecodeArtifacts {
                 .unwrap_or_else(|e| panic!("{e}")),
         );
         Some(stream)
-    }
-}
-
-/// One shot's streaming decode engine: the sequential windowed chain, or
-/// the fusion decoder running the same chain's positions on an intra-shot
-/// worker pool. Built per runtime worker — fusion pools nest *inside* a
-/// shot-level worker thread and are never shared across workers.
-enum ShotStream<'p> {
-    Windowed(WindowedDecoder<'p>),
-    Fused(FusionDecoder<'p>),
-}
-
-impl ShotStream<'_> {
-    fn begin_shot(&mut self) {
-        match self {
-            ShotStream::Windowed(w) => w.begin_shot(),
-            ShotStream::Fused(f) => f.begin_shot(),
-        }
-    }
-
-    fn push_round(&mut self, defects: &[usize], erasures: &[usize]) {
-        match self {
-            ShotStream::Windowed(w) => w.push_round(defects, erasures),
-            ShotStream::Fused(f) => f.push_round(defects, erasures),
-        }
-    }
-
-    fn finish(&mut self) -> DecodeOutcome {
-        match self {
-            ShotStream::Windowed(w) => w.finish(),
-            ShotStream::Fused(f) => f.finish(),
-        }
-    }
-
-    /// Latency samples for the just-finished shot as `(nanos, rounds)`
-    /// pairs: one per window position on the sequential path, one per
-    /// *shot* (wall time of the whole fused decode) on the fusion path.
-    /// Both are ns-per-committed-round samples for [`DecodeLatencyStats`].
-    fn latencies(&self) -> &[(u64, u32)] {
-        match self {
-            ShotStream::Windowed(w) => w.window_latencies(),
-            ShotStream::Fused(f) => f.shot_latencies(),
-        }
-    }
-
-    fn set_predecode(&mut self, on: bool) {
-        match self {
-            ShotStream::Windowed(w) => w.set_predecode(on),
-            ShotStream::Fused(f) => f.set_predecode(on),
-        }
-    }
-
-    /// Accumulated tier telemetry across every shot this stream decoded
-    /// (merged over the fusion path's replay engines).
-    fn tier_counters(&self) -> TierCounters {
-        match self {
-            ShotStream::Windowed(w) => *w.tier_counters(),
-            ShotStream::Fused(f) => f.tier_counters(),
-        }
     }
 }
 
@@ -1593,7 +1539,7 @@ impl MemoryRunner {
             sim.reset_shot();
             policy.reset_shot();
             erasure_log.clear();
-            if let Some(stream) = streaming.as_mut() {
+            if let Some(stream) = streaming.as_deref_mut() {
                 stream.begin_shot();
             }
             sim.run(&self.init_segment);
@@ -1747,7 +1693,7 @@ impl MemoryRunner {
                         flips >= adj.len().div_ceil(2)
                     });
                 }
-                if let Some(stream) = streaming.as_mut() {
+                if let Some(stream) = streaming.as_deref_mut() {
                     // Detector round r is fully measured now: stream its
                     // defects (and this round's erasure flags) into the
                     // windowed decoder, which retires any window whose last
@@ -1762,7 +1708,7 @@ impl MemoryRunner {
             if suspect {
                 stats.postselection.flagged_shots += 1;
             }
-            if let Some(stream) = streaming.as_mut() {
+            if let Some(stream) = streaming.as_deref_mut() {
                 // The final transversal detectors (round = rounds) complete
                 // with the final segment; pushing them retires the last
                 // window and seals the shot.
@@ -1778,7 +1724,7 @@ impl MemoryRunner {
         if let Some(controller) = policy.controller() {
             stats.controller.merge(controller);
         }
-        if let Some(stream) = streaming.as_ref() {
+        if let Some(stream) = streaming.as_deref() {
             stats.predecode.merge(&stream.tier_counters());
         }
         stats
@@ -2083,7 +2029,7 @@ impl MemoryRunner {
             sim.run_masked(&self.final_segment, active);
 
             stats.postselection.flagged_shots += suspect.count_ones() as u64;
-            if let Some(stream) = streaming.as_mut() {
+            if let Some(stream) = streaming.as_deref_mut() {
                 // Detector parities for all lanes at once; each lane then
                 // streams its defects round by round (ascending node order,
                 // exactly as the scalar path reads them) with its logged
@@ -2132,7 +2078,7 @@ impl MemoryRunner {
                 stats.controller.merge(controller);
             }
         }
-        if let Some(stream) = streaming.as_ref() {
+        if let Some(stream) = streaming.as_deref() {
             stats.predecode.merge(&stream.tier_counters());
         }
         stats
@@ -2780,6 +2726,36 @@ mod tests {
             assert_eq!(fused.decode_latency.samples(), 120);
             assert!(fused.decode_latency.p50_ns_per_round() > 0.0);
         }
+    }
+
+    /// A fused stream reports the tier counters merged over its replay
+    /// engines: pinned on, the predecoder's hits reach the run result;
+    /// pinned off, none do — and the outcome is the same either way.
+    #[test]
+    fn fused_runs_report_tier_counters() {
+        let runner = MemoryRunner::new(3, NoiseParams::standard(3e-3), 12);
+        let run_with = |predecode: bool| {
+            let config = RunConfig {
+                shots: 60,
+                seed: 5,
+                threads: 1,
+                decoder: DecoderKind::Mwpm,
+                window_rounds: 5,
+                window_stride: 2,
+                fusion_threads: 2,
+                predecode: Some(predecode),
+                ..RunConfig::default()
+            };
+            let artifacts = runner.decode_artifacts(&config, None).unwrap();
+            assert!(artifacts.fused());
+            runner.run_with_artifacts(&|c| Box::new(EraserPolicy::new(c)), &config, &artifacts)
+        };
+        let tiered = run_with(true);
+        let full = run_with(false);
+        assert!(tiered.predecode.is_active(), "fused tiers must be reported");
+        assert!(!full.predecode.is_active(), "predecoder pinned off");
+        assert_eq!(tiered.logical_errors, full.logical_errors);
+        assert_eq!(tiered.total_lrcs, full.total_lrcs);
     }
 
     /// `fusion_threads > 1` with no window configured derives the

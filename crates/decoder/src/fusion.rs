@@ -397,34 +397,6 @@ impl<'p> FusionDecoder<'p> {
         self.plan
     }
 
-    /// Per-shot decode latency samples: `(wall nanos of finish, rounds
-    /// spanned)` — one entry per decoded shot since `begin_shot`. The fused
-    /// counterpart of [`WindowedDecoder::window_latencies`].
-    pub fn shot_latencies(&self) -> &[(u64, u32)] {
-        &self.latencies
-    }
-
-    /// Enables or disables the tiered fast path on every replay engine
-    /// (default on; see [`WindowedDecoder::set_predecode`]). Call before
-    /// decoding — engines are only touched between shots.
-    pub fn set_predecode(&mut self, on: bool) {
-        for engine in &self.engines {
-            engine.lock().unwrap().set_predecode(on);
-        }
-    }
-
-    /// Per-tier telemetry merged across every replay engine. Counts decode
-    /// *attempts*: a position replayed again during a merge contributes a
-    /// second sample, so totals can exceed the position count — hit *rates*
-    /// remain meaningful.
-    pub fn tier_counters(&self) -> TierCounters {
-        let mut total = TierCounters::default();
-        for engine in &self.engines {
-            total.merge(engine.lock().unwrap().tier_counters());
-        }
-        total
-    }
-
     fn flat_start(starts: &[usize], flat_len: usize, round: usize) -> usize {
         starts.get(round).copied().unwrap_or(flat_len)
     }
@@ -605,6 +577,30 @@ impl StreamingDecoder for FusionDecoder<'_> {
 
     fn name(&self) -> &'static str {
         self.plan.window_plan().backend().name()
+    }
+
+    /// One `(wall nanos of finish, rounds spanned)` sample per shot.
+    fn latency_samples(&self) -> &[(u64, u32)] {
+        &self.latencies
+    }
+
+    /// Applies to every replay engine.
+    fn set_predecode(&mut self, on: bool) {
+        for engine in &self.engines {
+            engine.lock().unwrap().set_predecode(on);
+        }
+    }
+
+    /// Merged across every replay engine. Counts decode *attempts*: a
+    /// position replayed again during a merge contributes a second sample,
+    /// so totals can exceed the position count — hit *rates* remain
+    /// meaningful.
+    fn tier_counters(&self) -> TierCounters {
+        let mut total = TierCounters::default();
+        for engine in &self.engines {
+            total.merge(engine.lock().unwrap().tier_counters());
+        }
+        total
     }
 }
 

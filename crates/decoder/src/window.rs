@@ -509,6 +509,22 @@ pub trait StreamingDecoder {
 
     /// Human-readable decoder name.
     fn name(&self) -> &'static str;
+
+    /// Latency samples of the current shot as `(nanos, rounds)` pairs: one
+    /// per decoded window on the sequential chain, one per shot (the wall
+    /// time of the whole decode) on the fused path. Cleared by
+    /// [`StreamingDecoder::begin_shot`].
+    fn latency_samples(&self) -> &[(u64, u32)];
+
+    /// Enables or disables the tiered fast path ([`crate::predecode`],
+    /// default on). Bit-identical either way; disabling it makes every
+    /// window run the full backend and take a latency sample. Call between
+    /// shots.
+    fn set_predecode(&mut self, on: bool);
+
+    /// Per-tier hit/latency telemetry, accumulated across every shot this
+    /// instance decoded (all zeros when the predecoder is disabled).
+    fn tier_counters(&self) -> TierCounters;
 }
 
 /// The generic sliding-window adapter: buffers pushed rounds, decodes each
@@ -556,20 +572,14 @@ impl WindowedDecoder<'_> {
         self.plan
     }
 
-    /// Enables or disables the tiered fast path (default on). Disabling it
-    /// restores the pre-tier behavior: every window position runs the full
-    /// backend and takes a latency sample.
-    pub fn set_predecode(&mut self, on: bool) {
-        self.predecode = on;
-    }
-
     /// Whether the tiered fast path is active.
     pub fn predecode(&self) -> bool {
         self.predecode
     }
 
     /// Per-tier hit/latency telemetry, accumulated across every shot this
-    /// instance decoded (all zeros when the predecoder is disabled).
+    /// instance decoded (all zeros when the predecoder is disabled). The
+    /// borrowing form of [`StreamingDecoder::tier_counters`].
     pub fn tier_counters(&self) -> &TierCounters {
         &self.counters
     }
@@ -851,6 +861,18 @@ impl StreamingDecoder for WindowedDecoder<'_> {
 
     fn name(&self) -> &'static str {
         self.plan.backend.name()
+    }
+
+    fn latency_samples(&self) -> &[(u64, u32)] {
+        &self.latencies
+    }
+
+    fn set_predecode(&mut self, on: bool) {
+        self.predecode = on;
+    }
+
+    fn tier_counters(&self) -> TierCounters {
+        self.counters
     }
 }
 

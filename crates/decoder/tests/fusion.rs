@@ -188,8 +188,8 @@ fn fused_latency_is_one_sample_per_shot() {
     let mut rng = Rng::new(11);
     let (defects, erasures) = sample_shot(&graph, &dem, &mut rng, 4, false);
     stream_shot(&mut fused, &defects, &erasures);
-    assert_eq!(fused.shot_latencies().len(), 1);
-    let (nanos, rounds) = fused.shot_latencies()[0];
+    assert_eq!(fused.latency_samples().len(), 1);
+    let (nanos, rounds) = fused.latency_samples()[0];
     assert!(nanos > 0);
     assert_eq!(rounds as usize, graph.max_round() + 1);
     assert_eq!(fused.name(), "mwpm");

@@ -232,7 +232,7 @@ fn tiered_windowed_is_bit_identical_to_full() {
 /// The fusion property: with intra-shot parallel fusion (leaf replays feed
 /// carried defect sets into downstream positions), enabling the predecoder
 /// on the fused engines is unobservable in the outcome, and the merged
-/// tier counters surface through [`FusionDecoder::tier_counters`].
+/// tier counters surface through [`StreamingDecoder::tier_counters`].
 #[test]
 fn tiered_fusion_is_bit_identical_to_full() {
     let (graph, dem) = setup(3, 17);

@@ -1,9 +1,11 @@
 //! Integration coverage of the `Experiment` facade: builder validation,
-//! string round-trips of the policy/decoder registries, and the guarantee
-//! that the `Sweep` engine is bit-identical to sequential per-point runs.
+//! string round-trips of the policy/decoder registries, the guarantee that
+//! the `Sweep` engine is bit-identical to sequential per-point runs, and
+//! that both builders wire their shared run setters identically.
 
 use eraser_repro::eraser_core::{
-    DecoderKind, Experiment, ExperimentError, NoiseModel, PolicyKind, Sweep,
+    ControlLawKind, ControllerConfig, DecoderKind, ErasureDetection, Experiment, ExperimentError,
+    LeakageProfile, LrcProtocol, NoiseModel, PolicyKind, Sweep,
 };
 use eraser_repro::qec_core::NoiseParams;
 use eraser_repro::surface_code::MemoryBasis;
@@ -193,4 +195,164 @@ fn experiment_reports_resolved_geometry() {
     assert_eq!(exp.rounds(), 15);
     assert_eq!(exp.basis(), MemoryBasis::Z);
     assert_eq!(exp.policy(), &PolicyKind::NoLrc);
+}
+
+/// `ExperimentBuilder` and `SweepBuilder` expand one set of run setters.
+/// Every setter that affects a result is set to a non-default value on
+/// both: the experiment must echo each value in its `RunConfig`, and the
+/// one-cell sweep must be bit-identical to `Experiment::run_policy`. A
+/// shared setter writing the wrong field breaks one of the two.
+#[test]
+fn both_builders_wire_every_run_setter_the_same_way() {
+    let controller = ControllerConfig {
+        up: 0.2,
+        down: 0.05,
+        min_dwell: 2,
+        ..ControllerConfig::ewma()
+    };
+    let profile = LeakageProfile::Burst {
+        start: 2,
+        len: 3,
+        period: 6,
+        rate: 0.05,
+    };
+    let p = 3e-3;
+    // ERASER+M exercises the erasure path; the adaptive policy picks up
+    // the controller override.
+    for policy in [
+        PolicyKind::eraser_m(),
+        PolicyKind::adaptive(ControlLawKind::Budget),
+    ] {
+        // `rounds` then `cycles`: the later call wins (4 cycles at d = 3).
+        macro_rules! run_knobs {
+            ($builder:expr) => {
+                $builder
+                    .rounds(5)
+                    .cycles(4)
+                    .basis(MemoryBasis::X)
+                    .shots(96)
+                    .seed(77)
+                    .threads(2)
+                    .decoder(DecoderKind::Mwpm)
+                    .protocol(LrcProtocol::Dqlr)
+                    .decode(true)
+                    .leakage_aware_decoding(true)
+                    .erasure_detection(0.01, 0.05)
+                    .stripe_width(7)
+                    .window_rounds(6)
+                    .window_stride(3)
+                    .fusion_threads(2)
+                    .controller(controller)
+                    .leakage_profile(profile)
+                    .predecode(true)
+            };
+        }
+        let exp = run_knobs!(Experiment::builder()
+            .distance(3)
+            .noise(NoiseParams::standard(p))
+            .policy(policy.clone()))
+        .build()
+        .expect("valid experiment");
+        let config = exp.config();
+        assert_eq!(exp.rounds(), 12);
+        assert_eq!(exp.basis(), MemoryBasis::X);
+        assert_eq!(config.shots, 96);
+        assert_eq!(config.seed, 77);
+        assert_eq!(config.threads, 2);
+        assert_eq!(config.decoder, DecoderKind::Mwpm);
+        assert_eq!(config.protocol, LrcProtocol::Dqlr);
+        assert!(config.decode);
+        assert_eq!(config.erasure, ErasureDetection::imperfect(0.01, 0.05));
+        assert_eq!(config.stripe_width, 7);
+        assert_eq!(config.window_rounds, 6);
+        assert_eq!(config.window_stride, 3);
+        assert_eq!(config.fusion_threads, 2);
+        assert_eq!(config.controller, Some(controller));
+        assert_eq!(config.profile, profile);
+        assert_eq!(config.predecode, Some(true));
+
+        let points = run_knobs!(Sweep::builder()
+            .distances([3])
+            .error_rates([p])
+            .policy(policy.clone()))
+        .build()
+        .expect("valid sweep")
+        .run();
+        assert_eq!(points.len(), 1);
+        assert_eq!(points[0].rounds, 12);
+        let (got, want) = (&points[0].result, exp.run_policy(&policy));
+        let label = policy.label();
+        assert_eq!(got.logical_errors, want.logical_errors, "{label}");
+        assert_eq!(got.total_lrcs, want.total_lrcs, "{label}");
+        assert_eq!(got.total_erasures, want.total_erasures, "{label}");
+        assert_eq!(got.speculation, want.speculation, "{label}");
+        assert_eq!(got.controller, want.controller, "{label}");
+        assert_eq!(got.predecode.hits, want.predecode.hits, "{label}");
+        assert_eq!(
+            got.decode_latency.samples(),
+            want.decode_latency.samples(),
+            "{label}"
+        );
+        assert_eq!(got.lpr_total, want.lpr_total, "{label}");
+        assert_eq!(got.decoder, want.decoder, "{label}");
+        // The knobs are live, not vacuously equal defaults.
+        assert_eq!(want.decoder, "mwpm");
+        assert!(want.total_erasures > 0, "{label}: erasures must flow");
+        assert!(want.predecode.is_active(), "{label}");
+        assert_eq!(want.decode_latency.samples(), 96, "fused: one per shot");
+        assert_eq!(
+            want.controller.is_active(),
+            matches!(policy, PolicyKind::Adaptive(_)),
+            "{label}"
+        );
+    }
+}
+
+/// A sweep validates the environment against its own configuration: knobs
+/// it pins explicitly never read their `ERASER_*` variable, so a malformed
+/// value there cannot reject it (exactly as for an `Experiment`). Runs in a
+/// child process, because setting variables in this one would race with
+/// the tests running beside it.
+#[test]
+fn pinned_knobs_ignore_their_malformed_env_overrides() {
+    const CHILD: &str = "ERASER_TEST_MALFORMED_ENV_CHILD";
+    let sweep = |pinned: bool| {
+        let builder = Sweep::builder()
+            .distances([3])
+            .error_rates([1e-3])
+            .policy(PolicyKind::adaptive(ControlLawKind::Ewma))
+            .rounds(2)
+            .shots(4);
+        if pinned {
+            builder
+                .decoder(DecoderKind::Mwpm)
+                .controller(ControllerConfig::ewma())
+                .predecode(true)
+                .build()
+        } else {
+            builder.build()
+        }
+    };
+    if std::env::var_os(CHILD).is_some() {
+        assert!(sweep(true).is_ok(), "pinned knobs must not read the env");
+        assert!(matches!(sweep(false), Err(ExperimentError::EnvOverride(_))));
+        return;
+    }
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "pinned_knobs_ignore_their_malformed_env_overrides",
+            "--test-threads=1",
+        ])
+        .env(CHILD, "1")
+        .env("ERASER_DECODER", "warp")
+        .env("ERASER_CONTROL", "nonsense")
+        .env("ERASER_PREDECODE", "maybe")
+        .output()
+        .expect("re-run the test binary");
+    assert!(
+        child.status.success(),
+        "child run failed:\n{}",
+        String::from_utf8_lossy(&child.stdout)
+    );
 }
