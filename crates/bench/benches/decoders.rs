@@ -53,7 +53,7 @@ fn main() {
         h.bench("mwpm_thread_instance_build/d5_r10", || factory.build());
     }
 
-    // Stateful batch decoding (32 shots per iteration) for all four
+    // Stateful batch decoding (32 shots per iteration) for all three
     // decoders.
     {
         let fixture = decode_fixture(5, 10, 32);
@@ -67,7 +67,6 @@ fn main() {
             DecoderKind::Mwpm,
             DecoderKind::SparseMwpm,
             DecoderKind::UnionFind,
-            DecoderKind::Greedy,
         ] {
             let factory = kind.build_factory(&fixture.graph);
             let mut decoder = factory.build();
@@ -166,7 +165,6 @@ fn main() {
             DecoderKind::Mwpm,
             DecoderKind::SparseMwpm,
             DecoderKind::UnionFind,
-            DecoderKind::Greedy,
         ] {
             let factory = kind.build_factory(&fixture.graph);
             let mut decoder = factory.build();

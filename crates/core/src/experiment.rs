@@ -431,7 +431,6 @@ impl fmt::Display for DecoderKind {
             DecoderKind::Mwpm => "mwpm",
             DecoderKind::SparseMwpm => "sparse-mwpm",
             DecoderKind::UnionFind => "union-find",
-            DecoderKind::Greedy => "greedy",
         })
     }
 }
@@ -445,7 +444,6 @@ impl FromStr for DecoderKind {
             "mwpm" => Ok(DecoderKind::Mwpm),
             "sparse-mwpm" | "sparse" | "sparse-blossom" => Ok(DecoderKind::SparseMwpm),
             "union-find" | "unionfind" | "uf" => Ok(DecoderKind::UnionFind),
-            "greedy" => Ok(DecoderKind::Greedy),
             _ => Err(ExperimentError::UnknownDecoder(s.to_string())),
         }
     }
@@ -1429,7 +1427,6 @@ mod tests {
             DecoderKind::Mwpm,
             DecoderKind::SparseMwpm,
             DecoderKind::UnionFind,
-            DecoderKind::Greedy,
         ] {
             assert_eq!(kind.to_string().parse::<DecoderKind>().unwrap(), kind);
         }
@@ -1438,7 +1435,10 @@ mod tests {
             "sparse".parse::<DecoderKind>().unwrap(),
             DecoderKind::SparseMwpm
         );
-        assert!("tensor-network".parse::<DecoderKind>().is_err());
+        assert!(matches!(
+            "tensor-network".parse::<DecoderKind>(),
+            Err(ExperimentError::UnknownDecoder(_))
+        ));
     }
 
     #[test]

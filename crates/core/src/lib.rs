@@ -22,9 +22,9 @@
 //!   time-varying noise schedules (bursts, ramps) to adapt against.
 //! * [`runtime`] — the Monte-Carlo memory-experiment engine behind the
 //!   facade: executes policy-adapted rounds on the leakage-aware frame
-//!   simulator, decodes with MWPM / union-find / greedy, and reports logical
-//!   error rate, leakage population ratio, LRC counts, and speculation
-//!   accuracy (TP/FP/FN/TN).
+//!   simulator, decodes with dense or sparse MWPM or union-find, and reports
+//!   logical error rate, leakage population ratio, LRC counts, and
+//!   speculation accuracy (TP/FP/FN/TN).
 //! * [`analysis`] — the paper's analytical models: Eq. (1), Eq. (2), the
 //!   invisible-leakage distribution of Eq. (3)/Table 2.
 //! * [`rtl`] / [`resource`] — a SystemVerilog generator for the

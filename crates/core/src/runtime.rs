@@ -52,9 +52,8 @@ use leak_sim::{BatchFrameSimulator, Discriminator, FrameSimulator, STRIPE_WIDTH}
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan, FusionPool, GreedyFactory,
-    MwpmFactory, SparseMwpmFactory, StreamingDecoder, TierCounters, UnionFindFactory,
-    WindowBackend, WindowPlan,
+    build_dem, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan, FusionPool, MwpmFactory,
+    SparseMwpmFactory, StreamingDecoder, TierCounters, UnionFindFactory, WindowBackend, WindowPlan,
 };
 use std::sync::Arc;
 use surface_code::{
@@ -90,8 +89,6 @@ pub enum DecoderKind {
     SparseMwpm,
     /// Weighted union-find.
     UnionFind,
-    /// Greedy nearest-first (ablation baseline).
-    Greedy,
 }
 
 impl DecoderKind {
@@ -136,18 +133,20 @@ impl DecoderKind {
             DecoderKind::Mwpm => Box::new(MwpmFactory::new(graph)),
             DecoderKind::SparseMwpm => Box::new(SparseMwpmFactory::new(graph)),
             DecoderKind::UnionFind => Box::new(UnionFindFactory::new(graph)),
-            DecoderKind::Greedy => Box::new(GreedyFactory::new(graph)),
             DecoderKind::Auto => unreachable!("resolve never returns Auto"),
         }
     }
 
     /// The window backend of a resolved kind.
-    fn window_backend(self) -> WindowBackend {
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`DecoderKind::Auto`]; resolve it first.
+    pub fn window_backend(self) -> WindowBackend {
         match self {
             DecoderKind::Mwpm => WindowBackend::Mwpm,
             DecoderKind::SparseMwpm => WindowBackend::SparseMwpm,
             DecoderKind::UnionFind => WindowBackend::UnionFind,
-            DecoderKind::Greedy => WindowBackend::Greedy,
             DecoderKind::Auto => unreachable!("resolve Auto before picking a backend"),
         }
     }
@@ -390,14 +389,14 @@ fn parse_positive(value: &str) -> Result<usize, &'static str> {
 }
 
 /// Parses an `ERASER_DECODER` value: a decoder name (`auto`, `mwpm`,
-/// `sparse-mwpm`, `union-find`, `greedy`, or an alias accepted by
+/// `sparse-mwpm`, `union-find`, or an alias accepted by
 /// [`DecoderKind`]'s `FromStr`). Empty counts as unset — CI matrix legs
 /// pass `""` to mean "no override".
 pub fn parse_decoder_env(raw: &str) -> Result<Option<DecoderKind>, EnvOverrideError> {
     parse_env_override("ERASER_DECODER", raw, |value| {
-        value.parse::<DecoderKind>().map_err(|_| {
-            "unknown decoder (expected auto, mwpm, sparse-mwpm, union-find, or greedy)"
-        })
+        value
+            .parse::<DecoderKind>()
+            .map_err(|_| "unknown decoder (expected auto, mwpm, sparse-mwpm, or union-find)")
     })
 }
 
@@ -2127,7 +2126,10 @@ mod tests {
         let graph = runner.graph();
         assert!(graph.num_nodes() <= DecoderKind::AUTO_MWPM_NODE_LIMIT);
         assert_eq!(DecoderKind::Auto.resolve(graph), DecoderKind::Mwpm);
-        assert_eq!(DecoderKind::Greedy.resolve(graph), DecoderKind::Greedy);
+        assert_eq!(
+            DecoderKind::UnionFind.resolve(graph),
+            DecoderKind::UnionFind
+        );
         assert_eq!(DecoderKind::Auto.build_factory(graph).name(), "mwpm");
         assert_eq!(
             DecoderKind::UnionFind.build_factory(graph).name(),
@@ -2412,8 +2414,7 @@ mod tests {
             check("ERASER_WINDOW", raw, parse_window_env(raw), expected);
         }
 
-        let unknown_decoder =
-            "unknown decoder (expected auto, mwpm, sparse-mwpm, union-find, or greedy)";
+        let unknown_decoder = "unknown decoder (expected auto, mwpm, sparse-mwpm, or union-find)";
         type DecoderCase = (&'static str, Result<Option<DecoderKind>, &'static str>);
         let decoder_cases: &[DecoderCase] = &[
             ("mwpm", Ok(Some(DecoderKind::Mwpm))),
@@ -2421,10 +2422,10 @@ mod tests {
             ("sparse", Ok(Some(DecoderKind::SparseMwpm))),
             ("SPARSE-BLOSSOM", Ok(Some(DecoderKind::SparseMwpm))),
             ("uf", Ok(Some(DecoderKind::UnionFind))),
-            ("greedy", Ok(Some(DecoderKind::Greedy))),
             ("auto", Ok(Some(DecoderKind::Auto))),
             ("", Ok(None)),
             ("  ", Ok(None)),
+            ("greedy", Err(unknown_decoder)),
             ("tensor-network", Err(unknown_decoder)),
             ("mwpm2", Err(unknown_decoder)),
         ];
@@ -2541,8 +2542,8 @@ mod tests {
             DecoderKind::Mwpm
         );
         assert_eq!(
-            DecoderKind::Greedy.resolve_window(graph, 10),
-            DecoderKind::Greedy
+            DecoderKind::UnionFind.resolve_window(graph, 10),
+            DecoderKind::UnionFind
         );
         // A window of 0 or one past the last round is the full cover: the
         // whole graph, exactly what `resolve` prices.

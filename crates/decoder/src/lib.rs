@@ -33,17 +33,16 @@
 //!   backends use, so their optimality comparison is exact.
 //! * [`unionfind`] — a weighted union-find decoder (Delfosse–Nickerson) used
 //!   for large code distances where O(n³) matching is too slow.
-//! * [`greedy`] — a nearest-first greedy matcher, the ablation baseline.
 //! * [`overlay`] — erasure decoding: a reusable [`WeightOverlay`] that
 //!   dynamically reweights the decoding-graph edges a leakage-detection
-//!   policy flagged ([`Syndrome::erasures`]) to ~0 for MWPM path costs,
-//!   union-find growth, and greedy pairing, then restores them. An empty
-//!   erasure set decodes bit-identically to the erasure-unaware path.
+//!   policy flagged ([`Syndrome::erasures`]) to ~0 for MWPM path costs and
+//!   union-find growth, then restores them. An empty erasure set decodes
+//!   bit-identically to the erasure-unaware path.
 //! * [`window`] — sliding-window streaming decoding: a round-indexed
 //!   [`WindowGraph`] partition view, a per-graph [`WindowPlan`] whose
 //!   precomputation is O(window²) per *shape* rather than O(R²), and the
 //!   [`StreamingDecoder`] / [`WindowedDecoder`] round-incremental interface
-//!   that gives all three decoders bounded-memory decoding at any R.
+//!   that gives all three backends bounded-memory decoding at any R.
 //! * [`predecode`] — the tiered sparse-syndrome fast path in front of every
 //!   backend: tier 0 skips empty windows/shots outright, tier 1 resolves
 //!   1–2 defect syndromes in closed form, tier 2 is the configured backend —
@@ -91,7 +90,6 @@ pub mod api;
 pub mod dem;
 pub mod fusion;
 pub mod graph;
-pub mod greedy;
 pub mod matching;
 pub mod mwpm;
 pub mod overlay;
@@ -105,7 +103,6 @@ pub use api::{DecodeOutcome, DecoderFactory, Syndrome, SyndromeBuilder, Syndrome
 pub use dem::{build_dem, DetectorErrorModel, ErrorMechanism};
 pub use fusion::{FusionDecoder, FusionPlan, FusionPool};
 pub use graph::{DecodingGraph, GraphEdge};
-pub use greedy::{GreedyBatchDecoder, GreedyFactory};
 pub use matching::{max_weight_matching, MatchingContext};
 pub use mwpm::{MwpmBatchDecoder, MwpmFactory, ShortestPaths};
 pub use overlay::{DijkstraScratch, WeightOverlay, ERASED_WEIGHT};

@@ -531,12 +531,6 @@ impl<'g> MwpmFactory<'g> {
         }
     }
 
-    /// Reuses an existing shortest-path table (e.g. shared with a
-    /// [`crate::GreedyFactory`] on the same graph).
-    pub fn with_paths(graph: &'g DecodingGraph, paths: Arc<ShortestPaths>) -> MwpmFactory<'g> {
-        MwpmFactory { graph, paths }
-    }
-
     /// The shared shortest-path table.
     pub fn paths(&self) -> &Arc<ShortestPaths> {
         &self.paths

@@ -12,12 +12,12 @@
 //!
 //! [`WeightOverlay`] is the reusable per-decoder-instance scratch that makes
 //! this cheap. Conceptually it sets every flagged edge's weight to
-//! [`ERASED_WEIGHT`] (~0) for MWPM path costs, union-find growth, and greedy
-//! pairing, then restores the weights after the shot. The implementation
-//! never mutates the shared graph (which is `Arc`-shared across worker
-//! threads) and never re-runs Dijkstra: erased edges have ~zero weight, so
-//! each connected component of erased edges collapses to a single free hub,
-//! and the overlaid shortest path between two defects is
+//! [`ERASED_WEIGHT`] (~0) for MWPM path costs and union-find growth, then
+//! restores the weights after the shot. The implementation never mutates
+//! the shared graph (which is `Arc`-shared across worker threads) and never
+//! re-runs Dijkstra: erased edges have ~zero weight, so each connected
+//! component of erased edges collapses to a single free hub, and the
+//! overlaid shortest path between two defects is
 //!
 //! ```text
 //! d'(u, v) = min( d(u, v),
@@ -34,7 +34,7 @@
 //!
 //! Consumers:
 //!
-//! * MWPM and greedy call [`WeightOverlay::apply`] then
+//! * dense MWPM calls [`WeightOverlay::apply`] then
 //!   [`WeightOverlay::effective_metrics`] to obtain overlaid
 //!   defect-to-defect / defect-to-boundary distances and parities;
 //! * union-find calls [`WeightOverlay::apply`] and queries

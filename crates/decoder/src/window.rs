@@ -35,14 +35,15 @@
 //!   whole experiment has only a handful of distinct window *shapes*.
 //! * [`WindowPlan`] — the per-graph precomputation (the analogue of a
 //!   [`crate::DecoderFactory`]): all window positions, deduplicated shapes,
-//!   and one `ShortestPaths` / `UnionFindCapacities` table **per shape** —
-//!   killing the O(R²) APSP. Thread-safe; build once, then stamp out one
-//!   [`WindowedDecoder`] per worker thread via [`WindowPlan::streaming`].
+//!   and one backend table (`ShortestPaths`, `SparseIndex`, or
+//!   `UnionFindCapacities`) **per shape** — killing the O(R²) APSP.
+//!   Thread-safe; build once, then stamp out one [`WindowedDecoder`] per
+//!   worker thread via [`WindowPlan::streaming`].
 //! * [`StreamingDecoder`] / [`WindowedDecoder`] — the round-incremental
 //!   interface (`begin_shot` / `push_round` / `finish`) and its generic
 //!   implementation over any [`SyndromeDecoder`] that can report its
 //!   correction as edges ([`SyndromeDecoder::decode_with_correction`]), so
-//!   MWPM, union-find, and greedy all gain streaming for free.
+//!   dense MWPM, sparse MWPM, and union-find all gain streaming for free.
 //!
 //! A window covering all rounds decodes **bit-identically** to a whole-shot
 //! decoder over the same graph, erasures included (asserted by
@@ -52,7 +53,6 @@
 
 use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 use crate::graph::{DecodingGraph, GraphEdge};
-use crate::greedy::GreedyBatchDecoder;
 use crate::mwpm::{MwpmBatchDecoder, ShortestPaths};
 use crate::predecode::{tier0_applies, tier1_applies, TierCounters};
 use crate::sparse::{SparseIndex, SparseMwpmDecoder};
@@ -70,8 +70,6 @@ pub enum WindowBackend {
     SparseMwpm,
     /// Weighted union-find per window.
     UnionFind,
-    /// Greedy nearest-first per window.
-    Greedy,
 }
 
 impl WindowBackend {
@@ -81,7 +79,6 @@ impl WindowBackend {
             WindowBackend::Mwpm => "mwpm",
             WindowBackend::SparseMwpm => "sparse-mwpm",
             WindowBackend::UnionFind => "union-find",
-            WindowBackend::Greedy => "greedy",
         }
     }
 }
@@ -216,12 +213,12 @@ impl WindowGraph {
     }
 }
 
-/// Per-shape shared precomputation, selected by backend.
+/// Per-shape shared precomputation: the one table its backend decodes with.
 #[derive(Debug)]
-struct ShapeData {
-    paths: Option<Arc<ShortestPaths>>,
-    capacities: Option<Arc<UnionFindCapacities>>,
-    sparse: Option<Arc<SparseIndex>>,
+enum ShapeData {
+    Mwpm(Arc<ShortestPaths>),
+    SparseMwpm(Arc<SparseIndex>),
+    UnionFind(Arc<UnionFindCapacities>),
 }
 
 /// One window position of the plan.
@@ -263,8 +260,8 @@ pub struct WindowPlan {
 impl WindowPlan {
     /// Builds the plan: `window` rounds per window, advancing by `stride`
     /// (`buffer = window − stride` rounds are re-decoded; keep it ≥ d). The
-    /// per-shape `ShortestPaths` / `UnionFindCapacities` tables are computed
-    /// here, once per *shape*, not per position.
+    /// per-shape backend tables are computed here, once per *shape*, not
+    /// per position.
     ///
     /// # Panics
     ///
@@ -329,7 +326,7 @@ impl WindowPlan {
         let shape_data = shapes
             .iter()
             .map(|shape| match backend {
-                WindowBackend::Mwpm | WindowBackend::Greedy => {
+                WindowBackend::Mwpm => {
                     let paths = Arc::new(ShortestPaths::compute(shape.graph()));
                     let b = shape.graph().boundary();
                     // Isolated nodes (no incident edges at all — e.g. every
@@ -342,22 +339,14 @@ impl WindowPlan {
                         }),
                         "window node cut off from the boundary"
                     );
-                    ShapeData {
-                        paths: Some(paths),
-                        capacities: None,
-                        sparse: None,
-                    }
+                    ShapeData::Mwpm(paths)
                 }
-                WindowBackend::SparseMwpm => ShapeData {
-                    paths: None,
-                    capacities: None,
-                    sparse: Some(Arc::new(SparseIndex::compute(shape.graph()))),
-                },
-                WindowBackend::UnionFind => ShapeData {
-                    paths: None,
-                    capacities: Some(Arc::new(UnionFindCapacities::compute(shape.graph()))),
-                    sparse: None,
-                },
+                WindowBackend::SparseMwpm => {
+                    ShapeData::SparseMwpm(Arc::new(SparseIndex::compute(shape.graph())))
+                }
+                WindowBackend::UnionFind => {
+                    ShapeData::UnionFind(Arc::new(UnionFindCapacities::compute(shape.graph())))
+                }
             })
             .collect();
         WindowPlan {
@@ -421,15 +410,11 @@ impl WindowPlan {
             // Each backend's table prices itself, so the estimate cannot
             // drift from the tables' real layouts (the sparse backend's
             // estimate did exactly that when it was hand-expanded here).
-            if let Some(paths) = &data.paths {
-                total += paths.approx_bytes();
-            }
-            if let Some(capacities) = &data.capacities {
-                total += capacities.approx_bytes();
-            }
-            if let Some(sparse) = &data.sparse {
-                total += sparse.approx_bytes();
-            }
+            total += match data {
+                ShapeData::Mwpm(paths) => paths.approx_bytes(),
+                ShapeData::SparseMwpm(index) => index.approx_bytes(),
+                ShapeData::UnionFind(capacities) => capacities.approx_bytes(),
+            };
         }
         for pos in &self.positions {
             total += pos.edge_globals.len() * std::mem::size_of::<u32>();
@@ -446,23 +431,21 @@ impl WindowPlan {
             .iter()
             .zip(&self.shape_data)
             .map(|(shape, data)| -> Box<dyn SyndromeDecoder + Send + '_> {
-                match self.backend {
-                    WindowBackend::Mwpm => Box::new(MwpmBatchDecoder::with_paths(
+                match data {
+                    ShapeData::Mwpm(paths) => Box::new(MwpmBatchDecoder::with_paths(
                         shape.graph(),
-                        Arc::clone(data.paths.as_ref().expect("mwpm shape has paths")),
+                        Arc::clone(paths),
                     )),
-                    WindowBackend::SparseMwpm => Box::new(SparseMwpmDecoder::with_index(
+                    ShapeData::SparseMwpm(index) => Box::new(SparseMwpmDecoder::with_index(
                         shape.graph(),
-                        Arc::clone(data.sparse.as_ref().expect("sparse shape has an index")),
+                        Arc::clone(index),
                     )),
-                    WindowBackend::UnionFind => Box::new(UnionFindBatchDecoder::with_capacities(
-                        shape.graph(),
-                        Arc::clone(data.capacities.as_ref().expect("uf shape has capacities")),
-                    )),
-                    WindowBackend::Greedy => Box::new(GreedyBatchDecoder::with_paths(
-                        shape.graph(),
-                        Arc::clone(data.paths.as_ref().expect("greedy shape has paths")),
-                    )),
+                    ShapeData::UnionFind(capacities) => {
+                        Box::new(UnionFindBatchDecoder::with_capacities(
+                            shape.graph(),
+                            Arc::clone(capacities),
+                        ))
+                    }
                 }
             })
             .collect();
@@ -959,7 +942,6 @@ mod tests {
             WindowBackend::Mwpm,
             WindowBackend::SparseMwpm,
             WindowBackend::UnionFind,
-            WindowBackend::Greedy,
         ] {
             let plan = WindowPlan::new(&g, window, stride, backend);
             // The estimate must delegate to the populated tables' own
@@ -970,22 +952,13 @@ mod tests {
             for (shape, data) in plan.shapes.iter().zip(&plan.shape_data) {
                 expected += std::mem::size_of_val(shape.graph().edges());
                 expected += shape.node_count() * std::mem::size_of::<usize>() * 3;
-                expected += data.paths.as_ref().map_or(0, |t| t.approx_bytes());
-                expected += data.capacities.as_ref().map_or(0, |t| t.approx_bytes());
-                expected += data.sparse.as_ref().map_or(0, |t| t.approx_bytes());
-                // Exactly one table per shape, matching the backend.
-                let tables = [
-                    data.paths.is_some(),
-                    data.capacities.is_some(),
-                    data.sparse.is_some(),
-                ];
-                assert_eq!(tables.iter().filter(|&&t| t).count(), 1, "{backend:?}");
-                let want = match backend {
-                    WindowBackend::Mwpm | WindowBackend::Greedy => [true, false, false],
-                    WindowBackend::UnionFind => [false, true, false],
-                    WindowBackend::SparseMwpm => [false, false, true],
+                // Each shape holds its own backend's table.
+                expected += match (backend, data) {
+                    (WindowBackend::Mwpm, ShapeData::Mwpm(t)) => t.approx_bytes(),
+                    (WindowBackend::SparseMwpm, ShapeData::SparseMwpm(t)) => t.approx_bytes(),
+                    (WindowBackend::UnionFind, ShapeData::UnionFind(t)) => t.approx_bytes(),
+                    _ => panic!("{backend:?} shape holds another backend's table"),
                 };
-                assert_eq!(tables, want, "{backend:?}");
             }
             for pos in &plan.positions {
                 expected += pos.edge_globals.len() * std::mem::size_of::<u32>();
@@ -1003,7 +976,6 @@ mod tests {
             by_backend["mwpm"]
         );
         assert!(by_backend["union-find"] < by_backend["mwpm"]);
-        assert_eq!(by_backend["greedy"], by_backend["mwpm"]);
     }
 
     #[test]

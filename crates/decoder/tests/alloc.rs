@@ -3,8 +3,8 @@
 //! warm — the guarantee the stateful decoder API makes for the Monte-Carlo
 //! hot path.
 //!
-//! Union-find and greedy are fully allocation-free in steady state, with or
-//! without erasures, and are asserted at zero end to end. The MWPM blossom
+//! Union-find is fully allocation-free in steady state, with or without
+//! erasures, and is asserted at zero end to end. The MWPM blossom
 //! solver's *interior* (blossom formation) allocates per solve — a
 //! pre-existing property of the seed matcher that also occurs on
 //! erasure-free batches — so for the two blossom backends (dense and sparse
@@ -19,12 +19,11 @@
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, GreedyFactory, MwpmFactory, ShortestPaths,
-    SparseMwpmFactory, Syndrome, UnionFindFactory, WeightOverlay,
+    build_dem, DecoderFactory, DecodingGraph, MwpmFactory, ShortestPaths, SparseMwpmFactory,
+    Syndrome, UnionFindFactory, WeightOverlay,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
 
 struct CountingAllocator;
@@ -98,28 +97,21 @@ fn fixture() -> (DecodingGraph, Vec<Syndrome>) {
 fn warm_decoding_with_erasures_is_allocation_free() {
     let (graph, syndromes) = fixture();
 
-    // Phase 1: union-find and greedy are allocation-free end to end.
-    let mwpm = MwpmFactory::new(&graph); // shares its APSP table with greedy
-    let uf = UnionFindFactory::new(&graph);
-    let greedy = GreedyFactory::with_paths(&graph, Arc::clone(mwpm.paths()));
-    let factories: [&dyn DecoderFactory; 2] = [&uf, &greedy];
-    for factory in factories {
-        let mut decoder = factory.build();
-        let mut out = Vec::new();
-        // Warm-up: grows every scratch buffer to its steady-state size.
-        decoder.decode_batch(&syndromes, &mut out);
-        decoder.decode_batch(&syndromes, &mut out);
-        // Steady state: identical batch, zero allocations allowed.
-        let before = allocations();
-        decoder.decode_batch(&syndromes, &mut out);
-        let delta = allocations() - before;
-        assert_eq!(
-            delta,
-            0,
-            "[{}] steady-state decode_batch allocated {delta} times",
-            factory.name()
-        );
-    }
+    // Phase 1: union-find is allocation-free end to end.
+    let factory = UnionFindFactory::new(&graph);
+    let mut decoder = factory.build();
+    let mut out = Vec::new();
+    // Warm-up: grows every scratch buffer to its steady-state size.
+    decoder.decode_batch(&syndromes, &mut out);
+    decoder.decode_batch(&syndromes, &mut out);
+    // Steady state: identical batch, zero allocations allowed.
+    let before = allocations();
+    decoder.decode_batch(&syndromes, &mut out);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "[union-find] steady-state decode_batch allocated {delta} times"
+    );
 
     // Phase 2: the `WeightOverlay` itself (apply -> effective_metrics ->
     // restore) is allocation-free once warm.

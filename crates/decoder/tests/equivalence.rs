@@ -1,6 +1,6 @@
 //! Equivalence + determinism suite for the stateful decoder API.
 //!
-//! For all four decoders (dense MWPM, sparse MWPM, union-find, greedy) and
+//! For all three decoders (dense MWPM, sparse MWPM, union-find) and
 //! fixed seeds, these tests assert the chain of identities the redesign
 //! promises:
 //!
@@ -14,7 +14,7 @@ use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
     build_dem, scale_weight, DecodeOutcome, DecoderFactory, DecodingGraph, DetectorErrorModel,
-    GreedyFactory, MwpmFactory, SparseMwpmFactory, Syndrome, UnionFindFactory,
+    MwpmFactory, SparseMwpmFactory, Syndrome, UnionFindFactory,
 };
 use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -107,9 +107,6 @@ fn all_decoders_batch_and_sequential_agree() {
 
         let uf = UnionFindFactory::new(&graph);
         check_equivalence(&uf, &syndromes);
-
-        let greedy = GreedyFactory::with_paths(&graph, Arc::clone(mwpm.paths()));
-        check_equivalence(&greedy, &syndromes);
     }
 }
 
@@ -264,8 +261,7 @@ fn empty_erasure_set_is_bit_identical_to_plain_path() {
     let mwpm = MwpmFactory::new(&graph);
     let sparse = SparseMwpmFactory::new(&graph);
     let uf = UnionFindFactory::new(&graph);
-    let greedy = GreedyFactory::with_paths(&graph, Arc::clone(mwpm.paths()));
-    let factories: [&dyn DecoderFactory; 4] = [&mwpm, &sparse, &uf, &greedy];
+    let factories: [&dyn DecoderFactory; 3] = [&mwpm, &sparse, &uf];
     for factory in factories {
         let mut reference = factory.build();
         let mut out_ref = Vec::new();
@@ -312,8 +308,7 @@ fn warm_overlay_scratch_is_deterministic_across_batches() {
     let mwpm = MwpmFactory::new(&graph);
     let sparse = SparseMwpmFactory::new(&graph);
     let uf = UnionFindFactory::new(&graph);
-    let greedy = GreedyFactory::with_paths(&graph, Arc::clone(mwpm.paths()));
-    let factories: [&dyn DecoderFactory; 4] = [&mwpm, &sparse, &uf, &greedy];
+    let factories: [&dyn DecoderFactory; 3] = [&mwpm, &sparse, &uf];
     for factory in factories {
         let mut decoder = factory.build();
         let mut first = Vec::new();

@@ -1,7 +1,7 @@
 //! Fused ≡ sequential equivalence suite.
 //!
 //! The load-bearing guarantee of the partition + fusion decode path: at
-//! **every** fusion thread count, for **all four** backends, with and
+//! **every** fusion thread count, for **all three** backends, with and
 //! without erasure overlays, the [`FusionDecoder`] outcome is bit-identical
 //! to the sequential [`WindowedDecoder`] — same flip, the exact same f64
 //! weight bits, same defect count. The speculative leaf carries and the
@@ -16,11 +16,10 @@ use qec_decoder::{
 use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
 
-const BACKENDS: [WindowBackend; 4] = [
+const BACKENDS: [WindowBackend; 3] = [
     WindowBackend::Mwpm,
     WindowBackend::SparseMwpm,
     WindowBackend::UnionFind,
-    WindowBackend::Greedy,
 ];
 
 fn setup(d: usize, rounds: usize) -> (DecodingGraph, DetectorErrorModel) {
@@ -78,7 +77,7 @@ fn stream_shot(
 }
 
 /// The tentpole property: fused output is bit-identical to the sequential
-/// windowed path across fusion_threads ∈ {1, 2, 3, 8} × all four backends ×
+/// windowed path across fusion_threads ∈ {1, 2, 3, 8} × all three backends ×
 /// erasure overlays. The d=3, R=17 span yields 8 window positions at
 /// (w=6, s=2), so thread counts 3 and 8 exercise ragged and degenerate
 /// (leaf-per-position) partitions on top of the even ones.

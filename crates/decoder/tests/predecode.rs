@@ -12,18 +12,17 @@ use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
     build_dem, DecoderFactory, DecodingGraph, DetectorErrorModel, FusionDecoder, FusionPlan,
-    FusionPool, GreedyFactory, MwpmFactory, SparseMwpmFactory, StreamingDecoder, Syndrome,
-    SyndromeDecoder, TieredDecoder, UnionFindFactory, WindowBackend, WindowPlan,
+    FusionPool, MwpmFactory, SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder,
+    TieredDecoder, UnionFindFactory, WindowBackend, WindowPlan,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
 
-const BACKENDS: [WindowBackend; 4] = [
+const BACKENDS: [WindowBackend; 3] = [
     WindowBackend::Mwpm,
     WindowBackend::SparseMwpm,
     WindowBackend::UnionFind,
-    WindowBackend::Greedy,
 ];
 
 fn setup(d: usize, rounds: usize) -> (DecodingGraph, DetectorErrorModel) {
@@ -78,12 +77,10 @@ fn xor_set(correction: &[usize]) -> HashSet<usize> {
 fn tiered_monolithic_is_bit_identical_to_full() {
     for (d, rounds, seed) in [(3usize, 4usize, 0x7139u64), (5, 3, 0x517E)] {
         let (graph, _) = setup(d, rounds);
-        let mwpm = MwpmFactory::new(&graph);
-        let factories: [&dyn DecoderFactory; 4] = [
-            &mwpm,
+        let factories: [&dyn DecoderFactory; 3] = [
+            &MwpmFactory::new(&graph),
             &SparseMwpmFactory::new(&graph),
             &UnionFindFactory::new(&graph),
-            &GreedyFactory::with_paths(&graph, Arc::clone(mwpm.paths())),
         ];
         for factory in factories {
             let mut tiered = TieredDecoder::new(factory.build());

@@ -3,7 +3,7 @@
 //! The load-bearing guarantees of the sliding-window decode path:
 //!
 //! * a window covering **all** rounds is bit-identical to the monolithic
-//!   path for all four decoders, erasures included (its single, final
+//!   path for all three decoders, erasures included (its single, final
 //!   position makes exactly the whole-shot decode call);
 //! * real sliding windows (commit/buffer, re-injection) still correct every
 //!   single fault mechanism exactly, and agree with monolithic decoding on
@@ -19,16 +19,13 @@ use qec_decoder::{
     build_dem, DecodingGraph, DetectorErrorModel, StreamingDecoder, SyndromeDecoder, WindowBackend,
     WindowPlan,
 };
-use qec_decoder::{
-    GreedyBatchDecoder, MwpmBatchDecoder, SparseMwpmDecoder, Syndrome, UnionFindBatchDecoder,
-};
+use qec_decoder::{MwpmBatchDecoder, SparseMwpmDecoder, Syndrome, UnionFindBatchDecoder};
 use surface_code::{MemoryExperiment, RotatedCode};
 
-const BACKENDS: [WindowBackend; 4] = [
+const BACKENDS: [WindowBackend; 3] = [
     WindowBackend::Mwpm,
     WindowBackend::SparseMwpm,
     WindowBackend::UnionFind,
-    WindowBackend::Greedy,
 ];
 
 fn setup(d: usize, rounds: usize) -> (DecodingGraph, DetectorErrorModel) {
@@ -47,7 +44,6 @@ fn monolithic<'g>(
         WindowBackend::Mwpm => Box::new(MwpmBatchDecoder::new(graph)),
         WindowBackend::SparseMwpm => Box::new(SparseMwpmDecoder::new(graph)),
         WindowBackend::UnionFind => Box::new(UnionFindBatchDecoder::new(graph)),
-        WindowBackend::Greedy => Box::new(GreedyBatchDecoder::new(graph)),
     }
 }
 
@@ -99,7 +95,7 @@ fn stream_shot(
 
 /// Property test: a window covering all rounds decodes bit-identically to
 /// the monolithic path — same flip, same f64 weight bits, same defect
-/// count — for all four backends, across many random syndromes. Every
+/// count — for all three backends, across many random syndromes. Every
 /// other trial carries a random erasure set streamed in over random rounds:
 /// under erasures, equal-weight paths of opposite parity are common, and
 /// the full-cover window must make the whole-shot decoder's choice.
@@ -175,7 +171,7 @@ fn sliding_windows_correct_every_single_fault() {
                 if defects.is_empty() {
                     continue;
                 }
-                // Union-find and greedy are not distance-preserving on
+                // Union-find is not distance-preserving on
                 // decomposed hyperedges even monolithically; hold the exact
                 // bar only where the monolithic decoder meets it (both
                 // blossom backends do).

@@ -832,7 +832,7 @@ pub fn erasure(opts: &Opts) -> Result<(), String> {
 /// few thousand nodes).
 pub fn longmem(opts: &Opts) -> Result<(), String> {
     use eraser_core::DecodeLatencyStats;
-    use qec_decoder::{WindowBackend, WindowPlan};
+    use qec_decoder::WindowPlan;
 
     let mut t = Table::new(
         &format!(
@@ -902,18 +902,16 @@ pub fn longmem(opts: &Opts) -> Result<(), String> {
                     .sqrt()
                     .max(1.0 / shots as f64);
                 let z = (mono.ler() - win.ler()).abs() / sigma;
+                // Both sides are priced as plans for the backend they ran
+                // on: the full cover for the monolithic run, the sliding
+                // plan for the windowed one.
                 let (mono_bytes, win_bytes, shapes) = *memory_report.get_or_insert_with(|| {
                     let graph = exp.runner().graph();
-                    let mono_bytes = match resolved {
-                        DecoderKind::UnionFind => graph.edges().len() * 4,
-                        _ => (graph.num_nodes() + 1).pow(2) * 9,
-                    };
+                    let backend = resolved.window_backend();
+                    let span = graph.max_round() + 1;
+                    let mono_bytes =
+                        WindowPlan::new(graph, span, span, backend).approx_decoder_bytes();
                     if window < rounds + 1 {
-                        let backend = match resolved {
-                            DecoderKind::UnionFind => WindowBackend::UnionFind,
-                            DecoderKind::Greedy => WindowBackend::Greedy,
-                            _ => WindowBackend::Mwpm,
-                        };
                         let plan = WindowPlan::new(graph, window, window - d, backend);
                         (mono_bytes, plan.approx_decoder_bytes(), plan.num_shapes())
                     } else {
@@ -949,7 +947,7 @@ pub fn longmem(opts: &Opts) -> Result<(), String> {
 
 /// Intra-shot fusion latency study (extension): p50/p99 per-round decode
 /// latency at fixed (d, R) across fusion_threads ∈ {1, 2, 4, 8} for all
-/// four backends. The fused output is bit-identical to sequential at every
+/// three backends. The fused output is bit-identical to sequential at every
 /// thread count, so the sweep isolates wall-clock alone; whether parallel
 /// rows actually beat sequential depends on the host's core count, which
 /// the table records.
@@ -985,7 +983,6 @@ pub fn latency(opts: &Opts) -> Result<(), String> {
         DecoderKind::Mwpm,
         DecoderKind::SparseMwpm,
         DecoderKind::UnionFind,
-        DecoderKind::Greedy,
     ] {
         let mut seq_p50 = 0.0f64;
         for fusion in [1usize, 2, 4, 8] {
@@ -1099,7 +1096,6 @@ pub fn predecode(opts: &Opts) -> Result<(), String> {
                 DecoderKind::Mwpm,
                 DecoderKind::SparseMwpm,
                 DecoderKind::UnionFind,
-                DecoderKind::Greedy,
             ] {
                 let run = |on: bool, timing_shots: u64| -> Result<MemoryRunResult, String> {
                     Ok(Experiment::builder()
@@ -1254,11 +1250,7 @@ pub fn ablation(opts: &Opts) -> Result<(), String> {
         &format!("Ablation: decoder choice, d={d} (MWPM is the paper's gold standard)"),
         &["decoder", "ler"],
     );
-    for kind in [
-        DecoderKind::Mwpm,
-        DecoderKind::UnionFind,
-        DecoderKind::Greedy,
-    ] {
+    for kind in [DecoderKind::Mwpm, DecoderKind::UnionFind] {
         exp.set_decoder(kind);
         let res = exp.run_policy(&PolicyKind::eraser());
         dec.row(vec![res.decoder.clone(), sci(res.ler())]);

@@ -38,7 +38,7 @@
 //!   --d N          override the figure's code distance
 //!   --dmax N       cap the distance sweep (default 11)
 //!   --cycles N     QEC cycles (default 10; each cycle is d rounds)
-//!   --decoder K    mwpm | uf | greedy | auto (default auto)
+//!   --decoder K    auto | mwpm | sparse-mwpm | uf (default auto)
 //!   --window W[:S] sliding-window decoding: W rounds per window, S committed
 //!                  per step (S defaults to W - d; 0/unset = full cover)
 //!   --out DIR      CSV output directory (default results/)

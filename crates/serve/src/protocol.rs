@@ -173,8 +173,8 @@ pub struct JobSpec {
     pub seed: u64,
     /// Memory basis, `"z"` or `"x"` (default `"z"`).
     pub basis: String,
-    /// Decoder name: `"auto"`, `"mwpm"`, `"sparse-mwpm"`, `"union-find"`,
-    /// `"greedy"` (default `"auto"`).
+    /// Decoder name: `"auto"`, `"mwpm"`, `"sparse-mwpm"` or `"union-find"`
+    /// (default `"auto"`).
     pub decoder: String,
     /// Noise family: `"standard"`, `"without-leakage"`,
     /// `"exchange-transport"` (default `"standard"`).

@@ -8,6 +8,7 @@ use eraser_serve::{
     Client, FrameReader, JobEvent, JobSpec, ReadOutcome, ServerConfig, ServerHandle, Submission,
 };
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn start(workers: usize, queue_capacity: usize) -> ServerHandle {
     ServerHandle::start(ServerConfig {
@@ -276,8 +277,23 @@ fn full_queue_answers_busy_instead_of_hanging() {
         Submission::Accepted { .. }
     ));
 
-    // Queue capacity is 1: the second job occupies the only slot...
+    // Wait until the executor has dequeued the first job, so the second
+    // one finds the queue empty however slowly the executor started.
     let mut second = Client::connect(server.addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = second.stats().unwrap();
+        if stats.get("queued").and_then(|v| v.as_u64()) == Some(0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the executor never dequeued the first job: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Queue capacity is 1: the second job occupies the only slot...
     assert!(matches!(
         second.submit(&long).unwrap(),
         Submission::Accepted { .. }
@@ -363,8 +379,19 @@ fn invalid_jobs_are_rejected_with_error_frames() {
         }
         other => panic!("expected rejection, got {other:?}"),
     }
+    // A deleted backend's name is an unknown decoder like any other.
+    let removed_backend = JobSpec {
+        decoder: "greedy".to_string(),
+        ..JobSpec::default()
+    };
+    match client.submit(&removed_backend).unwrap() {
+        Submission::Rejected { message } => {
+            assert!(message.contains("unknown decoder"), "{message}")
+        }
+        other => panic!("expected rejection, got {other:?}"),
+    }
 
-    // The connection survives a rejected job: a valid one still runs.
+    // The connection survives rejected jobs: a valid one still runs.
     let (points, _) = client.run_job(&JobSpec::default()).unwrap();
     assert_eq!(points.len(), 1);
 

@@ -79,23 +79,6 @@ fn policy_kind_round_trips_through_strings() {
 }
 
 #[test]
-fn decoder_kind_round_trips_through_strings() {
-    for kind in [
-        DecoderKind::Auto,
-        DecoderKind::Mwpm,
-        DecoderKind::UnionFind,
-        DecoderKind::Greedy,
-    ] {
-        assert_eq!(kind.to_string().parse::<DecoderKind>().unwrap(), kind);
-    }
-    assert_eq!("uf".parse::<DecoderKind>().unwrap(), DecoderKind::UnionFind);
-    assert!(matches!(
-        "belief-propagation".parse::<DecoderKind>(),
-        Err(ExperimentError::UnknownDecoder(_))
-    ));
-}
-
-#[test]
 fn custom_policy_escape_hatch_runs() {
     use eraser_repro::eraser_core::NoLrcPolicy;
     let kind = PolicyKind::custom("do-nothing", |_| Box::new(NoLrcPolicy::new()));
