@@ -16,14 +16,18 @@
 //!   hyperedge decomposition onto elementary edges.
 //! * [`matching`] — an exact maximum-weight matching implementation (Galil's
 //!   O(n³) blossom algorithm, ported from the classic NetworkX formulation),
-//!   validated against brute force. [`MatchingContext`] keeps the matcher's
-//!   working vectors alive across solves.
+//!   validated against brute force. [`MatchingContext`] keeps every working
+//!   list of the matcher alive across solves, so a warm solve does not
+//!   allocate.
 //! * [`api`] — the stateful, batched decoder interface: [`Syndrome`] in,
 //!   [`DecodeOutcome`] out, through a per-thread [`SyndromeDecoder`] built by
 //!   a shared [`DecoderFactory`].
 //! * [`mwpm`] — the MWPM decoder: all-pairs shortest paths with
-//!   observable-parity tracking, boundary handling via per-defect virtual
-//!   nodes, and blossom matching.
+//!   observable-parity tracking, then a certified exact solver (pruning,
+//!   components, subset DP) that proves its optimum unique, so it returns
+//!   what the blossom would, bit for bit; the blossom, with per-defect
+//!   virtual boundary nodes, runs only on ties and components over 10
+//!   defects (about 1 solve in 5 on a d = 7 stream).
 //! * [`sparse`] — the sparse (APSP-free) MWPM decoder: per-defect bounded
 //!   Dijkstras over integer weights, component decomposition, and exact
 //!   per-component blossom matching. Same optimal correction weight as

@@ -82,6 +82,8 @@ pub struct MatchingContext {
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
     queue: Vec<usize>,
+    scratch: Vec<usize>,
+    bestedgeto: Vec<usize>,
     mate_out: Vec<Option<usize>>,
 }
 
@@ -146,6 +148,10 @@ struct Matcher<'e> {
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
     queue: Vec<usize>,
+    /// A reusable vertex or blossom list (taken and given back by its users).
+    scratch: Vec<usize>,
+    /// Scratch for `add_blossom`'s least-slack edge per neighbour blossom.
+    bestedgeto: Vec<usize>,
 }
 
 impl<'e> Matcher<'e> {
@@ -222,6 +228,8 @@ impl<'e> Matcher<'e> {
         allowedge.resize(nedge, false);
         let mut queue = std::mem::take(&mut ctx.queue);
         queue.clear();
+        let scratch = std::mem::take(&mut ctx.scratch);
+        let bestedgeto = std::mem::take(&mut ctx.bestedgeto);
 
         Matcher {
             edges,
@@ -243,6 +251,8 @@ impl<'e> Matcher<'e> {
             dualvar,
             allowedge,
             queue,
+            scratch,
+            bestedgeto,
         }
     }
 
@@ -264,6 +274,8 @@ impl<'e> Matcher<'e> {
         ctx.dualvar = self.dualvar;
         ctx.allowedge = self.allowedge;
         ctx.queue = self.queue;
+        ctx.scratch = self.scratch;
+        ctx.bestedgeto = self.bestedgeto;
     }
 
     fn slack(&self, k: usize) -> i64 {
@@ -275,19 +287,19 @@ impl<'e> Matcher<'e> {
         if b < self.nvertex {
             out.push(b);
         } else {
-            // Children are cloned into a worklist to sidestep borrow issues;
-            // blossom trees are shallow in practice.
-            let childs = self.blossomchilds[b].clone();
-            for t in childs {
+            for &t in &self.blossomchilds[b] {
                 self.blossom_leaves(t, out);
             }
         }
     }
 
-    fn leaves(&self, b: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.blossom_leaves(b, &mut out);
-        out
+    /// The leaves of `b` in the reusable scratch list; give it back with
+    /// `self.scratch = leaves` when done.
+    fn take_leaves(&mut self, b: usize) -> Vec<usize> {
+        let mut leaves = std::mem::take(&mut self.scratch);
+        leaves.clear();
+        self.blossom_leaves(b, &mut leaves);
+        leaves
     }
 
     fn assign_label(&mut self, w: usize, t: u8, p: usize) {
@@ -300,14 +312,9 @@ impl<'e> Matcher<'e> {
         self.bestedge[w] = NO;
         self.bestedge[b] = NO;
         if t == 1 {
-            if b < self.nvertex {
-                // Single-vertex "blossom": skip the leaf-collection allocation
-                // (the overwhelmingly common case on decoder workloads).
-                self.queue.push(b);
-            } else {
-                let mut l = self.leaves(b);
-                self.queue.append(&mut l);
-            }
+            let mut queue = std::mem::take(&mut self.queue);
+            self.blossom_leaves(b, &mut queue);
+            self.queue = queue;
         } else if t == 2 {
             let base = self.blossombase[b];
             debug_assert!(self.mate[base] != NO);
@@ -317,7 +324,8 @@ impl<'e> Matcher<'e> {
     }
 
     fn scan_blossom(&mut self, v0: usize, w0: usize) -> usize {
-        let mut path = Vec::new();
+        let mut path = std::mem::take(&mut self.scratch);
+        path.clear();
         let mut base = NO;
         let mut v = v0;
         let mut w = w0;
@@ -349,9 +357,10 @@ impl<'e> Matcher<'e> {
                 std::mem::swap(&mut v, &mut w);
             }
         }
-        for b in path {
+        for &b in &path {
             self.label[b] = 1;
         }
+        self.scratch = path;
         base
     }
 
@@ -364,8 +373,11 @@ impl<'e> Matcher<'e> {
         self.blossombase[b] = base;
         self.blossomparent[b] = NO;
         self.blossomparent[bb] = b;
-        let mut path = Vec::new();
-        let mut endps = Vec::new();
+        // Build the child and endpoint lists in the recycled slot's buffers.
+        let mut path = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
+        path.clear();
+        endps.clear();
         while bv != bb {
             self.blossomparent[bv] = b;
             path.push(bv);
@@ -396,54 +408,69 @@ impl<'e> Matcher<'e> {
             w = self.endpoint[self.labelend[bw]];
             bw = self.inblossom[w];
         }
-        self.blossomchilds[b] = path.clone();
+        self.blossomchilds[b] = path;
         self.blossomendps[b] = endps;
         debug_assert_eq!(self.label[bb], 1);
         self.label[b] = 1;
         self.labelend[b] = self.labelend[bb];
         self.dualvar[b] = 0;
-        for v in self.leaves(b) {
+        let leaves = self.take_leaves(b);
+        for &v in &leaves {
             if self.label[self.inblossom[v]] == 2 {
                 self.queue.push(v);
             }
             self.inblossom[v] = b;
         }
+        self.scratch = leaves;
         // Compute blossombestedges[b].
-        let mut bestedgeto = vec![NO; 2 * self.nvertex];
-        for &bv in &path {
-            let nblists: Vec<Vec<usize>> = if self.blossombestedges[bv].is_empty() {
-                self.leaves(bv)
-                    .into_iter()
-                    .map(|v| self.neighbend[v].iter().map(|p| p / 2).collect())
-                    .collect()
-            } else {
-                vec![self.blossombestedges[bv].clone()]
-            };
-            for nblist in nblists {
-                for k in nblist {
-                    let (mut i, mut j, _) = self.edges[k];
-                    if self.inblossom[j] == b {
-                        std::mem::swap(&mut i, &mut j);
-                    }
-                    let bj = self.inblossom[j];
-                    if bj != b
-                        && self.label[bj] == 1
-                        && (bestedgeto[bj] == NO || self.slack(k) < self.slack(bestedgeto[bj]))
-                    {
-                        bestedgeto[bj] = k;
+        let mut bestedgeto = std::mem::take(&mut self.bestedgeto);
+        bestedgeto.clear();
+        bestedgeto.resize(2 * self.nvertex, NO);
+        for c in 0..self.blossomchilds[b].len() {
+            let bv = self.blossomchilds[b][c];
+            if self.blossombestedges[bv].is_empty() {
+                let leaves = self.take_leaves(bv);
+                for &v in &leaves {
+                    for &p in &self.neighbend[v] {
+                        self.note_best_edge(b, p / 2, &mut bestedgeto);
                     }
                 }
+                self.scratch = leaves;
+            } else {
+                for &k in &self.blossombestedges[bv] {
+                    self.note_best_edge(b, k, &mut bestedgeto);
+                }
             }
-            self.blossombestedges[bv] = Vec::new();
+            self.blossombestedges[bv].clear();
             self.bestedge[bv] = NO;
         }
-        self.blossombestedges[b] = bestedgeto.into_iter().filter(|&k| k != NO).collect();
+        let mut best = std::mem::take(&mut self.blossombestedges[b]);
+        best.clear();
+        best.extend(bestedgeto.iter().copied().filter(|&k| k != NO));
+        self.blossombestedges[b] = best;
+        self.bestedgeto = bestedgeto;
         self.bestedge[b] = NO;
         for idx in 0..self.blossombestedges[b].len() {
             let k = self.blossombestedges[b][idx];
             if self.bestedge[b] == NO || self.slack(k) < self.slack(self.bestedge[b]) {
                 self.bestedge[b] = k;
             }
+        }
+    }
+
+    /// Keeps edge `k` in `bestedgeto` if it is the least-slack edge seen so
+    /// far from the new blossom `b` to its S-blossom on the far side.
+    fn note_best_edge(&self, b: usize, k: usize, bestedgeto: &mut [usize]) {
+        let (mut i, mut j, _) = self.edges[k];
+        if self.inblossom[j] == b {
+            std::mem::swap(&mut i, &mut j);
+        }
+        let bj = self.inblossom[j];
+        if bj != b
+            && self.label[bj] == 1
+            && (bestedgeto[bj] == NO || self.slack(k) < self.slack(bestedgeto[bj]))
+        {
+            bestedgeto[bj] = k;
         }
     }
 
@@ -459,7 +486,8 @@ impl<'e> Matcher<'e> {
     }
 
     fn expand_blossom(&mut self, b: usize, endstage: bool) {
-        let childs = self.blossomchilds[b].clone();
+        // Expanding a child never touches `b`'s own child list.
+        let childs = std::mem::take(&mut self.blossomchilds[b]);
         for &s in &childs {
             self.blossomparent[s] = NO;
             if s < self.nvertex {
@@ -467,14 +495,18 @@ impl<'e> Matcher<'e> {
             } else if endstage && self.dualvar[s] == 0 {
                 self.expand_blossom(s, endstage);
             } else {
-                for v in self.leaves(s) {
+                let leaves = self.take_leaves(s);
+                for &v in &leaves {
                     self.inblossom[v] = s;
                 }
+                self.scratch = leaves;
             }
         }
+        self.blossomchilds[b] = childs;
         if !endstage && self.label[b] == 2 {
             debug_assert!(self.labelend[b] != NO);
             let entrychild = self.inblossom[self.endpoint[self.labelend[b] ^ 1]];
+            let childs = &self.blossomchilds[b];
             let mut j = childs.iter().position(|&c| c == entrychild).unwrap() as isize;
             let (jstep, endptrick): (isize, usize) = if j & 1 != 0 {
                 j -= childs.len() as isize;
@@ -515,7 +547,9 @@ impl<'e> Matcher<'e> {
                     j += jstep;
                     continue;
                 }
-                let labelled = self.leaves(bv).into_iter().find(|&v| self.label[v] != 0);
+                let leaves = self.take_leaves(bv);
+                let labelled = leaves.iter().copied().find(|&v| self.label[v] != 0);
+                self.scratch = leaves;
                 if let Some(v) = labelled {
                     debug_assert_eq!(self.label[v], 2);
                     debug_assert_eq!(self.inblossom[v], bv);
@@ -531,10 +565,10 @@ impl<'e> Matcher<'e> {
         // Recycle the blossom number.
         self.label[b] = 0;
         self.labelend[b] = NO;
-        self.blossomchilds[b] = Vec::new();
-        self.blossomendps[b] = Vec::new();
+        self.blossomchilds[b].clear();
+        self.blossomendps[b].clear();
         self.blossombase[b] = NO;
-        self.blossombestedges[b] = Vec::new();
+        self.blossombestedges[b].clear();
         self.bestedge[b] = NO;
         self.unusedblossoms.push(b);
     }
@@ -613,7 +647,7 @@ impl<'e> Matcher<'e> {
             self.label.fill(0);
             self.bestedge.fill(NO);
             for b in nvertex..2 * nvertex {
-                self.blossombestedges[b] = Vec::new();
+                self.blossombestedges[b].clear();
             }
             self.allowedge.fill(false);
             self.queue.clear();

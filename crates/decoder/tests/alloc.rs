@@ -3,15 +3,13 @@
 //! warm — the guarantee the stateful decoder API makes for the Monte-Carlo
 //! hot path.
 //!
-//! Union-find is fully allocation-free in steady state, with or without
-//! erasures, and is asserted at zero end to end. The MWPM blossom
-//! solver's *interior* (blossom formation) allocates per solve — a
-//! pre-existing property of the seed matcher that also occurs on
-//! erasure-free batches — so for the two blossom backends (dense and sparse
-//! MWPM) the overlay machinery is audited in isolation (apply →
-//! effective_metrics → restore must be exactly zero) and the full pipeline
-//! is asserted to be stable (repeating an identical warm batch costs an
-//! identical allocation count: nothing accumulates or leaks).
+//! All three backends — union-find, dense MWPM and sparse MWPM — are fully
+//! allocation-free in steady state, with or without erasures, and are
+//! asserted at zero end to end: the blossom matcher keeps every working
+//! list (blossom children, endpoints, best edges, leaf lists) in its reused
+//! `MatchingContext`, and dense MWPM's certified solver keeps its DP memo.
+//! The overlay machinery is also audited in isolation (apply →
+//! effective_metrics → restore must be exactly zero).
 //!
 //! The test lives in its own integration-test binary so the counting global
 //! allocator sees no interference from concurrently running tests.
@@ -88,7 +86,27 @@ fn fixture() -> (DecodingGraph, Vec<Syndrome>) {
     (graph, syndromes)
 }
 
-/// One combined audit: the three measurement phases share the single
+/// Decodes the batch twice to grow every scratch buffer to its
+/// steady-state size, then asserts a third identical pass allocates nothing.
+fn assert_warm_batch_is_allocation_free(
+    name: &str,
+    factory: &dyn DecoderFactory,
+    syndromes: &[Syndrome],
+) {
+    let mut decoder = factory.build();
+    let mut out = Vec::new();
+    decoder.decode_batch(syndromes, &mut out);
+    decoder.decode_batch(syndromes, &mut out);
+    let before = allocations();
+    decoder.decode_batch(syndromes, &mut out);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "[{name}] steady-state decode_batch allocated {delta} times"
+    );
+}
+
+/// One combined audit: the measurement phases share the single
 /// process-global `ALLOCATIONS` counter, so they must run sequentially in
 /// one `#[test]` — libtest would otherwise schedule them on parallel
 /// threads and let one phase's allocations land inside another's
@@ -97,24 +115,17 @@ fn fixture() -> (DecodingGraph, Vec<Syndrome>) {
 fn warm_decoding_with_erasures_is_allocation_free() {
     let (graph, syndromes) = fixture();
 
-    // Phase 1: union-find is allocation-free end to end.
-    let factory = UnionFindFactory::new(&graph);
-    let mut decoder = factory.build();
-    let mut out = Vec::new();
-    // Warm-up: grows every scratch buffer to its steady-state size.
-    decoder.decode_batch(&syndromes, &mut out);
-    decoder.decode_batch(&syndromes, &mut out);
-    // Steady state: identical batch, zero allocations allowed.
-    let before = allocations();
-    decoder.decode_batch(&syndromes, &mut out);
-    let delta = allocations() - before;
-    assert_eq!(
-        delta, 0,
-        "[union-find] steady-state decode_batch allocated {delta} times"
+    // The three backends, end to end.
+    assert_warm_batch_is_allocation_free("union-find", &UnionFindFactory::new(&graph), &syndromes);
+    assert_warm_batch_is_allocation_free("mwpm", &MwpmFactory::new(&graph), &syndromes);
+    assert_warm_batch_is_allocation_free(
+        "sparse-mwpm",
+        &SparseMwpmFactory::new(&graph),
+        &syndromes,
     );
 
-    // Phase 2: the `WeightOverlay` itself (apply -> effective_metrics ->
-    // restore) is allocation-free once warm.
+    // The `WeightOverlay` itself (apply -> effective_metrics -> restore) is
+    // allocation-free once warm.
     let paths = ShortestPaths::compute(&graph);
     let mut overlay = WeightOverlay::new();
     let (mut dist, mut par) = (Vec::new(), Vec::new());
@@ -139,45 +150,4 @@ fn warm_decoding_with_erasures_is_allocation_free() {
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "warm overlay pass allocated {delta} times");
-
-    // Phase 3: MWPM. The blossom interior allocates per solve
-    // (pre-existing, also on erasure-free batches); the requirement is
-    // stability — an identical warm batch costs an identical count, i.e.
-    // the overlay neither allocates nor leaks.
-    let factory = MwpmFactory::new(&graph);
-    let mut decoder = factory.build();
-    let mut out = Vec::new();
-    decoder.decode_batch(&syndromes, &mut out);
-    decoder.decode_batch(&syndromes, &mut out);
-    let before = allocations();
-    decoder.decode_batch(&syndromes, &mut out);
-    let first = allocations() - before;
-    let before = allocations();
-    decoder.decode_batch(&syndromes, &mut out);
-    let second = allocations() - before;
-    assert_eq!(
-        first, second,
-        "repeated warm MWPM erasure batches must cost identically"
-    );
-
-    // Phase 4: sparse MWPM, held to the same bar as dense MWPM: its
-    // discovery Dijkstras, candidate buffers, component scratch, and the
-    // per-erasure-shot boundary re-index are all epoch-stamped and reused,
-    // so only the shared blossom interior may allocate — and an identical
-    // warm batch must cost an identical count.
-    let factory = SparseMwpmFactory::new(&graph);
-    let mut decoder = factory.build();
-    let mut out = Vec::new();
-    decoder.decode_batch(&syndromes, &mut out);
-    decoder.decode_batch(&syndromes, &mut out);
-    let before = allocations();
-    decoder.decode_batch(&syndromes, &mut out);
-    let first = allocations() - before;
-    let before = allocations();
-    decoder.decode_batch(&syndromes, &mut out);
-    let second = allocations() - before;
-    assert_eq!(
-        first, second,
-        "repeated warm sparse-MWPM erasure batches must cost identically"
-    );
 }
