@@ -1,13 +1,13 @@
 //! Simulator throughput: leakage-aware frame simulation of syndrome-
-//! extraction rounds (scalar and 64-shot striped), the d=7 memory
-//! benchmark (scalar vs word-parallel stripes — the PR's ≥5× target),
-//! tableau verification speed, and density-matrix kernel cost.
+//! extraction rounds (the scalar kernel and the 64-shot striped kernel),
+//! the d=7 memory benchmark on the word-parallel runner, tableau
+//! verification speed, and density-matrix kernel cost.
 //!
 //! Baseline numbers are recorded to `results/BENCH_sim.json` via
 //! `ERASER_BENCH_JSON=$PWD/results/BENCH_sim.json cargo bench -p eraser-bench --bench sim_throughput`
-//! (absolute path: cargo runs benches from the package directory). The
-//! `memory_run_512shots/d7/*` pair is the committed throughput baseline:
-//! shots/sec = 512 / (ns_per_iter · 10⁻⁹).
+//! (absolute path: cargo runs benches from the package directory).
+//! `memory_run_512shots/d7/striped64` is the committed throughput
+//! baseline: shots/sec = 512 / (ns_per_iter · 10⁻⁹).
 
 use density_sim::{gates, DensityMatrix};
 use eraser_bench::{round_ops, Harness};
@@ -52,28 +52,21 @@ fn main() {
     }
 
     // The d=7 memory benchmark: full ERASER runs (policy-adaptive rounds,
-    // LPR probes, post-selection) through the scalar path vs the
-    // word-parallel striped path — same shots, same seeds, bit-identical
-    // results. Decoding is benchmarked separately (decoders bench), so it
-    // is disabled here to isolate simulation throughput.
+    // LPR probes, post-selection) on 64-shot stripes. Decoding is
+    // benchmarked separately (decoders bench), so it is disabled here to
+    // isolate simulation throughput.
     {
-        let build = |width: usize| {
-            Experiment::builder()
-                .distance(7)
-                .noise(NoiseParams::standard(1e-3))
-                .rounds(21)
-                .policy(PolicyKind::eraser())
-                .shots(512)
-                .seed(7)
-                .threads(1)
-                .decode(false)
-                .stripe_width(width)
-                .build()
-                .expect("valid benchmark experiment")
-        };
-        let scalar = build(1);
-        h.bench("memory_run_512shots/d7/scalar", || scalar.run().total_lrcs);
-        let striped = build(64);
+        let striped = Experiment::builder()
+            .distance(7)
+            .noise(NoiseParams::standard(1e-3))
+            .rounds(21)
+            .policy(PolicyKind::eraser())
+            .shots(512)
+            .seed(7)
+            .threads(1)
+            .decode(false)
+            .build()
+            .expect("valid benchmark experiment");
         h.bench("memory_run_512shots/d7/striped64", || {
             striped.run().total_lrcs
         });

@@ -42,7 +42,7 @@ pub const Q16_ONE: u32 = 1 << 16;
 /// data qubit, on top of whatever the noise model already produces. This is
 /// the `leakage_storm_recovery` scenario promoted to a first-class knob:
 /// the runner applies `LeakInject` with the profile's rate at the top of
-/// each round, identically in the scalar and striped paths.
+/// each round, identically in every stripe lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum LeakageProfile {
     /// No injected leakage beyond the noise model (the default).

@@ -78,8 +78,6 @@ pub enum ExperimentError {
     /// An erasure-detection false-positive/negative rate was outside [0, 1]
     /// or non-finite.
     InvalidDetectionRate(f64),
-    /// A stripe width above the 64-lane word size (0 means auto).
-    InvalidStripeWidth(usize),
     /// A sliding-window stride exceeding the window length (window 0 means
     /// one full-cover window; stride 0 derives the `window − d` default).
     InvalidWindow {
@@ -137,9 +135,6 @@ impl fmt::Display for ExperimentError {
                     "erasure-detection rate must be finite and within [0, 1], got {p}"
                 )
             }
-            ExperimentError::InvalidStripeWidth(w) => {
-                write!(f, "stripe width must be 0 (auto) or 1..=64, got {w}")
-            }
             ExperimentError::InvalidWindow { window, stride } => {
                 write!(
                     f,
@@ -173,10 +168,10 @@ fn validate_distance(d: usize) -> Result<(), ExperimentError> {
 }
 
 /// Validates the run configuration both builders carry: shots, erasure
-/// rates, stripe width, window geometry and leakage profile, then every
-/// `ERASER_*` override this same configuration would consult — so a knob
-/// the builder pinned never reads, or fails on, its variable. The
-/// controller is checked per policy by [`validate_controller`].
+/// rates, window geometry and leakage profile, then every `ERASER_*`
+/// override this same configuration would consult — so a knob the builder
+/// pinned never reads, or fails on, its variable. The controller is checked
+/// per policy by [`validate_controller`].
 fn validate_run_config(config: &RunConfig) -> Result<(), ExperimentError> {
     if config.shots == 0 {
         return Err(ExperimentError::ZeroShots);
@@ -186,11 +181,6 @@ fn validate_run_config(config: &RunConfig) -> Result<(), ExperimentError> {
         if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
             return Err(ExperimentError::InvalidDetectionRate(rate));
         }
-    }
-    // A stripe packs at most 64 shots into one machine word; 0 defers the
-    // resolution to the runtime.
-    if config.stripe_width > 64 {
-        return Err(ExperimentError::InvalidStripeWidth(config.stripe_width));
     }
     // Window 0 selects one full-cover window and stride 0 the `window − d`
     // default. The buffer ≥ d guarantee is enforced by that default —
@@ -704,15 +694,6 @@ macro_rules! run_setters {
             self
         }
 
-        /// Shots simulated per word-parallel stripe (1..=64). The default 0
-        /// resolves at run time: the `ERASER_STRIPE` environment variable
-        /// if set, else the full 64-lane stripe. Width 1 selects the scalar
-        /// reference path; results are bit-identical for every width.
-        pub fn stripe_width(mut self, width: usize) -> Self {
-            self.config.stripe_width = width;
-            self
-        }
-
         /// Sliding-window length in rounds for streaming decoding. The
         /// default 0 resolves at run time: the `ERASER_WINDOW` environment
         /// variable if set, else one full-cover window — whole-shot
@@ -757,7 +738,7 @@ macro_rules! run_setters {
 
         /// Time-varying injected-leakage schedule (default
         /// [`LeakageProfile::Stationary`]: nothing injected). Validated at
-        /// build time; applied identically on the scalar and striped paths.
+        /// build time; applied identically to every shot of the run.
         pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
             self.config.profile = profile;
             self

@@ -90,7 +90,7 @@ pub trait LrcPolicy {
     /// Run-level feedback-controller telemetry. Static policies return
     /// `None`; [`crate::control::AdaptivePolicy`] exposes its accumulated
     /// [`crate::control::ControllerStats`], which the runtime harvests once
-    /// per worker (scalar) or lane (striped) and merges exactly.
+    /// per stripe lane and merges exactly.
     fn controller(&self) -> Option<&crate::control::ControllerStats> {
         None
     }
@@ -119,11 +119,11 @@ pub struct StripeRoundContext<'a> {
 /// into per-**slot** lane masks over a [`SlotTable`] — the form the
 /// word-parallel runtime's static schedules consume.
 ///
-/// Lane `l`'s policy sees exactly the [`RoundContext`] the scalar runtime
-/// would hand it for that shot (the transposed words are re-sliced per
-/// lane), and plans are canonically sorted by `(data, stab)` — the same
-/// order the scalar path applies — so striped and scalar runs stay
-/// bit-identical.
+/// Lane `l`'s policy sees exactly the [`RoundContext`] a one-shot-at-a-time
+/// runner would hand it for that shot (the transposed words are re-sliced
+/// per lane), and plans are canonically sorted by `(data, stab)` — the
+/// order of the static schedule's slots — so every lane replays its shot
+/// bit for bit.
 pub struct StripedPolicy {
     lanes: Vec<Box<dyn LrcPolicy>>,
     last_plans: Vec<Vec<LrcAssignment>>,
@@ -232,9 +232,9 @@ impl StripedPolicy {
                 oracle_leaked_data: &self.oracle_rows[lane * self.num_data..][..self.num_data],
                 last_lrcs: &self.last_plans[lane],
             });
-            // Canonical order: the striped and scalar paths must consume
-            // plans identically (the static schedule's slots are sorted the
-            // same way).
+            // Canonical order: the static schedule's slots are sorted the
+            // same way, so a lane executes its plan exactly as a dynamically
+            // built round would.
             plan.sort_unstable_by_key(|l| (l.data, l.stab));
             debug_assert!(
                 plan.windows(2).all(|w| w[0].data != w[1].data) && {

@@ -15,11 +15,11 @@
 //! schedule (`surface_code::MaskedRound`) whose dynamic LRC decisions are
 //! resolved each round into per-slot lane masks by the [`StripedPolicy`]
 //! layer; after the stripe, each lane's defects and logged erasures are fed
-//! to the worker's one streaming decoder, lane by lane.
-//! [`RunConfig::stripe_width`] (or the `ERASER_STRIPE` environment
-//! variable) selects the width; width 1 runs the scalar reference path, and
-//! results are bit-identical at every width — exactly like the
-//! worker-thread count, striping is a pure wall-clock knob.
+//! to the worker's one streaming decoder, lane by lane. Every shot owns its
+//! RNG streams, so a shot's result does not depend on which stripe or lane
+//! carries it — and a short run simply packs fewer lanes. The unit tests
+//! hold every stripe width against a one-shot-at-a-time reference runner on
+//! the scalar frame simulator, bit for bit.
 //!
 //! Decoding has one path: a [`WindowPlan`]. Each shot's per-round defects
 //! and erasure flags are pushed into the worker's [`StreamingDecoder`] —
@@ -47,8 +47,8 @@
 
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, ExperimentKey};
 use crate::control::{parse_control_env, ControllerConfig, ControllerStats, LeakageProfile};
-use crate::policy::{LrcPolicy, RoundContext, StripeRoundContext, StripedPolicy};
-use leak_sim::{BatchFrameSimulator, Discriminator, FrameSimulator, STRIPE_WIDTH};
+use crate::policy::{LrcPolicy, StripeRoundContext, StripedPolicy};
+use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
@@ -56,10 +56,10 @@ use qec_decoder::{
     SparseMwpmFactory, StreamingDecoder, TierCounters, UnionFindFactory, WindowBackend, WindowPlan,
 };
 use std::sync::Arc;
-use surface_code::{
-    LrcAssignment, MaskedRound, MemoryBasis, MemoryExperiment, RotatedCode, SlotTable,
-    SyndromeRound,
-};
+use surface_code::{MaskedRound, MemoryBasis, MemoryExperiment, RotatedCode, SlotTable};
+
+#[cfg(test)]
+mod scalar_reference;
 
 /// Which leakage-removal protocol the scheduled pairs execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -242,11 +242,6 @@ pub struct RunConfig {
     /// Erasure-aware decoding: thread the policy's leakage-detection flags
     /// into the decoder as dynamically reweighted (erased) edges.
     pub erasure: ErasureDetection,
-    /// Shots simulated per word-parallel stripe (1..=64); 0 means the
-    /// `ERASER_STRIPE` environment variable if set, else the full 64-lane
-    /// stripe. Width 1 runs the scalar reference path; results are
-    /// bit-identical for every width (shots own their RNG streams).
-    pub stripe_width: usize,
     /// Sliding-window length in rounds for streaming decoding; 0 means the
     /// `ERASER_WINDOW` environment variable if set, else one full-cover
     /// window (whole-shot decoding). A window larger than the round count
@@ -273,9 +268,8 @@ pub struct RunConfig {
     pub controller: Option<ControllerConfig>,
     /// Time-varying injected-leakage schedule (bursts, ramps). The runner
     /// applies the profile's per-round rate as an extra `LeakInject` on
-    /// every data qubit at the top of each round, identically on the
-    /// scalar and striped paths. [`LeakageProfile::Stationary`] (the
-    /// default) injects nothing.
+    /// every data qubit at the top of each round, in every stripe lane.
+    /// [`LeakageProfile::Stationary`] (the default) injects nothing.
     pub profile: LeakageProfile,
     /// Tiered sparse-syndrome fast path in front of every decode (tier 0
     /// skips empty syndromes/windows, tier 1 resolves 1–2 defects in
@@ -295,7 +289,6 @@ impl Default for RunConfig {
             protocol: LrcProtocol::Swap,
             decode: true,
             erasure: ErasureDetection::default(),
-            stripe_width: 0,
             window_rounds: 0,
             window_stride: 0,
             fusion_threads: 0,
@@ -308,13 +301,12 @@ impl Default for RunConfig {
 
 /// A malformed `ERASER_*` environment override.
 ///
-/// The `ERASER_THREADS` / `ERASER_STRIPE` / `ERASER_WINDOW` hooks used to
-/// be resolved with `.parse().ok()`, so a typo (`ERASER_THREADS=fuor`)
-/// silently fell back to the default — the worst failure mode for a knob
-/// whose whole job is reproducing a specific configuration. Malformed
-/// values now surface as this error: the `Experiment`/`Sweep` builders
-/// return it at build time, and the low-level [`MemoryRunner::run`] path
-/// panics with its message.
+/// The `ERASER_THREADS` / `ERASER_WINDOW` hooks used to be resolved with
+/// `.parse().ok()`, so a typo (`ERASER_THREADS=fuor`) silently fell back to
+/// the default — the worst failure mode for a knob whose whole job is
+/// reproducing a specific configuration. Malformed values now surface as
+/// this error: the `Experiment`/`Sweep` builders return it at build time,
+/// and the low-level [`MemoryRunner::run`] path panics with its message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvOverrideError {
     /// The environment variable that failed to parse.
@@ -366,12 +358,6 @@ pub(crate) fn parse_env_override<T>(
 /// mean "no override".
 pub fn parse_threads_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
     parse_env_override("ERASER_THREADS", raw, parse_positive)
-}
-
-/// Parses an `ERASER_STRIPE` value: a positive integer (clamped to the
-/// 64-lane stripe width at resolution time). Empty counts as unset.
-pub fn parse_stripe_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_env_override("ERASER_STRIPE", raw, parse_positive)
 }
 
 /// Parses an `ERASER_FUSION` value: a positive intra-shot fusion thread
@@ -495,26 +481,6 @@ impl RunConfig {
         Ok(DecoderKind::Auto)
     }
 
-    /// The stripe width this configuration resolves to: `stripe_width`
-    /// itself; else the `ERASER_STRIPE` environment variable (the CI test
-    /// matrix's hook); else the full 64-lane stripe. Clamped to 1..=64.
-    /// Results are bit-identical for any resolution — this only affects
-    /// wall-clock time. A malformed override is an error, never a silent
-    /// default.
-    pub fn resolved_stripe_width(&self) -> Result<usize, EnvOverrideError> {
-        let width = if self.stripe_width != 0 {
-            self.stripe_width
-        } else if let Some(w) = match std::env::var("ERASER_STRIPE") {
-            Ok(raw) => parse_stripe_env(&raw)?,
-            Err(_) => None,
-        } {
-            w
-        } else {
-            STRIPE_WIDTH
-        };
-        Ok(width.clamp(1, STRIPE_WIDTH))
-    }
-
     /// The intra-shot fusion thread count this configuration resolves to:
     /// `fusion_threads` itself; else the `ERASER_FUSION` environment
     /// variable (the CI test matrix's hook); else 1 — sequential windowed
@@ -574,7 +540,6 @@ impl RunConfig {
         self.resolved_threads()?;
         self.resolved_window()?;
         self.resolved_decoder()?;
-        self.resolved_stripe_width()?;
         self.resolved_fusion()?;
         self.resolved_controller()?;
         self.resolved_predecode()?;
@@ -692,6 +657,11 @@ impl PostSelection {
             return 0.0;
         }
         self.errors_on_kept as f64 / kept as f64
+    }
+
+    fn merge(&mut self, other: &PostSelection) {
+        self.flagged_shots += other.flagged_shots;
+        self.errors_on_kept += other.errors_on_kept;
     }
 }
 
@@ -879,6 +849,8 @@ impl MemoryRunResult {
     }
 }
 
+/// One worker's share of a run's statistics, folded into the run result by
+/// [`PartialStats::merge`].
 #[derive(Default)]
 struct PartialStats {
     logical_errors: u64,
@@ -894,6 +866,33 @@ struct PartialStats {
 }
 
 impl PartialStats {
+    fn new(rounds: usize) -> PartialStats {
+        PartialStats {
+            lpr_data_sum: vec![0.0; rounds],
+            lpr_parity_sum: vec![0.0; rounds],
+            ..PartialStats::default()
+        }
+    }
+
+    /// Folds another worker's statistics in. Every field is an integer
+    /// count (the LPR sums too), so the fold is exact in any order.
+    fn merge(&mut self, other: &PartialStats) {
+        self.logical_errors += other.logical_errors;
+        for (a, b) in self.lpr_data_sum.iter_mut().zip(&other.lpr_data_sum) {
+            *a += b;
+        }
+        for (a, b) in self.lpr_parity_sum.iter_mut().zip(&other.lpr_parity_sum) {
+            *a += b;
+        }
+        self.total_lrcs += other.total_lrcs;
+        self.total_erasures += other.total_erasures;
+        self.speculation.merge(&other.speculation);
+        self.postselection.merge(&other.postselection);
+        self.decode_latency.merge(&other.decode_latency);
+        self.controller.merge(&other.controller);
+        self.predecode.merge(&other.predecode);
+    }
+
     /// Seals a shot whose rounds are all pushed into `stream` and folds it
     /// in: the window latency samples, the shot's erasure count
     /// (deduplicated in place — adjacent flagged qubits share checks, and
@@ -1192,18 +1191,6 @@ impl MemoryRunner {
         }
     }
 
-    /// Collects detector round `round`'s fired defects (graph node ids,
-    /// ascending) from a scalar simulator's record — the streaming path's
-    /// per-round read.
-    fn gather_round_defects(&self, sim: &FrameSimulator, round: usize, out: &mut Vec<usize>) {
-        out.clear();
-        for &(di, node) in &self.detector_nodes_by_round[round] {
-            if sim.record().parity(&self.detectors[di as usize].keys) {
-                out.push(node as usize);
-            }
-        }
-    }
-
     /// The content identity of this runner — runs sharing it share every
     /// decode artifact bit-for-bit. See [`ExperimentKey`].
     pub fn cache_key(&self) -> ExperimentKey {
@@ -1375,6 +1362,28 @@ impl MemoryRunner {
         config: &RunConfig,
         artifacts: &DecodeArtifacts,
     ) -> MemoryRunResult {
+        self.run_workers(policy_factory, config, artifacts, |first, count| {
+            self.run_stripes(
+                first,
+                count,
+                STRIPE_WIDTH,
+                policy_factory,
+                artifacts,
+                config,
+            )
+        })
+    }
+
+    /// Splits the run's shots into one contiguous range per worker thread,
+    /// runs `worker(first_shot, shots)` on each, and folds the workers'
+    /// statistics into the run result.
+    fn run_workers(
+        &self,
+        policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
+        config: &RunConfig,
+        artifacts: &DecodeArtifacts,
+        worker: impl Fn(u64, u64) -> PartialStats + Sync,
+    ) -> MemoryRunResult {
         assert!(config.shots >= 1, "a run needs at least one shot");
         let threads = config
             .resolved_threads()
@@ -1396,21 +1405,11 @@ impl MemoryRunner {
             first += count;
         }
 
-        let width = config
-            .resolved_stripe_width()
-            .unwrap_or_else(|e| panic!("{e}"));
+        let worker = &worker;
         let partials: Vec<PartialStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
                 .into_iter()
-                .map(|(first, count)| {
-                    scope.spawn(move || {
-                        if width == 1 {
-                            self.run_shots_scalar(first, count, policy_factory, artifacts, config)
-                        } else {
-                            self.run_stripes(first, count, width, policy_factory, artifacts, config)
-                        }
-                    })
-                })
+                .map(|(first, count)| scope.spawn(move || worker(first, count)))
                 .collect();
             handles
                 .into_iter()
@@ -1419,25 +1418,9 @@ impl MemoryRunner {
         });
 
         let rounds = self.exp.rounds();
-        let mut merged = PartialStats {
-            lpr_data_sum: vec![0.0; rounds],
-            lpr_parity_sum: vec![0.0; rounds],
-            ..PartialStats::default()
-        };
+        let mut merged = PartialStats::new(rounds);
         for p in &partials {
-            merged.logical_errors += p.logical_errors;
-            merged.total_lrcs += p.total_lrcs;
-            merged.total_erasures += p.total_erasures;
-            merged.speculation.merge(&p.speculation);
-            merged.postselection.flagged_shots += p.postselection.flagged_shots;
-            merged.postselection.errors_on_kept += p.postselection.errors_on_kept;
-            merged.decode_latency.merge(&p.decode_latency);
-            merged.controller.merge(&p.controller);
-            merged.predecode.merge(&p.predecode);
-            for r in 0..rounds {
-                merged.lpr_data_sum[r] += p.lpr_data_sum[r];
-                merged.lpr_parity_sum[r] += p.lpr_parity_sum[r];
-            }
+            merged.merge(p);
         }
         let code = self.exp.code();
         let shots_f = config.shots as f64;
@@ -1478,255 +1461,6 @@ impl MemoryRunner {
             controller: merged.controller,
             predecode: merged.predecode,
         }
-    }
-
-    /// The scalar reference path (stripe width 1): one shot at a time on
-    /// the scalar [`FrameSimulator`]. The striped path must stay
-    /// bit-identical to this, shot for shot.
-    fn run_shots_scalar(
-        &self,
-        first_shot: u64,
-        shots: u64,
-        policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
-        artifacts: &DecodeArtifacts,
-        config: &RunConfig,
-    ) -> PartialStats {
-        let code = self.exp.code();
-        let keys = self.exp.keys();
-        let rounds = self.exp.rounds();
-        let builder = self.exp.round_builder();
-        let num_data = code.num_data();
-        let num_stabs = code.num_stabs();
-
-        let mut streaming = artifacts.stream(config);
-        let erasure_active = config.erasure.enabled && streaming.is_some();
-        let mut policy = policy_factory(code);
-        let discriminator = if policy.uses_multilevel() {
-            Discriminator::MultiLevel
-        } else {
-            Discriminator::TwoLevel
-        };
-        let mut sim = FrameSimulator::new(
-            code.num_qubits(),
-            keys.total(),
-            *self.exp.noise(),
-            discriminator,
-            Rng::new(0), // reseeded per shot below
-        );
-
-        let mut stats = PartialStats {
-            lpr_data_sum: vec![0.0; rounds],
-            lpr_parity_sum: vec![0.0; rounds],
-            ..PartialStats::default()
-        };
-        let mut prev_syndrome = vec![false; num_stabs];
-        let mut events = vec![false; num_stabs];
-        let mut leaked_readouts = vec![false; num_stabs];
-        let mut oracle = vec![false; num_data];
-        // The current round's defects and erasure edges, plus the shot's
-        // erasure log (reported deduplicated as `total_erasures`).
-        let mut round_defects: Vec<usize> = Vec::new();
-        let mut round_erasures: Vec<usize> = Vec::new();
-        let mut erasure_log: Vec<usize> = Vec::new();
-
-        for shot in first_shot..first_shot + shots {
-            // The shot's stream splits in two: the simulator's physics and
-            // the (independent) detection-noise stream, so erasure-aware and
-            // leakage-blind runs decode identical error realizations.
-            let mut det_rng = shot_rng(config.seed, shot);
-            sim.reseed(det_rng.fork());
-            sim.reset_shot();
-            policy.reset_shot();
-            erasure_log.clear();
-            if let Some(stream) = streaming.as_deref_mut() {
-                stream.begin_shot();
-            }
-            sim.run(&self.init_segment);
-            prev_syndrome.fill(false);
-            events.fill(false);
-            leaked_readouts.fill(false);
-            let mut last_lrcs: Vec<LrcAssignment> = Vec::new();
-            // Offline post-selection flag: leakage-like syndrome pattern seen
-            // anywhere in the shot's history.
-            let mut suspect = false;
-
-            for r in 0..rounds {
-                // Time-varying injected leakage (the profile schedule),
-                // applied before the oracle snapshot so even the idealized
-                // policy sees the storm the round it lands. The striped path
-                // injects identically (same qubit order, same draws).
-                let extra = config.profile.extra_leak_p(r);
-                if extra > 0.0 {
-                    for q in 0..num_data {
-                        sim.run(&[Op::LeakInject { qubit: q, p: extra }]);
-                    }
-                }
-                for (q, slot) in oracle.iter_mut().enumerate() {
-                    *slot = sim.is_leaked(q);
-                }
-                let mut plan = policy.plan_round(&RoundContext {
-                    round: r,
-                    events: &events,
-                    leaked_readouts: &leaked_readouts,
-                    oracle_leaked_data: &oracle,
-                    last_lrcs: &last_lrcs,
-                });
-                // Canonical (data, stab) order: the striped path executes
-                // LRC slots in this order, so the scalar reference must
-                // build (and draw randomness for) its rounds the same way.
-                plan.sort_unstable_by_key(|l| (l.data, l.stab));
-                // Confusion matrix against ground truth at planning time.
-                let mut planned = vec![false; num_data];
-                for lrc in &plan {
-                    planned[lrc.data] = true;
-                }
-                for q in 0..num_data {
-                    match (planned[q], oracle[q]) {
-                        (true, true) => stats.speculation.true_positive += 1,
-                        (true, false) => stats.speculation.false_positive += 1,
-                        (false, true) => stats.speculation.false_negative += 1,
-                        (false, false) => stats.speculation.true_negative += 1,
-                    }
-                }
-                stats.total_lrcs += plan.len() as u64;
-
-                round_erasures.clear();
-                if erasure_active {
-                    if let Some(det) = policy.leakage_detections() {
-                        let fp = config.erasure.false_positive;
-                        let fnr = config.erasure.false_negative;
-                        // Every flag erases the provenance bucket of the
-                        // flagged qubit over its believed-leaked window:
-                        // data flags cover the evidence round and the
-                        // current one; a returned qubit's random state
-                        // shows up in the same window; a parity |L⟩ readout
-                        // pins the (reset-bounded) leak to the previous
-                        // round alone.
-                        for (q, &flag) in det.data.iter().enumerate() {
-                            let reported = if flag {
-                                !det_rng.bernoulli(fnr)
-                            } else {
-                                det_rng.bernoulli(fp)
-                            };
-                            if reported {
-                                self.extend_qubit_erasures(
-                                    r.saturating_sub(1)..=r,
-                                    q,
-                                    &mut round_erasures,
-                                );
-                            }
-                        }
-                        // No false-positive synthesis here: a clean data
-                        // qubit already took its one per-round FP draw in
-                        // the `data` loop above; drawing again would double
-                        // the effective FP rate versus the documented model.
-                        for (q, &flag) in det.data_returned.iter().enumerate() {
-                            if flag && !det_rng.bernoulli(fnr) {
-                                self.extend_qubit_erasures(
-                                    r.saturating_sub(2)..=r,
-                                    q,
-                                    &mut round_erasures,
-                                );
-                            }
-                        }
-                        for (s, &flag) in det.parity.iter().enumerate() {
-                            let reported = if flag {
-                                !det_rng.bernoulli(fnr)
-                            } else {
-                                det_rng.bernoulli(fp)
-                            };
-                            if reported && r > 0 {
-                                let parity = code.parity_qubit(s);
-                                self.extend_qubit_erasures(
-                                    r - 1..=r - 1,
-                                    parity,
-                                    &mut round_erasures,
-                                );
-                            }
-                        }
-                        erasure_log.extend_from_slice(&round_erasures);
-                    }
-                }
-
-                let round_circ: SyndromeRound = match config.protocol {
-                    LrcProtocol::Swap => builder.round(r, &plan, keys),
-                    LrcProtocol::Dqlr => builder.dqlr_round(r, &plan, keys),
-                };
-                sim.run(&round_circ.pre);
-                // LPR probe: after the entangling layers, before readout
-                // (captures leakage accumulated during the round).
-                stats.lpr_data_sum[r] += sim.leaked_count_in(0..num_data) as f64;
-                stats.lpr_parity_sum[r] += sim.leaked_count_in(num_data..code.num_qubits()) as f64;
-                sim.run(&round_circ.measure);
-                sim.run(&round_circ.mr_reset);
-                for tail in &round_circ.lrc_post {
-                    if policy.uses_multilevel() && sim.record().label(tail.data_key).is_leaked() {
-                        // §4.6.2: the SWAP failed; reset P, squash swap-back.
-                        sim.run(&tail.leak_path);
-                    } else {
-                        sim.run(&tail.swap_back);
-                    }
-                }
-                sim.run(&round_circ.post);
-
-                for s in 0..num_stabs {
-                    let key = keys.stab_key(r, s);
-                    let flip = sim.record().flip(key);
-                    events[s] = if r == 0 {
-                        // Round 0: memory-basis stabilizers are deterministic;
-                        // the other basis has a random reference and produces
-                        // no event yet.
-                        self.stab_deterministic_round0[s] && flip
-                    } else {
-                        flip ^ prev_syndrome[s]
-                    };
-                    prev_syndrome[s] = flip;
-                    leaked_readouts[s] = sim.record().label(key).is_leaked();
-                }
-                if !suspect {
-                    // The LSB rule applied offline: at least half of some data
-                    // qubit's neighbouring checks fired this round.
-                    suspect = (0..num_data).any(|q| {
-                        let adj = code.adjacent_stabs(q);
-                        let flips = adj.iter().filter(|&&s| events[s]).count();
-                        flips >= adj.len().div_ceil(2)
-                    });
-                }
-                if let Some(stream) = streaming.as_deref_mut() {
-                    // Detector round r is fully measured now: stream its
-                    // defects (and this round's erasure flags) into the
-                    // windowed decoder, which retires any window whose last
-                    // round just arrived.
-                    self.gather_round_defects(&sim, r, &mut round_defects);
-                    stream.push_round(&round_defects, &round_erasures);
-                }
-                last_lrcs = plan;
-            }
-            sim.run(&self.final_segment);
-
-            if suspect {
-                stats.postselection.flagged_shots += 1;
-            }
-            if let Some(stream) = streaming.as_deref_mut() {
-                // The final transversal detectors (round = rounds) complete
-                // with the final segment; pushing them retires the last
-                // window and seals the shot.
-                self.gather_round_defects(&sim, rounds, &mut round_defects);
-                stream.push_round(&round_defects, &[]);
-                let actual = sim.record().parity(&self.observable);
-                stats.finish_shot(stream, &mut erasure_log, actual, suspect);
-            }
-        }
-        // Controller telemetry accumulates across this worker's shots;
-        // harvest it once (sum/max merge makes the order irrelevant). Same
-        // for the predecoder's tier counters.
-        if let Some(controller) = policy.controller() {
-            stats.controller.merge(controller);
-        }
-        if let Some(stream) = streaming.as_deref() {
-            stats.predecode.merge(&stream.tier_counters());
-        }
-        stats
     }
 
     /// Executes one segment of a static round schedule on the stripe,
@@ -1771,14 +1505,14 @@ impl MemoryRunner {
         }
     }
 
-    /// The word-parallel path: up to 64 shots per stripe on the
-    /// [`BatchFrameSimulator`], with one static schedule per round executed
-    /// under the policy layer's per-slot lane masks. Each lane's erasures
-    /// are logged per round during the stripe; afterwards the worker's one
-    /// streaming decoder decodes the lanes one at a time from the detector
-    /// parity words. A shot's decode is a pure function of what it is fed,
-    /// so this is bit-identical to [`MemoryRunner::run_shots_scalar`], shot
-    /// for shot.
+    /// One worker's shots, up to `width` (1..=[`STRIPE_WIDTH`]) per stripe
+    /// on the [`BatchFrameSimulator`], with one static schedule per round
+    /// executed under the policy layer's per-slot lane masks. Each lane's
+    /// erasures are logged per round during the stripe; afterwards the
+    /// worker's one streaming decoder decodes the lanes one at a time from
+    /// the detector parity words. Runs always use [`STRIPE_WIDTH`]; the unit
+    /// tests also run narrower stripes and hold every width to the
+    /// one-shot-at-a-time reference runner, shot for shot.
     fn run_stripes(
         &self,
         first_shot: u64,
@@ -1814,11 +1548,7 @@ impl MemoryRunner {
             discriminator,
         );
 
-        let mut stats = PartialStats {
-            lpr_data_sum: vec![0.0; rounds],
-            lpr_parity_sum: vec![0.0; rounds],
-            ..PartialStats::default()
-        };
+        let mut stats = PartialStats::new(rounds);
         let mut sim_rngs: Vec<Rng> = Vec::with_capacity(width);
         let mut det_rngs: Vec<Rng> = Vec::with_capacity(width);
         let mut prev_syndrome = vec![0u64; num_stabs];
@@ -1839,9 +1569,9 @@ impl MemoryRunner {
         let mut shot = first_shot;
         while shot < end {
             let lanes = width.min((end - shot) as usize);
-            // Lane l carries global shot `shot + l`, with exactly the
-            // per-shot streams the scalar path derives: the detection
-            // stream and its fork for the simulator physics.
+            // Lane l carries global shot `shot + l` with that shot's own
+            // streams: the detection stream and its fork for the simulator
+            // physics.
             sim_rngs.clear();
             det_rngs.clear();
             for l in 0..lanes as u64 {
@@ -1863,9 +1593,10 @@ impl MemoryRunner {
             let mut suspect = 0u64;
 
             for r in 0..rounds {
-                // Time-varying injected leakage, mirroring the scalar path:
-                // same qubit order, and per-active-lane draws line up with
-                // each lane's scalar physics stream.
+                // Time-varying injected leakage, applied before the oracle
+                // snapshot so even the idealized policy sees the storm the
+                // round it lands; each active lane draws from its own
+                // physics stream, in qubit order.
                 let extra = config.profile.extra_leak_p(r);
                 if extra > 0.0 {
                     for q in 0..num_data {
@@ -1905,8 +1636,16 @@ impl MemoryRunner {
 
                 if erasure_active {
                     // Per-lane detection noise, drawing each lane's stream
-                    // in exactly the scalar order (data, data_returned,
-                    // parity loops per round).
+                    // in a fixed order (data, data_returned, parity loops
+                    // per round). Every flag erases the provenance bucket
+                    // of the flagged qubit over its believed-leaked window:
+                    // data flags cover the evidence round and the current
+                    // one; a returned qubit's random state shows up in the
+                    // same window; a parity |L⟩ readout pins the
+                    // (reset-bounded) leak to the previous round alone.
+                    // A returned qubit takes no false-positive draw: it
+                    // already took its one per-round draw in the `data`
+                    // loop.
                     let fp = config.erasure.false_positive;
                     let fnr = config.erasure.false_negative;
                     for lane in 0..lanes {
@@ -2030,9 +1769,9 @@ impl MemoryRunner {
             stats.postselection.flagged_shots += suspect.count_ones() as u64;
             if let Some(stream) = streaming.as_deref_mut() {
                 // Detector parities for all lanes at once; each lane then
-                // streams its defects round by round (ascending node order,
-                // exactly as the scalar path reads them) with its logged
-                // erasures, and is sealed before the next lane begins.
+                // streams its defects round by round (ascending node
+                // order) with its logged erasures, and is sealed before the
+                // next lane begins.
                 for round in &self.detector_nodes_by_round {
                     for &(di, _) in round {
                         let di = di as usize;
@@ -2346,7 +2085,7 @@ mod tests {
     }
 
     /// Table-driven coverage of every `ERASER_*` override parser. All
-    /// seven route through the shared [`parse_env_override`] envelope, and
+    /// six route through the shared [`parse_env_override`] envelope, and
     /// this single test pins the shared contract: valid values parse,
     /// empty/whitespace means unset, and malformed values are a *clear
     /// error* naming the variable and the reason — never a silent default
@@ -2392,7 +2131,6 @@ mod tests {
         ];
         for (raw, expected) in int_cases {
             check("ERASER_THREADS", raw, parse_threads_env(raw), expected);
-            check("ERASER_STRIPE", raw, parse_stripe_env(raw), expected);
             check("ERASER_FUSION", raw, parse_fusion_env(raw), expected);
         }
 
@@ -2513,15 +2251,9 @@ mod tests {
         );
         let config = RunConfig {
             threads: 3,
-            stripe_width: 200,
             ..RunConfig::default()
         };
         assert_eq!(config.resolved_threads().unwrap(), 3);
-        assert_eq!(
-            config.resolved_stripe_width().unwrap(),
-            STRIPE_WIDTH,
-            "stripe clamps to the 64-lane word"
-        );
         let config = RunConfig {
             controller: Some(ControllerConfig::budget()),
             ..RunConfig::default()
@@ -2652,28 +2384,27 @@ mod tests {
     }
 
     /// Windowed runs stay bit-identical across worker-thread counts and
-    /// stripe widths, exactly like monolithic runs.
+    /// stripe widths — to the reference runner — exactly like full-cover
+    /// runs.
     #[test]
     fn windowed_results_bit_identical_across_threads_and_stripes() {
         let runner = MemoryRunner::new(3, NoiseParams::standard(3e-3), 10);
-        let run_with = |threads: usize, stripe: usize| {
-            let config = RunConfig {
-                shots: 90,
-                seed: 31,
-                threads,
-                stripe_width: stripe,
-                decoder: DecoderKind::Mwpm,
-                window_rounds: 4,
-                window_stride: 2,
-                erasure: ErasureDetection::imperfect(0.01, 0.05),
-                ..RunConfig::default()
-            };
-            runner.run(&|c| Box::new(EraserPolicy::with_multilevel(c)), &config)
+        let policy =
+            |c: &RotatedCode| -> Box<dyn LrcPolicy> { Box::new(EraserPolicy::with_multilevel(c)) };
+        let config = |threads: usize| RunConfig {
+            shots: 90,
+            seed: 31,
+            threads,
+            decoder: DecoderKind::Mwpm,
+            window_rounds: 4,
+            window_stride: 2,
+            erasure: ErasureDetection::imperfect(0.01, 0.05),
+            ..RunConfig::default()
         };
-        let reference = run_with(1, 1);
+        let reference = scalar_reference::reference(&runner, &policy, &config(1));
         assert!(reference.total_erasures > 0, "erasures must be in play");
-        for (threads, stripe) in [(1usize, 64usize), (4, 1), (4, 64), (3, 13)] {
-            let other = run_with(threads, stripe);
+        for (threads, stripe) in [(1usize, 64usize), (1, 1), (4, 1), (4, 64), (3, 13)] {
+            let other = scalar_reference::striped(&runner, &policy, &config(threads), stripe);
             assert_eq!(
                 reference.logical_errors, other.logical_errors,
                 "{threads}t stripe{stripe}"
@@ -2688,30 +2419,28 @@ mod tests {
 
     /// Intra-shot fusion is a pure wall-clock knob at the run level too:
     /// every statistic of a fused run — logical errors included — matches
-    /// the sequential windowed run bit-for-bit at every thread count, on
-    /// both the scalar and striped paths, with erasures in play.
+    /// the reference runner's sequential windowed run bit-for-bit at every
+    /// thread count and stripe width, with erasures in play.
     #[test]
     fn fused_runs_match_sequential_windowed_bitwise() {
         let runner = MemoryRunner::new(3, NoiseParams::standard(3e-3), 12);
-        let run_with = |fusion: usize, stripe: usize| {
-            let config = RunConfig {
-                shots: 120,
-                seed: 99,
-                threads: 2,
-                stripe_width: stripe,
-                decoder: DecoderKind::Mwpm,
-                window_rounds: 5,
-                window_stride: 2,
-                fusion_threads: fusion,
-                erasure: ErasureDetection::imperfect(0.01, 0.05),
-                ..RunConfig::default()
-            };
-            runner.run(&|c| Box::new(EraserPolicy::with_multilevel(c)), &config)
+        let policy =
+            |c: &RotatedCode| -> Box<dyn LrcPolicy> { Box::new(EraserPolicy::with_multilevel(c)) };
+        let config = |fusion: usize| RunConfig {
+            shots: 120,
+            seed: 99,
+            threads: 2,
+            decoder: DecoderKind::Mwpm,
+            window_rounds: 5,
+            window_stride: 2,
+            fusion_threads: fusion,
+            erasure: ErasureDetection::imperfect(0.01, 0.05),
+            ..RunConfig::default()
         };
-        let sequential = run_with(1, 64);
+        let sequential = scalar_reference::reference(&runner, &policy, &config(1));
         assert!(sequential.total_erasures > 0, "erasures must be in play");
         for (fusion, stripe) in [(2usize, 64usize), (2, 1), (3, 64), (8, 13)] {
-            let fused = run_with(fusion, stripe);
+            let fused = scalar_reference::striped(&runner, &policy, &config(fusion), stripe);
             assert_eq!(
                 sequential.logical_errors, fused.logical_errors,
                 "{fusion} fusion threads, stripe {stripe}"

@@ -14,8 +14,8 @@
 //! order. A policy layer produces one mask word per slot per round; the
 //! static schedule's conditions are resolved against those words. Restricted
 //! to any single lane, the executed op sequence is exactly the dynamic
-//! circuit the scalar path builds for that shot's LRC plan — this is what
-//! keeps the striped simulator bit-identical to the scalar one.
+//! circuit built for that shot's LRC plan — this is what keeps the striped
+//! simulator bit-identical to the scalar one.
 
 use crate::circuit::Op;
 

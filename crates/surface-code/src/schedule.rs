@@ -1,8 +1,8 @@
 //! Static round schedules with LRC *slots*, for the word-parallel runtime.
 //!
-//! The scalar runtime re-synthesizes every round's circuit per shot because
-//! the LRC plan is dynamic. The striped (64-shots-per-word) runtime cannot
-//! afford that; instead it executes one *static* schedule of
+//! A one-shot-at-a-time runner re-synthesizes every round's circuit per
+//! shot because the LRC plan is dynamic. The striped (64-shots-per-word)
+//! runtime cannot afford that; instead it executes one *static* schedule of
 //! [`MaskedOp`]s per round, in which every op that depends on the plan is
 //! gated on an [`OpCond`] referencing an LRC **slot** — one of the
 //! enumerable legal assignments of a data qubit to an adjacent stabilizer's
@@ -10,8 +10,8 @@
 //! one lane-mask word per slot; executing the schedule under those masks
 //! reproduces, lane by lane, exactly the dynamic circuit
 //! [`RoundBuilder::round`] would synthesize for that lane's plan (asserted
-//! structurally by this module's tests and behaviourally by the stripe
-//! equivalence suite).
+//! structurally by this module's tests and behaviourally by the runtime's
+//! reference-runner tests).
 //!
 //! Slot order is canonical — sorted by `(data, stab)` — and the runtime
 //! sorts every plan the same way before use, so the per-lane restriction of
@@ -419,7 +419,7 @@ mod tests {
     fn masked_round_restricts_to_every_dynamic_round() {
         // The load-bearing structural property: for any plan, the lane
         // restriction of the static schedule is op-for-op the dynamic round
-        // the scalar path builds.
+        // `RoundBuilder::round` builds.
         for noise in [
             NoiseParams::standard(1e-3),
             NoiseParams::without_leakage(1e-3),

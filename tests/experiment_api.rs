@@ -221,7 +221,6 @@ fn both_builders_wire_every_run_setter_the_same_way() {
                     .decode(true)
                     .leakage_aware_decoding(true)
                     .erasure_detection(0.01, 0.05)
-                    .stripe_width(7)
                     .window_rounds(6)
                     .window_stride(3)
                     .fusion_threads(2)
@@ -246,7 +245,6 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         assert_eq!(config.protocol, LrcProtocol::Dqlr);
         assert!(config.decode);
         assert_eq!(config.erasure, ErasureDetection::imperfect(0.01, 0.05));
-        assert_eq!(config.stripe_width, 7);
         assert_eq!(config.window_rounds, 6);
         assert_eq!(config.window_stride, 3);
         assert_eq!(config.fusion_threads, 2);

@@ -4,9 +4,8 @@
 //! the end-to-end version of the paper's "real-time leakage suppression"
 //! claim, plus the adaptive controller's escalate-then-recover telemetry.
 //!
-//! These tests run whatever `ERASER_STRIPE` / `ERASER_THREADS` the CI
-//! matrix sets: the assertions are on physics the stripe width and thread
-//! count must not change.
+//! These tests run whatever `ERASER_THREADS` the CI matrix sets: the
+//! assertions are on physics the thread count must not change.
 
 use eraser_repro::eraser_core::runtime::MemoryRunResult;
 use eraser_repro::eraser_core::{ControlLawKind, Experiment, LeakageProfile, PolicyKind};
@@ -114,9 +113,12 @@ fn adaptive_controller_escalates_on_the_burst_and_recovers() {
 
 #[test]
 fn storm_recovery_is_stripe_invariant() {
-    // The same storm, scalar vs 64-lane striped, must agree bit for bit —
-    // LPR trace, logical errors, and controller telemetry alike.
-    let run = |policy: PolicyKind, stripe: usize| {
+    // The same storm on different stripe packings must agree bit for bit —
+    // LPR trace, logical errors, and controller telemetry alike. The
+    // runner packs each worker's contiguous shot range into stripes of up
+    // to 64 lanes, so 100 shots run as 64 + 36 lanes on one thread, as
+    // 34 / 33 / 33 on three, and as ten 10-lane stripes on ten.
+    let run = |policy: PolicyKind, threads: usize| {
         Experiment::builder()
             .distance(5)
             .noise(NoiseParams::standard(1e-4))
@@ -124,7 +126,7 @@ fn storm_recovery_is_stripe_invariant() {
             .policy(policy)
             .shots(100)
             .seed(2000)
-            .stripe_width(stripe)
+            .threads(threads)
             .leakage_profile(LeakageProfile::Burst {
                 start: STORM_ROUND,
                 len: 1,
@@ -139,17 +141,25 @@ fn storm_recovery_is_stripe_invariant() {
         PolicyKind::eraser(),
         PolicyKind::adaptive(ControlLawKind::Ewma),
     ] {
-        let scalar = run(policy.clone(), 1);
-        let striped = run(policy.clone(), 64);
-        assert_eq!(
-            scalar.logical_errors, striped.logical_errors,
-            "{policy}: logical errors"
-        );
-        assert_eq!(scalar.lpr_data, striped.lpr_data, "{policy}: LPR trace");
-        assert_eq!(scalar.total_lrcs, striped.total_lrcs, "{policy}: LRCs");
-        assert_eq!(
-            scalar.controller, striped.controller,
-            "{policy}: controller stats"
-        );
+        let packed = run(policy.clone(), 1);
+        for threads in [3, 10] {
+            let split = run(policy.clone(), threads);
+            assert_eq!(
+                packed.logical_errors, split.logical_errors,
+                "{policy} x{threads}: logical errors"
+            );
+            assert_eq!(
+                packed.lpr_data, split.lpr_data,
+                "{policy} x{threads}: LPR trace"
+            );
+            assert_eq!(
+                packed.total_lrcs, split.total_lrcs,
+                "{policy} x{threads}: LRCs"
+            );
+            assert_eq!(
+                packed.controller, split.controller,
+                "{policy} x{threads}: controller stats"
+            );
+        }
     }
 }
