@@ -230,7 +230,7 @@ fn bench_decoders_baseline_records_the_tiered_predecode_tradeoff() {
 
     // On the dense batch (6 faults per shot, nearly all tier-2) the ladder
     // is pure guard overhead; it must stay within 15% of the bare backend
-    // so `ERASER_PREDECODE=on` is safe to leave as the default.
+    // so the predecoder is safe to leave on by default.
     let dense_full = find("decode_batch_32/d5_r10/mwpm");
     let dense_tiered = find("decode_batch_32/d5_r10/tiered-mwpm");
     assert!(

@@ -28,7 +28,6 @@
 //! runner, giving the controller a time-varying workload to adapt to.
 
 use crate::policy::{LeakageDetections, LrcPolicy, RoundContext};
-use crate::runtime::EnvOverrideError;
 use surface_code::{LrcAssignment, RotatedCode};
 
 /// One unit in the controller's Q16 fixed-point rate representation.
@@ -441,8 +440,8 @@ pub enum ControlBase {
 
 /// Validated knobs for [`AdaptivePolicy`]. Constructed via
 /// [`ControllerConfig::ewma`] / [`ControllerConfig::budget`] and overridden
-/// per run through `RunConfig::controller` or the `ERASER_CONTROL`
-/// environment variable.
+/// per run through `RunConfig::controller` (the builders' `.controller(..)`,
+/// the serve `JobSpec.control`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// The control law.
@@ -515,8 +514,7 @@ impl ControllerConfig {
 
     /// Parses a controller spec: `ewma` or `budget`, optionally followed by
     /// `:key=value,...` with keys `up`, `down`, `shift`, `dwell`, `quota`,
-    /// `base` (`no-lrc` | `eraser`). Shared by `ERASER_CONTROL` and the
-    /// serve protocol.
+    /// `base` (`no-lrc` | `eraser`). The serve protocol's `control` field.
     pub fn parse_spec(raw: &str) -> Result<ControllerConfig, &'static str> {
         let raw = raw.trim();
         let (head, tail) = match raw.split_once(':') {
@@ -580,12 +578,6 @@ fn parse_usize(value: &str) -> Result<usize, &'static str> {
 
 fn parse_f64(value: &str) -> Result<f64, &'static str> {
     value.parse().map_err(|_| "knob value is not a number")
-}
-
-/// Strict `ERASER_CONTROL` parser: empty/whitespace means unset, anything
-/// else must be a valid controller spec.
-pub fn parse_control_env(raw: &str) -> Result<Option<ControllerConfig>, EnvOverrideError> {
-    crate::runtime::parse_env_override("ERASER_CONTROL", raw, ControllerConfig::parse_spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,7 +992,7 @@ mod tests {
             Ok(ControllerConfig::ewma())
         );
         assert_eq!(
-            ControllerConfig::parse_spec("budget"),
+            ControllerConfig::parse_spec(" budget "),
             Ok(ControllerConfig::budget())
         );
         let custom = ControllerConfig::parse_spec(
@@ -1014,18 +1006,29 @@ mod tests {
         assert_eq!(custom.ewma_shift, 3);
         assert_eq!(custom.min_dwell, 4);
         assert_eq!(custom.budget, 99);
-        for bad in [
-            "pid",
-            "ewma:up=0.01,down=0.5",
-            "ewma:up=2.0",
-            "ewma:down=-1",
-            "ewma:shift=99",
-            "budget:quota=0",
-            "ewma:base=optimal",
-            "ewma:wat=1",
-            "ewma:up",
+        let thresholds = "thresholds must satisfy 0 <= down <= up <= 1";
+        for (bad, reason) in [
+            (
+                "pid",
+                "unknown control law (expected \"ewma\" or \"budget\")",
+            ),
+            ("ewma:up=two", "knob value is not a number"),
+            ("ewma:up=0.01,down=0.5", thresholds),
+            ("ewma:up=2.0", thresholds),
+            ("ewma:down=-1", thresholds),
+            ("ewma:shift=16", "ewma shift must be at most 15"),
+            ("budget:quota=0", "budget law needs a positive quota"),
+            (
+                "ewma:base=optimal",
+                "unknown base policy (expected \"no-lrc\" or \"eraser\")",
+            ),
+            (
+                "ewma:wat=1",
+                "unknown control knob (expected up/down/shift/dwell/quota/base)",
+            ),
+            ("ewma:up", "knobs must be key=value pairs"),
         ] {
-            assert!(ControllerConfig::parse_spec(bad).is_err(), "{bad}");
+            assert_eq!(ControllerConfig::parse_spec(bad), Err(reason), "{bad}");
         }
     }
 

@@ -96,9 +96,10 @@ pub enum ExperimentError {
     UnknownPolicy(String),
     /// `DecoderKind::from_str` did not recognize the name.
     UnknownDecoder(String),
-    /// A malformed `ERASER_*` environment override the configuration would
-    /// consult at run time. Checked at build time so the error surfaces
-    /// here, as a `Result`, instead of deep inside a worker thread.
+    /// A malformed `ERASER_THREADS` / `ERASER_FUSION` environment override
+    /// the configuration would consult at run time. Checked at build time
+    /// so the error surfaces here, as a `Result`, instead of deep inside a
+    /// worker thread.
     EnvOverride(EnvOverrideError),
 }
 
@@ -168,10 +169,10 @@ fn validate_distance(d: usize) -> Result<(), ExperimentError> {
 }
 
 /// Validates the run configuration both builders carry: shots, erasure
-/// rates, window geometry and leakage profile, then every `ERASER_*`
-/// override this same configuration would consult — so a knob the builder
-/// pinned never reads, or fails on, its variable. The controller is checked
-/// per policy by [`validate_controller`].
+/// rates, window geometry and leakage profile, then the `ERASER_THREADS` /
+/// `ERASER_FUSION` overrides this same configuration would consult — so a
+/// pool size the builder pinned never reads, or fails on, its variable. The
+/// controller is checked per policy by [`validate_controller`].
 fn validate_run_config(config: &RunConfig) -> Result<(), ExperimentError> {
     if config.shots == 0 {
         return Err(ExperimentError::ZeroShots);
@@ -242,9 +243,8 @@ pub enum PolicyKind {
     Optimal,
     /// The feedback-controlled adaptive policy: a [`crate::control`]
     /// estimator + control law retuning the LRC density mid-run. The
-    /// embedded knobs are defaults — `RunConfig::controller` or the
-    /// `ERASER_CONTROL` environment variable override them per run (see
-    /// [`PolicyKind::resolved`]).
+    /// embedded knobs are defaults — `RunConfig::controller` overrides
+    /// them per run (see [`PolicyKind::resolved`]).
     Adaptive(ControllerConfig),
     /// A user-supplied policy factory (the closure escape hatch).
     Custom {
@@ -319,15 +319,12 @@ impl PolicyKind {
 
     /// The policy this kind resolves to under `config`: for
     /// [`PolicyKind::Adaptive`] the run-level controller override
-    /// (`RunConfig::controller`, else `ERASER_CONTROL`) replaces the
-    /// variant's embedded knobs; every other kind is returned unchanged.
-    pub fn resolved(&self, config: &RunConfig) -> Result<PolicyKind, EnvOverrideError> {
+    /// (`RunConfig::controller`) replaces the variant's embedded knobs;
+    /// every other kind is returned unchanged.
+    pub fn resolved(&self, config: &RunConfig) -> PolicyKind {
         match self {
-            PolicyKind::Adaptive(own) => {
-                let effective = config.resolved_controller()?.unwrap_or(*own);
-                Ok(PolicyKind::Adaptive(effective))
-            }
-            other => Ok(other.clone()),
+            PolicyKind::Adaptive(own) => PolicyKind::Adaptive(config.controller.unwrap_or(*own)),
+            other => other.clone(),
         }
     }
 
@@ -535,8 +532,7 @@ impl Experiment {
     }
 
     /// The decoder the configured [`DecoderKind`] resolves to for this
-    /// experiment. Goes through [`MemoryRunner::resolved_decoder`] (the
-    /// `ERASER_*` hooks, already validated at build time, then `Auto`
+    /// experiment. Goes through [`MemoryRunner::resolved_decoder`] (`Auto`
     /// against the graph each window decodes) — the same single-source rule
     /// `MemoryRunner::run` applies — so on decode-enabled runs `Auto`
     /// reports exactly what will decode (runs built with `.decode(false)`
@@ -545,7 +541,7 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics on a malformed `ERASER_*` override, like
+    /// Panics on a malformed `ERASER_FUSION` override, like
     /// [`Experiment::run_policy`]: the builder validated the environment,
     /// so only a variable changed since then can trip this.
     pub fn resolved_decoder(&self) -> DecoderKind {
@@ -597,11 +593,9 @@ impl Experiment {
     /// the physics, so results are bit-identical to a cache-free run.
     pub fn run_policy(&self, kind: &PolicyKind) -> MemoryRunResult {
         // Adaptive kinds resolve the run-level controller override
-        // (`RunConfig::controller`, else `ERASER_CONTROL`) here, the one
-        // place every facade run passes through.
-        let kind = kind
-            .resolved(&self.config)
-            .unwrap_or_else(|e| panic!("{e}"));
+        // (`RunConfig::controller`) here, the one place every facade run
+        // passes through.
+        let kind = kind.resolved(&self.config);
         let artifacts = self
             .runner
             .decode_artifacts(&self.config, Some(ArtifactCache::global()))
@@ -695,11 +689,10 @@ macro_rules! run_setters {
         }
 
         /// Sliding-window length in rounds for streaming decoding. The
-        /// default 0 resolves at run time: the `ERASER_WINDOW` environment
-        /// variable if set, else one full-cover window — whole-shot
-        /// decoding (a window larger than the round count is full cover
-        /// too). Shorter windows bound peak decoder memory at O(window²)
-        /// regardless of the round count.
+        /// default 0 is one full-cover window — whole-shot decoding (a
+        /// window larger than the round count is full cover too). Shorter
+        /// windows bound peak decoder memory at O(window²) regardless of
+        /// the round count.
         pub fn window_rounds(mut self, window: usize) -> Self {
             self.config.window_rounds = window;
             self
@@ -728,9 +721,8 @@ macro_rules! run_setters {
         }
 
         /// Run-level controller override for adaptive policies: replaces
-        /// the knobs embedded in a selected [`PolicyKind::Adaptive`] (and
-        /// beats the `ERASER_CONTROL` environment hook). Validated at build
-        /// time; static policies ignore it.
+        /// the knobs embedded in a selected [`PolicyKind::Adaptive`].
+        /// Validated at build time; static policies ignore it.
         pub fn controller(mut self, config: ControllerConfig) -> Self {
             self.config.controller = Some(config);
             self
@@ -746,11 +738,9 @@ macro_rules! run_setters {
 
         /// Tiered sparse-syndrome fast path in front of every decode (tier
         /// 0 skips empty syndromes/windows, tier 1 resolves 1–2 defects in
-        /// closed form) — bit-identical either way. An explicit setting
-        /// beats the `ERASER_PREDECODE` environment hook; unset defaults to
-        /// on.
+        /// closed form) — bit-identical either way. Default on.
         pub fn predecode(mut self, on: bool) -> Self {
-            self.config.predecode = Some(on);
+            self.config.predecode = on;
             self
         }
     };
@@ -964,7 +954,7 @@ impl Sweep {
         let policies: Vec<PolicyKind> = self
             .policies
             .iter()
-            .map(|kind| kind.resolved(&config).unwrap_or_else(|e| panic!("{e}")))
+            .map(|kind| kind.resolved(&config))
             .collect();
         for &d in &self.distances {
             let rounds = self.rounds.resolve(d);
@@ -1215,10 +1205,9 @@ mod tests {
         assert_eq!(windowed.decode_latency.samples(), 40 * 4);
         assert!(!windowed.predecode.is_active(), "predecoder pinned off");
 
-        // With the predecoder on (pinned, so a CI-set ERASER_PREDECODE=off
-        // cannot flip the default) the physics and outcome are identical;
-        // empty windows resolve at tier 0 without a sample, and every
-        // window lands in exactly one tier.
+        // With the predecoder on (the default) the physics and outcome are
+        // identical; empty windows resolve at tier 0 without a sample, and
+        // every window lands in exactly one tier.
         let tiered = base()
             .shots(40)
             .rounds(9)
@@ -1227,7 +1216,6 @@ mod tests {
             .window_rounds(4)
             .window_stride(2)
             .fusion_threads(1)
-            .predecode(true)
             .build()
             .unwrap()
             .run();
@@ -1312,18 +1300,8 @@ mod tests {
     #[test]
     fn facade_resolves_auto_exactly_like_the_runtime() {
         let exp = base().build().unwrap();
-        // d=3, 2 rounds is far below the Auto threshold → dense MWPM —
-        // unless a CI matrix leg pinned the decoder via `ERASER_DECODER`,
-        // in which case the facade must predict that pin instead.
-        let expected = match std::env::var("ERASER_DECODER") {
-            Ok(raw) if !raw.trim().is_empty() => raw
-                .trim()
-                .parse::<DecoderKind>()
-                .unwrap()
-                .resolve(exp.runner().graph()),
-            _ => DecoderKind::Mwpm,
-        };
-        assert_eq!(exp.resolved_decoder(), expected);
+        // d=3, 2 rounds is far below the Auto threshold → dense MWPM.
+        assert_eq!(exp.resolved_decoder(), DecoderKind::Mwpm);
         let result = exp.run();
         assert_eq!(result.decoder, exp.resolved_decoder().to_string());
     }
@@ -1346,8 +1324,7 @@ mod tests {
             "graph must be past the dense-MWPM limit ({} nodes)",
             exp.runner().graph().num_nodes()
         );
-        // Env-independent form of the Auto rule: this graph is sparse
-        // territory (an `ERASER_DECODER` pin may still override the run).
+        // The Auto rule on the whole graph: this graph is sparse territory.
         assert_eq!(
             DecoderKind::Auto.resolve(exp.runner().graph()),
             DecoderKind::SparseMwpm
@@ -1355,9 +1332,9 @@ mod tests {
         let result = exp.run();
         assert_eq!(result.shots, 4);
         // The reported decoder is what the facade predicts. By default that
-        // is the full-cover sparse blossom; an `ERASER_WINDOW` /
-        // `ERASER_FUSION` CI leg decodes shorter windows, which the same
-        // rule can put back inside dense-MWPM territory.
+        // is the full-cover sparse blossom; an `ERASER_FUSION` CI leg
+        // decodes shorter windows, which the same rule can put back inside
+        // dense-MWPM territory.
         assert_eq!(result.decoder, exp.resolved_decoder().to_string());
         assert!(result.logical_errors <= result.shots);
     }
@@ -1412,14 +1389,18 @@ mod tests {
             assert_eq!(kind.to_string().parse::<DecoderKind>().unwrap(), kind);
         }
         assert_eq!("uf".parse::<DecoderKind>().unwrap(), DecoderKind::UnionFind);
-        assert_eq!(
-            "sparse".parse::<DecoderKind>().unwrap(),
-            DecoderKind::SparseMwpm
-        );
-        assert!(matches!(
-            "tensor-network".parse::<DecoderKind>(),
-            Err(ExperimentError::UnknownDecoder(_))
-        ));
+        for alias in ["sparse", "SPARSE-BLOSSOM"] {
+            assert_eq!(
+                alias.parse::<DecoderKind>().unwrap(),
+                DecoderKind::SparseMwpm
+            );
+        }
+        for unknown in ["tensor-network", "greedy", "mwpm2"] {
+            assert!(matches!(
+                unknown.parse::<DecoderKind>(),
+                Err(ExperimentError::UnknownDecoder(_))
+            ));
+        }
     }
 
     #[test]
@@ -1572,21 +1553,18 @@ mod tests {
         let kind = PolicyKind::adaptive(ControlLawKind::Ewma);
         let mut config = RunConfig::default();
         assert_eq!(
-            kind.resolved(&config).unwrap(),
+            kind.resolved(&config),
             kind,
             "no override leaves the embedded knobs"
         );
         config.controller = Some(override_config);
         assert_eq!(
-            kind.resolved(&config).unwrap(),
+            kind.resolved(&config),
             PolicyKind::Adaptive(override_config),
             "the run-level controller rebinds the variant"
         );
         // Static kinds never change.
-        assert_eq!(
-            PolicyKind::eraser().resolved(&config).unwrap(),
-            PolicyKind::eraser()
-        );
+        assert_eq!(PolicyKind::eraser().resolved(&config), PolicyKind::eraser());
     }
 
     #[test]

@@ -29,12 +29,11 @@
 //! `window_stride` rounds each (the remaining buffer — keep it ≥ d — is
 //! re-decoded by the next window). Peak decoder memory is then
 //! O(window²) regardless of R, which is what makes long-memory workloads
-//! (R ≫ d) decodable with MWPM at all. A [`RunConfig::window_rounds`] of 0
-//! (with no `ERASER_WINDOW` override), or one longer than the round count,
-//! means one **full-cover** window: the whole shot is one syndrome over the
-//! whole-experiment graph, decoded by exactly the call a whole-shot decoder
-//! makes. Per-window decode latency lands in
-//! [`MemoryRunResult::decode_latency`].
+//! (R ≫ d) decodable with MWPM at all. A [`RunConfig::window_rounds`] of 0,
+//! or one longer than the round count, means one **full-cover** window: the
+//! whole shot is one syndrome over the whole-experiment graph, decoded by
+//! exactly the call a whole-shot decoder makes. Per-window decode latency
+//! lands in [`MemoryRunResult::decode_latency`].
 //!
 //! Metrics collected per run (paper §5.4, §6.4):
 //!
@@ -46,7 +45,7 @@
 //!   decisions against simulator ground truth (Fig 16).
 
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, ExperimentKey};
-use crate::control::{parse_control_env, ControllerConfig, ControllerStats, LeakageProfile};
+use crate::control::{ControllerConfig, ControllerStats, LeakageProfile};
 use crate::policy::{LrcPolicy, StripeRoundContext, StripedPolicy};
 use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
@@ -230,9 +229,8 @@ pub struct RunConfig {
     /// Worker threads; 0 means the `ERASER_THREADS` environment variable if
     /// set, else all available cores.
     pub threads: usize,
-    /// Decoder selection. `Auto` defers to the `ERASER_DECODER`
-    /// environment variable if set, else to the node-count rule in
-    /// [`DecoderKind::resolve_window`]. An explicit kind always wins.
+    /// Decoder selection. `Auto` resolves by the node-count rule in
+    /// [`DecoderKind::resolve_window`].
     pub decoder: DecoderKind,
     /// Leakage-removal protocol executed for scheduled pairs.
     pub protocol: LrcProtocol,
@@ -242,10 +240,9 @@ pub struct RunConfig {
     /// Erasure-aware decoding: thread the policy's leakage-detection flags
     /// into the decoder as dynamically reweighted (erased) edges.
     pub erasure: ErasureDetection,
-    /// Sliding-window length in rounds for streaming decoding; 0 means the
-    /// `ERASER_WINDOW` environment variable if set, else one full-cover
-    /// window (whole-shot decoding). A window larger than the round count
-    /// is a full-cover window too.
+    /// Sliding-window length in rounds for streaming decoding; 0 means one
+    /// full-cover window (whole-shot decoding). A window larger than the
+    /// round count is a full-cover window too.
     pub window_rounds: usize,
     /// Rounds committed (and advanced) per window; 0 derives the default
     /// `window_rounds − d` (clamped to ≥ 1), which keeps the re-decoded
@@ -263,8 +260,8 @@ pub struct RunConfig {
     pub fusion_threads: usize,
     /// Feedback-controller override for adaptive policies: `Some` replaces
     /// the knobs embedded in `PolicyKind::Adaptive` for this run; `None`
-    /// defers to the `ERASER_CONTROL` environment variable, then to the
-    /// policy's own configuration. Static policies ignore it entirely.
+    /// keeps the policy's own configuration. Static policies ignore it
+    /// entirely.
     pub controller: Option<ControllerConfig>,
     /// Time-varying injected-leakage schedule (bursts, ramps). The runner
     /// applies the profile's per-round rate as an extra `LeakInject` on
@@ -274,9 +271,8 @@ pub struct RunConfig {
     /// Tiered sparse-syndrome fast path in front of every decode (tier 0
     /// skips empty syndromes/windows, tier 1 resolves 1–2 defects in
     /// closed form, tier 2 is the configured backend — bit-identical
-    /// either way). `Some` forces it; `None` defers to the
-    /// `ERASER_PREDECODE` environment variable (`on`/`off`), then to on.
-    pub predecode: Option<bool>,
+    /// either way). Default on.
+    pub predecode: bool,
 }
 
 impl Default for RunConfig {
@@ -294,19 +290,19 @@ impl Default for RunConfig {
             fusion_threads: 0,
             controller: None,
             profile: LeakageProfile::Stationary,
-            predecode: None,
+            predecode: true,
         }
     }
 }
 
-/// A malformed `ERASER_*` environment override.
+/// A malformed `ERASER_THREADS` / `ERASER_FUSION` environment override.
 ///
-/// The `ERASER_THREADS` / `ERASER_WINDOW` hooks used to be resolved with
-/// `.parse().ok()`, so a typo (`ERASER_THREADS=fuor`) silently fell back to
-/// the default — the worst failure mode for a knob whose whole job is
-/// reproducing a specific configuration. Malformed values now surface as
-/// this error: the `Experiment`/`Sweep` builders return it at build time,
-/// and the low-level [`MemoryRunner::run`] path panics with its message.
+/// The two variables size worker pools and nothing else: results are
+/// bit-identical for any value. A typo (`ERASER_THREADS=fuor`) is still an
+/// error rather than a silent default, because a run meant to reproduce a
+/// wall-clock measurement should not quietly use another pool size. The
+/// `Experiment`/`Sweep` builders return it at build time, and the
+/// low-level [`MemoryRunner::run`] path panics with its message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvOverrideError {
     /// The environment variable that failed to parse.
@@ -329,95 +325,36 @@ impl std::fmt::Display for EnvOverrideError {
 
 impl std::error::Error for EnvOverrideError {}
 
-/// The shared envelope of every strict `ERASER_*` parser: trim the raw
-/// value, treat empty/whitespace as unset (CI matrix legs pass `""` to
-/// mean "no override"), and wrap any value-level rejection in an
-/// [`EnvOverrideError`] naming the variable. Each override supplies only
-/// its value grammar; the unset/error plumbing can't drift between knobs.
-pub(crate) fn parse_env_override<T>(
-    var: &'static str,
-    raw: &str,
-    parse: impl FnOnce(&str) -> Result<T, &'static str>,
-) -> Result<Option<T>, EnvOverrideError> {
+/// Parses a positive worker count read from `var`. An empty (or
+/// all-whitespace) value counts as unset — CI matrix legs pass `""` to
+/// mean "no override".
+fn parse_count_env(var: &'static str, raw: &str) -> Result<Option<usize>, EnvOverrideError> {
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Ok(None);
     }
-    match parse(trimmed) {
-        Ok(value) => Ok(Some(value)),
-        Err(reason) => Err(EnvOverrideError {
-            var,
-            value: raw.to_string(),
-            reason,
-        }),
-    }
+    let reason = match trimmed.parse::<usize>() {
+        Ok(0) => "must be a positive integer",
+        Ok(n) => return Ok(Some(n)),
+        Err(_) => "not an integer",
+    };
+    Err(EnvOverrideError {
+        var,
+        value: raw.to_string(),
+        reason,
+    })
 }
 
-/// Parses an `ERASER_THREADS` value: a positive integer. An empty (or
-/// all-whitespace) value counts as unset — CI matrix legs pass `""` to
-/// mean "no override".
+/// Parses an `ERASER_THREADS` value: a positive integer; empty counts as
+/// unset.
 pub fn parse_threads_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_env_override("ERASER_THREADS", raw, parse_positive)
+    parse_count_env("ERASER_THREADS", raw)
 }
 
 /// Parses an `ERASER_FUSION` value: a positive intra-shot fusion thread
-/// count (1 = sequential windowed decoding). Empty counts as unset.
+/// count (1 = sequential windowed decoding); empty counts as unset.
 pub fn parse_fusion_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_env_override("ERASER_FUSION", raw, parse_positive)
-}
-
-fn parse_positive(value: &str) -> Result<usize, &'static str> {
-    match value.parse::<usize>() {
-        Ok(0) => Err("must be a positive integer"),
-        Ok(n) => Ok(n),
-        Err(_) => Err("not an integer"),
-    }
-}
-
-/// Parses an `ERASER_DECODER` value: a decoder name (`auto`, `mwpm`,
-/// `sparse-mwpm`, `union-find`, or an alias accepted by
-/// [`DecoderKind`]'s `FromStr`). Empty counts as unset — CI matrix legs
-/// pass `""` to mean "no override".
-pub fn parse_decoder_env(raw: &str) -> Result<Option<DecoderKind>, EnvOverrideError> {
-    parse_env_override("ERASER_DECODER", raw, |value| {
-        value
-            .parse::<DecoderKind>()
-            .map_err(|_| "unknown decoder (expected auto, mwpm, sparse-mwpm, or union-find)")
-    })
-}
-
-/// Parses an `ERASER_WINDOW` specification: `"15"` (window only, stride
-/// defaulted at run time against the code distance) or `"15:10"`
-/// (window:stride, stride ≤ window). Empty counts as unset.
-pub fn parse_window_env(raw: &str) -> Result<Option<(usize, usize)>, EnvOverrideError> {
-    parse_env_override("ERASER_WINDOW", raw, |value| {
-        let mut it = value.splitn(2, ':');
-        let window = match it.next().unwrap_or("").trim().parse::<usize>() {
-            Ok(0) => return Err("window must be a positive round count"),
-            Ok(w) => w,
-            Err(_) => return Err("expected \"W\" or \"W:S\" with integer rounds"),
-        };
-        let stride = match it.next() {
-            Some(s) => match s.trim().parse::<usize>() {
-                Ok(x) if x <= window => x,
-                Ok(_) => return Err("stride exceeds the window"),
-                Err(_) => return Err("expected \"W\" or \"W:S\" with integer rounds"),
-            },
-            None => 0,
-        };
-        Ok((window, stride))
-    })
-}
-
-/// Parses an `ERASER_PREDECODE` value: `on` or `off` (the tiered
-/// sparse-syndrome fast path in front of every decode). Empty counts as
-/// unset — the predecoder then defaults to on.
-pub fn parse_predecode_env(raw: &str) -> Result<Option<bool>, EnvOverrideError> {
-    parse_env_override("ERASER_PREDECODE", raw, |value| match value {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err("expected \"on\" or \"off\""),
-    })
+    parse_count_env("ERASER_FUSION", raw)
 }
 
 impl RunConfig {
@@ -441,46 +378,6 @@ impl RunConfig {
             .unwrap_or(1))
     }
 
-    /// The `(window_rounds, window_stride)` pair this configuration resolves
-    /// to: the config fields themselves when `window_rounds` is set; else the
-    /// `ERASER_WINDOW` environment variable (`"W"` or `"W:S"`, the CI smoke
-    /// leg's hook); else `(0, 0)` — one full-cover window. A stride of 0 is
-    /// resolved later against the code distance (`window − d`, min 1).
-    /// A malformed override is an error, never a silent default.
-    pub fn resolved_window(&self) -> Result<(usize, usize), EnvOverrideError> {
-        if self.window_rounds != 0 {
-            return Ok((
-                self.window_rounds,
-                self.window_stride.min(self.window_rounds),
-            ));
-        }
-        if let Ok(raw) = std::env::var("ERASER_WINDOW") {
-            if let Some(pair) = parse_window_env(&raw)? {
-                return Ok(pair);
-            }
-        }
-        Ok((0, 0))
-    }
-
-    /// The decoder selection this configuration resolves to: `decoder`
-    /// itself when it is not `Auto`; else the `ERASER_DECODER` environment
-    /// variable (the CI test matrix's hook); else `Auto`, deferred to
-    /// [`MemoryRunner::resolved_decoder`] against the graph each window
-    /// decodes. Every resolution is MWPM-accurate or an explicitly
-    /// requested ablation, so the override never silently degrades
-    /// accuracy. A malformed override is an error, never a silent default.
-    pub fn resolved_decoder(&self) -> Result<DecoderKind, EnvOverrideError> {
-        if self.decoder != DecoderKind::Auto {
-            return Ok(self.decoder);
-        }
-        if let Ok(raw) = std::env::var("ERASER_DECODER") {
-            if let Some(kind) = parse_decoder_env(&raw)? {
-                return Ok(kind);
-            }
-        }
-        Ok(DecoderKind::Auto)
-    }
-
     /// The intra-shot fusion thread count this configuration resolves to:
     /// `fusion_threads` itself; else the `ERASER_FUSION` environment
     /// variable (the CI test matrix's hook); else 1 — sequential windowed
@@ -500,49 +397,13 @@ impl RunConfig {
         Ok(1)
     }
 
-    /// The controller configuration adaptive policies resolve to:
-    /// `controller` itself when set; else the `ERASER_CONTROL` environment
-    /// variable (a controller spec, e.g. `ewma:up=0.1,down=0.03`); else
-    /// `None` — the `PolicyKind::Adaptive` variant's own knobs apply.
-    /// A malformed override is an error, never a silent default.
-    pub fn resolved_controller(&self) -> Result<Option<ControllerConfig>, EnvOverrideError> {
-        if let Some(config) = self.controller {
-            return Ok(Some(config));
-        }
-        if let Ok(raw) = std::env::var("ERASER_CONTROL") {
-            return parse_control_env(&raw);
-        }
-        Ok(None)
-    }
-
-    /// Whether the tiered predecoder is active for this run: `predecode`
-    /// itself when set; else the `ERASER_PREDECODE` environment variable
-    /// (`on`/`off`, the CI test matrix's hook); else on. Results are
-    /// bit-identical for either resolution — the tiers are exact — so this
-    /// only affects decode latency and telemetry. A malformed override is
-    /// an error, never a silent default.
-    pub fn resolved_predecode(&self) -> Result<bool, EnvOverrideError> {
-        if let Some(on) = self.predecode {
-            return Ok(on);
-        }
-        if let Ok(raw) = std::env::var("ERASER_PREDECODE") {
-            if let Some(on) = parse_predecode_env(&raw)? {
-                return Ok(on);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Checks every `ERASER_*` override this configuration would consult,
-    /// so facades can reject malformed environments eagerly (at build
-    /// time) instead of deep inside a worker thread.
+    /// Checks the `ERASER_THREADS` / `ERASER_FUSION` overrides this
+    /// configuration would consult, so facades can reject malformed
+    /// environments eagerly (at build time) instead of deep inside a
+    /// worker thread.
     pub fn validate_env(&self) -> Result<(), EnvOverrideError> {
         self.resolved_threads()?;
-        self.resolved_window()?;
-        self.resolved_decoder()?;
         self.resolved_fusion()?;
-        self.resolved_controller()?;
-        self.resolved_predecode()?;
         Ok(())
     }
 }
@@ -1021,9 +882,7 @@ impl DecodeArtifacts {
     /// running the same chain's positions on an intra-shot pool — fusion
     /// pools nest *inside* a shot-level worker and are never shared. It is
     /// fronted by the tiered predecoder unless `config` turns it off —
-    /// bit-identical either way. The environment was validated upstream,
-    /// so a malformed `ERASER_PREDECODE` here can only panic, never
-    /// silently default.
+    /// bit-identical either way.
     fn stream(&self, config: &RunConfig) -> Option<Box<dyn StreamingDecoder + '_>> {
         let mut stream: Box<dyn StreamingDecoder + '_> = match self.resolved.as_ref()? {
             ResolvedDecode::Windowed(plan) => Box::new(plan.streaming()),
@@ -1032,11 +891,7 @@ impl DecodeArtifacts {
                 Arc::new(FusionPool::new(fplan.threads())),
             )),
         };
-        stream.set_predecode(
-            config
-                .resolved_predecode()
-                .unwrap_or_else(|e| panic!("{e}")),
-        );
+        stream.set_predecode(config.predecode);
         Some(stream)
     }
 }
@@ -1225,7 +1080,7 @@ impl MemoryRunner {
     /// requested, which needs a window chain to partition: fusion threads
     /// > 1 with no usable window derive the default `min(3d, rounds)`.
     fn resolved_geometry(&self, config: &RunConfig) -> Result<(usize, usize), EnvOverrideError> {
-        let (mut window, mut stride) = config.resolved_window()?;
+        let (mut window, mut stride) = (config.window_rounds, config.window_stride);
         let rounds = self.exp.rounds();
         let d = self.exp.code().distance();
         if config.resolved_fusion()? > 1 && (window == 0 || window > rounds) {
@@ -1244,16 +1099,13 @@ impl MemoryRunner {
         Ok((window, stride))
     }
 
-    /// The decoder `config` resolves to on this runner: the configured (or
-    /// `ERASER_DECODER`) kind, with `Auto` resolved against the graph each
-    /// window decodes. Never returns [`DecoderKind::Auto`]. Fails only on a
-    /// malformed `ERASER_WINDOW` / `ERASER_DECODER` / `ERASER_FUSION`
-    /// override.
+    /// The decoder `config` resolves to on this runner: the configured
+    /// kind, with `Auto` resolved against the graph each window decodes.
+    /// Never returns [`DecoderKind::Auto`]. Fails only on a malformed
+    /// `ERASER_FUSION` override (fusion can derive the window).
     pub fn resolved_decoder(&self, config: &RunConfig) -> Result<DecoderKind, EnvOverrideError> {
         let (window, _) = self.resolved_geometry(config)?;
-        Ok(config
-            .resolved_decoder()?
-            .resolve_window(&self.graph, window))
+        Ok(config.decoder.resolve_window(&self.graph, window))
     }
 
     /// Resolves the decode-path artifacts for `config`: the window plan,
@@ -1263,8 +1115,7 @@ impl MemoryRunner {
     /// fresh — the results are bit-identical either way, because every
     /// artifact is a deterministic function of the key.
     ///
-    /// Fails only on a malformed `ERASER_WINDOW` / `ERASER_DECODER` /
-    /// `ERASER_FUSION` override.
+    /// Fails only on a malformed `ERASER_FUSION` override.
     pub fn decode_artifacts(
         &self,
         config: &RunConfig,
@@ -1327,10 +1178,10 @@ impl MemoryRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shots == 0`, or on a malformed `ERASER_*`
-    /// environment override (the `Experiment`/`Sweep` facades validate the
-    /// environment at build time and surface the same condition as an
-    /// `Err` instead).
+    /// Panics if `config.shots == 0`, or on a malformed `ERASER_THREADS` /
+    /// `ERASER_FUSION` environment override (the `Experiment`/`Sweep`
+    /// facades validate the environment at build time and surface the same
+    /// condition as an `Err` instead).
     pub fn run(
         &self,
         policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
@@ -1352,8 +1203,8 @@ impl MemoryRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shots == 0`, or on a malformed `ERASER_*`
-    /// environment override.
+    /// Panics if `config.shots == 0`, or on a malformed `ERASER_THREADS` /
+    /// `ERASER_FUSION` environment override.
     ///
     /// [`run`]: MemoryRunner::run
     pub fn run_with_artifacts(
@@ -2084,40 +1935,15 @@ mod tests {
         assert!(result.ler() < 0.2);
     }
 
-    /// Table-driven coverage of every `ERASER_*` override parser. All
-    /// six route through the shared [`parse_env_override`] envelope, and
-    /// this single test pins the shared contract: valid values parse,
-    /// empty/whitespace means unset, and malformed values are a *clear
-    /// error* naming the variable and the reason — never a silent default
-    /// or a panic. The parsers are pure functions of the raw string — no
-    /// `set_var` here, which would race with concurrently running tests.
+    /// Table-driven coverage of the two `ERASER_*` override parsers, which
+    /// share one envelope: valid values parse, empty/whitespace means
+    /// unset, and malformed values are a *clear error* naming the variable
+    /// and the reason — never a silent default or a panic. The parsers are
+    /// pure functions of the raw string — no `set_var` here, which would
+    /// race with concurrently running tests.
     #[test]
     fn env_override_parsing_is_strict() {
-        use crate::control::{parse_control_env, ControlBase, ControlLawKind, ControllerConfig};
-
-        // The shared envelope assertion every knob's cases run through.
-        fn check<T: std::fmt::Debug + PartialEq>(
-            var: &str,
-            raw: &str,
-            result: Result<Option<T>, EnvOverrideError>,
-            expected: &Result<Option<T>, &str>,
-        ) {
-            match expected {
-                Ok(v) => assert_eq!(result.as_ref().ok(), Some(v), "{var}={raw:?}"),
-                Err(reason) => {
-                    let err = result.expect_err(&format!("{var}={raw:?} must error"));
-                    assert_eq!(err.var, var);
-                    assert_eq!(err.reason, *reason);
-                    assert!(
-                        err.to_string().contains(var) && err.to_string().contains(reason),
-                        "message names the variable and the problem: {err}"
-                    );
-                }
-            }
-        }
-
-        // (raw, expected) for the positive-integer knobs.
-        let int_cases: &[(&str, Result<Option<usize>, &str>)] = &[
+        let cases: &[(&str, Result<Option<usize>, &str>)] = &[
             ("4", Ok(Some(4))),
             (" 8 ", Ok(Some(8))),
             ("1", Ok(Some(1))),
@@ -2129,109 +1955,23 @@ mod tests {
             ("-2", Err("not an integer")),
             ("4.0", Err("not an integer")),
         ];
-        for (raw, expected) in int_cases {
-            check("ERASER_THREADS", raw, parse_threads_env(raw), expected);
-            check("ERASER_FUSION", raw, parse_fusion_env(raw), expected);
-        }
-
-        type WindowCase = (&'static str, Result<Option<(usize, usize)>, &'static str>);
-        let window_cases: &[WindowCase] = &[
-            ("15", Ok(Some((15, 0)))),
-            ("15:10", Ok(Some((15, 10)))),
-            (" 8 : 8 ", Ok(Some((8, 8)))),
-            ("", Ok(None)),
-            ("  ", Ok(None)),
-            ("0", Err("window must be a positive round count")),
-            ("8:9", Err("stride exceeds the window")),
-            ("abc", Err("expected \"W\" or \"W:S\" with integer rounds")),
-            ("8:x", Err("expected \"W\" or \"W:S\" with integer rounds")),
-            (":4", Err("expected \"W\" or \"W:S\" with integer rounds")),
-            ("8:", Err("expected \"W\" or \"W:S\" with integer rounds")),
-        ];
-        for (raw, expected) in window_cases {
-            check("ERASER_WINDOW", raw, parse_window_env(raw), expected);
-        }
-
-        let unknown_decoder = "unknown decoder (expected auto, mwpm, sparse-mwpm, or union-find)";
-        type DecoderCase = (&'static str, Result<Option<DecoderKind>, &'static str>);
-        let decoder_cases: &[DecoderCase] = &[
-            ("mwpm", Ok(Some(DecoderKind::Mwpm))),
-            (" sparse-mwpm ", Ok(Some(DecoderKind::SparseMwpm))),
-            ("sparse", Ok(Some(DecoderKind::SparseMwpm))),
-            ("SPARSE-BLOSSOM", Ok(Some(DecoderKind::SparseMwpm))),
-            ("uf", Ok(Some(DecoderKind::UnionFind))),
-            ("auto", Ok(Some(DecoderKind::Auto))),
-            ("", Ok(None)),
-            ("  ", Ok(None)),
-            ("greedy", Err(unknown_decoder)),
-            ("tensor-network", Err(unknown_decoder)),
-            ("mwpm2", Err(unknown_decoder)),
-        ];
-        for (raw, expected) in decoder_cases {
-            check("ERASER_DECODER", raw, parse_decoder_env(raw), expected);
-        }
-
-        let predecode_cases: &[(&str, Result<Option<bool>, &str>)] = &[
-            ("on", Ok(Some(true))),
-            (" off ", Ok(Some(false))),
-            ("", Ok(None)),
-            ("  ", Ok(None)),
-            ("1", Err("expected \"on\" or \"off\"")),
-            ("true", Err("expected \"on\" or \"off\"")),
-            ("ON", Err("expected \"on\" or \"off\"")),
-        ];
-        for (raw, expected) in predecode_cases {
-            check("ERASER_PREDECODE", raw, parse_predecode_env(raw), expected);
-        }
-
-        type ControlCase = (&'static str, Result<Option<ControllerConfig>, &'static str>);
-        let control_cases: &[ControlCase] = &[
-            ("", Ok(None)),
-            ("   ", Ok(None)),
-            ("ewma", Ok(Some(ControllerConfig::ewma()))),
-            (" budget ", Ok(Some(ControllerConfig::budget()))),
-            (
-                "ewma:up=0.2,down=0.05",
-                Ok(Some(ControllerConfig {
-                    up: 0.2,
-                    down: 0.05,
-                    ..ControllerConfig::ewma()
-                })),
-            ),
-            (
-                "budget:quota=7,base=eraser,shift=2,dwell=1",
-                Ok(Some(ControllerConfig {
-                    law: ControlLawKind::Budget,
-                    base: ControlBase::Eraser,
-                    budget: 7,
-                    ewma_shift: 2,
-                    min_dwell: 1,
-                    ..ControllerConfig::budget()
-                })),
-            ),
-            (
-                "pid",
-                Err("unknown control law (expected \"ewma\" or \"budget\")"),
-            ),
-            ("ewma:up=two", Err("knob value is not a number")),
-            (
-                "ewma:up=0.01,down=0.5",
-                Err("thresholds must satisfy 0 <= down <= up <= 1"),
-            ),
-            ("ewma:shift=16", Err("ewma shift must be at most 15")),
-            ("budget:quota=0", Err("budget law needs a positive quota")),
-            (
-                "ewma:base=optimal",
-                Err("unknown base policy (expected \"no-lrc\" or \"eraser\")"),
-            ),
-            (
-                "ewma:wat=1",
-                Err("unknown control knob (expected up/down/shift/dwell/quota/base)"),
-            ),
-            ("ewma:up", Err("knobs must be key=value pairs")),
-        ];
-        for (raw, expected) in control_cases {
-            check("ERASER_CONTROL", raw, parse_control_env(raw), expected);
+        for (raw, expected) in cases {
+            for (var, result) in [
+                ("ERASER_THREADS", parse_threads_env(raw)),
+                ("ERASER_FUSION", parse_fusion_env(raw)),
+            ] {
+                match expected {
+                    Ok(v) => assert_eq!(result.as_ref().ok(), Some(v), "{var}={raw:?}"),
+                    Err(reason) => {
+                        let err = result.expect_err(&format!("{var}={raw:?} must error"));
+                        assert_eq!((err.var, err.reason), (var, *reason));
+                        assert!(
+                            err.to_string().contains(var) && err.to_string().contains(reason),
+                            "message names the variable and the problem: {err}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -2240,29 +1980,12 @@ mod tests {
         // Explicit config fields resolve without consulting the
         // environment at all.
         let config = RunConfig {
-            window_rounds: 6,
-            window_stride: 9,
-            ..RunConfig::default()
-        };
-        assert_eq!(
-            config.resolved_window().unwrap(),
-            (6, 6),
-            "stride clamps to window"
-        );
-        let config = RunConfig {
             threads: 3,
+            fusion_threads: 2,
             ..RunConfig::default()
         };
         assert_eq!(config.resolved_threads().unwrap(), 3);
-        let config = RunConfig {
-            controller: Some(ControllerConfig::budget()),
-            ..RunConfig::default()
-        };
-        assert_eq!(
-            config.resolved_controller().unwrap(),
-            Some(ControllerConfig::budget()),
-            "an explicit controller field needs no environment"
-        );
+        assert_eq!(config.resolved_fusion().unwrap(), 2);
     }
 
     #[test]
@@ -2296,9 +2019,6 @@ mod tests {
     /// both to the sparse blossom).
     #[test]
     fn default_run_at_the_auto_boundary_reports_mwpm() {
-        let pinned = std::env::var("ERASER_DECODER")
-            .ok()
-            .and_then(|raw| parse_decoder_env(&raw).ok().flatten());
         for (d, rounds) in [(7usize, 124usize), (11, 49)] {
             let runner = MemoryRunner::new(d, NoiseParams::standard(1e-3), rounds);
             let graph = runner.graph();
@@ -2309,17 +2029,12 @@ mod tests {
                 "d={d} R={rounds}"
             );
             let result = runner.run(&|_| Box::new(NoLrcPolicy::new()), &cfg(1));
-            let config = RunConfig::default();
-            let expected = match pinned {
-                Some(kind) if kind != DecoderKind::Auto => kind,
-                // An `ERASER_WINDOW` / `ERASER_FUSION` leg decodes a
-                // shorter window, which stays dense MWPM here too.
-                _ => DecoderKind::Mwpm,
-            };
-            assert_eq!(result.decoder, expected.to_string(), "d={d} R={rounds}");
+            // An `ERASER_FUSION` leg decodes a shorter window, which stays
+            // dense MWPM here too.
+            assert_eq!(result.decoder, "mwpm", "d={d} R={rounds}");
             assert_eq!(
-                runner.resolved_decoder(&config).unwrap(),
-                expected,
+                runner.resolved_decoder(&RunConfig::default()).unwrap(),
+                DecoderKind::Mwpm,
                 "d={d} R={rounds}"
             );
         }
@@ -2342,16 +2057,14 @@ mod tests {
             // pinned tier-free (the tier-0 skip elides empty windows'
             // samples; tier identity has its own tests).
             fusion_threads: 1,
-            predecode: Some(false),
+            predecode: false,
             erasure: ErasureDetection::perfect_readout(),
             ..RunConfig::default()
         };
         let policy =
             |c: &RotatedCode| -> Box<dyn LrcPolicy> { Box::new(EraserPolicy::with_multilevel(c)) };
-        // A window beyond the round count is one full-cover window — whole-
-        // shot decoding (and, unlike window 0, immune to a CI-set
-        // `ERASER_WINDOW`).
-        let mono = runner.run(&policy, &config(13));
+        // Window 0 is one full-cover window — whole-shot decoding.
+        let mono = runner.run(&policy, &config(0));
         let windowed = runner.run(&policy, &config(5));
         // Identical physics: every decode-independent statistic matches.
         assert_eq!(mono.total_lrcs, windowed.total_lrcs);
@@ -2473,7 +2186,7 @@ mod tests {
                 window_rounds: 5,
                 window_stride: 2,
                 fusion_threads: 2,
-                predecode: Some(predecode),
+                predecode,
                 ..RunConfig::default()
             };
             let artifacts = runner.decode_artifacts(&config, None).unwrap();
@@ -2498,11 +2211,8 @@ mod tests {
             let plan = artifacts.window_plan().expect("decoding runs have a plan");
             (plan.window(), plan.stride())
         };
-        // The window fields pin the geometry against any `ERASER_WINDOW`
-        // a CI matrix leg sets; 21 rounds is past the round count.
         let fused = RunConfig {
             fusion_threads: 4,
-            window_rounds: 21,
             ..cfg(10)
         };
         let artifacts = runner.decode_artifacts(&fused, None).unwrap();
@@ -2528,6 +2238,15 @@ mod tests {
         let artifacts = runner.decode_artifacts(&windowed, None).unwrap();
         assert!(artifacts.fused());
         assert_eq!(geometry(&artifacts), (6, 3));
+        // A stride past the window clamps to it.
+        let clamped = RunConfig {
+            fusion_threads: 1,
+            window_rounds: 6,
+            window_stride: 9,
+            ..cfg(10)
+        };
+        let artifacts = runner.decode_artifacts(&clamped, None).unwrap();
+        assert_eq!(geometry(&artifacts), (6, 6));
         // And a no-decode run resolves nothing regardless of fusion.
         let no_decode = RunConfig {
             decode: false,

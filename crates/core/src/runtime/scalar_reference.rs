@@ -404,8 +404,8 @@ fn stripe_width_is_bit_identical_with_erasure_decoding() {
 }
 
 /// Pinned counts of an erasure-aware ERASER+M run decoded by one
-/// full-cover window (what window 0 resolves to without an
-/// `ERASER_WINDOW` override), recorded from the former whole-shot decoder.
+/// full-cover window (what window 0 resolves to), recorded from the former
+/// whole-shot decoder.
 /// Under erasures, equal-weight paths of opposite parity are common; the
 /// full-cover window must make the whole-shot decoder's choice on every
 /// shot, in the reference runner and on 1- and 64-lane stripes.
@@ -413,17 +413,15 @@ fn stripe_width_is_bit_identical_with_erasure_decoding() {
 fn full_cover_erasure_run_matches_the_pinned_whole_shot_counts() {
     const LOGICAL_ERRORS: u64 = 941;
     const TOTAL_ERASURES: u64 = 197_997;
-    let rounds = 9;
-    let runner = MemoryRunner::new(3, NoiseParams::standard(2e-3), rounds);
+    let runner = MemoryRunner::new(3, NoiseParams::standard(2e-3), 9);
     let config = RunConfig {
         shots: 20_000,
         seed: 0xE2A5,
         threads: 2,
         decoder: DecoderKind::Mwpm,
         erasure: ErasureDetection::imperfect(0.01, 0.05),
-        // Past the round count: the full cover, pinned against an
-        // `ERASER_WINDOW` or `ERASER_FUSION` leg.
-        window_rounds: rounds + 1,
+        // Sequential, so window 0 stays the full cover on an
+        // `ERASER_FUSION` leg.
         fusion_threads: 1,
         ..RunConfig::default()
     };

@@ -16,7 +16,7 @@ pub struct Opts {
     pub cycles: usize,
     pub decoder: DecoderKind,
     /// Sliding-window decode configuration `(window_rounds, window_stride)`
-    /// applied to every figure; (0, 0) = one full-cover window (or `ERASER_WINDOW`).
+    /// applied to every figure; (0, 0) = one full-cover window.
     pub window: (usize, usize),
     pub out: PathBuf,
     pub quick: bool,

@@ -882,14 +882,12 @@ pub fn longmem(opts: &Opts) -> Result<(), String> {
                     .policy(PolicyKind::eraser())
                     .build()
                     .map_err(|e| e.to_string())?;
-                // `rounds + 1` pins one full-cover window (whole-shot
-                // decoding) independent of any ERASER_WINDOW in the
-                // environment. Pin the decoder both runs resolve to on that
-                // whole graph, so the comparison isolates windowing itself
-                // (Auto would hand the sliding windows dense MWPM even where
-                // the whole graph is sparse-blossom territory — a perk, but
-                // a confound here).
-                exp.set_window(rounds + 1, 0);
+                // The built experiment decodes one full-cover window
+                // (whole-shot decoding). Pin the decoder both runs resolve
+                // to on that whole graph, so the comparison isolates
+                // windowing itself (Auto would hand the sliding windows
+                // dense MWPM even where the whole graph is sparse-blossom
+                // territory — a perk, but a confound here).
                 let resolved = exp.resolved_decoder();
                 exp.set_decoder(resolved);
                 let mono = exp.run();
@@ -1159,8 +1157,8 @@ pub fn predecode(opts: &Opts) -> Result<(), String> {
     t.print();
     println!(
         "(tier 0 = window skipped outright, tier 1 = 1-2 defects resolved in closed\n \
-         form, tier 2 = full backend decode; ERASER_PREDECODE=off or .predecode(false)\n \
-         disables the ladder without changing any decoded output)"
+         form, tier 2 = full backend decode; .predecode(false) or a job's\n \
+         predecode \"off\" disables the ladder without changing any decoded output)"
     );
     t.write_csv(&opts.out, "predecode")
 }

@@ -203,8 +203,8 @@ pub struct JobSpec {
     /// empty = stationary (default empty; see
     /// [`LeakageProfile::parse_spec`](eraser_core::LeakageProfile)).
     pub profile: String,
-    /// Tiered predecode fast path: `"on"`, `"off"`, or empty to defer to
-    /// the server's `ERASER_PREDECODE` environment (default empty).
+    /// Tiered predecode fast path: `"on"`, `"off"`, or empty for on
+    /// (default empty).
     pub predecode: String,
 }
 

@@ -229,31 +229,41 @@ fn server_results_are_bit_identical_across_workers_and_cache_state() {
     pooled.wait();
 }
 
+/// Every backend, windowed, through the whole serve stack: each row's job
+/// must match a direct `Sweep` on its first (cold) run and again from the
+/// cache (warm), with the reported decoder the one the row asked for.
 #[test]
 fn windowed_jobs_are_bit_identical_too() {
-    let spec = JobSpec {
-        distances: vec![3, 5],
-        rounds: 8,
-        cycles: 0,
-        window: 4,
-        shots: 96,
-        seed: 0x51D3,
-        decoder: "union-find".to_string(),
-        ..JobSpec::default()
-    };
-
-    let reference = spec.build_sweep(2).unwrap().run();
     let server = start(2, 8);
     let mut client = Client::connect(server.addr()).unwrap();
-    let (points, _) = client.run_job(&spec).unwrap();
-    assert_points_match(&points, &reference, "windowed");
-    let (again, done) = client.run_job(&spec).unwrap();
-    assert_points_match(&again, &reference, "windowed warm");
-    assert_eq!(
-        done_u64(&done, "cache_misses"),
-        0,
-        "window plans must be cached"
-    );
+    for decoder in ["mwpm", "sparse-mwpm", "union-find"] {
+        let spec = JobSpec {
+            distances: vec![3, 5],
+            rounds: 8,
+            cycles: 0,
+            window: 4,
+            shots: 96,
+            seed: 0x51D3,
+            decoder: decoder.to_string(),
+            ..JobSpec::default()
+        };
+        let reference = spec.build_sweep(2).unwrap().run();
+        assert!(reference.iter().all(|p| p.result.decoder == decoder));
+
+        let (cold, cold_done) = client.run_job(&spec).unwrap();
+        assert_points_match(&cold, &reference, &format!("{decoder} cold"));
+        assert!(
+            done_u64(&cold_done, "cache_misses") > 0,
+            "{decoder}: a new backend builds its window plans"
+        );
+        let (warm, warm_done) = client.run_job(&spec).unwrap();
+        assert_points_match(&warm, &reference, &format!("{decoder} warm"));
+        assert_eq!(
+            done_u64(&warm_done, "cache_misses"),
+            0,
+            "{decoder}: window plans must be cached"
+        );
+    }
     server.shutdown();
     server.wait();
 }

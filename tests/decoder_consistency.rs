@@ -104,19 +104,10 @@ fn auto_decoder_picks_mwpm_for_small_graphs() {
         .build()
         .expect("valid experiment");
     // The facade resolves Auto through the same single-source rule the
-    // runtime applies, so prediction and run report must agree. When the
-    // CI matrix pins `ERASER_DECODER`, that pin wins over the size rule
-    // (this graph is tiny, so a pinned concrete kind resolves to itself).
-    let expected = match std::env::var("ERASER_DECODER") {
-        Ok(raw) if !raw.trim().is_empty() => raw
-            .parse::<DecoderKind>()
-            .expect("CI pins a valid decoder kind"),
-        _ => DecoderKind::Mwpm,
-    };
-    assert_eq!(exp.resolved_decoder(), expected);
+    // runtime applies, so prediction and run report must agree.
+    assert_eq!(exp.resolved_decoder(), DecoderKind::Mwpm);
     let result = exp.run();
-    assert_eq!(result.decoder, expected.to_string());
-    assert_eq!(result.decoder, exp.resolved_decoder().to_string());
+    assert_eq!(result.decoder, "mwpm");
 }
 
 #[test]

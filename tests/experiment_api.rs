@@ -5,7 +5,7 @@
 
 use eraser_repro::eraser_core::{
     ControlLawKind, ControllerConfig, DecoderKind, ErasureDetection, Experiment, ExperimentError,
-    LeakageProfile, LrcProtocol, NoiseModel, PolicyKind, Sweep,
+    LeakageProfile, LrcProtocol, NoiseModel, PolicyKind, Sweep, SweepBuilder,
 };
 use eraser_repro::qec_core::NoiseParams;
 use eraser_repro::surface_code::MemoryBasis;
@@ -226,7 +226,7 @@ fn both_builders_wire_every_run_setter_the_same_way() {
                     .fusion_threads(2)
                     .controller(controller)
                     .leakage_profile(profile)
-                    .predecode(true)
+                    .predecode(false)
             };
         }
         let exp = run_knobs!(Experiment::builder()
@@ -250,7 +250,7 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         assert_eq!(config.fusion_threads, 2);
         assert_eq!(config.controller, Some(controller));
         assert_eq!(config.profile, profile);
-        assert_eq!(config.predecode, Some(true));
+        assert!(!config.predecode);
 
         let points = run_knobs!(Sweep::builder()
             .distances([3])
@@ -279,7 +279,7 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         // The knobs are live, not vacuously equal defaults.
         assert_eq!(want.decoder, "mwpm");
         assert!(want.total_erasures > 0, "{label}: erasures must flow");
-        assert!(want.predecode.is_active(), "{label}");
+        assert!(!want.predecode.is_active(), "{label}: predecoder off");
         assert_eq!(want.decode_latency.samples(), 96, "fused: one per shot");
         assert_eq!(
             want.controller.is_active(),
@@ -289,51 +289,93 @@ fn both_builders_wire_every_run_setter_the_same_way() {
     }
 }
 
-/// A sweep validates the environment against its own configuration: knobs
-/// it pins explicitly never read their `ERASER_*` variable, so a malformed
-/// value there cannot reject it (exactly as for an `Experiment`). Runs in a
-/// child process, because setting variables in this one would race with
-/// the tests running beside it.
+/// The environment sizes worker pools and nothing else. Runs in child
+/// processes, because setting variables in this one would race with the
+/// tests running beside it:
+/// - with the retired `ERASER_WINDOW` / `ERASER_DECODER` / `ERASER_CONTROL`
+///   / `ERASER_PREDECODE` set to garbage, an unpinned sweep builds, and its
+///   run is bit-identical to the same sweep in this process;
+/// - a malformed `ERASER_THREADS` or `ERASER_FUSION` still rejects an
+///   unpinned sweep, and pinning that pool size accepts it.
 #[test]
 fn pinned_knobs_ignore_their_malformed_env_overrides() {
+    const NAME: &str = "pinned_knobs_ignore_their_malformed_env_overrides";
     const CHILD: &str = "ERASER_TEST_MALFORMED_ENV_CHILD";
-    let sweep = |pinned: bool| {
-        let builder = Sweep::builder()
+    // Adaptive, so a read `ERASER_CONTROL` would move the LRC schedule.
+    let sweep = || {
+        Sweep::builder()
             .distances([3])
-            .error_rates([1e-3])
+            .error_rates([3e-3])
             .policy(PolicyKind::adaptive(ControlLawKind::Ewma))
-            .rounds(2)
-            .shots(4);
-        if pinned {
-            builder
-                .decoder(DecoderKind::Mwpm)
-                .controller(ControllerConfig::ewma())
-                .predecode(true)
-                .build()
-        } else {
-            builder.build()
-        }
+            .rounds(6)
+            .shots(200)
     };
-    if std::env::var_os(CHILD).is_some() {
-        assert!(sweep(true).is_ok(), "pinned knobs must not read the env");
-        assert!(matches!(sweep(false), Err(ExperimentError::EnvOverride(_))));
-        return;
+    // Every result field a leaked override could move (wall-clock latency
+    // aside); floats print as shortest round-trips, so equal text is
+    // equal bits.
+    let digest = |builder: SweepBuilder| {
+        let points = builder.build().expect("the sweep builds").run();
+        let r = &points[0].result;
+        format!(
+            "digest {} {} {} {:?} {:?} {:?} {:?}",
+            r.decoder,
+            r.logical_errors,
+            r.total_lrcs,
+            r.speculation,
+            r.controller,
+            r.predecode.hits,
+            r.lpr_total
+        )
+    };
+    match std::env::var(CHILD).as_deref() {
+        Ok("retired") => {
+            eprintln!("{}", digest(sweep()));
+            return;
+        }
+        Ok(var) if var.starts_with("ERASER_") => {
+            match sweep().build() {
+                Err(ExperimentError::EnvOverride(err)) => assert_eq!(err.var, var),
+                other => panic!("malformed {var} must reject the sweep: {other:?}"),
+            }
+            let pinned = match var {
+                "ERASER_THREADS" => sweep().threads(2),
+                _ => sweep().fusion_threads(1),
+            };
+            assert!(pinned.build().is_ok(), "a pinned {var} is never read");
+            return;
+        }
+        _ => {}
     }
-    let child = std::process::Command::new(std::env::current_exe().unwrap())
-        .args([
-            "--exact",
-            "pinned_knobs_ignore_their_malformed_env_overrides",
-            "--test-threads=1",
-        ])
-        .env(CHILD, "1")
-        .env("ERASER_DECODER", "warp")
-        .env("ERASER_CONTROL", "nonsense")
-        .env("ERASER_PREDECODE", "maybe")
-        .output()
-        .expect("re-run the test binary");
-    assert!(
-        child.status.success(),
-        "child run failed:\n{}",
-        String::from_utf8_lossy(&child.stdout)
+    let child = |mode: &str, env: &[(&str, &str)]| {
+        let output = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--test-threads=1", "--nocapture"])
+            .env(CHILD, mode)
+            .envs(env.iter().copied())
+            .output()
+            .expect("re-run the test binary");
+        assert!(
+            output.status.success(),
+            "{mode} child failed:\n{}{}",
+            String::from_utf8_lossy(&output.stdout),
+            String::from_utf8_lossy(&output.stderr)
+        );
+        String::from_utf8(output.stderr).unwrap()
+    };
+    let retired = child(
+        "retired",
+        &[
+            ("ERASER_WINDOW", "0:9"),
+            ("ERASER_DECODER", "warp"),
+            ("ERASER_CONTROL", "nonsense"),
+            ("ERASER_PREDECODE", "maybe"),
+        ],
     );
+    let clean = digest(sweep());
+    assert_eq!(
+        retired.lines().find(|line| line.starts_with("digest ")),
+        Some(clean.as_str()),
+        "the retired variables must not change the run"
+    );
+    child("ERASER_THREADS", &[("ERASER_THREADS", "fuor")]);
+    child("ERASER_FUSION", &[("ERASER_FUSION", "0")]);
 }
