@@ -11,9 +11,9 @@ use eraser_core::DecoderKind;
 use qec_core::circuit::DetectorBasis;
 use qec_core::NoiseParams;
 use qec_decoder::{
-    build_dem, max_weight_matching, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan,
-    FusionPool, MwpmBatchDecoder, MwpmFactory, ShortestPaths, StreamingDecoder, Syndrome,
-    SyndromeDecoder, TieredDecoder, WindowBackend, WindowPlan,
+    build_dem, max_weight_matching, DecoderFactory, DecodingGraph, MwpmBatchDecoder, MwpmFactory,
+    ShortestPaths, StreamingDecoder, Syndrome, SyndromeDecoder, TieredDecoder, WindowBackend,
+    WindowPlan,
 };
 use std::hint::black_box;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -231,7 +231,7 @@ fn main() {
     // — the window caps blossom's O(k³) at the per-window defect count while
     // the monolithic matcher pays the whole shot's. The heavy fixture (DEM +
     // 2665-node APSP) is skipped when the filter excludes these benches.
-    if h.matches("decode_window_shot") || h.matches("decode_fusion_shot") {
+    if h.matches("decode_window_shot") {
         let (d, rounds) = (7usize, 110usize);
         let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
         let detectors = exp.detectors();
@@ -261,7 +261,7 @@ fn main() {
             mono.decode_syndrome(black_box(&syndrome)).flip
         });
 
-        let plan = std::sync::Arc::new(WindowPlan::new(&graph, 21, 14, WindowBackend::Mwpm));
+        let plan = WindowPlan::new(&graph, 21, 14, WindowBackend::Mwpm);
         let mut windowed = plan.streaming();
         windowed.set_predecode(false);
         h.bench("decode_window_shot/d7_r110/windowed_mwpm", || {
@@ -285,30 +285,6 @@ fn main() {
                 windowed_tiered.push_round(round, &[]);
             }
             windowed_tiered.finish().flip
-        });
-
-        // Intra-shot fusion over the same window chain: the sequential
-        // chain vs a 4-leaf fusion tree on a 4-worker pool, same shot,
-        // bit-identical output. On a multi-core host `fusion4` should
-        // undercut `seq`; on a single core it measures the pool overhead
-        // (the committed baseline records the host's core count alongside).
-        let mut seq = plan.streaming();
-        h.bench("decode_fusion_shot/d7_r110/seq", || {
-            seq.begin_shot();
-            for round in black_box(&by_round) {
-                seq.push_round(round, &[]);
-            }
-            seq.finish().flip
-        });
-        let fplan = FusionPlan::new(std::sync::Arc::clone(&plan), 4);
-        let pool = std::sync::Arc::new(FusionPool::new(4));
-        let mut fused = FusionDecoder::new(&fplan, pool);
-        h.bench("decode_fusion_shot/d7_r110/fusion4", || {
-            fused.begin_shot();
-            for round in black_box(&by_round) {
-                fused.push_round(round, &[]);
-            }
-            fused.finish().flip
         });
     }
 

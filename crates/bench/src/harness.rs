@@ -96,10 +96,9 @@ impl Harness {
             })
             .collect();
         let mut root = Value::object();
-        // Host parallelism matters to any baseline that measures a
-        // multi-threaded path (the fusion benches): a 1-core runner cannot
-        // show a parallel speedup, and assertions on the recorded numbers
-        // must know what machine produced them.
+        // Every baseline records the host's core count: numbers from
+        // different machines are not comparable, and any assertion on a
+        // multi-threaded measurement must know what produced it.
         root.set(
             "cores",
             std::thread::available_parallelism().map_or(1, |n| n.get()),

@@ -99,17 +99,6 @@ pub enum ArtifactKind {
         stride: usize,
         backend: WindowBackend,
     },
-    /// An intra-shot fusion partition over a window plan, keyed by the
-    /// underlying window geometry plus the fusion thread count (the leaf
-    /// partition is a pure function of `(positions, threads)`). The entry
-    /// holds only the partition — the `WindowPlan` it wraps is priced by
-    /// its own [`ArtifactKind::WindowPlan`] entry.
-    FusionPlan {
-        window: usize,
-        stride: usize,
-        backend: WindowBackend,
-        threads: usize,
-    },
 }
 
 /// Full cache key: experiment content identity × artifact kind.

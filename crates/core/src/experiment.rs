@@ -96,10 +96,9 @@ pub enum ExperimentError {
     UnknownPolicy(String),
     /// `DecoderKind::from_str` did not recognize the name.
     UnknownDecoder(String),
-    /// A malformed `ERASER_THREADS` / `ERASER_FUSION` environment override
-    /// the configuration would consult at run time. Checked at build time
-    /// so the error surfaces here, as a `Result`, instead of deep inside a
-    /// worker thread.
+    /// A malformed `ERASER_THREADS` environment override the configuration
+    /// would consult at run time. Checked at build time so the error
+    /// surfaces here, as a `Result`, instead of deep inside a worker thread.
     EnvOverride(EnvOverrideError),
 }
 
@@ -169,10 +168,10 @@ fn validate_distance(d: usize) -> Result<(), ExperimentError> {
 }
 
 /// Validates the run configuration both builders carry: shots, erasure
-/// rates, window geometry and leakage profile, then the `ERASER_THREADS` /
-/// `ERASER_FUSION` overrides this same configuration would consult — so a
-/// pool size the builder pinned never reads, or fails on, its variable. The
-/// controller is checked per policy by [`validate_controller`].
+/// rates, window geometry and leakage profile, then the `ERASER_THREADS`
+/// override this same configuration would consult — so a thread count the
+/// builder pinned never reads, or fails on, the variable. The controller is
+/// checked per policy by [`validate_controller`].
 fn validate_run_config(config: &RunConfig) -> Result<(), ExperimentError> {
     if config.shots == 0 {
         return Err(ExperimentError::ZeroShots);
@@ -538,16 +537,8 @@ impl Experiment {
     /// reports exactly what will decode (runs built with `.decode(false)`
     /// decode nothing and report `"none"`). Never returns
     /// [`DecoderKind::Auto`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `ERASER_FUSION` override, like
-    /// [`Experiment::run_policy`]: the builder validated the environment,
-    /// so only a variable changed since then can trip this.
     pub fn resolved_decoder(&self) -> DecoderKind {
-        self.runner
-            .resolved_decoder(&self.config)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.runner.resolved_decoder(&self.config)
     }
 
     /// Swaps the LRC protocol without rebuilding the runner.
@@ -596,10 +587,9 @@ impl Experiment {
         // (`RunConfig::controller`) here, the one place every facade run
         // passes through.
         let kind = kind.resolved(&self.config);
-        let artifacts = self
+        let Ok(artifacts) = self
             .runner
-            .decode_artifacts(&self.config, Some(ArtifactCache::global()))
-            .unwrap_or_else(|e| panic!("{e}"));
+            .decode_artifacts(&self.config, Some(ArtifactCache::global()));
         self.runner
             .run_with_artifacts(&|code| kind.build(code), &self.config, &artifacts)
     }
@@ -704,19 +694,6 @@ macro_rules! run_setters {
         /// window.
         pub fn window_stride(mut self, stride: usize) -> Self {
             self.config.window_stride = stride;
-            self
-        }
-
-        /// Intra-shot fusion threads: each shot's window chain is
-        /// partitioned into that many leaf blocks, decoded concurrently,
-        /// and fused up a balanced merge tree — bit-identical to the
-        /// sequential windowed path at every count. The default 0 resolves
-        /// at run time: the `ERASER_FUSION` environment variable if set,
-        /// else 1 (sequential). Values > 1 imply windowed decoding; when no
-        /// window is configured, `min(3d, rounds)` with the default stride
-        /// is derived.
-        pub fn fusion_threads(mut self, threads: usize) -> Self {
-            self.config.fusion_threads = threads;
             self
         }
 
@@ -968,9 +945,7 @@ impl Sweep {
                     MemoryRunner::approx_bytes,
                     || MemoryRunner::new_with_basis(d, noise, rounds, self.basis),
                 );
-                let artifacts = runner
-                    .decode_artifacts(&config, Some(cache))
-                    .unwrap_or_else(|e| panic!("{e}"));
+                let Ok(artifacts) = runner.decode_artifacts(&config, Some(cache));
                 for kind in &policies {
                     let result =
                         runner.run_with_artifacts(&|code| kind.build(code), &config, &artifacts);
@@ -1189,11 +1164,8 @@ mod tests {
             .policy(PolicyKind::eraser())
             .window_rounds(4)
             .window_stride(2)
-            // Pinned sequential: the per-window sample count asserted below
-            // is a property of the sequential chain (a CI-set ERASER_FUSION
-            // would switch to one per-shot sample), and pinned tier-free:
-            // the tier-0 skip elides empty windows' latency samples.
-            .fusion_threads(1)
+            // Pinned tier-free: the tier-0 skip elides empty windows'
+            // latency samples.
             .predecode(false)
             .build()
             .unwrap();
@@ -1215,7 +1187,6 @@ mod tests {
             .policy(PolicyKind::eraser())
             .window_rounds(4)
             .window_stride(2)
-            .fusion_threads(1)
             .build()
             .unwrap()
             .run();
@@ -1248,7 +1219,6 @@ mod tests {
             .shots(8)
             .window_rounds(4)
             .window_stride(4)
-            .fusion_threads(1)
             .predecode(false)
             .build()
             .unwrap();
@@ -1331,10 +1301,8 @@ mod tests {
         );
         let result = exp.run();
         assert_eq!(result.shots, 4);
-        // The reported decoder is what the facade predicts. By default that
-        // is the full-cover sparse blossom; an `ERASER_FUSION` CI leg
-        // decodes shorter windows, which the same rule can put back inside
-        // dense-MWPM territory.
+        // The reported decoder is what the facade predicts: the full-cover
+        // sparse blossom.
         assert_eq!(result.decoder, exp.resolved_decoder().to_string());
         assert!(result.logical_errors <= result.shots);
     }

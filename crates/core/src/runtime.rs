@@ -22,12 +22,10 @@
 //! the scalar frame simulator, bit for bit.
 //!
 //! Decoding has one path: a [`WindowPlan`]. Each shot's per-round defects
-//! and erasure flags are pushed into the worker's [`StreamingDecoder`] —
-//! the plan's [`qec_decoder::WindowedDecoder`], or a [`FusionDecoder`]
-//! running the same window chain on an intra-shot pool — and windows of
-//! `window_rounds` rounds are decoded incrementally, committing
-//! `window_stride` rounds each (the remaining buffer — keep it ≥ d — is
-//! re-decoded by the next window). Peak decoder memory is then
+//! and erasure flags are pushed into the worker's one [`WindowedDecoder`],
+//! and windows of `window_rounds` rounds are decoded incrementally,
+//! committing `window_stride` rounds each (the remaining buffer — keep it
+//! ≥ d — is re-decoded by the next window). Peak decoder memory is then
 //! O(window²) regardless of R, which is what makes long-memory workloads
 //! (R ≫ d) decodable with MWPM at all. A [`RunConfig::window_rounds`] of 0,
 //! or one longer than the round count, means one **full-cover** window: the
@@ -51,8 +49,8 @@ use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, FusionDecoder, FusionPlan, FusionPool, MwpmFactory,
-    SparseMwpmFactory, StreamingDecoder, TierCounters, UnionFindFactory, WindowBackend, WindowPlan,
+    build_dem, DecoderFactory, DecodingGraph, MwpmFactory, SparseMwpmFactory, StreamingDecoder,
+    TierCounters, UnionFindFactory, WindowBackend, WindowPlan, WindowedDecoder,
 };
 use std::sync::Arc;
 use surface_code::{MaskedRound, MemoryBasis, MemoryExperiment, RotatedCode, SlotTable};
@@ -248,16 +246,6 @@ pub struct RunConfig {
     /// `window_rounds − d` (clamped to ≥ 1), which keeps the re-decoded
     /// buffer at d rounds. Must not exceed `window_rounds`.
     pub window_stride: usize,
-    /// Intra-shot fusion decoding threads: each shot's window chain is
-    /// partitioned into this many leaf blocks, decoded concurrently, and
-    /// fused up a balanced merge tree — bit-identical to the sequential
-    /// windowed path at every count. 0 means the `ERASER_FUSION`
-    /// environment variable if set, else 1 (sequential). Values > 1 imply
-    /// windowed decoding: if no window is configured, `min(3d, rounds)`
-    /// with the default stride is derived. Per-worker fusion pools stack on
-    /// top of [`RunConfig::threads`], so pair `fusion_threads = T` with
-    /// `threads = cores / T` when measuring latency.
-    pub fusion_threads: usize,
     /// Feedback-controller override for adaptive policies: `Some` replaces
     /// the knobs embedded in `PolicyKind::Adaptive` for this run; `None`
     /// keeps the policy's own configuration. Static policies ignore it
@@ -287,7 +275,6 @@ impl Default for RunConfig {
             erasure: ErasureDetection::default(),
             window_rounds: 0,
             window_stride: 0,
-            fusion_threads: 0,
             controller: None,
             profile: LeakageProfile::Stationary,
             predecode: true,
@@ -295,9 +282,9 @@ impl Default for RunConfig {
     }
 }
 
-/// A malformed `ERASER_THREADS` / `ERASER_FUSION` environment override.
+/// A malformed `ERASER_THREADS` environment override.
 ///
-/// The two variables size worker pools and nothing else: results are
+/// The variable sizes the worker pool and nothing else: results are
 /// bit-identical for any value. A typo (`ERASER_THREADS=fuor`) is still an
 /// error rather than a silent default, because a run meant to reproduce a
 /// wall-clock measurement should not quietly use another pool size. The
@@ -325,10 +312,10 @@ impl std::fmt::Display for EnvOverrideError {
 
 impl std::error::Error for EnvOverrideError {}
 
-/// Parses a positive worker count read from `var`. An empty (or
+/// Parses an `ERASER_THREADS` value: a positive worker count. An empty (or
 /// all-whitespace) value counts as unset — CI matrix legs pass `""` to
 /// mean "no override".
-fn parse_count_env(var: &'static str, raw: &str) -> Result<Option<usize>, EnvOverrideError> {
+pub fn parse_threads_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Ok(None);
@@ -339,22 +326,10 @@ fn parse_count_env(var: &'static str, raw: &str) -> Result<Option<usize>, EnvOve
         Err(_) => "not an integer",
     };
     Err(EnvOverrideError {
-        var,
+        var: "ERASER_THREADS",
         value: raw.to_string(),
         reason,
     })
-}
-
-/// Parses an `ERASER_THREADS` value: a positive integer; empty counts as
-/// unset.
-pub fn parse_threads_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_count_env("ERASER_THREADS", raw)
-}
-
-/// Parses an `ERASER_FUSION` value: a positive intra-shot fusion thread
-/// count (1 = sequential windowed decoding); empty counts as unset.
-pub fn parse_fusion_env(raw: &str) -> Result<Option<usize>, EnvOverrideError> {
-    parse_count_env("ERASER_FUSION", raw)
 }
 
 impl RunConfig {
@@ -378,32 +353,11 @@ impl RunConfig {
             .unwrap_or(1))
     }
 
-    /// The intra-shot fusion thread count this configuration resolves to:
-    /// `fusion_threads` itself; else the `ERASER_FUSION` environment
-    /// variable (the CI test matrix's hook); else 1 — sequential windowed
-    /// decoding. Results are bit-identical for any resolution (the fusion
-    /// merge tree reconverges on the sequential carry chain), so this only
-    /// affects per-shot decode latency. A malformed override is an error,
-    /// never a silent default.
-    pub fn resolved_fusion(&self) -> Result<usize, EnvOverrideError> {
-        if self.fusion_threads != 0 {
-            return Ok(self.fusion_threads);
-        }
-        if let Ok(raw) = std::env::var("ERASER_FUSION") {
-            if let Some(n) = parse_fusion_env(&raw)? {
-                return Ok(n);
-            }
-        }
-        Ok(1)
-    }
-
-    /// Checks the `ERASER_THREADS` / `ERASER_FUSION` overrides this
-    /// configuration would consult, so facades can reject malformed
-    /// environments eagerly (at build time) instead of deep inside a
-    /// worker thread.
+    /// Checks the `ERASER_THREADS` override this configuration would
+    /// consult, so facades can reject a malformed environment eagerly (at
+    /// build time) instead of deep inside a worker thread.
     pub fn validate_env(&self) -> Result<(), EnvOverrideError> {
         self.resolved_threads()?;
-        self.resolved_fusion()?;
         Ok(())
     }
 }
@@ -527,9 +481,8 @@ impl PostSelection {
 }
 
 /// Decode-latency distribution in nanoseconds **per committed round**,
-/// aggregated over every decoded window of a run (per shot under fusion),
-/// each normalized by the rounds it settled, so window geometries are
-/// directly comparable.
+/// aggregated over every decoded window of a run, each normalized by the
+/// rounds it settled, so window geometries are directly comparable.
 ///
 /// Samples land in power-of-two histogram buckets, which keeps the stats
 /// O(1) in memory, exactly mergeable across worker threads, and good to
@@ -669,8 +622,8 @@ pub struct MemoryRunResult {
     /// Decoder display name.
     pub decoder: String,
     /// Decode-latency distribution (ns per committed round): one sample per
-    /// decoded window (a full-cover window is one per shot), one per shot
-    /// under fusion. Windows the predecoder skips (tier 0) take no sample.
+    /// decoded window, always (a full-cover window is one per shot).
+    /// Windows the predecoder skips (tier 0) take no sample.
     /// Empty when decoding is disabled.
     pub decode_latency: DecodeLatencyStats,
     /// Feedback-controller telemetry (escalations, rounds per mode,
@@ -761,7 +714,7 @@ impl PartialStats {
     /// the `actual` observable flip.
     fn finish_shot(
         &mut self,
-        stream: &mut dyn StreamingDecoder,
+        stream: &mut WindowedDecoder<'_>,
         erasures: &mut Vec<usize>,
         actual: bool,
         suspect: bool,
@@ -826,46 +779,25 @@ pub struct MemoryRunner {
 }
 
 /// The decode-path artifacts resolved for one (runner, config) pair: the
-/// window plan (possibly wrapped in a fusion partition), `Arc`-shared so an
+/// window plan (a full-cover window is a chain of one), `Arc`-shared so an
 /// [`ArtifactCache`] can hand one build to many runs. Built by
 /// [`MemoryRunner::decode_artifacts`]; consumed by
 /// [`MemoryRunner::run_with_artifacts`].
 #[derive(Debug, Clone)]
 pub struct DecodeArtifacts {
-    resolved: Option<ResolvedDecode>,
-}
-
-#[derive(Debug, Clone)]
-enum ResolvedDecode {
-    /// Sequential window chain (a full-cover window is a chain of one).
-    Windowed(Arc<WindowPlan>),
-    /// Sliding-window decoding with intra-shot fusion parallelism: the
-    /// window positions are partitioned into leaf blocks decoded
-    /// concurrently and merged up a fusion tree. Bit-identical to
-    /// `Windowed` over the wrapped plan.
-    Fused(Arc<FusionPlan>),
+    plan: Option<Arc<WindowPlan>>,
 }
 
 impl DecodeArtifacts {
     /// Whether the run will decode at all.
     pub fn decodes(&self) -> bool {
-        self.resolved.is_some()
-    }
-
-    /// Whether the run decodes each shot's window chain on an intra-shot
-    /// fusion pool.
-    pub fn fused(&self) -> bool {
-        matches!(self.resolved, Some(ResolvedDecode::Fused(_)))
+        self.plan.is_some()
     }
 
     /// The window plan every decode runs through (`None` when decoding is
     /// disabled).
     pub(crate) fn window_plan(&self) -> Option<&WindowPlan> {
-        match &self.resolved {
-            Some(ResolvedDecode::Windowed(plan)) => Some(plan),
-            Some(ResolvedDecode::Fused(fplan)) => Some(fplan.window_plan()),
-            None => None,
-        }
+        self.plan.as_deref()
     }
 
     /// The decoder name a run with these artifacts reports in
@@ -878,19 +810,10 @@ impl DecodeArtifacts {
     }
 
     /// One runtime worker's streaming decoder (`None` when decoding is
-    /// disabled): the sequential window chain, or the fusion decoder
-    /// running the same chain's positions on an intra-shot pool — fusion
-    /// pools nest *inside* a shot-level worker and are never shared. It is
-    /// fronted by the tiered predecoder unless `config` turns it off —
-    /// bit-identical either way.
-    fn stream(&self, config: &RunConfig) -> Option<Box<dyn StreamingDecoder + '_>> {
-        let mut stream: Box<dyn StreamingDecoder + '_> = match self.resolved.as_ref()? {
-            ResolvedDecode::Windowed(plan) => Box::new(plan.streaming()),
-            ResolvedDecode::Fused(fplan) => Box::new(FusionDecoder::new(
-                fplan,
-                Arc::new(FusionPool::new(fplan.threads())),
-            )),
-        };
+    /// disabled): the plan's sequential window chain, fronted by the tiered
+    /// predecoder unless `config` turns it off — bit-identical either way.
+    fn stream(&self, config: &RunConfig) -> Option<WindowedDecoder<'_>> {
+        let mut stream = self.window_plan()?.streaming();
         stream.set_predecode(config.predecode);
         Some(stream)
     }
@@ -1076,57 +999,47 @@ impl MemoryRunner {
 
     /// The `(window, stride)` geometry `config` resolves to on this runner.
     /// A window of 0, or one longer than the round count, is one full-cover
-    /// window (span = stride = every detector round) — unless fusion is
-    /// requested, which needs a window chain to partition: fusion threads
-    /// > 1 with no usable window derive the default `min(3d, rounds)`.
-    fn resolved_geometry(&self, config: &RunConfig) -> Result<(usize, usize), EnvOverrideError> {
-        let (mut window, mut stride) = (config.window_rounds, config.window_stride);
-        let rounds = self.exp.rounds();
-        let d = self.exp.code().distance();
-        if config.resolved_fusion()? > 1 && (window == 0 || window > rounds) {
-            window = (3 * d).min(rounds);
-            stride = 0;
-        }
-        if window == 0 || window > rounds {
+    /// window (span = stride = every detector round).
+    fn resolved_geometry(&self, config: &RunConfig) -> (usize, usize) {
+        let (window, stride) = (config.window_rounds, config.window_stride);
+        if window == 0 || window > self.exp.rounds() {
             let span = self.graph.max_round() + 1;
-            return Ok((span, span));
+            return (span, span);
         }
         let stride = if stride == 0 {
-            window.saturating_sub(d).max(1)
+            window.saturating_sub(self.exp.code().distance()).max(1)
         } else {
             stride.min(window)
         };
-        Ok((window, stride))
+        (window, stride)
     }
 
     /// The decoder `config` resolves to on this runner: the configured
     /// kind, with `Auto` resolved against the graph each window decodes.
-    /// Never returns [`DecoderKind::Auto`]. Fails only on a malformed
-    /// `ERASER_FUSION` override (fusion can derive the window).
-    pub fn resolved_decoder(&self, config: &RunConfig) -> Result<DecoderKind, EnvOverrideError> {
-        let (window, _) = self.resolved_geometry(config)?;
-        Ok(config.decoder.resolve_window(&self.graph, window))
+    /// Never returns [`DecoderKind::Auto`].
+    pub fn resolved_decoder(&self, config: &RunConfig) -> DecoderKind {
+        let (window, _) = self.resolved_geometry(config);
+        config.decoder.resolve_window(&self.graph, window)
     }
 
-    /// Resolves the decode-path artifacts for `config`: the window plan,
-    /// wrapped in a fusion partition when fusion is requested. With a
-    /// cache, artifacts are fetched by content key and shared across runs
-    /// (and across content-identical runners); without one they are built
-    /// fresh — the results are bit-identical either way, because every
-    /// artifact is a deterministic function of the key.
+    /// Resolves the decode-path artifacts for `config`: the window plan.
+    /// With a cache, the plan is fetched by content key and shared across
+    /// runs (and across content-identical runners); without one it is built
+    /// fresh — the results are bit-identical either way, because the plan
+    /// is a deterministic function of the key.
     ///
-    /// Fails only on a malformed `ERASER_FUSION` override.
+    /// Cannot fail: the error type is [`std::convert::Infallible`]. The
+    /// `Result` shape is kept so existing callers' `.expect` still compiles.
     pub fn decode_artifacts(
         &self,
         config: &RunConfig,
         cache: Option<&ArtifactCache>,
-    ) -> Result<DecodeArtifacts, EnvOverrideError> {
+    ) -> Result<DecodeArtifacts, std::convert::Infallible> {
         if !config.decode {
-            return Ok(DecodeArtifacts { resolved: None });
+            return Ok(DecodeArtifacts { plan: None });
         }
-        let (window, stride) = self.resolved_geometry(config)?;
-        let backend = self.resolved_decoder(config)?.window_backend();
-        let fusion = config.resolved_fusion()?;
+        let (window, stride) = self.resolved_geometry(config);
+        let backend = self.resolved_decoder(config).window_backend();
         let plan = match cache {
             Some(cache) => cache.get_or_build(
                 &CacheKey {
@@ -1142,30 +1055,7 @@ impl MemoryRunner {
             ),
             None => Arc::new(WindowPlan::new(&self.graph, window, stride, backend)),
         };
-        let resolved = if fusion > 1 {
-            let fplan = match cache {
-                Some(cache) => cache.get_or_build(
-                    &CacheKey {
-                        experiment: self.cache_key(),
-                        kind: ArtifactKind::FusionPlan {
-                            window,
-                            stride,
-                            backend,
-                            threads: fusion,
-                        },
-                    },
-                    FusionPlan::approx_bytes,
-                    || FusionPlan::new(Arc::clone(&plan), fusion),
-                ),
-                None => Arc::new(FusionPlan::new(Arc::clone(&plan), fusion)),
-            };
-            ResolvedDecode::Fused(fplan)
-        } else {
-            ResolvedDecode::Windowed(plan)
-        };
-        Ok(DecodeArtifacts {
-            resolved: Some(resolved),
-        })
+        Ok(DecodeArtifacts { plan: Some(plan) })
     }
 
     /// Runs `config.shots` shots of the experiment under the policy produced
@@ -1178,18 +1068,16 @@ impl MemoryRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shots == 0`, or on a malformed `ERASER_THREADS` /
-    /// `ERASER_FUSION` environment override (the `Experiment`/`Sweep`
-    /// facades validate the environment at build time and surface the same
-    /// condition as an `Err` instead).
+    /// Panics if `config.shots == 0`, or on a malformed `ERASER_THREADS`
+    /// environment override (the `Experiment`/`Sweep` facades validate the
+    /// environment at build time and surface the same condition as an
+    /// `Err` instead).
     pub fn run(
         &self,
         policy_factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
         config: &RunConfig,
     ) -> MemoryRunResult {
-        let artifacts = self
-            .decode_artifacts(config, None)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let Ok(artifacts) = self.decode_artifacts(config, None);
         self.run_with_artifacts(policy_factory, config, &artifacts)
     }
 
@@ -1203,8 +1091,8 @@ impl MemoryRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shots == 0`, or on a malformed `ERASER_THREADS` /
-    /// `ERASER_FUSION` environment override.
+    /// Panics if `config.shots == 0`, or on a malformed `ERASER_THREADS`
+    /// environment override.
     ///
     /// [`run`]: MemoryRunner::run
     pub fn run_with_artifacts(
@@ -1618,7 +1506,7 @@ impl MemoryRunner {
             sim.run_masked(&self.final_segment, active);
 
             stats.postselection.flagged_shots += suspect.count_ones() as u64;
-            if let Some(stream) = streaming.as_deref_mut() {
+            if let Some(stream) = streaming.as_mut() {
                 // Detector parities for all lanes at once; each lane then
                 // streams its defects round by round (ascending node
                 // order) with its logged erasures, and is sealed before the
@@ -1667,8 +1555,8 @@ impl MemoryRunner {
                 stats.controller.merge(controller);
             }
         }
-        if let Some(stream) = streaming.as_deref() {
-            stats.predecode.merge(&stream.tier_counters());
+        if let Some(stream) = streaming.as_ref() {
+            stats.predecode.merge(stream.tier_counters());
         }
         stats
     }
@@ -1935,12 +1823,12 @@ mod tests {
         assert!(result.ler() < 0.2);
     }
 
-    /// Table-driven coverage of the two `ERASER_*` override parsers, which
-    /// share one envelope: valid values parse, empty/whitespace means
-    /// unset, and malformed values are a *clear error* naming the variable
-    /// and the reason — never a silent default or a panic. The parsers are
-    /// pure functions of the raw string — no `set_var` here, which would
-    /// race with concurrently running tests.
+    /// Table-driven coverage of the `ERASER_THREADS` parser: valid values
+    /// parse, empty/whitespace means unset, and malformed values are a
+    /// *clear error* naming the variable and the reason — never a silent
+    /// default or a panic. The parser is a pure function of the raw string
+    /// — no `set_var` here, which would race with concurrently running
+    /// tests.
     #[test]
     fn env_override_parsing_is_strict() {
         let cases: &[(&str, Result<Option<usize>, &str>)] = &[
@@ -1955,21 +1843,18 @@ mod tests {
             ("-2", Err("not an integer")),
             ("4.0", Err("not an integer")),
         ];
+        let var = "ERASER_THREADS";
         for (raw, expected) in cases {
-            for (var, result) in [
-                ("ERASER_THREADS", parse_threads_env(raw)),
-                ("ERASER_FUSION", parse_fusion_env(raw)),
-            ] {
-                match expected {
-                    Ok(v) => assert_eq!(result.as_ref().ok(), Some(v), "{var}={raw:?}"),
-                    Err(reason) => {
-                        let err = result.expect_err(&format!("{var}={raw:?} must error"));
-                        assert_eq!((err.var, err.reason), (var, *reason));
-                        assert!(
-                            err.to_string().contains(var) && err.to_string().contains(reason),
-                            "message names the variable and the problem: {err}"
-                        );
-                    }
+            let result = parse_threads_env(raw);
+            match expected {
+                Ok(v) => assert_eq!(result.as_ref().ok(), Some(v), "{var}={raw:?}"),
+                Err(reason) => {
+                    let err = result.expect_err(&format!("{var}={raw:?} must error"));
+                    assert_eq!((err.var, err.reason), (var, *reason));
+                    assert!(
+                        err.to_string().contains(var) && err.to_string().contains(reason),
+                        "message names the variable and the problem: {err}"
+                    );
                 }
             }
         }
@@ -1977,15 +1862,13 @@ mod tests {
 
     #[test]
     fn config_fields_win_over_environment_hooks() {
-        // Explicit config fields resolve without consulting the
+        // An explicit thread count resolves without consulting the
         // environment at all.
         let config = RunConfig {
             threads: 3,
-            fusion_threads: 2,
             ..RunConfig::default()
         };
         assert_eq!(config.resolved_threads().unwrap(), 3);
-        assert_eq!(config.resolved_fusion().unwrap(), 2);
     }
 
     #[test]
@@ -2029,11 +1912,9 @@ mod tests {
                 "d={d} R={rounds}"
             );
             let result = runner.run(&|_| Box::new(NoLrcPolicy::new()), &cfg(1));
-            // An `ERASER_FUSION` leg decodes a shorter window, which stays
-            // dense MWPM here too.
             assert_eq!(result.decoder, "mwpm", "d={d} R={rounds}");
             assert_eq!(
-                runner.resolved_decoder(&RunConfig::default()).unwrap(),
+                runner.resolved_decoder(&RunConfig::default()),
                 DecoderKind::Mwpm,
                 "d={d} R={rounds}"
             );
@@ -2051,12 +1932,9 @@ mod tests {
             threads: 2,
             decoder: DecoderKind::Mwpm,
             window_rounds: window,
-            // Pinned sequential: the per-window latency-sample count below
-            // is the sequential path's contract (a CI-set `ERASER_FUSION`
-            // would otherwise flip this run to one sample per shot), and
-            // pinned tier-free (the tier-0 skip elides empty windows'
-            // samples; tier identity has its own tests).
-            fusion_threads: 1,
+            // Pinned tier-free: the tier-0 skip elides empty windows'
+            // latency samples, and the count below is one per window
+            // (tier identity has its own tests).
             predecode: false,
             erasure: ErasureDetection::perfect_readout(),
             ..RunConfig::default()
@@ -2130,131 +2008,43 @@ mod tests {
         }
     }
 
-    /// Intra-shot fusion is a pure wall-clock knob at the run level too:
-    /// every statistic of a fused run — logical errors included — matches
-    /// the reference runner's sequential windowed run bit-for-bit at every
-    /// thread count and stripe width, with erasures in play.
+    /// The `(window, stride)` geometry a run resolves: no window is the
+    /// full cover, an explicit window keeps its stride, and a stride past
+    /// the window clamps to it.
     #[test]
-    fn fused_runs_match_sequential_windowed_bitwise() {
-        let runner = MemoryRunner::new(3, NoiseParams::standard(3e-3), 12);
-        let policy =
-            |c: &RotatedCode| -> Box<dyn LrcPolicy> { Box::new(EraserPolicy::with_multilevel(c)) };
-        let config = |fusion: usize| RunConfig {
-            shots: 120,
-            seed: 99,
-            threads: 2,
-            decoder: DecoderKind::Mwpm,
-            window_rounds: 5,
-            window_stride: 2,
-            fusion_threads: fusion,
-            erasure: ErasureDetection::imperfect(0.01, 0.05),
-            ..RunConfig::default()
-        };
-        let sequential = scalar_reference::reference(&runner, &policy, &config(1));
-        assert!(sequential.total_erasures > 0, "erasures must be in play");
-        for (fusion, stripe) in [(2usize, 64usize), (2, 1), (3, 64), (8, 13)] {
-            let fused = scalar_reference::striped(&runner, &policy, &config(fusion), stripe);
-            assert_eq!(
-                sequential.logical_errors, fused.logical_errors,
-                "{fusion} fusion threads, stripe {stripe}"
-            );
-            assert_eq!(sequential.lpr_total, fused.lpr_total);
-            assert_eq!(sequential.total_lrcs, fused.total_lrcs);
-            assert_eq!(sequential.total_erasures, fused.total_erasures);
-            assert_eq!(sequential.speculation, fused.speculation);
-            assert_eq!(sequential.postselection, fused.postselection);
-            assert_eq!(sequential.decoder, fused.decoder);
-            // The fused latency probe is one sample per *shot* (the number
-            // the real-time budget cares about), not one per window.
-            assert_eq!(fused.decode_latency.samples(), 120);
-            assert!(fused.decode_latency.p50_ns_per_round() > 0.0);
-        }
-    }
-
-    /// A fused stream reports the tier counters merged over its replay
-    /// engines: pinned on, the predecoder's hits reach the run result;
-    /// pinned off, none do — and the outcome is the same either way.
-    #[test]
-    fn fused_runs_report_tier_counters() {
-        let runner = MemoryRunner::new(3, NoiseParams::standard(3e-3), 12);
-        let run_with = |predecode: bool| {
-            let config = RunConfig {
-                shots: 60,
-                seed: 5,
-                threads: 1,
-                decoder: DecoderKind::Mwpm,
-                window_rounds: 5,
-                window_stride: 2,
-                fusion_threads: 2,
-                predecode,
-                ..RunConfig::default()
-            };
-            let artifacts = runner.decode_artifacts(&config, None).unwrap();
-            assert!(artifacts.fused());
-            runner.run_with_artifacts(&|c| Box::new(EraserPolicy::new(c)), &config, &artifacts)
-        };
-        let tiered = run_with(true);
-        let full = run_with(false);
-        assert!(tiered.predecode.is_active(), "fused tiers must be reported");
-        assert!(!full.predecode.is_active(), "predecoder pinned off");
-        assert_eq!(tiered.logical_errors, full.logical_errors);
-        assert_eq!(tiered.total_lrcs, full.total_lrcs);
-    }
-
-    /// `fusion_threads > 1` with no window configured derives the
-    /// `min(3d, rounds)` default geometry instead of the full-cover window
-    /// (a chain of one position, nothing to partition).
-    #[test]
-    fn fusion_derives_a_window_when_none_is_configured() {
+    fn decode_artifacts_resolve_the_configured_window_geometry() {
         let runner = MemoryRunner::new(3, NoiseParams::standard(1e-3), 20);
         let geometry = |artifacts: &DecodeArtifacts| {
             let plan = artifacts.window_plan().expect("decoding runs have a plan");
             (plan.window(), plan.stride())
         };
-        let fused = RunConfig {
-            fusion_threads: 4,
-            ..cfg(10)
+        let resolve = |config: &RunConfig| {
+            let Ok(artifacts) = runner.decode_artifacts(config, None);
+            artifacts
         };
-        let artifacts = runner.decode_artifacts(&fused, None).unwrap();
-        assert!(artifacts.fused());
-        assert_eq!(geometry(&artifacts), (9, 6), "min(3d, R) with stride w - d");
-        // Pinned sequential, the same window is one full-cover position
-        // over all 21 detector rounds.
-        let sequential = RunConfig {
-            fusion_threads: 1,
-            ..fused
-        };
-        let artifacts = runner.decode_artifacts(&sequential, None).unwrap();
-        assert!(!artifacts.fused());
+        // No window is one full-cover position over all 21 detector rounds.
+        let artifacts = resolve(&cfg(10));
         assert_eq!(geometry(&artifacts), (21, 21));
         assert_eq!(artifacts.window_plan().unwrap().num_positions(), 1);
-        // An explicit window under fusion keeps its configured geometry.
+        // An explicit window keeps its configured geometry.
         let windowed = RunConfig {
-            fusion_threads: 4,
             window_rounds: 6,
             window_stride: 3,
             ..cfg(10)
         };
-        let artifacts = runner.decode_artifacts(&windowed, None).unwrap();
-        assert!(artifacts.fused());
-        assert_eq!(geometry(&artifacts), (6, 3));
+        assert_eq!(geometry(&resolve(&windowed)), (6, 3));
         // A stride past the window clamps to it.
         let clamped = RunConfig {
-            fusion_threads: 1,
-            window_rounds: 6,
             window_stride: 9,
-            ..cfg(10)
+            ..windowed
         };
-        let artifacts = runner.decode_artifacts(&clamped, None).unwrap();
-        assert_eq!(geometry(&artifacts), (6, 6));
-        // And a no-decode run resolves nothing regardless of fusion.
+        assert_eq!(geometry(&resolve(&clamped)), (6, 6));
+        // And a no-decode run resolves nothing.
         let no_decode = RunConfig {
             decode: false,
-            fusion_threads: 4,
             ..cfg(10)
         };
-        let artifacts = runner.decode_artifacts(&no_decode, None).unwrap();
-        assert!(!artifacts.decodes() && !artifacts.fused());
+        assert!(!resolve(&no_decode).decodes());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub(super) fn reference(
     policy_factory: Factory<'_>,
     config: &RunConfig,
 ) -> MemoryRunResult {
-    let artifacts = runner.decode_artifacts(config, None).unwrap();
+    let Ok(artifacts) = runner.decode_artifacts(config, None);
     runner.run_workers(policy_factory, config, &artifacts, |first, count| {
         reference_shots(runner, first, count, policy_factory, &artifacts, config)
     })
@@ -38,7 +38,7 @@ pub(super) fn striped(
     config: &RunConfig,
     width: usize,
 ) -> MemoryRunResult {
-    let artifacts = runner.decode_artifacts(config, None).unwrap();
+    let Ok(artifacts) = runner.decode_artifacts(config, None);
     runner.run_workers(policy_factory, config, &artifacts, |first, count| {
         runner.run_stripes(first, count, width, policy_factory, &artifacts, config)
     })
@@ -112,7 +112,7 @@ fn reference_shots(
         sim.reset_shot();
         policy.reset_shot();
         erasure_log.clear();
-        if let Some(stream) = streaming.as_deref_mut() {
+        if let Some(stream) = streaming.as_mut() {
             stream.begin_shot();
         }
         sim.run(&runner.init_segment);
@@ -266,7 +266,7 @@ fn reference_shots(
                     flips >= adj.len().div_ceil(2)
                 });
             }
-            if let Some(stream) = streaming.as_deref_mut() {
+            if let Some(stream) = streaming.as_mut() {
                 // Detector round r is fully measured now: stream its
                 // defects (and this round's erasure flags) into the
                 // windowed decoder, which retires any window whose last
@@ -281,7 +281,7 @@ fn reference_shots(
         if suspect {
             stats.postselection.flagged_shots += 1;
         }
-        if let Some(stream) = streaming.as_deref_mut() {
+        if let Some(stream) = streaming.as_mut() {
             // The final transversal detectors (round = rounds) complete
             // with the final segment; pushing them retires the last
             // window and seals the shot.
@@ -297,8 +297,8 @@ fn reference_shots(
     if let Some(controller) = policy.controller() {
         stats.controller.merge(controller);
     }
-    if let Some(stream) = streaming.as_deref() {
-        stats.predecode.merge(&stream.tier_counters());
+    if let Some(stream) = streaming.as_ref() {
+        stats.predecode.merge(stream.tier_counters());
     }
     stats
 }
@@ -420,9 +420,6 @@ fn full_cover_erasure_run_matches_the_pinned_whole_shot_counts() {
         threads: 2,
         decoder: DecoderKind::Mwpm,
         erasure: ErasureDetection::imperfect(0.01, 0.05),
-        // Sequential, so window 0 stays the full cover on an
-        // `ERASER_FUSION` leg.
-        fusion_threads: 1,
         ..RunConfig::default()
     };
     let factory = |code: &RotatedCode| PolicyKind::eraser_m().build(code);

@@ -220,8 +220,8 @@ pub trait SyndromeDecoder {
 
     /// Decodes a batch of syndromes into `out` (cleared first, allocation
     /// reused). The default implementation loops over
-    /// [`SyndromeDecoder::decode_syndrome`]; backends with real batch
-    /// parallelism (fusion, streaming) can override.
+    /// [`SyndromeDecoder::decode_syndrome`]; a backend with real batch
+    /// parallelism can override it.
     fn decode_batch(&mut self, syndromes: &[Syndrome], out: &mut Vec<DecodeOutcome>) {
         out.clear();
         out.reserve(syndromes.len());

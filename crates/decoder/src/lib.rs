@@ -52,11 +52,6 @@
 //!   1–2 defect syndromes in closed form, tier 2 is the configured backend —
 //!   all bit-identical to the untier'd path, with per-tier
 //!   [`TierCounters`] telemetry.
-//! * [`fusion`] — intra-shot parallel decoding over the window chain: a
-//!   [`FusionPlan`] partitions the positions into leaf blocks, a
-//!   [`FusionDecoder`] decodes them concurrently on a std-only
-//!   [`FusionPool`] and fuses carries up a balanced merge tree —
-//!   bit-identical to the sequential windowed path at every thread count.
 //!
 //! # Decoding millions of shots
 //!
@@ -92,7 +87,6 @@
 
 pub mod api;
 pub mod dem;
-pub mod fusion;
 pub mod graph;
 pub mod matching;
 pub mod mwpm;
@@ -105,7 +99,6 @@ pub mod window;
 
 pub use api::{DecodeOutcome, DecoderFactory, Syndrome, SyndromeBuilder, SyndromeDecoder};
 pub use dem::{build_dem, DetectorErrorModel, ErrorMechanism};
-pub use fusion::{FusionDecoder, FusionPlan, FusionPool};
 pub use graph::{DecodingGraph, GraphEdge};
 pub use matching::{max_weight_matching, MatchingContext};
 pub use mwpm::{MwpmBatchDecoder, MwpmFactory, ShortestPaths};

@@ -24,17 +24,16 @@
 //!
 //! [`TieredDecoder`] wraps any [`SyndromeDecoder`] for whole-syndrome
 //! batch decoding (the benches' and tests' reference); the streaming
-//! ([`crate::window::WindowedDecoder`]) and fusion
-//! ([`crate::fusion::FusionDecoder`]) paths the runtime uses implement the
-//! same ladder inline (a window's fused carry-in defects count against the
+//! path the runtime uses ([`crate::window::WindowedDecoder`]) implements
+//! the same ladder inline (a window's carry-in defects count against the
 //! tier threshold because they are part of its live defect set).
 //! [`TierCounters`] is the shared mergeable telemetry.
 
 use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 
 /// Per-tier hit/latency telemetry. Integer-valued and merged by addition,
-/// so cross-thread / cross-stripe / cross-engine aggregation is exact
-/// regardless of merge order.
+/// so cross-thread / cross-stripe aggregation is exact regardless of merge
+/// order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierCounters {
     /// Decode calls resolved per tier (0 = skipped, 1 = closed form,
@@ -82,8 +81,8 @@ impl TierCounters {
 }
 
 /// Whether a live syndrome qualifies for the tier-0 skip: nothing fired
-/// and nothing was erased. Shared predicate so the monolithic, streaming,
-/// and fusion paths cannot drift.
+/// and nothing was erased. Shared predicate so the batch wrapper and the
+/// streaming path cannot drift.
 #[inline]
 pub(crate) fn tier0_applies(defects: &[usize], erasures: &[usize]) -> bool {
     defects.is_empty() && erasures.is_empty()

@@ -391,12 +391,6 @@ impl WindowPlan {
         self.max_round
     }
 
-    /// Last round (inclusive, absolute) covered by position `k`. Fusion's
-    /// replay machinery slices per-round defect/erasure buffers with this.
-    pub(crate) fn position_hi(&self, k: usize) -> usize {
-        self.positions[k].hi
-    }
-
     /// Approximate resident bytes of the plan's decode state: per-shape
     /// graphs and APSP/capacity tables plus per-position edge maps. The
     /// number the `longmem` figure reports against the monolithic APSP
@@ -493,10 +487,8 @@ pub trait StreamingDecoder {
     /// Human-readable decoder name.
     fn name(&self) -> &'static str;
 
-    /// Latency samples of the current shot as `(nanos, rounds)` pairs: one
-    /// per decoded window on the sequential chain, one per shot (the wall
-    /// time of the whole decode) on the fused path. Cleared by
-    /// [`StreamingDecoder::begin_shot`].
+    /// Latency samples of the current shot as `(nanos, rounds)` pairs, one
+    /// per decoded window. Cleared by [`StreamingDecoder::begin_shot`].
     fn latency_samples(&self) -> &[(u64, u32)];
 
     /// Enables or disables the tiered fast path ([`crate::predecode`],
@@ -584,29 +576,22 @@ impl WindowedDecoder<'_> {
     }
 
     /// Decodes position `k` against the current live `defects` / `erasures`
-    /// state, leaving the carried defect set in `self.defects`, and returns
-    /// this position's `(observable flip, committed weight)` partials.
-    ///
-    /// Shared by the sequential driver ([`Self::decode_position`]) and the
-    /// fusion replay path ([`Self::replay_position`]): both fold the partials
-    /// in position order, which keeps the non-associative f64 weight
-    /// accumulation — and therefore the whole outcome — bit-identical
-    /// between the two paths.
-    fn decode_position_core(&mut self, k: usize) -> (bool, f64) {
-        // Tier 0: nothing fired in the window and nothing was erased — the
-        // full path would decode an empty local syndrome to the default
-        // outcome and carry nothing, so skip building it entirely. The
-        // sequential driver checks this first (to also skip the latency
-        // sample); this check covers the fusion replay path.
+    /// state, folds its observable flip and committed weight into the shot
+    /// accumulators, leaves the carried defect set in `self.defects`,
+    /// retires erasures the remaining windows can never see, and records the
+    /// per-window latency sample.
+    fn decode_position(&mut self, k: usize) {
+        // Tier 0: an empty window is skipped outright — no local syndrome,
+        // no erasure translation (the live set is empty, so retirement is a
+        // no-op too), no latency sample.
         if self.predecode && tier0_applies(&self.defects, &self.erasures) {
             self.counters.record(0, 0);
-            return (false, 0.0);
+            return;
         }
+        let started = Instant::now();
         let pos = &self.plan.positions[k];
         let shape = &self.plan.shapes[pos.shape];
         let sgraph = shape.graph();
-        let mut flip = false;
-        let mut weight = 0.0f64;
 
         self.local.clear();
         self.local.rounds = pos.hi - pos.lo + 1;
@@ -658,85 +643,74 @@ impl WindowedDecoder<'_> {
         if self.predecode {
             self.counters.record(tier, out.nanos);
         }
-        if last {
+        let (flip, weight) = if last {
             self.defects.clear();
-            return (out.flip, out.weight);
-        }
-
-        // Commit every correction edge touching the commit region; toggle
-        // defect parity so the uncommitted remainder (plus any committed
-        // path's crossing points) re-injects into the next window.
-        let n = sgraph.num_nodes();
-        if self.par_stamp.len() < n {
-            self.par_stamp.resize(n, 0);
-            self.par_val.resize(n, false);
-        }
-        if self.par_epoch == u32::MAX {
-            self.par_stamp.fill(0);
-            self.par_epoch = 0;
-        }
-        self.par_epoch += 1;
-        self.touched.clear();
-        let local_defects = std::mem::take(&mut self.local.defects);
-        for &ld in &local_defects {
-            self.toggle(ld);
-        }
-        self.local.defects = local_defects;
-        let commit_rel = pos.commit_rel;
-        let boundary = sgraph.boundary();
-        let correction = std::mem::take(&mut self.correction);
-        for &ce in &correction {
-            let e = &sgraph.edges()[ce];
-            let committed = sgraph.node_round(e.a) < commit_rel
-                || (e.b != boundary && sgraph.node_round(e.b) < commit_rel);
-            if committed {
-                flip ^= e.flips_observable;
-                weight += if self.local.erasures.binary_search(&ce).is_ok() {
-                    crate::overlay::ERASED_WEIGHT
-                } else {
-                    e.weight
-                };
-                self.toggle(e.a);
-                if e.b != boundary {
-                    self.toggle(e.b);
+            (out.flip, out.weight)
+        } else {
+            // Commit every correction edge touching the commit region;
+            // toggle defect parity so the uncommitted remainder (plus any
+            // committed path's crossing points) re-injects into the next
+            // window.
+            let (mut flip, mut weight) = (false, 0.0f64);
+            let n = sgraph.num_nodes();
+            if self.par_stamp.len() < n {
+                self.par_stamp.resize(n, 0);
+                self.par_val.resize(n, false);
+            }
+            if self.par_epoch == u32::MAX {
+                self.par_stamp.fill(0);
+                self.par_epoch = 0;
+            }
+            self.par_epoch += 1;
+            self.touched.clear();
+            let local_defects = std::mem::take(&mut self.local.defects);
+            for &ld in &local_defects {
+                self.toggle(ld);
+            }
+            self.local.defects = local_defects;
+            let commit_rel = pos.commit_rel;
+            let boundary = sgraph.boundary();
+            let correction = std::mem::take(&mut self.correction);
+            for &ce in &correction {
+                let e = &sgraph.edges()[ce];
+                let committed = sgraph.node_round(e.a) < commit_rel
+                    || (e.b != boundary && sgraph.node_round(e.b) < commit_rel);
+                if committed {
+                    flip ^= e.flips_observable;
+                    weight += if self.local.erasures.binary_search(&ce).is_ok() {
+                        crate::overlay::ERASED_WEIGHT
+                    } else {
+                        e.weight
+                    };
+                    self.toggle(e.a);
+                    if e.b != boundary {
+                        self.toggle(e.b);
+                    }
                 }
             }
-        }
-        self.correction = correction;
+            self.correction = correction;
 
-        // Carry: every node left with odd parity is an unresolved (or newly
-        // injected) defect; the commit algebra guarantees it lies in the
-        // buffer, i.e. inside the next window.
-        self.defects.clear();
-        let node_start = pos.node_start;
-        let touched = std::mem::take(&mut self.touched);
-        for &v in &touched {
-            if self.par_val[v] {
-                debug_assert!(
-                    sgraph.node_round(v) >= commit_rel,
-                    "carried defect in the committed region"
-                );
-                self.defects.push(node_start + v);
+            // Carry: every node left with odd parity is an unresolved (or
+            // newly injected) defect; the commit algebra guarantees it lies
+            // in the buffer, i.e. inside the next window.
+            self.defects.clear();
+            let node_start = pos.node_start;
+            let touched = std::mem::take(&mut self.touched);
+            for &v in &touched {
+                if self.par_val[v] {
+                    debug_assert!(
+                        sgraph.node_round(v) >= commit_rel,
+                        "carried defect in the committed region"
+                    );
+                    self.defects.push(node_start + v);
+                }
             }
-        }
-        self.touched = touched;
-        self.defects.sort_unstable();
-        (flip, weight)
-    }
-
-    /// Sequential driver: decode position `k`, fold its partials into the
-    /// shot accumulators, retire erasures the remaining windows can never
-    /// see, and record the per-window latency sample.
-    fn decode_position(&mut self, k: usize) {
-        // Tier 0: an empty window is skipped outright — no local syndrome,
-        // no erasure translation (the live set is empty, so retirement is a
-        // no-op too), no latency sample.
-        if self.predecode && tier0_applies(&self.defects, &self.erasures) {
-            self.counters.record(0, 0);
-            return;
-        }
-        let started = Instant::now();
-        let (flip, weight) = self.decode_position_core(k);
+            self.touched = touched;
+            self.defects.sort_unstable();
+            (flip, weight)
+        };
+        // The position's partials are summed on their own before being
+        // folded in: the f64 weight accumulation is not associative.
         self.flip ^= flip;
         self.weight += weight;
 
@@ -751,46 +725,12 @@ impl WindowedDecoder<'_> {
 
         let nanos = started.elapsed().as_nanos() as u64;
         self.nanos += nanos;
-        let pos = &self.plan.positions[k];
-        let committed_rounds = if pos.commit_rel == usize::MAX {
+        let committed_rounds = if last {
             pos.hi - pos.lo + 1 - pos.overlap
         } else {
             pos.commit_rel
         };
         self.latencies.push((nanos, committed_rounds as u32));
-    }
-
-    /// Replays position `k` as a pure function of explicit inputs: the
-    /// defect set carried out of position `k − 1`, the fresh defects of
-    /// rounds `(hi_{k−1}, hi_k]` (sorted global node ids — carry ids always
-    /// precede fresh ids because node numbering is round-major), and the
-    /// erasure edges pushed through round `hi_k` (global indices, push
-    /// order, duplicates tolerated — translation sorts and dedups, and
-    /// indices outside the window simply don't map). Writes the carried-out
-    /// defect set to `carry_out` and returns the position's flip/weight
-    /// partials.
-    ///
-    /// This is the fusion primitive: feeding each position its sequential
-    /// inputs reproduces the sequential decode exactly (same per-shape
-    /// decoder behavior, same fold order), which is what makes the fused
-    /// path bit-identical once its speculative carries converge.
-    pub(crate) fn replay_position(
-        &mut self,
-        k: usize,
-        carry_in: &[usize],
-        fresh: &[usize],
-        erasures: &[usize],
-        carry_out: &mut Vec<usize>,
-    ) -> (bool, f64) {
-        self.defects.clear();
-        self.defects.extend_from_slice(carry_in);
-        self.defects.extend_from_slice(fresh);
-        self.erasures.clear();
-        self.erasures.extend_from_slice(erasures);
-        let partials = self.decode_position_core(k);
-        carry_out.clear();
-        carry_out.extend_from_slice(&self.defects);
-        partials
     }
 }
 

@@ -4,19 +4,17 @@
 //! in front of any backend, every decode is **bit-identical** to the
 //! untier'd path — same observable flip, the exact same f64 weight bits,
 //! and the same correction-edge XOR — across 0/1/2/many-defect syndromes,
-//! with and without erasure overlays, and through the windowed and fused
-//! streaming paths where carried-in defects count against the tier
-//! thresholds.
+//! with and without erasure overlays, and through the windowed streaming
+//! path where carried-in defects count against the tier thresholds.
 
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, DetectorErrorModel, FusionDecoder, FusionPlan,
-    FusionPool, MwpmFactory, SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder,
-    TieredDecoder, UnionFindFactory, WindowBackend, WindowPlan,
+    build_dem, DecoderFactory, DecodingGraph, DetectorErrorModel, MwpmFactory, SparseMwpmFactory,
+    StreamingDecoder, Syndrome, SyndromeDecoder, TieredDecoder, UnionFindFactory, WindowBackend,
+    WindowPlan,
 };
 use std::collections::HashSet;
-use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
 
 const BACKENDS: [WindowBackend; 3] = [
@@ -223,48 +221,5 @@ fn tiered_windowed_is_bit_identical_to_full() {
             "[{}] disabled path must not count",
             backend.name()
         );
-    }
-}
-
-/// The fusion property: with intra-shot parallel fusion (leaf replays feed
-/// carried defect sets into downstream positions), enabling the predecoder
-/// on the fused engines is unobservable in the outcome, and the merged
-/// tier counters surface through [`StreamingDecoder::tier_counters`].
-#[test]
-fn tiered_fusion_is_bit_identical_to_full() {
-    let (graph, dem) = setup(3, 17);
-    let (window, stride) = (6usize, 2usize);
-    for backend in BACKENDS {
-        let plan = Arc::new(WindowPlan::new(&graph, window, stride, backend));
-        for threads in [2usize, 3] {
-            let fplan = FusionPlan::new(Arc::clone(&plan), threads);
-            let pool = Arc::new(FusionPool::new(threads));
-            let mut tiered = FusionDecoder::new(&fplan, Arc::clone(&pool));
-            let mut full = FusionDecoder::new(&fplan, pool);
-            full.set_predecode(false);
-            let mut rng = Rng::new(0xF05D ^ (threads as u64) << 8 ^ backend.name().len() as u64);
-            for trial in 0..40 {
-                let faults = trial % 6;
-                let (defects, erasures) =
-                    sample_shot(&graph, &dem, &mut rng, faults, trial % 3 == 0);
-                let t = stream_shot(&mut tiered, &defects, &erasures);
-                let f = stream_shot(&mut full, &defects, &erasures);
-                assert_eq!(
-                    t.flip,
-                    f.flip,
-                    "[{} × {threads}t] trial {trial}: flip diverged",
-                    backend.name()
-                );
-                assert_eq!(
-                    t.weight.to_bits(),
-                    f.weight.to_bits(),
-                    "[{} × {threads}t] trial {trial}: weight not bit-identical",
-                    backend.name()
-                );
-                assert_eq!(t.defects, f.defects);
-            }
-            assert!(tiered.tier_counters().is_active());
-            assert!(!full.tier_counters().is_active());
-        }
     }
 }

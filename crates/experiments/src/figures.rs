@@ -943,15 +943,12 @@ pub fn longmem(opts: &Opts) -> Result<(), String> {
     t.write_csv(&opts.out, "longmem")
 }
 
-/// Intra-shot fusion latency study (extension): p50/p99 per-round decode
-/// latency at fixed (d, R) across fusion_threads ∈ {1, 2, 4, 8} for all
-/// three backends. The fused output is bit-identical to sequential at every
-/// thread count, so the sweep isolates wall-clock alone; whether parallel
-/// rows actually beat sequential depends on the host's core count, which
-/// the table records.
+/// Decode latency study (extension): p50/p99 per-round decode latency of
+/// the sequential window chain at fixed (d, R) for all three backends, on
+/// one worker thread, with the host's core count recorded.
 pub fn latency(opts: &Opts) -> Result<(), String> {
     let d = if opts.d > 0 { opts.d } else { 7 };
-    // Fixed long-memory span matching the `decode_fusion_shot/d7_r110`
+    // Fixed long-memory span matching the `decode_window_shot/d7_r110`
     // bench fixture; --quick shrinks it to keep the smoke cheap.
     let rounds = if opts.quick { 5 * d } else { 110 };
     let window = 3 * d;
@@ -961,68 +958,42 @@ pub fn latency(opts: &Opts) -> Result<(), String> {
         .unwrap_or(1);
     let mut t = Table::new(
         &format!(
-            "Decode latency: fusion_threads sweep at d={d}, R={rounds}, w={window} \
-             (stride w-d), {shots} shots, 1 worker thread, host cores {cores}, seed {} \
-             (sequential rows sample per window, fused rows per shot; both are ns per \
-             committed round, so the columns compare directly)",
+            "Decode latency per backend at d={d}, R={rounds}, w={window} (stride w-d), \
+             {shots} shots, 1 worker thread, host cores {cores}, seed {} \
+             (one sample per decoded window, in ns per committed round)",
             opts.seed
         ),
-        &[
-            "backend",
-            "fusion",
-            "shots",
-            "p50 ns/rd",
-            "p99 ns/rd",
-            "mean ns/rd",
-            "p50 vs seq",
-        ],
+        &["backend", "shots", "p50 ns/rd", "p99 ns/rd", "mean ns/rd"],
     );
     for decoder in [
         DecoderKind::Mwpm,
         DecoderKind::SparseMwpm,
         DecoderKind::UnionFind,
     ] {
-        let mut seq_p50 = 0.0f64;
-        for fusion in [1usize, 2, 4, 8] {
-            let exp = Experiment::builder()
-                .distance(d)
-                .noise(NoiseParams::standard(opts.p))
-                .rounds(rounds)
-                .shots(shots)
-                .seed(opts.seed)
-                // One worker: the per-shot latency number must not be
-                // polluted by shot-level workers contending with the
-                // intra-shot fusion pool for the same cores.
-                .threads(1)
-                .decoder(decoder)
-                .window_rounds(window)
-                .fusion_threads(fusion)
-                .policy(PolicyKind::eraser())
-                .build()
-                .map_err(|e| e.to_string())?;
-            let run = exp.run();
-            let p50 = run.decode_latency.p50_ns_per_round();
-            let p99 = run.decode_latency.p99_ns_per_round();
-            if fusion == 1 {
-                seq_p50 = p50;
-            }
-            t.row(vec![
-                run.decoder.clone(),
-                fusion.to_string(),
-                shots.to_string(),
-                fixed(p50, 0),
-                fixed(p99, 0),
-                fixed(run.decode_latency.mean_ns_per_round(), 0),
-                format!("{:.2}x", if p50 > 0.0 { seq_p50 / p50 } else { 0.0 }),
-            ]);
-        }
+        let exp = Experiment::builder()
+            .distance(d)
+            .noise(NoiseParams::standard(opts.p))
+            .rounds(rounds)
+            .shots(shots)
+            .seed(opts.seed)
+            // One worker: the per-window latency number must not be
+            // polluted by workers contending for the same cores.
+            .threads(1)
+            .decoder(decoder)
+            .window_rounds(window)
+            .policy(PolicyKind::eraser())
+            .build()
+            .map_err(|e| e.to_string())?;
+        let run = exp.run();
+        t.row(vec![
+            run.decoder.clone(),
+            shots.to_string(),
+            fixed(run.decode_latency.p50_ns_per_round(), 0),
+            fixed(run.decode_latency.p99_ns_per_round(), 0),
+            fixed(run.decode_latency.mean_ns_per_round(), 0),
+        ]);
     }
     t.print();
-    println!(
-        "(fused decoding is bit-identical to sequential windowed at every thread count;\n \
-         the speedup column is honest wall-clock on this host — parallel rows only beat\n \
-         1.00x when the host has cores for the fusion pool to use)"
-    );
     t.write_csv(&opts.out, "latency")
 }
 

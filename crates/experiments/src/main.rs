@@ -25,7 +25,7 @@
 //!   memx       memory-X vs memory-Z symmetry check (extension)
 //!   erasure    ERASER+M ± erasure-aware decoding across (d, p) (extension)
 //!   longmem    windowed vs monolithic decoding at R in {d,10d,100d} (extension)
-//!   latency    per-shot decode latency vs fusion_threads, all backends (extension)
+//!   latency    per-window decode latency at d=7, R=110, all backends (extension)
 //!   predecode  tiered fast-path hit rates and decode cost, all backends (extension)
 //!   adaptive   feedback-controlled LRC density vs static policies (extension)
 //!   all        run everything

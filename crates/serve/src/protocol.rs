@@ -190,10 +190,6 @@ pub struct JobSpec {
     pub window: usize,
     /// Sliding-window stride; 0 derives `window − d` (default 0).
     pub stride: usize,
-    /// Intra-shot fusion threads; 0 resolves `ERASER_FUSION`, else
-    /// sequential windowed decoding (default 0). Values > 1 decode each
-    /// shot's window chain in parallel, bit-identically.
-    pub fusion: usize,
     /// Controller spec for adaptive policies, e.g. `"ewma:up=0.2"` or
     /// `"budget:quota=40"`; empty = each adaptive policy's embedded
     /// defaults (default empty; see
@@ -226,7 +222,6 @@ impl Default for JobSpec {
             erasure_fn: 0.0,
             window: 0,
             stride: 0,
-            fusion: 0,
             control: String::new(),
             profile: String::new(),
             predecode: String::new(),
@@ -268,7 +263,6 @@ impl JobSpec {
         v.set("erasure_fn", self.erasure_fn);
         v.set("window", self.window);
         v.set("stride", self.stride);
-        v.set("fusion", self.fusion);
         v.set("control", self.control.as_str());
         v.set("profile", self.profile.as_str());
         v.set("predecode", self.predecode.as_str());
@@ -328,7 +322,6 @@ impl JobSpec {
         read_f64(v, "erasure_fn", &mut spec.erasure_fn)?;
         read_usize(v, "window", &mut spec.window)?;
         read_usize(v, "stride", &mut spec.stride)?;
-        read_usize(v, "fusion", &mut spec.fusion)?;
         read_string(v, "control", &mut spec.control)?;
         read_string(v, "profile", &mut spec.profile)?;
         read_string(v, "predecode", &mut spec.predecode)?;
@@ -371,8 +364,7 @@ impl JobSpec {
             .leakage_aware_decoding(self.leakage_aware)
             .erasure_detection(self.erasure_fp, self.erasure_fn)
             .window_rounds(self.window)
-            .window_stride(self.stride)
-            .fusion_threads(self.fusion);
+            .window_stride(self.stride);
         if !self.control.trim().is_empty() {
             let config = ControllerConfig::parse_spec(self.control.trim())
                 .map_err(|reason| format!("invalid control spec: {reason}"))?;
@@ -446,7 +438,6 @@ mod tests {
             policies: vec!["no-lrc".into(), "eraser".into()],
             window: 9,
             stride: 4,
-            fusion: 2,
             predecode: "off".into(),
             ..JobSpec::default()
         };
@@ -462,6 +453,12 @@ mod tests {
         assert_eq!(JobSpec::from_frame(&first).unwrap(), spec);
         assert!(matches!(reader.read().unwrap(), ReadOutcome::Frame(_)));
         assert!(matches!(reader.read().unwrap(), ReadOutcome::Eof));
+
+        // A legacy `fusion` key (the retired intra-shot thread count) is an
+        // unknown field now: ignored, the spec unchanged.
+        let mut legacy = spec.to_frame();
+        legacy.set("fusion", 4usize);
+        assert_eq!(JobSpec::from_frame(&legacy).unwrap(), spec);
     }
 
     #[test]

@@ -223,7 +223,6 @@ fn both_builders_wire_every_run_setter_the_same_way() {
                     .erasure_detection(0.01, 0.05)
                     .window_rounds(6)
                     .window_stride(3)
-                    .fusion_threads(2)
                     .controller(controller)
                     .leakage_profile(profile)
                     .predecode(false)
@@ -247,7 +246,6 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         assert_eq!(config.erasure, ErasureDetection::imperfect(0.01, 0.05));
         assert_eq!(config.window_rounds, 6);
         assert_eq!(config.window_stride, 3);
-        assert_eq!(config.fusion_threads, 2);
         assert_eq!(config.controller, Some(controller));
         assert_eq!(config.profile, profile);
         assert!(!config.predecode);
@@ -280,7 +278,10 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         assert_eq!(want.decoder, "mwpm");
         assert!(want.total_erasures > 0, "{label}: erasures must flow");
         assert!(!want.predecode.is_active(), "{label}: predecoder off");
-        assert_eq!(want.decode_latency.samples(), 96, "fused: one per shot");
+        // Sequential chain, predecoder off: one sample per window, and the
+        // 13 detector rounds take windows at 0, 3, 6 and 9 (the last one
+        // [9, 12] commits the rest).
+        assert_eq!(want.decode_latency.samples(), 96 * 4, "one per window");
         assert_eq!(
             want.controller.is_active(),
             matches!(policy, PolicyKind::Adaptive(_)),
@@ -293,10 +294,11 @@ fn both_builders_wire_every_run_setter_the_same_way() {
 /// processes, because setting variables in this one would race with the
 /// tests running beside it:
 /// - with the retired `ERASER_WINDOW` / `ERASER_DECODER` / `ERASER_CONTROL`
-///   / `ERASER_PREDECODE` set to garbage, an unpinned sweep builds, and its
-///   run is bit-identical to the same sweep in this process;
-/// - a malformed `ERASER_THREADS` or `ERASER_FUSION` still rejects an
-///   unpinned sweep, and pinning that pool size accepts it.
+///   / `ERASER_PREDECODE` and the retired fusion thread count set to
+///   garbage, an unpinned sweep builds, and its run is bit-identical to the
+///   same sweep in this process;
+/// - a malformed `ERASER_THREADS` still rejects an unpinned sweep, and
+///   pinning the thread count accepts it.
 #[test]
 fn pinned_knobs_ignore_their_malformed_env_overrides() {
     const NAME: &str = "pinned_knobs_ignore_their_malformed_env_overrides";
@@ -332,16 +334,15 @@ fn pinned_knobs_ignore_their_malformed_env_overrides() {
             eprintln!("{}", digest(sweep()));
             return;
         }
-        Ok(var) if var.starts_with("ERASER_") => {
+        Ok("ERASER_THREADS") => {
             match sweep().build() {
-                Err(ExperimentError::EnvOverride(err)) => assert_eq!(err.var, var),
-                other => panic!("malformed {var} must reject the sweep: {other:?}"),
+                Err(ExperimentError::EnvOverride(err)) => assert_eq!(err.var, "ERASER_THREADS"),
+                other => panic!("malformed ERASER_THREADS must reject the sweep: {other:?}"),
             }
-            let pinned = match var {
-                "ERASER_THREADS" => sweep().threads(2),
-                _ => sweep().fusion_threads(1),
-            };
-            assert!(pinned.build().is_ok(), "a pinned {var} is never read");
+            assert!(
+                sweep().threads(2).build().is_ok(),
+                "a pinned thread count never reads ERASER_THREADS"
+            );
             return;
         }
         _ => {}
@@ -368,6 +369,7 @@ fn pinned_knobs_ignore_their_malformed_env_overrides() {
             ("ERASER_DECODER", "warp"),
             ("ERASER_CONTROL", "nonsense"),
             ("ERASER_PREDECODE", "maybe"),
+            ("ERASER_FUSION", "garbage"),
         ],
     );
     let clean = digest(sweep());
@@ -377,5 +379,4 @@ fn pinned_knobs_ignore_their_malformed_env_overrides() {
         "the retired variables must not change the run"
     );
     child("ERASER_THREADS", &[("ERASER_THREADS", "fuor")]);
-    child("ERASER_FUSION", &[("ERASER_FUSION", "0")]);
 }
