@@ -26,8 +26,8 @@
 //!   observable-parity tracking, then a certified exact solver (pruning,
 //!   components, subset DP) that proves its optimum unique, so it returns
 //!   what the blossom would, bit for bit; the blossom, with per-defect
-//!   virtual boundary nodes, runs only on ties and components over 10
-//!   defects (about 1 solve in 5 on a d = 7 stream).
+//!   virtual boundary nodes, runs only on ties (about 1 solve in 6 on a
+//!   d = 7 stream).
 //! * [`sparse`] — the sparse (APSP-free) MWPM decoder: per-defect bounded
 //!   Dijkstras over integer weights, component decomposition, and exact
 //!   per-component blossom matching. Same optimal correction weight as

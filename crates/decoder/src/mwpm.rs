@@ -19,13 +19,40 @@
 //!
 //! - **Pruning.** A pair costing at least its two boundary matches is
 //!   dropped: with `>` it is never optimal, with `==` (a *twin*) it ties
-//!   with them. The kept pairs split the defects into components.
-//! - **Subset DP.** Each component of at most 10 defects is solved exactly
-//!   by a subset DP (the lowest member goes to the boundary or pairs with a
-//!   kept neighbour) that also counts its optimal solutions, saturating.
-//! - **Deferral.** The blossom runs instead when a component's count is not
-//!   exactly 1, when two boundary-matched defects are twins, or when a
-//!   component has more than 10 defects.
+//!   with them. One pass over the staged costs records the kept pairs as
+//!   bitset rows of ⌈k/64⌉ words per defect, and the rows split the
+//!   defects into components by bitset union. Twins are tested only where
+//!   they matter, between boundary-matched defects.
+//! - **Subset DP.** Each component of up to 64 defects is solved exactly
+//!   by a subset DP on `u64` masks (the lowest member goes to the boundary
+//!   or pairs with a kept neighbour) that also counts its optimal
+//!   solutions, saturating. Its memo holds only the subsets it reaches, in
+//!   one fixed table that an epoch stamp empties.
+//! - **Deferral.** The blossom runs instead when two odd components are
+//!   twins across every pair (each sends a member to the boundary, so two
+//!   lone twins are the smallest case), checked before any DP runs; when a
+//!   component's count is not exactly 1; when two boundary-matched defects
+//!   are twins; or when the DP would solve more than `DP_SUBSET_BUDGET`
+//!   subsets of one component (or it has more than 64 members).
+//!
+//! The budget (512 subsets) is a work bound, not a size cap. The recursion
+//! solves m subsets of an m-defect chain, and 376 of a complete 12-defect
+//! component (every pair kept), so every component of up to 12 defects
+//! fits. On `stream-d7` it admits 99.97% of the components 2048 would (the
+//! d = 7 window components it misses solve in 513–1024 subsets). In d = 11
+//! windows most components of 40 or more defects run past any budget up to
+//! 2048, and each such run is wasted work ahead of the blossom: with 2048
+//! the `mc-d11` matching step took 15–20% longer than under the 10-defect
+//! cap, with 512 about as long.
+//!
+//! Twins are structural, not rare. The boundary is a node of the decoding
+//! graph, so a shortest path from `i` to `j` is never longer than the one
+//! through the boundary: a pair's cost is at most `b_i + b_j` (its two
+//! boundary matches, exactly, since weights are snapped to the integer
+//! grid). A pair that is not kept is therefore a twin, and any two
+//! boundary-matched defects in different components tie. Which of the
+//! tied optima to return is the blossom's choice today, and the rule a
+//! canonical tie-breaker would have to fix.
 //!
 //! Bit-identity: each perfect matching of the blossom reduction is, on the
 //! defects, an involution (every defect pairs with another or goes to the
@@ -40,10 +67,9 @@
 //! same solver, so one uniqueness rule serves tiers 1 and 2.
 //!
 //! On the `stream-d7` benchmark workload (d = 7, R = 70, 21/14 windows,
-//! p = 1e-3, 2-vCPU host) the solver certifies 81.5% of the matchings that
-//! reach it (3.5% defer on a component over 10 defects, 15.0% on a tie),
-//! and the mean matching time drops from 14.6 µs to 5.3 µs (7.8 defects on
-//! average).
+//! p = 1e-3, seed 1) the solver certifies 83.8% of the matchings that
+//! reach it. 15.8% defer on twins, 0.4% on a DP tie and 0.03% on the
+//! subset budget.
 //!
 //! The stateful entry point is [`MwpmFactory`] → [`MwpmBatchDecoder`]: the
 //! O(n²) [`ShortestPaths`] table is computed once per graph and shared across
@@ -57,6 +83,7 @@ use crate::overlay::{DijkstraScratch, WeightOverlay};
 use crate::weight::scale_weight;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -213,9 +240,18 @@ fn dijkstra(graph: &DecodingGraph, src: usize) -> (Vec<f64>, Vec<bool>) {
     (dist, obs)
 }
 
-/// Largest pruned component the certified solver's subset DP takes
-/// (at most 2^10 states); a bigger one defers to the blossom.
-const MAX_COMPONENT: usize = 10;
+/// Most subsets the certified solver's DP may solve in one component; a
+/// component that needs more defers to the blossom. It also sizes the memo.
+/// See the module docs for why 512.
+const DP_SUBSET_BUDGET: usize = 512;
+
+/// Slots of the DP memo: a power of two, twice the budget, so linear
+/// probing always finds a free slot and stays short.
+const MEMO_SLOTS: usize = 2 * DP_SUBSET_BUDGET;
+
+/// Components of at most this many members index the memo by subset mask
+/// directly (2^10 = [`MEMO_SLOTS`]); larger ones hash the mask.
+const DIRECT_MEMO_BITS: usize = MEMO_SLOTS.trailing_zeros() as usize;
 
 /// One defect-matching problem staged as integer costs, its solution, and
 /// the scratch of both exact solvers, reused across shots.
@@ -234,8 +270,16 @@ struct DefectMatching {
     /// Certified solver scratch: `mate[i] == i` means `i` goes to the
     /// boundary.
     mate: Vec<usize>,
-    component: Vec<usize>,
-    memo: Vec<DpEntry>,
+    /// `kept[i * w..(i + 1) * w]`: the bitset of the defects `i` may pair
+    /// with (pair cost below both boundary matches), in `w = ⌈k/64⌉` words.
+    kept: Vec<u64>,
+    /// Defects not yet in a component.
+    free: Vec<u64>,
+    /// The components' members in discovery order, concatenated; `ends[c]`
+    /// is where component `c` stops.
+    members: Vec<usize>,
+    ends: Vec<usize>,
+    memo: SubsetMemo,
     /// Blossom reduction scratch.
     edges: Vec<(usize, usize, i64)>,
     blossom: MatchingContext,
@@ -257,9 +301,36 @@ impl DefectMatching {
         self.scaled[i.min(j) * self.k + i.max(j)]
     }
 
-    /// Cost of sending both `i` and `j` to the boundary.
-    fn boundary_cost(&self, i: usize, j: usize) -> i64 {
-        self.scaled_boundary[i].saturating_add(self.scaled_boundary[j])
+    /// Whether pairing `i` and `j` costs exactly their two boundary matches.
+    fn twins(&self, i: usize, j: usize) -> bool {
+        self.pair_cost(i, j) == self.scaled_boundary[i].saturating_add(self.scaled_boundary[j])
+    }
+
+    /// Fills the `kept` rows in one pass over the staged costs, 64 columns
+    /// per word, mirroring each kept pair below the diagonal as it goes.
+    fn build_kept_rows(&mut self) {
+        let k = self.k;
+        let w = k.div_ceil(64);
+        self.kept.clear();
+        self.kept.resize(k * w, 0);
+        let (costs, boundary, kept) = (&self.scaled, &self.scaled_boundary, &mut self.kept);
+        for (i, &b_i) in boundary.iter().enumerate() {
+            let (word_i, bit_i) = (i / 64, 1u64 << (i % 64));
+            let mut row = 0u64;
+            let above = costs[i * k + i + 1..(i + 1) * k]
+                .iter()
+                .zip(&boundary[i + 1..]);
+            for (j, (&cost, &b_j)) in (i + 1..).zip(above) {
+                let keep = u64::from(cost < b_i.saturating_add(b_j));
+                row |= keep << (j % 64);
+                // Row `j`'s bit `i` (`-keep` is all ones or none).
+                kept[j * w + word_i] |= bit_i & keep.wrapping_neg();
+                if j % 64 == 63 || j + 1 == k {
+                    kept[i * w + j / 64] |= row;
+                    row = 0;
+                }
+            }
+        }
     }
 
     /// Solves the staged problem: the certified solver when the optimum is
@@ -279,60 +350,65 @@ impl DefectMatching {
     /// remaining pairs split the defects into components, each solved by a
     /// subset DP that counts its optimal solutions.
     fn solve_certified(&mut self) -> bool {
-        const UNSEEN: usize = usize::MAX;
-        let k = self.k;
-        self.mate.clear();
-        self.mate.resize(k, UNSEEN);
-        for root in 0..k {
-            if self.mate[root] != UNSEEN {
-                continue;
-            }
-            // Breadth-first over kept pairs; every defect starts at the
-            // boundary until its component's optimum says otherwise.
-            self.component.clear();
-            self.component.push(root);
-            self.mate[root] = root;
-            let mut head = 0;
-            while head < self.component.len() {
-                let u = self.component[head];
+        self.build_kept_rows();
+        let (k, w) = (self.k, self.k.div_ceil(64));
+        // Components by bitset union over the kept rows.
+        self.free.clear();
+        self.free.resize(w, !0);
+        if k % 64 != 0 {
+            self.free[w - 1] = (1 << (k % 64)) - 1;
+        }
+        self.members.clear();
+        self.ends.clear();
+        while let Some(x) = self.free.iter().position(|&word| word != 0) {
+            let root = x * 64 + self.free[x].trailing_zeros() as usize;
+            self.free[x] &= self.free[x] - 1;
+            let start = self.members.len();
+            self.members.push(root);
+            let mut head = start;
+            while head < self.members.len() {
+                let u = self.members[head];
                 head += 1;
-                for v in 0..k {
-                    if self.mate[v] == UNSEEN && self.pair_cost(u, v) < self.boundary_cost(u, v) {
-                        if self.component.len() == MAX_COMPONENT {
-                            return false;
-                        }
-                        self.mate[v] = v;
-                        self.component.push(v);
+                let row = &self.kept[u * w..(u + 1) * w];
+                for (x, (free, &kept)) in self.free.iter_mut().zip(row).enumerate() {
+                    let mut new = kept & *free;
+                    *free &= !new;
+                    while new != 0 {
+                        self.members.push(x * 64 + new.trailing_zeros() as usize);
+                        new &= new - 1;
                     }
                 }
             }
-            match *self.component.as_slice() {
-                // A lone defect is already at the boundary, its only option.
-                [_] => {}
+            self.ends.push(self.members.len());
+        }
+        if self.odd_components_tie() {
+            return false;
+        }
+        // Every defect starts at the boundary until its component's optimum
+        // says otherwise.
+        self.mate.clear();
+        self.mate.extend(0..k);
+        let mut start = 0;
+        for c in 0..self.ends.len() {
+            let end = self.ends[c];
+            match end - start {
+                1 => {}
                 // A kept pair is strictly cheaper than its two boundary
                 // matches, the only other option.
-                [u, v] => {
+                2 => {
+                    let (u, v) = (self.members[start], self.members[start + 1]);
                     self.mate[u] = v;
                     self.mate[v] = u;
                 }
                 _ => {
-                    if !self.solve_component() {
+                    if !self.solve_component(start, end) {
                         return false;
                     }
                 }
             }
+            start = end;
         }
         // Two boundary-matched twins could pair at the same cost.
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if self.mate[i] == i
-                    && self.mate[j] == j
-                    && self.pair_cost(i, j) == self.boundary_cost(i, j)
-                {
-                    return false;
-                }
-            }
-        }
         for (i, &j) in self.mate.iter().enumerate() {
             if j == i {
                 self.to_boundary.push(i);
@@ -340,48 +416,84 @@ impl DefectMatching {
                 self.pairs.push((i, j));
             }
         }
+        let singles = &self.to_boundary;
+        let tied = |(a, &i): (usize, &usize)| singles[a + 1..].iter().any(|&j| self.twins(i, j));
+        if singles.iter().enumerate().any(tied) {
+            self.pairs.clear();
+            self.to_boundary.clear();
+            return false;
+        }
         true
     }
 
-    /// Runs the subset DP over `self.component` and writes its optimum into
-    /// `mate`. Returns whether that optimum is unique.
-    fn solve_component(&mut self) -> bool {
-        let members = &self.component;
-        let m = members.len();
-        let mut kept = [0u16; MAX_COMPONENT];
-        for a in 0..m {
-            for b in (a + 1)..m {
-                let (u, v) = (members[a], members[b]);
-                if self.pair_cost(u, v) < self.boundary_cost(u, v) {
+    /// Every optimum sends at least one member of each odd component to the
+    /// boundary. If all pairs across two odd components are twins, those
+    /// members tie whatever the DPs choose, so the solver can defer before
+    /// running any (two lone twins are the smallest case).
+    fn odd_components_tie(&self) -> bool {
+        let components = || {
+            let starts = iter::once(0).chain(self.ends.iter().copied());
+            starts.zip(self.ends.iter().copied())
+        };
+        let odd = |&(start, end): &(usize, usize)| (end - start) % 2 == 1;
+        for (c, (start, end)) in components().enumerate().filter(|(_, r)| odd(r)) {
+            let first = &self.members[start..end];
+            for (start, end) in components().skip(c + 1).filter(odd) {
+                let second = &self.members[start..end];
+                if first
+                    .iter()
+                    .all(|&u| second.iter().all(|&v| self.twins(u, v)))
+                {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Runs the subset DP over the component `members[start..end]` and
+    /// writes its optimum into `mate`. Returns whether that optimum is
+    /// unique and was found within [`DP_SUBSET_BUDGET`].
+    fn solve_component(&mut self, start: usize, end: usize) -> bool {
+        let m = end - start;
+        if m > 64 {
+            return false;
+        }
+        let members = &self.members[start..end];
+        let w = self.k.div_ceil(64);
+        let mut kept = [0u64; 64];
+        for (a, &u) in members.iter().enumerate() {
+            let row = &self.kept[u * w..(u + 1) * w];
+            for (b, &v) in members.iter().enumerate().skip(a + 1) {
+                if row[v / 64] >> (v % 64) & 1 != 0 {
                     kept[a] |= 1 << b;
                     kept[b] |= 1 << a;
                 }
             }
         }
-        let full = (1usize << m) - 1;
+        let full = u64::MAX >> (64 - m);
         let mut memo = std::mem::take(&mut self.memo);
-        memo.clear();
-        memo.resize(full + 1, DpEntry::UNSOLVED);
-        memo[0] = DpEntry {
-            cost: 0,
-            count: 1,
-            partner: DpEntry::BOUNDARY,
-        };
-        let dp = ComponentDp {
+        memo.reset(m);
+        let mut dp = ComponentDp {
             problem: self,
-            kept,
+            members,
+            kept: &kept[..m],
+            memo: &mut memo,
         };
-        let unique = dp.best(full, &mut memo).count == 1;
+        let unique = dp.best(full).is_some_and(|best| best.count == 1);
         if unique {
             let mut set = full;
             while set != 0 {
                 let a = set.trailing_zeros() as usize;
-                let partner = memo[set].partner;
+                let partner = memo
+                    .get(set)
+                    .expect("the optimum's subsets are solved")
+                    .partner;
                 set &= !(1 << a);
                 if partner != DpEntry::BOUNDARY {
                     let b = usize::from(partner);
                     set &= !(1 << b);
-                    let (u, v) = (self.component[a], self.component[b]);
+                    let (u, v) = (self.members[start + a], self.members[start + b]);
                     self.mate[u] = v;
                     self.mate[v] = u;
                 }
@@ -438,47 +550,131 @@ struct DpEntry {
 
 impl DpEntry {
     const BOUNDARY: u8 = u8::MAX;
-    const UNSOLVED: DpEntry = DpEntry {
+    /// The empty set: nothing to match, one way to do it.
+    const EMPTY: DpEntry = DpEntry {
         cost: 0,
-        count: 0,
+        count: 1,
         partner: DpEntry::BOUNDARY,
     };
 }
 
-/// The subset DP over one pruned component, in local indices `0..m` into
-/// `problem.component`; `kept[a]` is the bit set of the members `a` may
+/// One slot of the DP memo, valid while `stamp` is the memo's epoch.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoSlot {
+    set: u64,
+    cost: i64,
+    stamp: u32,
+    count: u8,
+    partner: u8,
+}
+
+/// The subset DP's memo over the subsets it reaches: [`MEMO_SLOTS`] slots,
+/// indexed by the subset mask for a component of at most
+/// [`DIRECT_MEMO_BITS`] members and open-addressed by its hash beyond. The
+/// slots are allocated on first use and invalidated per component by
+/// bumping the epoch, so a warm solve neither clears them nor allocates.
+#[derive(Debug, Default)]
+struct SubsetMemo {
+    slots: Vec<MemoSlot>,
+    epoch: u32,
+    hashed: bool,
+    solved: usize,
+}
+
+impl SubsetMemo {
+    /// Empties the memo for a component of `m` members.
+    fn reset(&mut self, m: usize) {
+        self.solved = 0;
+        self.hashed = m > DIRECT_MEMO_BITS;
+        if self.slots.is_empty() {
+            self.slots = vec![MemoSlot::default(); MEMO_SLOTS];
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(MemoSlot::default());
+            self.epoch = 1;
+        }
+    }
+
+    /// The slot holding `set`, or the free slot where it would go.
+    fn slot(&self, set: u64) -> usize {
+        if !self.hashed {
+            return set as usize;
+        }
+        let shift = 64 - DIRECT_MEMO_BITS;
+        let mut i = (set.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while self.slots[i].stamp == self.epoch && self.slots[i].set != set {
+            i = (i + 1) % MEMO_SLOTS;
+        }
+        i
+    }
+
+    fn get(&self, set: u64) -> Option<DpEntry> {
+        let slot = self.slots[self.slot(set)];
+        (slot.stamp == self.epoch).then_some(DpEntry {
+            cost: slot.cost,
+            count: slot.count,
+            partner: slot.partner,
+        })
+    }
+
+    /// Records a solved subset; `false` once the budget is spent.
+    fn insert(&mut self, set: u64, entry: DpEntry) -> bool {
+        self.solved += 1;
+        if self.solved > DP_SUBSET_BUDGET {
+            return false;
+        }
+        let i = self.slot(set);
+        self.slots[i] = MemoSlot {
+            set,
+            cost: entry.cost,
+            stamp: self.epoch,
+            count: entry.count,
+            partner: entry.partner,
+        };
+        true
+    }
+}
+
+/// The subset DP over one pruned component of at most 64 members, in local
+/// indices into `members`; `kept[a]` is the bit set of the members `a` may
 /// pair with.
 struct ComponentDp<'a> {
     problem: &'a DefectMatching,
-    kept: [u16; MAX_COMPONENT],
+    members: &'a [usize],
+    kept: &'a [u64],
+    memo: &'a mut SubsetMemo,
 }
 
 impl ComponentDp<'_> {
     /// Lowest-bit recursion: the lowest member of `set` either goes to the
     /// boundary or pairs with a kept neighbour in `set`. Costs saturate, so
-    /// an overflow can only read as a tie and defer.
-    fn best(&self, set: usize, memo: &mut [DpEntry]) -> DpEntry {
-        if memo[set].count != 0 {
-            return memo[set];
+    /// an overflow can only read as a tie and defer. `None` once the DP has
+    /// solved more than [`DP_SUBSET_BUDGET`] subsets.
+    fn best(&mut self, set: u64) -> Option<DpEntry> {
+        if set == 0 {
+            return Some(DpEntry::EMPTY);
         }
-        let members = &self.problem.component;
+        if let Some(entry) = self.memo.get(set) {
+            return Some(entry);
+        }
         let a = set.trailing_zeros() as usize;
-        let u = members[a];
+        let u = self.members[a];
         let rest = set & !(1 << a);
-        let sub = self.best(rest, memo);
+        let sub = self.best(rest)?;
         let mut out = DpEntry {
             cost: self.problem.scaled_boundary[u].saturating_add(sub.cost),
             count: sub.count,
             partner: DpEntry::BOUNDARY,
         };
-        let mut neighbours = usize::from(self.kept[a]) & rest;
+        let mut neighbours = self.kept[a] & rest;
         while neighbours != 0 {
             let b = neighbours.trailing_zeros() as usize;
             neighbours &= neighbours - 1;
-            let sub = self.best(rest & !(1 << b), memo);
+            let sub = self.best(rest & !(1 << b))?;
             let cost = self
                 .problem
-                .pair_cost(u, members[b])
+                .pair_cost(u, self.members[b])
                 .saturating_add(sub.cost);
             if cost < out.cost {
                 out = DpEntry {
@@ -490,8 +686,7 @@ impl ComponentDp<'_> {
                 out.count = (out.count + sub.count).min(2);
             }
         }
-        memo[set] = out;
-        out
+        self.memo.insert(set, out).then_some(out)
     }
 }
 
@@ -1061,39 +1256,60 @@ mod tests {
 
     /// Random staged problems with tiny integer costs, so ties and forced
     /// twins are common: whenever the certified solver answers, it returns
-    /// the blossom reduction's solution in the same order, and for k ≤ 10 it
-    /// answers exactly when the optimum is unique.
+    /// the blossom reduction's solution in the same order, and for k ≤ 12
+    /// it answers exactly when the optimum is unique. Up to 12 defects the
+    /// kept graph is dense (a complete component of 12 stays within the
+    /// subset budget); from 13 to 24, and on 65–80 defects (multi-word
+    /// rows), it is sparse.
     #[test]
     fn certified_solver_agrees_with_the_blossom() {
         let mut rng = qec_core::Rng::new(0xCE27_1F1E);
-        let (mut answered, mut deferred) = (0, 0);
-        for case in 0..3000 {
-            let k = 1 + rng.below(12) as usize;
+        let (mut answered, mut deferred) = ([0; 3], [0; 3]);
+        for case in 0..3040 {
+            let k = if case < 3000 {
+                1 + rng.below(24) as usize
+            } else {
+                65 + rng.below(16) as usize
+            };
             let boundary: Vec<i64> = (0..k).map(|_| 1 + rng.below(5) as i64).collect();
-            let twin_rate = rng.below(4) as f64 / 10.0;
+            let (twin_rate, keep_rate) = match k {
+                ..=12 => (rng.below(4) as f64 / 10.0, 1.0),
+                13..=24 => (rng.below(4) as f64 / 40.0, 2.0 / k as f64),
+                _ => (0.0, 1.0 / k as f64),
+            };
             let mut m = staged(
                 k,
                 |i, j| {
+                    let both = boundary[i] + boundary[j];
                     if rng.bernoulli(twin_rate) {
-                        boundary[i] + boundary[j]
+                        both
+                    } else if rng.bernoulli(keep_rate) {
+                        // Dense problems draw any tiny cost, sparse ones a
+                        // strictly kept one.
+                        rng.below(if k <= 12 { 9 } else { both as u64 }) as i64
                     } else {
-                        rng.below(9) as i64
+                        both + 1 + rng.below(3) as i64
                     }
                 },
                 |i| boundary[i],
             );
+            let size = match k {
+                ..=12 => 0,
+                13..=24 => 1,
+                _ => 2,
+            };
             let reference = blossom(&mut m);
             match certified(&mut m) {
                 Some(solution) => {
-                    answered += 1;
+                    answered[size] += 1;
                     assert_eq!(solution, reference, "case {case}: k={k} {:?}", m.scaled);
-                    if k <= MAX_COMPONENT {
+                    if k <= 12 {
                         assert_eq!(optimal_count(&m), 1, "case {case}: certified a tie");
                     }
                 }
                 None => {
-                    deferred += 1;
-                    if k <= MAX_COMPONENT {
+                    deferred[size] += 1;
+                    if k <= 12 {
                         assert!(
                             optimal_count(&m) > 1,
                             "case {case}: deferred a unique optimum"
@@ -1103,9 +1319,18 @@ mod tests {
             }
         }
         assert!(
-            answered > 500 && deferred > 500,
-            "{answered} answered, {deferred} deferred"
+            answered[0] > 300 && deferred[0] > 300,
+            "k ≤ 12: {} answered, {} deferred",
+            answered[0],
+            deferred[0]
         );
+        assert!(
+            answered[1] > 300 && deferred[1] > 100,
+            "13 ≤ k ≤ 24: {} answered, {} deferred",
+            answered[1],
+            deferred[1]
+        );
+        assert!(answered[2] > 5, "k > 64: {} answered", answered[2]);
     }
 
     #[test]
@@ -1130,7 +1355,7 @@ mod tests {
     }
 
     #[test]
-    fn certified_solver_defers_on_an_oversized_component() {
+    fn certified_solver_takes_large_components() {
         // A chain whose neighbours pair cheaply: one component of k defects,
         // with a unique optimum (pairs (0,1), (2,3), …, the last defect of
         // an odd chain to the boundary).
@@ -1141,43 +1366,71 @@ mod tests {
                 |_| 10,
             )
         };
-        let mut m = chain(MAX_COMPONENT + 1);
-        assert_eq!(certified(&mut m), None);
-        let expected = blossom(&mut m);
-        assert_eq!(expected.0, vec![(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]);
-        assert_eq!(expected.1, vec![10]);
-        // At the limit the same chain certifies.
-        let mut m = chain(MAX_COMPONENT);
-        let solution = certified(&mut m).expect("a 10-defect component certifies");
+        let mut m = chain(11);
+        let solution = certified(&mut m).expect("an 11-defect chain certifies");
+        assert_eq!(solution.0, vec![(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]);
+        assert_eq!(solution.1, vec![10]);
         assert_eq!(solution, blossom(&mut m));
+        let mut m = chain(24);
+        let solution = certified(&mut m).expect("a 24-defect chain certifies");
+        assert_eq!(solution.0.len(), 12);
+        assert_eq!(solution, blossom(&mut m));
+        // Every pair kept, at spread-out costs: the DP solves 376 subsets of
+        // a complete component of 12 and certifies it, but would solve 609
+        // of one of 13, past the budget, so that one defers.
+        let complete = |k: usize| {
+            let mut rng = qec_core::Rng::new(k as u64);
+            staged(k, |_, _| rng.below(1 << 20) as i64, |_| 1 << 21)
+        };
+        let mut m = complete(12);
+        assert_eq!(optimal_count(&m), 1);
+        let solution = certified(&mut m).expect("a complete 12-defect component certifies");
+        assert_eq!(m.memo.solved, 376);
+        assert_eq!(solution, blossom(&mut m));
+        let mut m = complete(13);
+        assert_eq!(certified(&mut m), None);
+        assert!(m.memo.solved > DP_SUBSET_BUDGET);
     }
 
     /// Real syndromes: the decoder's own staged costs, certified or not,
-    /// agree with the blossom wherever the certified solver answers.
+    /// agree with the blossom wherever the certified solver answers. The
+    /// d = 7, 21-round window with 10–24 mechanisms per syndrome reaches
+    /// components of more than 10 defects. The answered counts (and how
+    /// many of those had such a component) are pinned: they move only when
+    /// the deferral rule does.
     #[test]
     fn certified_solver_agrees_on_decoder_syndromes() {
-        let (graph, dem) = setup(5, 5);
-        let mut decoder = MwpmBatchDecoder::new(&graph);
-        let mut rng = qec_core::Rng::new(77);
-        let mut answered = 0;
-        for _ in 0..400 {
-            let mut events = vec![false; graph.num_nodes()];
-            for _ in 0..1 + rng.below(6) {
-                let mech = &dem.mechanisms[rng.below(dem.mechanisms.len() as u64) as usize];
-                for &det in &mech.detectors {
-                    if let Some(node) = graph.node_of_detector(det) {
-                        events[node] ^= true;
+        let cases = [(5, 5, 400, 1..7, (348, 6)), (7, 21, 300, 10..25, (89, 66))];
+        for (d, rounds, syndromes, mechanisms, pinned) in cases {
+            let (graph, dem) = setup(d, rounds);
+            let mut decoder = MwpmBatchDecoder::new(&graph);
+            let mut rng = qec_core::Rng::new(77);
+            let (mut answered, mut large) = (0, 0);
+            for _ in 0..syndromes {
+                let mut events = vec![false; graph.num_nodes()];
+                let span = mechanisms.end - mechanisms.start;
+                for _ in 0..mechanisms.start + rng.below(span) {
+                    let mech = &dem.mechanisms[rng.below(dem.mechanisms.len() as u64) as usize];
+                    for &det in &mech.detectors {
+                        if let Some(node) = graph.node_of_detector(det) {
+                            events[node] ^= true;
+                        }
+                    }
+                }
+                let defects: Vec<usize> = (0..graph.num_nodes()).filter(|&n| events[n]).collect();
+                decoder.stage_paths(&defects);
+                let reference = blossom(&mut decoder.matching);
+                if let Some(solution) = certified(&mut decoder.matching) {
+                    answered += 1;
+                    assert_eq!(solution, reference, "d={d}: defects {defects:?}");
+                    let m = &decoder.matching;
+                    let sizes = m.ends.iter().zip(iter::once(&0).chain(&m.ends));
+                    if sizes.map(|(end, start)| end - start).max() > Some(10) {
+                        large += 1;
                     }
                 }
             }
-            let defects: Vec<usize> = (0..graph.num_nodes()).filter(|&n| events[n]).collect();
-            decoder.stage_paths(&defects);
-            let reference = blossom(&mut decoder.matching);
-            if let Some(solution) = certified(&mut decoder.matching) {
-                answered += 1;
-                assert_eq!(solution, reference, "defects {defects:?}");
-            }
+            assert_eq!((answered, large), pinned, "d={d}: (answered, large)");
         }
-        assert!(answered > 200, "only {answered} of 400 certified");
     }
 }

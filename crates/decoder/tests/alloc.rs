@@ -7,7 +7,9 @@
 //! allocation-free in steady state, with or without erasures, and are
 //! asserted at zero end to end: the blossom matcher keeps every working
 //! list (blossom children, endpoints, best edges, leaf lists) in its reused
-//! `MatchingContext`, and dense MWPM's certified solver keeps its DP memo.
+//! `MatchingContext`, and dense MWPM's certified solver keeps its bitset
+//! rows and its fixed-size DP memo table (the fixture's chain syndromes
+//! give it a component of 14 defects, past the directly indexed sizes).
 //! The overlay machinery is also audited in isolation (apply →
 //! effective_metrics → restore must be exactly zero).
 //!
@@ -17,8 +19,8 @@
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, MwpmFactory, ShortestPaths, SparseMwpmFactory,
-    Syndrome, UnionFindFactory, WeightOverlay,
+    build_dem, scale_weight, DecoderFactory, DecodingGraph, MwpmFactory, ShortestPaths,
+    SparseMwpmFactory, Syndrome, UnionFindFactory, WeightOverlay,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +53,32 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// A chain of `len` defects, each pairing with the previous one more
+/// cheaply than both go to the boundary: one pruned component of at least
+/// `len` defects for dense MWPM's certified solver. It starts at the node
+/// farthest from the boundary and steps to the nearest such node.
+fn kept_chain(graph: &DecodingGraph, len: usize) -> Vec<usize> {
+    let paths = ShortestPaths::compute(graph);
+    let to_boundary = |u: usize| scale_weight(paths.distance(u, graph.boundary()));
+    let kept =
+        |u: usize, v: usize| scale_weight(paths.distance(u, v)) < to_boundary(u) + to_boundary(v);
+    let nodes = 0..graph.num_nodes();
+    let mut chain = vec![nodes.clone().max_by_key(|&u| to_boundary(u)).unwrap()];
+    while chain.len() < len {
+        let last = chain[chain.len() - 1];
+        let next = (nodes.clone())
+            .filter(|&v| !chain.contains(&v) && kept(last, v))
+            .min_by_key(|&v| scale_weight(paths.distance(last, v)))
+            .expect("the chain can grow");
+        chain.push(next);
+    }
+    chain.sort_unstable();
+    chain
+}
+
 /// Graph plus 24 random syndromes, a third of them carrying erasure sets
-/// (edges around 1–2 random nodes) — the runtime's typical shape.
+/// (edges around 1–2 random nodes) — the runtime's typical shape — and a
+/// 14-defect kept chain, with and without erasures.
 fn fixture() -> (DecodingGraph, Vec<Syndrome>) {
     let exp = MemoryExperiment::new(RotatedCode::new(5), NoiseParams::standard(1e-3), 5);
     let detectors = exp.detectors();
@@ -82,6 +108,10 @@ fn fixture() -> (DecodingGraph, Vec<Syndrome>) {
         let defects = (0..graph.num_nodes()).filter(|&n| events[n]).collect();
         syndromes.push(Syndrome::build(defects).erasures(erasures).finish());
     }
+    let chain = kept_chain(&graph, 14);
+    let erasures = graph.incident(chain[0]).to_vec();
+    syndromes.push(Syndrome::new(chain.clone()));
+    syndromes.push(Syndrome::build(chain).erasures(erasures).finish());
     assert!(syndromes.iter().any(|s| !s.erasures.is_empty()));
     (graph, syndromes)
 }
