@@ -261,30 +261,17 @@ fn main() {
             mono.decode_syndrome(black_box(&syndrome)).flip
         });
 
+        // The windowed chain always runs the tier ladder. This shot is
+        // dense (~3 faults per round), so nearly every window position
+        // falls through to tier 2.
         let plan = WindowPlan::new(&graph, 21, 14, WindowBackend::Mwpm);
         let mut windowed = plan.streaming();
-        windowed.set_predecode(false);
-        h.bench("decode_window_shot/d7_r110/windowed_mwpm", || {
+        h.bench("decode_window_shot/d7_r110/windowed_tiered_mwpm", || {
             windowed.begin_shot();
             for round in black_box(&by_round) {
                 windowed.push_round(round, &[]);
             }
             windowed.finish().flip
-        });
-
-        // The same windowed chain with the tier ladder enabled (the
-        // default). This shot is dense (~3 faults per round), so nearly
-        // every window position falls through to tier 2: the gap versus
-        // `windowed_mwpm` above is the predecoder's worst-case guard
-        // overhead on the streaming path, not its win (see
-        // `decode_batch_32_sparse` and `results/predecode.csv` for that).
-        let mut windowed_tiered = plan.streaming();
-        h.bench("decode_window_shot/d7_r110/windowed_tiered_mwpm", || {
-            windowed_tiered.begin_shot();
-            for round in black_box(&by_round) {
-                windowed_tiered.push_round(round, &[]);
-            }
-            windowed_tiered.finish().flip
         });
     }
 

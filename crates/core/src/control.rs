@@ -439,9 +439,9 @@ pub enum ControlBase {
 }
 
 /// Validated knobs for [`AdaptivePolicy`]. Constructed via
-/// [`ControllerConfig::ewma`] / [`ControllerConfig::budget`] and overridden
-/// per run through `RunConfig::controller` (the builders' `.controller(..)`,
-/// the serve `JobSpec.control`).
+/// [`ControllerConfig::ewma`] / [`ControllerConfig::budget`] (or
+/// [`ControllerConfig::parse_spec`], the serve `JobSpec.control`) and
+/// carried by `PolicyKind::Adaptive`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// The control law.

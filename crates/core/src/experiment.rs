@@ -170,8 +170,9 @@ fn validate_distance(d: usize) -> Result<(), ExperimentError> {
 /// Validates the run configuration both builders carry: shots, erasure
 /// rates, window geometry and leakage profile, then the `ERASER_THREADS`
 /// override this same configuration would consult — so a thread count the
-/// builder pinned never reads, or fails on, the variable. The controller is
-/// checked per policy by [`validate_controller`].
+/// builder pinned never reads, or fails on, the variable. Adaptive
+/// policies' controller knobs are checked per policy by
+/// [`validate_controller`].
 fn validate_run_config(config: &RunConfig) -> Result<(), ExperimentError> {
     if config.shots == 0 {
         return Err(ExperimentError::ZeroShots);
@@ -198,17 +199,9 @@ fn validate_run_config(config: &RunConfig) -> Result<(), ExperimentError> {
     Ok(config.validate_env()?)
 }
 
-/// Controller knobs must validate — both a `RunConfig::controller` override
-/// and the knobs embedded in a selected [`PolicyKind::Adaptive`].
-fn validate_controller(
-    controller: Option<&ControllerConfig>,
-    policy: &PolicyKind,
-) -> Result<(), ExperimentError> {
-    if let Some(config) = controller {
-        config
-            .validate()
-            .map_err(ExperimentError::InvalidController)?;
-    }
+/// The knobs embedded in a selected [`PolicyKind::Adaptive`] must
+/// validate.
+fn validate_controller(policy: &PolicyKind) -> Result<(), ExperimentError> {
     if let PolicyKind::Adaptive(config) = policy {
         config
             .validate()
@@ -242,8 +235,8 @@ pub enum PolicyKind {
     Optimal,
     /// The feedback-controlled adaptive policy: a [`crate::control`]
     /// estimator + control law retuning the LRC density mid-run. The
-    /// embedded knobs are defaults — `RunConfig::controller` overrides
-    /// them per run (see [`PolicyKind::resolved`]).
+    /// embedded knobs are the only place its controller is configured
+    /// (the serve job's `control` spec binds into this variant).
     Adaptive(ControllerConfig),
     /// A user-supplied policy factory (the closure escape hatch).
     Custom {
@@ -313,17 +306,6 @@ impl PolicyKind {
             PolicyKind::Optimal => "optimal",
             PolicyKind::Adaptive(config) => config.law_name(),
             PolicyKind::Custom { name, .. } => name,
-        }
-    }
-
-    /// The policy this kind resolves to under `config`: for
-    /// [`PolicyKind::Adaptive`] the run-level controller override
-    /// (`RunConfig::controller`) replaces the variant's embedded knobs;
-    /// every other kind is returned unchanged.
-    pub fn resolved(&self, config: &RunConfig) -> PolicyKind {
-        match self {
-            PolicyKind::Adaptive(own) => PolicyKind::Adaptive(config.controller.unwrap_or(*own)),
-            other => other.clone(),
         }
     }
 
@@ -583,10 +565,6 @@ impl Experiment {
     /// jobs — pay the build once. Artifacts are deterministic functions of
     /// the physics, so results are bit-identical to a cache-free run.
     pub fn run_policy(&self, kind: &PolicyKind) -> MemoryRunResult {
-        // Adaptive kinds resolve the run-level controller override
-        // (`RunConfig::controller`) here, the one place every facade run
-        // passes through.
-        let kind = kind.resolved(&self.config);
         let Ok(artifacts) = self
             .runner
             .decode_artifacts(&self.config, Some(ArtifactCache::global()));
@@ -697,27 +675,11 @@ macro_rules! run_setters {
             self
         }
 
-        /// Run-level controller override for adaptive policies: replaces
-        /// the knobs embedded in a selected [`PolicyKind::Adaptive`].
-        /// Validated at build time; static policies ignore it.
-        pub fn controller(mut self, config: ControllerConfig) -> Self {
-            self.config.controller = Some(config);
-            self
-        }
-
         /// Time-varying injected-leakage schedule (default
         /// [`LeakageProfile::Stationary`]: nothing injected). Validated at
         /// build time; applied identically to every shot of the run.
         pub fn leakage_profile(mut self, profile: LeakageProfile) -> Self {
             self.config.profile = profile;
-            self
-        }
-
-        /// Tiered sparse-syndrome fast path in front of every decode (tier
-        /// 0 skips empty syndromes/windows, tier 1 resolves 1–2 defects in
-        /// closed form) — bit-identical either way. Default on.
-        pub fn predecode(mut self, on: bool) -> Self {
-            self.config.predecode = on;
             self
         }
     };
@@ -780,7 +742,7 @@ impl ExperimentBuilder {
         let spec = self.rounds.ok_or(ExperimentError::MissingRounds)?;
         spec.validate()?;
         validate_run_config(&self.config)?;
-        validate_controller(self.config.controller.as_ref(), &self.policy)?;
+        validate_controller(&self.policy)?;
         Ok((d, spec.resolve(d)))
     }
 
@@ -926,13 +888,6 @@ impl Sweep {
         // since; the panic here is the documented low-level behaviour.
         let mut config = self.config;
         config.threads = config.resolved_threads().unwrap_or_else(|e| panic!("{e}"));
-        // Adaptive kinds resolve the run-level controller override once for
-        // the whole grid (every cell shares one configuration).
-        let policies: Vec<PolicyKind> = self
-            .policies
-            .iter()
-            .map(|kind| kind.resolved(&config))
-            .collect();
         for &d in &self.distances {
             let rounds = self.rounds.resolve(d);
             for &p in &self.error_rates {
@@ -946,7 +901,7 @@ impl Sweep {
                     || MemoryRunner::new_with_basis(d, noise, rounds, self.basis),
                 );
                 let Ok(artifacts) = runner.decode_artifacts(&config, Some(cache));
-                for kind in &policies {
+                for kind in &self.policies {
                     let result =
                         runner.run_with_artifacts(&|code| kind.build(code), &config, &artifacts);
                     let proceed = sink(SweepPoint {
@@ -1047,7 +1002,7 @@ impl SweepBuilder {
         rounds.validate()?;
         validate_run_config(&self.config)?;
         for kind in &self.policies {
-            validate_controller(self.config.controller.as_ref(), kind)?;
+            validate_controller(kind)?;
         }
         Ok(Sweep {
             distances: self.distances,
@@ -1164,37 +1119,18 @@ mod tests {
             .policy(PolicyKind::eraser())
             .window_rounds(4)
             .window_stride(2)
-            // Pinned tier-free: the tier-0 skip elides empty windows'
-            // latency samples.
-            .predecode(false)
             .build()
             .unwrap();
         assert_eq!(exp.config().window_rounds, 4);
         assert_eq!(exp.config().window_stride, 2);
         let windowed = exp.run();
         // Rounds 0..=9 are ten detector rounds: windows start at 0, 2, 4, 6
-        // (the final [6, 9] commits the rest) → 4 windows per shot.
-        assert_eq!(windowed.decode_latency.samples(), 40 * 4);
-        assert!(!windowed.predecode.is_active(), "predecoder pinned off");
-
-        // With the predecoder on (the default) the physics and outcome are
-        // identical; empty windows resolve at tier 0 without a sample, and
-        // every window lands in exactly one tier.
-        let tiered = base()
-            .shots(40)
-            .rounds(9)
-            .noise(NoiseParams::standard(3e-3))
-            .policy(PolicyKind::eraser())
-            .window_rounds(4)
-            .window_stride(2)
-            .build()
-            .unwrap()
-            .run();
-        assert_eq!(tiered.logical_errors, windowed.logical_errors);
-        assert_eq!(tiered.total_lrcs, windowed.total_lrcs);
-        assert_eq!(tiered.predecode.total(), 40 * 4);
+        // (the final [6, 9] commits the rest) → 4 windows per shot. Every
+        // window lands in exactly one tier, and empty windows resolve at
+        // tier 0 without a latency sample.
+        assert_eq!(windowed.predecode.total(), 40 * 4);
         assert_eq!(
-            tiered.decode_latency.samples() + tiered.predecode.hits[0],
+            windowed.decode_latency.samples() + windowed.predecode.hits[0],
             40 * 4
         );
         // Same physics as the full-cover run of the same seed.
@@ -1209,8 +1145,8 @@ mod tests {
         assert_eq!(mono.total_lrcs, windowed.total_lrcs);
         assert_eq!(mono.speculation, windowed.speculation);
 
-        // Sweep builder carries the same knobs (predecode pinned off so the
-        // per-window sample floor holds; on, tier 0 absorbs empty windows).
+        // Sweep builder carries the same knobs: 9 detector rounds take
+        // windows [0, 3], [4, 7] and the clamped final [5, 8].
         let sweep = Sweep::builder()
             .distances([3])
             .error_rates([1e-3])
@@ -1219,13 +1155,15 @@ mod tests {
             .shots(8)
             .window_rounds(4)
             .window_stride(4)
-            .predecode(false)
             .build()
             .unwrap();
         let points = sweep.run();
         assert_eq!(points.len(), 1);
-        assert!(points[0].result.decode_latency.samples() >= 8 * 2);
-        assert!(!points[0].result.predecode.is_active());
+        let result = &points[0].result;
+        assert_eq!(
+            result.decode_latency.samples() + result.predecode.hits[0],
+            8 * 3
+        );
         assert!(Sweep::builder()
             .distances([3])
             .error_rates([1e-3])
@@ -1476,10 +1414,6 @@ mod tests {
             ..ControllerConfig::ewma()
         };
         assert_eq!(
-            base().controller(bad).build().unwrap_err(),
-            ExperimentError::InvalidController("thresholds must satisfy 0 <= down <= up <= 1")
-        );
-        assert_eq!(
             base()
                 .policy(PolicyKind::Adaptive(bad))
                 .build()
@@ -1509,30 +1443,6 @@ mod tests {
                 .unwrap_err(),
             ExperimentError::InvalidController("thresholds must satisfy 0 <= down <= up <= 1")
         );
-    }
-
-    #[test]
-    fn run_config_controller_overrides_the_variant_knobs() {
-        use crate::control::ControlLawKind;
-        let override_config = ControllerConfig {
-            budget: 7,
-            ..ControllerConfig::budget()
-        };
-        let kind = PolicyKind::adaptive(ControlLawKind::Ewma);
-        let mut config = RunConfig::default();
-        assert_eq!(
-            kind.resolved(&config),
-            kind,
-            "no override leaves the embedded knobs"
-        );
-        config.controller = Some(override_config);
-        assert_eq!(
-            kind.resolved(&config),
-            PolicyKind::Adaptive(override_config),
-            "the run-level controller rebinds the variant"
-        );
-        // Static kinds never change.
-        assert_eq!(PolicyKind::eraser().resolved(&config), PolicyKind::eraser());
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!   decisions against simulator ground truth (Fig 16).
 
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, ExperimentKey};
-use crate::control::{ControllerConfig, ControllerStats, LeakageProfile};
+use crate::control::{ControllerStats, LeakageProfile};
 use crate::policy::{LrcPolicy, StripeRoundContext, StripedPolicy};
 use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
@@ -246,21 +246,11 @@ pub struct RunConfig {
     /// `window_rounds − d` (clamped to ≥ 1), which keeps the re-decoded
     /// buffer at d rounds. Must not exceed `window_rounds`.
     pub window_stride: usize,
-    /// Feedback-controller override for adaptive policies: `Some` replaces
-    /// the knobs embedded in `PolicyKind::Adaptive` for this run; `None`
-    /// keeps the policy's own configuration. Static policies ignore it
-    /// entirely.
-    pub controller: Option<ControllerConfig>,
     /// Time-varying injected-leakage schedule (bursts, ramps). The runner
     /// applies the profile's per-round rate as an extra `LeakInject` on
     /// every data qubit at the top of each round, in every stripe lane.
     /// [`LeakageProfile::Stationary`] (the default) injects nothing.
     pub profile: LeakageProfile,
-    /// Tiered sparse-syndrome fast path in front of every decode (tier 0
-    /// skips empty syndromes/windows, tier 1 resolves 1–2 defects in
-    /// closed form, tier 2 is the configured backend — bit-identical
-    /// either way). Default on.
-    pub predecode: bool,
 }
 
 impl Default for RunConfig {
@@ -275,9 +265,7 @@ impl Default for RunConfig {
             erasure: ErasureDetection::default(),
             window_rounds: 0,
             window_stride: 0,
-            controller: None,
             profile: LeakageProfile::Stationary,
-            predecode: true,
         }
     }
 }
@@ -632,8 +620,8 @@ pub struct MemoryRunResult {
     pub controller: ControllerStats,
     /// Tiered-predecoder telemetry: per-tier decode counts and nanos (tier
     /// 0 = skipped empty syndromes/windows, tier 1 = closed-form 1–2 defect
-    /// decodes, tier 2 = full backend). All-zero when the predecoder is
-    /// disabled or decoding is off; see [`TierCounters::is_active`].
+    /// decodes, tier 2 = full backend). All-zero when decoding is off; see
+    /// [`TierCounters::is_active`].
     pub predecode: TierCounters,
 }
 
@@ -720,7 +708,7 @@ impl PartialStats {
         suspect: bool,
     ) {
         let outcome = stream.finish();
-        for &(nanos, committed) in stream.latency_samples() {
+        for &(nanos, committed) in stream.window_latencies() {
             self.decode_latency.record(nanos, committed as usize);
         }
         erasures.sort_unstable();
@@ -811,11 +799,9 @@ impl DecodeArtifacts {
 
     /// One runtime worker's streaming decoder (`None` when decoding is
     /// disabled): the plan's sequential window chain, fronted by the tiered
-    /// predecoder unless `config` turns it off — bit-identical either way.
-    fn stream(&self, config: &RunConfig) -> Option<WindowedDecoder<'_>> {
-        let mut stream = self.window_plan()?.streaming();
-        stream.set_predecode(config.predecode);
-        Some(stream)
+    /// predecoder.
+    fn stream(&self) -> Option<WindowedDecoder<'_>> {
+        Some(self.window_plan()?.streaming())
     }
 }
 
@@ -1272,7 +1258,7 @@ impl MemoryRunner {
             LrcProtocol::Dqlr => &self.masked_dqlr,
         };
 
-        let mut streaming = artifacts.stream(config);
+        let mut streaming = artifacts.stream();
         let erasure_active = config.erasure.enabled && streaming.is_some();
         let mut policy = StripedPolicy::new(policy_factory, code, width);
         let discriminator = if policy.uses_multilevel() {
@@ -1932,10 +1918,6 @@ mod tests {
             threads: 2,
             decoder: DecoderKind::Mwpm,
             window_rounds: window,
-            // Pinned tier-free: the tier-0 skip elides empty windows'
-            // latency samples, and the count below is one per window
-            // (tier identity has its own tests).
-            predecode: false,
             erasure: ErasureDetection::perfect_readout(),
             ..RunConfig::default()
         };
@@ -1962,11 +1944,15 @@ mod tests {
             windowed.logical_errors,
             mono.logical_errors
         );
-        // Latency probes: one sample per shot at full cover, one per window
-        // (⌈(12+1−5)/s⌉+1 windows with the stride defaulting to w−d=2) when
-        // streaming.
-        assert_eq!(mono.decode_latency.samples(), 200);
-        assert_eq!(windowed.decode_latency.samples(), 200 * 5);
+        // Every window either takes a latency sample or is skipped at tier
+        // 0: one window per shot at full cover, ⌈(12+1−5)/s⌉+1 windows with
+        // the stride defaulting to w−d=2 when streaming.
+        for (result, windows) in [(&mono, 1), (&windowed, 5)] {
+            assert_eq!(
+                result.decode_latency.samples() + result.predecode.hits[0],
+                200 * windows
+            );
+        }
         assert!(windowed.decode_latency.p50_ns_per_round() > 0.0);
         assert!(
             windowed.decode_latency.p99_ns_per_round()

@@ -76,7 +76,7 @@ fn reference_shots(
     let num_data = code.num_data();
     let num_stabs = code.num_stabs();
 
-    let mut streaming = artifacts.stream(config);
+    let mut streaming = artifacts.stream();
     let erasure_active = config.erasure.enabled && streaming.is_some();
     let mut policy = policy_factory(code);
     let discriminator = if policy.uses_multilevel() {

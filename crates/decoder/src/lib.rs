@@ -50,7 +50,7 @@
 //! * [`predecode`] — the tiered sparse-syndrome fast path in front of every
 //!   backend: tier 0 skips empty windows/shots outright, tier 1 resolves
 //!   1–2 defect syndromes in closed form, tier 2 is the configured backend —
-//!   all bit-identical to the untier'd path, with per-tier
+//!   always on, bit-identical to the untier'd path, with per-tier
 //!   [`TierCounters`] telemetry.
 //!
 //! # Decoding millions of shots

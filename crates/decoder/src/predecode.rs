@@ -22,6 +22,11 @@
 //! order-free closed form and always defers to tier 2; it still gets the
 //! tier-0 skip.
 //!
+//! The ladder is always on; there is no switch to turn it off. Its
+//! reference is the tier-1 contract itself: `crates/decoder/tests/predecode.rs`
+//! checks every 1- and 2-defect syndrome on real window shapes against the
+//! backend's full decode.
+//!
 //! [`TieredDecoder`] wraps any [`SyndromeDecoder`] for whole-syndrome
 //! batch decoding (the benches' and tests' reference); the streaming
 //! path the runtime uses ([`crate::window::WindowedDecoder`]) implements
@@ -96,33 +101,19 @@ pub(crate) fn tier1_applies(defects: &[usize], erasures: &[usize]) -> bool {
 }
 
 /// A [`SyndromeDecoder`] wrapper that fronts its inner backend with the
-/// tier ladder for whole-syndrome decoding. When disabled it forwards
-/// verbatim (no counters recorded), so a caller can construct it
-/// unconditionally and flip tiers per its configuration.
+/// tier ladder for whole-syndrome decoding.
 pub struct TieredDecoder<'a> {
     inner: Box<dyn SyndromeDecoder + 'a>,
-    enabled: bool,
     counters: TierCounters,
 }
 
 impl<'a> TieredDecoder<'a> {
-    /// Wraps `inner` with tiers enabled.
+    /// Wraps `inner` with the tier ladder.
     pub fn new(inner: Box<dyn SyndromeDecoder + 'a>) -> TieredDecoder<'a> {
-        TieredDecoder::with_enabled(inner, true)
-    }
-
-    /// Wraps `inner`, with tiers on or off.
-    pub fn with_enabled(inner: Box<dyn SyndromeDecoder + 'a>, enabled: bool) -> TieredDecoder<'a> {
         TieredDecoder {
             inner,
-            enabled,
             counters: TierCounters::default(),
         }
-    }
-
-    /// Whether the tier ladder is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The accumulated per-tier telemetry.
@@ -135,32 +126,27 @@ impl<'a> TieredDecoder<'a> {
         syndrome: &Syndrome,
         mut correction: Option<&mut Vec<usize>>,
     ) -> DecodeOutcome {
-        if self.enabled {
-            if tier0_applies(&syndrome.defects, &syndrome.erasures) {
-                // Bit-identical by construction: every backend early-returns
-                // `DecodeOutcome::default()` (clearing the correction) on an
-                // empty syndrome before reading the clock.
-                if let Some(c) = correction.as_deref_mut() {
-                    c.clear();
-                }
-                self.counters.record(0, 0);
-                return DecodeOutcome::default();
+        if tier0_applies(&syndrome.defects, &syndrome.erasures) {
+            // Bit-identical by construction: every backend early-returns
+            // `DecodeOutcome::default()` (clearing the correction) on an
+            // empty syndrome before reading the clock.
+            if let Some(c) = correction.as_deref_mut() {
+                c.clear();
             }
-            if tier1_applies(&syndrome.defects, &syndrome.erasures) {
-                if let Some(outcome) = self.inner.decode_tier1(syndrome, correction.as_deref_mut())
-                {
-                    self.counters.record(1, outcome.nanos);
-                    return outcome;
-                }
+            self.counters.record(0, 0);
+            return DecodeOutcome::default();
+        }
+        if tier1_applies(&syndrome.defects, &syndrome.erasures) {
+            if let Some(outcome) = self.inner.decode_tier1(syndrome, correction.as_deref_mut()) {
+                self.counters.record(1, outcome.nanos);
+                return outcome;
             }
         }
         let outcome = match correction {
             Some(c) => self.inner.decode_with_correction(syndrome, c),
             None => self.inner.decode_syndrome(syndrome),
         };
-        if self.enabled {
-            self.counters.record(2, outcome.nanos);
-        }
+        self.counters.record(2, outcome.nanos);
         outcome
     }
 }
@@ -303,19 +289,5 @@ mod tests {
         let mut tiered = TieredDecoder::new(Box::new(inner));
         tiered.decode_syndrome(&Syndrome::new(vec![4]));
         assert_eq!(tiered.counters().hits, [0, 0, 1]);
-    }
-
-    #[test]
-    fn disabled_wrapper_forwards_verbatim() {
-        let inner = ScriptedDecoder {
-            tier1_calls: 0,
-            full_calls: 0,
-            tier1_supported: true,
-        };
-        let mut tiered = TieredDecoder::with_enabled(Box::new(inner), false);
-        assert!(!tiered.enabled());
-        tiered.decode_syndrome(&Syndrome::default());
-        tiered.decode_syndrome(&Syndrome::new(vec![4]));
-        assert!(!tiered.counters().is_active(), "disabled records nothing");
     }
 }

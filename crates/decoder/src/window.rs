@@ -461,7 +461,6 @@ impl WindowPlan {
             par_val: Vec::new(),
             par_epoch: 0,
             touched: Vec::new(),
-            predecode: true,
             counters: TierCounters::default(),
         }
     }
@@ -486,20 +485,6 @@ pub trait StreamingDecoder {
 
     /// Human-readable decoder name.
     fn name(&self) -> &'static str;
-
-    /// Latency samples of the current shot as `(nanos, rounds)` pairs, one
-    /// per decoded window. Cleared by [`StreamingDecoder::begin_shot`].
-    fn latency_samples(&self) -> &[(u64, u32)];
-
-    /// Enables or disables the tiered fast path ([`crate::predecode`],
-    /// default on). Bit-identical either way; disabling it makes every
-    /// window run the full backend and take a latency sample. Call between
-    /// shots.
-    fn set_predecode(&mut self, on: bool);
-
-    /// Per-tier hit/latency telemetry, accumulated across every shot this
-    /// instance decoded (all zeros when the predecoder is disabled).
-    fn tier_counters(&self) -> TierCounters;
 }
 
 /// The generic sliding-window adapter: buffers pushed rounds, decodes each
@@ -531,12 +516,8 @@ pub struct WindowedDecoder<'p> {
     par_val: Vec<bool>,
     par_epoch: u32,
     touched: Vec<usize>,
-    /// Whether the tiered fast path ([`crate::predecode`]) fronts each
-    /// window: tier 0 skips empty windows outright, tier 1 resolves 1–2
-    /// defect windows in closed form. Bit-identical either way; on by
-    /// default.
-    predecode: bool,
-    /// Per-tier telemetry, accumulated across shots (run-level, not
+    /// Per-tier telemetry of the tiered fast path ([`crate::predecode`])
+    /// that fronts every window, accumulated across shots (run-level, not
     /// cleared by [`StreamingDecoder::begin_shot`]).
     counters: TierCounters,
 }
@@ -547,21 +528,15 @@ impl WindowedDecoder<'_> {
         self.plan
     }
 
-    /// Whether the tiered fast path is active.
-    pub fn predecode(&self) -> bool {
-        self.predecode
-    }
-
     /// Per-tier hit/latency telemetry, accumulated across every shot this
-    /// instance decoded (all zeros when the predecoder is disabled). The
-    /// borrowing form of [`StreamingDecoder::tier_counters`].
+    /// instance decoded.
     pub fn tier_counters(&self) -> &TierCounters {
         &self.counters
     }
 
     /// Per-window decode latency samples of the current shot: `(nanos,
-    /// rounds committed)` per decoded window, in order. Cleared by
-    /// [`StreamingDecoder::begin_shot`].
+    /// rounds committed)` per decoded window, in order; windows skipped at
+    /// tier 0 take none. Cleared by [`StreamingDecoder::begin_shot`].
     pub fn window_latencies(&self) -> &[(u64, u32)] {
         &self.latencies
     }
@@ -584,7 +559,7 @@ impl WindowedDecoder<'_> {
         // Tier 0: an empty window is skipped outright — no local syndrome,
         // no erasure translation (the live set is empty, so retirement is a
         // no-op too), no latency sample.
-        if self.predecode && tier0_applies(&self.defects, &self.erasures) {
+        if tier0_applies(&self.defects, &self.erasures) {
             self.counters.record(0, 0);
             return;
         }
@@ -628,9 +603,8 @@ impl WindowedDecoder<'_> {
         // pick an equal-weight path of the opposite parity.
         let last = pos.commit_rel == usize::MAX;
         let mut correction = (!last).then_some(&mut self.correction);
-        let tier1 = self.predecode && tier1_applies(&self.local.defects, &self.local.erasures);
         let inner = &mut self.inner[pos.shape];
-        let fast = if tier1 {
+        let fast = if tier1_applies(&self.local.defects, &self.local.erasures) {
             inner.decode_tier1(&self.local, correction.as_deref_mut())
         } else {
             None
@@ -640,9 +614,7 @@ impl WindowedDecoder<'_> {
             (None, Some(c)) => (2, inner.decode_with_correction(&self.local, c)),
             (None, None) => (2, inner.decode_syndrome(&self.local)),
         };
-        if self.predecode {
-            self.counters.record(tier, out.nanos);
-        }
+        self.counters.record(tier, out.nanos);
         let (flip, weight) = if last {
             self.defects.clear();
             (out.flip, out.weight)
@@ -784,18 +756,6 @@ impl StreamingDecoder for WindowedDecoder<'_> {
 
     fn name(&self) -> &'static str {
         self.plan.backend.name()
-    }
-
-    fn latency_samples(&self) -> &[(u64, u32)] {
-        &self.latencies
-    }
-
-    fn set_predecode(&mut self, on: bool) {
-        self.predecode = on;
-    }
-
-    fn tier_counters(&self) -> TierCounters {
-        self.counters
     }
 }
 
@@ -979,19 +939,5 @@ mod tests {
         assert_eq!(dec.tier_counters().hits[0], plan.num_positions() as u64);
         assert_eq!(dec.tier_counters().total(), plan.num_positions() as u64);
         assert_eq!(dec.name(), "mwpm");
-
-        // With the predecoder off, every position runs the full backend and
-        // takes a latency sample (the pre-tier behavior).
-        let mut dec = plan.streaming();
-        dec.set_predecode(false);
-        dec.begin_shot();
-        for _ in 0..=g.max_round() {
-            dec.push_round(&[], &[]);
-        }
-        let out = dec.finish();
-        assert!(!out.flip);
-        assert_eq!(out.weight, 0.0);
-        assert_eq!(dec.window_latencies().len(), plan.num_positions());
-        assert!(!dec.tier_counters().is_active());
     }
 }

@@ -3,16 +3,17 @@
 //! The tentpole guarantee of `qec_decoder::predecode`: with the tier ladder
 //! in front of any backend, every decode is **bit-identical** to the
 //! untier'd path — same observable flip, the exact same f64 weight bits,
-//! and the same correction-edge XOR — across 0/1/2/many-defect syndromes,
-//! with and without erasure overlays, and through the windowed streaming
-//! path where carried-in defects count against the tier thresholds.
+//! and the same correction edges — across 0/1/2/many-defect syndromes,
+//! with and without erasure overlays. The windowed streaming path has no
+//! untiered form, so its reference is the tier-1 contract itself, checked
+//! on every 1- and 2-defect syndrome of real window shapes.
 
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
     build_dem, DecoderFactory, DecodingGraph, DetectorErrorModel, MwpmFactory, SparseMwpmFactory,
     StreamingDecoder, Syndrome, SyndromeDecoder, TieredDecoder, UnionFindFactory, WindowBackend,
-    WindowPlan,
+    WindowGraph, WindowPlan,
 };
 use std::collections::HashSet;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -176,50 +177,116 @@ fn stream_shot(
     dec.finish()
 }
 
-/// The streaming property: with sliding windows (so buffer-region defects
-/// carry into the next position and count against the tier thresholds),
-/// the tiered windowed decoder is bit-identical to the same plan with the
-/// predecoder disabled — erasure overlays included — and the run-level
-/// tier counters fire.
+/// Checks the tier-1 contract on one window shape, exhaustively: for every
+/// 1- and 2-defect syndrome, whenever `decode_tier1` answers, its flip, f64
+/// weight bits and exact correction-edge sequence equal the backend's full
+/// decode (and its correction-free form equals `decode_syndrome`). Returns
+/// how many calls, in either form, tier 1 answered.
+fn check_tier1_contract(factory: &dyn DecoderFactory, nodes: usize, what: &str) -> u64 {
+    let mut decoder = factory.build();
+    let mut syndrome = Syndrome::default();
+    let (mut fast_correction, mut full_correction) = (Vec::new(), Vec::new());
+    let mut answered = 0u64;
+    for a in 0..nodes {
+        for b in a..nodes {
+            syndrome.defects.clear();
+            syndrome.defects.push(a);
+            if b > a {
+                syndrome.defects.push(b);
+            }
+            fast_correction.clear();
+            if let Some(fast) = decoder.decode_tier1(&syndrome, Some(&mut fast_correction)) {
+                answered += 1;
+                let full = decoder.decode_with_correction(&syndrome, &mut full_correction);
+                let at = format!("{what} defects {:?}", syndrome.defects);
+                assert_eq!(fast.flip, full.flip, "{at}: flip diverged");
+                assert_eq!(
+                    fast.weight.to_bits(),
+                    full.weight.to_bits(),
+                    "{at}: weight not bit-identical ({} vs {})",
+                    fast.weight,
+                    full.weight
+                );
+                assert_eq!(fast.defects, full.defects, "{at}");
+                assert_eq!(
+                    fast_correction, full_correction,
+                    "{at}: correction-edge sequence diverged"
+                );
+            }
+            if let Some(fast) = decoder.decode_tier1(&syndrome, None) {
+                answered += 1;
+                let full = decoder.decode_syndrome(&syndrome);
+                let at = format!("{what} defects {:?} (no correction)", syndrome.defects);
+                assert_eq!(fast.flip, full.flip, "{at}: flip diverged");
+                assert_eq!(fast.weight.to_bits(), full.weight.to_bits(), "{at}");
+                assert_eq!(fast.defects, full.defects, "{at}");
+            }
+        }
+    }
+    answered
+}
+
+/// The streaming property. The windowed chain runs the tier ladder in front
+/// of every window: tier 0 is the empty-syndrome early return every backend
+/// already makes, so the chain is bit-identical to the full decoders iff the
+/// tier-1 contract holds on the window shapes it decodes. That contract is
+/// checked exhaustively on the first, a bulk and the last window shape of
+/// d = 3 and d = 7 parents, for every backend; union-find must never
+/// answer. Then sliding chains (buffer-region defects carry into the next
+/// position and count against the tier thresholds) over random shots,
+/// erasure overlays included, must route every window position through
+/// exactly one tier.
 #[test]
 fn tiered_windowed_is_bit_identical_to_full() {
+    for (d, rounds, window) in [(3usize, 14usize, 5usize), (7, 21, 7)] {
+        let (graph, _) = setup(d, rounds);
+        let last = graph.max_round() + 1 - window;
+        for lo in [0, window, last] {
+            let shape = WindowGraph::build(&graph, lo, lo + window - 1);
+            let g = shape.graph();
+            let factories: [&dyn DecoderFactory; 3] = [
+                &MwpmFactory::new(g),
+                &SparseMwpmFactory::new(g),
+                &UnionFindFactory::new(g),
+            ];
+            for factory in factories {
+                let what = format!("[{}] d={d} window [{lo}, {}]", factory.name(), shape.hi());
+                let answered = check_tier1_contract(factory, g.num_nodes(), &what);
+                if factory.name() == "union-find" {
+                    assert_eq!(answered, 0, "{what}: union-find has no closed form");
+                } else {
+                    assert!(answered > 0, "{what}: tier 1 must answer to be checked");
+                }
+            }
+        }
+    }
+
     let (graph, dem) = setup(3, 14);
     let (window, stride) = (5usize, 2usize);
     for backend in BACKENDS {
         let plan = WindowPlan::new(&graph, window, stride, backend);
         assert!(plan.num_positions() > 3, "actually sliding");
         let mut tiered = plan.streaming();
-        let mut full = plan.streaming();
-        full.set_predecode(false);
         let mut rng = Rng::new(0x71E6 ^ backend.name().len() as u64);
-        for trial in 0..80 {
-            let faults = trial % 6; // includes fully-empty shots (tier 0)
+        let trials = 80u64;
+        for trial in 0..trials {
+            let faults = trial as usize % 6; // includes fully-empty shots (tier 0)
             let (defects, erasures) = sample_shot(&graph, &dem, &mut rng, faults, trial % 3 == 0);
-            let t = stream_shot(&mut tiered, &defects, &erasures);
-            let f = stream_shot(&mut full, &defects, &erasures);
-            assert_eq!(
-                t.flip,
-                f.flip,
-                "[{}] trial {trial}: flip diverged",
-                backend.name()
-            );
-            assert_eq!(
-                t.weight.to_bits(),
-                f.weight.to_bits(),
-                "[{}] trial {trial}: weight not bit-identical ({} vs {})",
-                backend.name(),
-                t.weight,
-                f.weight
-            );
-            assert_eq!(t.defects, f.defects);
+            stream_shot(&mut tiered, &defects, &erasures);
         }
         let counters = *tiered.tier_counters();
-        assert!(counters.is_active(), "[{}]", backend.name());
-        assert!(counters.hits[0] > 0, "[{}] empty windows", backend.name());
-        assert!(
-            !full.tier_counters().is_active(),
-            "[{}] disabled path must not count",
+        assert_eq!(
+            counters.total(),
+            trials * plan.num_positions() as u64,
+            "[{}] one tier per window position",
             backend.name()
         );
+        assert!(counters.hits[0] > 0, "[{}] empty windows", backend.name());
+        assert!(counters.hits[2] > 0, "[{}] dense windows", backend.name());
+        if backend == WindowBackend::UnionFind {
+            assert_eq!(counters.hits[1], 0, "union-find never answers tier 1");
+        } else {
+            assert!(counters.hits[1] > 0, "[{}] sparse windows", backend.name());
+        }
     }
 }

@@ -27,7 +27,9 @@
 //! | `stats`    | server + artifact-cache counters                             |
 //! | `bye`      | shutdown acknowledged; the server drains and exits           |
 
-use eraser_core::{ControllerConfig, ExperimentError, LeakageProfile, NoiseModel, Sweep};
+use eraser_core::{
+    ControllerConfig, ExperimentError, LeakageProfile, NoiseModel, PolicyKind, Sweep,
+};
 use eraser_json::Value;
 use std::io::{self, Read, Write};
 
@@ -191,17 +193,15 @@ pub struct JobSpec {
     /// Sliding-window stride; 0 derives `window − d` (default 0).
     pub stride: usize,
     /// Controller spec for adaptive policies, e.g. `"ewma:up=0.2"` or
-    /// `"budget:quota=40"`; empty = each adaptive policy's embedded
-    /// defaults (default empty; see
+    /// `"budget:quota=40"`, bound into every adaptive policy of the job
+    /// (so its law also sets their label); empty = each adaptive policy's
+    /// embedded defaults (default empty; see
     /// [`ControllerConfig::parse_spec`](eraser_core::ControllerConfig)).
     pub control: String,
     /// Injected-leakage schedule, e.g. `"burst:start=5,len=2,period=10,rate=0.02"`;
     /// empty = stationary (default empty; see
     /// [`LeakageProfile::parse_spec`](eraser_core::LeakageProfile)).
     pub profile: String,
-    /// Tiered predecode fast path: `"on"`, `"off"`, or empty for on
-    /// (default empty).
-    pub predecode: String,
 }
 
 impl Default for JobSpec {
@@ -224,7 +224,6 @@ impl Default for JobSpec {
             stride: 0,
             control: String::new(),
             profile: String::new(),
-            predecode: String::new(),
         }
     }
 }
@@ -265,7 +264,6 @@ impl JobSpec {
         v.set("stride", self.stride);
         v.set("control", self.control.as_str());
         v.set("profile", self.profile.as_str());
-        v.set("predecode", self.predecode.as_str());
         v
     }
 
@@ -324,7 +322,6 @@ impl JobSpec {
         read_usize(v, "stride", &mut spec.stride)?;
         read_string(v, "control", &mut spec.control)?;
         read_string(v, "profile", &mut spec.profile)?;
-        read_string(v, "predecode", &mut spec.predecode)?;
         Ok(spec)
     }
 
@@ -342,12 +339,21 @@ impl JobSpec {
             "x" | "X" => surface_code::MemoryBasis::X,
             other => return Err(format!("unknown basis `{other}` (expected \"z\" or \"x\")")),
         };
-        let policies = self
+        let mut policies = self
             .policies
             .iter()
             .map(|p| p.parse())
             .collect::<Result<Vec<_>, ExperimentError>>()
             .map_err(|e| e.to_string())?;
+        if !self.control.trim().is_empty() {
+            let config = ControllerConfig::parse_spec(self.control.trim())
+                .map_err(|reason| format!("invalid control spec: {reason}"))?;
+            for kind in &mut policies {
+                if let PolicyKind::Adaptive(own) = kind {
+                    *own = config;
+                }
+            }
+        }
         let decoder = self
             .decoder
             .parse()
@@ -364,29 +370,12 @@ impl JobSpec {
             .leakage_aware_decoding(self.leakage_aware)
             .erasure_detection(self.erasure_fp, self.erasure_fn)
             .window_rounds(self.window)
-            .window_stride(self.stride);
-        if !self.control.trim().is_empty() {
-            let config = ControllerConfig::parse_spec(self.control.trim())
-                .map_err(|reason| format!("invalid control spec: {reason}"))?;
-            builder = builder.controller(config);
-        }
+            .window_stride(self.stride)
+            .policies(policies);
         if !self.profile.trim().is_empty() {
             let profile = LeakageProfile::parse_spec(self.profile.trim())
                 .map_err(|reason| format!("invalid leakage profile: {reason}"))?;
             builder = builder.leakage_profile(profile);
-        }
-        match self.predecode.trim() {
-            "" => {}
-            "on" => builder = builder.predecode(true),
-            "off" => builder = builder.predecode(false),
-            other => {
-                return Err(format!(
-                    "invalid predecode `{other}` (expected \"on\" or \"off\")"
-                ));
-            }
-        }
-        for kind in policies {
-            builder = builder.policy(kind);
         }
         builder = if self.rounds > 0 {
             builder.rounds(self.rounds)
@@ -438,7 +427,6 @@ mod tests {
             policies: vec!["no-lrc".into(), "eraser".into()],
             window: 9,
             stride: 4,
-            predecode: "off".into(),
             ..JobSpec::default()
         };
         let mut wire = Vec::new();
@@ -454,10 +442,12 @@ mod tests {
         assert!(matches!(reader.read().unwrap(), ReadOutcome::Frame(_)));
         assert!(matches!(reader.read().unwrap(), ReadOutcome::Eof));
 
-        // A legacy `fusion` key (the retired intra-shot thread count) is an
-        // unknown field now: ignored, the spec unchanged.
+        // Legacy `fusion` (the retired intra-shot thread count) and
+        // `predecode` (the retired tier-ladder switch) keys are unknown
+        // fields now: ignored, the spec unchanged.
         let mut legacy = spec.to_frame();
         legacy.set("fusion", 4usize);
+        legacy.set("predecode", "off");
         assert_eq!(JobSpec::from_frame(&legacy).unwrap(), spec);
     }
 
@@ -545,19 +535,6 @@ mod tests {
             ..JobSpec::default()
         };
         assert!(bad.build_sweep(1).is_err());
-
-        let good = JobSpec {
-            predecode: " on ".into(),
-            ..JobSpec::default()
-        };
-        assert_eq!(good.build_sweep(1).unwrap().len(), 1);
-
-        let bad = JobSpec {
-            predecode: "yes".into(),
-            ..JobSpec::default()
-        };
-        let err = bad.build_sweep(1).unwrap_err();
-        assert!(err.contains("predecode"), "{err}");
     }
 
     #[test]
@@ -578,6 +555,19 @@ mod tests {
         assert_eq!(JobSpec::from_frame(&frame).unwrap(), spec);
         let sweep = spec.build_sweep(1).unwrap();
         assert_eq!(sweep.len(), 2);
+
+        // The control spec is bound into every adaptive policy at build
+        // time; static policies are left alone.
+        let spec = JobSpec {
+            policies: vec!["adaptive-ewma".into(), "eraser".into()],
+            control: "budget:quota=12,base=eraser".into(),
+            ..JobSpec::default()
+        };
+        let parsed = ControllerConfig::parse_spec("budget:quota=12,base=eraser").unwrap();
+        assert_eq!(
+            spec.build_sweep(1).unwrap().policies(),
+            [PolicyKind::Adaptive(parsed), PolicyKind::eraser()]
+        );
 
         let bad = JobSpec {
             control: "pid:kp=0.3".into(),

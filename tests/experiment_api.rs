@@ -200,12 +200,9 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         rate: 0.05,
     };
     let p = 3e-3;
-    // ERASER+M exercises the erasure path; the adaptive policy picks up
-    // the controller override.
-    for policy in [
-        PolicyKind::eraser_m(),
-        PolicyKind::adaptive(ControlLawKind::Budget),
-    ] {
+    // ERASER+M exercises the erasure path; the adaptive policy carries
+    // non-default controller knobs.
+    for policy in [PolicyKind::eraser_m(), PolicyKind::Adaptive(controller)] {
         // `rounds` then `cycles`: the later call wins (4 cycles at d = 3).
         macro_rules! run_knobs {
             ($builder:expr) => {
@@ -223,9 +220,7 @@ fn both_builders_wire_every_run_setter_the_same_way() {
                     .erasure_detection(0.01, 0.05)
                     .window_rounds(6)
                     .window_stride(3)
-                    .controller(controller)
                     .leakage_profile(profile)
-                    .predecode(false)
             };
         }
         let exp = run_knobs!(Experiment::builder()
@@ -246,9 +241,7 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         assert_eq!(config.erasure, ErasureDetection::imperfect(0.01, 0.05));
         assert_eq!(config.window_rounds, 6);
         assert_eq!(config.window_stride, 3);
-        assert_eq!(config.controller, Some(controller));
         assert_eq!(config.profile, profile);
-        assert!(!config.predecode);
 
         let points = run_knobs!(Sweep::builder()
             .distances([3])
@@ -277,11 +270,14 @@ fn both_builders_wire_every_run_setter_the_same_way() {
         // The knobs are live, not vacuously equal defaults.
         assert_eq!(want.decoder, "mwpm");
         assert!(want.total_erasures > 0, "{label}: erasures must flow");
-        assert!(!want.predecode.is_active(), "{label}: predecoder off");
-        // Sequential chain, predecoder off: one sample per window, and the
-        // 13 detector rounds take windows at 0, 3, 6 and 9 (the last one
-        // [9, 12] commits the rest).
-        assert_eq!(want.decode_latency.samples(), 96 * 4, "one per window");
+        // Sequential chain: the 13 detector rounds take windows at 0, 3, 6
+        // and 9 (the last one [9, 12] commits the rest), and each window
+        // either takes a latency sample or is skipped at tier 0.
+        assert_eq!(
+            want.decode_latency.samples() + want.predecode.hits[0],
+            96 * 4,
+            "one per window"
+        );
         assert_eq!(
             want.controller.is_active(),
             matches!(policy, PolicyKind::Adaptive(_)),
