@@ -13,11 +13,12 @@ use density_sim::{gates, DensityMatrix};
 use eraser_bench::{round_ops, Harness};
 use eraser_core::{
     AdaptivePolicy, ControlBase, ControllerConfig, EraserPolicy, Experiment, LrcPolicy, PolicyKind,
-    RoundContext,
+    RoundContext, StripeRoundContext, StripedPolicy,
 };
 use leak_sim::{BatchFrameSimulator, Discriminator, FrameSimulator, TableauSimulator};
 use qec_core::{NoiseParams, Rng};
 use std::hint::black_box;
+use surface_code::SlotTable;
 
 fn main() {
     let h = Harness::from_args();
@@ -111,6 +112,34 @@ fn main() {
         h.bench("policy_round/d7/adaptive-budget", || {
             black_box(budget.plan_round(black_box(&ctx)).len())
         });
+    }
+
+    // The same quiet round planned for a full 64-lane stripe by the native
+    // word planners. The baselines test asserts the d = 7 ERASER stripe
+    // costs at most 4× one lane of `policy_round/d7/eraser`.
+    for d in [7usize, 11] {
+        let (code, _, _) = round_ops(d);
+        let slots = SlotTable::new(&code);
+        let quiet_events = vec![0u64; code.num_stabs()];
+        let quiet_labels = vec![0u64; code.num_stabs()];
+        let oracle = vec![0u64; code.num_data()];
+        let ctx = StripeRoundContext {
+            round: 1,
+            events: &quiet_events,
+            leaked_readouts: &quiet_labels,
+            oracle_leaked_data: &oracle,
+            active: !0,
+        };
+        let mut slot_masks = vec![0u64; slots.len()];
+        for kind in [PolicyKind::eraser(), PolicyKind::eraser_m()] {
+            let mut policy = StripedPolicy::new(&|code| kind.build(code), &code, 64);
+            policy.reset_stripe(64);
+            let label = kind.label().replace('+', "-");
+            h.bench(&format!("policy_round_striped64/d{d}/{label}"), || {
+                policy.plan_round(black_box(&ctx), &slots, &mut slot_masks);
+                slot_masks[0]
+            });
+        }
     }
 
     for d in [3usize, 5] {

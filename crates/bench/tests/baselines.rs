@@ -107,6 +107,35 @@ fn bench_sim_baseline_bounds_the_adaptive_controller_overhead() {
 }
 
 #[test]
+fn bench_sim_baseline_records_the_word_parallel_planning_win() {
+    let entries = parse_baseline("BENCH_sim.json");
+    let find = |name: &str| {
+        entries
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("BENCH_sim.json must record `{name}`"))
+            .1
+    };
+    for name in [
+        "policy_round_striped64/d11/eraser",
+        "policy_round_striped64/d7/eraser-m",
+        "policy_round_striped64/d11/eraser-m",
+    ] {
+        find(name);
+    }
+    // The native word planner plans a 64-lane ERASER stripe for at most
+    // 4× one lane's scalar planning: at least 16× cheaper per lane.
+    let lane = find("policy_round/d7/eraser");
+    let stripe = find("policy_round_striped64/d7/eraser");
+    assert!(
+        stripe / lane <= 4.0,
+        "committed baseline shows a 64-lane stripe at {:.2}× one lane \
+         (policy_round/d7/eraser {lane} ns vs policy_round_striped64/d7/eraser {stripe} ns)",
+        stripe / lane
+    );
+}
+
+#[test]
 fn bench_decoders_baseline_parses() {
     let entries = parse_baseline("BENCH_decoders.json");
     assert!(entries.iter().any(|(n, _)| n.contains("decode_batch")));

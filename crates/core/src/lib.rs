@@ -87,7 +87,7 @@ pub use experiment::{
 };
 pub use policy::{
     AlwaysLrcPolicy, EraserOptions, EraserPolicy, LeakageDetections, LrcPolicy, NoLrcPolicy,
-    OptimalPolicy, RoundContext, StripeRoundContext, StripedPolicy,
+    OptimalPolicy, RoundContext, StripeDetections, StripeRoundContext, StripedPolicy, WordPlanner,
 };
 pub use qec_decoder::TierCounters;
 pub use resource::{FpgaPart, ResourceEstimate};

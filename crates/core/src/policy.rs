@@ -5,16 +5,27 @@
 //! (the "current syndrome" in the paper's terminology, §4.2 footnote). It
 //! returns the LRC assignments for the upcoming round.
 //!
-//! | policy | source of truth | paper role |
-//! |---|---|---|
-//! | [`NoLrcPolicy`] | — | "No LRC" baseline (Fig 1c, 2c) |
-//! | [`AlwaysLrcPolicy`] | fixed schedule | state-of-the-art Always-LRCs (Fig 3) |
-//! | [`EraserPolicy`] | ≥2 neighbouring parity flips (LSB) | ERASER |
-//! | [`EraserPolicy::with_multilevel`] | flips + \|L⟩ readouts | ERASER+M (§4.6) |
-//! | [`OptimalPolicy`] | simulator ground truth | idealized oracle |
+//! | policy | source of truth | paper role | on a 64-lane stripe |
+//! |---|---|---|---|
+//! | [`NoLrcPolicy`] | — | "No LRC" baseline (Fig 1c, 2c) | native word planner |
+//! | [`AlwaysLrcPolicy`] | fixed schedule | state-of-the-art Always-LRCs (Fig 3) | native word planner |
+//! | [`EraserPolicy`] | ≥2 neighbouring parity flips (LSB) | ERASER | native word planner |
+//! | [`EraserPolicy::with_multilevel`] | flips + \|L⟩ readouts | ERASER+M (§4.6) | native word planner |
+//! | [`OptimalPolicy`] | simulator ground truth | idealized oracle | native word planner |
+//! | [`crate::AdaptivePolicy`], custom | per-lane controller / closure | adaptive control | per-lane adapter |
+//!
+//! The runtime plans 64 shots at once through [`StripedPolicy`]. A policy
+//! that returns a [`WordPlanner`] from [`LrcPolicy::word_planner`] is
+//! planned with word operations, all lanes in one pass; any other runs one
+//! scalar instance per lane. Both produce the same slot masks and
+//! read-path words, bit for bit.
 
 use crate::swap_table::SwapLookupTable;
-use surface_code::{LrcAssignment, RotatedCode, SlotTable};
+use surface_code::{LrcAssignment, RotatedCode};
+
+mod stripe;
+pub(crate) use stripe::at_least;
+pub use stripe::{StripeDetections, StripeRoundContext, StripedPolicy, WordPlanner};
 
 /// Everything a policy may inspect when planning the next round.
 #[derive(Debug, Clone, Copy)]
@@ -94,176 +105,13 @@ pub trait LrcPolicy {
     fn controller(&self) -> Option<&crate::control::ControllerStats> {
         None
     }
-}
 
-/// The striped (64-shots-per-word) planning context: the same signals as
-/// [`RoundContext`], transposed into one word per stabilizer / data qubit
-/// with bit `l` belonging to stripe lane `l`.
-#[derive(Debug, Clone, Copy)]
-pub struct StripeRoundContext<'a> {
-    /// Index of the round being planned (0-based; shared by every lane).
-    pub round: usize,
-    /// Detection-event words per stabilizer from the previous round.
-    pub events: &'a [u64],
-    /// |L⟩-label words per stabilizer from the previous round.
-    pub leaked_readouts: &'a [u64],
-    /// Ground-truth leakage words per data qubit at planning time (consumed
-    /// only by the oracle policy).
-    pub oracle_leaked_data: &'a [u64],
-    /// Lanes holding live shots.
-    pub active: u64,
-}
-
-/// The batched read path of the policy layer: wraps one scalar
-/// [`LrcPolicy`] instance per stripe lane and resolves their per-shot plans
-/// into per-**slot** lane masks over a [`SlotTable`] — the form the
-/// word-parallel runtime's static schedules consume.
-///
-/// Lane `l`'s policy sees exactly the [`RoundContext`] a one-shot-at-a-time
-/// runner would hand it for that shot (the transposed words are re-sliced
-/// per lane), and plans are canonically sorted by `(data, stab)` — the
-/// order of the static schedule's slots — so every lane replays its shot
-/// bit for bit.
-pub struct StripedPolicy {
-    lanes: Vec<Box<dyn LrcPolicy>>,
-    last_plans: Vec<Vec<LrcAssignment>>,
-    /// Per-lane transposed signal rows (`lane × num_stabs` /
-    /// `lane × num_data`), rebuilt each round by *scattering* the set bits
-    /// of the context words — the signals are sparse, so this beats
-    /// extracting every (lane, index) bit.
-    events_rows: Vec<bool>,
-    labels_rows: Vec<bool>,
-    oracle_rows: Vec<bool>,
-    num_stabs: usize,
-    num_data: usize,
-    active_lanes: usize,
-}
-
-impl StripedPolicy {
-    /// Builds one policy instance per lane from `factory` (at most
-    /// `max_lanes`, the stripe width).
-    pub fn new(
-        factory: &(dyn Fn(&RotatedCode) -> Box<dyn LrcPolicy> + Sync),
-        code: &RotatedCode,
-        max_lanes: usize,
-    ) -> StripedPolicy {
-        StripedPolicy {
-            lanes: (0..max_lanes).map(|_| factory(code)).collect(),
-            last_plans: vec![Vec::new(); max_lanes],
-            events_rows: vec![false; max_lanes * code.num_stabs()],
-            labels_rows: vec![false; max_lanes * code.num_stabs()],
-            oracle_rows: vec![false; max_lanes * code.num_data()],
-            num_stabs: code.num_stabs(),
-            num_data: code.num_data(),
-            active_lanes: max_lanes,
-        }
-    }
-
-    /// Display name (all lanes run the same policy).
-    pub fn name(&self) -> &'static str {
-        self.lanes[0].name()
-    }
-
-    /// Whether the wrapped policy requires multi-level readout.
-    pub fn uses_multilevel(&self) -> bool {
-        self.lanes[0].uses_multilevel()
-    }
-
-    /// Starts a fresh stripe of `lanes` live shots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` exceeds the constructed stripe width.
-    pub fn reset_stripe(&mut self, lanes: usize) {
-        assert!(lanes <= self.lanes.len(), "stripe wider than constructed");
-        self.active_lanes = lanes;
-        for policy in &mut self.lanes[..lanes] {
-            policy.reset_shot();
-        }
-        for plan in &mut self.last_plans[..lanes] {
-            plan.clear();
-        }
-    }
-
-    /// Plans the upcoming round for every active lane, writing one lane
-    /// mask per slot into `slot_masks` (zeroed first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane's policy schedules a non-adjacent (data, stab)
-    /// pair; `slot_masks` must hold `slots.len()` words.
-    pub fn plan_round(
-        &mut self,
-        ctx: &StripeRoundContext<'_>,
-        slots: &SlotTable,
-        slot_masks: &mut [u64],
-    ) {
-        assert_eq!(slot_masks.len(), slots.len());
-        slot_masks.fill(0);
-        let width = self.lanes.len();
-        self.events_rows[..width * self.num_stabs].fill(false);
-        self.labels_rows[..width * self.num_stabs].fill(false);
-        self.oracle_rows[..width * self.num_data].fill(false);
-        let scatter = |rows: &mut [bool], stride: usize, index: usize, word: u64| {
-            let mut lanes = word;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                rows[lane * stride + index] = true;
-                lanes &= lanes - 1;
-            }
-        };
-        for (s, &word) in ctx.events.iter().enumerate() {
-            scatter(&mut self.events_rows, self.num_stabs, s, word & ctx.active);
-        }
-        for (s, &word) in ctx.leaked_readouts.iter().enumerate() {
-            scatter(&mut self.labels_rows, self.num_stabs, s, word & ctx.active);
-        }
-        for (q, &word) in ctx.oracle_leaked_data.iter().enumerate() {
-            scatter(&mut self.oracle_rows, self.num_data, q, word & ctx.active);
-        }
-        for lane in 0..self.active_lanes {
-            if ctx.active >> lane & 1 == 0 {
-                continue;
-            }
-            let mut plan = self.lanes[lane].plan_round(&RoundContext {
-                round: ctx.round,
-                events: &self.events_rows[lane * self.num_stabs..][..self.num_stabs],
-                leaked_readouts: &self.labels_rows[lane * self.num_stabs..][..self.num_stabs],
-                oracle_leaked_data: &self.oracle_rows[lane * self.num_data..][..self.num_data],
-                last_lrcs: &self.last_plans[lane],
-            });
-            // Canonical order: the static schedule's slots are sorted the
-            // same way, so a lane executes its plan exactly as a dynamically
-            // built round would.
-            plan.sort_unstable_by_key(|l| (l.data, l.stab));
-            debug_assert!(
-                plan.windows(2).all(|w| w[0].data != w[1].data) && {
-                    let mut stabs: Vec<usize> = plan.iter().map(|l| l.stab).collect();
-                    stabs.sort_unstable();
-                    stabs.windows(2).all(|w| w[0] != w[1])
-                },
-                "policy produced a conflicting plan"
-            );
-            for lrc in &plan {
-                let slot = slots
-                    .slot_of(lrc.data, lrc.stab)
-                    .expect("policy scheduled a non-adjacent LRC pair");
-                slot_masks[slot] |= 1u64 << lane;
-            }
-            self.last_plans[lane] = plan;
-        }
-    }
-
-    /// Lane `lane`'s leakage-detection read path (after the latest
-    /// [`StripedPolicy::plan_round`]).
-    pub fn lane_detections(&self, lane: usize) -> Option<LeakageDetections<'_>> {
-        self.lanes[lane].leakage_detections()
-    }
-
-    /// Lane `lane`'s feedback-controller telemetry (the lane's own
-    /// run-level accumulation; harvested once after the lane's last shot).
-    pub fn lane_controller(&self, lane: usize) -> Option<&crate::control::ControllerStats> {
-        self.lanes[lane].controller()
+    /// A native word-parallel planner that plans 64 stripe lanes of this
+    /// policy at once, each lane bit for bit as one instance of this policy
+    /// would (see [`StripedPolicy`]). The standard policies return one;
+    /// the default `None` keeps a policy on the per-lane adapter.
+    fn word_planner(&self, _code: &RotatedCode) -> Option<WordPlanner> {
+        None
     }
 }
 
@@ -287,6 +135,10 @@ impl LrcPolicy for NoLrcPolicy {
 
     fn plan_round(&mut self, _ctx: &RoundContext<'_>) -> Vec<LrcAssignment> {
         Vec::new()
+    }
+
+    fn word_planner(&self, code: &RotatedCode) -> Option<WordPlanner> {
+        Some(WordPlanner::fixed(code, [&[], &[]], true))
     }
 }
 
@@ -370,6 +222,11 @@ impl LrcPolicy for AlwaysLrcPolicy {
             Vec::new()
         }
     }
+
+    fn word_planner(&self, code: &RotatedCode) -> Option<WordPlanner> {
+        let [a, b] = &self.plans;
+        Some(WordPlanner::fixed(code, [a, b], self.every_round))
+    }
 }
 
 /// The idealized policy: schedules an LRC for exactly the data qubits that
@@ -447,6 +304,10 @@ impl LrcPolicy for OptimalPolicy {
             data_returned: &self.detected_return,
             parity: &self.detected_parity,
         })
+    }
+
+    fn word_planner(&self, code: &RotatedCode) -> Option<WordPlanner> {
+        Some(WordPlanner::optimal(code, &self.table))
     }
 }
 
@@ -705,6 +566,15 @@ impl LrcPolicy for EraserPolicy {
             data_returned: &self.detected_return,
             parity: &self.detected_parity,
         })
+    }
+
+    fn word_planner(&self, code: &RotatedCode) -> Option<WordPlanner> {
+        Some(WordPlanner::eraser(
+            code,
+            &self.table,
+            self.options,
+            self.multilevel,
+        ))
     }
 }
 

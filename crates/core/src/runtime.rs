@@ -14,8 +14,14 @@
 //! word-parallel [`BatchFrameSimulator`] stripe, driven by a *static* round
 //! schedule (`surface_code::MaskedRound`) whose dynamic LRC decisions are
 //! resolved each round into per-slot lane masks by the [`StripedPolicy`]
-//! layer; after the stripe, each lane's defects and logged erasures are fed
-//! to the worker's one streaming decoder, lane by lane. Every shot owns its
+//! layer. The standard policies (no-LRC, Always-LRC, ERASER, ERASER+M, the
+//! oracle) plan every lane at once with a native word planner; custom and
+//! adaptive policies run one scalar instance per lane behind a per-lane
+//! adapter. Either way the policy's read path comes back as lane words,
+//! which one erasure loop turns into each lane's erasure flags, drawing
+//! each lane's detection-noise stream in a fixed order. After the stripe,
+//! each lane's defects and logged erasures are fed to the worker's one
+//! streaming decoder, lane by lane. Every shot owns its
 //! RNG streams, so a shot's result does not depend on which stripe or lane
 //! carries it — and a short run simply packs fewer lanes. The unit tests
 //! hold every stripe width against a one-shot-at-a-time reference runner on
@@ -44,7 +50,7 @@
 
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, ExperimentKey};
 use crate::control::{ControllerStats, LeakageProfile};
-use crate::policy::{LrcPolicy, StripeRoundContext, StripedPolicy};
+use crate::policy::{at_least, LrcPolicy, StripeRoundContext, StripedPolicy};
 use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
@@ -1360,49 +1366,70 @@ impl MemoryRunner {
                 }
 
                 if erasure_active {
-                    // Per-lane detection noise, drawing each lane's stream
-                    // in a fixed order (data, data_returned, parity loops
-                    // per round). Every flag erases the provenance bucket
-                    // of the flagged qubit over its believed-leaked window:
-                    // data flags cover the evidence round and the current
-                    // one; a returned qubit's random state shows up in the
-                    // same window; a parity |L⟩ readout pins the
-                    // (reset-bounded) leak to the previous round alone.
-                    // A returned qubit takes no false-positive draw: it
-                    // already took its one per-round draw in the `data`
-                    // loop.
-                    let fp = config.erasure.false_positive;
-                    let fnr = config.erasure.false_negative;
-                    for lane in 0..lanes {
-                        let Some(det) = policy.lane_detections(lane) else {
-                            continue;
-                        };
-                        let det_rng = &mut det_rngs[lane];
-                        let erasures = &mut lane_erasures[lane];
-                        for (q, &flag) in det.data.iter().enumerate() {
-                            let reported = if flag {
-                                !det_rng.bernoulli(fnr)
-                            } else {
-                                det_rng.bernoulli(fp)
-                            };
-                            if reported {
-                                self.extend_qubit_erasures(r.saturating_sub(1)..=r, q, erasures);
-                            }
+                    if let Some(det) = policy.detections() {
+                        // Per-lane detection noise, drawing each lane's
+                        // stream in a fixed order (data, data_returned,
+                        // parity, each in ascending index). Every flag
+                        // erases the provenance bucket of the flagged qubit
+                        // over its believed-leaked window: data flags cover
+                        // the evidence round and the current one; a
+                        // returned qubit's random state shows up in the same
+                        // window; a parity |L⟩ readout pins the
+                        // (reset-bounded) leak to the previous round alone.
+                        // A returned qubit takes no false-positive draw: it
+                        // already took its one per-round draw in the `data`
+                        // loop.
+                        let fp = config.erasure.false_positive;
+                        let fnr = config.erasure.false_negative;
+                        // With exact checks (fp = 0) an unflagged entry
+                        // draws nothing, so only lanes with a flag have
+                        // work.
+                        let mut lanes_left = det.lanes;
+                        if fp <= 0.0 {
+                            lanes_left &= [det.data, det.data_returned, det.parity]
+                                .iter()
+                                .flat_map(|words| words.iter())
+                                .fold(0, |acc, &w| acc | w);
                         }
-                        for (q, &flag) in det.data_returned.iter().enumerate() {
-                            if flag && !det_rng.bernoulli(fnr) {
-                                self.extend_qubit_erasures(r.saturating_sub(2)..=r, q, erasures);
+                        while lanes_left != 0 {
+                            let lane = lanes_left.trailing_zeros() as usize;
+                            lanes_left &= lanes_left - 1;
+                            let flag = |word: u64| word >> lane & 1 != 0;
+                            let det_rng = &mut det_rngs[lane];
+                            let erasures = &mut lane_erasures[lane];
+                            for (q, &word) in det.data.iter().enumerate() {
+                                let reported = if flag(word) {
+                                    !det_rng.bernoulli(fnr)
+                                } else {
+                                    det_rng.bernoulli(fp)
+                                };
+                                if reported {
+                                    self.extend_qubit_erasures(
+                                        r.saturating_sub(1)..=r,
+                                        q,
+                                        erasures,
+                                    );
+                                }
                             }
-                        }
-                        for (s, &flag) in det.parity.iter().enumerate() {
-                            let reported = if flag {
-                                !det_rng.bernoulli(fnr)
-                            } else {
-                                det_rng.bernoulli(fp)
-                            };
-                            if reported && r > 0 {
-                                let parity = code.parity_qubit(s);
-                                self.extend_qubit_erasures(r - 1..=r - 1, parity, erasures);
+                            for (q, &word) in det.data_returned.iter().enumerate() {
+                                if flag(word) && !det_rng.bernoulli(fnr) {
+                                    self.extend_qubit_erasures(
+                                        r.saturating_sub(2)..=r,
+                                        q,
+                                        erasures,
+                                    );
+                                }
+                            }
+                            for (s, &word) in det.parity.iter().enumerate() {
+                                let reported = if flag(word) {
+                                    !det_rng.bernoulli(fnr)
+                                } else {
+                                    det_rng.bernoulli(fp)
+                                };
+                                if reported && r > 0 {
+                                    let parity = code.parity_qubit(s);
+                                    self.extend_qubit_erasures(r - 1..=r - 1, parity, erasures);
+                                }
                             }
                         }
                     }
@@ -1545,28 +1572,6 @@ impl MemoryRunner {
             stats.predecode.merge(stream.tier_counters());
         }
         stats
-    }
-}
-
-/// Lane mask of "at least `t` of these words' bits are set", via a
-/// bit-sliced ripple counter. Exact for up to 4 words (a data qubit has at
-/// most 4 neighbouring checks).
-#[inline]
-fn at_least(words: impl Iterator<Item = u64>, t: usize) -> u64 {
-    let (mut b0, mut b1, mut b2) = (0u64, 0u64, 0u64);
-    for w in words {
-        let c0 = b0 & w;
-        b0 ^= w;
-        let c1 = b1 & c0;
-        b1 ^= c0;
-        b2 |= c1;
-    }
-    match t {
-        0 => !0,
-        1 => b0 | b1 | b2,
-        2 => b1 | b2,
-        3 => (b1 & b0) | b2,
-        _ => b2,
     }
 }
 

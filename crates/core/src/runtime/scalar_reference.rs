@@ -11,7 +11,7 @@
 use super::*;
 use crate::control::ControlLawKind;
 use crate::experiment::PolicyKind;
-use crate::policy::RoundContext;
+use crate::policy::{EraserOptions, RoundContext};
 use leak_sim::FrameSimulator;
 use surface_code::{LrcAssignment, SyndromeRound};
 
@@ -342,8 +342,40 @@ fn assert_widths_match_reference(
     oracle
 }
 
-/// The headline property: every policy of the paper, at every width, with
-/// a shot count that leaves a ragged final stripe (70 = 64 + 6).
+/// The ERASER design knobs the ablation studies sweep, away from the
+/// paper's design point: every threshold override a data qubit's 2–4
+/// checks can meet (and 5, which none can), PUTT off, backup off, both off.
+fn eraser_ablations() -> Vec<EraserOptions> {
+    let paper = EraserOptions::default();
+    let mut options: Vec<EraserOptions> = [1, 3, 4, 5]
+        .map(|threshold_override| EraserOptions {
+            threshold_override,
+            ..paper
+        })
+        .into();
+    for (use_putt, use_backup) in [(false, true), (true, false), (false, false)] {
+        options.push(EraserOptions {
+            use_putt,
+            use_backup,
+            ..paper
+        });
+    }
+    options
+}
+
+/// Every standard policy plus ERASER and ERASER+M at every ablation point.
+fn standard_and_ablation_kinds() -> Vec<PolicyKind> {
+    let mut kinds = PolicyKind::all_standard().to_vec();
+    for options in eraser_ablations() {
+        kinds.push(PolicyKind::Eraser(options));
+        kinds.push(PolicyKind::EraserM(options));
+    }
+    kinds
+}
+
+/// The headline property: every policy of the paper and every ERASER /
+/// ERASER+M ablation point, at every width, with a shot count that leaves
+/// a ragged final stripe (70 = 64 + 6).
 #[test]
 fn stripe_width_is_bit_identical_across_all_policies() {
     let runner = MemoryRunner::new(3, NoiseParams::standard(4e-3), 6);
@@ -354,8 +386,81 @@ fn stripe_width_is_bit_identical_across_all_policies() {
         decoder: DecoderKind::Mwpm,
         ..RunConfig::default()
     };
-    for kind in PolicyKind::all_standard() {
-        assert_widths_match_reference(&runner, &kind, &config, kind.label());
+    for kind in standard_and_ablation_kinds() {
+        assert_widths_match_reference(&runner, &kind, &config, &format!("{kind:?}"));
+    }
+}
+
+/// Random lane words with each bit set with probability 2^-`sparsity`.
+fn random_words(rng: &mut Rng, len: usize, sparsity: u32) -> Vec<u64> {
+    (0..len)
+        .map(|_| (1..sparsity).fold(rng.next_u64(), |word, _| word & rng.next_u64()))
+        .collect()
+}
+
+/// The native word planners against the per-lane adapter they replace, at
+/// the planning-context level: random event, label and oracle words (dense
+/// enough that four adjacent checks fire together, which the threshold-5
+/// ablation must ignore), stripes of random width with random holes in the
+/// live-lane mask, for every standard policy and ablation point. Slot
+/// masks and all three read-path words must agree exactly, every round.
+#[test]
+fn native_planners_match_the_per_lane_adapter_on_random_contexts() {
+    let mut rng = Rng::new(0x5EED_1A7E);
+    for d in [3, 5] {
+        let code = RotatedCode::new(d);
+        let slots = SlotTable::new(&code);
+        for kind in standard_and_ablation_kinds() {
+            let factory = |code: &RotatedCode| kind.build(code);
+            let mut native = StripedPolicy::new(&factory, &code, STRIPE_WIDTH);
+            let mut per_lane = StripedPolicy::per_lane(&factory, &code, STRIPE_WIDTH);
+            assert!(native.is_native() && !per_lane.is_native(), "{kind:?}");
+            let mut native_masks = vec![0u64; slots.len()];
+            let mut lane_masks = vec![0u64; slots.len()];
+            for stripe in 0..6 {
+                let lanes = 1 + rng.below(STRIPE_WIDTH as u64) as usize;
+                native.reset_stripe(lanes);
+                per_lane.reset_stripe(lanes);
+                let full = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
+                let active = if stripe % 2 == 0 {
+                    full
+                } else {
+                    full & rng.next_u64()
+                };
+                for round in 0..12 {
+                    let sparsity = 1 + (round % 3) as u32;
+                    let events = random_words(&mut rng, code.num_stabs(), sparsity);
+                    let labels = random_words(&mut rng, code.num_stabs(), sparsity + 1);
+                    let oracle = random_words(&mut rng, code.num_data(), sparsity + 1);
+                    let ctx = StripeRoundContext {
+                        round,
+                        events: &events,
+                        leaked_readouts: &labels,
+                        oracle_leaked_data: &oracle,
+                        active,
+                    };
+                    native.plan_round(&ctx, &slots, &mut native_masks);
+                    per_lane.plan_round(&ctx, &slots, &mut lane_masks);
+                    let what = format!("d={d} {kind:?} stripe {stripe} round {round}");
+                    assert_eq!(native_masks, lane_masks, "{what}: slot masks");
+                    let words = |policy: &mut StripedPolicy| {
+                        policy.detections().map(|det| {
+                            (
+                                det.lanes,
+                                det.data.to_vec(),
+                                det.data_returned.to_vec(),
+                                det.parity.to_vec(),
+                            )
+                        })
+                    };
+                    assert_eq!(
+                        words(&mut native),
+                        words(&mut per_lane),
+                        "{what}: read path"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -378,28 +483,31 @@ fn stripe_width_is_bit_identical_under_dqlr() {
 
 /// Erasure-aware decoding threads per-lane detection noise through the
 /// independent per-shot streams; every width must collect the reference's
-/// erasure sets and decode identically.
+/// erasure sets and decode identically, at d = 3, 5 and 7.
 #[test]
 fn stripe_width_is_bit_identical_with_erasure_decoding() {
-    let runner = MemoryRunner::new(3, NoiseParams::standard(5e-3), 6);
-    let config = RunConfig {
-        shots: 70,
-        seed: 31,
-        threads: 2,
-        decoder: DecoderKind::Mwpm,
-        erasure: ErasureDetection::imperfect(0.01, 0.05),
-        ..RunConfig::default()
-    };
-    for kind in [
-        PolicyKind::eraser_m(),
-        PolicyKind::eraser(),
-        PolicyKind::Optimal,
-    ] {
-        let oracle = assert_widths_match_reference(&runner, &kind, &config, kind.label());
-        assert!(
-            kind != PolicyKind::eraser_m() || oracle.total_erasures > 0,
-            "ERASER+M must collect erasures"
-        );
+    for (d, rounds) in [(3, 6), (5, 5), (7, 4)] {
+        let runner = MemoryRunner::new(d, NoiseParams::standard(5e-3), rounds);
+        let config = RunConfig {
+            shots: 70,
+            seed: 31,
+            threads: 2,
+            decoder: DecoderKind::Mwpm,
+            erasure: ErasureDetection::imperfect(0.01, 0.05),
+            ..RunConfig::default()
+        };
+        for kind in [
+            PolicyKind::eraser_m(),
+            PolicyKind::eraser(),
+            PolicyKind::Optimal,
+        ] {
+            let what = format!("d={d} {}", kind.label());
+            let oracle = assert_widths_match_reference(&runner, &kind, &config, &what);
+            assert!(
+                kind != PolicyKind::eraser_m() || oracle.total_erasures > 0,
+                "{what}: ERASER+M must collect erasures"
+            );
+        }
     }
 }
 
