@@ -7,13 +7,12 @@
 //! (absolute path: cargo runs benches from the package directory).
 
 use eraser_bench::{decode_fixture, Harness};
-use eraser_core::DecoderKind;
 use qec_core::circuit::DetectorBasis;
 use qec_core::NoiseParams;
 use qec_decoder::{
-    build_dem, max_weight_matching, DecoderFactory, DecodingGraph, MwpmBatchDecoder, MwpmFactory,
-    ShortestPaths, StreamingDecoder, Syndrome, SyndromeDecoder, TieredDecoder, WindowBackend,
-    WindowPlan,
+    build_dem, max_weight_matching, DecoderFactory, DecoderKind, DecodingGraph, MwpmBatchDecoder,
+    MwpmFactory, ShortestPaths, SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder,
+    TieredDecoder, UnionFindFactory, WindowPlan,
 };
 use std::hint::black_box;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -62,13 +61,13 @@ fn main() {
             .iter()
             .map(|s| Syndrome::new(s.clone()))
             .collect();
+        let factories: [Box<dyn DecoderFactory>; 3] = [
+            Box::new(MwpmFactory::new(&fixture.graph)),
+            Box::new(SparseMwpmFactory::new(&fixture.graph)),
+            Box::new(UnionFindFactory::new(&fixture.graph)),
+        ];
 
-        for kind in [
-            DecoderKind::Mwpm,
-            DecoderKind::SparseMwpm,
-            DecoderKind::UnionFind,
-        ] {
-            let factory = kind.build_factory(&fixture.graph);
+        for factory in &factories {
             let mut decoder = factory.build();
             let mut outcomes = Vec::new();
             h.bench(
@@ -87,7 +86,7 @@ fn main() {
         // `crates/bench/tests/baselines.rs`). The sparse batch below
         // documents the win.
         {
-            let factory = DecoderKind::Mwpm.build_factory(&fixture.graph);
+            let factory = MwpmFactory::new(&fixture.graph);
             let mut decoder = TieredDecoder::new(factory.build());
             let mut outcomes = Vec::new();
             h.bench("decode_batch_32/d5_r10/tiered-mwpm", || {
@@ -122,7 +121,7 @@ fn main() {
             })
             .collect();
         for tiered in [false, true] {
-            let factory = DecoderKind::Mwpm.build_factory(&fixture.graph);
+            let factory = MwpmFactory::new(&fixture.graph);
             let mut decoder: Box<dyn SyndromeDecoder> = if tiered {
                 Box::new(TieredDecoder::new(factory.build()))
             } else {
@@ -161,12 +160,7 @@ fn main() {
                 syndrome
             })
             .collect();
-        for kind in [
-            DecoderKind::Mwpm,
-            DecoderKind::SparseMwpm,
-            DecoderKind::UnionFind,
-        ] {
-            let factory = kind.build_factory(&fixture.graph);
+        for factory in &factories {
             let mut decoder = factory.build();
             let mut outcomes = Vec::new();
             h.bench(
@@ -212,11 +206,11 @@ fn main() {
                 )
             })
             .collect();
-        for kind in [DecoderKind::Mwpm, DecoderKind::SparseMwpm] {
-            let name = kind.build_factory(&fixture.graph).name();
+        for sparse in [false, true] {
+            let name = blossom_factory(&fixture.graph, sparse).name();
             let mut outcomes = Vec::new();
             h.bench(&format!("decode_batch_32/d7_r35_cold/{name}"), || {
-                let factory = kind.build_factory(&fixture.graph);
+                let factory = blossom_factory(&fixture.graph, sparse);
                 let mut decoder = factory.build();
                 decoder.decode_batch(black_box(&syndromes), &mut outcomes);
                 outcomes.iter().filter(|o| o.flip).count()
@@ -264,7 +258,7 @@ fn main() {
         // The windowed chain always runs the tier ladder. This shot is
         // dense (~3 faults per round), so nearly every window position
         // falls through to tier 2.
-        let plan = WindowPlan::new(&graph, 21, 14, WindowBackend::Mwpm);
+        let plan = WindowPlan::new(&graph, 21, 14, DecoderKind::Mwpm);
         let mut windowed = plan.streaming();
         h.bench("decode_window_shot/d7_r110/windowed_tiered_mwpm", || {
             windowed.begin_shot();
@@ -296,5 +290,14 @@ fn main() {
         h.bench("blossom_k24_reused_context", || {
             ctx.solve(black_box(&edges), true).len()
         });
+    }
+}
+
+/// The dense (`sparse = false`) or sparse blossom's whole-graph factory.
+fn blossom_factory(graph: &DecodingGraph, sparse: bool) -> Box<dyn DecoderFactory + '_> {
+    if sparse {
+        Box::new(SparseMwpmFactory::new(graph))
+    } else {
+        Box::new(MwpmFactory::new(graph))
     }
 }

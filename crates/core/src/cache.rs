@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use qec_core::{NoiseParams, TransportModel};
-use qec_decoder::WindowBackend;
+use qec_decoder::DecoderKind;
 use surface_code::MemoryBasis;
 
 /// Default capacity of the process-wide cache: generous for every sweep in
@@ -93,11 +93,12 @@ pub enum ArtifactKind {
     Runner,
     /// A window decode plan (the only decode path; a full-cover window is
     /// whole-shot decoding), additionally keyed by its resolved window
-    /// geometry and per-window backend.
+    /// geometry and its resolved backend (never `Auto`, so an `auto` run
+    /// and the explicit backend it resolves to share one entry).
     WindowPlan {
         window: usize,
         stride: usize,
-        backend: WindowBackend,
+        backend: DecoderKind,
     },
 }
 
@@ -290,7 +291,7 @@ mod tests {
         ArtifactKind::WindowPlan {
             window: 2 * d + 1,
             stride: 2 * d + 1,
-            backend: WindowBackend::Mwpm,
+            backend: DecoderKind::Mwpm,
         }
     }
 

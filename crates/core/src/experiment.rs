@@ -94,8 +94,6 @@ pub enum ExperimentError {
     InvalidProfile(&'static str),
     /// `PolicyKind::from_str` did not recognize the name.
     UnknownPolicy(String),
-    /// `DecoderKind::from_str` did not recognize the name.
-    UnknownDecoder(String),
     /// A malformed `ERASER_THREADS` environment override the configuration
     /// would consult at run time. Checked at build time so the error
     /// surfaces here, as a `Result`, instead of deep inside a worker thread.
@@ -148,7 +146,6 @@ impl fmt::Display for ExperimentError {
                 write!(f, "invalid leakage profile: {reason}")
             }
             ExperimentError::UnknownPolicy(s) => write!(f, "unknown policy `{s}`"),
-            ExperimentError::UnknownDecoder(s) => write!(f, "unknown decoder `{s}`"),
             ExperimentError::EnvOverride(err) => err.fmt(f),
         }
     }
@@ -388,31 +385,6 @@ impl FromStr for PolicyKind {
             "adaptive" | "adaptive-ewma" => Ok(PolicyKind::adaptive(ControlLawKind::Ewma)),
             "adaptive-budget" => Ok(PolicyKind::adaptive(ControlLawKind::Budget)),
             _ => Err(ExperimentError::UnknownPolicy(s.to_string())),
-        }
-    }
-}
-
-impl fmt::Display for DecoderKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DecoderKind::Auto => "auto",
-            DecoderKind::Mwpm => "mwpm",
-            DecoderKind::SparseMwpm => "sparse-mwpm",
-            DecoderKind::UnionFind => "union-find",
-        })
-    }
-}
-
-impl FromStr for DecoderKind {
-    type Err = ExperimentError;
-
-    fn from_str(s: &str) -> Result<DecoderKind, ExperimentError> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(DecoderKind::Auto),
-            "mwpm" => Ok(DecoderKind::Mwpm),
-            "sparse-mwpm" | "sparse" | "sparse-blossom" => Ok(DecoderKind::SparseMwpm),
-            "union-find" | "unionfind" | "uf" => Ok(DecoderKind::UnionFind),
-            _ => Err(ExperimentError::UnknownDecoder(s.to_string())),
         }
     }
 }
@@ -1234,7 +1206,7 @@ mod tests {
         );
         // The Auto rule on the whole graph: this graph is sparse territory.
         assert_eq!(
-            DecoderKind::Auto.resolve(exp.runner().graph()),
+            DecoderKind::Auto.resolve_window(exp.runner().graph(), 0),
             DecoderKind::SparseMwpm
         );
         let result = exp.run();
@@ -1282,31 +1254,6 @@ mod tests {
         );
         let code = RotatedCode::new(3);
         assert_eq!(kind.build(&code).name(), "no-lrc");
-    }
-
-    #[test]
-    fn decoder_kind_round_trips_through_strings() {
-        for kind in [
-            DecoderKind::Auto,
-            DecoderKind::Mwpm,
-            DecoderKind::SparseMwpm,
-            DecoderKind::UnionFind,
-        ] {
-            assert_eq!(kind.to_string().parse::<DecoderKind>().unwrap(), kind);
-        }
-        assert_eq!("uf".parse::<DecoderKind>().unwrap(), DecoderKind::UnionFind);
-        for alias in ["sparse", "SPARSE-BLOSSOM"] {
-            assert_eq!(
-                alias.parse::<DecoderKind>().unwrap(),
-                DecoderKind::SparseMwpm
-            );
-        }
-        for unknown in ["tensor-network", "greedy", "mwpm2"] {
-            assert!(matches!(
-                unknown.parse::<DecoderKind>(),
-                Err(ExperimentError::UnknownDecoder(_))
-            ));
-        }
     }
 
     #[test]

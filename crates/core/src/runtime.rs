@@ -37,7 +37,10 @@
 //! or one longer than the round count, means one **full-cover** window: the
 //! whole shot is one syndrome over the whole-experiment graph, decoded by
 //! exactly the call a whole-shot decoder makes. Per-window decode latency
-//! lands in [`MemoryRunResult::decode_latency`].
+//! lands in [`MemoryRunResult::decode_latency`]. The backend is a
+//! [`DecoderKind`], the decoding crate's own enum re-exported here; the run
+//! resolves `Auto` against its window width before it keys or builds the
+//! plan, so an `auto` run and the backend it picks share one cached plan.
 //!
 //! Metrics collected per run (paper §5.4, §6.4):
 //!
@@ -55,14 +58,16 @@ use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, MwpmFactory, SparseMwpmFactory, StreamingDecoder,
-    TierCounters, UnionFindFactory, WindowBackend, WindowPlan, WindowedDecoder,
+    build_dem, DecodingGraph, StreamingDecoder, TierCounters, WindowPlan, WindowedDecoder,
 };
 use std::sync::Arc;
 use surface_code::{MaskedRound, MemoryBasis, MemoryExperiment, RotatedCode, SlotTable};
 
 #[cfg(test)]
 mod scalar_reference;
+
+/// Decoder selection for a run: the decoding crate's backend vocabulary.
+pub use qec_decoder::DecoderKind;
 
 /// Which leakage-removal protocol the scheduled pairs execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,97 +77,6 @@ pub enum LrcProtocol {
     Swap,
     /// Google's DQLR protocol (Appendix A.2).
     Dqlr,
-}
-
-/// Decoder selection for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecoderKind {
-    /// Dense MWPM up to [`DecoderKind::AUTO_MWPM_NODE_LIMIT`] nodes in the
-    /// graph actually decoded — the largest window, which for a full-cover
-    /// window is the whole-experiment graph — sparse MWPM above (where
-    /// dense MWPM's O(n²) path table prices out; the sparse blossom keeps
-    /// the same optimal weight with O(n) precomputation).
-    #[default]
-    Auto,
-    /// Exact blossom MWPM (the paper's decoder), dense all-pairs tables.
-    Mwpm,
-    /// Exact sparse blossom MWPM: same optimal correction weight as
-    /// [`DecoderKind::Mwpm`] without the all-pairs table — the
-    /// MWPM-accuracy decoder for d ≥ 11.
-    SparseMwpm,
-    /// Weighted union-find.
-    UnionFind,
-}
-
-impl DecoderKind {
-    /// Node count above which `Auto` switches from dense to sparse MWPM.
-    /// This constant — together with [`DecoderKind::resolve_window`] — is
-    /// the *single* source of the Auto-selection rule; both
-    /// [`MemoryRunner::run`] and the `Experiment` facade go through it.
-    pub const AUTO_MWPM_NODE_LIMIT: usize = 3000;
-
-    /// Resolves `Auto` against the whole decoding graph — the graph a
-    /// full-cover window decodes; the other variants map to themselves.
-    /// Never returns [`DecoderKind::Auto`].
-    pub fn resolve(self, graph: &DecodingGraph) -> DecoderKind {
-        self.resolve_window(graph, 0)
-    }
-
-    /// Resolves `Auto` against the node count of a `window`-round window
-    /// of `graph`: the graph each window decode actually sees. A window of 0, or one spanning every round, is the
-    /// whole graph. The other variants map to themselves; never returns
-    /// [`DecoderKind::Auto`]. Both arms are MWPM-accurate: the limit only
-    /// decides whether the dense all-pairs table is affordable.
-    pub fn resolve_window(self, graph: &DecodingGraph, window: usize) -> DecoderKind {
-        match self {
-            DecoderKind::Auto => {
-                if window_nodes(graph, window) <= DecoderKind::AUTO_MWPM_NODE_LIMIT {
-                    DecoderKind::Mwpm
-                } else {
-                    DecoderKind::SparseMwpm
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Builds a whole-graph decoder factory for `graph` (`Auto` resolved by
-    /// [`DecoderKind::resolve`]), for decoding syndromes directly; runs
-    /// decode through a [`WindowPlan`] instead. The factory owns the
-    /// expensive per-graph precomputation (shared via `Arc`); every worker
-    /// thread then builds its own stateful instance from it.
-    pub fn build_factory(self, graph: &DecodingGraph) -> Box<dyn DecoderFactory + '_> {
-        match self.resolve(graph) {
-            DecoderKind::Mwpm => Box::new(MwpmFactory::new(graph)),
-            DecoderKind::SparseMwpm => Box::new(SparseMwpmFactory::new(graph)),
-            DecoderKind::UnionFind => Box::new(UnionFindFactory::new(graph)),
-            DecoderKind::Auto => unreachable!("resolve never returns Auto"),
-        }
-    }
-
-    /// The window backend of a resolved kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`DecoderKind::Auto`]; resolve it first.
-    pub fn window_backend(self) -> WindowBackend {
-        match self {
-            DecoderKind::Mwpm => WindowBackend::Mwpm,
-            DecoderKind::SparseMwpm => WindowBackend::SparseMwpm,
-            DecoderKind::UnionFind => WindowBackend::UnionFind,
-            DecoderKind::Auto => unreachable!("resolve Auto before picking a backend"),
-        }
-    }
-}
-
-/// Nodes in a `window`-round window of `graph` (the whole graph when
-/// `window` is 0 or spans every round). Memory-experiment graphs have the
-/// same node count in every round, so every window of one width has the
-/// same size.
-fn window_nodes(graph: &DecodingGraph, window: usize) -> usize {
-    let span = graph.max_round() + 1;
-    let rounds = if window == 0 { span } else { window.min(span) };
-    graph.num_nodes() * rounds / span
 }
 
 /// Leakage-detection model for erasure-aware decoding.
@@ -799,8 +713,7 @@ impl DecodeArtifacts {
     /// decoding is disabled.
     pub fn decoder_name(&self) -> String {
         self.window_plan()
-            .map_or("none", |plan| plan.backend().name())
-            .to_string()
+            .map_or("none".to_string(), |plan| plan.backend().to_string())
     }
 
     /// One runtime worker's streaming decoder (`None` when decoding is
@@ -1031,7 +944,9 @@ impl MemoryRunner {
             return Ok(DecodeArtifacts { plan: None });
         }
         let (window, stride) = self.resolved_geometry(config);
-        let backend = self.resolved_decoder(config).window_backend();
+        // Resolved before keying, so an `auto` run shares the plan of the
+        // backend it picks.
+        let backend = self.resolved_decoder(config);
         let plan = match cache {
             Some(cache) => cache.get_or_build(
                 &CacheKey {
@@ -1590,23 +1505,6 @@ mod tests {
     }
 
     #[test]
-    fn decoder_kind_resolution_is_centralized() {
-        let runner = MemoryRunner::new(3, NoiseParams::standard(1e-3), 2);
-        let graph = runner.graph();
-        assert!(graph.num_nodes() <= DecoderKind::AUTO_MWPM_NODE_LIMIT);
-        assert_eq!(DecoderKind::Auto.resolve(graph), DecoderKind::Mwpm);
-        assert_eq!(
-            DecoderKind::UnionFind.resolve(graph),
-            DecoderKind::UnionFind
-        );
-        assert_eq!(DecoderKind::Auto.build_factory(graph).name(), "mwpm");
-        assert_eq!(
-            DecoderKind::UnionFind.build_factory(graph).name(),
-            "union-find"
-        );
-    }
-
-    #[test]
     fn noiseless_run_has_zero_ler() {
         let runner = MemoryRunner::new(3, NoiseParams::without_leakage(0.0), 3);
         let result = runner.run(&|_| Box::new(NoLrcPolicy::new()), &cfg(50));
@@ -1860,30 +1758,6 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(config.resolved_threads().unwrap(), 3);
-    }
-
-    #[test]
-    fn auto_backend_resolves_against_the_window() {
-        let runner = MemoryRunner::new(3, NoiseParams::standard(1e-3), 30);
-        let graph = runner.graph();
-        assert_eq!(
-            DecoderKind::Auto.resolve_window(graph, 10),
-            DecoderKind::Mwpm
-        );
-        assert_eq!(
-            DecoderKind::UnionFind.resolve_window(graph, 10),
-            DecoderKind::UnionFind
-        );
-        // A window of 0 or one past the last round is the full cover: the
-        // whole graph, exactly what `resolve` prices.
-        for window in [0, 31, 10_000] {
-            assert_eq!(
-                window_nodes(graph, window),
-                graph.num_nodes(),
-                "window {window}"
-            );
-        }
-        assert_eq!(window_nodes(graph, 10) * 31, graph.num_nodes() * 10);
     }
 
     /// Auto prices the graph actually decoded. At the two boundary points

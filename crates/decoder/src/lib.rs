@@ -46,7 +46,10 @@
 //!   [`WindowGraph`] partition view, a per-graph [`WindowPlan`] whose
 //!   precomputation is O(window²) per *shape* rather than O(R²), and the
 //!   [`StreamingDecoder`] / [`WindowedDecoder`] round-incremental interface
-//!   that gives all three backends bounded-memory decoding at any R.
+//!   that gives all three backends bounded-memory decoding at any R. Its
+//!   [`DecoderKind`] is the workspace's one backend vocabulary (dense MWPM,
+//!   sparse MWPM, union-find, or `Auto`, which a plan resolves against its
+//!   own window's node count).
 //! * [`predecode`] — the tiered sparse-syndrome fast path in front of every
 //!   backend: tier 0 skips empty windows/shots outright, tier 1 resolves
 //!   1–2 defect syndromes in closed form, tier 2 is the configured backend —
@@ -107,4 +110,8 @@ pub use predecode::{TierCounters, TieredDecoder};
 pub use sparse::{SparseIndex, SparseMwpmDecoder, SparseMwpmFactory};
 pub use unionfind::{UnionFindBatchDecoder, UnionFindCapacities, UnionFindFactory};
 pub use weight::{scale_weight, snap_weight, WEIGHT_SCALE};
-pub use window::{StreamingDecoder, WindowBackend, WindowGraph, WindowPlan, WindowedDecoder};
+/// [`DecoderKind`] under its former name. It exists only because the
+/// `perfbench` benchmark harness still names it, and it goes with the next
+/// change to that benchmark.
+pub use window::DecoderKind as WindowBackend;
+pub use window::{DecoderKind, StreamingDecoder, WindowGraph, WindowPlan, WindowedDecoder};

@@ -57,28 +57,85 @@ use crate::mwpm::{MwpmBatchDecoder, ShortestPaths};
 use crate::predecode::{tier0_applies, tier1_applies, TierCounters};
 use crate::sparse::{SparseIndex, SparseMwpmDecoder};
 use crate::unionfind::{UnionFindBatchDecoder, UnionFindCapacities};
+use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which per-window decoder a [`WindowPlan`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WindowBackend {
-    /// Exact blossom MWPM per window (the default — windows are small).
+/// Decoder selection: which backend a [`WindowPlan`] decodes each window
+/// with. The one backend vocabulary of the workspace — runs, the CLI's
+/// `--decoder` and serve jobs all name their decoder with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum DecoderKind {
+    /// Dense MWPM up to [`DecoderKind::AUTO_MWPM_NODE_LIMIT`] nodes in the
+    /// graph actually decoded — the largest window, which for a full-cover
+    /// window is the whole-experiment graph — sparse MWPM above (where
+    /// dense MWPM's O(n²) path table prices out; the sparse blossom keeps
+    /// the same optimal weight with O(n) precomputation).
+    #[default]
+    Auto,
+    /// Exact blossom MWPM (the paper's decoder), dense all-pairs tables.
     Mwpm,
-    /// Exact sparse blossom MWPM per window (same optimal weight as
-    /// [`WindowBackend::Mwpm`], O(window) precomputation per shape).
+    /// Exact sparse blossom MWPM: same optimal correction weight as
+    /// [`DecoderKind::Mwpm`] without the all-pairs table — the
+    /// MWPM-accuracy decoder for d ≥ 11.
     SparseMwpm,
-    /// Weighted union-find per window.
+    /// Weighted union-find.
     UnionFind,
 }
 
-impl WindowBackend {
-    /// Stable display name (matches the monolithic decoder names).
-    pub fn name(&self) -> &'static str {
+impl DecoderKind {
+    /// Node count above which `Auto` switches from dense to sparse MWPM.
+    /// This constant — together with [`DecoderKind::resolve_window`] — is
+    /// the *single* source of the Auto-selection rule.
+    pub const AUTO_MWPM_NODE_LIMIT: usize = 3000;
+
+    /// Resolves `Auto` against the node count of a `window`-round window
+    /// of `graph`: the graph each window decode actually sees. A window of
+    /// 0, or one spanning every round, is the whole graph. The other
+    /// variants map to themselves; never returns [`DecoderKind::Auto`].
+    /// Both arms are MWPM-accurate: the limit only decides whether the
+    /// dense all-pairs table is affordable.
+    pub fn resolve_window(self, graph: &DecodingGraph, window: usize) -> DecoderKind {
         match self {
-            WindowBackend::Mwpm => "mwpm",
-            WindowBackend::SparseMwpm => "sparse-mwpm",
-            WindowBackend::UnionFind => "union-find",
+            DecoderKind::Auto => {
+                // Memory-experiment graphs have the same node count in every
+                // round, so every window of one width has the same size.
+                let span = graph.max_round() + 1;
+                let rounds = if window == 0 { span } else { window.min(span) };
+                if graph.num_nodes() * rounds / span <= DecoderKind::AUTO_MWPM_NODE_LIMIT {
+                    DecoderKind::Mwpm
+                } else {
+                    DecoderKind::SparseMwpm
+                }
+            }
+            other => other,
+        }
+    }
+}
+
+impl fmt::Display for DecoderKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            DecoderKind::Auto => "auto",
+            DecoderKind::Mwpm => "mwpm",
+            DecoderKind::SparseMwpm => "sparse-mwpm",
+            DecoderKind::UnionFind => "union-find",
+        })
+    }
+}
+
+impl FromStr for DecoderKind {
+    /// ``unknown decoder `name` ``.
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<DecoderKind, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "auto" => Ok(DecoderKind::Auto),
+            "mwpm" => Ok(DecoderKind::Mwpm),
+            "sparse-mwpm" | "sparse" | "sparse-blossom" => Ok(DecoderKind::SparseMwpm),
+            "union-find" | "unionfind" | "uf" => Ok(DecoderKind::UnionFind),
+            _ => Err(format!("unknown decoder `{s}`")),
         }
     }
 }
@@ -251,7 +308,7 @@ pub struct WindowPlan {
     shapes: Vec<WindowGraph>,
     shape_data: Vec<ShapeData>,
     positions: Vec<Position>,
-    backend: WindowBackend,
+    backend: DecoderKind,
     window: usize,
     stride: usize,
     max_round: usize,
@@ -261,7 +318,8 @@ impl WindowPlan {
     /// Builds the plan: `window` rounds per window, advancing by `stride`
     /// (`buffer = window − stride` rounds are re-decoded; keep it ≥ d). The
     /// per-shape backend tables are computed here, once per *shape*, not
-    /// per position.
+    /// per position. [`DecoderKind::Auto`] resolves against this plan's
+    /// own window width ([`DecoderKind::resolve_window`]).
     ///
     /// # Panics
     ///
@@ -271,7 +329,7 @@ impl WindowPlan {
         graph: &DecodingGraph,
         window: usize,
         stride: usize,
-        backend: WindowBackend,
+        backend: DecoderKind,
     ) -> WindowPlan {
         assert!(
             window >= 1 && stride >= 1 && stride <= window,
@@ -281,6 +339,7 @@ impl WindowPlan {
             graph.node_rounds().windows(2).all(|w| w[0] <= w[1]),
             "windowed decoding needs a round-major decoding graph"
         );
+        let backend = backend.resolve_window(graph, window);
         let max_round = graph.max_round();
         let span = max_round + 1;
         let mut shapes: Vec<WindowGraph> = Vec::new();
@@ -326,7 +385,14 @@ impl WindowPlan {
         let shape_data = shapes
             .iter()
             .map(|shape| match backend {
-                WindowBackend::Mwpm => {
+                DecoderKind::SparseMwpm => {
+                    ShapeData::SparseMwpm(Arc::new(SparseIndex::compute(shape.graph())))
+                }
+                DecoderKind::UnionFind => {
+                    ShapeData::UnionFind(Arc::new(UnionFindCapacities::compute(shape.graph())))
+                }
+                // Dense MWPM: `Auto` was resolved above.
+                _ => {
                     let paths = Arc::new(ShortestPaths::compute(shape.graph()));
                     let b = shape.graph().boundary();
                     // Isolated nodes (no incident edges at all — e.g. every
@@ -340,12 +406,6 @@ impl WindowPlan {
                         "window node cut off from the boundary"
                     );
                     ShapeData::Mwpm(paths)
-                }
-                WindowBackend::SparseMwpm => {
-                    ShapeData::SparseMwpm(Arc::new(SparseIndex::compute(shape.graph())))
-                }
-                WindowBackend::UnionFind => {
-                    ShapeData::UnionFind(Arc::new(UnionFindCapacities::compute(shape.graph())))
                 }
             })
             .collect();
@@ -381,8 +441,8 @@ impl WindowPlan {
         self.stride
     }
 
-    /// The backend decoding each window.
-    pub fn backend(&self) -> WindowBackend {
+    /// The backend decoding each window (never [`DecoderKind::Auto`]).
+    pub fn backend(&self) -> DecoderKind {
         self.backend
     }
 
@@ -755,7 +815,8 @@ impl StreamingDecoder for WindowedDecoder<'_> {
     }
 
     fn name(&self) -> &'static str {
-        self.plan.backend.name()
+        // Every shape runs the plan's one backend.
+        self.inner[0].name()
     }
 }
 
@@ -817,7 +878,7 @@ mod tests {
     #[test]
     fn plan_dedupes_bulk_shapes() {
         let g = graph(3, 40);
-        let plan = WindowPlan::new(&g, 8, 4, WindowBackend::Mwpm);
+        let plan = WindowPlan::new(&g, 8, 4, DecoderKind::Mwpm);
         assert!(plan.num_positions() >= 8, "got {}", plan.num_positions());
         // First window (round-0 structure), bulk windows (all identical by
         // time translation), and the final window(s): a handful of shapes no
@@ -839,9 +900,9 @@ mod tests {
         let (window, stride) = (10, 5);
         let mut by_backend = std::collections::HashMap::new();
         for backend in [
-            WindowBackend::Mwpm,
-            WindowBackend::SparseMwpm,
-            WindowBackend::UnionFind,
+            DecoderKind::Mwpm,
+            DecoderKind::SparseMwpm,
+            DecoderKind::UnionFind,
         ] {
             let plan = WindowPlan::new(&g, window, stride, backend);
             // The estimate must delegate to the populated tables' own
@@ -854,9 +915,9 @@ mod tests {
                 expected += shape.node_count() * std::mem::size_of::<usize>() * 3;
                 // Each shape holds its own backend's table.
                 expected += match (backend, data) {
-                    (WindowBackend::Mwpm, ShapeData::Mwpm(t)) => t.approx_bytes(),
-                    (WindowBackend::SparseMwpm, ShapeData::SparseMwpm(t)) => t.approx_bytes(),
-                    (WindowBackend::UnionFind, ShapeData::UnionFind(t)) => t.approx_bytes(),
+                    (DecoderKind::Mwpm, ShapeData::Mwpm(t)) => t.approx_bytes(),
+                    (DecoderKind::SparseMwpm, ShapeData::SparseMwpm(t)) => t.approx_bytes(),
+                    (DecoderKind::UnionFind, ShapeData::UnionFind(t)) => t.approx_bytes(),
                     _ => panic!("{backend:?} shape holds another backend's table"),
                 };
             }
@@ -864,7 +925,7 @@ mod tests {
                 expected += pos.edge_globals.len() * std::mem::size_of::<u32>();
             }
             assert_eq!(plan.approx_decoder_bytes(), expected, "{backend:?}");
-            by_backend.insert(backend.name(), plan.approx_decoder_bytes());
+            by_backend.insert(backend.to_string(), plan.approx_decoder_bytes());
         }
         // The sparse index is O(V) per shape vs the APSP's O(V²): the
         // sparse-backed plan must be meaningfully smaller, which is the
@@ -882,7 +943,7 @@ mod tests {
     fn plan_positions_tile_the_rounds() {
         let g = graph(3, 11);
         for (window, stride) in [(4usize, 2usize), (5, 5), (3, 1), (12, 6), (30, 7)] {
-            let plan = WindowPlan::new(&g, window, stride, WindowBackend::UnionFind);
+            let plan = WindowPlan::new(&g, window, stride, DecoderKind::UnionFind);
             let span = g.max_round() + 1;
             let positions = &plan.positions;
             assert_eq!(positions[0].lo, 0);
@@ -924,7 +985,7 @@ mod tests {
     #[test]
     fn streaming_decodes_empty_shot_trivially() {
         let g = graph(3, 6);
-        let plan = WindowPlan::new(&g, 3, 2, WindowBackend::Mwpm);
+        let plan = WindowPlan::new(&g, 3, 2, DecoderKind::Mwpm);
         let mut dec = plan.streaming();
         dec.begin_shot();
         for _ in 0..=g.max_round() {
@@ -939,5 +1000,83 @@ mod tests {
         assert_eq!(dec.tier_counters().hits[0], plan.num_positions() as u64);
         assert_eq!(dec.tier_counters().total(), plan.num_positions() as u64);
         assert_eq!(dec.name(), "mwpm");
+    }
+
+    #[test]
+    fn decoder_kind_round_trips_through_strings() {
+        for kind in [
+            DecoderKind::Auto,
+            DecoderKind::Mwpm,
+            DecoderKind::SparseMwpm,
+            DecoderKind::UnionFind,
+        ] {
+            assert_eq!(kind.to_string().parse::<DecoderKind>().unwrap(), kind);
+        }
+        assert_eq!("uf".parse::<DecoderKind>().unwrap(), DecoderKind::UnionFind);
+        for alias in ["sparse", "SPARSE-BLOSSOM"] {
+            assert_eq!(
+                alias.parse::<DecoderKind>().unwrap(),
+                DecoderKind::SparseMwpm
+            );
+        }
+        for unknown in ["tensor-network", "greedy", "mwpm2", ""] {
+            assert_eq!(
+                unknown.parse::<DecoderKind>(),
+                Err(format!("unknown decoder `{unknown}`"))
+            );
+        }
+        // The resolved kinds print the names a run reports as its decoder.
+        for (kind, name) in [
+            (DecoderKind::Mwpm, "mwpm"),
+            (DecoderKind::SparseMwpm, "sparse-mwpm"),
+            (DecoderKind::UnionFind, "union-find"),
+        ] {
+            assert_eq!(kind.to_string(), name);
+        }
+    }
+
+    #[test]
+    fn decoder_kind_resolution_is_centralized() {
+        let g = graph(3, 2);
+        assert!(g.num_nodes() <= DecoderKind::AUTO_MWPM_NODE_LIMIT);
+        assert_eq!(DecoderKind::Auto.resolve_window(&g, 0), DecoderKind::Mwpm);
+        for kind in [
+            DecoderKind::Mwpm,
+            DecoderKind::SparseMwpm,
+            DecoderKind::UnionFind,
+        ] {
+            assert_eq!(kind.resolve_window(&g, 0), kind);
+        }
+    }
+
+    /// Auto prices the window actually decoded. A d = 7, R = 130 graph has
+    /// 131 detector rounds of 24 nodes (3144 nodes, past the limit): its
+    /// full cover is sparse territory, a 21-round window is not, and the
+    /// rule flips between 125 rounds (3000 nodes) and 126.
+    #[test]
+    fn auto_backend_resolves_against_the_window() {
+        let g = graph(7, 130);
+        assert_eq!(g.num_nodes(), 3144);
+        for window in [0, 131, 10_000] {
+            assert_eq!(
+                DecoderKind::Auto.resolve_window(&g, window),
+                DecoderKind::SparseMwpm,
+                "window {window}"
+            );
+        }
+        assert_eq!(DecoderKind::Auto.resolve_window(&g, 125), DecoderKind::Mwpm);
+        assert_eq!(
+            DecoderKind::Auto.resolve_window(&g, 126),
+            DecoderKind::SparseMwpm
+        );
+        assert_eq!(
+            DecoderKind::UnionFind.resolve_window(&g, 21),
+            DecoderKind::UnionFind
+        );
+        // The plan resolves `Auto` against its own window width.
+        let plan = WindowPlan::new(&g, 21, 14, DecoderKind::Auto);
+        assert_eq!(plan.backend(), DecoderKind::Mwpm);
+        assert_eq!(plan.backend(), DecoderKind::Auto.resolve_window(&g, 21));
+        assert_eq!(plan.streaming().name(), "mwpm");
     }
 }

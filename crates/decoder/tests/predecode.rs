@@ -11,17 +11,17 @@
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, DetectorErrorModel, MwpmFactory, SparseMwpmFactory,
-    StreamingDecoder, Syndrome, SyndromeDecoder, TieredDecoder, UnionFindFactory, WindowBackend,
-    WindowGraph, WindowPlan,
+    build_dem, DecoderFactory, DecoderKind, DecodingGraph, DetectorErrorModel, MwpmFactory,
+    SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder, TieredDecoder,
+    UnionFindFactory, WindowGraph, WindowPlan,
 };
 use std::collections::HashSet;
 use surface_code::{MemoryExperiment, RotatedCode};
 
-const BACKENDS: [WindowBackend; 3] = [
-    WindowBackend::Mwpm,
-    WindowBackend::SparseMwpm,
-    WindowBackend::UnionFind,
+const BACKENDS: [DecoderKind; 3] = [
+    DecoderKind::Mwpm,
+    DecoderKind::SparseMwpm,
+    DecoderKind::UnionFind,
 ];
 
 fn setup(d: usize, rounds: usize) -> (DecodingGraph, DetectorErrorModel) {
@@ -267,7 +267,7 @@ fn tiered_windowed_is_bit_identical_to_full() {
         let plan = WindowPlan::new(&graph, window, stride, backend);
         assert!(plan.num_positions() > 3, "actually sliding");
         let mut tiered = plan.streaming();
-        let mut rng = Rng::new(0x71E6 ^ backend.name().len() as u64);
+        let mut rng = Rng::new(0x71E6 ^ backend.to_string().len() as u64);
         let trials = 80u64;
         for trial in 0..trials {
             let faults = trial as usize % 6; // includes fully-empty shots (tier 0)
@@ -279,14 +279,14 @@ fn tiered_windowed_is_bit_identical_to_full() {
             counters.total(),
             trials * plan.num_positions() as u64,
             "[{}] one tier per window position",
-            backend.name()
+            backend
         );
-        assert!(counters.hits[0] > 0, "[{}] empty windows", backend.name());
-        assert!(counters.hits[2] > 0, "[{}] dense windows", backend.name());
-        if backend == WindowBackend::UnionFind {
+        assert!(counters.hits[0] > 0, "[{}] empty windows", backend);
+        assert!(counters.hits[2] > 0, "[{}] dense windows", backend);
+        if backend == DecoderKind::UnionFind {
             assert_eq!(counters.hits[1], 0, "union-find never answers tier 1");
         } else {
-            assert!(counters.hits[1] > 0, "[{}] sparse windows", backend.name());
+            assert!(counters.hits[1] > 0, "[{}] sparse windows", backend);
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
-use qec_decoder::{build_dem, DecodingGraph, StreamingDecoder, WindowBackend, WindowPlan};
+use qec_decoder::{build_dem, DecoderKind, DecodingGraph, StreamingDecoder, WindowPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -115,11 +115,11 @@ fn d5_r1000_windowed_decode_has_r_independent_peak_memory() {
     let (window, stride) = (15usize, 10usize);
 
     let graph_short = graph_for_rounds(400);
-    let plan_short = WindowPlan::new(&graph_short, window, stride, WindowBackend::Mwpm);
+    let plan_short = WindowPlan::new(&graph_short, window, stride, DecoderKind::Mwpm);
 
     let graph_long = graph_for_rounds(1000);
     let before_plan = live_bytes();
-    let plan_long = WindowPlan::new(&graph_long, window, stride, WindowBackend::Mwpm);
+    let plan_long = WindowPlan::new(&graph_long, window, stride, DecoderKind::Mwpm);
     let plan_footprint = live_bytes() - before_plan;
 
     // (1) Shape count — and with it the APSP footprint — is independent of

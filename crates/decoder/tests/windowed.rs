@@ -16,16 +16,16 @@
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, DecodingGraph, DetectorErrorModel, StreamingDecoder, SyndromeDecoder, WindowBackend,
+    build_dem, DecoderKind, DecodingGraph, DetectorErrorModel, StreamingDecoder, SyndromeDecoder,
     WindowPlan,
 };
 use qec_decoder::{MwpmBatchDecoder, SparseMwpmDecoder, Syndrome, UnionFindBatchDecoder};
 use surface_code::{MemoryExperiment, RotatedCode};
 
-const BACKENDS: [WindowBackend; 3] = [
-    WindowBackend::Mwpm,
-    WindowBackend::SparseMwpm,
-    WindowBackend::UnionFind,
+const BACKENDS: [DecoderKind; 3] = [
+    DecoderKind::Mwpm,
+    DecoderKind::SparseMwpm,
+    DecoderKind::UnionFind,
 ];
 
 fn setup(d: usize, rounds: usize) -> (DecodingGraph, DetectorErrorModel) {
@@ -36,14 +36,12 @@ fn setup(d: usize, rounds: usize) -> (DecodingGraph, DetectorErrorModel) {
     (graph, dem)
 }
 
-fn monolithic<'g>(
-    backend: WindowBackend,
-    graph: &'g DecodingGraph,
-) -> Box<dyn SyndromeDecoder + 'g> {
+fn monolithic<'g>(backend: DecoderKind, graph: &'g DecodingGraph) -> Box<dyn SyndromeDecoder + 'g> {
     match backend {
-        WindowBackend::Mwpm => Box::new(MwpmBatchDecoder::new(graph)),
-        WindowBackend::SparseMwpm => Box::new(SparseMwpmDecoder::new(graph)),
-        WindowBackend::UnionFind => Box::new(UnionFindBatchDecoder::new(graph)),
+        DecoderKind::Mwpm => Box::new(MwpmBatchDecoder::new(graph)),
+        DecoderKind::SparseMwpm => Box::new(SparseMwpmDecoder::new(graph)),
+        DecoderKind::UnionFind => Box::new(UnionFindBatchDecoder::new(graph)),
+        DecoderKind::Auto => unreachable!("the tests name concrete backends"),
     }
 }
 
@@ -131,16 +129,15 @@ fn full_cover_window_is_bit_identical_to_monolithic() {
                 let mono_out = mono.decode_syndrome(&syndrome);
                 let win_out = stream_shot(&mut windowed, &graph, &defects, &erasures_by_round);
                 assert_eq!(
-                    win_out.flip,
-                    mono_out.flip,
+                    win_out.flip, mono_out.flip,
                     "[{}] d={d} trial {trial}: full-cover window diverged",
-                    backend.name()
+                    backend
                 );
                 assert_eq!(
                     win_out.weight.to_bits(),
                     mono_out.weight.to_bits(),
                     "[{}] d={d} trial {trial}: weight bits diverged",
-                    backend.name()
+                    backend
                 );
                 assert_eq!(win_out.defects, mono_out.defects);
             }
@@ -175,16 +172,15 @@ fn sliding_windows_correct_every_single_fault() {
                 // decomposed hyperedges even monolithically; hold the exact
                 // bar only where the monolithic decoder meets it (both
                 // blossom backends do).
-                let exact = matches!(backend, WindowBackend::Mwpm | WindowBackend::SparseMwpm);
+                let exact = matches!(backend, DecoderKind::Mwpm | DecoderKind::SparseMwpm);
                 if !exact && defects.len() > 2 {
                     continue;
                 }
                 let out = stream_shot(&mut windowed, &graph, &defects, &[]);
                 assert_eq!(
-                    out.flip,
-                    mech.flips_observable,
+                    out.flip, mech.flips_observable,
                     "[{}] d={d} w={window} s={stride}: single fault mis-corrected ({mech:?})",
-                    backend.name()
+                    backend
                 );
                 checked += 1;
             }
@@ -223,13 +219,13 @@ fn sliding_windows_track_monolithic_on_random_syndromes() {
         assert!(
             rate > 0.95,
             "[{}] windowed/monolithic agreement too low: {rate}",
-            backend.name()
+            backend
         );
         // And windowed accuracy must not trail monolithic materially.
         assert!(
             mono_ok - win_ok < trials / 20,
             "[{}] windowed accuracy {win_ok}/{trials} vs monolithic {mono_ok}/{trials}",
-            backend.name()
+            backend
         );
     }
 }
@@ -268,15 +264,14 @@ fn erasure_straddling_a_window_boundary_is_window_relative() {
         let blind = stream_shot(&mut windowed, &graph, &defects, &[]);
         let aware = stream_shot(&mut windowed, &graph, &defects, &erasures_by_round);
         assert_eq!(
-            aware.flip,
-            e.flips_observable,
+            aware.flip, e.flips_observable,
             "[{}] erased pair must be matched through its own edge",
-            backend.name()
+            backend
         );
         assert!(
             aware.weight < blind.weight.min(0.5 * e.weight) + 1e-9,
             "[{}] erasure must reach the window decoder: aware {} vs blind {} (edge {})",
-            backend.name(),
+            backend,
             aware.weight,
             blind.weight,
             e.weight
@@ -294,7 +289,7 @@ fn correction_edges_xor_to_the_outcome_flip() {
     for backend in BACKENDS {
         let mut with = monolithic(backend, &graph);
         let mut without = monolithic(backend, &graph);
-        let mut rng = Rng::new(0xEDCE ^ backend.name().len() as u64);
+        let mut rng = Rng::new(0xEDCE ^ backend.to_string().len() as u64);
         let mut correction = Vec::new();
         for trial in 0..150 {
             let (defects, _) = sample_syndrome(&graph, &dem, &mut rng, 1 + trial % 4);
@@ -314,14 +309,13 @@ fn correction_edges_xor_to_the_outcome_flip() {
                 .iter()
                 .fold(false, |acc, &ei| acc ^ graph.edges()[ei].flips_observable);
             assert_eq!(
-                xor,
-                out.flip,
+                xor, out.flip,
                 "[{}] trial {trial}: correction edges disagree with the flip",
-                backend.name()
+                backend
             );
             if syndrome.erasures.is_empty() {
                 let plain = without.decode_syndrome(&syndrome);
-                assert_eq!(plain.flip, out.flip, "[{}] trial {trial}", backend.name());
+                assert_eq!(plain.flip, out.flip, "[{}] trial {trial}", backend);
                 assert!((plain.weight - out.weight).abs() < 1e-6);
             }
         }
@@ -333,7 +327,7 @@ fn correction_edges_xor_to_the_outcome_flip() {
 #[test]
 fn window_latency_samples_tile_the_shot() {
     let (graph, dem) = setup(3, 9);
-    let plan = WindowPlan::new(&graph, 4, 2, WindowBackend::Mwpm);
+    let plan = WindowPlan::new(&graph, 4, 2, DecoderKind::Mwpm);
     let mut windowed = plan.streaming();
     let mut rng = Rng::new(7);
     let (defects, _) = sample_syndrome(&graph, &dem, &mut rng, 4);

@@ -905,12 +905,11 @@ pub fn longmem(opts: &Opts) -> Result<(), String> {
                 // plan for the windowed one.
                 let (mono_bytes, win_bytes, shapes) = *memory_report.get_or_insert_with(|| {
                     let graph = exp.runner().graph();
-                    let backend = resolved.window_backend();
                     let span = graph.max_round() + 1;
                     let mono_bytes =
-                        WindowPlan::new(graph, span, span, backend).approx_decoder_bytes();
+                        WindowPlan::new(graph, span, span, resolved).approx_decoder_bytes();
                     if window < rounds + 1 {
-                        let plan = WindowPlan::new(graph, window, window - d, backend);
+                        let plan = WindowPlan::new(graph, window, window - d, resolved);
                         (mono_bytes, plan.approx_decoder_bytes(), plan.num_shapes())
                     } else {
                         (mono_bytes, mono_bytes, 1)

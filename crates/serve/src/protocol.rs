@@ -354,10 +354,7 @@ impl JobSpec {
                 }
             }
         }
-        let decoder = self
-            .decoder
-            .parse()
-            .map_err(|e: ExperimentError| e.to_string())?;
+        let decoder = self.decoder.parse()?;
         let mut builder = Sweep::builder()
             .distances(self.distances.iter().copied())
             .error_rates(self.error_rates.iter().copied())
