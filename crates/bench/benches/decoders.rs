@@ -12,7 +12,7 @@ use qec_core::NoiseParams;
 use qec_decoder::{
     build_dem, max_weight_matching, DecoderFactory, DecoderKind, DecodingGraph, MwpmBatchDecoder,
     MwpmFactory, ShortestPaths, SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder,
-    TieredDecoder, UnionFindFactory, WindowPlan,
+    TieredDecoder, UnionFindFactory, WindowGraph, WindowPlan,
 };
 use std::hint::black_box;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -20,12 +20,17 @@ use surface_code::{MemoryExperiment, RotatedCode};
 fn main() {
     let h = Harness::from_args();
 
-    for (d, rounds) in [(3usize, 3usize), (5, 5)] {
+    // d = 7, R = 70 is the `stream-d7` benchmark's model (61k mechanisms).
+    for (d, rounds) in [(3usize, 3usize), (5, 5), (7, 70)] {
+        let name = format!("dem_build/d{d}_r{rounds}");
+        if !h.matches(&name) {
+            continue;
+        }
         let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
         let detectors = exp.detectors();
         let observable = exp.observable_keys();
         let circuit = exp.base_circuit();
-        h.bench(&format!("dem_build/d{d}_r{rounds}"), || {
+        h.bench(&name, || {
             build_dem(black_box(&circuit), &detectors, &observable)
         });
     }
@@ -50,6 +55,16 @@ fn main() {
         });
         let factory = MwpmFactory::new(&fixture.graph);
         h.bench("mwpm_thread_instance_build/d5_r10", || factory.build());
+    }
+
+    // One bulk window shape of the `stream-d7` plan (d = 7, R = 70, 21-round
+    // windows): the table every dense window of that workload decodes on.
+    if h.matches("shortest_paths_compute/d7_r70_w21") {
+        let fixture = decode_fixture(7, 70, 0);
+        let shape = WindowGraph::build(&fixture.graph, 14, 34);
+        h.bench("shortest_paths_compute/d7_r70_w21", || {
+            ShortestPaths::compute(black_box(shape.graph()))
+        });
     }
 
     // Stateful batch decoding (32 shots per iteration) for all three

@@ -1051,16 +1051,23 @@ impl MemoryRunner {
             first += count;
         }
 
+        // The first job runs on the calling thread, so a one-worker run
+        // spawns nothing. Partials stay in job order.
         let worker = &worker;
+        let ((head_first, head_count), rest) =
+            jobs.split_first().expect("a run has at least one worker");
         let partials: Vec<PartialStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(first, count)| scope.spawn(move || worker(first, count)))
+            let handles: Vec<_> = rest
+                .iter()
+                .map(|&(first, count)| scope.spawn(move || worker(first, count)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+            let mut partials = vec![worker(*head_first, *head_count)];
+            partials.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked")),
+            );
+            partials
         });
 
         let rounds = self.exp.rounds();

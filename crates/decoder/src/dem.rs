@@ -27,6 +27,7 @@
 
 use qec_core::{Circuit, DetectorInfo, MeasKey, Op};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One merged error mechanism: the detectors it flips, whether it flips the
 /// logical observable, and its total probability.
@@ -73,23 +74,21 @@ impl Signature {
         self.dets.is_empty() && !self.obs
     }
 
-    /// Symmetric difference (sorted-merge XOR) plus observable XOR.
-    fn xor_with(&mut self, other: &Signature) {
-        if other.dets.is_empty() {
-            self.obs ^= other.obs;
-            return;
-        }
-        let mut out = Vec::with_capacity(self.dets.len() + other.dets.len());
-        let (a, b) = (&self.dets, &other.dets);
+    /// Writes `a ⊕ b` (sorted-merge symmetric difference plus observable
+    /// XOR) into `out`, reusing its buffer.
+    fn xor_into(a: &Signature, b: &Signature, out: &mut Signature) {
+        out.dets.clear();
+        out.obs = a.obs ^ b.obs;
+        let (a, b) = (&a.dets, &b.dets);
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => {
-                    out.push(a[i]);
+                    out.dets.push(a[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
+                    out.dets.push(b[j]);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
@@ -98,22 +97,125 @@ impl Signature {
                 }
             }
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        self.dets = out;
-        self.obs ^= other.obs;
-    }
-
-    fn xor_of(a: &Signature, b: &Signature) -> Signature {
-        let mut out = a.clone();
-        out.xor_with(b);
-        out
+        out.dets.extend_from_slice(&a[i..]);
+        out.dets.extend_from_slice(&b[j..]);
     }
 }
 
 /// XOR-combines two independent probabilities: P(exactly one fires).
 pub(crate) fn combine_probability(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
+}
+
+/// FxHash-style hasher for detector lists: one multiply per 8 bytes, and a
+/// final mix so the low bits the table indexes by depend on every word.
+#[derive(Default)]
+struct SignatureHasher(u64);
+
+impl SignatureHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for SignatureHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0;
+        (h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (h >> 29)
+    }
+}
+
+/// The mechanisms found so far: an id per distinct signature (one map per
+/// observable bit, probed with the borrowed detector slice), each id's
+/// running probability, and every `(id, source)` record in walk order.
+#[derive(Default)]
+struct Merger {
+    ids: [HashMap<Vec<u32>, u32, BuildHasherDefault<SignatureHasher>>; 2],
+    probability: Vec<f64>,
+    records: Vec<(u32, u32)>,
+}
+
+impl Merger {
+    fn record(&mut self, sig: &Signature, p: f64, source: usize) {
+        if sig.is_empty() || p <= 0.0 {
+            return;
+        }
+        let map = &mut self.ids[usize::from(sig.obs)];
+        let id = match map.get(sig.dets.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let id = u32::try_from(self.probability.len()).expect("mechanism ids fit u32");
+                map.insert(sig.dets.clone(), id);
+                self.probability.push(0.0);
+                id
+            }
+        };
+        let prob = &mut self.probability[id as usize];
+        *prob = combine_probability(*prob, p);
+        self.records.push((id, source as u32));
+    }
+
+    /// The merged mechanisms, sorted by (detectors, observable), each with
+    /// its sources sorted and deduplicated.
+    fn finish(self, num_detectors: usize) -> DetectorErrorModel {
+        // Group the records by id (a stable counting sort). The walk runs
+        // backwards, so each group's sources are non-increasing.
+        let mut start = vec![0u32; self.probability.len() + 1];
+        for &(id, _) in &self.records {
+            start[id as usize + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut sources = vec![0u32; self.records.len()];
+        for &(id, src) in &self.records {
+            sources[next[id as usize] as usize] = src;
+            next[id as usize] += 1;
+        }
+        drop(self.records);
+
+        let mut keys: Vec<(Vec<u32>, bool, u32)> = Vec::with_capacity(self.probability.len());
+        for (obs, map) in self.ids.into_iter().enumerate() {
+            keys.extend(map.into_iter().map(|(dets, id)| (dets, obs == 1, id)));
+        }
+        keys.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mechanisms = keys
+            .into_iter()
+            .map(|(dets, flips_observable, id)| {
+                let group = &sources[start[id as usize] as usize..start[id as usize + 1] as usize];
+                let mut sources: Vec<u32> = group.iter().rev().copied().collect();
+                sources.dedup();
+                ErrorMechanism {
+                    detectors: dets.into_iter().map(|d| d as usize).collect(),
+                    flips_observable,
+                    probability: self.probability[id as usize],
+                    sources,
+                }
+            })
+            .collect();
+        DetectorErrorModel {
+            num_detectors,
+            mechanisms,
+        }
+    }
 }
 
 /// Builds the detector error model of `circuit` against the given detector
@@ -149,25 +251,23 @@ pub fn build_dem(
     let nq = circuit.num_qubits();
     let mut sig_x: Vec<Signature> = vec![Signature::default(); nq];
     let mut sig_z: Vec<Signature> = vec![Signature::default(); nq];
-    let mut merged: HashMap<(Vec<u32>, bool), (f64, Vec<u32>)> = HashMap::new();
-    let mut record = |sig: Signature, p: f64, source: usize| {
-        if sig.is_empty() || p <= 0.0 {
-            return;
-        }
-        let entry = merged
-            .entry((sig.dets, sig.obs))
-            .or_insert((0.0, Vec::new()));
-        entry.0 = combine_probability(entry.0, p);
-        entry.1.push(source as u32);
-    };
+    let mut merged = Merger::default();
+    // Reused buffers: `tmp` receives an update and is swapped with the
+    // signature it replaces; `ya`/`yb` hold Y components and `pab` one
+    // two-qubit Pauli product.
+    let identity = Signature::default();
+    let mut tmp = Signature::default();
+    let mut ya = Signature::default();
+    let mut yb = Signature::default();
+    let mut pab = Signature::default();
 
     for (op_idx, op) in circuit.ops().iter().enumerate().rev() {
         match *op {
             Op::Measure { qubit, key } => {
                 // An X error before MZ flips the outcome (and persists, which
                 // the signature already accounts for via later ops).
-                let ks = key_sig[key].clone();
-                sig_x[qubit].xor_with(&ks);
+                Signature::xor_into(&sig_x[qubit], &key_sig[key], &mut tmp);
+                std::mem::swap(&mut sig_x[qubit], &mut tmp);
             }
             Op::Reset(q) => {
                 sig_x[q].clear();
@@ -176,48 +276,39 @@ pub fn build_dem(
             Op::H(q) => std::mem::swap(&mut sig_x[q], &mut sig_z[q]),
             Op::Cnot { control, target } | Op::CnotNoTransport { control, target } => {
                 // Forward: X_c → X_c X_t, so an X on c also acts as X on t.
-                let t = sig_x[target].clone();
-                sig_x[control].xor_with(&t);
+                Signature::xor_into(&sig_x[control], &sig_x[target], &mut tmp);
+                std::mem::swap(&mut sig_x[control], &mut tmp);
                 // Forward: Z_t → Z_t Z_c.
-                let c = sig_z[control].clone();
-                sig_z[target].xor_with(&c);
+                Signature::xor_into(&sig_z[target], &sig_z[control], &mut tmp);
+                std::mem::swap(&mut sig_z[target], &mut tmp);
             }
             Op::Depolarize1 { qubit, p } => {
                 if p > 0.0 {
                     let share = p / 3.0;
-                    record(sig_x[qubit].clone(), share, op_idx);
-                    record(sig_z[qubit].clone(), share, op_idx);
-                    record(
-                        Signature::xor_of(&sig_x[qubit], &sig_z[qubit]),
-                        share,
-                        op_idx,
-                    );
+                    merged.record(&sig_x[qubit], share, op_idx);
+                    merged.record(&sig_z[qubit], share, op_idx);
+                    Signature::xor_into(&sig_x[qubit], &sig_z[qubit], &mut ya);
+                    merged.record(&ya, share, op_idx);
                 }
             }
             Op::XError { qubit, p } => {
-                record(sig_x[qubit].clone(), p, op_idx);
+                merged.record(&sig_x[qubit], p, op_idx);
             }
             Op::Depolarize2 { a, b, p } => {
                 if p > 0.0 {
                     let share = p / 15.0;
-                    let pa = [
-                        Signature::default(),
-                        sig_x[a].clone(),
-                        Signature::xor_of(&sig_x[a], &sig_z[a]),
-                        sig_z[a].clone(),
-                    ];
-                    let pb = [
-                        Signature::default(),
-                        sig_x[b].clone(),
-                        Signature::xor_of(&sig_x[b], &sig_z[b]),
-                        sig_z[b].clone(),
-                    ];
+                    Signature::xor_into(&sig_x[a], &sig_z[a], &mut ya);
+                    Signature::xor_into(&sig_x[b], &sig_z[b], &mut yb);
+                    // I, X, Y, Z on each qubit, in that order.
+                    let pa = [&identity, &sig_x[a], &ya, &sig_z[a]];
+                    let pb = [&identity, &sig_x[b], &yb, &sig_z[b]];
                     for (i, sa) in pa.iter().enumerate() {
                         for (j, sb) in pb.iter().enumerate() {
                             if i == 0 && j == 0 {
                                 continue;
                             }
-                            record(Signature::xor_of(sa, sb), share, op_idx);
+                            Signature::xor_into(sa, sb, &mut pab);
+                            merged.record(&pab, share, op_idx);
                         }
                     }
                 }
@@ -226,31 +317,7 @@ pub fn build_dem(
             Op::LeakInject { .. } | Op::Seep { .. } | Op::LeakIswap { .. } | Op::Tick => {}
         }
     }
-
-    let mut mechanisms: Vec<ErrorMechanism> = merged
-        .into_iter()
-        .map(
-            |((dets, flips_observable), (probability, mut sources))| ErrorMechanism {
-                detectors: dets.into_iter().map(|d| d as usize).collect(),
-                flips_observable,
-                probability,
-                sources: {
-                    sources.sort_unstable();
-                    sources.dedup();
-                    sources
-                },
-            },
-        )
-        .collect();
-    mechanisms.sort_by(|a, b| {
-        a.detectors
-            .cmp(&b.detectors)
-            .then(a.flips_observable.cmp(&b.flips_observable))
-    });
-    DetectorErrorModel {
-        num_detectors: detectors.len(),
-        mechanisms,
-    }
+    merged.finish(detectors.len())
 }
 
 #[cfg(test)]
@@ -423,11 +490,13 @@ mod tests {
             dets: vec![3, 4],
             obs: true,
         };
-        let c = Signature::xor_of(&a, &b);
+        let mut c = Signature::default();
+        Signature::xor_into(&a, &b, &mut c);
         assert_eq!(c.dets, vec![1, 4, 5]);
         assert!(!c.obs);
         // XOR with self annihilates.
-        assert!(Signature::xor_of(&a, &a).is_empty());
+        Signature::xor_into(&a, &a, &mut c);
+        assert!(c.is_empty());
     }
 
     /// Cross-check the backward builder against literal forward frame

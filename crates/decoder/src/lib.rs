@@ -96,6 +96,8 @@ pub mod mwpm;
 pub mod overlay;
 pub mod predecode;
 pub mod sparse;
+#[cfg(test)]
+mod table_reference;
 pub mod unionfind;
 pub mod weight;
 pub mod window;

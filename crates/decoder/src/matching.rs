@@ -120,7 +120,7 @@ impl MatchingContext {
 /// Clears the first `n` inner vectors (keeping their capacity) and ensures at
 /// least `n` of them exist.
 fn reset_nested(v: &mut Vec<Vec<usize>>, n: usize) {
-    for inner in v.iter_mut() {
+    for inner in v.iter_mut().take(n) {
         inner.clear();
     }
     if v.len() < n {
@@ -1054,6 +1054,39 @@ mod tests {
                 let reused = ctx.solve(&edges, maxcard).to_vec();
                 let fresh = max_weight_matching(&edges, maxcard);
                 assert_eq!(reused, fresh, "trial {trial} maxcard={maxcard}");
+            }
+        }
+    }
+
+    #[test]
+    fn context_grown_by_a_large_solve_matches_fresh_small_solves() {
+        // Scratch past a small problem's size is left as a large solve left
+        // it; the small solves must never read it.
+        let mut ctx = MatchingContext::new();
+        let mut rng = qec_core::Rng::new(4242);
+        let complete = |n: usize, rng: &mut qec_core::Rng| {
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    edges.push((u, v, rng.below(100) as i64));
+                }
+            }
+            edges
+        };
+        for trial in 0..20 {
+            let big = complete(60, &mut rng);
+            assert_eq!(
+                ctx.solve(&big, true),
+                max_weight_matching(&big, true).as_slice()
+            );
+            let small = complete(2 + trial % 5, &mut rng);
+            for maxcard in [false, true] {
+                let reused = ctx.solve(&small, maxcard).to_vec();
+                assert_eq!(
+                    reused,
+                    max_weight_matching(&small, maxcard),
+                    "trial {trial}"
+                );
             }
         }
     }

@@ -99,15 +99,53 @@ pub struct ShortestPaths {
 impl ShortestPaths {
     /// Runs Dijkstra from every node. Memory is O((nodes+1)²); decoding
     /// graphs beyond ~10⁴ nodes should use the union-find decoder instead.
+    ///
+    /// Source rows are independent, so a large table splits them across
+    /// every available core. Each row is computed as it would be on one
+    /// thread, so the table is bit-identical for any split. The rows run
+    /// on a packed copy of the adjacency ([`DecodingGraph::incident`]
+    /// order kept) with one heap reused per worker.
     pub fn compute(graph: &DecodingGraph) -> ShortestPaths {
-        let n = graph.num_nodes() + 1;
-        let mut dist = vec![f64::INFINITY; n * n];
+        // Below this many adjacency scans per worker, a thread spawn (tens
+        // of µs) stops being noise next to the rows it would take over.
+        const MIN_SCANS_PER_THREAD: usize = 1 << 16;
+        let adj = FlatAdjacency::new(graph);
+        // Ask for the core count (which may read cgroup files) only when
+        // the table is large enough to split at all.
+        let max_threads = adj.num_nodes() * adj.hops.len() / MIN_SCANS_PER_THREAD;
+        let threads = if max_threads < 2 {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(max_threads))
+        };
+        Self::from_adjacency(&adj, threads)
+    }
+
+    /// [`ShortestPaths::compute`] split into `threads` row chunks (fewer
+    /// when the rows run out first).
+    #[cfg(test)]
+    pub(crate) fn compute_on(graph: &DecodingGraph, threads: usize) -> ShortestPaths {
+        Self::from_adjacency(&FlatAdjacency::new(graph), threads)
+    }
+
+    fn from_adjacency(adj: &FlatAdjacency, threads: usize) -> ShortestPaths {
+        let n = adj.num_nodes();
+        // Zeroed tables: every worker overwrites its own rows in full, so
+        // their pages are first touched by the thread that fills them.
+        let mut dist = vec![0.0; n * n];
         let mut obs = vec![false; n * n];
-        for src in 0..n {
-            let (d, o) = dijkstra(graph, src);
-            dist[src * n..(src + 1) * n].copy_from_slice(&d);
-            obs[src * n..(src + 1) * n].copy_from_slice(&o);
-        }
+        let rows_per = n.div_ceil(threads.clamp(1, n));
+        std::thread::scope(|scope| {
+            let mut chunks = dist
+                .chunks_mut(rows_per * n)
+                .zip(obs.chunks_mut(rows_per * n))
+                .enumerate();
+            let (_, (dist0, obs0)) = chunks.next().expect("the boundary node is a row");
+            for (k, (dist, obs)) in chunks {
+                scope.spawn(move || adj.fill_rows(k * rows_per, dist, obs));
+            }
+            adj.fill_rows(0, dist0, obs0);
+        });
         ShortestPaths { n, dist, obs }
     }
 
@@ -193,51 +231,99 @@ impl ShortestPaths {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapItem(f64, usize);
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// A Dijkstra heap key that orders as (distance, node). Distances are sums
+/// of validated finite, positive weights, and for non-negative floats the
+/// IEEE bit pattern orders as the value does.
+fn heap_key(dist: f64, node: usize) -> u128 {
+    (u128::from(dist.to_bits()) << 64) | node as u128
 }
 
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // `total_cmp`, not `partial_cmp().unwrap()`: graph construction
-        // validates weights, but a degenerate distance must surface as a
-        // wrong answer caught by tests — never as a panic inside BinaryHeap.
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
+/// One incident edge seen from a node: the far endpoint, the edge weight
+/// and its observable flip.
+#[derive(Clone, Copy)]
+struct Hop {
+    weight: f64,
+    to: u32,
+    flips: bool,
 }
 
-fn dijkstra(graph: &DecodingGraph, src: usize) -> (Vec<f64>, Vec<bool>) {
-    let n = graph.num_nodes() + 1;
-    let mut dist = vec![f64::INFINITY; n];
-    let mut obs = vec![false; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0.0;
-    heap.push(Reverse(HeapItem(0.0, src)));
-    while let Some(Reverse(HeapItem(d, u))) = heap.pop() {
-        if done[u] {
-            continue;
+/// A packed copy of a graph's adjacency (CSR): node `u`'s incident edges,
+/// in [`DecodingGraph::incident`] order, are `hops[start[u]..start[u + 1]]`.
+struct FlatAdjacency {
+    start: Vec<u32>,
+    hops: Vec<Hop>,
+}
+
+impl FlatAdjacency {
+    fn new(graph: &DecodingGraph) -> FlatAdjacency {
+        let n = graph.num_nodes() + 1;
+        let mut start = Vec::with_capacity(n + 1);
+        let mut hops = Vec::new();
+        start.push(0);
+        for u in 0..n {
+            hops.extend(graph.incident(u).iter().map(|&ei| {
+                let e = &graph.edges()[ei];
+                Hop {
+                    weight: e.weight,
+                    to: (if e.a == u { e.b } else { e.a }) as u32,
+                    flips: e.flips_observable,
+                }
+            }));
+            start.push(u32::try_from(hops.len()).expect("adjacency fits u32 offsets"));
         }
-        done[u] = true;
-        for &ei in graph.incident(u) {
-            let e = &graph.edges()[ei];
-            let v = if e.a == u { e.b } else { e.a };
-            let nd = d + e.weight;
-            if nd < dist[v] {
-                dist[v] = nd;
-                obs[v] = obs[u] ^ e.flips_observable;
-                heap.push(Reverse(HeapItem(nd, v)));
+        FlatAdjacency { start, hops }
+    }
+
+    /// Nodes, boundary included.
+    fn num_nodes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Fills the table rows of sources `first..`, one per `n` entries of
+    /// `dist` and `obs`, reusing one heap across them.
+    fn fill_rows(&self, first: usize, dist: &mut [f64], obs: &mut [bool]) {
+        let n = self.num_nodes();
+        let mut heap = BinaryHeap::new();
+        for (k, (dist, obs)) in dist
+            .chunks_exact_mut(n)
+            .zip(obs.chunks_exact_mut(n))
+            .enumerate()
+        {
+            self.dijkstra(first + k, dist, obs, &mut heap);
+        }
+    }
+
+    fn dijkstra(
+        &self,
+        src: usize,
+        dist: &mut [f64],
+        obs: &mut [bool],
+        heap: &mut BinaryHeap<Reverse<u128>>,
+    ) {
+        dist.fill(f64::INFINITY);
+        obs.fill(false);
+        dist[src] = 0.0;
+        heap.push(Reverse(heap_key(0.0, src)));
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, u) = (f64::from_bits((key >> 64) as u64), key as u64 as usize);
+            // A push strictly lowers its node's distance and weights are
+            // positive, so only a node's first pop is live: no `done` set.
+            // Keys are distinct, so any exact min-heap pops them in the
+            // same order.
+            if d > dist[u] {
+                continue;
+            }
+            for hop in &self.hops[self.start[u] as usize..self.start[u + 1] as usize] {
+                let v = hop.to as usize;
+                let nd = d + hop.weight;
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    obs[v] = obs[u] ^ hop.flips;
+                    heap.push(Reverse(heap_key(nd, v)));
+                }
             }
         }
     }
-    (dist, obs)
 }
 
 /// Most subsets the certified solver's DP may solve in one component; a

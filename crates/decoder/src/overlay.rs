@@ -450,7 +450,7 @@ impl PartialOrd for EffHeapItem {
 impl Ord for EffHeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // `total_cmp`, not `partial_cmp().unwrap()`: a degenerate effective
-        // weight must never panic inside BinaryHeap (see `HeapItem`).
+        // weight must never panic inside BinaryHeap.
         self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
     }
 }

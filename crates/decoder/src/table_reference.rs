@@ -1,0 +1,375 @@
+//! The straightforward builders of the decode tables, and the tests that
+//! hold the library's fast ones to them.
+//!
+//! [`build_dem`] walks the circuit cloning a signature for every gate,
+//! measurement and record, and merges mechanisms in a map keyed by owned
+//! detector lists. [`dijkstra`] runs one source over the graph's own
+//! adjacency with fresh buffers. The library's [`crate::build_dem`] (reused
+//! buffers, borrowed lookups) and [`ShortestPaths::compute`] (a packed
+//! adjacency, row-parallel) must reproduce them bit for bit: every
+//! mechanism's detectors, observable bit, probability bits and sources, and
+//! every table entry's distance bits and parity, for any row split.
+
+use crate::dem::{combine_probability, DetectorErrorModel, ErrorMechanism};
+use crate::mwpm::ShortestPaths;
+use crate::window::{DecoderKind, WindowPlan};
+use crate::DecodingGraph;
+use qec_core::circuit::DetectorBasis;
+use qec_core::{Circuit, DetectorInfo, MeasKey, NoiseParams, Op};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use surface_code::{MemoryBasis, MemoryExperiment, RotatedCode};
+
+/// The effect of a single Pauli error at a circuit position: which detectors
+/// flip and whether the observable flips. Detector ids stay sorted.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Signature {
+    dets: Vec<u32>,
+    obs: bool,
+}
+
+impl Signature {
+    fn clear(&mut self) {
+        self.dets.clear();
+        self.obs = false;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.dets.is_empty() && !self.obs
+    }
+
+    /// Symmetric difference (sorted-merge XOR) plus observable XOR.
+    fn xor_with(&mut self, other: &Signature) {
+        if other.dets.is_empty() {
+            self.obs ^= other.obs;
+            return;
+        }
+        let mut out = Vec::with_capacity(self.dets.len() + other.dets.len());
+        let (a, b) = (&self.dets, &other.dets);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        self.dets = out;
+        self.obs ^= other.obs;
+    }
+
+    fn xor_of(a: &Signature, b: &Signature) -> Signature {
+        let mut out = a.clone();
+        out.xor_with(b);
+        out
+    }
+}
+
+/// The detector error model, built with a freshly cloned signature for
+/// every propagation step and record.
+pub(crate) fn build_dem(
+    circuit: &Circuit,
+    detectors: &[DetectorInfo],
+    observable: &[MeasKey],
+) -> DetectorErrorModel {
+    let num_keys = circuit.num_keys();
+    // Per-key signature: the detectors containing the key, plus observable
+    // membership.
+    let mut key_sig: Vec<Signature> = vec![Signature::default(); num_keys];
+    for (idx, det) in detectors.iter().enumerate() {
+        for &k in &det.keys {
+            assert!(k < num_keys, "detector references unmeasured key {k}");
+            key_sig[k].dets.push(idx as u32);
+        }
+    }
+    for sig in &mut key_sig {
+        sig.dets.sort_unstable();
+    }
+    for &k in observable {
+        assert!(k < num_keys, "observable references unmeasured key {k}");
+        key_sig[k].obs = true;
+    }
+
+    let nq = circuit.num_qubits();
+    let mut sig_x: Vec<Signature> = vec![Signature::default(); nq];
+    let mut sig_z: Vec<Signature> = vec![Signature::default(); nq];
+    let mut merged: HashMap<(Vec<u32>, bool), (f64, Vec<u32>)> = HashMap::new();
+    let mut record = |sig: Signature, p: f64, source: usize| {
+        if sig.is_empty() || p <= 0.0 {
+            return;
+        }
+        let entry = merged
+            .entry((sig.dets, sig.obs))
+            .or_insert((0.0, Vec::new()));
+        entry.0 = combine_probability(entry.0, p);
+        entry.1.push(source as u32);
+    };
+
+    for (op_idx, op) in circuit.ops().iter().enumerate().rev() {
+        match *op {
+            Op::Measure { qubit, key } => {
+                // An X error before MZ flips the outcome (and persists, which
+                // the signature already accounts for via later ops).
+                let ks = key_sig[key].clone();
+                sig_x[qubit].xor_with(&ks);
+            }
+            Op::Reset(q) => {
+                sig_x[q].clear();
+                sig_z[q].clear();
+            }
+            Op::H(q) => std::mem::swap(&mut sig_x[q], &mut sig_z[q]),
+            Op::Cnot { control, target } | Op::CnotNoTransport { control, target } => {
+                // Forward: X_c → X_c X_t, so an X on c also acts as X on t.
+                let t = sig_x[target].clone();
+                sig_x[control].xor_with(&t);
+                // Forward: Z_t → Z_t Z_c.
+                let c = sig_z[control].clone();
+                sig_z[target].xor_with(&c);
+            }
+            Op::Depolarize1 { qubit, p } => {
+                if p > 0.0 {
+                    let share = p / 3.0;
+                    record(sig_x[qubit].clone(), share, op_idx);
+                    record(sig_z[qubit].clone(), share, op_idx);
+                    record(
+                        Signature::xor_of(&sig_x[qubit], &sig_z[qubit]),
+                        share,
+                        op_idx,
+                    );
+                }
+            }
+            Op::XError { qubit, p } => {
+                record(sig_x[qubit].clone(), p, op_idx);
+            }
+            Op::Depolarize2 { a, b, p } => {
+                if p > 0.0 {
+                    let share = p / 15.0;
+                    let pa = [
+                        Signature::default(),
+                        sig_x[a].clone(),
+                        Signature::xor_of(&sig_x[a], &sig_z[a]),
+                        sig_z[a].clone(),
+                    ];
+                    let pb = [
+                        Signature::default(),
+                        sig_x[b].clone(),
+                        Signature::xor_of(&sig_x[b], &sig_z[b]),
+                        sig_z[b].clone(),
+                    ];
+                    for (i, sa) in pa.iter().enumerate() {
+                        for (j, sb) in pb.iter().enumerate() {
+                            if i == 0 && j == 0 {
+                                continue;
+                            }
+                            record(Signature::xor_of(sa, sb), share, op_idx);
+                        }
+                    }
+                }
+            }
+            // Leakage channels and layer markers carry no Pauli component.
+            Op::LeakInject { .. } | Op::Seep { .. } | Op::LeakIswap { .. } | Op::Tick => {}
+        }
+    }
+
+    let mut mechanisms: Vec<ErrorMechanism> = merged
+        .into_iter()
+        .map(
+            |((dets, flips_observable), (probability, mut sources))| ErrorMechanism {
+                detectors: dets.into_iter().map(|d| d as usize).collect(),
+                flips_observable,
+                probability,
+                sources: {
+                    sources.sort_unstable();
+                    sources.dedup();
+                    sources
+                },
+            },
+        )
+        .collect();
+    mechanisms.sort_by(|a, b| {
+        a.detectors
+            .cmp(&b.detectors)
+            .then(a.flips_observable.cmp(&b.flips_observable))
+    });
+    DetectorErrorModel {
+        num_detectors: detectors.len(),
+        mechanisms,
+    }
+}
+
+#[derive(PartialEq)]
+struct HeapItem(f64, usize);
+
+impl Eq for HeapItem {}
+
+impl PartialOrd for HeapItem {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeapItem {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+/// Distances and observable parities from `src` to every node.
+fn dijkstra(graph: &DecodingGraph, src: usize) -> (Vec<f64>, Vec<bool>) {
+    let n = graph.num_nodes() + 1;
+    let mut dist = vec![f64::INFINITY; n];
+    let mut obs = vec![false; n];
+    let mut done = vec![false; n];
+    let mut heap = BinaryHeap::new();
+    dist[src] = 0.0;
+    heap.push(Reverse(HeapItem(0.0, src)));
+    while let Some(Reverse(HeapItem(d, u))) = heap.pop() {
+        if done[u] {
+            continue;
+        }
+        done[u] = true;
+        for &ei in graph.incident(u) {
+            let e = &graph.edges()[ei];
+            let v = if e.a == u { e.b } else { e.a };
+            let nd = d + e.weight;
+            if nd < dist[v] {
+                dist[v] = nd;
+                obs[v] = obs[u] ^ e.flips_observable;
+                heap.push(Reverse(HeapItem(nd, v)));
+            }
+        }
+    }
+    (dist, obs)
+}
+
+/// Asserts the library's DEM of `circuit` equals the reference's, bit for
+/// bit, and returns its mechanism count.
+fn assert_dem_matches(
+    circuit: &Circuit,
+    detectors: &[DetectorInfo],
+    obs: &[MeasKey],
+    what: &str,
+) -> usize {
+    let want = build_dem(circuit, detectors, obs);
+    let got = crate::build_dem(circuit, detectors, obs);
+    assert_eq!(got.num_detectors, want.num_detectors, "{what}");
+    assert_eq!(got.mechanisms.len(), want.mechanisms.len(), "{what}");
+    for (i, (g, w)) in got.mechanisms.iter().zip(&want.mechanisms).enumerate() {
+        assert_eq!(g.detectors, w.detectors, "{what}: mechanism {i}");
+        assert_eq!(
+            g.flips_observable, w.flips_observable,
+            "{what}: mechanism {i}"
+        );
+        assert_eq!(
+            g.probability.to_bits(),
+            w.probability.to_bits(),
+            "{what}: mechanism {i}"
+        );
+        assert_eq!(g.sources, w.sources, "{what}: mechanism {i}");
+    }
+    want.mechanisms.len()
+}
+
+#[test]
+fn dem_matches_the_reference_on_memory_circuits() {
+    for d in [3, 5, 7] {
+        for basis in [MemoryBasis::Z, MemoryBasis::X] {
+            for (name, noise) in [
+                ("standard(1e-3)", NoiseParams::standard(1e-3)),
+                ("without_leakage(2e-3)", NoiseParams::without_leakage(2e-3)),
+            ] {
+                let exp = MemoryExperiment::new_with_basis(RotatedCode::new(d), noise, d, basis);
+                let mechanisms = assert_dem_matches(
+                    &exp.base_circuit(),
+                    &exp.detectors(),
+                    &exp.observable_keys(),
+                    &format!("d={d} {basis:?} {name}"),
+                );
+                assert!(mechanisms > 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn dem_matches_the_reference_with_zero_probability_channels() {
+    let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(0.0), 3);
+    let (detectors, obs) = (exp.detectors(), exp.observable_keys());
+    assert_eq!(
+        assert_dem_matches(&exp.base_circuit(), &detectors, &obs, "noiseless d=3"),
+        0
+    );
+
+    // Every third noise site switched off, the rest at p = 1e-3.
+    let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 3);
+    let base = exp.base_circuit();
+    let mut circuit = Circuit::new(base.num_qubits());
+    circuit.alloc_keys(base.num_keys());
+    let mut site = 0;
+    for &op in base.ops() {
+        let mut off = || {
+            site += 1;
+            site % 3 == 0
+        };
+        circuit.push(match op {
+            Op::Depolarize1 { qubit, .. } if off() => Op::Depolarize1 { qubit, p: 0.0 },
+            Op::Depolarize2 { a, b, .. } if off() => Op::Depolarize2 { a, b, p: 0.0 },
+            Op::XError { qubit, .. } if off() => Op::XError { qubit, p: 0.0 },
+            op => op,
+        });
+    }
+    assert!(site > 0);
+    assert_dem_matches(
+        &circuit,
+        &detectors,
+        &obs,
+        "d=3, a third of the sites at p = 0",
+    );
+}
+
+#[test]
+fn shortest_paths_match_the_reference_on_every_window_shape() {
+    for d in [3, 5, 7] {
+        for (rounds, window, stride) in [(6 * d, 3 * d, 2 * d), (d, d + 1, d + 1)] {
+            let exp =
+                MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
+            let detectors = exp.detectors();
+            let dem = crate::build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+            let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
+            let plan = WindowPlan::new(&graph, window, stride, DecoderKind::Mwpm);
+            for (s, shape) in plan.shape_graphs().enumerate() {
+                let n = shape.num_nodes() + 1;
+                let rows: Vec<_> = (0..n).map(|src| dijkstra(shape, src)).collect();
+                for threads in 1..=3 {
+                    let paths = ShortestPaths::compute_on(shape, threads);
+                    assert_eq!(paths.num_nodes_with_boundary(), n);
+                    for (u, (dist, obs)) in rows.iter().enumerate() {
+                        for v in 0..n {
+                            assert_eq!(
+                                paths.distance(u, v).to_bits(),
+                                dist[v].to_bits(),
+                                "d={d} W={window} shape {s}, {threads} threads: dist({u}, {v})"
+                            );
+                            assert_eq!(
+                                paths.observable_parity(u, v),
+                                obs[v],
+                                "d={d} W={window} shape {s}, {threads} threads: obs({u}, {v})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -425,6 +425,12 @@ impl WindowPlan {
         self.positions.len()
     }
 
+    /// The distinct window shapes' graphs.
+    #[cfg(test)]
+    pub(crate) fn shape_graphs(&self) -> impl Iterator<Item = &DecodingGraph> {
+        self.shapes.iter().map(WindowGraph::graph)
+    }
+
     /// Number of distinct window shapes (a handful regardless of R, thanks
     /// to time-translation invariance of the bulk rounds).
     pub fn num_shapes(&self) -> usize {
