@@ -25,9 +25,8 @@
 //! construction — a once-per-graph price, invisible next to the Monte-Carlo
 //! loop it serves.
 
+use crate::fxhash::FxHashMap;
 use qec_core::{Circuit, DetectorInfo, MeasKey, Op};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// One merged error mechanism: the detectors it flips, whether it flips the
 /// logical observable, and its total probability.
@@ -107,47 +106,12 @@ pub(crate) fn combine_probability(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
 }
 
-/// FxHash-style hasher for detector lists: one multiply per 8 bytes, and a
-/// final mix so the low bits the table indexes by depend on every word.
-#[derive(Default)]
-struct SignatureHasher(u64);
-
-impl SignatureHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for SignatureHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            self.add(u64::from_le_bytes(last));
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        let h = self.0;
-        (h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (h >> 29)
-    }
-}
-
 /// The mechanisms found so far: an id per distinct signature (one map per
 /// observable bit, probed with the borrowed detector slice), each id's
 /// running probability, and every `(id, source)` record in walk order.
 #[derive(Default)]
 struct Merger {
-    ids: [HashMap<Vec<u32>, u32, BuildHasherDefault<SignatureHasher>>; 2],
+    ids: [FxHashMap<Vec<u32>, u32>; 2],
     probability: Vec<f64>,
     records: Vec<(u32, u32)>,
 }

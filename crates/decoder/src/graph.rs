@@ -9,10 +9,10 @@
 //! standard Stim/PyMatching `decompose_errors` behaviour.
 
 use crate::dem::{combine_probability, DetectorErrorModel};
+use crate::fxhash::FxHashMap;
 use crate::weight::{snap_weight, validate_edge_weight};
 use qec_core::circuit::DetectorBasis;
 use qec_core::DetectorInfo;
-use std::collections::HashMap;
 
 /// One edge of the decoding graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,10 +65,12 @@ pub struct DecodingGraph {
     /// Per source mechanism (indexed like `DetectorErrorModel::mechanisms`):
     /// the edge indices its projection landed on (one for elementary
     /// mechanisms, several for decomposed hyperedges, none when invisible to
-    /// this basis). Together with `ErrorMechanism::sources` this maps fault
-    /// provenance to graph edges — the basis of exact heralded-erasure
-    /// lookups.
-    mechanism_edges: Vec<Vec<usize>>,
+    /// this basis), sorted. Together with `ErrorMechanism::sources` this maps
+    /// fault provenance to graph edges — the basis of exact heralded-erasure
+    /// lookups. Stored as CSR: mechanism `m`'s edges are
+    /// `mechanism_edges[mechanism_offsets[m]..mechanism_offsets[m + 1]]`.
+    mechanism_offsets: Vec<usize>,
+    mechanism_edges: Vec<usize>,
     /// Per node: the syndrome-extraction round of its detector (the final
     /// data-measurement detectors carry round = number of rounds). This is
     /// the round index the sliding-window machinery partitions on.
@@ -99,20 +101,18 @@ impl DecodingGraph {
         let boundary = num_nodes;
 
         // First pass: project every mechanism; collect elementary (≤2 node)
-        // ones directly, defer larger ones for decomposition. Every
-        // mechanism's landing keys are recorded for the provenance map.
-        let mut edge_map: HashMap<(usize, usize), (f64, bool)> = HashMap::new();
+        // ones directly, defer larger ones for decomposition. Every landing
+        // is logged as (mechanism, edge slot) for the provenance map.
+        let mut merged = EdgeMerger::default();
+        let mut landings: Vec<(usize, usize)> = Vec::with_capacity(dem.mechanisms.len());
         let mut deferred: Vec<(usize, Vec<usize>, bool, f64)> = Vec::new();
-        let mut mechanism_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dem.mechanisms.len()];
         let mut undetectable_observable_flips = 0;
+        let mut nodes: Vec<usize> = Vec::new();
         for (mi, mech) in dem.mechanisms.iter().enumerate() {
-            let nodes: Vec<usize> = mech
-                .detectors
-                .iter()
-                .filter_map(|&d| detector_to_node[d])
-                .collect();
-            match nodes.len() {
-                0 => {
+            nodes.clear();
+            nodes.extend(mech.detectors.iter().filter_map(|&d| detector_to_node[d]));
+            let key = match *nodes.as_slice() {
+                [] => {
                     // Invisible to this basis (e.g. a Z error for the Z
                     // graph). A mechanism that flips the observable while
                     // firing no detector of the observable's detecting basis
@@ -122,35 +122,41 @@ impl DecodingGraph {
                     if mech.flips_observable {
                         undetectable_observable_flips += 1;
                     }
+                    continue;
                 }
-                1 => {
-                    let key = (nodes[0], boundary);
-                    merge_edge(&mut edge_map, key, mech.probability, mech.flips_observable);
-                    mechanism_keys[mi].push(key);
+                [n] => (n, boundary),
+                [n, m] => ordered(n, m),
+                _ => {
+                    deferred.push((mi, nodes.clone(), mech.flips_observable, mech.probability));
+                    continue;
                 }
-                2 => {
-                    let key = ordered(nodes[0], nodes[1]);
-                    merge_edge(&mut edge_map, key, mech.probability, mech.flips_observable);
-                    mechanism_keys[mi].push(key);
-                }
-                _ => deferred.push((mi, nodes, mech.flips_observable, mech.probability)),
-            }
+            };
+            let slot = merged.merge(key, mech.probability, mech.flips_observable);
+            landings.push((mi, slot));
         }
 
         // Second pass: decompose hyperedges into pairs of existing elementary
         // edges whose observable parities XOR to the mechanism's.
         for (mi, mut nodes, obs, p) in deferred {
             nodes.sort_unstable();
-            let parts = decompose(&nodes, obs, boundary, &edge_map);
-            for (key, part_obs) in parts {
-                merge_edge(&mut edge_map, key, p, part_obs);
-                mechanism_keys[mi].push(key);
+            for (key, part_obs) in decompose(&nodes, obs, boundary, &merged) {
+                let slot = merged.merge(key, p, part_obs);
+                landings.push((mi, slot));
             }
         }
 
-        let mut edges: Vec<GraphEdge> = edge_map
-            .into_iter()
-            .map(|((a, b), (probability, flips_observable))| {
+        // Edges sorted by endpoints; `rank` maps an edge slot to its index.
+        let slots = merged.slots;
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_unstable_by_key(|&slot| slots[slot].0);
+        let mut rank = vec![0; slots.len()];
+        for (i, &slot) in order.iter().enumerate() {
+            rank[slot] = i;
+        }
+        let edges: Vec<GraphEdge> = order
+            .iter()
+            .map(|&slot| {
+                let ((a, b), probability, flips_observable) = slots[slot];
                 let p = probability.clamp(1e-12, 0.5 - 1e-9);
                 GraphEdge {
                     a,
@@ -164,27 +170,33 @@ impl DecodingGraph {
                 }
             })
             .collect();
-        edges.sort_by_key(|x| (x.a, x.b));
         for (i, e) in edges.iter().enumerate() {
             validate_edge_weight(i, e.weight);
         }
 
         let mut adjacency = vec![Vec::new(); num_nodes + 1];
-        let mut key_to_edge: HashMap<(usize, usize), usize> = HashMap::new();
         for (i, e) in edges.iter().enumerate() {
             adjacency[e.a].push(i);
             adjacency[e.b].push(i);
-            key_to_edge.insert((e.a, e.b), i);
         }
-        let mechanism_edges = mechanism_keys
+
+        // Provenance map in CSR form: each mechanism's edges, sorted. A
+        // mechanism's parts are node-disjoint pairs, so no edge repeats. The
+        // landing log is two runs already sorted by mechanism, so the stable
+        // sort is close to one merge.
+        let mut landings: Vec<(usize, usize)> = landings
             .into_iter()
-            .map(|keys| {
-                let mut out: Vec<usize> = keys.into_iter().map(|key| key_to_edge[&key]).collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
+            .map(|(mi, slot)| (mi, rank[slot]))
             .collect();
+        landings.sort();
+        let mut mechanism_offsets = vec![0; dem.mechanisms.len() + 1];
+        for &(mi, _) in &landings {
+            mechanism_offsets[mi + 1] += 1;
+        }
+        for mi in 0..dem.mechanisms.len() {
+            mechanism_offsets[mi + 1] += mechanism_offsets[mi];
+        }
+        let mechanism_edges = landings.into_iter().map(|(_, edge)| edge).collect();
         DecodingGraph {
             num_nodes,
             edges,
@@ -192,6 +204,7 @@ impl DecodingGraph {
             node_to_detector,
             detector_to_node,
             undetectable_observable_flips,
+            mechanism_offsets,
             mechanism_edges,
             node_round,
         }
@@ -223,6 +236,7 @@ impl DecodingGraph {
             node_to_detector: (0..num_nodes).collect(),
             detector_to_node: (0..num_nodes).map(Some).collect(),
             undetectable_observable_flips: 0,
+            mechanism_offsets: Vec::new(),
             mechanism_edges: Vec::new(),
             node_round,
         }
@@ -313,7 +327,7 @@ impl DecodingGraph {
     /// "this circuit location was faulty" (e.g. heralded leakage) into the
     /// exact erased-edge set.
     pub fn erasure_edges_for_mechanism(&self, mech: usize) -> &[usize] {
-        &self.mechanism_edges[mech]
+        &self.mechanism_edges[self.mechanism_offsets[mech]..self.mechanism_offsets[mech + 1]]
     }
 
     /// Extracts the defect node list from a global detector-event bitmap.
@@ -345,18 +359,41 @@ fn ordered(a: usize, b: usize) -> (usize, usize) {
     }
 }
 
-fn merge_edge(
-    map: &mut HashMap<(usize, usize), (f64, bool)>,
-    key: (usize, usize),
-    p: f64,
-    obs: bool,
-) {
-    let entry = map.entry(key).or_insert((0.0, obs));
-    entry.0 = combine_probability(entry.0, p);
-    // Parallel mechanisms with conflicting observable parity are dominated by
-    // the heavier one; in surface-code DEMs the parity always agrees, which
-    // the graph tests assert.
-    entry.1 = obs || entry.1;
+/// The elementary edges found so far: one slot per distinct node pair, in
+/// first-merge order, holding the running probability and observable bit.
+#[derive(Default)]
+struct EdgeMerger {
+    slot_of: FxHashMap<(usize, usize), usize>,
+    slots: Vec<((usize, usize), f64, bool)>,
+}
+
+impl EdgeMerger {
+    /// Merges one mechanism onto the edge `key`, returning its slot.
+    fn merge(&mut self, key: (usize, usize), p: f64, obs: bool) -> usize {
+        let slots = &mut self.slots;
+        let slot = *self.slot_of.entry(key).or_insert_with(|| {
+            slots.push((key, 0.0, obs));
+            slots.len() - 1
+        });
+        let entry = &mut slots[slot];
+        entry.1 = combine_probability(entry.1, p);
+        // Parallel mechanisms with conflicting observable parity are
+        // dominated by the heavier one; in surface-code DEMs the parity
+        // always agrees, which the graph tests assert.
+        entry.2 = obs || entry.2;
+        slot
+    }
+
+    fn contains(&self, key: &(usize, usize)) -> bool {
+        self.slot_of.contains_key(key)
+    }
+
+    /// The observable bit of an existing edge (false when absent).
+    fn flips_observable(&self, key: &(usize, usize)) -> bool {
+        self.slot_of
+            .get(key)
+            .is_some_and(|&slot| self.slots[slot].2)
+    }
 }
 
 /// Splits a >2-node mechanism into pairs, preferring pairs that already exist
@@ -365,14 +402,10 @@ fn decompose(
     nodes: &[usize],
     obs: bool,
     boundary: usize,
-    edges: &HashMap<(usize, usize), (f64, bool)>,
+    edges: &EdgeMerger,
 ) -> Vec<((usize, usize), bool)> {
     // Try exact recursive pairing onto existing edges.
-    fn recurse(
-        remaining: &[usize],
-        edges: &HashMap<(usize, usize), (f64, bool)>,
-        acc: &mut Vec<(usize, usize)>,
-    ) -> bool {
+    fn recurse(remaining: &[usize], edges: &EdgeMerger, acc: &mut Vec<(usize, usize)>) -> bool {
         if remaining.is_empty() {
             return true;
         }
@@ -380,7 +413,7 @@ fn decompose(
         for i in 1..remaining.len() {
             let partner = remaining[i];
             let key = ordered(first, partner);
-            if edges.contains_key(&key) {
+            if edges.contains(&key) {
                 let rest: Vec<usize> = remaining
                     .iter()
                     .copied()
@@ -416,7 +449,7 @@ fn decompose(
     if obs {
         let idx = acc
             .iter()
-            .position(|k| edges.get(k).map(|&(_, o)| o).unwrap_or(false))
+            .position(|k| edges.flips_observable(k))
             .unwrap_or(0);
         out[idx].1 = true;
     }

@@ -90,6 +90,7 @@
 
 pub mod api;
 pub mod dem;
+mod fxhash;
 pub mod graph;
 pub mod matching;
 pub mod mwpm;

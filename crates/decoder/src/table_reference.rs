@@ -3,19 +3,24 @@
 //!
 //! [`build_dem`] walks the circuit cloning a signature for every gate,
 //! measurement and record, and merges mechanisms in a map keyed by owned
-//! detector lists. [`dijkstra`] runs one source over the graph's own
-//! adjacency with fresh buffers. The library's [`crate::build_dem`] (reused
-//! buffers, borrowed lookups) and [`ShortestPaths::compute`] (a packed
-//! adjacency, row-parallel) must reproduce them bit for bit: every
-//! mechanism's detectors, observable bit, probability bits and sources, and
-//! every table entry's distance bits and parity, for any row split.
+//! detector lists. [`graph_from_dem`] merges edges in a default-hashed map
+//! keyed by node pairs and keeps one edge list per mechanism. [`dijkstra`]
+//! runs one source over the graph's own adjacency with fresh buffers. The
+//! library's [`crate::build_dem`] (reused buffers, borrowed lookups),
+//! [`DecodingGraph::from_dem`] (edge slots, a CSR provenance map) and
+//! [`ShortestPaths::compute`] (a packed adjacency, row-parallel) must
+//! reproduce them bit for bit: every mechanism's detectors, observable bit,
+//! probability bits and sources, every edge's endpoints, probability and
+//! weight bits and observable bit, every mechanism's edges, and every table
+//! entry's distance bits and parity, for any row split.
 
 use crate::dem::{combine_probability, DetectorErrorModel, ErrorMechanism};
 use crate::mwpm::ShortestPaths;
+use crate::weight::snap_weight;
 use crate::window::{DecoderKind, WindowPlan};
-use crate::DecodingGraph;
+use crate::{DecodingGraph, GraphEdge};
 use qec_core::circuit::DetectorBasis;
-use qec_core::{Circuit, DetectorInfo, MeasKey, NoiseParams, Op};
+use qec_core::{Circuit, DetectorInfo, MeasKey, NoiseParams, Op, Rng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use surface_code::{MemoryBasis, MemoryExperiment, RotatedCode};
@@ -208,6 +213,153 @@ pub(crate) fn build_dem(
     }
 }
 
+fn ordered(a: usize, b: usize) -> (usize, usize) {
+    (a.min(b), a.max(b))
+}
+
+fn merge_edge(
+    map: &mut HashMap<(usize, usize), (f64, bool)>,
+    key: (usize, usize),
+    p: f64,
+    obs: bool,
+) {
+    let entry = map.entry(key).or_insert((0.0, obs));
+    entry.0 = combine_probability(entry.0, p);
+    entry.1 = obs || entry.1;
+}
+
+/// Splits a >2-node mechanism into pairs, preferring existing elementary
+/// edges whose observable parities XOR to `obs`.
+fn decompose(
+    nodes: &[usize],
+    obs: bool,
+    boundary: usize,
+    edges: &HashMap<(usize, usize), (f64, bool)>,
+) -> Vec<((usize, usize), bool)> {
+    fn recurse(
+        remaining: &[usize],
+        edges: &HashMap<(usize, usize), (f64, bool)>,
+        acc: &mut Vec<(usize, usize)>,
+    ) -> bool {
+        if remaining.is_empty() {
+            return true;
+        }
+        let first = remaining[0];
+        for &partner in &remaining[1..] {
+            let key = ordered(first, partner);
+            if edges.contains_key(&key) {
+                let rest: Vec<usize> = remaining
+                    .iter()
+                    .copied()
+                    .filter(|&n| n != first && n != partner)
+                    .collect();
+                acc.push(key);
+                if recurse(&rest, edges, acc) {
+                    return true;
+                }
+                acc.pop();
+            }
+        }
+        false
+    }
+
+    let mut acc = Vec::new();
+    if !recurse(nodes, edges, &mut acc) {
+        acc.clear();
+        let mut it = nodes.chunks_exact(2);
+        for pair in &mut it {
+            acc.push(ordered(pair[0], pair[1]));
+        }
+        if let [last] = it.remainder() {
+            acc.push((*last, boundary));
+        }
+    }
+    let mut out: Vec<((usize, usize), bool)> = acc.iter().map(|&k| (k, false)).collect();
+    if obs {
+        let idx = acc
+            .iter()
+            .position(|k| edges.get(k).map(|&(_, o)| o).unwrap_or(false))
+            .unwrap_or(0);
+        out[idx].1 = true;
+    }
+    out
+}
+
+/// The decoding graph's edges and per-mechanism edge lists for `basis`,
+/// merged in a default-hashed map with one key list per mechanism.
+fn graph_from_dem(
+    dem: &DetectorErrorModel,
+    detectors: &[DetectorInfo],
+    basis: DetectorBasis,
+) -> (Vec<GraphEdge>, Vec<Vec<usize>>) {
+    let mut detector_to_node = vec![None; detectors.len()];
+    let mut num_nodes = 0;
+    for (idx, det) in detectors.iter().enumerate() {
+        if det.basis == basis {
+            detector_to_node[idx] = Some(num_nodes);
+            num_nodes += 1;
+        }
+    }
+    let boundary = num_nodes;
+    let mut edge_map: HashMap<(usize, usize), (f64, bool)> = HashMap::new();
+    let mut deferred: Vec<(usize, Vec<usize>, bool, f64)> = Vec::new();
+    let mut mechanism_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dem.mechanisms.len()];
+    for (mi, mech) in dem.mechanisms.iter().enumerate() {
+        let nodes: Vec<usize> = mech
+            .detectors
+            .iter()
+            .filter_map(|&d| detector_to_node[d])
+            .collect();
+        let key = match nodes.len() {
+            0 => continue,
+            1 => (nodes[0], boundary),
+            2 => ordered(nodes[0], nodes[1]),
+            _ => {
+                deferred.push((mi, nodes, mech.flips_observable, mech.probability));
+                continue;
+            }
+        };
+        merge_edge(&mut edge_map, key, mech.probability, mech.flips_observable);
+        mechanism_keys[mi].push(key);
+    }
+    for (mi, mut nodes, obs, p) in deferred {
+        nodes.sort_unstable();
+        for (key, part_obs) in decompose(&nodes, obs, boundary, &edge_map) {
+            merge_edge(&mut edge_map, key, p, part_obs);
+            mechanism_keys[mi].push(key);
+        }
+    }
+    let mut edges: Vec<GraphEdge> = edge_map
+        .into_iter()
+        .map(|((a, b), (probability, flips_observable))| {
+            let p = probability.clamp(1e-12, 0.5 - 1e-9);
+            GraphEdge {
+                a,
+                b,
+                probability,
+                weight: snap_weight(((1.0 - p) / p).ln().max(1e-4)),
+                flips_observable,
+            }
+        })
+        .collect();
+    edges.sort_by_key(|x| (x.a, x.b));
+    let key_to_edge: HashMap<(usize, usize), usize> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, e)| ((e.a, e.b), i))
+        .collect();
+    let mechanism_edges = mechanism_keys
+        .into_iter()
+        .map(|keys| {
+            let mut out: Vec<usize> = keys.into_iter().map(|key| key_to_edge[&key]).collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        })
+        .collect();
+    (edges, mechanism_edges)
+}
+
 #[derive(PartialEq)]
 struct HeapItem(f64, usize);
 
@@ -336,6 +488,97 @@ fn dem_matches_the_reference_with_zero_probability_channels() {
         &obs,
         "d=3, a third of the sites at p = 0",
     );
+}
+
+/// Asserts `DecodingGraph::from_dem` equals the reference on `dem`, bit for
+/// bit, and returns how many mechanisms landed on more than one edge.
+fn assert_graph_matches(
+    dem: &DetectorErrorModel,
+    detectors: &[DetectorInfo],
+    basis: DetectorBasis,
+    what: &str,
+) -> usize {
+    let graph = DecodingGraph::from_dem(dem, detectors, basis);
+    let (edges, mechanism_edges) = graph_from_dem(dem, detectors, basis);
+    assert_eq!(graph.edges().len(), edges.len(), "{what}");
+    for (i, (g, w)) in graph.edges().iter().zip(&edges).enumerate() {
+        assert_eq!((g.a, g.b), (w.a, w.b), "{what}: edge {i}");
+        assert_eq!(
+            g.probability.to_bits(),
+            w.probability.to_bits(),
+            "{what}: edge {i}"
+        );
+        assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{what}: edge {i}");
+        assert_eq!(g.flips_observable, w.flips_observable, "{what}: edge {i}");
+    }
+    for (mi, want) in mechanism_edges.iter().enumerate() {
+        assert_eq!(
+            graph.erasure_edges_for_mechanism(mi),
+            want.as_slice(),
+            "{what}: mechanism {mi}"
+        );
+    }
+    mechanism_edges.iter().filter(|e| e.len() > 1).count()
+}
+
+#[test]
+fn graph_matches_the_reference_on_memory_circuits() {
+    for d in [3, 5, 7] {
+        for memory in [MemoryBasis::Z, MemoryBasis::X] {
+            let exp = MemoryExperiment::new_with_basis(
+                RotatedCode::new(d),
+                NoiseParams::standard(1e-3),
+                d,
+                memory,
+            );
+            let detectors = exp.detectors();
+            let mut dem = crate::build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+            for basis in [DetectorBasis::Z, DetectorBasis::X] {
+                let what = format!("d={d} {memory:?} memory, {basis:?} graph");
+                assert_graph_matches(&dem, &detectors, basis, &what);
+            }
+
+            // Memory circuits project every mechanism onto at most two
+            // nodes, so append hyperedges to reach the decomposition: the
+            // union of two neighbouring mechanisms (pairs onto existing
+            // edges) and random detector triples (mostly the fallback).
+            let mut rng = Rng::new(d as u64);
+            let elementary = dem.mechanisms.len();
+            for i in (0..elementary - 1).step_by(5) {
+                let (a, b) = (&dem.mechanisms[i], &dem.mechanisms[i + 1]);
+                let mut detectors: Vec<usize> = a.detectors.clone();
+                detectors.extend(b.detectors.iter().filter(|d| !a.detectors.contains(d)));
+                detectors.sort_unstable();
+                let flips_observable = a.flips_observable ^ b.flips_observable;
+                dem.mechanisms.push(ErrorMechanism {
+                    detectors,
+                    flips_observable,
+                    probability: 1e-4 * (1 + i % 7) as f64,
+                    sources: Vec::new(),
+                });
+            }
+            for i in 0..elementary / 10 {
+                let mut detectors: Vec<usize> = (0..3)
+                    .map(|_| rng.below(dem.num_detectors as u64) as usize)
+                    .collect();
+                detectors.sort_unstable();
+                detectors.dedup();
+                dem.mechanisms.push(ErrorMechanism {
+                    detectors,
+                    flips_observable: i % 2 == 0,
+                    probability: 2e-4,
+                    sources: Vec::new(),
+                });
+            }
+            for basis in [DetectorBasis::Z, DetectorBasis::X] {
+                let what = format!("d={d} {memory:?} memory, {basis:?} graph, hyperedges");
+                assert!(
+                    assert_graph_matches(&dem, &detectors, basis, &what) > 0,
+                    "{what}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -46,13 +46,23 @@
 //!   stays in integer registers. `p ≤ 0` / `p ≥ 1` consume no draw, as in
 //!   [`Rng::bernoulli`].
 //! * **Structure-of-arrays lane streams.** The 64 lane states live as four
-//!   64-entry arrays (one per xoshiro256++ state word), and
-//!   `LaneRngs::next_masked` advances all lanes of a mask in one
-//!   vectorizable elementwise pass (lanes outside the mask keep their state
-//!   via a blend, so a lane never consumes a draw the scalar path would not
-//!   have made). Rare, branchy draws (leaked-operand CNOT kicks, seepage
-//!   returns) fall back to a per-lane `Rng` rebuilt from — and written back
-//!   to — the lane's state words.
+//!   64-entry arrays (one per xoshiro256++ state word), and one kernel,
+//!   `LaneRngs::step_word`, advances every lane of a mask by one step and
+//!   returns the lane word directly: the hits below an integer threshold,
+//!   or the draws' top bits. Lanes outside the mask keep their state, so a
+//!   lane never consumes a draw the scalar path would not have made. On
+//!   builds that enable AVX-512F (`target-cpu=native` on such a host, see
+//!   `.cargo/config.toml`) the kernel runs 8 groups of 8 lanes in 512-bit
+//!   registers: rotates are one instruction, the mask byte merges the new
+//!   state, a masked compare writes the group's byte of the hit word, and
+//!   a group with no masked lane is skipped. Every other build runs the
+//!   portable elementwise loop, which is also the vector kernel's test
+//!   reference. Masks with few lanes, and rare branchy draws
+//!   (leaked-operand CNOT kicks, Pauli picks), use a per-lane `Rng`
+//!   rebuilt from — and written back to — the lane's state words.
+//!
+//! The AVX-512 kernel is the crate's only `unsafe` code: its lane-group
+//! loads and stores, and the call into the `#[target_feature]` function.
 
 use crate::readout::Discriminator;
 use qec_core::{MeasKey, NoiseParams, Op, QubitId, Rng, TransportModel};
@@ -61,7 +71,10 @@ use qec_core::{MeasKey, NoiseParams, Op, QubitId, Rng, TransportModel};
 pub const STRIPE_WIDTH: usize = 64;
 
 /// Mask populations below this take the per-lane scalar loop instead of a
-/// full 64-lane bulk pass.
+/// full 64-lane bulk pass. Both make the same draws. With the AVX-512
+/// kernel (about 20–30 ns a pass against about 2 ns a lane) the isolated
+/// crossover sits at 9–12 lanes, and whole d = 7 runs read the same for any
+/// value from 8 to 16; 1 and 64 are both measurably slower.
 const BULK_MIN_LANES: u32 = 8;
 
 /// A Bernoulli channel compiled to an exact integer threshold (see the
@@ -111,10 +124,22 @@ fn for_lanes(mut lanes: u64, mut f: impl FnMut(usize)) {
 }
 
 /// The 64 lane streams in structure-of-arrays form: `s[j][lane]` is state
-/// word `j` of lane `lane`'s xoshiro256++ generator.
+/// word `j` of lane `lane`'s xoshiro256++ generator. Cache-line aligned, so
+/// each 8-lane group of a state word is one aligned 64-byte line.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 struct LaneRngs {
     s: [[u64; STRIPE_WIDTH]; 4],
+}
+
+/// What one draw contributes to its lane's bit of a lane word.
+#[derive(Debug, Clone, Copy)]
+enum LaneTest {
+    /// A Bernoulli hit: `draw >> 11` below an integer threshold (see
+    /// `Chan`).
+    Below(u64),
+    /// The draw's top bit ([`Rng::bit`]).
+    Msb,
 }
 
 impl LaneRngs {
@@ -149,50 +174,109 @@ impl LaneRngs {
     }
 
     /// Advances every lane in `mask` by one xoshiro256++ step (other lanes
-    /// keep their state via a blend), writing each advanced lane's draw
-    /// into `out`. One vectorizable elementwise pass over the four state
-    /// arrays.
+    /// keep their state) and returns the lane word of `test` over the
+    /// advanced lanes' draws: bit `l` is set iff `l` is in `mask` and its
+    /// draw passes.
     #[inline]
-    fn next_masked(&mut self, mask: u64, out: &mut [u64; STRIPE_WIDTH]) {
-        let [s0, s1, s2, s3] = &mut self.s;
-        for lane in 0..STRIPE_WIDTH {
-            let keep = 0u64.wrapping_sub(mask >> lane & 1);
-            let (a, b, c, d) = (s0[lane], s1[lane], s2[lane], s3[lane]);
-            let result = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
-            let t = b << 17;
-            let c1 = c ^ a;
-            let d1 = d ^ b;
-            let b1 = b ^ c1;
-            let a1 = a ^ d1;
-            let c2 = c1 ^ t;
-            let d2 = d1.rotate_left(45);
-            s0[lane] = (a1 & keep) | (a & !keep);
-            s1[lane] = (b1 & keep) | (b & !keep);
-            s2[lane] = (c2 & keep) | (c & !keep);
-            s3[lane] = (d2 & keep) | (d & !keep);
-            out[lane] = result & keep;
+    fn step_word(&mut self, mask: u64, test: LaneTest) -> u64 {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        // SAFETY: this cfg arm is compiled only when the whole build
+        // enables avx512f, so every CPU that runs this code has it.
+        return unsafe { step_word_avx512(&mut self.s, mask, test) };
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+        step_word_portable(&mut self.s, mask, test)
+    }
+}
+
+/// The portable draw kernel: one elementwise pass over all 64 lanes, masked
+/// lanes advanced and unmasked ones kept via a blend. Also the reference
+/// the AVX-512 kernel is tested against.
+#[cfg_attr(
+    all(target_arch = "x86_64", target_feature = "avx512f", not(test)),
+    allow(dead_code)
+)]
+#[inline]
+fn step_word_portable(s: &mut [[u64; STRIPE_WIDTH]; 4], mask: u64, test: LaneTest) -> u64 {
+    let [s0, s1, s2, s3] = s;
+    let mut word = 0u64;
+    for lane in 0..STRIPE_WIDTH {
+        let keep = 0u64.wrapping_sub(mask >> lane & 1);
+        let (a, b, c, d) = (s0[lane], s1[lane], s2[lane], s3[lane]);
+        let draw = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
+        let t = b << 17;
+        let c1 = c ^ a;
+        let d1 = d ^ b;
+        let b1 = b ^ c1;
+        let a1 = a ^ d1;
+        let c2 = c1 ^ t;
+        let d2 = d1.rotate_left(45);
+        s0[lane] = (a1 & keep) | (a & !keep);
+        s1[lane] = (b1 & keep) | (b & !keep);
+        s2[lane] = (c2 & keep) | (c & !keep);
+        s3[lane] = (d2 & keep) | (d & !keep);
+        let hit = match test {
+            LaneTest::Below(thresh) => draw >> 11 < thresh,
+            LaneTest::Msb => draw >> 63 != 0,
+        };
+        word |= (hit as u64) << lane;
+    }
+    word & mask
+}
+
+/// The AVX-512 draw kernel: 8 groups of 8 lanes, one 512-bit register per
+/// state word. A group whose mask byte is 0 is skipped; otherwise the
+/// advanced state is merged under the mask byte and the masked compare
+/// writes the group's byte of the lane word directly.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[target_feature(enable = "avx512f")]
+fn step_word_avx512(s: &mut [[u64; STRIPE_WIDTH]; 4], mask: u64, test: LaneTest) -> u64 {
+    use std::arch::x86_64::*;
+    let thresh = _mm512_set1_epi64(match test {
+        LaneTest::Below(t) => t as i64,
+        LaneTest::Msb => 0,
+    });
+    let msb = _mm512_set1_epi64(i64::MIN);
+    let mut word = 0u64;
+    for group in 0..STRIPE_WIDTH / 8 {
+        let k = (mask >> (8 * group)) as __mmask8;
+        if k == 0 {
+            continue;
         }
+        let lanes = 8 * group..8 * group + 8;
+        // SAFETY: each slice is 8 in-bounds `u64`s of a state word;
+        // unaligned loads have no alignment requirement.
+        let [a, b, c, d] = s
+            .each_ref()
+            .map(|plane| unsafe { _mm512_loadu_epi64(plane[lanes.clone()].as_ptr().cast()) });
+        let draw = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(a, d)), a);
+        let t = _mm512_slli_epi64::<17>(b);
+        let c1 = _mm512_xor_si512(c, a);
+        let d1 = _mm512_xor_si512(d, b);
+        let b1 = _mm512_xor_si512(b, c1);
+        let a1 = _mm512_xor_si512(a, d1);
+        let c2 = _mm512_xor_si512(c1, t);
+        let d2 = _mm512_rol_epi64::<45>(d1);
+        let next = [
+            _mm512_mask_mov_epi64(a, k, a1),
+            _mm512_mask_mov_epi64(b, k, b1),
+            _mm512_mask_mov_epi64(c, k, c2),
+            _mm512_mask_mov_epi64(d, k, d2),
+        ];
+        for (plane, v) in s.iter_mut().zip(next) {
+            // SAFETY: the destination is 8 in-bounds `u64`s of a state
+            // word, borrowed mutably; unaligned stores have no alignment
+            // requirement.
+            unsafe { _mm512_storeu_epi64(plane[lanes.clone()].as_mut_ptr().cast(), v) };
+        }
+        let hits = match test {
+            LaneTest::Below(_) => {
+                _mm512_mask_cmplt_epu64_mask(k, _mm512_srli_epi64::<11>(draw), thresh)
+            }
+            LaneTest::Msb => _mm512_mask_test_epi64_mask(k, draw, msb),
+        };
+        word |= u64::from(hits) << (8 * group);
     }
-}
-
-/// Lane word of draws below an integer Bernoulli threshold.
-#[inline]
-fn hits_below(draws: &[u64; STRIPE_WIDTH], mask: u64, thresh: u64) -> u64 {
-    let mut hits = 0u64;
-    for (lane, &draw) in draws.iter().enumerate() {
-        hits |= ((draw >> 11 < thresh) as u64) << lane;
-    }
-    hits & mask
-}
-
-/// Lane word of draws' top bits (the bulk form of [`Rng::bit`]).
-#[inline]
-fn bits_msb(draws: &[u64; STRIPE_WIDTH], mask: u64) -> u64 {
-    let mut bits = 0u64;
-    for (lane, &draw) in draws.iter().enumerate() {
-        bits |= (draw >> 63) << lane;
-    }
-    bits & mask
+    word
 }
 
 /// The transposed measurement record of one stripe: per measurement key,
@@ -425,9 +509,7 @@ impl BatchFrameSimulator {
     #[inline]
     fn bernoulli_lanes(&mut self, lanes: u64, thresh: u64) -> u64 {
         if lanes.count_ones() >= BULK_MIN_LANES {
-            let mut draws = [0u64; STRIPE_WIDTH];
-            self.rngs.next_masked(lanes, &mut draws);
-            hits_below(&draws, lanes, thresh)
+            self.rngs.step_word(lanes, LaneTest::Below(thresh))
         } else {
             let mut hits = 0u64;
             let rngs = &mut self.rngs;
@@ -445,9 +527,7 @@ impl BatchFrameSimulator {
     #[inline]
     fn bit_lanes(&mut self, lanes: u64) -> u64 {
         if lanes.count_ones() >= BULK_MIN_LANES {
-            let mut draws = [0u64; STRIPE_WIDTH];
-            self.rngs.next_masked(lanes, &mut draws);
-            bits_msb(&draws, lanes)
+            self.rngs.step_word(lanes, LaneTest::Msb)
         } else {
             let mut bits = 0u64;
             let rngs = &mut self.rngs;
@@ -730,10 +810,42 @@ mod tests {
         }
     }
 
+    /// Masks that exercise every kernel path: random, full, empty,
+    /// single-lane, and random with whole 8-lane groups cleared.
+    fn kernel_masks(mix: &mut Rng) -> Vec<u64> {
+        let mut masks = vec![!0, 0];
+        for i in 0..STRIPE_WIDTH {
+            masks.push(1 << i);
+        }
+        for _ in 0..400 {
+            masks.push(mix.next_u64());
+            let groups = mix.next_u64() as u8;
+            let keep = (0..8)
+                .filter(|g| groups >> g & 1 != 0)
+                .fold(0u64, |acc, g| acc | 0xff << (8 * g));
+            masks.push(mix.next_u64() & keep);
+        }
+        masks
+    }
+
+    fn kernel_tests() -> [LaneTest; 5] {
+        let Chan::Thresh(t) = Chan::new(1e-3) else {
+            unreachable!("1e-3 compiles to a threshold")
+        };
+        [
+            LaneTest::Below(0),
+            LaneTest::Below(1),
+            LaneTest::Below((1 << 53) - 1),
+            LaneTest::Below(t),
+            LaneTest::Msb,
+        ]
+    }
+
     #[test]
     fn masked_bulk_advance_matches_scalar_streams() {
-        // next_masked must advance exactly the masked lanes, by exactly
-        // one scalar xoshiro step, and leave the rest untouched.
+        // step_word must advance exactly the masked lanes, by exactly one
+        // scalar xoshiro step, leave the rest untouched, and report each
+        // advanced lane's draw under the test (Chan::fire / Rng::bit).
         let mut lanes = LaneRngs::new();
         let mut scalars: Vec<Rng> = (0..STRIPE_WIDTH as u64)
             .map(|l| Rng::new(l * 77 + 5))
@@ -741,24 +853,50 @@ mod tests {
         for (l, rng) in scalars.iter().enumerate() {
             lanes.load(l, rng);
         }
-        let mut out = [0u64; STRIPE_WIDTH];
         let mut mix = Rng::new(1);
-        for _ in 0..200 {
-            let mask = mix.next_u64();
-            lanes.next_masked(mask, &mut out);
-            for (l, scalar) in scalars.iter_mut().enumerate() {
-                if mask >> l & 1 != 0 {
-                    assert_eq!(out[l], scalar.next_u64(), "lane {l}");
+        for (i, mask) in kernel_masks(&mut mix).into_iter().enumerate() {
+            for test in kernel_tests() {
+                let word = lanes.step_word(mask, test);
+                let mut want = 0u64;
+                for (l, scalar) in scalars.iter_mut().enumerate() {
+                    if mask >> l & 1 != 0 {
+                        let hit = match test {
+                            LaneTest::Below(t) => Chan::Thresh(t).fire(scalar),
+                            LaneTest::Msb => scalar.bit(),
+                        };
+                        want |= (hit as u64) << l;
+                    }
                 }
+                assert_eq!(word, want, "mask #{i} {mask:#x}, {test:?}");
             }
         }
         // Final states agree lane for lane (untouched lanes included).
-        for (l, scalar) in scalars.iter_mut().enumerate() {
-            assert_eq!(
-                lanes.with_lane(l, |rng| rng.next_u64()),
-                scalar.next_u64(),
-                "final state, lane {l}"
-            );
+        for (l, scalar) in scalars.iter().enumerate() {
+            let state = lanes.with_lane(l, |rng| rng.state());
+            assert_eq!(state, scalar.state(), "final state, lane {l}");
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn avx512_kernel_matches_portable_kernel() {
+        // Same inputs through both kernels: same words, same states.
+        let mut vector = LaneRngs::new();
+        for l in 0..STRIPE_WIDTH {
+            vector.load(l, &Rng::new(l as u64 * 31 + 9));
+        }
+        let mut portable = vector.s;
+        let mut mix = Rng::new(2);
+        for _ in 0..4 {
+            for mask in kernel_masks(&mut mix) {
+                for test in kernel_tests() {
+                    // SAFETY: compiled only when the build enables avx512f.
+                    let got = unsafe { step_word_avx512(&mut vector.s, mask, test) };
+                    let want = step_word_portable(&mut portable, mask, test);
+                    assert_eq!(got, want, "mask {mask:#x}, {test:?}");
+                    assert_eq!(vector.s, portable, "mask {mask:#x}, {test:?}");
+                }
+            }
         }
     }
 
