@@ -1,6 +1,6 @@
 //! Decoder stack performance: detector-error-model construction, the
-//! stateful batched decoders, shared precomputation amortization, and raw
-//! blossom throughput.
+//! stateful decoders on 32-shot batches, shared precomputation
+//! amortization, and raw blossom throughput.
 //!
 //! Baseline numbers are recorded to `results/BENCH_decoders.json` via
 //! `ERASER_BENCH_JSON=$PWD/results/BENCH_decoders.json cargo bench -p eraser-bench --bench decoders`
@@ -10,11 +10,12 @@ use eraser_bench::{decode_fixture, Harness};
 use qec_core::circuit::DetectorBasis;
 use qec_core::NoiseParams;
 use qec_decoder::{
-    build_dem, max_weight_matching, DecoderFactory, DecoderKind, DecodingGraph, MwpmBatchDecoder,
-    MwpmFactory, ShortestPaths, SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder,
-    TieredDecoder, UnionFindFactory, WindowGraph, WindowPlan,
+    build_dem, max_weight_matching, DecoderKind, DecodingGraph, MwpmBatchDecoder, ShortestPaths,
+    SparseMwpmDecoder, StreamingDecoder, Syndrome, SyndromeDecoder, UnionFindBatchDecoder,
+    WindowGraph, WindowPlan,
 };
 use std::hint::black_box;
+use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
 
 fn main() {
@@ -45,16 +46,19 @@ fn main() {
     }
 
     // Shared-precomputation amortization: the O(n²) shortest-path table is
-    // the cost of ONE factory; every further per-thread instance is a cheap
-    // Arc clone plus empty scratch. The gap between these two numbers is
-    // what `Arc`-sharing saves per extra worker thread.
+    // paid once per graph; every further per-thread instance
+    // (`MwpmBatchDecoder::with_paths`) is a cheap Arc clone plus empty
+    // scratch. The gap between these two numbers is what `Arc`-sharing
+    // saves per extra worker thread.
     {
         let fixture = decode_fixture(5, 10, 1);
         h.bench("shortest_paths_compute/d5_r10", || {
             ShortestPaths::compute(black_box(&fixture.graph))
         });
-        let factory = MwpmFactory::new(&fixture.graph);
-        h.bench("mwpm_thread_instance_build/d5_r10", || factory.build());
+        let paths = Arc::new(ShortestPaths::compute(&fixture.graph));
+        h.bench("mwpm_thread_instance_build/d5_r10", || {
+            MwpmBatchDecoder::with_paths(&fixture.graph, Arc::clone(&paths))
+        });
     }
 
     // One bulk window shape of the `stream-d7` plan (d = 7, R = 70, 21-round
@@ -67,8 +71,8 @@ fn main() {
         });
     }
 
-    // Stateful batch decoding (32 shots per iteration) for all three
-    // decoders.
+    // Stateful batch decoding (32 shots per iteration, one reused instance)
+    // for all three decoders.
     {
         let fixture = decode_fixture(5, 10, 32);
         let syndromes: Vec<Syndrome> = fixture
@@ -76,78 +80,17 @@ fn main() {
             .iter()
             .map(|s| Syndrome::new(s.clone()))
             .collect();
-        let factories: [Box<dyn DecoderFactory>; 3] = [
-            Box::new(MwpmFactory::new(&fixture.graph)),
-            Box::new(SparseMwpmFactory::new(&fixture.graph)),
-            Box::new(UnionFindFactory::new(&fixture.graph)),
+        let mut decoders: [Box<dyn SyndromeDecoder>; 3] = [
+            Box::new(MwpmBatchDecoder::new(&fixture.graph)),
+            Box::new(SparseMwpmDecoder::new(&fixture.graph)),
+            Box::new(UnionFindBatchDecoder::new(&fixture.graph)),
         ];
 
-        for factory in &factories {
-            let mut decoder = factory.build();
-            let mut outcomes = Vec::new();
+        for decoder in &mut decoders {
             h.bench(
-                &format!("decode_batch_32/d5_r10/{}", factory.name()),
-                || {
-                    decoder.decode_batch(black_box(&syndromes), &mut outcomes);
-                    outcomes.iter().filter(|o| o.flip).count()
-                },
+                &format!("decode_batch_32/d5_r10/{}", decoder.name()),
+                || count_flips(decoder.as_mut(), black_box(&syndromes)),
             );
-        }
-
-        // The tier ladder in front of the same dense backend on the same
-        // batch: every fixture shot carries 6 faults, so nearly all of
-        // them fall through to tier 2 — this entry documents the guard's
-        // overhead on dense work (budget: ≤15%, asserted by
-        // `crates/bench/tests/baselines.rs`). The sparse batch below
-        // documents the win.
-        {
-            let factory = MwpmFactory::new(&fixture.graph);
-            let mut decoder = TieredDecoder::new(factory.build());
-            let mut outcomes = Vec::new();
-            h.bench("decode_batch_32/d5_r10/tiered-mwpm", || {
-                decoder.decode_batch(black_box(&syndromes), &mut outcomes);
-                outcomes.iter().filter(|o| o.flip).count()
-            });
-        }
-
-        // The paper's operating-point shot statistics (p ≈ 1e-3, d=5,
-        // R=10): most shots carry 0–2 faults, the tier-0/1 regime. The
-        // mwpm/tiered-mwpm gap on this batch is the predecoder's win where
-        // it is designed to fire; `baselines.rs` asserts the speedup.
-        let mut rng = qec_core::Rng::new(0x1E3);
-        let sparse_syndromes: Vec<Syndrome> = (0..32)
-            .map(|i| {
-                let faults = [0usize, 1, 1, 2][i % 4];
-                let mut events = vec![false; fixture.graph.num_nodes()];
-                for _ in 0..faults {
-                    let mech = &fixture.dem.mechanisms
-                        [rng.below(fixture.dem.mechanisms.len() as u64) as usize];
-                    for &det in &mech.detectors {
-                        if let Some(node) = fixture.graph.node_of_detector(det) {
-                            events[node] ^= true;
-                        }
-                    }
-                }
-                Syndrome::new(
-                    (0..fixture.graph.num_nodes())
-                        .filter(|&n| events[n])
-                        .collect(),
-                )
-            })
-            .collect();
-        for tiered in [false, true] {
-            let factory = MwpmFactory::new(&fixture.graph);
-            let mut decoder: Box<dyn SyndromeDecoder> = if tiered {
-                Box::new(TieredDecoder::new(factory.build()))
-            } else {
-                factory.build()
-            };
-            let name = if tiered { "tiered-mwpm" } else { "mwpm" };
-            let mut outcomes = Vec::new();
-            h.bench(&format!("decode_batch_32_sparse/d5_r10/{name}"), || {
-                decoder.decode_batch(black_box(&sparse_syndromes), &mut outcomes);
-                outcomes.iter().filter(|o| o.flip).count()
-            });
         }
 
         // The same 32-shot batch through the erasure `WeightOverlay`: a
@@ -175,15 +118,10 @@ fn main() {
                 syndrome
             })
             .collect();
-        for factory in &factories {
-            let mut decoder = factory.build();
-            let mut outcomes = Vec::new();
+        for decoder in &mut decoders {
             h.bench(
-                &format!("decode_batch_32_erasure/d5_r10/{}", factory.name()),
-                || {
-                    decoder.decode_batch(black_box(&erasure_syndromes), &mut outcomes);
-                    outcomes.iter().filter(|o| o.flip).count()
-                },
+                &format!("decode_batch_32_erasure/d5_r10/{}", decoder.name()),
+                || count_flips(decoder.as_mut(), black_box(&erasure_syndromes)),
             );
         }
     }
@@ -191,7 +129,7 @@ fn main() {
     // Dense vs sparse blossom on a realistic d=7 long-memory batch (32
     // shots, ~1 fault per round). Each iteration is the *cold* per-cell
     // cost a sweep cell or serve job pays on a fresh graph shape: build
-    // the factory (dense: the O(n²) all-pairs table — 82 ms at these 864
+    // the decoder (dense: the O(n²) all-pairs table — 82 ms at these 864
     // nodes; sparse: one O(E log V) boundary Dijkstra — 92 µs), then
     // decode the batch. Both return the same optimal correction weight
     // (`crates/decoder/tests/equivalence.rs`); the precomputation gap is
@@ -221,14 +159,13 @@ fn main() {
                 )
             })
             .collect();
-        for sparse in [false, true] {
-            let name = blossom_factory(&fixture.graph, sparse).name();
-            let mut outcomes = Vec::new();
-            h.bench(&format!("decode_batch_32/d7_r35_cold/{name}"), || {
-                let factory = blossom_factory(&fixture.graph, sparse);
-                let mut decoder = factory.build();
-                decoder.decode_batch(black_box(&syndromes), &mut outcomes);
-                outcomes.iter().filter(|o| o.flip).count()
+        for kind in [DecoderKind::Mwpm, DecoderKind::SparseMwpm] {
+            h.bench(&format!("decode_batch_32/d7_r35_cold/{kind}"), || {
+                let mut decoder: Box<dyn SyndromeDecoder> = match kind {
+                    DecoderKind::SparseMwpm => Box::new(SparseMwpmDecoder::new(&fixture.graph)),
+                    _ => Box::new(MwpmBatchDecoder::new(&fixture.graph)),
+                };
+                count_flips(decoder.as_mut(), black_box(&syndromes))
             });
         }
     }
@@ -261,11 +198,9 @@ fn main() {
         for &node in &defects {
             by_round[graph.node_round(node)].push(node);
         }
-        let syndrome = Syndrome::build(defects).rounds(rounds).finish();
+        let syndrome = Syndrome::new(defects);
 
-        let mono_factory = MwpmFactory::new(&graph);
-        let mut mono =
-            MwpmBatchDecoder::with_paths(&graph, std::sync::Arc::clone(mono_factory.paths()));
+        let mut mono = MwpmBatchDecoder::new(&graph);
         h.bench("decode_window_shot/d7_r110/monolithic_mwpm", || {
             mono.decode_syndrome(black_box(&syndrome)).flip
         });
@@ -308,11 +243,10 @@ fn main() {
     }
 }
 
-/// The dense (`sparse = false`) or sparse blossom's whole-graph factory.
-fn blossom_factory(graph: &DecodingGraph, sparse: bool) -> Box<dyn DecoderFactory + '_> {
-    if sparse {
-        Box::new(SparseMwpmFactory::new(graph))
-    } else {
-        Box::new(MwpmFactory::new(graph))
-    }
+/// Decodes `syndromes` in order on one instance; returns the flip count.
+fn count_flips(decoder: &mut dyn SyndromeDecoder, syndromes: &[Syndrome]) -> usize {
+    syndromes
+        .iter()
+        .filter(|s| decoder.decode_syndrome(s).flip)
+        .count()
 }

@@ -182,7 +182,7 @@ fn bench_decoders_baseline_records_the_sparse_blossom_speedup() {
     let dense = find("decode_batch_32/d7_r35_cold/mwpm");
     let sparse = find("decode_batch_32/d7_r35_cold/sparse-mwpm");
     // Both benches decode the same realistic 32-shot d=7 batch end to end
-    // (factory precomputation + decode) at identical optimal correction
+    // (table precomputation + decode) at identical optimal correction
     // weight. The committed baseline must document the sparse-blossom win:
     // ≥2× per cold cell, driven by the O(V) boundary index replacing the
     // dense O(V²) all-pairs table — the gap that makes MWPM-accuracy
@@ -191,43 +191,6 @@ fn bench_decoders_baseline_records_the_sparse_blossom_speedup() {
         dense / sparse >= 2.0,
         "committed baseline shows {:.2}× (dense {dense} ns vs sparse {sparse} ns)",
         dense / sparse
-    );
-}
-
-#[test]
-fn bench_decoders_baseline_records_the_tiered_predecode_tradeoff() {
-    let entries = parse_baseline("BENCH_decoders.json");
-    let find = |name: &str| {
-        entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("BENCH_decoders.json must record `{name}`"))
-            .1
-    };
-
-    // On the sparse batch (the paper's p ≈ 1e-3 operating point: 0–2 faults
-    // per shot, the tier-0/1 regime) the committed baseline must document
-    // the predecoder's win: the closed-form tier-1 match replaces a full
-    // blossom solve on most shots. Measured ~1.9× on the reference host;
-    // assert a conservative ≥1.3×.
-    let sparse_full = find("decode_batch_32_sparse/d5_r10/mwpm");
-    let sparse_tiered = find("decode_batch_32_sparse/d5_r10/tiered-mwpm");
-    assert!(
-        sparse_full / sparse_tiered >= 1.3,
-        "committed baseline shows {:.2}× (full {sparse_full} ns vs tiered {sparse_tiered} ns)",
-        sparse_full / sparse_tiered
-    );
-
-    // On the dense batch (6 faults per shot, nearly all tier-2) the ladder
-    // is pure guard overhead; it must stay within 15% of the bare backend
-    // so the predecoder is safe to leave on by default.
-    let dense_full = find("decode_batch_32/d5_r10/mwpm");
-    let dense_tiered = find("decode_batch_32/d5_r10/tiered-mwpm");
-    assert!(
-        dense_tiered / dense_full <= 1.15,
-        "committed baseline shows {:.1}% tier-guard overhead on dense work \
-         (full {dense_full} ns vs tiered {dense_tiered} ns)",
-        (dense_tiered / dense_full - 1.0) * 100.0
     );
 }
 

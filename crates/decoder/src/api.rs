@@ -1,4 +1,4 @@
-//! The stateful, batched decoder API.
+//! The stateful decoder API.
 //!
 //! Decoding is the hot path of every figure sweep: millions of shots flow
 //! through one decoder per worker thread. The API here is shaped for that
@@ -6,50 +6,50 @@
 //! (fusion-blossom's reusable `Solver`, PyMatching's `Matching` object):
 //!
 //! * [`Syndrome`] — the input of one shot: a sparse list of fired detector
-//!   nodes plus round metadata.
+//!   nodes plus an optional erasure set.
 //! * [`DecodeOutcome`] — the output of one shot: the predicted
 //!   logical-observable flip plus matched-weight, defect-count, and timing
 //!   statistics.
 //! * [`SyndromeDecoder`] — a *stateful* decoder instance. `&mut self` lets
 //!   implementations keep scratch buffers (matching arenas, cluster arrays,
-//!   candidate heaps) alive across shots, so the steady-state
-//!   [`SyndromeDecoder::decode_batch`] loop performs no per-shot heap
-//!   allocation.
-//! * [`DecoderFactory`] — a thread-safe constructor. Expensive
-//!   precomputation (the all-pairs-shortest-path table, quantized edge
-//!   capacities) lives in the factory behind an [`std::sync::Arc`] and is
-//!   paid once per decoding graph; every worker thread then builds its own
-//!   cheap instance with private scratch.
+//!   candidate heaps) alive across shots, so a warm decoder performs no
+//!   per-shot heap allocation.
+//!
+//! Each backend is built by its own constructors: `new(&graph)` computes the
+//! expensive per-graph table (the all-pairs-shortest-path table, the sparse
+//! boundary index, quantized edge capacities), and `with_*(&graph, Arc)`
+//! builds a further instance — one per worker thread — over a table already
+//! computed. Runs build their decoders through [`crate::WindowPlan`], which
+//! computes one table per window shape and hands out a
+//! [`crate::WindowedDecoder`] per thread via [`crate::WindowPlan::streaming`].
 //!
 //! ```
 //! use qec_core::NoiseParams;
 //! use qec_core::circuit::DetectorBasis;
-//! use qec_decoder::{build_dem, DecoderFactory, DecodingGraph, MwpmFactory, Syndrome};
+//! use qec_decoder::{build_dem, DecodingGraph, MwpmBatchDecoder, Syndrome, SyndromeDecoder};
 //! use surface_code::{MemoryExperiment, RotatedCode};
+//! use std::sync::Arc;
 //!
 //! let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 2);
 //! let detectors = exp.detectors();
 //! let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
 //! let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
 //!
-//! let factory = MwpmFactory::new(&graph); // all-pairs shortest paths, once
-//! let mut decoder = factory.build();      // per-thread instance, cheap
+//! let mut decoder = MwpmBatchDecoder::new(&graph); // all-pairs shortest paths, once
+//! let mut other = MwpmBatchDecoder::with_paths(&graph, Arc::clone(decoder.paths())); // cheap
 //! let outcome = decoder.decode_syndrome(&Syndrome::default());
 //! assert!(!outcome.flip); // no defects, no correction
 //! assert_eq!(outcome.defects, 0);
+//! assert_eq!(other.decode_syndrome(&Syndrome::new(vec![0, 1])).defects, 2);
 //! ```
 
 /// The sparse syndrome of one shot: fired detector nodes of one decoding
-/// graph, an optional erasure set, plus round metadata.
+/// graph plus an optional erasure set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Syndrome {
     /// Fired detector nodes, as decoding-graph node ids (see
     /// [`crate::DecodingGraph::defects_from_events_into`]).
     pub defects: Vec<usize>,
-    /// Syndrome-extraction rounds the shot spans (0 when unknown; carried as
-    /// metadata for streaming/windowed backends, not consumed by the
-    /// matching decoders).
-    pub rounds: usize,
     /// Erasure set: decoding-graph **edge indices** whose locations a
     /// leakage-detection policy flagged as leaked during this shot (see
     /// [`crate::DecodingGraph::erasure_edges_for`]). The decoders treat
@@ -59,43 +59,18 @@ pub struct Syndrome {
 }
 
 impl Syndrome {
-    /// Starts a [`SyndromeBuilder`] from a defect node list. The builder is
-    /// the one constructor that composes every piece of metadata — round
-    /// count and erasure set — in a single expression:
-    ///
-    /// ```
-    /// use qec_decoder::Syndrome;
-    ///
-    /// let s = Syndrome::build(vec![2, 7]).rounds(11).erasures(vec![4]).finish();
-    /// assert_eq!(s.rounds, 11);
-    /// assert_eq!(s.erasures, vec![4]);
-    /// ```
-    pub fn build(defects: Vec<usize>) -> SyndromeBuilder {
-        SyndromeBuilder {
-            syndrome: Syndrome {
-                defects,
-                rounds: 0,
-                erasures: Vec::new(),
-            },
+    /// A syndrome from a defect node list (no erasures).
+    pub fn new(defects: Vec<usize>) -> Syndrome {
+        Syndrome {
+            defects,
+            erasures: Vec::new(),
         }
     }
 
-    /// A syndrome from a defect node list (rounds unknown, no erasures).
-    /// Thin wrapper over [`Syndrome::build`].
-    pub fn new(defects: Vec<usize>) -> Syndrome {
-        Syndrome::build(defects).finish()
-    }
-
-    /// A syndrome with round metadata (no erasures). Thin wrapper over
-    /// [`Syndrome::build`].
-    pub fn with_rounds(defects: Vec<usize>, rounds: usize) -> Syndrome {
-        Syndrome::build(defects).rounds(rounds).finish()
-    }
-
     /// A syndrome carrying an erasure set (decoding-graph edge indices
-    /// flagged by leakage detection). Thin wrapper over [`Syndrome::build`].
+    /// flagged by leakage detection).
     pub fn with_erasures(defects: Vec<usize>, erasures: Vec<usize>) -> Syndrome {
-        Syndrome::build(defects).erasures(erasures).finish()
+        Syndrome { defects, erasures }
     }
 
     /// Number of defects.
@@ -109,44 +84,10 @@ impl Syndrome {
     }
 
     /// Clears the defect and erasure lists, keeping their allocations
-    /// (hot-loop reuse). `rounds` is retained.
+    /// (hot-loop reuse).
     pub fn clear(&mut self) {
         self.defects.clear();
         self.erasures.clear();
-    }
-}
-
-/// Builder for [`Syndrome`], started via [`Syndrome::build`]. Unlike the
-/// legacy `with_rounds` / `with_erasures` constructors (which cannot be
-/// combined), the builder composes all metadata freely.
-#[derive(Debug, Clone, Default)]
-pub struct SyndromeBuilder {
-    syndrome: Syndrome,
-}
-
-impl SyndromeBuilder {
-    /// Sets the number of syndrome-extraction rounds the shot spans.
-    pub fn rounds(mut self, rounds: usize) -> SyndromeBuilder {
-        self.syndrome.rounds = rounds;
-        self
-    }
-
-    /// Sets the erasure set (decoding-graph edge indices flagged by leakage
-    /// detection).
-    pub fn erasures(mut self, erasures: Vec<usize>) -> SyndromeBuilder {
-        self.syndrome.erasures = erasures;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn finish(self) -> Syndrome {
-        self.syndrome
-    }
-}
-
-impl From<SyndromeBuilder> for Syndrome {
-    fn from(builder: SyndromeBuilder) -> Syndrome {
-        builder.finish()
     }
 }
 
@@ -165,12 +106,12 @@ pub struct DecodeOutcome {
     pub nanos: u64,
 }
 
-/// A stateful decoder instance: owns reusable scratch, decodes one
-/// [`Syndrome`] at a time or a whole batch.
+/// A stateful decoder instance: owns reusable scratch and decodes one
+/// [`Syndrome`] at a time.
 ///
-/// Instances are *not* shared across threads — build one per worker via a
-/// [`DecoderFactory`]. `&mut self` is what allows scratch reuse: the
-/// steady-state batch loop performs no per-shot heap allocation.
+/// Instances are *not* shared across threads — build one per worker, over a
+/// shared table (see the module docs). `&mut self` is what allows scratch
+/// reuse: a warm decoder performs no per-shot heap allocation.
 pub trait SyndromeDecoder {
     /// Decodes one syndrome.
     fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome;
@@ -182,22 +123,11 @@ pub trait SyndromeDecoder {
     /// returned [`DecodeOutcome::flip`]; this is what lets the
     /// sliding-window adapter ([`crate::window::WindowedDecoder`]) commit a
     /// correction region by region.
-    ///
-    /// All in-repo decoders implement this; the default is for external
-    /// implementations that have no edge-level correction and panics when a
-    /// windowed pipeline requires one.
     fn decode_with_correction(
         &mut self,
         syndrome: &Syndrome,
         correction: &mut Vec<usize>,
-    ) -> DecodeOutcome {
-        let _ = syndrome;
-        let _ = correction;
-        unimplemented!(
-            "{}: decode_with_correction not supported (required for windowed decoding)",
-            self.name()
-        )
-    }
+    ) -> DecodeOutcome;
 
     /// Tier-1 fast path: decodes a 1–2 defect, erasure-free syndrome in
     /// closed form, bit-identically to the full decoder (flip, f64 weight
@@ -208,7 +138,7 @@ pub trait SyndromeDecoder {
     /// bit-identity (ambiguous optimal matchings, order-dependent
     /// corrections, out-of-scope syndromes: 0 or ≥ 3 defects, any
     /// erasures). The default always defers, which is correct for any
-    /// backend; see [`crate::predecode`] for the tier dispatcher.
+    /// backend; see [`crate::predecode`] for the tier ladder.
     fn decode_tier1(
         &mut self,
         syndrome: &Syndrome,
@@ -218,31 +148,7 @@ pub trait SyndromeDecoder {
         None
     }
 
-    /// Decodes a batch of syndromes into `out` (cleared first, allocation
-    /// reused). The default implementation loops over
-    /// [`SyndromeDecoder::decode_syndrome`]; a backend with real batch
-    /// parallelism can override it.
-    fn decode_batch(&mut self, syndromes: &[Syndrome], out: &mut Vec<DecodeOutcome>) {
-        out.clear();
-        out.reserve(syndromes.len());
-        for syndrome in syndromes {
-            out.push(self.decode_syndrome(syndrome));
-        }
-    }
-
     /// Human-readable decoder name (for experiment output).
-    fn name(&self) -> &'static str;
-}
-
-/// Thread-safe decoder constructor: owns the expensive per-graph
-/// precomputation (shared via [`std::sync::Arc`]) and stamps out cheap
-/// per-thread [`SyndromeDecoder`] instances.
-pub trait DecoderFactory: Send + Sync {
-    /// Builds a fresh decoder instance with private scratch buffers. The
-    /// instance borrows the factory's shared precomputation.
-    fn build(&self) -> Box<dyn SyndromeDecoder + '_>;
-
-    /// Name of the decoders this factory builds.
     fn name(&self) -> &'static str;
 }
 
@@ -250,31 +156,10 @@ pub trait DecoderFactory: Send + Sync {
 mod tests {
     use super::*;
 
-    struct CountingDecoder {
-        calls: usize,
-    }
-
-    impl SyndromeDecoder for CountingDecoder {
-        fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome {
-            self.calls += 1;
-            DecodeOutcome {
-                flip: syndrome.len() % 2 == 1,
-                weight: syndrome.len() as f64,
-                defects: syndrome.len(),
-                nanos: 0,
-            }
-        }
-
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-    }
-
     #[test]
     fn syndrome_basics() {
-        let mut s = Syndrome::with_rounds(vec![3, 7], 11);
+        let mut s = Syndrome::new(vec![3, 7]);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.rounds, 11);
         assert!(!s.is_empty());
         assert!(s.erasures.is_empty());
         s.erasures.push(5);
@@ -286,53 +171,12 @@ mod tests {
         assert_eq!(s.defects.capacity(), cap, "clear keeps the allocation");
         assert_eq!(s.erasures.capacity(), ecap, "clear keeps the allocation");
         assert!(Syndrome::default().is_empty());
-        assert_eq!(Syndrome::new(vec![1]).rounds, 0);
         let e = Syndrome::with_erasures(vec![1], vec![4, 9]);
+        assert_eq!(e.defects, vec![1]);
         assert_eq!(e.erasures, vec![4, 9]);
-        assert_eq!(e.rounds, 0);
-    }
-
-    #[test]
-    fn builder_composes_rounds_and_erasures() {
-        // The one thing the legacy constructors cannot do: carry both.
-        let s = Syndrome::build(vec![1, 2])
-            .rounds(7)
-            .erasures(vec![3])
-            .finish();
         assert_eq!(
-            (s.defects.as_slice(), s.rounds, s.erasures.as_slice()),
-            (&[1, 2][..], 7, &[3][..])
+            Syndrome::new(vec![1]),
+            Syndrome::with_erasures(vec![1], vec![])
         );
-        // The legacy constructors are thin wrappers over the builder.
-        assert_eq!(Syndrome::new(vec![5]), Syndrome::build(vec![5]).finish());
-        assert_eq!(
-            Syndrome::with_rounds(vec![5], 3),
-            Syndrome::build(vec![5]).rounds(3).finish()
-        );
-        assert_eq!(
-            Syndrome::with_erasures(vec![5], vec![8]),
-            Syndrome::build(vec![5]).erasures(vec![8]).finish()
-        );
-        let via_from: Syndrome = Syndrome::build(vec![9]).rounds(2).into();
-        assert_eq!(via_from.rounds, 2);
-    }
-
-    #[test]
-    fn default_batch_loops_sequentially_and_reuses_out() {
-        let mut decoder = CountingDecoder { calls: 0 };
-        let batch = [
-            Syndrome::new(vec![0]),
-            Syndrome::new(vec![1, 2]),
-            Syndrome::new(vec![]),
-        ];
-        let mut out = vec![DecodeOutcome::default(); 64];
-        decoder.decode_batch(&batch, &mut out);
-        assert_eq!(decoder.calls, 3);
-        assert_eq!(out.len(), 3);
-        assert_eq!(
-            out.iter().map(|o| o.flip).collect::<Vec<_>>(),
-            vec![true, false, false]
-        );
-        assert_eq!(out[1].defects, 2);
     }
 }

@@ -19,9 +19,8 @@
 //!   validated against brute force. [`MatchingContext`] keeps every working
 //!   list of the matcher alive across solves, so a warm solve does not
 //!   allocate.
-//! * [`api`] — the stateful, batched decoder interface: [`Syndrome`] in,
-//!   [`DecodeOutcome`] out, through a per-thread [`SyndromeDecoder`] built by
-//!   a shared [`DecoderFactory`].
+//! * [`api`] — the stateful decoder interface: [`Syndrome`] in,
+//!   [`DecodeOutcome`] out, through a per-thread [`SyndromeDecoder`].
 //! * [`mwpm`] — the MWPM decoder: all-pairs shortest paths with
 //!   observable-parity tracking, then a certified exact solver (pruning,
 //!   components, subset DP) that proves its optimum unique, so it returns
@@ -50,26 +49,30 @@
 //!   [`DecoderKind`] is the workspace's one backend vocabulary (dense MWPM,
 //!   sparse MWPM, union-find, or `Auto`, which a plan resolves against its
 //!   own window's node count).
-//! * [`predecode`] — the tiered sparse-syndrome fast path in front of every
-//!   backend: tier 0 skips empty windows/shots outright, tier 1 resolves
-//!   1–2 defect syndromes in closed form, tier 2 is the configured backend —
-//!   always on, bit-identical to the untier'd path, with per-tier
-//!   [`TierCounters`] telemetry.
+//! * [`predecode`] — the tiered sparse-syndrome fast path that
+//!   [`WindowedDecoder`] runs inline in front of every window: tier 0 skips
+//!   empty windows outright, tier 1 resolves 1–2 defect syndromes in closed
+//!   form, tier 2 is the configured backend — always on, bit-identical to
+//!   the untier'd path, with per-tier [`TierCounters`] telemetry.
 //!
 //! # Decoding millions of shots
 //!
 //! Decoder throughput is the hot path of every Monte-Carlo sweep, so the
-//! primary interface is *stateful and batched*: a [`DecoderFactory`] owns the
-//! expensive per-graph precomputation (the [`ShortestPaths`] table, quantized
-//! union-find capacities) behind an [`std::sync::Arc`]; each worker thread
-//! builds its own [`SyndromeDecoder`] whose scratch buffers are reused across
-//! shots, so the steady-state [`SyndromeDecoder::decode_batch`] loop performs
-//! no per-shot heap allocation.
+//! interface is *stateful*: the expensive per-graph precomputation (the
+//! [`ShortestPaths`] table, the [`SparseIndex`], quantized
+//! [`UnionFindCapacities`]) is computed once and shared behind an
+//! [`std::sync::Arc`]; each worker thread builds its own [`SyndromeDecoder`]
+//! whose scratch buffers are reused across shots, so a warm decoder performs
+//! no per-shot heap allocation. A backend's `new(&graph)` computes its table;
+//! `with_paths` / `with_index` / `with_capacities` build a further instance
+//! over a table already computed. For multi-threaded runs, a [`WindowPlan`]
+//! computes one table per window shape and [`WindowPlan::streaming`] hands
+//! out one [`WindowedDecoder`] per thread.
 //!
 //! ```
 //! use qec_core::NoiseParams;
 //! use qec_core::circuit::DetectorBasis;
-//! use qec_decoder::{build_dem, DecoderFactory, DecodingGraph, MwpmFactory, Syndrome};
+//! use qec_decoder::{build_dem, DecodingGraph, MwpmBatchDecoder, Syndrome, SyndromeDecoder};
 //! use surface_code::{MemoryExperiment, RotatedCode};
 //!
 //! let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 2);
@@ -77,13 +80,11 @@
 //! let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
 //! let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
 //!
-//! // Expensive precomputation happens once, in the factory…
-//! let factory = MwpmFactory::new(&graph);
-//! // …then every worker thread builds a cheap instance with private scratch.
-//! let mut decoder = factory.build();
+//! // The expensive precomputation happens once, in `new`; the instance's
+//! // scratch is then reused shot after shot.
+//! let mut decoder = MwpmBatchDecoder::new(&graph);
 //! let batch = vec![Syndrome::default(), Syndrome::new(vec![0, 1])];
-//! let mut outcomes = Vec::new();
-//! decoder.decode_batch(&batch, &mut outcomes);
+//! let outcomes: Vec<_> = batch.iter().map(|s| decoder.decode_syndrome(s)).collect();
 //! assert!(!outcomes[0].flip); // no defects, no correction
 //! assert_eq!(outcomes[1].defects, 2);
 //! ```
@@ -103,15 +104,15 @@ pub mod unionfind;
 pub mod weight;
 pub mod window;
 
-pub use api::{DecodeOutcome, DecoderFactory, Syndrome, SyndromeBuilder, SyndromeDecoder};
+pub use api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 pub use dem::{build_dem, DetectorErrorModel, ErrorMechanism};
 pub use graph::{DecodingGraph, GraphEdge};
 pub use matching::{max_weight_matching, MatchingContext};
-pub use mwpm::{MwpmBatchDecoder, MwpmFactory, ShortestPaths};
+pub use mwpm::{MwpmBatchDecoder, ShortestPaths};
 pub use overlay::{DijkstraScratch, WeightOverlay, ERASED_WEIGHT};
-pub use predecode::{TierCounters, TieredDecoder};
-pub use sparse::{SparseIndex, SparseMwpmDecoder, SparseMwpmFactory};
-pub use unionfind::{UnionFindBatchDecoder, UnionFindCapacities, UnionFindFactory};
+pub use predecode::TierCounters;
+pub use sparse::{SparseIndex, SparseMwpmDecoder};
+pub use unionfind::{UnionFindBatchDecoder, UnionFindCapacities};
 pub use weight::{scale_weight, snap_weight, WEIGHT_SCALE};
 /// [`DecoderKind`] under its former name. It exists only because the
 /// `perfbench` benchmark harness still names it, and it goes with the next

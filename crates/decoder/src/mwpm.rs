@@ -71,12 +71,13 @@
 //! reach it. 15.8% defer on twins, 0.4% on a DP tie and 0.03% on the
 //! subset budget.
 //!
-//! The stateful entry point is [`MwpmFactory`] → [`MwpmBatchDecoder`]: the
-//! O(n²) [`ShortestPaths`] table is computed once per graph and shared across
-//! worker threads via [`Arc`]; each instance keeps its own matching scratch
-//! so the per-shot loop does not allocate.
+//! The stateful entry point is [`MwpmBatchDecoder`]: the O(n²)
+//! [`ShortestPaths`] table is computed once per graph and shared across
+//! worker threads via [`Arc`] ([`MwpmBatchDecoder::with_paths`]); each
+//! instance keeps its own matching scratch so the per-shot loop does not
+//! allocate.
 
-use crate::api::{DecodeOutcome, DecoderFactory, Syndrome, SyndromeDecoder};
+use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 use crate::graph::DecodingGraph;
 use crate::matching::MatchingContext;
 use crate::overlay::{DijkstraScratch, WeightOverlay};
@@ -791,9 +792,28 @@ fn scale_boundary(distance: f64, node: usize) -> i64 {
     scale_weight(distance)
 }
 
-/// Stateful MWPM decoder instance: one per worker thread, built through
-/// [`MwpmFactory`]. Owns the matching scratch and the defect-graph staging
-/// buffers, all reused across shots.
+/// Stateful MWPM decoder instance: one per worker thread. Owns the matching
+/// scratch and the defect-graph staging buffers, all reused across shots.
+///
+/// # Example
+///
+/// ```
+/// use qec_core::NoiseParams;
+/// use qec_core::circuit::DetectorBasis;
+/// use qec_decoder::{build_dem, DecodingGraph, MwpmBatchDecoder, Syndrome, SyndromeDecoder};
+/// use surface_code::{MemoryExperiment, RotatedCode};
+/// use std::sync::Arc;
+///
+/// let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 2);
+/// let detectors = exp.detectors();
+/// let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+/// let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
+/// let mut decoder = MwpmBatchDecoder::new(&graph); // computes the path table
+/// // A second instance (say, for another thread) shares that table.
+/// let second = MwpmBatchDecoder::with_paths(&graph, Arc::clone(decoder.paths()));
+/// assert!(Arc::ptr_eq(decoder.paths(), second.paths()));
+/// assert!(!decoder.decode_syndrome(&Syndrome::default()).flip);
+/// ```
 #[derive(Debug)]
 pub struct MwpmBatchDecoder<'g> {
     graph: &'g DecodingGraph,
@@ -807,8 +827,8 @@ pub struct MwpmBatchDecoder<'g> {
 
 impl<'g> MwpmBatchDecoder<'g> {
     /// Builds a standalone instance, computing the shortest-path table
-    /// itself. For multi-threaded decoding use [`MwpmFactory`], which pays
-    /// this cost once per graph.
+    /// itself. For multi-threaded decoding compute the table once and share
+    /// it through [`MwpmBatchDecoder::with_paths`].
     pub fn new(graph: &'g DecodingGraph) -> MwpmBatchDecoder<'g> {
         MwpmBatchDecoder::with_paths(graph, Arc::new(ShortestPaths::compute(graph)))
     }
@@ -1040,60 +1060,6 @@ impl SyndromeDecoder for MwpmBatchDecoder<'_> {
     }
 }
 
-/// Factory for [`MwpmBatchDecoder`]s: computes the all-pairs shortest-path
-/// table once and shares it (via [`Arc`]) with every instance it builds.
-///
-/// # Example
-///
-/// ```
-/// use qec_core::NoiseParams;
-/// use qec_core::circuit::DetectorBasis;
-/// use qec_decoder::{build_dem, DecoderFactory, DecodingGraph, MwpmFactory, Syndrome};
-/// use surface_code::{MemoryExperiment, RotatedCode};
-///
-/// let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 2);
-/// let detectors = exp.detectors();
-/// let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
-/// let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
-/// let factory = MwpmFactory::new(&graph);
-/// let mut decoder = factory.build();
-/// assert!(!decoder.decode_syndrome(&Syndrome::default()).flip);
-/// ```
-#[derive(Debug)]
-pub struct MwpmFactory<'g> {
-    graph: &'g DecodingGraph,
-    paths: Arc<ShortestPaths>,
-}
-
-impl<'g> MwpmFactory<'g> {
-    /// Computes the shortest-path table for `graph` (the expensive step, paid
-    /// once).
-    pub fn new(graph: &'g DecodingGraph) -> MwpmFactory<'g> {
-        MwpmFactory {
-            graph,
-            paths: Arc::new(ShortestPaths::compute(graph)),
-        }
-    }
-
-    /// The shared shortest-path table.
-    pub fn paths(&self) -> &Arc<ShortestPaths> {
-        &self.paths
-    }
-}
-
-impl DecoderFactory for MwpmFactory<'_> {
-    fn build(&self) -> Box<dyn SyndromeDecoder + '_> {
-        Box::new(MwpmBatchDecoder::with_paths(
-            self.graph,
-            Arc::clone(&self.paths),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "mwpm"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1113,8 +1079,7 @@ mod tests {
     #[test]
     fn empty_syndrome_decodes_trivially() {
         let (graph, _) = setup(3, 2);
-        let factory = MwpmFactory::new(&graph);
-        let mut decoder = factory.build();
+        let mut decoder = MwpmBatchDecoder::new(&graph);
         let outcome = decoder.decode_syndrome(&Syndrome::default());
         assert!(!outcome.flip);
         assert_eq!(outcome.weight, 0.0);
@@ -1124,9 +1089,8 @@ mod tests {
     #[test]
     fn factory_shares_one_paths_table() {
         let (graph, _) = setup(3, 2);
-        let factory = MwpmFactory::new(&graph);
-        let a = MwpmBatchDecoder::with_paths(&graph, Arc::clone(factory.paths()));
-        let b = MwpmBatchDecoder::with_paths(&graph, Arc::clone(factory.paths()));
+        let a = MwpmBatchDecoder::new(&graph);
+        let b = MwpmBatchDecoder::with_paths(&graph, Arc::clone(a.paths()));
         assert!(Arc::ptr_eq(a.paths(), b.paths()));
     }
 

@@ -3,13 +3,13 @@
 //! At the paper's operating points (p ≈ 1e-3) the vast majority of decode
 //! calls — individual windows, or whole shots under a full-cover window —
 //! carry zero, one, or two defects, yet the pipeline pays full decoder
-//! machinery for every one of them. This module fronts every backend with
-//! an *exact* tier ladder:
+//! machinery for every one of them. An *exact* tier ladder fronts every
+//! backend:
 //!
 //! | Tier | Applies to | Resolution |
 //! |------|------------|------------|
-//! | 0 | no defects, no erasures | skip outright ([`DecodeOutcome::default`]) |
-//! | 1 | 1–2 defects, no erasures | closed form via [`SyndromeDecoder::decode_tier1`] |
+//! | 0 | no defects, no erasures | skip outright ([`crate::DecodeOutcome::default`]) |
+//! | 1 | 1–2 defects, no erasures | closed form via [`crate::SyndromeDecoder::decode_tier1`] |
 //! | 2 | everything else | the configured backend, unchanged |
 //!
 //! Every tier is bit-identical to the untier'd path: the same flip, the
@@ -22,19 +22,17 @@
 //! order-free closed form and always defers to tier 2; it still gets the
 //! tier-0 skip.
 //!
-//! The ladder is always on; there is no switch to turn it off. Its
-//! reference is the tier-1 contract itself: `crates/decoder/tests/predecode.rs`
-//! checks every 1- and 2-defect syndrome on real window shapes against the
-//! backend's full decode.
-//!
-//! [`TieredDecoder`] wraps any [`SyndromeDecoder`] for whole-syndrome
-//! batch decoding (the benches' and tests' reference); the streaming
-//! path the runtime uses ([`crate::window::WindowedDecoder`]) implements
-//! the same ladder inline (a window's carry-in defects count against the
-//! tier threshold because they are part of its live defect set).
-//! [`TierCounters`] is the shared mergeable telemetry.
-
-use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
+//! The ladder is always on; there is no switch to turn it off. It runs
+//! inline in the streaming path every run decodes through,
+//! [`crate::window::WindowedDecoder`]'s per-position decode, in front of
+//! every window. A window's carried-in defects count against the tier
+//! threshold because they are part of its live defect set, and a
+//! full-cover window (one position spanning every round) runs the ladder
+//! on the whole shot. Its reference is the tier-1 contract itself:
+//! `crates/decoder/tests/predecode.rs` checks every 1- and 2-defect
+//! syndrome on real window shapes against the backend's full decode, and
+//! full-cover windows against the bare backends on random shots.
+//! [`TierCounters`] is the mergeable per-tier telemetry.
 
 /// Per-tier hit/latency telemetry. Integer-valued and merged by addition,
 /// so cross-thread / cross-stripe aggregation is exact regardless of merge
@@ -85,156 +83,47 @@ impl TierCounters {
     }
 }
 
-/// Whether a live syndrome qualifies for the tier-0 skip: nothing fired
-/// and nothing was erased. Shared predicate so the batch wrapper and the
-/// streaming path cannot drift.
-#[inline]
-pub(crate) fn tier0_applies(defects: &[usize], erasures: &[usize]) -> bool {
-    defects.is_empty() && erasures.is_empty()
-}
-
-/// Whether a live syndrome qualifies for a tier-1 attempt (the backend may
-/// still defer): one or two defects, no erasures.
-#[inline]
-pub(crate) fn tier1_applies(defects: &[usize], erasures: &[usize]) -> bool {
-    matches!(defects.len(), 1 | 2) && erasures.is_empty()
-}
-
-/// A [`SyndromeDecoder`] wrapper that fronts its inner backend with the
-/// tier ladder for whole-syndrome decoding.
-pub struct TieredDecoder<'a> {
-    inner: Box<dyn SyndromeDecoder + 'a>,
-    counters: TierCounters,
-}
-
-impl<'a> TieredDecoder<'a> {
-    /// Wraps `inner` with the tier ladder.
-    pub fn new(inner: Box<dyn SyndromeDecoder + 'a>) -> TieredDecoder<'a> {
-        TieredDecoder {
-            inner,
-            counters: TierCounters::default(),
-        }
-    }
-
-    /// The accumulated per-tier telemetry.
-    pub fn counters(&self) -> &TierCounters {
-        &self.counters
-    }
-
-    fn decode_tiered(
-        &mut self,
-        syndrome: &Syndrome,
-        mut correction: Option<&mut Vec<usize>>,
-    ) -> DecodeOutcome {
-        if tier0_applies(&syndrome.defects, &syndrome.erasures) {
-            // Bit-identical by construction: every backend early-returns
-            // `DecodeOutcome::default()` (clearing the correction) on an
-            // empty syndrome before reading the clock.
-            if let Some(c) = correction.as_deref_mut() {
-                c.clear();
-            }
-            self.counters.record(0, 0);
-            return DecodeOutcome::default();
-        }
-        if tier1_applies(&syndrome.defects, &syndrome.erasures) {
-            if let Some(outcome) = self.inner.decode_tier1(syndrome, correction.as_deref_mut()) {
-                self.counters.record(1, outcome.nanos);
-                return outcome;
-            }
-        }
-        let outcome = match correction {
-            Some(c) => self.inner.decode_with_correction(syndrome, c),
-            None => self.inner.decode_syndrome(syndrome),
-        };
-        self.counters.record(2, outcome.nanos);
-        outcome
-    }
-}
-
-impl SyndromeDecoder for TieredDecoder<'_> {
-    fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome {
-        self.decode_tiered(syndrome, None)
-    }
-
-    fn decode_with_correction(
-        &mut self,
-        syndrome: &Syndrome,
-        correction: &mut Vec<usize>,
-    ) -> DecodeOutcome {
-        self.decode_tiered(syndrome, Some(correction))
-    }
-
-    fn decode_tier1(
-        &mut self,
-        syndrome: &Syndrome,
-        correction: Option<&mut Vec<usize>>,
-    ) -> Option<DecodeOutcome> {
-        self.inner.decode_tier1(syndrome, correction)
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dem::build_dem;
+    use crate::graph::DecodingGraph;
+    use crate::window::{DecoderKind, StreamingDecoder, WindowPlan};
+    use qec_core::circuit::DetectorBasis;
+    use qec_core::NoiseParams;
+    use surface_code::{MemoryExperiment, RotatedCode};
 
-    struct ScriptedDecoder {
-        tier1_calls: usize,
-        full_calls: usize,
-        tier1_supported: bool,
+    fn graph() -> DecodingGraph {
+        let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 2);
+        let detectors = exp.detectors();
+        let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+        DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z)
     }
 
-    impl SyndromeDecoder for ScriptedDecoder {
-        fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome {
-            if syndrome.is_empty() {
-                return DecodeOutcome::default();
+    /// Decodes `shots` (`(defects, erasures)` in global ids) on a
+    /// full-cover window, the ladder's whole-shot form, and returns the
+    /// tier counters.
+    fn route(
+        g: &DecodingGraph,
+        backend: DecoderKind,
+        shots: &[(Vec<usize>, Vec<usize>)],
+    ) -> TierCounters {
+        let span = g.max_round() + 1;
+        let plan = WindowPlan::new(g, span, span, backend);
+        let mut decoder = plan.streaming();
+        for (defects, erasures) in shots {
+            decoder.begin_shot();
+            for r in 0..span {
+                let in_round: Vec<usize> = defects
+                    .iter()
+                    .copied()
+                    .filter(|&v| g.node_round(v) == r)
+                    .collect();
+                decoder.push_round(&in_round, if r == 0 { erasures } else { &[] });
             }
-            self.full_calls += 1;
-            DecodeOutcome {
-                flip: syndrome.len() % 2 == 1,
-                weight: syndrome.len() as f64,
-                defects: syndrome.len(),
-                nanos: 7,
-            }
+            decoder.finish();
         }
-
-        fn decode_with_correction(
-            &mut self,
-            syndrome: &Syndrome,
-            correction: &mut Vec<usize>,
-        ) -> DecodeOutcome {
-            correction.clear();
-            correction.extend(0..syndrome.len());
-            self.decode_syndrome(syndrome)
-        }
-
-        fn decode_tier1(
-            &mut self,
-            syndrome: &Syndrome,
-            correction: Option<&mut Vec<usize>>,
-        ) -> Option<DecodeOutcome> {
-            if !self.tier1_supported {
-                return None;
-            }
-            self.tier1_calls += 1;
-            if let Some(c) = correction {
-                c.clear();
-                c.extend(0..syndrome.len());
-            }
-            Some(DecodeOutcome {
-                flip: syndrome.len() % 2 == 1,
-                weight: syndrome.len() as f64,
-                defects: syndrome.len(),
-                nanos: 3,
-            })
-        }
-
-        fn name(&self) -> &'static str {
-            "scripted"
-        }
+        *decoder.tier_counters()
     }
 
     #[test]
@@ -255,39 +144,38 @@ mod tests {
         assert_eq!(TierCounters::default().hit_rate(1), 0.0);
     }
 
+    /// The endpoints of the first edge between two detectors: a pair with
+    /// one unambiguous cheapest matching.
+    fn edge_pair(g: &DecodingGraph) -> Vec<usize> {
+        let e = g
+            .edges()
+            .iter()
+            .find(|e| e.b != g.boundary())
+            .expect("a bulk edge");
+        vec![e.a.min(e.b), e.a.max(e.b)]
+    }
+
     #[test]
     fn ladder_routes_by_defect_count() {
-        let inner = ScriptedDecoder {
-            tier1_calls: 0,
-            full_calls: 0,
-            tier1_supported: true,
-        };
-        let mut tiered = TieredDecoder::new(Box::new(inner));
-        assert_eq!(tiered.name(), "scripted");
-        // Tier 0: empty syndrome never reaches the backend, and a stale
-        // correction is cleared (matching the full path's contract).
-        let mut correction = vec![9, 9];
-        let out = tiered.decode_with_correction(&Syndrome::default(), &mut correction);
-        assert_eq!(out, DecodeOutcome::default());
-        assert!(correction.is_empty());
-        // Tier 1: 1 and 2 defects.
-        tiered.decode_syndrome(&Syndrome::new(vec![4]));
-        tiered.decode_syndrome(&Syndrome::new(vec![4, 5]));
-        // Tier 2: 3 defects, and 1 defect with an erasure overlay.
-        tiered.decode_syndrome(&Syndrome::new(vec![1, 2, 3]));
-        tiered.decode_syndrome(&Syndrome::with_erasures(vec![4], vec![0]));
-        assert_eq!(tiered.counters().hits, [1, 2, 2]);
+        let g = graph();
+        let shots = [
+            // Tier 0: nothing fired, nothing erased.
+            (vec![], vec![]),
+            // Tier 1: one defect, and a two-defect pair.
+            (vec![0], vec![]),
+            (edge_pair(&g), vec![]),
+            // Tier 2: three defects, and one defect under an erasure.
+            (vec![0, 1, 2], vec![]),
+            (vec![0], vec![0]),
+        ];
+        assert_eq!(route(&g, DecoderKind::Mwpm, &shots).hits, [1, 2, 2]);
     }
 
     #[test]
     fn unsupported_tier1_falls_through_to_full() {
-        let inner = ScriptedDecoder {
-            tier1_calls: 0,
-            full_calls: 0,
-            tier1_supported: false,
-        };
-        let mut tiered = TieredDecoder::new(Box::new(inner));
-        tiered.decode_syndrome(&Syndrome::new(vec![4]));
-        assert_eq!(tiered.counters().hits, [0, 0, 1]);
+        // Union-find has no closed form: its 1–2 defect shots go to tier 2.
+        let g = graph();
+        let shots = [(vec![0], vec![]), (edge_pair(&g), vec![])];
+        assert_eq!(route(&g, DecoderKind::UnionFind, &shots).hits, [0, 0, 2]);
     }
 }

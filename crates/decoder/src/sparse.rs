@@ -46,10 +46,10 @@
 //! treats intra-component travel as free) exactly; the boundary index is
 //! recomputed per erasure shot since the shared one is erasure-blind.
 //!
-//! All per-shot state is epoch-stamped and reused: the steady-state
-//! [`SyndromeDecoder::decode_batch`] loop performs no heap allocation.
+//! All per-shot state is epoch-stamped and reused: a warm decoder performs
+//! no heap allocation per shot.
 
-use crate::api::{DecodeOutcome, DecoderFactory, Syndrome, SyndromeDecoder};
+use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 use crate::graph::DecodingGraph;
 use crate::matching::MatchingContext;
 use crate::overlay::WeightOverlay;
@@ -161,9 +161,28 @@ struct Candidate {
     src: u32,
 }
 
-/// Stateful sparse-MWPM decoder instance: one per worker thread, built
-/// through [`SparseMwpmFactory`]. All scratch is epoch-stamped and reused
-/// across shots.
+/// Stateful sparse-MWPM decoder instance: one per worker thread. All
+/// scratch is epoch-stamped and reused across shots.
+///
+/// # Example
+///
+/// ```
+/// use qec_core::NoiseParams;
+/// use qec_core::circuit::DetectorBasis;
+/// use qec_decoder::{build_dem, DecodingGraph, SparseMwpmDecoder, Syndrome, SyndromeDecoder};
+/// use surface_code::{MemoryExperiment, RotatedCode};
+/// use std::sync::Arc;
+///
+/// let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 2);
+/// let detectors = exp.detectors();
+/// let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+/// let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
+/// let mut decoder = SparseMwpmDecoder::new(&graph); // computes the index
+/// // A second instance (say, for another thread) shares that index.
+/// let second = SparseMwpmDecoder::with_index(&graph, Arc::clone(decoder.index()));
+/// assert!(Arc::ptr_eq(decoder.index(), second.index()));
+/// assert!(!decoder.decode_syndrome(&Syndrome::default()).flip);
+/// ```
 #[derive(Debug)]
 pub struct SparseMwpmDecoder<'g> {
     graph: &'g DecodingGraph,
@@ -204,8 +223,8 @@ pub struct SparseMwpmDecoder<'g> {
 
 impl<'g> SparseMwpmDecoder<'g> {
     /// Builds a standalone instance, computing the boundary index itself.
-    /// For multi-threaded decoding use [`SparseMwpmFactory`], which pays the
-    /// (already cheap) cost once per graph.
+    /// For multi-threaded decoding compute the (already cheap) index once
+    /// and share it through [`SparseMwpmDecoder::with_index`].
     pub fn new(graph: &'g DecodingGraph) -> SparseMwpmDecoder<'g> {
         SparseMwpmDecoder::with_index(graph, Arc::new(SparseIndex::compute(graph)))
     }
@@ -799,64 +818,6 @@ impl SyndromeDecoder for SparseMwpmDecoder<'_> {
     }
 }
 
-/// Factory for [`SparseMwpmDecoder`]s: computes the O(V) boundary index once
-/// and shares it (via [`Arc`]) with every instance it builds.
-///
-/// # Example
-///
-/// ```
-/// use qec_core::NoiseParams;
-/// use qec_core::circuit::DetectorBasis;
-/// use qec_decoder::{build_dem, DecoderFactory, DecodingGraph, SparseMwpmFactory, Syndrome};
-/// use surface_code::{MemoryExperiment, RotatedCode};
-///
-/// let exp = MemoryExperiment::new(RotatedCode::new(3), NoiseParams::standard(1e-3), 2);
-/// let detectors = exp.detectors();
-/// let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
-/// let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
-/// let factory = SparseMwpmFactory::new(&graph);
-/// let mut decoder = factory.build();
-/// assert!(!decoder.decode_syndrome(&Syndrome::default()).flip);
-/// ```
-#[derive(Debug)]
-pub struct SparseMwpmFactory<'g> {
-    graph: &'g DecodingGraph,
-    index: Arc<SparseIndex>,
-}
-
-impl<'g> SparseMwpmFactory<'g> {
-    /// Computes the boundary index for `graph`.
-    pub fn new(graph: &'g DecodingGraph) -> SparseMwpmFactory<'g> {
-        SparseMwpmFactory {
-            graph,
-            index: Arc::new(SparseIndex::compute(graph)),
-        }
-    }
-
-    /// Reuses an existing index (e.g. from an artifact cache).
-    pub fn with_index(graph: &'g DecodingGraph, index: Arc<SparseIndex>) -> SparseMwpmFactory<'g> {
-        SparseMwpmFactory { graph, index }
-    }
-
-    /// The shared index.
-    pub fn index(&self) -> &Arc<SparseIndex> {
-        &self.index
-    }
-}
-
-impl DecoderFactory for SparseMwpmFactory<'_> {
-    fn build(&self) -> Box<dyn SyndromeDecoder + '_> {
-        Box::new(SparseMwpmDecoder::with_index(
-            self.graph,
-            Arc::clone(&self.index),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "sparse-mwpm"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,8 +838,7 @@ mod tests {
     #[test]
     fn empty_syndrome_decodes_trivially() {
         let (graph, _) = setup(3, 2);
-        let factory = SparseMwpmFactory::new(&graph);
-        let mut decoder = factory.build();
+        let mut decoder = SparseMwpmDecoder::new(&graph);
         let outcome = decoder.decode_syndrome(&Syndrome::default());
         assert!(!outcome.flip);
         assert_eq!(outcome.weight, 0.0);
@@ -888,9 +848,8 @@ mod tests {
     #[test]
     fn factory_shares_one_index() {
         let (graph, _) = setup(3, 2);
-        let factory = SparseMwpmFactory::new(&graph);
-        let a = SparseMwpmDecoder::with_index(&graph, Arc::clone(factory.index()));
-        let b = SparseMwpmDecoder::with_index(&graph, Arc::clone(factory.index()));
+        let a = SparseMwpmDecoder::new(&graph);
+        let b = SparseMwpmDecoder::with_index(&graph, Arc::clone(a.index()));
         assert!(Arc::ptr_eq(a.index(), b.index()));
     }
 

@@ -7,12 +7,13 @@
 //! touch the boundary; a peeling pass then extracts the correction and its
 //! effect on the logical observable.
 //!
-//! The stateful entry point is [`UnionFindFactory`] →
-//! [`UnionFindBatchDecoder`]: quantized edge capacities are computed once per
-//! graph and shared across threads via [`Arc`]; each instance keeps its own
-//! cluster/peeling scratch so the per-shot loop does not allocate.
+//! The stateful entry point is [`UnionFindBatchDecoder`]: quantized edge
+//! capacities are computed once per graph ([`UnionFindCapacities`]) and
+//! shared across threads via [`Arc`] ([`UnionFindBatchDecoder::with_capacities`]);
+//! each instance keeps its own cluster/peeling scratch so the per-shot loop
+//! does not allocate.
 
-use crate::api::{DecodeOutcome, DecoderFactory, Syndrome, SyndromeDecoder};
+use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 use crate::graph::DecodingGraph;
 use crate::overlay::{WeightOverlay, ERASED_WEIGHT};
 use std::collections::VecDeque;
@@ -122,9 +123,8 @@ impl Dsu {
     }
 }
 
-/// Stateful union-find decoder instance: one per worker thread, built
-/// through [`UnionFindFactory`]. All growth and peeling buffers are reused
-/// across shots.
+/// Stateful union-find decoder instance: one per worker thread. All growth
+/// and peeling buffers are reused across shots.
 #[derive(Debug)]
 pub struct UnionFindBatchDecoder<'g> {
     graph: &'g DecodingGraph,
@@ -144,7 +144,8 @@ pub struct UnionFindBatchDecoder<'g> {
 
 impl<'g> UnionFindBatchDecoder<'g> {
     /// Builds a standalone instance, quantizing edge weights itself. For
-    /// multi-threaded decoding use [`UnionFindFactory`].
+    /// multi-threaded decoding compute the [`UnionFindCapacities`] once and
+    /// share them through [`UnionFindBatchDecoder::with_capacities`].
     pub fn new(graph: &'g DecodingGraph) -> UnionFindBatchDecoder<'g> {
         UnionFindBatchDecoder::with_capacities(graph, Arc::new(UnionFindCapacities::compute(graph)))
     }
@@ -397,49 +398,6 @@ impl SyndromeDecoder for UnionFindBatchDecoder<'_> {
     }
 }
 
-/// Factory for [`UnionFindBatchDecoder`]s: quantizes edge capacities once
-/// and shares them (via [`Arc`]) with every instance it builds.
-#[derive(Debug)]
-pub struct UnionFindFactory<'g> {
-    graph: &'g DecodingGraph,
-    capacities: Arc<UnionFindCapacities>,
-}
-
-impl<'g> UnionFindFactory<'g> {
-    /// Quantizes the graph's edge weights (the shared precomputation).
-    pub fn new(graph: &'g DecodingGraph) -> UnionFindFactory<'g> {
-        UnionFindFactory::with_capacities(graph, Arc::new(UnionFindCapacities::compute(graph)))
-    }
-
-    /// Builds the factory around an already-computed capacity table —
-    /// the hook a process-wide artifact cache uses to share one table
-    /// across runs over content-identical graphs.
-    pub fn with_capacities(
-        graph: &'g DecodingGraph,
-        capacities: Arc<UnionFindCapacities>,
-    ) -> UnionFindFactory<'g> {
-        UnionFindFactory { graph, capacities }
-    }
-
-    /// The shared capacity table.
-    pub fn capacities(&self) -> &Arc<UnionFindCapacities> {
-        &self.capacities
-    }
-}
-
-impl DecoderFactory for UnionFindFactory<'_> {
-    fn build(&self) -> Box<dyn SyndromeDecoder + '_> {
-        Box::new(UnionFindBatchDecoder::with_capacities(
-            self.graph,
-            Arc::clone(&self.capacities),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "union-find"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,8 +418,7 @@ mod tests {
     #[test]
     fn empty_defects() {
         let (graph, _) = setup(3, 2);
-        let factory = UnionFindFactory::new(&graph);
-        let mut decoder = factory.build();
+        let mut decoder = UnionFindBatchDecoder::new(&graph);
         let outcome = decoder.decode_syndrome(&Syndrome::default());
         assert!(!outcome.flip);
         assert_eq!(outcome.weight, 0.0);

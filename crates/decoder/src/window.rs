@@ -33,12 +33,11 @@
 //!   edges kept, and time-crossing edges dropped (the buffer overlap is what
 //!   makes that sound). Bulk windows are time-translation invariant, so a
 //!   whole experiment has only a handful of distinct window *shapes*.
-//! * [`WindowPlan`] — the per-graph precomputation (the analogue of a
-//!   [`crate::DecoderFactory`]): all window positions, deduplicated shapes,
-//!   and one backend table (`ShortestPaths`, `SparseIndex`, or
-//!   `UnionFindCapacities`) **per shape** — killing the O(R²) APSP.
-//!   Thread-safe; build once, then stamp out one [`WindowedDecoder`] per
-//!   worker thread via [`WindowPlan::streaming`].
+//! * [`WindowPlan`] — the per-graph precomputation: all window positions,
+//!   deduplicated shapes, and one backend table (`ShortestPaths`,
+//!   `SparseIndex`, or `UnionFindCapacities`) **per shape** — killing the
+//!   O(R²) APSP. Thread-safe; build once, then stamp out one
+//!   [`WindowedDecoder`] per worker thread via [`WindowPlan::streaming`].
 //! * [`StreamingDecoder`] / [`WindowedDecoder`] — the round-incremental
 //!   interface (`begin_shot` / `push_round` / `finish`) and its generic
 //!   implementation over any [`SyndromeDecoder`] that can report its
@@ -54,7 +53,7 @@
 use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
 use crate::graph::{DecodingGraph, GraphEdge};
 use crate::mwpm::{MwpmBatchDecoder, ShortestPaths};
-use crate::predecode::{tier0_applies, tier1_applies, TierCounters};
+use crate::predecode::TierCounters;
 use crate::sparse::{SparseIndex, SparseMwpmDecoder};
 use crate::unionfind::{UnionFindBatchDecoder, UnionFindCapacities};
 use std::fmt;
@@ -301,8 +300,8 @@ struct Position {
 
 /// The sliding-window decode plan for one decoding graph: all window
 /// positions, the deduplicated window shapes, and one shared precomputation
-/// per shape. The windowed analogue of a [`crate::DecoderFactory`]: build
-/// once per graph, then stamp out a [`WindowedDecoder`] per worker thread.
+/// per shape. Build once per graph, then stamp out a [`WindowedDecoder`]
+/// per worker thread.
 #[derive(Debug)]
 pub struct WindowPlan {
     shapes: Vec<WindowGraph>,
@@ -624,8 +623,10 @@ impl WindowedDecoder<'_> {
     fn decode_position(&mut self, k: usize) {
         // Tier 0: an empty window is skipped outright — no local syndrome,
         // no erasure translation (the live set is empty, so retirement is a
-        // no-op too), no latency sample.
-        if tier0_applies(&self.defects, &self.erasures) {
+        // no-op too), no latency sample. Bit-identical by construction:
+        // every backend returns `DecodeOutcome::default()` on an empty,
+        // erasure-free syndrome.
+        if self.defects.is_empty() && self.erasures.is_empty() {
             self.counters.record(0, 0);
             return;
         }
@@ -635,7 +636,6 @@ impl WindowedDecoder<'_> {
         let sgraph = shape.graph();
 
         self.local.clear();
-        self.local.rounds = pos.hi - pos.lo + 1;
         for &g in &self.defects {
             debug_assert!(
                 (pos.node_start..pos.node_start + pos.node_count).contains(&g),
@@ -670,7 +670,7 @@ impl WindowedDecoder<'_> {
         let last = pos.commit_rel == usize::MAX;
         let mut correction = (!last).then_some(&mut self.correction);
         let inner = &mut self.inner[pos.shape];
-        let fast = if tier1_applies(&self.local.defects, &self.local.erasures) {
+        let fast = if matches!(self.local.defects.len(), 1 | 2) && self.local.erasures.is_empty() {
             inner.decode_tier1(&self.local, correction.as_deref_mut())
         } else {
             None
@@ -1006,6 +1006,35 @@ mod tests {
         assert_eq!(dec.tier_counters().hits[0], plan.num_positions() as u64);
         assert_eq!(dec.tier_counters().total(), plan.num_positions() as u64);
         assert_eq!(dec.name(), "mwpm");
+    }
+
+    #[test]
+    fn streaming_instances_share_each_shape_table() {
+        let g = graph(3, 9);
+        for backend in [
+            DecoderKind::Mwpm,
+            DecoderKind::SparseMwpm,
+            DecoderKind::UnionFind,
+        ] {
+            let plan = WindowPlan::new(&g, 4, 2, backend);
+            assert!(plan.num_shapes() > 1);
+            let strong_counts = || -> Vec<usize> {
+                plan.shape_data
+                    .iter()
+                    .map(|data| match data {
+                        ShapeData::Mwpm(paths) => Arc::strong_count(paths),
+                        ShapeData::SparseMwpm(index) => Arc::strong_count(index),
+                        ShapeData::UnionFind(capacities) => Arc::strong_count(capacities),
+                    })
+                    .collect()
+            };
+            assert!(strong_counts().iter().all(|&n| n == 1));
+            let _a = plan.streaming();
+            let _b = plan.streaming();
+            // Each instance clones every shape's Arc instead of recomputing
+            // its table.
+            assert!(strong_counts().iter().all(|&n| n == 3), "{backend}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, scale_weight, DecoderFactory, DecodingGraph, MwpmFactory, ShortestPaths,
-    SparseMwpmFactory, Syndrome, UnionFindFactory, WeightOverlay,
+    build_dem, scale_weight, DecodingGraph, MwpmBatchDecoder, ShortestPaths, SparseMwpmDecoder,
+    Syndrome, SyndromeDecoder, UnionFindBatchDecoder, WeightOverlay,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,33 +106,34 @@ fn fixture() -> (DecodingGraph, Vec<Syndrome>) {
             erasures.dedup();
         }
         let defects = (0..graph.num_nodes()).filter(|&n| events[n]).collect();
-        syndromes.push(Syndrome::build(defects).erasures(erasures).finish());
+        syndromes.push(Syndrome::with_erasures(defects, erasures));
     }
     let chain = kept_chain(&graph, 14);
     let erasures = graph.incident(chain[0]).to_vec();
     syndromes.push(Syndrome::new(chain.clone()));
-    syndromes.push(Syndrome::build(chain).erasures(erasures).finish());
+    syndromes.push(Syndrome::with_erasures(chain, erasures));
     assert!(syndromes.iter().any(|s| !s.erasures.is_empty()));
     (graph, syndromes)
 }
 
 /// Decodes the batch twice to grow every scratch buffer to its
 /// steady-state size, then asserts a third identical pass allocates nothing.
-fn assert_warm_batch_is_allocation_free(
-    name: &str,
-    factory: &dyn DecoderFactory,
-    syndromes: &[Syndrome],
-) {
-    let mut decoder = factory.build();
-    let mut out = Vec::new();
-    decoder.decode_batch(syndromes, &mut out);
-    decoder.decode_batch(syndromes, &mut out);
+fn assert_warm_batch_is_allocation_free(mut decoder: impl SyndromeDecoder, syndromes: &[Syndrome]) {
+    let mut decode_pass = || {
+        for syndrome in syndromes {
+            std::hint::black_box(decoder.decode_syndrome(syndrome));
+        }
+    };
+    decode_pass();
+    decode_pass();
     let before = allocations();
-    decoder.decode_batch(syndromes, &mut out);
+    decode_pass();
     let delta = allocations() - before;
     assert_eq!(
-        delta, 0,
-        "[{name}] steady-state decode_batch allocated {delta} times"
+        delta,
+        0,
+        "[{}] steady-state decoding allocated {delta} times",
+        decoder.name()
     );
 }
 
@@ -146,13 +147,9 @@ fn warm_decoding_with_erasures_is_allocation_free() {
     let (graph, syndromes) = fixture();
 
     // The three backends, end to end.
-    assert_warm_batch_is_allocation_free("union-find", &UnionFindFactory::new(&graph), &syndromes);
-    assert_warm_batch_is_allocation_free("mwpm", &MwpmFactory::new(&graph), &syndromes);
-    assert_warm_batch_is_allocation_free(
-        "sparse-mwpm",
-        &SparseMwpmFactory::new(&graph),
-        &syndromes,
-    );
+    assert_warm_batch_is_allocation_free(UnionFindBatchDecoder::new(&graph), &syndromes);
+    assert_warm_batch_is_allocation_free(MwpmBatchDecoder::new(&graph), &syndromes);
+    assert_warm_batch_is_allocation_free(SparseMwpmDecoder::new(&graph), &syndromes);
 
     // The `WeightOverlay` itself (apply -> effective_metrics -> restore) is
     // allocation-free once warm.

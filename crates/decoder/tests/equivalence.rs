@@ -1,20 +1,17 @@
 //! Equivalence + determinism suite for the stateful decoder API.
 //!
 //! For all three decoders (dense MWPM, sparse MWPM, union-find) and
-//! fixed seeds, these tests assert the chain of identities the redesign
-//! promises:
-//!
-//! `decode_batch` ≡ sequential `decode_syndrome`,
-//!
-//! plus determinism across repeated calls on a reused instance (stale
-//! scratch must never leak between shots) and single-construction sharing of
-//! the expensive precomputation.
+//! fixed seeds, these tests assert that a reused instance decodes a batch
+//! of shots exactly as a fresh instance decodes them one by one, and
+//! reproduces itself on a rerun (stale scratch must never leak between
+//! shots), and that instances sharing one precomputed table decode
+//! identically on different threads.
 
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, scale_weight, DecodeOutcome, DecoderFactory, DecodingGraph, DetectorErrorModel,
-    MwpmFactory, SparseMwpmFactory, Syndrome, UnionFindFactory,
+    build_dem, scale_weight, DecodeOutcome, DecodingGraph, DetectorErrorModel, MwpmBatchDecoder,
+    ShortestPaths, SparseMwpmDecoder, Syndrome, SyndromeDecoder, UnionFindBatchDecoder,
 };
 use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -54,26 +51,43 @@ fn random_syndromes(
     syndromes
 }
 
+/// One fresh instance of each backend, each computing its own table.
+fn backends(graph: &DecodingGraph) -> [Box<dyn SyndromeDecoder + '_>; 3] {
+    [
+        Box::new(MwpmBatchDecoder::new(graph)),
+        Box::new(SparseMwpmDecoder::new(graph)),
+        Box::new(UnionFindBatchDecoder::new(graph)),
+    ]
+}
+
+/// Decodes `syndromes` in order on one (warming) instance.
+fn decode_all(decoder: &mut dyn SyndromeDecoder, syndromes: &[Syndrome]) -> Vec<DecodeOutcome> {
+    syndromes
+        .iter()
+        .map(|s| decoder.decode_syndrome(s))
+        .collect()
+}
+
 /// Flip/weight/defects must agree; `nanos` is wall-clock and excluded.
 fn same_prediction(a: &DecodeOutcome, b: &DecodeOutcome) -> bool {
     a.flip == b.flip && a.weight == b.weight && a.defects == b.defects
 }
 
-fn check_equivalence(factory: &dyn DecoderFactory, syndromes: &[Syndrome]) {
+fn check_equivalence(
+    batch_decoder: &mut dyn SyndromeDecoder,
+    seq_decoder: &mut dyn SyndromeDecoder,
+    syndromes: &[Syndrome],
+) {
     // Batch pass on one instance.
-    let mut batch_decoder = factory.build();
-    let mut batch = Vec::new();
-    batch_decoder.decode_batch(syndromes, &mut batch);
-    assert_eq!(batch.len(), syndromes.len());
+    let batch = decode_all(batch_decoder, syndromes);
 
     // Sequential pass on a *fresh* instance: per-shot must equal batch.
-    let mut seq_decoder = factory.build();
     for (syndrome, batched) in syndromes.iter().zip(&batch) {
         let sequential = seq_decoder.decode_syndrome(syndrome);
         assert!(
             same_prediction(&sequential, batched),
-            "[{}] decode_batch != decode_syndrome on {:?}: {batched:?} vs {sequential:?}",
-            factory.name(),
+            "[{}] batch != sequential on {:?}: {batched:?} vs {sequential:?}",
+            batch_decoder.name(),
             syndrome.defects,
         );
         assert_eq!(batched.defects, syndrome.len());
@@ -82,13 +96,12 @@ fn check_equivalence(factory: &dyn DecoderFactory, syndromes: &[Syndrome]) {
 
     // Determinism: a second batch pass on the *reused* instance (warm
     // scratch) must reproduce the first bit-for-bit.
-    let mut again = Vec::new();
-    batch_decoder.decode_batch(syndromes, &mut again);
+    let again = decode_all(batch_decoder, syndromes);
     for (first, second) in batch.iter().zip(&again) {
         assert!(
             same_prediction(first, second),
             "[{}] warm-scratch rerun diverged: {first:?} vs {second:?}",
-            factory.name(),
+            batch_decoder.name(),
         );
     }
 }
@@ -98,15 +111,9 @@ fn all_decoders_batch_and_sequential_agree() {
     for (d, rounds, seed) in [(3usize, 3usize, 42u64), (5, 3, 1337)] {
         let (graph, dem) = setup(d, rounds);
         let syndromes = random_syndromes(&graph, &dem, 120, seed);
-
-        let mwpm = MwpmFactory::new(&graph);
-        check_equivalence(&mwpm, &syndromes);
-
-        let sparse = SparseMwpmFactory::new(&graph);
-        check_equivalence(&sparse, &syndromes);
-
-        let uf = UnionFindFactory::new(&graph);
-        check_equivalence(&uf, &syndromes);
+        for (mut batch, mut seq) in backends(&graph).into_iter().zip(backends(&graph)) {
+            check_equivalence(batch.as_mut(), seq.as_mut(), &syndromes);
+        }
     }
 }
 
@@ -120,10 +127,8 @@ fn sparse_matches_dense_weight_and_flip_on_random_batches() {
     for (d, rounds, seed) in [(3usize, 4usize, 11u64), (5, 4, 23), (7, 3, 31)] {
         let (graph, dem) = setup(d, rounds);
         let syndromes = random_syndromes(&graph, &dem, 150, seed);
-        let dense = MwpmFactory::new(&graph);
-        let sparse = SparseMwpmFactory::new(&graph);
-        let mut dense_dec = dense.build();
-        let mut sparse_dec = sparse.build();
+        let mut dense_dec = MwpmBatchDecoder::new(&graph);
+        let mut sparse_dec = SparseMwpmDecoder::new(&graph);
         for (i, syndrome) in syndromes.iter().enumerate() {
             let a = dense_dec.decode_syndrome(syndrome);
             let b = sparse_dec.decode_syndrome(syndrome);
@@ -154,10 +159,8 @@ fn sparse_erasure_overlay_matches_dense_weight() {
         // Half the shots carry erasures; the rest interleave to exercise
         // overlay apply/restore on warm scratch.
         attach_random_erasures(&graph, &mut syndromes[..60], seed ^ 0xE5A5);
-        let dense = MwpmFactory::new(&graph);
-        let sparse = SparseMwpmFactory::new(&graph);
-        let mut dense_dec = dense.build();
-        let mut sparse_dec = sparse.build();
+        let mut dense_dec = MwpmBatchDecoder::new(&graph);
+        let mut sparse_dec = SparseMwpmDecoder::new(&graph);
         for (i, syndrome) in syndromes.iter().enumerate() {
             let a = dense_dec.decode_syndrome(syndrome);
             let b = sparse_dec.decode_syndrome(syndrome);
@@ -177,44 +180,17 @@ fn sparse_erasure_overlay_matches_dense_weight() {
 }
 
 #[test]
-fn factory_precomputation_is_shared_not_recomputed() {
-    let (graph, _) = setup(3, 3);
-    let factory = MwpmFactory::new(&graph);
-    let before = Arc::strong_count(factory.paths());
-    let _a = factory.build();
-    let _b = factory.build();
-    let _c = factory.build();
-    // Every instance clones the Arc instead of recomputing the O(n²) table.
-    assert_eq!(Arc::strong_count(factory.paths()), before + 3);
-
-    let uf = UnionFindFactory::new(&graph);
-    let before = Arc::strong_count(uf.capacities());
-    let _d = uf.build();
-    let _e = uf.build();
-    assert_eq!(Arc::strong_count(uf.capacities()), before + 2);
-
-    let sparse = SparseMwpmFactory::new(&graph);
-    let before = Arc::strong_count(sparse.index());
-    let _f = sparse.build();
-    let _g = sparse.build();
-    // The boundary index is shared, never recomputed per instance.
-    assert_eq!(Arc::strong_count(sparse.index()), before + 2);
-}
-
-#[test]
 fn per_thread_instances_decode_identically() {
     let (graph, dem) = setup(3, 3);
     let syndromes = random_syndromes(&graph, &dem, 60, 7);
-    let factory = MwpmFactory::new(&graph);
+    let paths = Arc::new(ShortestPaths::compute(&graph));
     let flips: Vec<Vec<bool>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let factory = &factory;
-                let syndromes = &syndromes;
+                let (graph, paths, syndromes) = (&graph, &paths, &syndromes);
                 scope.spawn(move || {
-                    let mut decoder = factory.build();
-                    let mut out = Vec::new();
-                    decoder.decode_batch(syndromes, &mut out);
+                    let mut decoder = MwpmBatchDecoder::with_paths(graph, Arc::clone(paths));
+                    let out = decode_all(&mut decoder, syndromes);
                     out.iter().map(|o| o.flip).collect::<Vec<bool>>()
                 })
             })
@@ -258,38 +234,32 @@ fn empty_erasure_set_is_bit_identical_to_plain_path() {
     let mut erasure_warmup = plain.clone();
     attach_random_erasures(&graph, &mut erasure_warmup, 77);
 
-    let mwpm = MwpmFactory::new(&graph);
-    let sparse = SparseMwpmFactory::new(&graph);
-    let uf = UnionFindFactory::new(&graph);
-    let factories: [&dyn DecoderFactory; 3] = [&mwpm, &sparse, &uf];
-    for factory in factories {
-        let mut reference = factory.build();
-        let mut out_ref = Vec::new();
-        reference.decode_batch(&plain, &mut out_ref);
+    let instances = backends(&graph)
+        .into_iter()
+        .zip(backends(&graph))
+        .zip(backends(&graph));
+    for ((mut reference, mut fresh), mut warm) in instances {
+        let out_ref = decode_all(reference.as_mut(), &plain);
 
         // Fresh instance, same defects but through `with_erasures(.., [])`.
-        let mut fresh = factory.build();
-        let mut out = Vec::new();
-        fresh.decode_batch(&with_empty, &mut out);
+        let out = decode_all(fresh.as_mut(), &with_empty);
         for (a, b) in out_ref.iter().zip(&out) {
             assert!(
                 same_prediction(a, b),
                 "[{}] empty erasure set diverged: {a:?} vs {b:?}",
-                factory.name()
+                reference.name()
             );
         }
 
         // Warm the overlay scratch with erasure-carrying shots, then decode
         // the empty-erasure batch again: still bit-identical.
-        let mut warm = factory.build();
-        let mut scratch = Vec::new();
-        warm.decode_batch(&erasure_warmup, &mut scratch);
-        warm.decode_batch(&with_empty, &mut out);
+        decode_all(warm.as_mut(), &erasure_warmup);
+        let out = decode_all(warm.as_mut(), &with_empty);
         for (a, b) in out_ref.iter().zip(&out) {
             assert!(
                 same_prediction(a, b),
                 "[{}] warm-overlay empty-erasure decode diverged: {a:?} vs {b:?}",
-                factory.name()
+                reference.name()
             );
         }
     }
@@ -305,31 +275,22 @@ fn warm_overlay_scratch_is_deterministic_across_batches() {
     attach_random_erasures(&graph, &mut syndromes, 99);
     assert!(syndromes.iter().any(|s| !s.erasures.is_empty()));
 
-    let mwpm = MwpmFactory::new(&graph);
-    let sparse = SparseMwpmFactory::new(&graph);
-    let uf = UnionFindFactory::new(&graph);
-    let factories: [&dyn DecoderFactory; 3] = [&mwpm, &sparse, &uf];
-    for factory in factories {
-        let mut decoder = factory.build();
-        let mut first = Vec::new();
-        decoder.decode_batch(&syndromes, &mut first);
-        let mut second = Vec::new();
-        decoder.decode_batch(&syndromes, &mut second);
+    for (mut decoder, mut fresh) in backends(&graph).into_iter().zip(backends(&graph)) {
+        let first = decode_all(decoder.as_mut(), &syndromes);
+        let second = decode_all(decoder.as_mut(), &syndromes);
         for (a, b) in first.iter().zip(&second) {
             assert!(
                 same_prediction(a, b),
                 "[{}] warm overlay rerun diverged: {a:?} vs {b:?}",
-                factory.name()
+                decoder.name()
             );
         }
-        let mut fresh = factory.build();
-        let mut fresh_out = Vec::new();
-        fresh.decode_batch(&syndromes, &mut fresh_out);
+        let fresh_out = decode_all(fresh.as_mut(), &syndromes);
         for (a, b) in first.iter().zip(&fresh_out) {
             assert!(
                 same_prediction(a, b),
                 "[{}] warm vs fresh instance diverged: {a:?} vs {b:?}",
-                factory.name()
+                decoder.name()
             );
         }
     }
@@ -340,7 +301,6 @@ fn warm_overlay_scratch_is_deterministic_across_batches() {
 #[test]
 fn erasures_reduce_matched_weight() {
     let (graph, _) = setup(3, 3);
-    let factory = MwpmFactory::new(&graph);
     // Pick a bulk edge and erase it: its two endpoint defects become free.
     let ei = graph
         .edges()
@@ -348,7 +308,7 @@ fn erasures_reduce_matched_weight() {
         .position(|e| e.b != graph.boundary())
         .expect("bulk edge");
     let e = &graph.edges()[ei];
-    let mut decoder = factory.build();
+    let mut decoder = MwpmBatchDecoder::new(&graph);
     let plain = decoder.decode_syndrome(&Syndrome::new(vec![e.a, e.b]));
     let erased = decoder.decode_syndrome(&Syndrome::with_erasures(vec![e.a, e.b], vec![ei]));
     assert!(plain.weight > 0.1, "paths have real weight: {plain:?}");
@@ -360,16 +320,4 @@ fn erasures_reduce_matched_weight() {
         erased.flip, e.flips_observable,
         "parity rides the erased edge"
     );
-}
-
-#[test]
-fn batch_output_vector_is_reused() {
-    let (graph, dem) = setup(3, 2);
-    let syndromes = random_syndromes(&graph, &dem, 10, 3);
-    let factory = UnionFindFactory::new(&graph);
-    let mut decoder = factory.build();
-    // Pre-populated and over-sized output must be cleared, not appended to.
-    let mut out = vec![DecodeOutcome::default(); 500];
-    decoder.decode_batch(&syndromes, &mut out);
-    assert_eq!(out.len(), syndromes.len());
 }

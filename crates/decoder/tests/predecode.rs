@@ -4,16 +4,17 @@
 //! in front of any backend, every decode is **bit-identical** to the
 //! untier'd path — same observable flip, the exact same f64 weight bits,
 //! and the same correction edges — across 0/1/2/many-defect syndromes,
-//! with and without erasure overlays. The windowed streaming path has no
-//! untiered form, so its reference is the tier-1 contract itself, checked
-//! on every 1- and 2-defect syndrome of real window shapes.
+//! with and without erasure overlays. The ladder runs inline in the
+//! windowed streaming path, which has no untiered form: a full-cover window
+//! is checked against the bare backend's whole-shot decode, and the
+//! sliding chain against the tier-1 contract itself, checked on every 1-
+//! and 2-defect syndrome of real window shapes.
 
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, DecoderFactory, DecoderKind, DecodingGraph, DetectorErrorModel, MwpmFactory,
-    SparseMwpmFactory, StreamingDecoder, Syndrome, SyndromeDecoder, TieredDecoder,
-    UnionFindFactory, WindowGraph, WindowPlan,
+    build_dem, DecoderKind, DecodingGraph, DetectorErrorModel, MwpmBatchDecoder, SparseMwpmDecoder,
+    StreamingDecoder, Syndrome, SyndromeDecoder, UnionFindBatchDecoder, WindowGraph, WindowPlan,
 };
 use std::collections::HashSet;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -23,6 +24,15 @@ const BACKENDS: [DecoderKind; 3] = [
     DecoderKind::SparseMwpm,
     DecoderKind::UnionFind,
 ];
+
+/// One bare instance of each backend, in [`BACKENDS`] order.
+fn bare_backends(graph: &DecodingGraph) -> [Box<dyn SyndromeDecoder + '_>; 3] {
+    [
+        Box::new(MwpmBatchDecoder::new(graph)),
+        Box::new(SparseMwpmDecoder::new(graph)),
+        Box::new(UnionFindBatchDecoder::new(graph)),
+    ]
+}
 
 fn setup(d: usize, rounds: usize) -> (DecodingGraph, DetectorErrorModel) {
     let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
@@ -55,78 +65,63 @@ fn sample_syndrome(graph: &DecodingGraph, rng: &mut Rng, k: usize, erased: bool)
     syndrome
 }
 
-/// Correction edges compare as an XOR set: an edge listed twice cancels, so
-/// path-sharing corrections with different edge orderings are equal iff
-/// their parities agree everywhere.
-fn xor_set(correction: &[usize]) -> HashSet<usize> {
-    let mut set = HashSet::new();
-    for &e in correction {
-        if !set.insert(e) {
-            set.remove(&e);
-        }
-    }
-    set
-}
-
 /// The monolithic property: for every backend, random syndromes with
 /// 0/1/2/many defects — a third of them under erasure overlays — decode
-/// bit-identically through [`TieredDecoder`] and the bare backend, and the
-/// tier counters route as the ladder promises.
+/// bit-identically through a full-cover window (the tier ladder's
+/// whole-shot form) and the bare backend, and the tier counters route as
+/// the ladder promises. The correction edges a non-final window commits are
+/// covered by the tier-1 contract in `tiered_windowed_is_bit_identical_to_full`.
 #[test]
 fn tiered_monolithic_is_bit_identical_to_full() {
     for (d, rounds, seed) in [(3usize, 4usize, 0x7139u64), (5, 3, 0x517E)] {
         let (graph, _) = setup(d, rounds);
-        let factories: [&dyn DecoderFactory; 3] = [
-            &MwpmFactory::new(&graph),
-            &SparseMwpmFactory::new(&graph),
-            &UnionFindFactory::new(&graph),
-        ];
-        for factory in factories {
-            let mut tiered = TieredDecoder::new(factory.build());
-            let mut full = factory.build();
-            let mut rng = Rng::new(seed ^ factory.name().len() as u64);
-            let mut tiered_correction = Vec::new();
-            let mut full_correction = Vec::new();
+        let span = graph.max_round() + 1;
+        for (backend, mut full) in BACKENDS.into_iter().zip(bare_backends(&graph)) {
+            let plan = WindowPlan::new(&graph, span, span, backend);
+            assert_eq!(plan.num_positions(), 1, "full cover");
+            let mut tiered = plan.streaming();
+            assert_eq!(tiered.name(), full.name());
+            let mut rng = Rng::new(seed ^ full.name().len() as u64);
+            let mut by_round = vec![Vec::new(); span];
             let (mut empties, mut trials) = (0u64, 0u64);
             for trial in 0..160 {
                 let k = [0, 1, 1, 2, 2, 3, 5, 9][trial % 8];
                 let erased = trial % 3 == 0;
                 let syndrome = sample_syndrome(&graph, &mut rng, k, erased);
-                let t = tiered.decode_with_correction(&syndrome, &mut tiered_correction);
-                let f = full.decode_with_correction(&syndrome, &mut full_correction);
+                by_round.iter_mut().for_each(Vec::clear);
+                for &v in &syndrome.defects {
+                    by_round[graph.node_round(v)].push(v);
+                }
+                tiered.begin_shot();
+                for (r, defects) in by_round.iter().enumerate() {
+                    let erasures = if r == 0 { &syndrome.erasures[..] } else { &[] };
+                    tiered.push_round(defects, erasures);
+                }
+                let t = tiered.finish();
+                let f = full.decode_syndrome(&syndrome);
                 assert_eq!(
-                    t.flip,
-                    f.flip,
-                    "[{}] d={d} trial {trial} (k={k}, erased={erased}): flip diverged",
-                    factory.name()
+                    t.flip, f.flip,
+                    "[{backend}] d={d} trial {trial} (k={k}, erased={erased}): flip diverged"
                 );
                 assert_eq!(
                     t.weight.to_bits(),
                     f.weight.to_bits(),
-                    "[{}] d={d} trial {trial}: weight not bit-identical ({} vs {})",
-                    factory.name(),
+                    "[{backend}] d={d} trial {trial}: weight not bit-identical ({} vs {})",
                     t.weight,
                     f.weight
                 );
                 assert_eq!(t.defects, f.defects);
-                assert_eq!(
-                    xor_set(&tiered_correction),
-                    xor_set(&full_correction),
-                    "[{}] d={d} trial {trial}: correction XOR diverged",
-                    factory.name()
-                );
                 trials += 1;
                 if syndrome.defects.is_empty() && syndrome.erasures.is_empty() {
                     empties += 1;
                 }
             }
-            let counters = tiered.counters();
-            assert_eq!(counters.total(), trials, "[{}]", factory.name());
-            assert_eq!(counters.hits[0], empties, "[{}]", factory.name());
+            let counters = tiered.tier_counters();
+            assert_eq!(counters.total(), trials, "[{backend}]");
+            assert_eq!(counters.hits[0], empties, "[{backend}]");
             assert!(
                 counters.hits[2] > 0,
-                "[{}] many-defect trials must fall through to tier 2",
-                factory.name()
+                "[{backend}] many-defect trials must fall through to tier 2"
             );
         }
     }
@@ -182,8 +177,7 @@ fn stream_shot(
 /// weight bits and exact correction-edge sequence equal the backend's full
 /// decode (and its correction-free form equals `decode_syndrome`). Returns
 /// how many calls, in either form, tier 1 answered.
-fn check_tier1_contract(factory: &dyn DecoderFactory, nodes: usize, what: &str) -> u64 {
-    let mut decoder = factory.build();
+fn check_tier1_contract(decoder: &mut dyn SyndromeDecoder, nodes: usize, what: &str) -> u64 {
     let mut syndrome = Syndrome::default();
     let (mut fast_correction, mut full_correction) = (Vec::new(), Vec::new());
     let mut answered = 0u64;
@@ -244,15 +238,10 @@ fn tiered_windowed_is_bit_identical_to_full() {
         for lo in [0, window, last] {
             let shape = WindowGraph::build(&graph, lo, lo + window - 1);
             let g = shape.graph();
-            let factories: [&dyn DecoderFactory; 3] = [
-                &MwpmFactory::new(g),
-                &SparseMwpmFactory::new(g),
-                &UnionFindFactory::new(g),
-            ];
-            for factory in factories {
-                let what = format!("[{}] d={d} window [{lo}, {}]", factory.name(), shape.hi());
-                let answered = check_tier1_contract(factory, g.num_nodes(), &what);
-                if factory.name() == "union-find" {
+            for mut decoder in bare_backends(g) {
+                let what = format!("[{}] d={d} window [{lo}, {}]", decoder.name(), shape.hi());
+                let answered = check_tier1_contract(decoder.as_mut(), g.num_nodes(), &what);
+                if decoder.name() == "union-find" {
                     assert_eq!(answered, 0, "{what}: union-find has no closed form");
                 } else {
                     assert!(answered > 0, "{what}: tier 1 must answer to be checked");

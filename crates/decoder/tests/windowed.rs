@@ -122,10 +122,7 @@ fn full_cover_window_is_bit_identical_to_monolithic() {
                     erasures.sort_unstable();
                     erasures.dedup();
                 }
-                let syndrome = Syndrome::build(defects.clone())
-                    .rounds(rounds)
-                    .erasures(erasures)
-                    .finish();
+                let syndrome = Syndrome::with_erasures(defects.clone(), erasures);
                 let mono_out = mono.decode_syndrome(&syndrome);
                 let win_out = stream_shot(&mut windowed, &graph, &defects, &erasures_by_round);
                 assert_eq!(
@@ -207,9 +204,7 @@ fn sliding_windows_track_monolithic_on_random_syndromes() {
         for trial in 0..trials {
             let faults = (1 + (trial % 6)) as usize;
             let (defects, expected) = sample_syndrome(&graph, &dem, &mut rng, faults);
-            let m = mono
-                .decode_syndrome(&Syndrome::with_rounds(defects.clone(), 12))
-                .flip;
+            let m = mono.decode_syndrome(&Syndrome::new(defects.clone())).flip;
             let w = stream_shot(&mut windowed, &graph, &defects, &[]).flip;
             agree += i64::from(m == w);
             mono_ok += i64::from(m == expected);
@@ -300,10 +295,7 @@ fn correction_edges_xor_to_the_outcome_flip() {
                 erasures.sort_unstable();
                 erasures.dedup();
             }
-            let syndrome = Syndrome::build(defects)
-                .rounds(5)
-                .erasures(erasures)
-                .finish();
+            let syndrome = Syndrome::with_erasures(defects, erasures);
             let out = with.decode_with_correction(&syndrome, &mut correction);
             let xor = correction
                 .iter()

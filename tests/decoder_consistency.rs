@@ -5,7 +5,7 @@ use eraser_repro::eraser_core::{DecoderKind, Experiment, PolicyKind};
 use eraser_repro::qec_core::circuit::DetectorBasis;
 use eraser_repro::qec_core::NoiseParams;
 use eraser_repro::qec_decoder::{
-    build_dem, DecoderFactory, DecodingGraph, MwpmFactory, Syndrome, UnionFindFactory,
+    build_dem, DecodingGraph, MwpmBatchDecoder, Syndrome, SyndromeDecoder, UnionFindBatchDecoder,
 };
 use eraser_repro::surface_code::{MemoryExperiment, RotatedCode};
 
@@ -61,10 +61,8 @@ fn decoders_agree_on_most_sampled_syndromes() {
     let detectors = exp.detectors();
     let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
     let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
-    let mwpm_factory = MwpmFactory::new(&graph);
-    let uf_factory = UnionFindFactory::new(&graph);
-    let mut mwpm = mwpm_factory.build();
-    let mut uf = uf_factory.build();
+    let mut mwpm = MwpmBatchDecoder::new(&graph);
+    let mut uf = UnionFindBatchDecoder::new(&graph);
 
     let mut rng = eraser_repro::qec_core::Rng::new(2718);
     let mut agree = 0;
