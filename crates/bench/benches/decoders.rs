@@ -80,17 +80,25 @@ fn main() {
             .iter()
             .map(|s| Syndrome::new(s.clone()))
             .collect();
-        let mut decoders: [Box<dyn SyndromeDecoder>; 3] = [
-            Box::new(MwpmBatchDecoder::new(&fixture.graph)),
-            Box::new(SparseMwpmDecoder::new(&fixture.graph)),
-            Box::new(UnionFindBatchDecoder::new(&fixture.graph)),
+        let mut decoders: [(DecoderKind, Box<dyn SyndromeDecoder>); 3] = [
+            (
+                DecoderKind::Mwpm,
+                Box::new(MwpmBatchDecoder::new(&fixture.graph)),
+            ),
+            (
+                DecoderKind::SparseMwpm,
+                Box::new(SparseMwpmDecoder::new(&fixture.graph)),
+            ),
+            (
+                DecoderKind::UnionFind,
+                Box::new(UnionFindBatchDecoder::new(&fixture.graph)),
+            ),
         ];
 
-        for decoder in &mut decoders {
-            h.bench(
-                &format!("decode_batch_32/d5_r10/{}", decoder.name()),
-                || count_flips(decoder.as_mut(), black_box(&syndromes)),
-            );
+        for (kind, decoder) in &mut decoders {
+            h.bench(&format!("decode_batch_32/d5_r10/{kind}"), || {
+                count_flips(decoder.as_mut(), black_box(&syndromes))
+            });
         }
 
         // The same 32-shot batch through the erasure `WeightOverlay`: a
@@ -118,11 +126,10 @@ fn main() {
                 syndrome
             })
             .collect();
-        for decoder in &mut decoders {
-            h.bench(
-                &format!("decode_batch_32_erasure/d5_r10/{}", decoder.name()),
-                || count_flips(decoder.as_mut(), black_box(&erasure_syndromes)),
-            );
+        for (kind, decoder) in &mut decoders {
+            h.bench(&format!("decode_batch_32_erasure/d5_r10/{kind}"), || {
+                count_flips(decoder.as_mut(), black_box(&erasure_syndromes))
+            });
         }
     }
 
@@ -202,7 +209,7 @@ fn main() {
 
         let mut mono = MwpmBatchDecoder::new(&graph);
         h.bench("decode_window_shot/d7_r110/monolithic_mwpm", || {
-            mono.decode_syndrome(black_box(&syndrome)).flip
+            mono.decode(black_box(&syndrome), None).flip
         });
 
         // The windowed chain always runs the tier ladder. This shot is
@@ -247,6 +254,6 @@ fn main() {
 fn count_flips(decoder: &mut dyn SyndromeDecoder, syndromes: &[Syndrome]) -> usize {
     syndromes
         .iter()
-        .filter(|s| decoder.decode_syndrome(s).flip)
+        .filter(|s| decoder.decode(s, None).flip)
         .count()
 }

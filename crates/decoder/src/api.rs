@@ -13,7 +13,11 @@
 //! * [`SyndromeDecoder`] — a *stateful* decoder instance. `&mut self` lets
 //!   implementations keep scratch buffers (matching arenas, cluster arrays,
 //!   candidate heaps) alive across shots, so a warm decoder performs no
-//!   per-shot heap allocation.
+//!   per-shot heap allocation. It has one decode call,
+//!   [`SyndromeDecoder::decode`], whose optional correction buffer receives
+//!   the correction as edges, and the tier-1 closed form
+//!   [`SyndromeDecoder::decode_tier1`]. A backend's name is its
+//!   [`crate::DecoderKind`].
 //!
 //! Each backend is built by its own constructors: `new(&graph)` computes the
 //! expensive per-graph table (the all-pairs-shortest-path table, the sparse
@@ -37,10 +41,15 @@
 //!
 //! let mut decoder = MwpmBatchDecoder::new(&graph); // all-pairs shortest paths, once
 //! let mut other = MwpmBatchDecoder::with_paths(&graph, Arc::clone(decoder.paths())); // cheap
-//! let outcome = decoder.decode_syndrome(&Syndrome::default());
+//! let outcome = decoder.decode(&Syndrome::default(), None);
 //! assert!(!outcome.flip); // no defects, no correction
 //! assert_eq!(outcome.defects, 0);
-//! assert_eq!(other.decode_syndrome(&Syndrome::new(vec![0, 1])).defects, 2);
+//!
+//! // The same call can also emit the correction as decoding-graph edges.
+//! let mut correction = Vec::new();
+//! let outcome = other.decode(&Syndrome::new(vec![0, 1]), Some(&mut correction));
+//! assert_eq!(outcome.defects, 2);
+//! assert!(!correction.is_empty());
 //! ```
 
 /// The sparse syndrome of one shot: fired detector nodes of one decoding
@@ -48,13 +57,13 @@
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Syndrome {
     /// Fired detector nodes, as decoding-graph node ids (see
-    /// [`crate::DecodingGraph::defects_from_events_into`]).
+    /// [`crate::DecodingGraph::node_of_detector`]).
     pub defects: Vec<usize>,
     /// Erasure set: decoding-graph **edge indices** whose locations a
     /// leakage-detection policy flagged as leaked during this shot (see
-    /// [`crate::DecodingGraph::erasure_edges_for`]). The decoders treat
-    /// these edges as near-free via a [`crate::WeightOverlay`]; an empty set
-    /// decodes bit-identically to the erasure-unaware path.
+    /// [`crate::DecodingGraph::erasure_edges_for_mechanism`]). The decoders
+    /// treat these edges as near-free via a [`crate::WeightOverlay`]; an
+    /// empty set decodes bit-identically to the erasure-unaware path.
     pub erasures: Vec<usize>,
 }
 
@@ -113,32 +122,28 @@ pub struct DecodeOutcome {
 /// shared table (see the module docs). `&mut self` is what allows scratch
 /// reuse: a warm decoder performs no per-shot heap allocation.
 pub trait SyndromeDecoder {
-    /// Decodes one syndrome.
-    fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome;
-
-    /// Decodes one syndrome and additionally emits the correction as
-    /// decoding-graph **edge indices** into `correction` (cleared first,
-    /// allocation reused; an edge may appear more than once — occurrences
-    /// XOR). The emitted edge set's observable-flip XOR always equals the
-    /// returned [`DecodeOutcome::flip`]; this is what lets the
-    /// sliding-window adapter ([`crate::window::WindowedDecoder`]) commit a
-    /// correction region by region.
-    fn decode_with_correction(
-        &mut self,
-        syndrome: &Syndrome,
-        correction: &mut Vec<usize>,
-    ) -> DecodeOutcome;
+    /// Decodes one syndrome. With `correction`, the correction is also
+    /// emitted as decoding-graph **edge indices** (cleared first, allocation
+    /// reused; an edge may appear more than once — occurrences XOR). The
+    /// emitted edge set's observable-flip XOR always equals the returned
+    /// [`DecodeOutcome::flip`]; this is what lets the sliding-window adapter
+    /// ([`crate::window::WindowedDecoder`]) commit a correction region by
+    /// region.
+    fn decode(&mut self, syndrome: &Syndrome, correction: Option<&mut Vec<usize>>)
+        -> DecodeOutcome;
 
     /// Tier-1 fast path: decodes a 1–2 defect, erasure-free syndrome in
-    /// closed form, bit-identically to the full decoder (flip, f64 weight
-    /// bits, and — when `correction` is given — the exact correction-edge
-    /// sequence), or returns `None` to defer to the full path.
+    /// closed form, bit-identically to [`SyndromeDecoder::decode`] (flip,
+    /// f64 weight bits, and — when `correction` is given — the exact
+    /// correction-edge sequence), or returns `None` to defer to it.
     ///
-    /// Implementations must return `None` whenever they cannot *guarantee*
-    /// bit-identity (ambiguous optimal matchings, order-dependent
-    /// corrections, out-of-scope syndromes: 0 or ≥ 3 defects, any
-    /// erasures). The default always defers, which is correct for any
-    /// backend; see [`crate::predecode`] for the tier ladder.
+    /// The backend owns this scope: callers ask on every syndrome, so an
+    /// implementation must return `None`, leaving `correction` untouched,
+    /// on out-of-scope syndromes (0 or ≥ 3 defects, any erasures) and
+    /// whenever it cannot *guarantee* bit-identity (ambiguous optimal
+    /// matchings, order-dependent corrections). The default always defers,
+    /// which is correct for any backend; see [`crate::predecode`] for the
+    /// tier ladder.
     fn decode_tier1(
         &mut self,
         syndrome: &Syndrome,
@@ -147,9 +152,6 @@ pub trait SyndromeDecoder {
         let _ = (syndrome, correction);
         None
     }
-
-    /// Human-readable decoder name (for experiment output).
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

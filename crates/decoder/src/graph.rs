@@ -301,24 +301,6 @@ impl DecodingGraph {
         self.detector_to_node[detector]
     }
 
-    /// The decoding-graph edge indices a leakage-detection flag on
-    /// `detector` could erase: every edge incident to the detector's node in
-    /// this graph. Empty when the detector belongs to the other basis.
-    ///
-    /// This is the *generic* (maximal) lookup; the runtime translates
-    /// leakage flags into [`crate::Syndrome::erasures`] through the exact
-    /// provenance map instead ([`DecodingGraph::erasure_edges_for_mechanism`]
-    /// over the mechanisms whose fault site touched the flagged qubit) —
-    /// erasing a flagged qubit's whole detector star creates short erased
-    /// cycles whose observable parity is ambiguous, while the provenance
-    /// edges are one-to-one with the heralded error mechanisms.
-    pub fn erasure_edges_for(&self, detector: usize) -> &[usize] {
-        match self.detector_to_node[detector] {
-            Some(node) => self.incident(node),
-            None => &[],
-        }
-    }
-
     /// The edge indices mechanism `mech` (an index into the source
     /// [`crate::DetectorErrorModel::mechanisms`]) landed on in this graph:
     /// one edge for an elementary mechanism, several for a decomposed
@@ -328,26 +310,6 @@ impl DecodingGraph {
     /// exact erased-edge set.
     pub fn erasure_edges_for_mechanism(&self, mech: usize) -> &[usize] {
         &self.mechanism_edges[self.mechanism_offsets[mech]..self.mechanism_offsets[mech + 1]]
-    }
-
-    /// Extracts the defect node list from a global detector-event bitmap.
-    pub fn defects_from_events(&self, events: &[bool]) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.defects_from_events_into(events, &mut out);
-        out
-    }
-
-    /// Extracts the defect node list into `out`, clearing it first and
-    /// reusing its allocation (the per-shot hot path of the runtime).
-    pub fn defects_from_events_into(&self, events: &[bool], out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.node_to_detector
-                .iter()
-                .enumerate()
-                .filter(|&(_, &det)| events[det])
-                .map(|(node, _)| node),
-        );
     }
 }
 
@@ -538,28 +500,6 @@ mod tests {
             .edges()
             .iter()
             .any(|e| e.b != boundary && !e.flips_observable));
-    }
-
-    #[test]
-    fn defect_extraction_matches_events() {
-        let (g, n_det) = graph_for(3, 2, DetectorBasis::Z);
-        let mut events = vec![false; n_det];
-        let det0 = g.detector_of_node(0);
-        let det3 = g.detector_of_node(3);
-        events[det0] = true;
-        events[det3] = true;
-        assert_eq!(g.defects_from_events(&events), vec![0, 3]);
-    }
-
-    #[test]
-    fn erasure_edges_for_is_the_detector_star() {
-        let (g, n_det) = graph_for(3, 3, DetectorBasis::Z);
-        for det in 0..n_det {
-            match g.node_of_detector(det) {
-                Some(node) => assert_eq!(g.erasure_edges_for(det), g.incident(node)),
-                None => assert!(g.erasure_edges_for(det).is_empty(), "other basis"),
-            }
-        }
     }
 
     #[test]

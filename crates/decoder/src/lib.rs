@@ -20,7 +20,9 @@
 //!   list of the matcher alive across solves, so a warm solve does not
 //!   allocate.
 //! * [`api`] — the stateful decoder interface: [`Syndrome`] in,
-//!   [`DecodeOutcome`] out, through a per-thread [`SyndromeDecoder`].
+//!   [`DecodeOutcome`] out, through a per-thread [`SyndromeDecoder`] with
+//!   one decode call ([`SyndromeDecoder::decode`], correction edges
+//!   optional) and its tier-1 closed form.
 //! * [`mwpm`] — the MWPM decoder: all-pairs shortest paths with
 //!   observable-parity tracking, then a certified exact solver (pruning,
 //!   components, subset DP) that proves its optimum unique, so it returns
@@ -84,7 +86,7 @@
 //! // scratch is then reused shot after shot.
 //! let mut decoder = MwpmBatchDecoder::new(&graph);
 //! let batch = vec![Syndrome::default(), Syndrome::new(vec![0, 1])];
-//! let outcomes: Vec<_> = batch.iter().map(|s| decoder.decode_syndrome(s)).collect();
+//! let outcomes: Vec<_> = batch.iter().map(|s| decoder.decode(s, None)).collect();
 //! assert!(!outcomes[0].flip); // no defects, no correction
 //! assert_eq!(outcomes[1].defects, 2);
 //! ```

@@ -812,7 +812,7 @@ fn scale_boundary(distance: f64, node: usize) -> i64 {
 /// // A second instance (say, for another thread) shares that table.
 /// let second = MwpmBatchDecoder::with_paths(&graph, Arc::clone(decoder.paths()));
 /// assert!(Arc::ptr_eq(decoder.paths(), second.paths()));
-/// assert!(!decoder.decode_syndrome(&Syndrome::default()).flip);
+/// assert!(!decoder.decode(&Syndrome::default(), None).flip);
 /// ```
 #[derive(Debug)]
 pub struct MwpmBatchDecoder<'g> {
@@ -926,13 +926,13 @@ impl<'g> MwpmBatchDecoder<'g> {
     }
 }
 
-impl MwpmBatchDecoder<'_> {
-    /// Shared decode core. With `correction`, the matched paths are also
-    /// emitted as edge indices; the returned flip is then computed from those
-    /// edges, which is bit-identical to the pairwise parity on the
-    /// erasure-free path (the walk is parity-consistent, see
-    /// [`ShortestPaths::path_edges`]) and self-consistent under erasures.
-    fn decode_inner(
+impl SyndromeDecoder for MwpmBatchDecoder<'_> {
+    /// With `correction`, the matched paths are also emitted as edge indices;
+    /// the returned flip is then computed from those edges, which is
+    /// bit-identical to the pairwise parity on the erasure-free path (the
+    /// walk is parity-consistent, see [`ShortestPaths::path_edges`]) and
+    /// self-consistent under erasures.
+    fn decode(
         &mut self,
         syndrome: &Syndrome,
         mut correction: Option<&mut Vec<usize>>,
@@ -1006,20 +1006,6 @@ impl MwpmBatchDecoder<'_> {
             nanos: start.elapsed().as_nanos() as u64,
         }
     }
-}
-
-impl SyndromeDecoder for MwpmBatchDecoder<'_> {
-    fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome {
-        self.decode_inner(syndrome, None)
-    }
-
-    fn decode_with_correction(
-        &mut self,
-        syndrome: &Syndrome,
-        correction: &mut Vec<usize>,
-    ) -> DecodeOutcome {
-        self.decode_inner(syndrome, Some(correction))
-    }
 
     /// 1–2 erasure-free defects, decided by the same certified solver the
     /// full path tries first, on the same staged costs: its answer is the
@@ -1054,10 +1040,6 @@ impl SyndromeDecoder for MwpmBatchDecoder<'_> {
             nanos: start.elapsed().as_nanos() as u64,
         })
     }
-
-    fn name(&self) -> &'static str {
-        "mwpm"
-    }
 }
 
 #[cfg(test)]
@@ -1080,7 +1062,7 @@ mod tests {
     fn empty_syndrome_decodes_trivially() {
         let (graph, _) = setup(3, 2);
         let mut decoder = MwpmBatchDecoder::new(&graph);
-        let outcome = decoder.decode_syndrome(&Syndrome::default());
+        let outcome = decoder.decode(&Syndrome::default(), None);
         assert!(!outcome.flip);
         assert_eq!(outcome.weight, 0.0);
         assert_eq!(outcome.defects, 0);
@@ -1148,7 +1130,7 @@ mod tests {
                     );
                     continue;
                 }
-                let predicted = decoder.decode_syndrome(&syndrome).flip;
+                let predicted = decoder.decode(&syndrome, None).flip;
                 assert_eq!(
                     predicted,
                     mech.flips_observable,
@@ -1216,7 +1198,7 @@ mod tests {
             .iter()
             .filter_map(|&det| graph.node_of_detector(det))
             .collect();
-        let outcome = decoder.decode_syndrome(&Syndrome::new(defects.clone()));
+        let outcome = decoder.decode(&Syndrome::new(defects.clone()), None);
         assert_eq!(outcome.defects, defects.len());
         assert!(outcome.weight > 0.0);
     }
@@ -1235,7 +1217,7 @@ mod tests {
     #[should_panic(expected = "defect on node 0 cut off from the boundary cannot be matched")]
     fn cut_off_defect_panics_on_the_full_path() {
         let graph = cut_off_decoder_graph();
-        MwpmBatchDecoder::new(&graph).decode_syndrome(&Syndrome::new(vec![0]));
+        MwpmBatchDecoder::new(&graph).decode(&Syndrome::new(vec![0]), None);
     }
 
     #[test]

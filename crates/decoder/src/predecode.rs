@@ -9,7 +9,7 @@
 //! | Tier | Applies to | Resolution |
 //! |------|------------|------------|
 //! | 0 | no defects, no erasures | skip outright ([`crate::DecodeOutcome::default`]) |
-//! | 1 | 1–2 defects, no erasures | closed form via [`crate::SyndromeDecoder::decode_tier1`] |
+//! | 1 | 1–2 defects, no erasures (the backend's scope) | closed form via [`crate::SyndromeDecoder::decode_tier1`] |
 //! | 2 | everything else | the configured backend, unchanged |
 //!
 //! Every tier is bit-identical to the untier'd path: the same flip, the
@@ -18,9 +18,11 @@
 //! tier 1 is each backend's own closed form (boundary match for one
 //! defect; min of pair-path vs two boundary matches for two), which
 //! *defers* (`None`) whenever the optimal matching is ambiguous so the
-//! full solver keeps making the tie-break. The union-find backend has no
-//! order-free closed form and always defers to tier 2; it still gets the
-//! tier-0 skip.
+//! full solver keeps making the tie-break. The backend owns the tier-1
+//! scope: the ladder asks `decode_tier1` on every non-empty window, and the
+//! backend defers (`None`, correction untouched) on anything other than
+//! 1–2 erasure-free defects. The union-find backend has no order-free
+//! closed form and always defers to tier 2; it still gets the tier-0 skip.
 //!
 //! The ladder is always on; there is no switch to turn it off. It runs
 //! inline in the streaming path every run decodes through,

@@ -181,7 +181,7 @@ struct Candidate {
 /// // A second instance (say, for another thread) shares that index.
 /// let second = SparseMwpmDecoder::with_index(&graph, Arc::clone(decoder.index()));
 /// assert!(Arc::ptr_eq(decoder.index(), second.index()));
-/// assert!(!decoder.decode_syndrome(&Syndrome::default()).flip);
+/// assert!(!decoder.decode(&Syndrome::default(), None).flip);
 /// ```
 #[derive(Debug)]
 pub struct SparseMwpmDecoder<'g> {
@@ -483,10 +483,12 @@ impl<'g> SparseMwpmDecoder<'g> {
             assert!(guard > 0, "pair predecessor chain failed to terminate");
         }
     }
+}
 
-    /// Shared decode core; with `correction`, matched paths are also emitted
-    /// as edge indices whose flip-XOR equals the returned flip.
-    fn decode_inner(
+impl SyndromeDecoder for SparseMwpmDecoder<'_> {
+    /// With `correction`, matched paths are also emitted as edge indices
+    /// whose flip-XOR equals the returned flip.
+    fn decode(
         &mut self,
         syndrome: &Syndrome,
         mut correction: Option<&mut Vec<usize>>,
@@ -698,20 +700,6 @@ impl<'g> SparseMwpmDecoder<'g> {
             nanos: start.elapsed().as_nanos() as u64,
         }
     }
-}
-
-impl SyndromeDecoder for SparseMwpmDecoder<'_> {
-    fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome {
-        self.decode_inner(syndrome, None)
-    }
-
-    fn decode_with_correction(
-        &mut self,
-        syndrome: &Syndrome,
-        correction: &mut Vec<usize>,
-    ) -> DecodeOutcome {
-        self.decode_inner(syndrome, Some(correction))
-    }
 
     /// Closed form for 1–2 erasure-free defects. One defect matches to the
     /// boundary straight off the shared index — no Dijkstra at all. Two
@@ -812,10 +800,6 @@ impl SyndromeDecoder for SparseMwpmDecoder<'_> {
             nanos: start.elapsed().as_nanos() as u64,
         })
     }
-
-    fn name(&self) -> &'static str {
-        "sparse-mwpm"
-    }
 }
 
 #[cfg(test)]
@@ -839,7 +823,7 @@ mod tests {
     fn empty_syndrome_decodes_trivially() {
         let (graph, _) = setup(3, 2);
         let mut decoder = SparseMwpmDecoder::new(&graph);
-        let outcome = decoder.decode_syndrome(&Syndrome::default());
+        let outcome = decoder.decode(&Syndrome::default(), None);
         assert!(!outcome.flip);
         assert_eq!(outcome.weight, 0.0);
         assert_eq!(outcome.defects, 0);
@@ -887,7 +871,7 @@ mod tests {
                 if syndrome.is_empty() {
                     continue;
                 }
-                let predicted = decoder.decode_syndrome(&syndrome).flip;
+                let predicted = decoder.decode(&syndrome, None).flip;
                 assert_eq!(
                     predicted, mech.flips_observable,
                     "single fault mis-corrected at d={d}: {mech:?}"
@@ -912,8 +896,8 @@ mod tests {
             for v in (u + 1)..n {
                 syndrome.clear();
                 syndrome.defects.extend([u, v]);
-                let a = dense.decode_syndrome(&syndrome);
-                let b = sparse.decode_syndrome(&syndrome);
+                let a = dense.decode(&syndrome, None);
+                let b = sparse.decode(&syndrome, None);
                 assert_eq!(
                     scale_weight(a.weight),
                     scale_weight(b.weight),
@@ -942,7 +926,7 @@ mod tests {
         syndrome
             .defects
             .extend((0..graph.num_nodes()).filter(|&v| events[v]));
-        let outcome = decoder.decode_with_correction(&syndrome, &mut correction);
+        let outcome = decoder.decode(&syndrome, Some(&mut correction));
         let xor = correction
             .iter()
             .fold(false, |acc, &ei| acc ^ graph.edges()[ei].flips_observable);

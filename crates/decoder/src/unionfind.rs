@@ -272,12 +272,12 @@ impl<'g> UnionFindBatchDecoder<'g> {
     }
 }
 
-impl UnionFindBatchDecoder<'_> {
-    /// Shared decode core. With `correction`, the peeled correction edges are
-    /// emitted directly — union-find's correction *is* an edge set, so no
-    /// path reconstruction is needed and the emitted XOR equals the returned
-    /// flip by construction.
-    fn decode_inner(
+impl SyndromeDecoder for UnionFindBatchDecoder<'_> {
+    /// With `correction`, the peeled correction edges are emitted directly —
+    /// union-find's correction *is* an edge set, so no path reconstruction
+    /// is needed and the emitted XOR equals the returned flip by
+    /// construction.
+    fn decode(
         &mut self,
         syndrome: &Syndrome,
         mut correction: Option<&mut Vec<usize>>,
@@ -380,24 +380,6 @@ impl UnionFindBatchDecoder<'_> {
     }
 }
 
-impl SyndromeDecoder for UnionFindBatchDecoder<'_> {
-    fn decode_syndrome(&mut self, syndrome: &Syndrome) -> DecodeOutcome {
-        self.decode_inner(syndrome, None)
-    }
-
-    fn decode_with_correction(
-        &mut self,
-        syndrome: &Syndrome,
-        correction: &mut Vec<usize>,
-    ) -> DecodeOutcome {
-        self.decode_inner(syndrome, Some(correction))
-    }
-
-    fn name(&self) -> &'static str {
-        "union-find"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +401,7 @@ mod tests {
     fn empty_defects() {
         let (graph, _) = setup(3, 2);
         let mut decoder = UnionFindBatchDecoder::new(&graph);
-        let outcome = decoder.decode_syndrome(&Syndrome::default());
+        let outcome = decoder.decode(&Syndrome::default(), None);
         assert!(!outcome.flip);
         assert_eq!(outcome.weight, 0.0);
     }
@@ -447,13 +429,13 @@ mod tests {
                 match syndrome.len() {
                     0 => {}
                     1 | 2 => assert_eq!(
-                        decoder.decode_syndrome(&syndrome).flip,
+                        decoder.decode(&syndrome, None).flip,
                         mech.flips_observable,
                         "UF mis-corrected elementary fault at d={d}: {mech:?}"
                     ),
                     _ => {
                         hyper_total += 1;
-                        if decoder.decode_syndrome(&syndrome).flip == mech.flips_observable {
+                        if decoder.decode(&syndrome, None).flip == mech.flips_observable {
                             hyper_ok += 1;
                         }
                     }
@@ -489,8 +471,8 @@ mod tests {
                 expected ^= mech.flips_observable;
             }
             let syndrome = Syndrome::new((0..graph.num_nodes()).filter(|&v| events[v]).collect());
-            let a = uf.decode_syndrome(&syndrome).flip;
-            let b = mwpm.decode_syndrome(&syndrome).flip;
+            let a = uf.decode(&syndrome, None).flip;
+            let b = mwpm.decode(&syndrome, None).flip;
             if a == b {
                 agree += 1;
             }

@@ -40,8 +40,8 @@
 //!   [`WindowedDecoder`] per worker thread via [`WindowPlan::streaming`].
 //! * [`StreamingDecoder`] / [`WindowedDecoder`] — the round-incremental
 //!   interface (`begin_shot` / `push_round` / `finish`) and its generic
-//!   implementation over any [`SyndromeDecoder`] that can report its
-//!   correction as edges ([`SyndromeDecoder::decode_with_correction`]), so
+//!   implementation over any [`SyndromeDecoder`], whose one decode call
+//!   can report its correction as edges ([`SyndromeDecoder::decode`]), so
 //!   dense MWPM, sparse MWPM, and union-find all gain streaming for free.
 //!
 //! A window covering all rounds decodes **bit-identically** to a whole-shot
@@ -533,7 +533,8 @@ impl WindowPlan {
 
 /// Round-incremental decoding of one shot: feed defects and erasures as each
 /// round completes, read the final logical prediction at the end. The
-/// streaming counterpart of [`SyndromeDecoder::decode_syndrome`].
+/// streaming counterpart of [`SyndromeDecoder::decode`]. Its backend's name
+/// is the plan's [`WindowPlan::backend`].
 pub trait StreamingDecoder {
     /// Starts a new shot, discarding any previous state.
     fn begin_shot(&mut self);
@@ -547,9 +548,6 @@ pub trait StreamingDecoder {
     /// Finishes the shot and returns the accumulated outcome (`defects` is
     /// the total pushed defect count; `nanos` the summed window decode time).
     fn finish(&mut self) -> DecodeOutcome;
-
-    /// Human-readable decoder name.
-    fn name(&self) -> &'static str;
 }
 
 /// The generic sliding-window adapter: buffers pushed rounds, decodes each
@@ -656,10 +654,11 @@ impl WindowedDecoder<'_> {
         self.local.erasures.sort_unstable();
         self.local.erasures.dedup();
 
-        // Tier 1: 1–2 defects and no erasures resolve in closed form when
-        // the backend guarantees bit-identity; otherwise tier 2 runs the
-        // full decoder. Carried-in defects are in the live set, so they
-        // count against the tier threshold.
+        // Tier 1: the backend resolves its closed-form scope (1–2 defects,
+        // no erasures) when it guarantees bit-identity and defers
+        // everything else; tier 2 then runs the full decoder. Carried-in
+        // defects are in the live set, so they count against the tier
+        // threshold.
         //
         // The final position commits everything and carries nothing, so
         // its outcome is the decoder's own flip and weight and no
@@ -670,15 +669,9 @@ impl WindowedDecoder<'_> {
         let last = pos.commit_rel == usize::MAX;
         let mut correction = (!last).then_some(&mut self.correction);
         let inner = &mut self.inner[pos.shape];
-        let fast = if matches!(self.local.defects.len(), 1 | 2) && self.local.erasures.is_empty() {
-            inner.decode_tier1(&self.local, correction.as_deref_mut())
-        } else {
-            None
-        };
-        let (tier, out) = match (fast, correction) {
-            (Some(out), _) => (1, out),
-            (None, Some(c)) => (2, inner.decode_with_correction(&self.local, c)),
-            (None, None) => (2, inner.decode_syndrome(&self.local)),
+        let (tier, out) = match inner.decode_tier1(&self.local, correction.as_deref_mut()) {
+            Some(out) => (1, out),
+            None => (2, inner.decode(&self.local, correction)),
         };
         self.counters.record(tier, out.nanos);
         let (flip, weight) = if last {
@@ -818,11 +811,6 @@ impl StreamingDecoder for WindowedDecoder<'_> {
             defects: self.total_defects,
             nanos: self.nanos,
         }
-    }
-
-    fn name(&self) -> &'static str {
-        // Every shape runs the plan's one backend.
-        self.inner[0].name()
     }
 }
 
@@ -1005,7 +993,6 @@ mod tests {
         assert!(dec.window_latencies().is_empty());
         assert_eq!(dec.tier_counters().hits[0], plan.num_positions() as u64);
         assert_eq!(dec.tier_counters().total(), plan.num_positions() as u64);
-        assert_eq!(dec.name(), "mwpm");
     }
 
     #[test]
@@ -1112,6 +1099,5 @@ mod tests {
         let plan = WindowPlan::new(&g, 21, 14, DecoderKind::Auto);
         assert_eq!(plan.backend(), DecoderKind::Mwpm);
         assert_eq!(plan.backend(), DecoderKind::Auto.resolve_window(&g, 21));
-        assert_eq!(plan.streaming().name(), "mwpm");
     }
 }

@@ -19,8 +19,8 @@
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, scale_weight, DecodingGraph, MwpmBatchDecoder, ShortestPaths, SparseMwpmDecoder,
-    Syndrome, SyndromeDecoder, UnionFindBatchDecoder, WeightOverlay,
+    build_dem, scale_weight, DecoderKind, DecodingGraph, MwpmBatchDecoder, ShortestPaths,
+    SparseMwpmDecoder, Syndrome, SyndromeDecoder, UnionFindBatchDecoder, WeightOverlay,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,10 +118,18 @@ fn fixture() -> (DecodingGraph, Vec<Syndrome>) {
 
 /// Decodes the batch twice to grow every scratch buffer to its
 /// steady-state size, then asserts a third identical pass allocates nothing.
-fn assert_warm_batch_is_allocation_free(mut decoder: impl SyndromeDecoder, syndromes: &[Syndrome]) {
+/// Each syndrome is decoded in both forms: bare, and emitting its
+/// correction edges into a reused vector (the form non-final windows use).
+fn assert_warm_batch_is_allocation_free(
+    kind: DecoderKind,
+    mut decoder: impl SyndromeDecoder,
+    syndromes: &[Syndrome],
+) {
+    let mut correction = Vec::new();
     let mut decode_pass = || {
         for syndrome in syndromes {
-            std::hint::black_box(decoder.decode_syndrome(syndrome));
+            std::hint::black_box(decoder.decode(syndrome, None));
+            std::hint::black_box(decoder.decode(syndrome, Some(&mut correction)));
         }
     };
     decode_pass();
@@ -130,10 +138,8 @@ fn assert_warm_batch_is_allocation_free(mut decoder: impl SyndromeDecoder, syndr
     decode_pass();
     let delta = allocations() - before;
     assert_eq!(
-        delta,
-        0,
-        "[{}] steady-state decoding allocated {delta} times",
-        decoder.name()
+        delta, 0,
+        "[{kind}] steady-state decoding allocated {delta} times"
     );
 }
 
@@ -147,9 +153,12 @@ fn warm_decoding_with_erasures_is_allocation_free() {
     let (graph, syndromes) = fixture();
 
     // The three backends, end to end.
-    assert_warm_batch_is_allocation_free(UnionFindBatchDecoder::new(&graph), &syndromes);
-    assert_warm_batch_is_allocation_free(MwpmBatchDecoder::new(&graph), &syndromes);
-    assert_warm_batch_is_allocation_free(SparseMwpmDecoder::new(&graph), &syndromes);
+    let union_find = UnionFindBatchDecoder::new(&graph);
+    assert_warm_batch_is_allocation_free(DecoderKind::UnionFind, union_find, &syndromes);
+    let mwpm = MwpmBatchDecoder::new(&graph);
+    assert_warm_batch_is_allocation_free(DecoderKind::Mwpm, mwpm, &syndromes);
+    let sparse = SparseMwpmDecoder::new(&graph);
+    assert_warm_batch_is_allocation_free(DecoderKind::SparseMwpm, sparse, &syndromes);
 
     // The `WeightOverlay` itself (apply -> effective_metrics -> restore) is
     // allocation-free once warm.

@@ -10,8 +10,9 @@
 use qec_core::circuit::DetectorBasis;
 use qec_core::{NoiseParams, Rng};
 use qec_decoder::{
-    build_dem, scale_weight, DecodeOutcome, DecodingGraph, DetectorErrorModel, MwpmBatchDecoder,
-    ShortestPaths, SparseMwpmDecoder, Syndrome, SyndromeDecoder, UnionFindBatchDecoder,
+    build_dem, scale_weight, DecodeOutcome, DecoderKind, DecodingGraph, DetectorErrorModel,
+    MwpmBatchDecoder, ShortestPaths, SparseMwpmDecoder, Syndrome, SyndromeDecoder,
+    UnionFindBatchDecoder,
 };
 use std::sync::Arc;
 use surface_code::{MemoryExperiment, RotatedCode};
@@ -51,21 +52,25 @@ fn random_syndromes(
     syndromes
 }
 
-/// One fresh instance of each backend, each computing its own table.
-fn backends(graph: &DecodingGraph) -> [Box<dyn SyndromeDecoder + '_>; 3] {
+/// One fresh instance of each backend, each computing its own table,
+/// labelled by its kind.
+fn backends(graph: &DecodingGraph) -> [(DecoderKind, Box<dyn SyndromeDecoder + '_>); 3] {
     [
-        Box::new(MwpmBatchDecoder::new(graph)),
-        Box::new(SparseMwpmDecoder::new(graph)),
-        Box::new(UnionFindBatchDecoder::new(graph)),
+        (DecoderKind::Mwpm, Box::new(MwpmBatchDecoder::new(graph))),
+        (
+            DecoderKind::SparseMwpm,
+            Box::new(SparseMwpmDecoder::new(graph)),
+        ),
+        (
+            DecoderKind::UnionFind,
+            Box::new(UnionFindBatchDecoder::new(graph)),
+        ),
     ]
 }
 
 /// Decodes `syndromes` in order on one (warming) instance.
 fn decode_all(decoder: &mut dyn SyndromeDecoder, syndromes: &[Syndrome]) -> Vec<DecodeOutcome> {
-    syndromes
-        .iter()
-        .map(|s| decoder.decode_syndrome(s))
-        .collect()
+    syndromes.iter().map(|s| decoder.decode(s, None)).collect()
 }
 
 /// Flip/weight/defects must agree; `nanos` is wall-clock and excluded.
@@ -74,6 +79,7 @@ fn same_prediction(a: &DecodeOutcome, b: &DecodeOutcome) -> bool {
 }
 
 fn check_equivalence(
+    kind: DecoderKind,
     batch_decoder: &mut dyn SyndromeDecoder,
     seq_decoder: &mut dyn SyndromeDecoder,
     syndromes: &[Syndrome],
@@ -83,11 +89,10 @@ fn check_equivalence(
 
     // Sequential pass on a *fresh* instance: per-shot must equal batch.
     for (syndrome, batched) in syndromes.iter().zip(&batch) {
-        let sequential = seq_decoder.decode_syndrome(syndrome);
+        let sequential = seq_decoder.decode(syndrome, None);
         assert!(
             same_prediction(&sequential, batched),
-            "[{}] batch != sequential on {:?}: {batched:?} vs {sequential:?}",
-            batch_decoder.name(),
+            "[{kind}] batch != sequential on {:?}: {batched:?} vs {sequential:?}",
             syndrome.defects,
         );
         assert_eq!(batched.defects, syndrome.len());
@@ -100,8 +105,7 @@ fn check_equivalence(
     for (first, second) in batch.iter().zip(&again) {
         assert!(
             same_prediction(first, second),
-            "[{}] warm-scratch rerun diverged: {first:?} vs {second:?}",
-            batch_decoder.name(),
+            "[{kind}] warm-scratch rerun diverged: {first:?} vs {second:?}",
         );
     }
 }
@@ -111,8 +115,9 @@ fn all_decoders_batch_and_sequential_agree() {
     for (d, rounds, seed) in [(3usize, 3usize, 42u64), (5, 3, 1337)] {
         let (graph, dem) = setup(d, rounds);
         let syndromes = random_syndromes(&graph, &dem, 120, seed);
-        for (mut batch, mut seq) in backends(&graph).into_iter().zip(backends(&graph)) {
-            check_equivalence(batch.as_mut(), seq.as_mut(), &syndromes);
+        for ((kind, mut batch), (_, mut seq)) in backends(&graph).into_iter().zip(backends(&graph))
+        {
+            check_equivalence(kind, batch.as_mut(), seq.as_mut(), &syndromes);
         }
     }
 }
@@ -130,8 +135,8 @@ fn sparse_matches_dense_weight_and_flip_on_random_batches() {
         let mut dense_dec = MwpmBatchDecoder::new(&graph);
         let mut sparse_dec = SparseMwpmDecoder::new(&graph);
         for (i, syndrome) in syndromes.iter().enumerate() {
-            let a = dense_dec.decode_syndrome(syndrome);
-            let b = sparse_dec.decode_syndrome(syndrome);
+            let a = dense_dec.decode(syndrome, None);
+            let b = sparse_dec.decode(syndrome, None);
             assert_eq!(
                 scale_weight(a.weight),
                 scale_weight(b.weight),
@@ -162,8 +167,8 @@ fn sparse_erasure_overlay_matches_dense_weight() {
         let mut dense_dec = MwpmBatchDecoder::new(&graph);
         let mut sparse_dec = SparseMwpmDecoder::new(&graph);
         for (i, syndrome) in syndromes.iter().enumerate() {
-            let a = dense_dec.decode_syndrome(syndrome);
-            let b = sparse_dec.decode_syndrome(syndrome);
+            let a = dense_dec.decode(syndrome, None);
+            let b = sparse_dec.decode(syndrome, None);
             assert_eq!(
                 scale_weight(a.weight),
                 scale_weight(b.weight),
@@ -238,7 +243,7 @@ fn empty_erasure_set_is_bit_identical_to_plain_path() {
         .into_iter()
         .zip(backends(&graph))
         .zip(backends(&graph));
-    for ((mut reference, mut fresh), mut warm) in instances {
+    for (((kind, mut reference), (_, mut fresh)), (_, mut warm)) in instances {
         let out_ref = decode_all(reference.as_mut(), &plain);
 
         // Fresh instance, same defects but through `with_erasures(.., [])`.
@@ -246,8 +251,7 @@ fn empty_erasure_set_is_bit_identical_to_plain_path() {
         for (a, b) in out_ref.iter().zip(&out) {
             assert!(
                 same_prediction(a, b),
-                "[{}] empty erasure set diverged: {a:?} vs {b:?}",
-                reference.name()
+                "[{kind}] empty erasure set diverged: {a:?} vs {b:?}"
             );
         }
 
@@ -258,8 +262,7 @@ fn empty_erasure_set_is_bit_identical_to_plain_path() {
         for (a, b) in out_ref.iter().zip(&out) {
             assert!(
                 same_prediction(a, b),
-                "[{}] warm-overlay empty-erasure decode diverged: {a:?} vs {b:?}",
-                reference.name()
+                "[{kind}] warm-overlay empty-erasure decode diverged: {a:?} vs {b:?}"
             );
         }
     }
@@ -275,22 +278,21 @@ fn warm_overlay_scratch_is_deterministic_across_batches() {
     attach_random_erasures(&graph, &mut syndromes, 99);
     assert!(syndromes.iter().any(|s| !s.erasures.is_empty()));
 
-    for (mut decoder, mut fresh) in backends(&graph).into_iter().zip(backends(&graph)) {
+    for ((kind, mut decoder), (_, mut fresh)) in backends(&graph).into_iter().zip(backends(&graph))
+    {
         let first = decode_all(decoder.as_mut(), &syndromes);
         let second = decode_all(decoder.as_mut(), &syndromes);
         for (a, b) in first.iter().zip(&second) {
             assert!(
                 same_prediction(a, b),
-                "[{}] warm overlay rerun diverged: {a:?} vs {b:?}",
-                decoder.name()
+                "[{kind}] warm overlay rerun diverged: {a:?} vs {b:?}"
             );
         }
         let fresh_out = decode_all(fresh.as_mut(), &syndromes);
         for (a, b) in first.iter().zip(&fresh_out) {
             assert!(
                 same_prediction(a, b),
-                "[{}] warm vs fresh instance diverged: {a:?} vs {b:?}",
-                decoder.name()
+                "[{kind}] warm vs fresh instance diverged: {a:?} vs {b:?}"
             );
         }
     }
@@ -309,8 +311,8 @@ fn erasures_reduce_matched_weight() {
         .expect("bulk edge");
     let e = &graph.edges()[ei];
     let mut decoder = MwpmBatchDecoder::new(&graph);
-    let plain = decoder.decode_syndrome(&Syndrome::new(vec![e.a, e.b]));
-    let erased = decoder.decode_syndrome(&Syndrome::with_erasures(vec![e.a, e.b], vec![ei]));
+    let plain = decoder.decode(&Syndrome::new(vec![e.a, e.b]), None);
+    let erased = decoder.decode(&Syndrome::with_erasures(vec![e.a, e.b], vec![ei]), None);
     assert!(plain.weight > 0.1, "paths have real weight: {plain:?}");
     assert!(
         erased.weight < plain.weight,

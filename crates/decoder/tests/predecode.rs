@@ -80,8 +80,7 @@ fn tiered_monolithic_is_bit_identical_to_full() {
             let plan = WindowPlan::new(&graph, span, span, backend);
             assert_eq!(plan.num_positions(), 1, "full cover");
             let mut tiered = plan.streaming();
-            assert_eq!(tiered.name(), full.name());
-            let mut rng = Rng::new(seed ^ full.name().len() as u64);
+            let mut rng = Rng::new(seed ^ backend.to_string().len() as u64);
             let mut by_round = vec![Vec::new(); span];
             let (mut empties, mut trials) = (0u64, 0u64);
             for trial in 0..160 {
@@ -98,7 +97,7 @@ fn tiered_monolithic_is_bit_identical_to_full() {
                     tiered.push_round(defects, erasures);
                 }
                 let t = tiered.finish();
-                let f = full.decode_syndrome(&syndrome);
+                let f = full.decode(&syndrome, None);
                 assert_eq!(
                     t.flip, f.flip,
                     "[{backend}] d={d} trial {trial} (k={k}, erased={erased}): flip diverged"
@@ -172,12 +171,40 @@ fn stream_shot(
     dec.finish()
 }
 
+/// Asserts that `decode_tier1` defers on `syndrome`, in both forms, and
+/// leaves a pre-filled correction vector untouched.
+fn assert_tier1_defers(decoder: &mut dyn SyndromeDecoder, syndrome: &Syndrome, what: &str) {
+    const PREFILLED: [usize; 3] = [7, 7, 7];
+    let mut correction = PREFILLED.to_vec();
+    let answered = decoder.decode_tier1(syndrome, Some(&mut correction));
+    assert!(
+        answered.is_none(),
+        "{what} {syndrome:?}: out of the tier-1 scope, yet answered"
+    );
+    assert_eq!(
+        correction, PREFILLED,
+        "{what} {syndrome:?}: a deferral touched the correction"
+    );
+    assert!(
+        decoder.decode_tier1(syndrome, None).is_none(),
+        "{what} {syndrome:?}"
+    );
+}
+
 /// Checks the tier-1 contract on one window shape, exhaustively: for every
 /// 1- and 2-defect syndrome, whenever `decode_tier1` answers, its flip, f64
 /// weight bits and exact correction-edge sequence equal the backend's full
-/// decode (and its correction-free form equals `decode_syndrome`). Returns
-/// how many calls, in either form, tier 1 answered.
-fn check_tier1_contract(decoder: &mut dyn SyndromeDecoder, nodes: usize, what: &str) -> u64 {
+/// decode (and its correction-free form equals `decode(.., None)`). The
+/// backend owns the scope, so it must also defer, correction untouched, on
+/// 0 defects, on 3 defects, and on every 1- and 2-defect syndrome that
+/// carries one erased edge. Returns how many calls, in either form, tier 1
+/// answered.
+fn check_tier1_contract(decoder: &mut dyn SyndromeDecoder, g: &DecodingGraph, what: &str) -> u64 {
+    let nodes = g.num_nodes();
+    assert_tier1_defers(decoder, &Syndrome::default(), what);
+    for a in 0..nodes.saturating_sub(2) {
+        assert_tier1_defers(decoder, &Syndrome::new(vec![a, a + 1, a + 2]), what);
+    }
     let mut syndrome = Syndrome::default();
     let (mut fast_correction, mut full_correction) = (Vec::new(), Vec::new());
     let mut answered = 0u64;
@@ -191,7 +218,7 @@ fn check_tier1_contract(decoder: &mut dyn SyndromeDecoder, nodes: usize, what: &
             fast_correction.clear();
             if let Some(fast) = decoder.decode_tier1(&syndrome, Some(&mut fast_correction)) {
                 answered += 1;
-                let full = decoder.decode_with_correction(&syndrome, &mut full_correction);
+                let full = decoder.decode(&syndrome, Some(&mut full_correction));
                 let at = format!("{what} defects {:?}", syndrome.defects);
                 assert_eq!(fast.flip, full.flip, "{at}: flip diverged");
                 assert_eq!(
@@ -209,12 +236,15 @@ fn check_tier1_contract(decoder: &mut dyn SyndromeDecoder, nodes: usize, what: &
             }
             if let Some(fast) = decoder.decode_tier1(&syndrome, None) {
                 answered += 1;
-                let full = decoder.decode_syndrome(&syndrome);
+                let full = decoder.decode(&syndrome, None);
                 let at = format!("{what} defects {:?} (no correction)", syndrome.defects);
                 assert_eq!(fast.flip, full.flip, "{at}: flip diverged");
                 assert_eq!(fast.weight.to_bits(), full.weight.to_bits(), "{at}");
                 assert_eq!(fast.defects, full.defects, "{at}");
             }
+            syndrome.erasures.push(g.incident(a)[0]);
+            assert_tier1_defers(decoder, &syndrome, what);
+            syndrome.erasures.clear();
         }
     }
     answered
@@ -238,10 +268,10 @@ fn tiered_windowed_is_bit_identical_to_full() {
         for lo in [0, window, last] {
             let shape = WindowGraph::build(&graph, lo, lo + window - 1);
             let g = shape.graph();
-            for mut decoder in bare_backends(g) {
-                let what = format!("[{}] d={d} window [{lo}, {}]", decoder.name(), shape.hi());
-                let answered = check_tier1_contract(decoder.as_mut(), g.num_nodes(), &what);
-                if decoder.name() == "union-find" {
+            for (backend, mut decoder) in BACKENDS.into_iter().zip(bare_backends(g)) {
+                let what = format!("[{backend}] d={d} window [{lo}, {}]", shape.hi());
+                let answered = check_tier1_contract(decoder.as_mut(), g, &what);
+                if backend == DecoderKind::UnionFind {
                     assert_eq!(answered, 0, "{what}: union-find has no closed form");
                 } else {
                     assert!(answered > 0, "{what}: tier 1 must answer to be checked");

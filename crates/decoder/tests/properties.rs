@@ -131,9 +131,9 @@ fn mwpm_decodes_xor_of_two_mechanisms_consistently() {
             }
         }
         let syndrome = Syndrome::new((0..graph.num_nodes()).filter(|&n| events[n]).collect());
-        let first = decoder.decode_syndrome(&syndrome).flip;
-        let second = decoder.decode_syndrome(&syndrome).flip;
+        let first = decoder.decode(&syndrome, None).flip;
+        let second = decoder.decode(&syndrome, None).flip;
         assert_eq!(first, second, "decoding must be deterministic");
-        assert!(!decoder.decode_syndrome(&Syndrome::default()).flip);
+        assert!(!decoder.decode(&Syndrome::default(), None).flip);
     }
 }

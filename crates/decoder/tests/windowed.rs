@@ -123,7 +123,7 @@ fn full_cover_window_is_bit_identical_to_monolithic() {
                     erasures.dedup();
                 }
                 let syndrome = Syndrome::with_erasures(defects.clone(), erasures);
-                let mono_out = mono.decode_syndrome(&syndrome);
+                let mono_out = mono.decode(&syndrome, None);
                 let win_out = stream_shot(&mut windowed, &graph, &defects, &erasures_by_round);
                 assert_eq!(
                     win_out.flip, mono_out.flip,
@@ -204,7 +204,7 @@ fn sliding_windows_track_monolithic_on_random_syndromes() {
         for trial in 0..trials {
             let faults = (1 + (trial % 6)) as usize;
             let (defects, expected) = sample_syndrome(&graph, &dem, &mut rng, faults);
-            let m = mono.decode_syndrome(&Syndrome::new(defects.clone())).flip;
+            let m = mono.decode(&Syndrome::new(defects.clone()), None).flip;
             let w = stream_shot(&mut windowed, &graph, &defects, &[]).flip;
             agree += i64::from(m == w);
             mono_ok += i64::from(m == expected);
@@ -274,10 +274,10 @@ fn erasure_straddling_a_window_boundary_is_window_relative() {
     }
 }
 
-/// The `decode_with_correction` contract the window committer relies on:
-/// the emitted edges' observable-flip XOR equals the returned flip — for all
-/// three decoders, with and without erasures — and the erasure-free outcome
-/// is bit-identical to `decode_syndrome`.
+/// The contract of `decode`'s correction form that the window committer
+/// relies on: the emitted edges' observable-flip XOR equals the returned
+/// flip — for all three decoders, with and without erasures — and the
+/// erasure-free outcome matches the correction-free form `decode(.., None)`.
 #[test]
 fn correction_edges_xor_to_the_outcome_flip() {
     let (graph, dem) = setup(3, 5);
@@ -296,7 +296,7 @@ fn correction_edges_xor_to_the_outcome_flip() {
                 erasures.dedup();
             }
             let syndrome = Syndrome::with_erasures(defects, erasures);
-            let out = with.decode_with_correction(&syndrome, &mut correction);
+            let out = with.decode(&syndrome, Some(&mut correction));
             let xor = correction
                 .iter()
                 .fold(false, |acc, &ei| acc ^ graph.edges()[ei].flips_observable);
@@ -306,7 +306,7 @@ fn correction_edges_xor_to_the_outcome_flip() {
                 backend
             );
             if syndrome.erasures.is_empty() {
-                let plain = without.decode_syndrome(&syndrome);
+                let plain = without.decode(&syndrome, None);
                 assert_eq!(plain.flip, out.flip, "[{}] trial {trial}", backend);
                 assert!((plain.weight - out.weight).abs() < 1e-6);
             }

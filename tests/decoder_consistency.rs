@@ -82,7 +82,7 @@ fn decoders_agree_on_most_sampled_syndromes() {
         syndrome
             .defects
             .extend((0..graph.num_nodes()).filter(|&n| events[n]));
-        if mwpm.decode_syndrome(&syndrome).flip == uf.decode_syndrome(&syndrome).flip {
+        if mwpm.decode(&syndrome, None).flip == uf.decode(&syndrome, None).flip {
             agree += 1;
         }
     }
