@@ -36,7 +36,7 @@ use qec_decoder::DecoderKind;
 use surface_code::MemoryBasis;
 
 /// Default capacity of the process-wide cache: generous for every sweep in
-/// the repo (a full-cover d=7, R=124 APSP table is ~80 MB) while bounding a
+/// the repo (a full-cover d=7, R=124 APSP table is ~36 MB) while bounding a
 /// long-running server that sees many tenants' grids.
 const GLOBAL_CAPACITY_BYTES: usize = 256 << 20;
 

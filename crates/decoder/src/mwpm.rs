@@ -78,6 +78,7 @@
 //! allocate.
 
 use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
+use crate::fxhash::FxHashMap;
 use crate::graph::DecodingGraph;
 use crate::matching::MatchingContext;
 use crate::overlay::{DijkstraScratch, WeightOverlay};
@@ -90,22 +91,35 @@ use std::time::Instant;
 
 /// All-pairs shortest paths over a decoding graph (boundary node included),
 /// with observable parity tracked along each shortest path.
+///
+/// A table holds few distinct distances (hundreds to a few thousand of its
+/// n² entries), so each entry is 4 bytes: the index of its distance in the
+/// table's sorted dictionary of distinct `f64` bit patterns, and its
+/// parity. Every distance reads back bit for bit.
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
     n: usize,
-    dist: Vec<f64>,
-    obs: Vec<bool>,
+    /// `entries[u * n + v]`: the index of `distance(u, v)` in `values`,
+    /// shifted left by one, with `observable_parity(u, v)` in the low bit.
+    entries: Vec<u32>,
+    /// The table's distinct distances, ascending. All are non-negative, so
+    /// their bit patterns order as the values do.
+    values: Vec<f64>,
 }
 
 impl ShortestPaths {
-    /// Runs Dijkstra from every node. Memory is O((nodes+1)²); decoding
-    /// graphs beyond ~10⁴ nodes should use the union-find decoder instead.
+    /// Runs Dijkstra from every node. Memory is 4 bytes per entry,
+    /// O((nodes+1)²); a graph too large for that decodes on the sparse
+    /// index instead, which [`DecoderKind::Auto`](crate::DecoderKind::Auto)
+    /// picks (`sparse-mwpm`) above its node limit.
     ///
     /// Source rows are independent, so a large table splits them across
     /// every available core. Each row is computed as it would be on one
-    /// thread, so the table is bit-identical for any split. The rows run
-    /// on a packed copy of the adjacency ([`DecodingGraph::incident`]
-    /// order kept) with one heap reused per worker.
+    /// thread, and its distances are coded through a dictionary sorted
+    /// once all rows are done, so the table is bit-identical for any
+    /// split. The rows run on a packed copy of the adjacency
+    /// ([`DecodingGraph::incident`] order kept) with one heap reused per
+    /// worker.
     pub fn compute(graph: &DecodingGraph) -> ShortestPaths {
         // Below this many adjacency scans per worker, a thread spawn (tens
         // of µs) stops being noise next to the rows it would take over.
@@ -129,40 +143,85 @@ impl ShortestPaths {
         Self::from_adjacency(&FlatAdjacency::new(graph), threads)
     }
 
+    /// Each worker codes its rows against a dictionary of its own, with ids
+    /// in first-seen order; one merge then sorts the distinct values of all
+    /// chunks, and one pass per chunk rewrites its ids as indices into them.
     fn from_adjacency(adj: &FlatAdjacency, threads: usize) -> ShortestPaths {
         let n = adj.num_nodes();
-        // Zeroed tables: every worker overwrites its own rows in full, so
+        // Every id is below n², so the shifted id and its parity bit fit a
+        // u32 (and never reach the `UNREACHED` mark).
+        assert!(
+            n.checked_mul(n).is_some_and(|len| len < 1 << 31),
+            "a shortest-path table of {n} nodes exceeds 2^31 entries"
+        );
+        // Zeroed table: every worker overwrites its own rows in full, so
         // their pages are first touched by the thread that fills them.
-        let mut dist = vec![0.0; n * n];
-        let mut obs = vec![false; n * n];
+        let mut entries = vec![0u32; n * n];
         let rows_per = n.div_ceil(threads.clamp(1, n));
-        std::thread::scope(|scope| {
-            let mut chunks = dist
-                .chunks_mut(rows_per * n)
-                .zip(obs.chunks_mut(rows_per * n))
-                .enumerate();
-            let (_, (dist0, obs0)) = chunks.next().expect("the boundary node is a row");
-            for (k, (dist, obs)) in chunks {
-                scope.spawn(move || adj.fill_rows(k * rows_per, dist, obs));
-            }
-            adj.fill_rows(0, dist0, obs0);
+        let dicts: Vec<ChunkValues> = std::thread::scope(|scope| {
+            let mut chunks = entries.chunks_mut(rows_per * n).enumerate();
+            let (_, rows0) = chunks.next().expect("the boundary node is a row");
+            let workers: Vec<_> = chunks
+                .map(|(k, rows)| scope.spawn(move || adj.fill_rows(k * rows_per, rows)))
+                .collect();
+            let first = adj.fill_rows(0, rows0);
+            iter::once(first)
+                .chain(
+                    workers
+                        .into_iter()
+                        .map(|w| w.join().expect("row worker panicked")),
+                )
+                .collect()
         });
-        ShortestPaths { n, dist, obs }
+        let mut values: Vec<f64> = dicts
+            .iter()
+            .flat_map(|d| d.values.iter().copied())
+            .collect();
+        values.sort_unstable_by_key(|v| v.to_bits());
+        values.dedup_by_key(|v| v.to_bits());
+        let index_of = |v: &f64| {
+            let at = values.binary_search_by_key(&v.to_bits(), |w| w.to_bits());
+            at.expect("every chunk value is in the merged dictionary") as u32
+        };
+        for (rows, dict) in entries.chunks_mut(rows_per * n).zip(&dicts) {
+            let remap: Vec<u32> = dict.values.iter().map(index_of).collect();
+            for entry in rows {
+                *entry = (remap[(*entry >> 1) as usize] << 1) | (*entry & 1);
+            }
+        }
+        ShortestPaths { n, entries, values }
     }
 
     /// Approximate heap footprint, for size-bounded artifact caches.
     pub fn approx_bytes(&self) -> usize {
-        self.dist.len() * std::mem::size_of::<f64>() + self.obs.len()
+        std::mem::size_of_val(&self.entries[..]) + std::mem::size_of_val(&self.values[..])
     }
 
     /// Shortest-path length between two nodes (boundary = `num_nodes`).
     pub fn distance(&self, u: usize, v: usize) -> f64 {
-        self.dist[u * self.n + v]
+        self.values[self.value_index(u, v)]
     }
 
     /// Observable parity along the shortest path between two nodes.
     pub fn observable_parity(&self, u: usize, v: usize) -> bool {
-        self.obs[u * self.n + v]
+        self.entries[u * self.n + v] & 1 != 0
+    }
+
+    /// The index of [`ShortestPaths::distance`]`(u, v)` in
+    /// [`ShortestPaths::values`].
+    pub(crate) fn value_index(&self, u: usize, v: usize) -> usize {
+        (self.entries[u * self.n + v] >> 1) as usize
+    }
+
+    /// The table's distinct distances, ascending.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The coded entries, row-major.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[u32] {
+        &self.entries
     }
 
     /// Number of nodes including the boundary.
@@ -280,33 +339,42 @@ impl FlatAdjacency {
         self.start.len() - 1
     }
 
-    /// Fills the table rows of sources `first..`, one per `n` entries of
-    /// `dist` and `obs`, reusing one heap across them.
-    fn fill_rows(&self, first: usize, dist: &mut [f64], obs: &mut [bool]) {
+    /// Fills the table rows of sources `first..`, `n` entries each, coded
+    /// against the returned chunk dictionary, reusing one heap and one
+    /// distance row across them.
+    fn fill_rows(&self, first: usize, entries: &mut [u32]) -> ChunkValues {
         let n = self.num_nodes();
         let mut heap = BinaryHeap::new();
-        for (k, (dist, obs)) in dist
-            .chunks_exact_mut(n)
-            .zip(obs.chunks_exact_mut(n))
-            .enumerate()
-        {
-            self.dijkstra(first + k, dist, obs, &mut heap);
+        let mut dist = vec![0.0; n];
+        let mut dict = ChunkValues::default();
+        for (k, row) in entries.chunks_exact_mut(n).enumerate() {
+            self.dijkstra(first + k, row, &mut dist, &mut dict, &mut heap);
         }
+        dict
     }
 
+    /// One source row. Nodes settle in pop order, whose distances never
+    /// decrease, so equal distances settle one after another and the
+    /// dictionary is asked only where the distance changes.
     fn dijkstra(
         &self,
         src: usize,
+        row: &mut [u32],
         dist: &mut [f64],
-        obs: &mut [bool],
+        dict: &mut ChunkValues,
         heap: &mut BinaryHeap<Reverse<u128>>,
     ) {
+        // Until a node settles, its entry holds only the parity of its
+        // best path so far; a node never reached keeps `UNREACHED`.
+        row.fill(UNREACHED);
         dist.fill(f64::INFINITY);
-        obs.fill(false);
+        row[src] = 0;
         dist[src] = 0.0;
         heap.push(Reverse(heap_key(0.0, src)));
+        let (mut last, mut id) = (None, 0);
         while let Some(Reverse(key)) = heap.pop() {
-            let (d, u) = (f64::from_bits((key >> 64) as u64), key as u64 as usize);
+            let (bits, u) = ((key >> 64) as u64, key as u64 as usize);
+            let d = f64::from_bits(bits);
             // A push strictly lowers its node's distance and weights are
             // positive, so only a node's first pop is live: no `done` set.
             // Keys are distinct, so any exact min-heap pops them in the
@@ -314,16 +382,51 @@ impl FlatAdjacency {
             if d > dist[u] {
                 continue;
             }
+            if last != Some(bits) {
+                (last, id) = (Some(bits), dict.id_of(bits));
+            }
+            let parity = row[u];
+            row[u] = (id << 1) | parity;
             for hop in &self.hops[self.start[u] as usize..self.start[u + 1] as usize] {
                 let v = hop.to as usize;
                 let nd = d + hop.weight;
                 if nd < dist[v] {
                     dist[v] = nd;
-                    obs[v] = obs[u] ^ hop.flips;
+                    row[v] = parity ^ u32::from(hop.flips);
                     heap.push(Reverse(heap_key(nd, v)));
                 }
             }
         }
+        if row.contains(&UNREACHED) {
+            let unreached = dict.id_of(f64::INFINITY.to_bits()) << 1;
+            for entry in row.iter_mut().filter(|e| **e == UNREACHED) {
+                *entry = unreached;
+            }
+        }
+    }
+}
+
+/// A row entry whose node no path has reached yet.
+const UNREACHED: u32 = u32::MAX;
+
+/// One row worker's distance dictionary, ids in first-seen order.
+#[derive(Default)]
+struct ChunkValues {
+    /// The distinct distances seen, by id.
+    values: Vec<f64>,
+    /// The id of each seen distance, by its bits.
+    ids: FxHashMap<u64, u32>,
+}
+
+impl ChunkValues {
+    /// The id of the distance with bits `bits`, a new one if the chunk has
+    /// not seen it.
+    fn id_of(&mut self, bits: u64) -> u32 {
+        let values = &mut self.values;
+        *self.ids.entry(bits).or_insert_with(|| {
+            values.push(f64::from_bits(bits));
+            (values.len() - 1) as u32
+        })
     }
 }
 
@@ -777,19 +880,18 @@ impl ComponentDp<'_> {
     }
 }
 
-/// Scales a defect's distance to the boundary.
+/// Checks a defect's distance to the boundary before it is staged.
 ///
 /// # Panics
 ///
 /// Panics if the defect is cut off from the boundary: it then has no
 /// perfect matching of its own, and the infinite cost would overflow both
 /// solvers.
-fn scale_boundary(distance: f64, node: usize) -> i64 {
+fn check_boundary(distance: f64, node: usize) {
     assert!(
         distance.is_finite(),
         "defect on node {node} cut off from the boundary cannot be matched"
     );
-    scale_weight(distance)
 }
 
 /// Stateful MWPM decoder instance: one per worker thread. Owns the matching
@@ -818,6 +920,8 @@ fn scale_boundary(distance: f64, node: usize) -> i64 {
 pub struct MwpmBatchDecoder<'g> {
     graph: &'g DecodingGraph,
     paths: Arc<ShortestPaths>,
+    /// [`scale_weight`] of each of the table's distinct distances.
+    scaled: Vec<i64>,
     matching: DefectMatching,
     overlay: WeightOverlay,
     eff_dist: Vec<f64>,
@@ -846,6 +950,7 @@ impl<'g> MwpmBatchDecoder<'g> {
         );
         MwpmBatchDecoder {
             graph,
+            scaled: paths.values().iter().map(|&d| scale_weight(d)).collect(),
             paths,
             matching: DefectMatching::default(),
             overlay: WeightOverlay::new(),
@@ -865,18 +970,21 @@ impl<'g> MwpmBatchDecoder<'g> {
         &self.paths
     }
 
-    /// Stages the defects' shortest-path costs into `self.matching`.
+    /// Stages the defects' shortest-path costs into `self.matching`, read
+    /// from the scaled dictionary.
     fn stage_paths(&mut self, defects: &[usize]) {
         let k = defects.len();
         let boundary = self.graph.boundary();
+        let (paths, scaled) = (&self.paths, &self.scaled);
         let m = &mut self.matching;
         m.stage(k);
         for i in 0..k {
             for j in (i + 1)..k {
-                m.scaled[i * k + j] = scale_weight(self.paths.distance(defects[i], defects[j]));
+                m.scaled[i * k + j] = scaled[paths.value_index(defects[i], defects[j])];
             }
-            m.scaled_boundary[i] =
-                scale_boundary(self.paths.distance(defects[i], boundary), defects[i]);
+            let to_boundary = paths.value_index(defects[i], boundary);
+            check_boundary(paths.values()[to_boundary], defects[i]);
+            m.scaled_boundary[i] = scaled[to_boundary];
         }
     }
 
@@ -891,7 +999,8 @@ impl<'g> MwpmBatchDecoder<'g> {
             for j in (i + 1)..k {
                 m.scaled[i * k + j] = scale_weight(self.eff_dist[i * t + j]);
             }
-            m.scaled_boundary[i] = scale_boundary(self.eff_dist[i * t + k], node);
+            check_boundary(self.eff_dist[i * t + k], node);
+            m.scaled_boundary[i] = scale_weight(self.eff_dist[i * t + k]);
         }
     }
 

@@ -594,9 +594,32 @@ fn shortest_paths_match_the_reference_on_every_window_shape() {
             for (s, shape) in plan.shape_graphs().enumerate() {
                 let n = shape.num_nodes() + 1;
                 let rows: Vec<_> = (0..n).map(|src| dijkstra(shape, src)).collect();
+                let one_thread = ShortestPaths::compute_on(shape, 1);
                 for threads in 1..=3 {
                     let paths = ShortestPaths::compute_on(shape, threads);
                     assert_eq!(paths.num_nodes_with_boundary(), n);
+                    // The coding itself, not only what reads back through
+                    // it, is independent of the row split.
+                    assert_eq!(
+                        paths.entries(),
+                        one_thread.entries(),
+                        "d={d} W={window} shape {s}, {threads} threads: entries"
+                    );
+                    assert!(
+                        paths
+                            .values()
+                            .windows(2)
+                            .all(|w| w[0].to_bits() < w[1].to_bits()),
+                        "d={d} W={window} shape {s}, {threads} threads: values not ascending"
+                    );
+                    assert!(
+                        paths
+                            .values()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .eq(one_thread.values().iter().map(|v| v.to_bits())),
+                        "d={d} W={window} shape {s}, {threads} threads: values"
+                    );
                     for (u, (dist, obs)) in rows.iter().enumerate() {
                         for v in 0..n {
                             assert_eq!(

@@ -933,6 +933,20 @@ mod tests {
         assert!(by_backend["union-find"] < by_backend["mwpm"]);
     }
 
+    /// The `stream-d7` plan (d = 7, R = 70, 21/14 windows, dense MWPM) with
+    /// its path tables dictionary-coded at 4 bytes per entry: 6.93 MiB at 9
+    /// bytes per entry, 3.29 MiB coded.
+    #[test]
+    fn stream_d7_plan_fits_its_coded_size() {
+        let g = graph(7, 70);
+        let plan = WindowPlan::new(&g, 21, 14, DecoderKind::Mwpm);
+        let bytes = plan.approx_decoder_bytes();
+        assert!(
+            bytes * 2 <= 7 << 20,
+            "stream-d7 plan holds {bytes} B, over 3.5 MiB"
+        );
+    }
+
     #[test]
     fn plan_positions_tile_the_rounds() {
         let g = graph(3, 11);

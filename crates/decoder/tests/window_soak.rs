@@ -2,8 +2,8 @@
 //! path with peak decoder memory **independent of R** and stable, bounded
 //! per-shot allocations.
 //!
-//! Monolithic MWPM at this size is not even constructible — the all-pairs
-//! table would hold (12012+1)² ≈ 1.4·10⁸ entries ≈ 1.3 GB. The window plan
+//! Monolithic MWPM at this size is impractical — the all-pairs table would
+//! hold (12012+1)² ≈ 1.4·10⁸ entries ≈ 0.58 GB at 4 bytes each. The window plan
 //! instead carries a handful of O(window²) shapes plus thin O(R) position
 //! maps; this suite pins those properties with a counting **and
 //! byte-tracking** global allocator (the same harness idea as
@@ -132,7 +132,7 @@ fn d5_r1000_windowed_decode_has_r_independent_peak_memory() {
     assert!(plan_long.num_shapes() <= 4, "O(1) window shapes");
     assert!(plan_long.num_positions() >= 99);
 
-    // (2) The plan's resident footprint is megabytes, not the ~1.3 GB the
+    // (2) The plan's resident footprint is megabytes, not the ~0.58 GB the
     // monolithic APSP would need at this size; only the thin per-position
     // edge maps grow (linearly) with R.
     assert!(
