@@ -4,24 +4,19 @@
 //! events and ERASER+M's |L⟩ readout labels — and retunes the LRC density
 //! mid-run.
 //!
-//! The subsystem is three small layers:
-//!
-//! * [`LeakageEstimator`] — turns per-round [`ControlSignals`] into a
-//!   leakage-rate estimate. [`EwmaEstimator`] is the reference
-//!   implementation: an exponentially-weighted moving average kept in Q16
-//!   fixed point (65536 = rate 1.0) so every statistic the runner merges
-//!   stays integer-valued and bit-identical across thread counts and
-//!   stripe widths.
-//! * [`ControlLaw`] — maps the estimate to a [`ControlMode`].
-//!   [`EwmaThresholdLaw`] is a hysteresis escalator (quiet steady state →
-//!   ERASER+M during detected storms); [`FixedBudgetLaw`] additionally
-//!   spends a per-shot LRC quota where the estimator says leakage lives.
-//! * [`AdaptivePolicy`] — an [`LrcPolicy`] that runs a cheap base policy
-//!   in `Base` mode and a full ERASER+M instance in `Escalated` mode,
-//!   switching per round on the law's decision. In the 64-lane striped
-//!   runtime each lane carries its own controller; decisions surface as
-//!   per-lane masks over the static `SlotTable` schedule, so the
-//!   bit-packed path never leaves its masked-op IR.
+//! The subsystem is one policy, [`AdaptivePolicy`]: an [`LrcPolicy`] that
+//! runs a cheap base policy in `Base` mode and a full ERASER+M instance in
+//! `Escalated` mode, switching per round. Each round it folds the round's
+//! leakage-activity rate into an exponentially-weighted moving average
+//! kept in Q16 fixed point (65536 = rate 1.0), so every statistic the
+//! runner merges stays integer-valued and bit-identical across thread
+//! counts and stripe widths. A hysteresis law then maps the estimate to the
+//! mode: escalate above `up`, de-escalate below `down`, never switch before
+//! the dwell time, and (the `adaptive-budget` law) stop escalating once a
+//! per-shot LRC quota is spent. In the 64-lane striped runtime each lane
+//! carries its own controller; decisions surface as per-lane masks over the
+//! static `SlotTable` schedule, so the bit-packed path never leaves its
+//! masked-op IR.
 //!
 //! [`LeakageProfile`] generalizes the leakage-storm test scenario into a
 //! first-class noise schedule (stationary, bursts, ramps) injected by the
@@ -107,11 +102,6 @@ impl LeakageProfile {
                 }
             }
         }
-    }
-
-    /// True when the profile never injects anything.
-    pub fn is_stationary(&self) -> bool {
-        *self == LeakageProfile::Stationary
     }
 
     /// Validates the profile's knobs.
@@ -202,150 +192,79 @@ impl LeakageProfile {
 }
 
 // ---------------------------------------------------------------------------
-// Estimators
+// The control law
 // ---------------------------------------------------------------------------
 
-/// The per-round observables a controller can see without any oracle
-/// access: syndrome detection-event counts and (under multi-level readout)
-/// the number of parity readouts labeled |L⟩.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControlSignals {
-    /// Detection events fired this round.
-    pub fired: u32,
-    /// Parity-qubit readouts labeled |L⟩ this round (ERASER+M only;
-    /// zero under two-level readout).
-    pub leaked_labels: u32,
-    /// Total stabilizer readouts this round (the normalizer).
-    pub num_stabs: u32,
-}
+/// Weight of one |L⟩ label relative to one detection event in
+/// [`rate_q16`]. A label is *direct* evidence of leakage (the multi-level
+/// discriminator saw the |L⟩ state itself), where an event is
+/// circumstantial — ordinary Pauli noise fires checks all the time. The
+/// high weight lets a threshold sit above the multi-event Pauli noise
+/// floor yet still trip on a single labelled readout, which matters at
+/// small distances where one stabilizer is a coarse fraction of the code.
+const LABEL_WEIGHT: u64 = 4;
 
-impl ControlSignals {
-    /// Weight of one |L⟩ label relative to one detection event in
-    /// [`ControlSignals::rate_q16`]. A label is *direct* evidence of
-    /// leakage (the multi-level discriminator saw the |L⟩ state itself),
-    /// where an event is circumstantial — ordinary Pauli noise fires
-    /// checks all the time. The high weight lets a threshold sit above
-    /// the multi-event Pauli noise floor yet still trip on a single
-    /// labelled readout, which matters at small distances where one
-    /// stabilizer is a coarse fraction of the code.
-    pub const LABEL_WEIGHT: u32 = 4;
-
-    /// The round's raw leakage-activity rate in Q16 (|L⟩ labels count
-    /// [`ControlSignals::LABEL_WEIGHT`]×: direct evidence rather than a
-    /// parity side effect).
-    pub fn rate_q16(&self) -> u32 {
-        if self.num_stabs == 0 {
-            return 0;
-        }
-        let weighted =
-            u64::from(self.fired) + u64::from(Self::LABEL_WEIGHT) * u64::from(self.leaked_labels);
-        ((weighted * u64::from(Q16_ONE)) / u64::from(self.num_stabs)).min(u64::from(Q16_ONE)) as u32
+/// A round's raw leakage-activity rate in Q16, from the signals a
+/// controller sees without oracle access: `fired` detection events and
+/// `leaked_labels` parity readouts labeled |L⟩ (zero under two-level
+/// readout), out of `num_stabs` stabilizer readouts.
+fn rate_q16(fired: u32, leaked_labels: u32, num_stabs: u32) -> u32 {
+    if num_stabs == 0 {
+        return 0;
     }
+    let weighted = u64::from(fired) + LABEL_WEIGHT * u64::from(leaked_labels);
+    ((weighted * u64::from(Q16_ONE)) / u64::from(num_stabs)).min(u64::from(Q16_ONE)) as u32
 }
-
-/// Online estimator of the instantaneous leakage rate.
-pub trait LeakageEstimator {
-    /// Folds one round of signals into the estimate.
-    fn observe(&mut self, signals: &ControlSignals);
-    /// Current estimate in Q16 fixed point (65536 = rate 1.0).
-    fn estimate_q16(&self) -> u32;
-    /// Resets the estimator for a fresh shot.
-    fn reset(&mut self);
-}
-
-/// Exponentially-weighted moving average with weight `2^-shift`, kept in
-/// integer Q16 so merged telemetry is exact: `state += (input - state) >> shift`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EwmaEstimator {
-    state_q16: u32,
-    shift: u32,
-}
-
-impl EwmaEstimator {
-    /// Creates an EWMA with smoothing weight `2^-shift` (shift 0 tracks
-    /// the raw per-round rate; larger shifts smooth harder).
-    pub fn new(shift: u32) -> EwmaEstimator {
-        EwmaEstimator {
-            state_q16: 0,
-            shift: shift.min(15),
-        }
-    }
-}
-
-impl LeakageEstimator for EwmaEstimator {
-    fn observe(&mut self, signals: &ControlSignals) {
-        let input = i64::from(signals.rate_q16());
-        let state = i64::from(self.state_q16);
-        let next = if self.shift == 0 {
-            input
-        } else {
-            state + ((input - state) >> self.shift)
-        };
-        self.state_q16 = next.clamp(0, i64::from(Q16_ONE)) as u32;
-    }
-
-    fn estimate_q16(&self) -> u32 {
-        self.state_q16
-    }
-
-    fn reset(&mut self) {
-        self.state_q16 = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Control laws
-// ---------------------------------------------------------------------------
 
 /// The controller's operating point for a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlMode {
+enum ControlMode {
     /// Cheap steady state (the configured base policy).
     Base,
     /// Full ERASER+M suppression during a detected storm.
     Escalated,
 }
 
-/// Maps the estimator's output (and the shot's LRC spend so far) to an
-/// operating mode.
-pub trait ControlLaw {
-    /// Decides the mode for the coming round.
-    fn decide(&mut self, estimate_q16: u32, spent_lrcs: u64) -> ControlMode;
-    /// Current mode without advancing the law.
-    fn mode(&self) -> ControlMode;
-    /// Resets the law for a fresh shot.
-    fn reset(&mut self);
-}
-
 /// Threshold escalator with hysteresis: escalate when the estimate crosses
 /// `up`, de-escalate only when it falls below `down < up`, and never switch
 /// before `min_dwell` rounds have been spent in the current mode — so
-/// boundary noise cannot make the controller flap.
+/// boundary noise cannot make the controller flap. Once the shot has spent
+/// `quota` LRCs it stays in `Base` (`u64::MAX` for `adaptive-ewma`, so
+/// never; [`ControllerConfig::budget`] for `adaptive-budget`).
 #[derive(Debug, Clone, Copy)]
-pub struct EwmaThresholdLaw {
+struct HysteresisLaw {
     up_q16: u32,
     down_q16: u32,
     min_dwell: u32,
+    quota: u64,
     dwell: u32,
     mode: ControlMode,
 }
 
-impl EwmaThresholdLaw {
+impl HysteresisLaw {
     /// Creates the law from Q16 thresholds (`down <= up`).
-    pub fn new(up_q16: u32, down_q16: u32, min_dwell: u32) -> EwmaThresholdLaw {
-        EwmaThresholdLaw {
+    fn new(up_q16: u32, down_q16: u32, min_dwell: u32, quota: u64) -> HysteresisLaw {
+        HysteresisLaw {
             up_q16,
             down_q16: down_q16.min(up_q16),
             min_dwell,
+            quota,
             // A fresh shot is free to escalate immediately.
             dwell: min_dwell,
             mode: ControlMode::Base,
         }
     }
-}
 
-impl ControlLaw for EwmaThresholdLaw {
-    fn decide(&mut self, estimate_q16: u32, _spent_lrcs: u64) -> ControlMode {
+    /// Decides the mode for the coming round.
+    fn decide(&mut self, estimate_q16: u32, spent_lrcs: u64) -> ControlMode {
+        if spent_lrcs >= self.quota {
+            // Quota exhausted: force base mode (the dwell guard does not
+            // apply — the budget is a hard cap), and keep counting the
+            // dwell without resetting it.
+            self.mode = ControlMode::Base;
+            self.dwell = self.dwell.saturating_add(1);
+            return ControlMode::Base;
+        }
         let can_switch = self.dwell >= self.min_dwell;
         let next = match self.mode {
             ControlMode::Base if can_switch && estimate_q16 >= self.up_q16 => {
@@ -365,53 +284,10 @@ impl ControlLaw for EwmaThresholdLaw {
         self.mode
     }
 
-    fn mode(&self) -> ControlMode {
-        self.mode
-    }
-
+    /// Resets the law for a fresh shot.
     fn reset(&mut self) {
         self.mode = ControlMode::Base;
         self.dwell = self.min_dwell;
-    }
-}
-
-/// Budgeted escalator: same hysteresis thresholds, but escalation stops for
-/// the rest of the shot once `quota` LRCs have been spent — the controller
-/// concentrates a fixed budget where the estimator says leakage lives.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedBudgetLaw {
-    inner: EwmaThresholdLaw,
-    quota: u64,
-}
-
-impl FixedBudgetLaw {
-    /// Creates the law with a per-shot LRC `quota`.
-    pub fn new(up_q16: u32, down_q16: u32, min_dwell: u32, quota: u64) -> FixedBudgetLaw {
-        FixedBudgetLaw {
-            inner: EwmaThresholdLaw::new(up_q16, down_q16, min_dwell),
-            quota,
-        }
-    }
-}
-
-impl ControlLaw for FixedBudgetLaw {
-    fn decide(&mut self, estimate_q16: u32, spent_lrcs: u64) -> ControlMode {
-        if spent_lrcs >= self.quota {
-            // Quota exhausted: force base mode (the dwell guard does not
-            // apply — the budget is a hard cap).
-            self.inner.mode = ControlMode::Base;
-            self.inner.dwell = self.inner.dwell.saturating_add(1);
-            return ControlMode::Base;
-        }
-        self.inner.decide(estimate_q16, spent_lrcs)
-    }
-
-    fn mode(&self) -> ControlMode {
-        self.inner.mode()
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
     }
 }
 
@@ -419,12 +295,12 @@ impl ControlLaw for FixedBudgetLaw {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Which [`ControlLaw`] the adaptive policy runs.
+/// Which control law the adaptive policy runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlLawKind {
-    /// [`EwmaThresholdLaw`].
+    /// The hysteresis escalator (`adaptive-ewma`).
     Ewma,
-    /// [`FixedBudgetLaw`].
+    /// The same escalator behind a per-shot LRC quota (`adaptive-budget`).
     Budget,
 }
 
@@ -659,27 +535,6 @@ impl ControllerStats {
 // The adaptive policy
 // ---------------------------------------------------------------------------
 
-enum LawState {
-    Ewma(EwmaThresholdLaw),
-    Budget(FixedBudgetLaw),
-}
-
-impl LawState {
-    fn as_law(&mut self) -> &mut dyn ControlLaw {
-        match self {
-            LawState::Ewma(law) => law,
-            LawState::Budget(law) => law,
-        }
-    }
-
-    fn mode(&self) -> ControlMode {
-        match self {
-            LawState::Ewma(law) => law.mode(),
-            LawState::Budget(law) => law.mode(),
-        }
-    }
-}
-
 /// Feedback-controlled LRC policy: a cheap base policy in steady state,
 /// a full ERASER+M instance during detected leakage storms.
 ///
@@ -689,8 +544,10 @@ impl LawState {
 pub struct AdaptivePolicy {
     base: Box<dyn LrcPolicy>,
     escalated: crate::policy::EraserPolicy,
-    estimator: EwmaEstimator,
-    law: LawState,
+    /// The EWMA leakage-rate estimate in Q16, with weight `2^-ewma_shift`.
+    estimate_q16: u32,
+    ewma_shift: u32,
+    law: HysteresisLaw,
     spent_lrcs: u64,
     stats: ControllerStats,
     name: &'static str,
@@ -705,18 +562,16 @@ impl AdaptivePolicy {
             ControlBase::NoLrc => Box::new(crate::policy::NoLrcPolicy::new()),
             ControlBase::Eraser => Box::new(crate::policy::EraserPolicy::new(code)),
         };
-        let (up, down, dwell) = (config.up_q16(), config.down_q16(), config.min_dwell);
-        let law = match config.law {
-            ControlLawKind::Ewma => LawState::Ewma(EwmaThresholdLaw::new(up, down, dwell)),
-            ControlLawKind::Budget => {
-                LawState::Budget(FixedBudgetLaw::new(up, down, dwell, config.budget))
-            }
+        let quota = match config.law {
+            ControlLawKind::Ewma => u64::MAX,
+            ControlLawKind::Budget => config.budget,
         };
         AdaptivePolicy {
             base,
             escalated: crate::policy::EraserPolicy::with_multilevel(code),
-            estimator: EwmaEstimator::new(config.ewma_shift),
-            law,
+            estimate_q16: 0,
+            ewma_shift: config.ewma_shift,
+            law: HysteresisLaw::new(config.up_q16(), config.down_q16(), config.min_dwell, quota),
             spent_lrcs: 0,
             stats: ControllerStats::default(),
             name: config.law_name(),
@@ -728,6 +583,17 @@ impl AdaptivePolicy {
     pub fn stats(&self) -> &ControllerStats {
         &self.stats
     }
+
+    /// Folds one round's raw rate into the EWMA estimate,
+    /// `state += (input - state) >> shift` (shift 0 tracks the raw rate),
+    /// and returns the new estimate.
+    fn observe(&mut self, rate_q16: u32) -> u32 {
+        let input = i64::from(rate_q16);
+        let state = i64::from(self.estimate_q16);
+        let next = state + ((input - state) >> self.ewma_shift);
+        self.estimate_q16 = next.clamp(0, i64::from(Q16_ONE)) as u32;
+        self.estimate_q16
+    }
 }
 
 impl LrcPolicy for AdaptivePolicy {
@@ -738,8 +604,8 @@ impl LrcPolicy for AdaptivePolicy {
     fn reset_shot(&mut self) {
         self.base.reset_shot();
         self.escalated.reset_shot();
-        self.estimator.reset();
-        self.law.as_law().reset();
+        self.estimate_q16 = 0;
+        self.law.reset();
         self.spent_lrcs = 0;
         // `stats` intentionally persists: it is run-level telemetry.
     }
@@ -747,14 +613,9 @@ impl LrcPolicy for AdaptivePolicy {
     fn plan_round(&mut self, ctx: &RoundContext<'_>) -> Vec<LrcAssignment> {
         let fired = ctx.events.iter().filter(|&&e| e).count() as u32;
         let leaked = ctx.leaked_readouts.iter().filter(|&&l| l).count() as u32;
-        self.estimator.observe(&ControlSignals {
-            fired,
-            leaked_labels: leaked,
-            num_stabs: ctx.events.len() as u32,
-        });
-        let estimate = self.estimator.estimate_q16();
-        let was = self.law.mode();
-        let mode = self.law.as_law().decide(estimate, self.spent_lrcs);
+        let estimate = self.observe(rate_q16(fired, leaked, ctx.events.len() as u32));
+        let was = self.law.mode;
+        let mode = self.law.decide(estimate, self.spent_lrcs);
         if mode != was {
             // The newly-activated policy starts a fresh speculation window.
             match mode {
@@ -779,7 +640,7 @@ impl LrcPolicy for AdaptivePolicy {
     }
 
     fn leakage_detections(&self) -> Option<LeakageDetections<'_>> {
-        match self.law.mode() {
+        match self.law.mode {
             ControlMode::Base => self.base.leakage_detections(),
             ControlMode::Escalated => self.escalated.leakage_detections(),
         }
@@ -794,12 +655,9 @@ impl LrcPolicy for AdaptivePolicy {
 mod tests {
     use super::*;
 
-    fn signals(fired: u32, leaked: u32) -> ControlSignals {
-        ControlSignals {
-            fired,
-            leaked_labels: leaked,
-            num_stabs: 16,
-        }
+    /// The raw rate of a round on 16 stabilizers.
+    fn rate(fired: u32, leaked: u32) -> u32 {
+        rate_q16(fired, leaked, 16)
     }
 
     #[test]
@@ -885,33 +743,46 @@ mod tests {
 
     #[test]
     fn ewma_estimator_tracks_and_smooths() {
-        let mut e = EwmaEstimator::new(1);
-        assert_eq!(e.estimate_q16(), 0);
+        let config = ControllerConfig {
+            ewma_shift: 1,
+            ..ControllerConfig::ewma()
+        };
+        let mut policy = AdaptivePolicy::new(&RotatedCode::new(3), config);
+        assert_eq!(policy.estimate_q16, 0);
         // A constant input converges to the input.
         for _ in 0..32 {
-            e.observe(&signals(8, 0)); // rate 0.5
+            policy.observe(rate(8, 0)); // rate 0.5
         }
         let half = Q16_ONE / 2;
-        assert!(e.estimate_q16().abs_diff(half) <= 2, "{}", e.estimate_q16());
+        let estimate = policy.estimate_q16;
+        assert!(estimate.abs_diff(half) <= 2, "{estimate}");
         // Silence decays back toward zero.
         for _ in 0..32 {
-            e.observe(&signals(0, 0));
+            policy.observe(rate(0, 0));
         }
-        assert!(e.estimate_q16() <= 2, "{}", e.estimate_q16());
+        assert!(policy.estimate_q16 <= 2, "{}", policy.estimate_q16);
+        // A fresh shot starts from zero.
+        policy.observe(rate(8, 0));
+        policy.reset_shot();
+        assert_eq!(policy.estimate_q16, 0);
         // |L⟩ labels carry the direct-evidence weight.
-        let one_fired = signals(1, 0).rate_q16();
-        let one_label = signals(0, 1).rate_q16();
-        assert_eq!(one_label, ControlSignals::LABEL_WEIGHT * one_fired);
-        // The rate saturates at 1.0.
-        assert_eq!(signals(16, 16).rate_q16(), Q16_ONE);
+        assert_eq!(rate(0, 1), LABEL_WEIGHT as u32 * rate(1, 0));
+        // The rate saturates at 1.0, and no readouts read as no activity.
+        assert_eq!(rate(16, 16), Q16_ONE);
+        assert_eq!(rate_q16(3, 1, 0), 0);
+    }
+
+    /// The law without a quota, as `adaptive-ewma` runs it.
+    fn unbudgeted(up: u32, down: u32, min_dwell: u32) -> HysteresisLaw {
+        HysteresisLaw::new(up, down, min_dwell, u64::MAX)
     }
 
     #[test]
     fn threshold_law_escalates_and_recovers() {
         let up = Q16_ONE / 8;
         let down = Q16_ONE / 32;
-        let mut law = EwmaThresholdLaw::new(up, down, 0);
-        assert_eq!(law.mode(), ControlMode::Base);
+        let mut law = unbudgeted(up, down, 0);
+        assert_eq!(law.mode, ControlMode::Base);
         assert_eq!(law.decide(up, 0), ControlMode::Escalated);
         // Inside the hysteresis band: stays escalated.
         assert_eq!(law.decide(down + 1, 0), ControlMode::Escalated);
@@ -926,9 +797,9 @@ mod tests {
     fn hysteresis_prevents_escalation_flapping() {
         let up = Q16_ONE / 8;
         let down = Q16_ONE / 32;
-        let mut law = EwmaThresholdLaw::new(up, down, 3);
+        let mut law = unbudgeted(up, down, 3);
         let mut switches = 0u32;
-        let mut last = law.mode();
+        let mut last = law.mode;
         // Worst-case boundary noise: alternate just-above-up / just-below-down.
         for round in 0..60 {
             let estimate = if round % 2 == 0 {
@@ -946,7 +817,7 @@ mod tests {
         assert!(switches <= 60 / 4 + 1, "flapped {switches} times");
 
         // And with estimates inside the hysteresis band, no switches at all.
-        let mut law = EwmaThresholdLaw::new(up, down, 3);
+        let mut law = unbudgeted(up, down, 3);
         law.decide(up, 0); // escalate once
         for round in 0..40 {
             let estimate = if round % 2 == 0 { up - 1 } else { down + 1 };
@@ -957,7 +828,7 @@ mod tests {
     #[test]
     fn dwell_time_blocks_immediate_switchback() {
         let up = Q16_ONE / 8;
-        let mut law = EwmaThresholdLaw::new(up, up / 4, 3);
+        let mut law = unbudgeted(up, up / 4, 3);
         assert_eq!(law.decide(up, 0), ControlMode::Escalated);
         // Even a zero estimate cannot de-escalate during the dwell window.
         assert_eq!(law.decide(0, 0), ControlMode::Escalated);
@@ -970,7 +841,7 @@ mod tests {
     #[test]
     fn budget_law_stops_spending_at_quota() {
         let up = Q16_ONE / 8;
-        let mut law = FixedBudgetLaw::new(up, up / 4, 0, 10);
+        let mut law = HysteresisLaw::new(up, up / 4, 0, 10);
         assert_eq!(law.decide(up, 0), ControlMode::Escalated);
         assert_eq!(law.decide(up, 9), ControlMode::Escalated);
         // Quota reached: base mode for the rest of the shot, regardless of
@@ -983,6 +854,15 @@ mod tests {
             ControlMode::Escalated,
             "reset restores the quota"
         );
+        // The forced switch ignores the dwell guard and advances the dwell
+        // without resetting it, as no ordinary switch would.
+        let mut law = HysteresisLaw::new(up, up / 4, 3, 10);
+        assert_eq!(law.decide(up, 0), ControlMode::Escalated);
+        assert_eq!(law.dwell, 0);
+        assert_eq!(law.decide(up, 10), ControlMode::Base);
+        assert_eq!(law.dwell, 1);
+        assert_eq!(law.decide(up, 10), ControlMode::Base);
+        assert_eq!(law.dwell, 2);
     }
 
     #[test]

@@ -495,11 +495,6 @@ impl Experiment {
         self.runner.resolved_decoder(&self.config)
     }
 
-    /// Swaps the LRC protocol without rebuilding the runner.
-    pub fn set_protocol(&mut self, protocol: LrcProtocol) {
-        self.config.protocol = protocol;
-    }
-
     /// Toggles leakage-aware (erasure) decoding without rebuilding the
     /// runner: the cheap way to compare leakage-blind and erasure-aware
     /// decoding on identical physical shots.

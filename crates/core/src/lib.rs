@@ -15,9 +15,9 @@
 //!   (multi-level readout, §4.6), and [`OptimalPolicy`] (the idealized
 //!   oracle) — plus a closure escape hatch, [`PolicyKind::Custom`], and the
 //!   feedback-controlled [`PolicyKind::Adaptive`] family.
-//! * [`control`] — online adaptive leakage control: a [`LeakageEstimator`]
-//!   (integer-EWMA reference implementation) feeding a [`ControlLaw`]
-//!   (threshold escalator with hysteresis, or a fixed-budget scheduler)
+//! * [`control`] — online adaptive leakage control: [`AdaptivePolicy`]
+//!   keeps an integer EWMA of the leakage-activity rate and runs a
+//!   hysteresis escalator on it (optionally behind a per-shot LRC budget)
 //!   that retunes the LRC density mid-run, plus [`LeakageProfile`]
 //!   time-varying noise schedules (bursts, ramps) to adapt against.
 //! * [`runtime`] — the Monte-Carlo memory-experiment engine behind the
@@ -77,9 +77,7 @@ pub mod swap_table;
 
 pub use cache::{ArtifactCache, ArtifactKind, CacheKey, CacheStats, ExperimentKey};
 pub use control::{
-    AdaptivePolicy, ControlBase, ControlLaw, ControlLawKind, ControlMode, ControlSignals,
-    ControllerConfig, ControllerStats, EwmaEstimator, EwmaThresholdLaw, FixedBudgetLaw,
-    LeakageEstimator, LeakageProfile,
+    AdaptivePolicy, ControlBase, ControlLawKind, ControllerConfig, ControllerStats, LeakageProfile,
 };
 pub use experiment::{
     Experiment, ExperimentBuilder, ExperimentError, NoiseModel, PolicyFactory, PolicyKind, Sweep,

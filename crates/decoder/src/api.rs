@@ -13,11 +13,11 @@
 //! * [`SyndromeDecoder`] — a *stateful* decoder instance. `&mut self` lets
 //!   implementations keep scratch buffers (matching arenas, cluster arrays,
 //!   candidate heaps) alive across shots, so a warm decoder performs no
-//!   per-shot heap allocation. It has one decode call,
+//!   per-shot heap allocation. It has one method,
 //!   [`SyndromeDecoder::decode`], whose optional correction buffer receives
-//!   the correction as edges, and the tier-1 closed form
-//!   [`SyndromeDecoder::decode_tier1`]. A backend's name is its
-//!   [`crate::DecoderKind`].
+//!   the correction as edges; [`DecodeOutcome::closed_form`] reports
+//!   whether the backend answered in its own closed form (the predecoder's
+//!   tier 1). A backend's name is its [`crate::DecoderKind`].
 //!
 //! Each backend is built by its own constructors: `new(&graph)` computes the
 //! expensive per-graph table (the all-pairs-shortest-path table, the sparse
@@ -113,6 +113,11 @@ pub struct DecodeOutcome {
     pub defects: usize,
     /// Wall-clock decode time of this shot in nanoseconds.
     pub nanos: u64,
+    /// Whether the backend answered a 1–2 defect, erasure-free syndrome in
+    /// its closed form ([`crate::predecode`]'s tier 1). Reporting only: the
+    /// answer is the one the backend's general path would give, bit for
+    /// bit.
+    pub closed_form: bool,
 }
 
 /// A stateful decoder instance: owns reusable scratch and decodes one
@@ -129,29 +134,12 @@ pub trait SyndromeDecoder {
     /// [`DecodeOutcome::flip`]; this is what lets the sliding-window adapter
     /// ([`crate::window::WindowedDecoder`]) commit a correction region by
     /// region.
+    ///
+    /// A backend that resolves its 1–2 defect, erasure-free syndromes in
+    /// closed form does so inside this call and sets
+    /// [`DecodeOutcome::closed_form`].
     fn decode(&mut self, syndrome: &Syndrome, correction: Option<&mut Vec<usize>>)
         -> DecodeOutcome;
-
-    /// Tier-1 fast path: decodes a 1–2 defect, erasure-free syndrome in
-    /// closed form, bit-identically to [`SyndromeDecoder::decode`] (flip,
-    /// f64 weight bits, and — when `correction` is given — the exact
-    /// correction-edge sequence), or returns `None` to defer to it.
-    ///
-    /// The backend owns this scope: callers ask on every syndrome, so an
-    /// implementation must return `None`, leaving `correction` untouched,
-    /// on out-of-scope syndromes (0 or ≥ 3 defects, any erasures) and
-    /// whenever it cannot *guarantee* bit-identity (ambiguous optimal
-    /// matchings, order-dependent corrections). The default always defers,
-    /// which is correct for any backend; see [`crate::predecode`] for the
-    /// tier ladder.
-    fn decode_tier1(
-        &mut self,
-        syndrome: &Syndrome,
-        correction: Option<&mut Vec<usize>>,
-    ) -> Option<DecodeOutcome> {
-        let _ = (syndrome, correction);
-        None
-    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@
 //!   allocate.
 //! * [`api`] — the stateful decoder interface: [`Syndrome`] in,
 //!   [`DecodeOutcome`] out, through a per-thread [`SyndromeDecoder`] with
-//!   one decode call ([`SyndromeDecoder::decode`], correction edges
-//!   optional) and its tier-1 closed form.
+//!   one method ([`SyndromeDecoder::decode`], correction edges optional),
+//!   inside which a backend answers its tier-1 closed form.
 //! * [`mwpm`] — the MWPM decoder: all-pairs shortest paths with
 //!   observable-parity tracking, then a certified exact solver (pruning,
 //!   components, subset DP) that proves its optimum unique, so it returns
@@ -53,9 +53,10 @@
 //!   own window's node count).
 //! * [`predecode`] — the tiered sparse-syndrome fast path that
 //!   [`WindowedDecoder`] runs inline in front of every window: tier 0 skips
-//!   empty windows outright, tier 1 resolves 1–2 defect syndromes in closed
-//!   form, tier 2 is the configured backend — always on, bit-identical to
-//!   the untier'd path, with per-tier [`TierCounters`] telemetry.
+//!   empty windows outright, tier 1 counts the 1–2 defect syndromes a
+//!   backend answered in closed form, tier 2 the rest — always on,
+//!   bit-identical to the untier'd path, with per-tier [`TierCounters`]
+//!   telemetry.
 //!
 //! # Decoding millions of shots
 //!

@@ -63,8 +63,9 @@
 //! returns, the blossom included, so the certified answer fills the same
 //! `pairs` (ascending `i < j`) and `to_boundary` (ascending) the blossom's
 //! mate array would: flip, f64 weight bits and correction edges are
-//! unchanged. Tier 1 ([`MwpmBatchDecoder::decode_tier1`]) decides with the
-//! same solver, so one uniqueness rule serves tiers 1 and 2.
+//! unchanged. A 1–2 defect, erasure-free solve that certifies is the
+//! decoder's closed form ([`crate::DecodeOutcome::closed_form`], the
+//! predecoder's tier 1), so one uniqueness rule serves tiers 1 and 2.
 //!
 //! On the `stream-d7` benchmark workload (d = 7, R = 70, 21/14 windows,
 //! p = 1e-3, seed 1) the solver certifies 83.8% of the matchings that
@@ -524,11 +525,14 @@ impl DefectMatching {
     }
 
     /// Solves the staged problem: the certified solver when the optimum is
-    /// unique, the blossom otherwise.
-    fn solve(&mut self) {
-        if !self.solve_certified() {
+    /// unique, the blossom otherwise. Returns whether the certified solver
+    /// answered.
+    fn solve(&mut self) -> bool {
+        let certified = self.solve_certified();
+        if !certified {
             self.solve_blossom();
         }
+        certified
     }
 
     /// Exact matching that also proves its optimum unique, so the blossom
@@ -1059,9 +1063,13 @@ impl SyndromeDecoder for MwpmBatchDecoder<'_> {
         let boundary = self.graph.boundary();
         let mut flip = false;
         let mut weight = 0.0;
+        let mut closed_form = false;
         if syndrome.erasures.is_empty() {
             self.stage_paths(defects);
-            self.matching.solve();
+            // 1–2 defects the certified solver settles are the closed form;
+            // a two-defect twin (pair cost equal to both boundary matches)
+            // is a tie the blossom breaks.
+            closed_form = self.matching.solve() && defects.len() <= 2;
             (flip, weight) = self.path_outcome(defects, correction);
         } else {
             // Erasure decoding: overlay the flagged edges (weight ~0), match
@@ -1113,41 +1121,8 @@ impl SyndromeDecoder for MwpmBatchDecoder<'_> {
             weight,
             defects: defects.len(),
             nanos: start.elapsed().as_nanos() as u64,
+            closed_form,
         }
-    }
-
-    /// 1–2 erasure-free defects, decided by the same certified solver the
-    /// full path tries first, on the same staged costs: its answer is the
-    /// full path's whenever it certifies. Otherwise (two defects whose pair
-    /// costs exactly their two boundary matches) the optimum is a tie the
-    /// blossom must break: defer (`None`).
-    fn decode_tier1(
-        &mut self,
-        syndrome: &Syndrome,
-        mut correction: Option<&mut Vec<usize>>,
-    ) -> Option<DecodeOutcome> {
-        let defects = &syndrome.defects;
-        let k = defects.len();
-        if !(1..=2).contains(&k) || !syndrome.erasures.is_empty() {
-            return None;
-        }
-        let start = Instant::now();
-        // Decide before touching the correction so a deferral leaves the
-        // caller's state exactly as the full path expects it.
-        self.stage_paths(defects);
-        if !self.matching.solve_certified() {
-            return None;
-        }
-        if let Some(c) = correction.as_deref_mut() {
-            c.clear();
-        }
-        let (flip, weight) = self.path_outcome(defects, correction);
-        Some(DecodeOutcome {
-            flip,
-            weight,
-            defects: k,
-            nanos: start.elapsed().as_nanos() as u64,
-        })
     }
 }
 
@@ -1326,14 +1301,14 @@ mod tests {
     #[should_panic(expected = "defect on node 0 cut off from the boundary cannot be matched")]
     fn cut_off_defect_panics_on_the_full_path() {
         let graph = cut_off_decoder_graph();
-        MwpmBatchDecoder::new(&graph).decode(&Syndrome::new(vec![0]), None);
+        MwpmBatchDecoder::new(&graph).decode(&Syndrome::new(vec![0, 1, 2]), None);
     }
 
     #[test]
     #[should_panic(expected = "defect on node 0 cut off from the boundary cannot be matched")]
     fn cut_off_defect_panics_on_tier1() {
         let graph = cut_off_decoder_graph();
-        MwpmBatchDecoder::new(&graph).decode_tier1(&Syndrome::new(vec![0]), None);
+        MwpmBatchDecoder::new(&graph).decode(&Syndrome::new(vec![0]), None);
     }
 
     /// Stages a symmetric problem: `pair(i, j)` for `i < j`, `boundary(i)`.

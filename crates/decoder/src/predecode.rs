@@ -9,20 +9,21 @@
 //! | Tier | Applies to | Resolution |
 //! |------|------------|------------|
 //! | 0 | no defects, no erasures | skip outright ([`crate::DecodeOutcome::default`]) |
-//! | 1 | 1–2 defects, no erasures (the backend's scope) | closed form via [`crate::SyndromeDecoder::decode_tier1`] |
-//! | 2 | everything else | the configured backend, unchanged |
+//! | 1 | 1–2 defects, no erasures, answered in closed form | the backend's closed form inside [`crate::SyndromeDecoder::decode`], reported by [`crate::DecodeOutcome::closed_form`] |
+//! | 2 | everything else | the backend's general path |
 //!
 //! Every tier is bit-identical to the untier'd path: the same flip, the
 //! same f64 weight bits, and the same correction-edge sequence. Tier 0
-//! reproduces the empty-syndrome early return every backend already has;
-//! tier 1 is each backend's own closed form (boundary match for one
-//! defect; min of pair-path vs two boundary matches for two), which
-//! *defers* (`None`) whenever the optimal matching is ambiguous so the
-//! full solver keeps making the tie-break. The backend owns the tier-1
-//! scope: the ladder asks `decode_tier1` on every non-empty window, and the
-//! backend defers (`None`, correction untouched) on anything other than
-//! 1–2 erasure-free defects. The union-find backend has no order-free
-//! closed form and always defers to tier 2; it still gets the tier-0 skip.
+//! reproduces the empty-syndrome early return every backend already has.
+//! Tiers 1 and 2 are one `decode` call; the backend alone decides which
+//! of its paths answers and reports it, so the ladder only counts. Sparse
+//! MWPM answers every 1–2 erasure-free defects in closed form (boundary
+//! match for one defect; one bounded pair Dijkstra against two boundary
+//! matches for two). Dense MWPM's closed form is its certified solver,
+//! which leaves a two-defect twin tie (pair cost equal to both boundary
+//! matches) to the blossom: tier 2. Union-find has no order-free closed
+//! form and always reports tier 2; it still gets the tier-0 skip. A window
+//! with erasures but no defects is tier 2 as well.
 //!
 //! The ladder is always on; there is no switch to turn it off. It runs
 //! inline in the streaming path every run decodes through,
@@ -30,11 +31,12 @@
 //! every window. A window's carried-in defects count against the tier
 //! threshold because they are part of its live defect set, and a
 //! full-cover window (one position spanning every round) runs the ladder
-//! on the whole shot. Its reference is the tier-1 contract itself:
-//! `crates/decoder/tests/predecode.rs` checks every 1- and 2-defect
-//! syndrome on real window shapes against the backend's full decode, and
-//! full-cover windows against the bare backends on random shots.
-//! [`TierCounters`] is the mergeable per-tier telemetry.
+//! on the whole shot. Its references are the sparse unit tests (closed
+//! form ≡ general path on every 1- and 2-defect syndrome of real window
+//! shapes) and `crates/decoder/tests/predecode.rs` (full-cover windows
+//! against the bare backends on random shots, and where each backend
+//! reports the closed form). [`TierCounters`] is the mergeable per-tier
+//! telemetry.
 
 /// Per-tier hit/latency telemetry. Integer-valued and merged by addition,
 /// so cross-thread / cross-stripe aggregation is exact regardless of merge
@@ -90,6 +92,8 @@ mod tests {
     use super::*;
     use crate::dem::build_dem;
     use crate::graph::DecodingGraph;
+    use crate::mwpm::ShortestPaths;
+    use crate::weight::scale_weight;
     use crate::window::{DecoderKind, StreamingDecoder, WindowPlan};
     use qec_core::circuit::DetectorBasis;
     use qec_core::NoiseParams;
@@ -157,6 +161,19 @@ mod tests {
         vec![e.a.min(e.b), e.a.max(e.b)]
     }
 
+    /// Two defects whose pair path costs exactly their two boundary
+    /// matches (a twin), in scaled integer costs.
+    fn twin_pair(g: &DecodingGraph) -> Vec<usize> {
+        let paths = ShortestPaths::compute(g);
+        let cost = |u, v| scale_weight(paths.distance(u, v));
+        let (n, b) = (g.num_nodes(), g.boundary());
+        (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .find(|&(u, v)| cost(u, v) == cost(u, b) + cost(v, b))
+            .map(|(u, v)| vec![u, v])
+            .expect("a twin pair")
+    }
+
     #[test]
     fn ladder_routes_by_defect_count() {
         let g = graph();
@@ -166,11 +183,18 @@ mod tests {
             // Tier 1: one defect, and a two-defect pair.
             (vec![0], vec![]),
             (edge_pair(&g), vec![]),
-            // Tier 2: three defects, and one defect under an erasure.
+            // Tier 2: three defects, one defect under an erasure, and
+            // erasures without defects.
             (vec![0, 1, 2], vec![]),
             (vec![0], vec![0]),
+            (vec![], vec![0]),
+            // A two-defect twin tie: dense MWPM's certified solver leaves
+            // it to the blossom (tier 2); sparse MWPM's closed form answers
+            // it (tier 1).
+            (twin_pair(&g), vec![]),
         ];
-        assert_eq!(route(&g, DecoderKind::Mwpm, &shots).hits, [1, 2, 2]);
+        assert_eq!(route(&g, DecoderKind::Mwpm, &shots).hits, [1, 2, 4]);
+        assert_eq!(route(&g, DecoderKind::SparseMwpm, &shots).hits, [1, 3, 3]);
     }
 
     #[test]

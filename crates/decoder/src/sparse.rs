@@ -471,6 +471,12 @@ impl<'g> SparseMwpmDecoder<'g> {
         );
         debug_assert_eq!(self.dist[dst], cand.dist, "emission distance drifted");
         debug_assert_eq!(self.par[dst], cand.par, "emission parity drifted");
+        self.walk_pred(src, dst, out);
+    }
+
+    /// Emits the last pair Dijkstra's predecessor chain from `dst` back to
+    /// its source `src` as edge indices.
+    fn walk_pred(&self, src: usize, dst: usize, out: &mut Vec<usize>) {
         let graph = self.graph;
         let mut cur = dst;
         let mut guard = graph.edges().len() + 1;
@@ -483,31 +489,10 @@ impl<'g> SparseMwpmDecoder<'g> {
             assert!(guard > 0, "pair predecessor chain failed to terminate");
         }
     }
-}
 
-impl SyndromeDecoder for SparseMwpmDecoder<'_> {
-    /// With `correction`, matched paths are also emitted as edge indices
-    /// whose flip-XOR equals the returned flip.
-    fn decode(
-        &mut self,
-        syndrome: &Syndrome,
-        mut correction: Option<&mut Vec<usize>>,
-    ) -> DecodeOutcome {
-        if let Some(c) = correction.as_deref_mut() {
-            c.clear();
-        }
-        let defects = &syndrome.defects;
-        if defects.is_empty() {
-            return DecodeOutcome::default();
-        }
-        let start = Instant::now();
-        let eff = !syndrome.erasures.is_empty();
-        if eff {
-            self.overlay.apply(self.graph, &syndrome.erasures);
-            self.compute_eff_boundary();
-        }
-
-        // Mark this shot's defects for candidate collection.
+    /// Marks the shot's defects for candidate collection, after checking
+    /// that each can reach the boundary under the shot's metric.
+    fn mark_defects(&mut self, defects: &[usize], eff: bool) {
         let n = self.index.n;
         if self.defect_stamp.len() < n {
             self.defect_stamp.resize(n, 0);
@@ -526,7 +511,19 @@ impl SyndromeDecoder for SparseMwpmDecoder<'_> {
             self.defect_stamp[u] = self.defect_epoch;
             self.defect_idx[u] = i as u32;
         }
+    }
 
+    /// The general path, after `mark_defects`: one bounded Dijkstra per
+    /// defect collects the candidate pairs, which split the defects into
+    /// components; a component of one defect goes to the boundary, one of
+    /// two pairs up, and larger ones run the blossom. Returns the flip and
+    /// the integer matched weight.
+    fn match_general(
+        &mut self,
+        defects: &[usize],
+        eff: bool,
+        mut correction: Option<&mut Vec<usize>>,
+    ) -> (bool, i64) {
         // Candidate discovery: one bounded Dijkstra per defect.
         self.candidates.clear();
         for (i, &u) in defects.iter().enumerate() {
@@ -690,6 +687,89 @@ impl SyndromeDecoder for SparseMwpmDecoder<'_> {
                 self.emit_pair(cand, eff, defects, c);
             }
         }
+        (flip, wsum)
+    }
+
+    /// The closed form for 1–2 erasure-free defects, after `mark_defects`.
+    /// One defect matches to the boundary straight off the shared index,
+    /// with no Dijkstra at all. Two defects run at most the bounded pair
+    /// Dijkstras the general path runs: a discovered candidate is strictly
+    /// cheaper than two boundary matches (the candidate inequality), and no
+    /// candidate means both drain to the boundary. The candidate kept is the
+    /// low-`src` record, exactly what the general path's sort + dedup keeps,
+    /// and its predecessor scratch is still current, so the correction walk
+    /// emits the same edge sequence as `emit_pair`. Returns the flip and the
+    /// integer matched weight, equal to `match_general`'s.
+    fn match_closed_form(
+        &mut self,
+        defects: &[usize],
+        mut correction: Option<&mut Vec<usize>>,
+    ) -> (bool, i64) {
+        if let [a, b] = *defects {
+            // Discover the (0, 1) candidate the way the general path does,
+            // but stop at the first run that finds it: the sort + dedup
+            // canonicalization keeps the low-src record anyway.
+            self.candidates.clear();
+            self.bounded_dijkstra(a, 0, false, true);
+            if self.candidates.is_empty() {
+                self.bounded_dijkstra(b, 1, false, true);
+            }
+            if let Some(&cand) = self.candidates.first() {
+                if let Some(c) = correction {
+                    // The discovering run's predecessor scratch is still
+                    // current (same epoch), so walk it directly — the same
+                    // dst → src edge order `emit_pair` re-derives.
+                    let (src, dst) = if cand.src == 0 { (a, b) } else { (b, a) };
+                    self.walk_pred(src, dst, c);
+                }
+                return (cand.par, cand.dist);
+            }
+        }
+        // One defect, or two without a candidate: each drains to the
+        // boundary.
+        let mut flip = false;
+        let mut wsum: i64 = 0;
+        for &u in defects {
+            flip ^= self.index.par_b[u];
+            wsum += self.index.d_b[u];
+            if let Some(c) = correction.as_deref_mut() {
+                self.emit_boundary(u, false, c);
+            }
+        }
+        (flip, wsum)
+    }
+}
+
+impl SyndromeDecoder for SparseMwpmDecoder<'_> {
+    /// With `correction`, matched paths are also emitted as edge indices
+    /// whose flip-XOR equals the returned flip. 1–2 erasure-free defects
+    /// take the closed form ([`DecodeOutcome::closed_form`]), which answers
+    /// exactly as the general path would.
+    fn decode(
+        &mut self,
+        syndrome: &Syndrome,
+        mut correction: Option<&mut Vec<usize>>,
+    ) -> DecodeOutcome {
+        if let Some(c) = correction.as_deref_mut() {
+            c.clear();
+        }
+        let defects = &syndrome.defects;
+        if defects.is_empty() {
+            return DecodeOutcome::default();
+        }
+        let start = Instant::now();
+        let eff = !syndrome.erasures.is_empty();
+        if eff {
+            self.overlay.apply(self.graph, &syndrome.erasures);
+            self.compute_eff_boundary();
+        }
+        self.mark_defects(defects, eff);
+        let closed_form = !eff && defects.len() <= 2;
+        let (flip, wsum) = if closed_form {
+            self.match_closed_form(defects, correction)
+        } else {
+            self.match_general(defects, eff, correction)
+        };
         if eff {
             self.overlay.restore();
         }
@@ -698,107 +778,8 @@ impl SyndromeDecoder for SparseMwpmDecoder<'_> {
             weight: wsum as f64 / WEIGHT_SCALE,
             defects: defects.len(),
             nanos: start.elapsed().as_nanos() as u64,
+            closed_form,
         }
-    }
-
-    /// Closed form for 1–2 erasure-free defects. One defect matches to the
-    /// boundary straight off the shared index — no Dijkstra at all. Two
-    /// defects run at most the same bounded pair Dijkstras the full path
-    /// runs: a discovered candidate is strictly cheaper than two boundary
-    /// matches (the candidate inequality), no candidate means both drain to
-    /// the boundary. The candidate kept is the low-`src` record, exactly
-    /// what the full path's sort + dedup canonicalization keeps, and its
-    /// predecessor scratch is still current, so the correction walk emits
-    /// the identical edge sequence as [`SparseMwpmDecoder`]'s `emit_pair`.
-    fn decode_tier1(
-        &mut self,
-        syndrome: &Syndrome,
-        mut correction: Option<&mut Vec<usize>>,
-    ) -> Option<DecodeOutcome> {
-        let defects = &syndrome.defects;
-        let k = defects.len();
-        if !(1..=2).contains(&k) || !syndrome.erasures.is_empty() {
-            return None;
-        }
-        if let Some(c) = correction.as_deref_mut() {
-            c.clear();
-        }
-        let start = Instant::now();
-        for &u in defects {
-            assert!(
-                self.index.d_b[u] < i64::MAX,
-                "defect on node {u} cut off from the boundary cannot be matched"
-            );
-        }
-        let mut flip = false;
-        let mut wsum: i64 = 0;
-        if k == 1 {
-            let u = defects[0];
-            flip ^= self.index.par_b[u];
-            wsum += self.index.d_b[u];
-            if let Some(c) = correction.as_deref_mut() {
-                self.emit_boundary(u, false, c);
-            }
-        } else {
-            // Mark the defects and discover the (0, 1) candidate the way the
-            // full path does, but stop at the first run that finds it: the
-            // sort + dedup canonicalization keeps the low-src record anyway.
-            let n = self.index.n;
-            if self.defect_stamp.len() < n {
-                self.defect_stamp.resize(n, 0);
-                self.defect_idx.resize(n, 0);
-            }
-            if self.defect_epoch == u32::MAX {
-                self.defect_stamp.fill(0);
-                self.defect_epoch = 0;
-            }
-            self.defect_epoch += 1;
-            for (i, &u) in defects.iter().enumerate() {
-                self.defect_stamp[u] = self.defect_epoch;
-                self.defect_idx[u] = i as u32;
-            }
-            self.candidates.clear();
-            self.bounded_dijkstra(defects[0], 0, false, true);
-            if self.candidates.is_empty() {
-                self.bounded_dijkstra(defects[1], 1, false, true);
-            }
-            if let Some(&cand) = self.candidates.first() {
-                flip ^= cand.par;
-                wsum += cand.dist;
-                if let Some(c) = correction.as_deref_mut() {
-                    // The discovering run's predecessor scratch is still
-                    // current (same epoch), so walk it directly — the same
-                    // dst → src edge order `emit_pair` re-derives.
-                    let src = defects[cand.src as usize];
-                    let dst = defects[if cand.src == 0 { 1 } else { 0 }];
-                    let graph = self.graph;
-                    let mut cur = dst;
-                    let mut guard = graph.edges().len() + 1;
-                    while cur != src {
-                        let ei = self.pred[cur] as usize;
-                        c.push(ei);
-                        let e = &graph.edges()[ei];
-                        cur = if e.a == cur { e.b } else { e.a };
-                        guard -= 1;
-                        assert!(guard > 0, "pair predecessor chain failed to terminate");
-                    }
-                }
-            } else {
-                for &u in defects {
-                    flip ^= self.index.par_b[u];
-                    wsum += self.index.d_b[u];
-                    if let Some(c) = correction.as_deref_mut() {
-                        self.emit_boundary(u, false, c);
-                    }
-                }
-            }
-        }
-        Some(DecodeOutcome {
-            flip,
-            weight: wsum as f64 / WEIGHT_SCALE,
-            defects: k,
-            nanos: start.elapsed().as_nanos() as u64,
-        })
     }
 }
 
@@ -807,6 +788,7 @@ mod tests {
     use super::*;
     use crate::dem::build_dem;
     use crate::mwpm::MwpmBatchDecoder;
+    use crate::window::WindowGraph;
     use qec_core::circuit::DetectorBasis;
     use qec_core::NoiseParams;
     use surface_code::{MemoryExperiment, RotatedCode};
@@ -904,6 +886,60 @@ mod tests {
                     "weight mismatch on pair ({u}, {v})"
                 );
                 assert_eq!(a.flip, b.flip, "flip mismatch on pair ({u}, {v})");
+            }
+        }
+    }
+
+    /// The closed form answers every 1- and 2-defect, erasure-free
+    /// syndrome as the general path would: flip, weight bits and
+    /// correction-edge sequence, with and without a correction buffer, on
+    /// the first, a bulk and the last window shape of d = 3 and d = 7
+    /// parents.
+    #[test]
+    fn closed_form_matches_the_general_path() {
+        for (d, rounds, window) in [(3usize, 14usize, 5usize), (7, 21, 7)] {
+            let (graph, _) = setup(d, rounds);
+            let last = graph.max_round() + 1 - window;
+            for lo in [0, window, last] {
+                let shape = WindowGraph::build(&graph, lo, lo + window - 1);
+                let g = shape.graph();
+                let mut decoder = SparseMwpmDecoder::new(g);
+                let (mut fast, mut full) = (Vec::new(), Vec::new());
+                let mut syndrome = Syndrome::default();
+                for a in 0..g.num_nodes() {
+                    for b in a..g.num_nodes() {
+                        syndrome.defects.clear();
+                        syndrome
+                            .defects
+                            .extend(if a == b { vec![a] } else { vec![a, b] });
+                        let at = format!("d={d} window at {lo}, defects {:?}", syndrome.defects);
+                        let defects = &syndrome.defects;
+                        for with_correction in [true, false] {
+                            let out = if with_correction {
+                                decoder.decode(&syndrome, Some(&mut fast))
+                            } else {
+                                decoder.decode(&syndrome, None)
+                            };
+                            assert!(out.closed_form, "{at}");
+                            full.clear();
+                            decoder.mark_defects(defects, false);
+                            let (flip, wsum) = decoder.match_general(
+                                defects,
+                                false,
+                                with_correction.then_some(&mut full),
+                            );
+                            assert_eq!(out.flip, flip, "{at}: flip diverged");
+                            assert_eq!(
+                                out.weight.to_bits(),
+                                (wsum as f64 / WEIGHT_SCALE).to_bits(),
+                                "{at}: weight not bit-identical"
+                            );
+                            if with_correction {
+                                assert_eq!(fast, full, "{at}: correction-edge sequence diverged");
+                            }
+                        }
+                    }
+                }
             }
         }
     }

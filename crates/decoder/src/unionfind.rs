@@ -376,6 +376,8 @@ impl SyndromeDecoder for UnionFindBatchDecoder<'_> {
             weight,
             defects: defects.len(),
             nanos: start.elapsed().as_nanos() as u64,
+            // Cluster growth has no order-free closed form.
+            closed_form: false,
         }
     }
 }

@@ -654,9 +654,8 @@ impl WindowedDecoder<'_> {
         self.local.erasures.sort_unstable();
         self.local.erasures.dedup();
 
-        // Tier 1: the backend resolves its closed-form scope (1–2 defects,
-        // no erasures) when it guarantees bit-identity and defers
-        // everything else; tier 2 then runs the full decoder. Carried-in
+        // One decode call: tier 1 when the backend answered in its closed
+        // form (1–2 defects, no erasures), tier 2 otherwise. Carried-in
         // defects are in the live set, so they count against the tier
         // threshold.
         //
@@ -667,12 +666,9 @@ impl WindowedDecoder<'_> {
         // bit-identical to it — erasures included, where an edge walk may
         // pick an equal-weight path of the opposite parity.
         let last = pos.commit_rel == usize::MAX;
-        let mut correction = (!last).then_some(&mut self.correction);
-        let inner = &mut self.inner[pos.shape];
-        let (tier, out) = match inner.decode_tier1(&self.local, correction.as_deref_mut()) {
-            Some(out) => (1, out),
-            None => (2, inner.decode(&self.local, correction)),
-        };
+        let correction = (!last).then_some(&mut self.correction);
+        let out = self.inner[pos.shape].decode(&self.local, correction);
+        let tier = if out.closed_form { 1 } else { 2 };
         self.counters.record(tier, out.nanos);
         let (flip, weight) = if last {
             self.defects.clear();
@@ -810,6 +806,8 @@ impl StreamingDecoder for WindowedDecoder<'_> {
             weight: self.weight,
             defects: self.total_defects,
             nanos: self.nanos,
+            // Per-window tiers are in `tier_counters`.
+            closed_form: false,
         }
     }
 }

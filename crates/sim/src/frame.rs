@@ -216,12 +216,6 @@ impl FrameSimulator {
         self.discriminator
     }
 
-    /// Replaces the discriminator (ERASER vs ERASER+M runs share everything
-    /// else).
-    pub fn set_discriminator(&mut self, discriminator: Discriminator) {
-        self.discriminator = discriminator;
-    }
-
     /// Applies a bare Pauli to a qubit's frame (no-op on leaked qubits). Used
     /// by tests to inject deterministic errors.
     pub fn apply_pauli(&mut self, q: QubitId, p: Pauli) {
