@@ -226,6 +226,53 @@ fn main() {
         });
     }
 
+    // Whole-shot decoding through one full-cover window, the way every
+    // `serve-mix` job decodes: 256 shots of the d = 5, R = 15 cell at
+    // p = 2e-3, sampled from the detector error model and streamed round by
+    // round. The final (here: only) window reads just the flip, so dense
+    // MWPM answers a tie whose optima share one flip without the blossom.
+    if h.matches("decode_full_cover/d5_r15_p2e-3/mwpm") {
+        let (d, rounds, p) = (5usize, 15usize, 2e-3);
+        let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(p), rounds);
+        let detectors = exp.detectors();
+        let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+        let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
+        let mut rng = qec_core::Rng::new(0x5E2F);
+        let shots: Vec<Vec<Vec<usize>>> = (0..256)
+            .map(|_| {
+                let mut events = vec![false; graph.num_nodes()];
+                for mech in &dem.mechanisms {
+                    if rng.bernoulli(mech.probability) {
+                        for &det in &mech.detectors {
+                            if let Some(node) = graph.node_of_detector(det) {
+                                events[node] ^= true;
+                            }
+                        }
+                    }
+                }
+                let mut by_round = vec![Vec::new(); graph.max_round() + 1];
+                for node in (0..graph.num_nodes()).filter(|&n| events[n]) {
+                    by_round[graph.node_round(node)].push(node);
+                }
+                by_round
+            })
+            .collect();
+        let span = graph.max_round() + 1;
+        let plan = WindowPlan::new(&graph, span, span, DecoderKind::Mwpm);
+        let mut decoder = plan.streaming();
+        h.bench("decode_full_cover/d5_r15_p2e-3/mwpm", || {
+            let mut flips = 0;
+            for shot in black_box(&shots) {
+                decoder.begin_shot();
+                for round in shot {
+                    decoder.push_round(round, &[]);
+                }
+                flips += usize::from(decoder.finish().flip);
+            }
+            flips
+        });
+    }
+
     // Complete graph on 24 vertices with pseudorandom weights: the defect
     // graph size of a typical d=7 shot.
     {

@@ -29,7 +29,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use qec_core::{NoiseParams, TransportModel};
 use qec_decoder::DecoderKind;
@@ -183,6 +183,14 @@ impl ArtifactCache {
         self.capacity_bytes
     }
 
+    /// The map, also after a panic poisoned its lock. Builds and size
+    /// functions run outside the lock, and the code under it only probes
+    /// the map and updates its counters, so a job that panics leaves no
+    /// half-made update behind and cannot break later ones.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up `key`, building (and inserting) the artifact on a miss.
     ///
     /// `size` prices a freshly built artifact for the byte budget; `build`
@@ -195,7 +203,7 @@ impl ArtifactCache {
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
         {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = self.lock();
             inner.clock += 1;
             let clock = inner.clock;
             if let Some(entry) = inner.map.get_mut(key) {
@@ -214,7 +222,7 @@ impl ArtifactCache {
         let built = Arc::new(build());
         let bytes = size(&built);
 
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(entry) = inner.map.get_mut(key) {
@@ -257,7 +265,7 @@ impl ArtifactCache {
 
     /// Snapshot of the effectiveness counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -269,7 +277,7 @@ impl ArtifactCache {
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.map.clear();
         inner.bytes = 0;
     }

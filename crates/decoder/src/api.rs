@@ -107,7 +107,10 @@ pub struct DecodeOutcome {
     pub flip: bool,
     /// Total matched weight of the correction: the sum of shortest-path
     /// distances of all matched pairs (matching decoders) or of the peeled
-    /// correction edges (union-find). 0 for an empty syndrome.
+    /// correction edges (union-find). 0 for an empty syndrome. Where
+    /// several matchings are optimal, which one is summed is the backend's
+    /// choice, so only [`scale_weight`](crate::scale_weight) of it is
+    /// fixed, not its f64 rounding.
     pub weight: f64,
     /// Number of defects that were decoded.
     pub defects: usize,

@@ -42,18 +42,20 @@ pub const PROTOCOL_VERSION: u64 = 1;
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Writes one frame: 4-byte big-endian length, then the compact JSON.
+/// Header and payload go out in one write, so a `TCP_NODELAY` socket sends
+/// the frame as one segment rather than two.
 pub fn write_frame(w: &mut impl Write, value: &Value) -> io::Result<()> {
-    let payload = value.to_string();
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    if payload.len() > MAX_FRAME_BYTES {
+    let mut frame = vec![0; 4];
+    write!(frame, "{value}")?;
+    let len = frame.len() - 4;
+    if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame too large",
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -104,17 +106,19 @@ impl<R: Read> FrameReader<R> {
                 }
                 let need = 4 + len;
                 if self.filled >= need {
-                    let payload = std::str::from_utf8(&self.buf[4..need])
+                    let value = std::str::from_utf8(&self.buf[4..need])
                         .map_err(|_| {
                             io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8")
-                        })?
-                        .to_string();
+                        })
+                        .and_then(|payload| {
+                            Value::parse(payload).map_err(|e| {
+                                let message = format!("bad frame JSON: {e}");
+                                io::Error::new(io::ErrorKind::InvalidData, message)
+                            })
+                        });
                     self.buf.copy_within(need..self.filled, 0);
                     self.filled -= need;
-                    let value = Value::parse(&payload).map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("bad frame JSON: {e}"))
-                    })?;
-                    return Ok(ReadOutcome::Frame(value));
+                    return value.map(ReadOutcome::Frame);
                 }
                 if self.buf.len() < need {
                     self.buf.resize(need, 0);
@@ -446,6 +450,41 @@ mod tests {
         legacy.set("fusion", 4usize);
         legacy.set("predecode", "off");
         assert_eq!(JobSpec::from_frame(&legacy).unwrap(), spec);
+    }
+
+    /// One frame is one `write` call, carrying the bytes the
+    /// protocol defines: the big-endian payload length, then the JSON.
+    #[test]
+    fn a_frame_is_one_write() {
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Counting::default();
+        let frames = [
+            JobSpec::default().to_frame(),
+            Value::parse(r#"{"type":"error","message":"é"}"#).unwrap(),
+        ];
+        for (n, frame) in frames.iter().enumerate() {
+            let start = sink.bytes.len();
+            write_frame(&mut sink, frame).unwrap();
+            assert_eq!(sink.writes, n + 1);
+            let payload = frame.to_string();
+            let wire = &sink.bytes[start..];
+            assert_eq!(wire[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&wire[4..], payload.as_bytes());
+        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! Backpressure: the queue is bounded; a submit that finds it full gets an
 //! immediate `busy` frame (never a hang, never an unbounded buffer).
 //!
+//! Isolation: a job that panics is answered with an `error` frame and a
+//! `done` frame with `completed: false`; the executor moves on to the next
+//! job, and every lock tolerates the poisoning a panic may leave behind.
+//!
 //! Shutdown: a `shutdown` frame (or [`ServerHandle::shutdown`]) sets the
 //! flag, wakes the accept loop with a self-connection, and the executor
 //! *drains* every already-accepted job before exiting — accepted work is
@@ -30,8 +34,9 @@ use eraser_json::Value;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,6 +83,13 @@ struct QueueState {
 struct Counters {
     jobs_done: u64,
     points_streamed: u64,
+}
+
+/// Locks `mutex`, also when a panic poisoned it: the code under these
+/// locks only pushes, pops and counts, and runs no job code, so a panic
+/// leaves no half-made update behind.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Shared {
@@ -203,7 +215,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 fn executor_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut state = shared.state.lock().unwrap();
+            let mut state = lock(&shared.state);
             loop {
                 if let Some(job) = state.jobs.pop_front() {
                     break job;
@@ -211,22 +223,37 @@ fn executor_loop(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                state = shared.work.wait(state).unwrap();
+                state = shared
+                    .work
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let before = shared.cache.stats();
         let start = Instant::now();
         let mut cells_run = 0usize;
-        let completed = job.sweep.try_for_each_cached(&shared.cache, |point| {
-            cells_run += 1;
-            // A failed send means the client vanished; abandon the rest of
-            // the grid rather than burning the pool on unwanted work.
-            job.reply.send(point_frame(job.id, &point)).is_ok()
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            job.sweep.try_for_each_cached(&shared.cache, |point| {
+                cells_run += 1;
+                // A failed send means the client vanished; abandon the rest
+                // of the grid rather than burning the pool on unwanted work.
+                job.reply.send(point_frame(job.id, &point)).is_ok()
+            })
+        }));
+        let completed = run.unwrap_or_else(|payload| {
+            let reason = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("unknown cause");
+            let message = format!("job {} panicked: {reason}", job.id);
+            let _ = job.reply.send(error_frame(&message));
+            false
         });
         let after = shared.cache.stats();
         let micros = start.elapsed().as_micros() as u64;
         {
-            let mut counters = shared.counters.lock().unwrap();
+            let mut counters = lock(&shared.counters);
             counters.jobs_done += 1;
             counters.points_streamed += cells_run as u64;
         }
@@ -291,8 +318,8 @@ fn point_frame(job: u64, point: &SweepPoint) -> Value {
 
 fn stats_frame(shared: &Shared) -> Value {
     let cache = shared.cache.stats();
-    let counters = shared.counters.lock().unwrap();
-    let queued = shared.state.lock().unwrap().jobs.len();
+    let counters = lock(&shared.counters);
+    let queued = lock(&shared.state).jobs.len();
     let mut v = Value::object();
     v.set("type", "stats");
     v.set("jobs_done", counters.jobs_done);
@@ -377,7 +404,7 @@ fn handle_submit(frame: &Value, writer: &mut TcpStream, shared: &Arc<Shared>) ->
     let cells = sweep.len();
     let (tx, rx) = mpsc::channel();
     let id = {
-        let mut state = shared.state.lock().unwrap();
+        let mut state = lock(&shared.state);
         if shared.shutdown.load(Ordering::SeqCst) {
             drop(state);
             return write_frame(writer, &error_frame("server is shutting down"));
@@ -422,5 +449,83 @@ fn handle_submit(frame: &Value, writer: &mut TcpStream, shared: &Arc<Shared>) ->
         if is_done {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eraser_core::PolicyKind;
+
+    fn enqueue(shared: &Shared, sweep: Sweep) -> mpsc::Receiver<Value> {
+        let (reply, rx) = mpsc::channel();
+        let cells = sweep.len();
+        let id = shared.next_job_id.fetch_add(1, Ordering::SeqCst);
+        lock(&shared.state).jobs.push_back(QueuedJob {
+            id,
+            sweep,
+            cells,
+            reply,
+        });
+        shared.work.notify_one();
+        rx
+    }
+
+    fn frame_type(frame: &Value) -> &str {
+        frame.get("type").and_then(|t| t.as_str()).unwrap_or("")
+    }
+
+    /// A job whose policy factory panics is answered with `error` and an
+    /// incomplete `done`; the executor survives it, and the normal job
+    /// queued behind it runs to completion.
+    #[test]
+    fn executor_survives_a_panicking_job() {
+        let server = ServerHandle::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_capacity: 4,
+            cache_bytes: 16 << 20,
+        })
+        .expect("bind ephemeral port");
+        let sweep = |policy: PolicyKind| {
+            Sweep::builder()
+                .distances([3])
+                .error_rates([1e-3])
+                .policy(policy)
+                .rounds(3)
+                .shots(64)
+                .threads(1)
+                .build()
+                .expect("valid sweep")
+        };
+        let failing = enqueue(
+            &server.shared,
+            sweep(PolicyKind::custom("boom", |_| {
+                panic!("policy factory failed")
+            })),
+        );
+        let normal = enqueue(&server.shared, sweep(PolicyKind::eraser()));
+
+        let frames: Vec<Value> = failing.iter().collect();
+        let kinds: Vec<&str> = frames.iter().map(frame_type).collect();
+        assert_eq!(kinds, ["error", "done"]);
+        let message = frames[0].get("message").and_then(|m| m.as_str()).unwrap();
+        assert!(message.contains("policy factory failed"), "{message}");
+        assert_eq!(
+            frames[1].get("completed").and_then(|c| c.as_bool()),
+            Some(false)
+        );
+
+        let frames: Vec<Value> = normal.iter().collect();
+        let kinds: Vec<&str> = frames.iter().map(frame_type).collect();
+        assert_eq!(kinds, ["point", "done"]);
+        assert_eq!(
+            frames[1].get("completed").and_then(|c| c.as_bool()),
+            Some(true)
+        );
+        assert_eq!(frames[0].get("shots").and_then(|s| s.as_u64()), Some(64));
+
+        server.shutdown();
+        server.wait();
     }
 }
