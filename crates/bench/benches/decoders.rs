@@ -24,7 +24,7 @@ fn main() {
     // d = 7, R = 70 is the `stream-d7` benchmark's model (61k mechanisms).
     for (d, rounds) in [(3usize, 3usize), (5, 5), (7, 70)] {
         let name = format!("dem_build/d{d}_r{rounds}");
-        if !h.matches(&name) {
+        if !h.matches_prefix(&name) {
             continue;
         }
         let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
@@ -63,7 +63,7 @@ fn main() {
 
     // One bulk window shape of the `stream-d7` plan (d = 7, R = 70, 21-round
     // windows): the table every dense window of that workload decodes on.
-    if h.matches("shortest_paths_compute/d7_r70_w21") {
+    if h.matches_prefix("shortest_paths_compute/d7_r70_w21") {
         let fixture = decode_fixture(7, 70, 0);
         let shape = WindowGraph::build(&fixture.graph, 14, 34);
         h.bench("shortest_paths_compute/d7_r70_w21", || {
@@ -143,7 +143,7 @@ fn main() {
     // exactly why `DecoderKind::Auto` flips to sparse above
     // `AUTO_MWPM_NODE_LIMIT` nodes. The committed baseline asserts sparse
     // ≥2× dense end to end (`crates/bench/tests/baselines.rs`).
-    if h.matches("decode_batch_32/d7") {
+    if h.matches_prefix("decode_batch_32/d7") {
         let (d, rounds) = (7usize, 35usize);
         let fixture = decode_fixture(d, rounds, 1);
         let mut rng = qec_core::Rng::new(0x735);
@@ -184,7 +184,7 @@ fn main() {
     // — the window caps blossom's O(k³) at the per-window defect count while
     // the monolithic matcher pays the whole shot's. The heavy fixture (DEM +
     // 2665-node APSP) is skipped when the filter excludes these benches.
-    if h.matches("decode_window_shot") {
+    if h.matches_prefix("decode_window_shot") {
         let (d, rounds) = (7usize, 110usize);
         let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
         let detectors = exp.detectors();
@@ -231,7 +231,7 @@ fn main() {
     // p = 2e-3, sampled from the detector error model and streamed round by
     // round. The final (here: only) window reads just the flip, so dense
     // MWPM answers a tie whose optima share one flip without the blossom.
-    if h.matches("decode_full_cover/d5_r15_p2e-3/mwpm") {
+    if h.matches_prefix("decode_full_cover/d5_r15_p2e-3/mwpm") {
         let (d, rounds, p) = (5usize, 15usize, 2e-3);
         let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(p), rounds);
         let detectors = exp.detectors();

@@ -55,6 +55,16 @@ impl Harness {
             .is_none_or(|filter| name.contains(filter.as_str()))
     }
 
+    /// Whether some bench named `prefix`… may pass the command-line filter:
+    /// the filter is part of `prefix`, or extends it (names one of its
+    /// rows). Gates a fixture shared by the benches under `prefix`, so that
+    /// a filter naming one full row still builds it.
+    pub fn matches_prefix(&self, prefix: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| prefix.contains(filter.as_str()) || filter.starts_with(prefix))
+    }
+
     /// Runs `f` repeatedly for roughly the measurement budget and prints the
     /// mean time per iteration. Skipped (silently) if `name` does not match
     /// the filter.
@@ -190,6 +200,20 @@ mod tests {
         assert_eq!(calls, 0);
         h.bench("decoder_latency", || calls += 1);
         assert!(calls > 0);
+    }
+
+    #[test]
+    fn a_prefix_gate_admits_filters_that_name_its_rows() {
+        let gate = "decode_window_shot";
+        let row = "decode_window_shot/d7_r110/windowed_tiered_mwpm";
+        for filter in [None, Some("window"), Some(gate), Some(row)] {
+            assert!(test_harness(filter).matches_prefix(gate), "{filter:?}");
+        }
+        for filter in ["decode_batch", "memory_run"] {
+            assert!(!test_harness(Some(filter)).matches_prefix(gate), "{filter}");
+        }
+        // A plain name match would skip the fixture of the filtered row.
+        assert!(!test_harness(Some(row)).matches(gate));
     }
 
     #[test]

@@ -136,7 +136,11 @@ pub trait SyndromeDecoder {
     /// emitted edge set's observable-flip XOR always equals the returned
     /// [`DecodeOutcome::flip`]; this is what lets the sliding-window adapter
     /// ([`crate::window::WindowedDecoder`]) commit a correction region by
-    /// region.
+    /// region. Where several matchings are optimal, which one is walked,
+    /// and so the order of the emitted edges, is the backend's choice:
+    /// dense MWPM answers a tie whose optima all walk the same edges with
+    /// one of them, so only the edge multiset, and not the f64 sum of edge
+    /// weights taken in emitted order, is held to its blossom's.
     ///
     /// A backend that resolves its 1–2 defect, erasure-free syndromes in
     /// closed form does so inside this call and sets

@@ -16,7 +16,8 @@
 //! one virtual boundary copy per defect, the standard reduction that lets an
 //! odd number of defects terminate on the boundary) runs only when that
 //! solver cannot prove its answer unique, or, for a caller that reads only
-//! the flip, that every optimum predicts the same flip.
+//! the flip, that every optimum predicts the same flip, or, for a caller
+//! that walks correction edges, that every optimum walks the same edges.
 //!
 //! - **Pruning.** A pair costing at least its two boundary matches is
 //!   dropped: with `>` it is never optimal, with `==` (a *twin*) it ties
@@ -31,12 +32,11 @@
 //!   that they predict both. Each staged cost carries the observable parity
 //!   of its path for this. Its memo holds only the subsets it reaches, in
 //!   one fixed table that an epoch stamp empties.
-//! - **Deferral.** The blossom runs instead when two odd components are
-//!   twins across every pair (each sends a member to the boundary, so two
-//!   lone twins are the smallest case), checked before any DP runs; when a
-//!   component's count is not exactly 1; when two boundary-matched defects
-//!   are twins; or when the DP would solve more than `DP_SUBSET_BUDGET`
-//!   subsets of one component (or it has more than 64 members).
+//! - **Deferral.** Short of the two rules below, the blossom runs instead
+//!   when a component's count is not exactly 1, when two boundary-matched
+//!   defects are twins, or when the DP would solve more than
+//!   `DP_SUBSET_BUDGET` subsets of one component (or it has more than 64
+//!   members).
 //! - **One flip.** A decode without a correction buffer reads only the
 //!   flip and weight: the final window of every
 //!   [`WindowedDecoder`](crate::WindowedDecoder) chain, and so every
@@ -44,8 +44,15 @@
 //!   flip-neutral, its pair parity equal to the XOR of its two boundary
 //!   parities, and (b) every component's DP ends, within the budget, with
 //!   one flip for all its optima. The solver then returns the component
-//!   optima with the remaining defects sent to the boundary, and skips the
-//!   odd-component check, which only speaks to uniqueness.
+//!   optima with the remaining defects sent to the boundary.
+//! - **Same walk.** A decode with a correction buffer (every non-final
+//!   window) walks the matched paths into correction edges. There an
+//!   erasure-free tie needs no blossom when (c) every component's count is
+//!   exactly 1, so the pruned problem's optimum is unique, and (d) every
+//!   twin `(i, j)` between two of its boundary-matched defects is
+//!   walk-neutral: [`ShortestPaths::path_edges`] from `i` to `j`, sorted,
+//!   is the sorted concatenation of the walks from `i` and from `j` to the
+//!   boundary. The solver then returns that pruned optimum.
 //!
 //! The budget (512 subsets) is a work bound, not a size cap. The recursion
 //! solves m subsets of an m-defect chain, and 376 of a complete 12-defect
@@ -88,19 +95,32 @@
 //! it may sum other paths, so its f64 rounding can differ from the
 //! blossom's (30 of the 477 skipped ties of the d = 3 and d = 5
 //! syndromes in `flip_only_decodes_match_the_blossom`); only the
-//! flip is held bit for bit. A window that walks correction edges keeps
-//! the unique-or-blossom rule, and the closed form still needs uniqueness,
-//! so predecoder tiers do not move either.
+//! flip is held bit for bit.
+//!
+//! The same-walk answer walks the blossom's edges. By the same split, every
+//! optimum is the unique pruned optimum (c) with some of its
+//! boundary-matched twins joined into pairs, and by (d) each join swaps two
+//! boundary walks for a walk of exactly their edges. So every optimum, the
+//! blossom's among them, walks the returned edge multiset, with its flip. A
+//! window commits and carries by edge, so its committed flip, carried
+//! defects and every later window are unchanged; only the order of the
+//! walked edges, and so the f64 summation order of the committed weight,
+//! can differ. Erasure decodes keep the unique-or-blossom rule (their walks
+//! run on the overlaid metric), and the closed form still needs
+//! uniqueness, so predecoder tiers do not move either.
 //!
 //! On the `stream-d7` benchmark workload (d = 7, R = 70, 21/14 windows,
-//! p = 1e-3, seed 1, 10 s, 1.34M matchings) the solver proves 85.1% of
-//! the matchings that reach it unique. 14.5% are twin ties (13.2% caught
-//! by the odd-component check, 1.3% between boundary-matched defects),
-//! 0.37% DP ties and 0.03% over the subset budget. Final windows hold 19%
-//! of the matchings; 7.1% of those are ties, and the one-flip rule answered
-//! all of them, so the blossom's share of all matchings fell from 14.9% to
-//! 13.6%. On `serve-mix`, whose windows are all final, it fell from 20.8%
-//! to 0.47% (then mostly over-budget components).
+//! p = 1e-3, seed 1, 5 s) 81% of the matchings walk correction edges.
+//! Before the same-walk rule 16.8% of those went to the blossom (113,736 of
+//! 677,208), nearly all twin ties; after it 0.55% do (6,336 of 1,160,928:
+//! 5,976 DP ties and 360 over the subset budget), 16.2% are answered by the
+//! rule, and no walk-neutrality check failed. With no final-window
+//! deferral left, that is the blossom's share of all matchings, 0.44%. On
+//! `mc-d11` the rule answers 1,276 twin ties in 5 s and finds 5 that walk
+//! elsewhere; over-budget components still send 84% of its walked
+//! matchings to the blossom. On `serve-mix`, whose windows are all final,
+//! the one-flip rule took the blossom's share from 20.8% to 0.47% (then
+//! mostly over-budget components).
 //!
 //! The stateful entry point is [`MwpmBatchDecoder`]: the O(n²)
 //! [`ShortestPaths`] table is computed once per graph and shared across
@@ -579,32 +599,25 @@ impl DefectMatching {
         }
     }
 
-    /// Solves the staged problem: the certified solver when the optimum is
-    /// unique, the blossom otherwise. With `flip_only` (the caller reads
-    /// only the flip and weight), a tie whose optima all predict one flip
-    /// is answered by one of them instead. Returns whether the certified
-    /// solver proved its answer unique.
-    fn solve(&mut self, flip_only: bool) -> bool {
-        match self.solve_certified(flip_only) {
-            Answer::Unique => true,
-            Answer::OneFlip => false,
-            Answer::Deferred => {
-                self.solve_blossom();
-                false
-            }
-        }
-    }
-
     /// Exact matching that proves its optimum unique, so the blossom (or
-    /// any exact matcher) would return the same solution, or, with
-    /// `flip_only`, that every optimum predicts the flip of the one it
-    /// returns. Leaves the solution empty when it can prove neither.
+    /// any exact matcher) would return the same solution. Short of that:
+    ///
+    /// - with `flip_only`, it answers [`Answer::OneFlip`] when every optimum
+    ///   predicts the flip of the one it returns;
+    /// - without, it answers [`Answer::TwinTie`] when the pruned problem's
+    ///   optimum is unique and only twins between its boundary-matched
+    ///   defects tie with it, and leaves that optimum staged for the caller
+    ///   to check.
+    ///
+    /// Leaves the solution empty when it can prove none of these.
     ///
     /// A pair costing at least its two boundary matches is dropped: with
     /// `>` it is never optimal, with `==` (a twin) it ties with them. The
     /// remaining pairs split the defects into components, each solved by a
     /// subset DP that counts its optimal solutions and records their flip.
     fn solve_certified(&mut self, flip_only: bool) -> Answer {
+        self.pairs.clear();
+        self.to_boundary.clear();
         self.build_kept_rows();
         let (k, w) = (self.k, self.k.div_ceil(64));
         // Components by bitset union over the kept rows.
@@ -635,11 +648,6 @@ impl DefectMatching {
                 }
             }
             self.ends.push(self.members.len());
-        }
-        // An odd-component tie only rules out uniqueness, which a flip-only
-        // solve does not need.
-        if !flip_only && self.odd_components_tie() {
-            return Answer::Deferred;
         }
         // Every defect starts at the boundary until its component's optimum
         // says otherwise.
@@ -676,7 +684,8 @@ impl DefectMatching {
         // Two boundary-matched twins could pair at the same cost.
         let singles = &self.to_boundary;
         let tied = |(a, &i): (usize, &usize)| singles[a + 1..].iter().any(|&j| self.twins(i, j));
-        if unique && !singles.iter().enumerate().any(tied) {
+        let twin_tie = singles.iter().enumerate().any(tied);
+        if unique && !twin_tie {
             return Answer::Unique;
         }
         // Splitting each twin of any optimum into its two boundary matches
@@ -685,34 +694,14 @@ impl DefectMatching {
         if flip_only && self.twins_flip_neutral() {
             return Answer::OneFlip;
         }
+        // Without `flip_only` a DP tie has already deferred, so the pruned
+        // optimum is unique and staged.
+        if !flip_only {
+            return Answer::TwinTie;
+        }
         self.pairs.clear();
         self.to_boundary.clear();
         Answer::Deferred
-    }
-
-    /// Every optimum sends at least one member of each odd component to the
-    /// boundary. If all pairs across two odd components are twins, those
-    /// members tie whatever the DPs choose, so the solver can defer before
-    /// running any (two lone twins are the smallest case).
-    fn odd_components_tie(&self) -> bool {
-        let components = || {
-            let starts = iter::once(0).chain(self.ends.iter().copied());
-            starts.zip(self.ends.iter().copied())
-        };
-        let odd = |&(start, end): &(usize, usize)| (end - start) % 2 == 1;
-        for (c, (start, end)) in components().enumerate().filter(|(_, r)| odd(r)) {
-            let first = &self.members[start..end];
-            for (start, end) in components().skip(c + 1).filter(odd) {
-                let second = &self.members[start..end];
-                if first
-                    .iter()
-                    .all(|&u| second.iter().all(|&v| self.twins(u, v)))
-                {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Runs the subset DP over the component `members[start..end]` and
@@ -771,6 +760,8 @@ impl DefectMatching {
     /// The blossom reduction: vertices 0..k are defects, k..2k their
     /// private boundary copies (the standard odd-parity reduction).
     fn solve_blossom(&mut self) {
+        self.pairs.clear();
+        self.to_boundary.clear();
         let k = self.k;
         let mut max_scaled: i64 = 0;
         for i in 0..k {
@@ -812,6 +803,10 @@ enum Answer {
     Unique,
     /// The optima tie, but all predict the solution's flip.
     OneFlip,
+    /// The pruned problem's optimum, the solution, is unique, but two of
+    /// its boundary-matched defects are twins: every optimum is the
+    /// solution with some of those twins joined into pairs.
+    TwinTie,
     /// Neither; the solution is empty.
     Deferred,
 }
@@ -1039,6 +1034,10 @@ pub struct MwpmBatchDecoder<'g> {
     eff_dist: Vec<f64>,
     eff_par: Vec<bool>,
     dijkstra: DijkstraScratch,
+    /// Walk-neutrality scratch: one twin's two boundary walks and its pair
+    /// walk.
+    apart_walks: Vec<usize>,
+    joined_walk: Vec<usize>,
 }
 
 impl<'g> MwpmBatchDecoder<'g> {
@@ -1069,6 +1068,8 @@ impl<'g> MwpmBatchDecoder<'g> {
             eff_dist: Vec::new(),
             eff_par: Vec::new(),
             dijkstra: DijkstraScratch::new(),
+            apart_walks: Vec::new(),
+            joined_walk: Vec::new(),
         }
     }
 
@@ -1134,6 +1135,54 @@ impl<'g> MwpmBatchDecoder<'g> {
             m.scaled_boundary[i] = scale_weight(self.eff_dist[i * t + k]);
             m.boundary_parity[i] = self.eff_par[i * t + k];
         }
+    }
+
+    /// Stages `syndrome` and solves its matching: the certified solver's
+    /// answer where it proves one (see the module docs), the blossom's
+    /// otherwise. With `flip_only` the caller reads only the flip and
+    /// weight, so a tie whose optima all predict one flip is answered;
+    /// without, an erasure-free twin tie whose twins are all walk-neutral
+    /// is. Returns whether the optimum was proved unique.
+    fn solve(&mut self, syndrome: &Syndrome, flip_only: bool) -> bool {
+        self.stage(syndrome);
+        let answer = self.matching.solve_certified(flip_only);
+        let answered = match answer {
+            Answer::Unique | Answer::OneFlip => true,
+            Answer::TwinTie => {
+                syndrome.erasures.is_empty() && self.twins_walk_neutral(&syndrome.defects)
+            }
+            Answer::Deferred => false,
+        };
+        if !answered {
+            self.matching.solve_blossom();
+        }
+        answer == Answer::Unique
+    }
+
+    /// Whether every twin `(i, j)` among the staged solution's
+    /// boundary-matched defects is walk-neutral: the edges of the shortest
+    /// path walk from `i` to `j`, sorted, are those of the walks from `i`
+    /// and from `j` to the boundary. Joining such twins into pairs then
+    /// leaves the walked correction's edge multiset as it is.
+    fn twins_walk_neutral(&mut self, defects: &[usize]) -> bool {
+        let (graph, paths, m) = (self.graph, &*self.paths, &self.matching);
+        let (apart, joined) = (&mut self.apart_walks, &mut self.joined_walk);
+        let singles = &m.to_boundary;
+        for (a, &i) in singles.iter().enumerate() {
+            for &j in singles[a + 1..].iter().filter(|&&j| m.twins(i, j)) {
+                apart.clear();
+                joined.clear();
+                paths.path_edges(graph, defects[i], graph.boundary(), apart);
+                paths.path_edges(graph, defects[j], graph.boundary(), apart);
+                paths.path_edges(graph, defects[i], defects[j], joined);
+                apart.sort_unstable();
+                joined.sort_unstable();
+                if apart != joined {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Flip and weight of the solved matching along shortest paths, pairs
@@ -1216,11 +1265,8 @@ impl SyndromeDecoder for MwpmBatchDecoder<'_> {
             return DecodeOutcome::default();
         }
         let start = Instant::now();
-        // Without a correction buffer only the flip and weight are read, so
-        // a tie whose optima share one flip needs no blossom.
-        let flip_only = correction.is_none();
-        self.stage(syndrome);
-        let unique = self.matching.solve(flip_only);
+        // Without a correction buffer only the flip and weight are read.
+        let unique = self.solve(syndrome, correction.is_none());
         let (flip, weight) = if syndrome.erasures.is_empty() {
             self.path_outcome(defects, correction)
         } else {
@@ -1244,6 +1290,7 @@ impl SyndromeDecoder for MwpmBatchDecoder<'_> {
 mod tests {
     use super::*;
     use crate::dem::build_dem;
+    use crate::graph::GraphEdge;
     use qec_core::circuit::DetectorBasis;
     use qec_core::NoiseParams;
     use surface_code::{MemoryExperiment, RotatedCode};
@@ -1362,8 +1409,7 @@ mod tests {
             }
         }
         let defects: Vec<usize> = (0..graph.num_nodes()).filter(|&n| events[n]).collect();
-        decoder.stage_paths(&defects);
-        decoder.matching.solve(false);
+        decoder.solve(&Syndrome::new(defects.clone()), false);
         let (pairs, to_boundary) = (
             decoder.matching.pairs.clone(),
             decoder.matching.to_boundary.clone(),
@@ -1450,15 +1496,11 @@ mod tests {
 
     /// The certified solution, or `None` when the solver defers.
     fn certified(m: &mut DefectMatching) -> Option<Solution> {
-        m.pairs.clear();
-        m.to_boundary.clear();
         (m.solve_certified(false) == Answer::Unique)
             .then(|| (m.pairs.clone(), m.to_boundary.clone()))
     }
 
     fn blossom(m: &mut DefectMatching) -> Solution {
-        m.pairs.clear();
-        m.to_boundary.clear();
         m.solve_blossom();
         (m.pairs.clone(), m.to_boundary.clone())
     }
@@ -1743,8 +1785,6 @@ mod tests {
             }
             let strict = certified(&mut m);
             let all = optima(&m);
-            m.pairs.clear();
-            m.to_boundary.clear();
             let answer = m.solve_certified(true);
             let solution = (m.pairs.clone(), m.to_boundary.clone());
             let (cost, flip) = solution_cost_and_flip(&m);
@@ -1766,6 +1806,7 @@ mod tests {
                     assert_eq!(strict, None, "case {case}: deferred a unique optimum");
                     continue;
                 }
+                Answer::TwinTie => panic!("case {case}: a flip-only solve reported a twin tie"),
             }
             assert_eq!(cost, all.cost, "case {case}: k={k} not optimal");
             let mut flips = [false; 2];
@@ -1839,15 +1880,7 @@ mod tests {
                 let (graph, dem) = setup_at(d, rounds, p);
                 let mut decoder = MwpmBatchDecoder::new(&graph);
                 let mut syndromes = dem_syndromes(&graph, &dem, 600, 0x5EED ^ d as u64);
-                let mut rng = qec_core::Rng::new(0xE2A5);
-                for syndrome in syndromes.iter_mut().step_by(3) {
-                    for _ in 0..1 + rng.below(2) {
-                        let node = rng.below(graph.num_nodes() as u64) as usize;
-                        syndrome.erasures.extend_from_slice(graph.incident(node));
-                    }
-                    syndrome.erasures.sort_unstable();
-                    syndrome.erasures.dedup();
-                }
+                erase_every_third(&graph, &mut syndromes);
                 for syndrome in &syndromes {
                     let out = decoder.decode(syndrome, None);
                     let (answer, (flip, weight)) = flip_rule_and_blossom(&mut decoder, syndrome);
@@ -1859,6 +1892,138 @@ mod tests {
             }
         }
         assert!(one_flip > 200, "{one_flip} ties answered by the flip rule");
+    }
+
+    /// Adds the incident edges of one to two random nodes as erasures to
+    /// every third syndrome.
+    fn erase_every_third(graph: &DecodingGraph, syndromes: &mut [Syndrome]) {
+        let mut rng = qec_core::Rng::new(0xE2A5);
+        for syndrome in syndromes.iter_mut().step_by(3) {
+            for _ in 0..1 + rng.below(2) {
+                let node = rng.below(graph.num_nodes() as u64) as usize;
+                syndrome.erasures.extend_from_slice(graph.incident(node));
+            }
+            syndrome.erasures.sort_unstable();
+            syndrome.erasures.dedup();
+        }
+    }
+
+    /// The blossom's matching of `syndrome`, walked into correction edges:
+    /// the flip, weight and edges of every decode with a correction buffer
+    /// before the walk rule.
+    fn blossom_walk(
+        decoder: &mut MwpmBatchDecoder,
+        syndrome: &Syndrome,
+    ) -> (bool, f64, Vec<usize>) {
+        decoder.stage(syndrome);
+        blossom(&mut decoder.matching);
+        let mut edges = Vec::new();
+        let (flip, weight) = if syndrome.erasures.is_empty() {
+            decoder.path_outcome(&syndrome.defects, Some(&mut edges))
+        } else {
+            decoder.overlay_outcome(&syndrome.defects, Some(&mut edges))
+        };
+        (flip, weight, edges)
+    }
+
+    /// Whether the walk rule answers `syndrome` with a correction buffer: an
+    /// erasure-free twin tie whose twins are all walk-neutral.
+    fn walk_rule_answers(decoder: &mut MwpmBatchDecoder, syndrome: &Syndrome) -> bool {
+        if !syndrome.erasures.is_empty() {
+            return false;
+        }
+        decoder.stage(syndrome);
+        decoder.matching.solve_certified(false) == Answer::TwinTie
+            && decoder.twins_walk_neutral(&syndrome.defects)
+    }
+
+    fn sorted(mut edges: Vec<usize>) -> Vec<usize> {
+        edges.sort_unstable();
+        edges
+    }
+
+    /// DEM-sampled d = 3, 5 and 7 syndromes up to p = 1e-2, decoded with a
+    /// correction buffer (the call every non-final window makes), a third
+    /// of them with erasure overlays. Where the walk rule answers a tie,
+    /// the flip and the sorted correction edges are the blossom's; every
+    /// other decode, erasures included, returns the blossom's flip, weight
+    /// bits and edges in order, since it is unique or is the blossom's.
+    #[test]
+    fn walked_ties_match_the_blossom() {
+        let mut walked = 0;
+        for (d, rounds) in [(3, 3), (5, 5), (7, 7)] {
+            for p in [1e-3, 5e-3, 1e-2] {
+                let (graph, dem) = setup_at(d, rounds, p);
+                let mut decoder = MwpmBatchDecoder::new(&graph);
+                let mut syndromes = dem_syndromes(&graph, &dem, 300, 0x3A1C ^ d as u64);
+                erase_every_third(&graph, &mut syndromes);
+                let mut edges = Vec::new();
+                for syndrome in &syndromes {
+                    let out = decoder.decode(syndrome, Some(&mut edges));
+                    let (flip, weight, reference) = blossom_walk(&mut decoder, syndrome);
+                    let context = format!("d={d} p={p} {syndrome:?}");
+                    assert_eq!(out.flip, flip, "{context}: flip");
+                    if walk_rule_answers(&mut decoder, syndrome) {
+                        walked += 1;
+                        assert!(!out.closed_form, "{context}: a tie at tier 1");
+                        assert_eq!(sorted(edges.clone()), sorted(reference), "{context}");
+                        assert_eq!(scale_weight(out.weight), scale_weight(weight), "{context}");
+                    } else {
+                        assert_eq!(edges, reference, "{context}: edges");
+                        assert_eq!(out.weight.to_bits(), weight.to_bits(), "{context}");
+                    }
+                }
+            }
+        }
+        assert!(walked > 150, "{walked} ties answered by the walk rule");
+    }
+
+    /// Two defects whose direct edge ties with their two boundary edges: a
+    /// flip-neutral twin whose pair walk is not its two boundary walks. A
+    /// whole-shot decode answers the tie by the flip rule; a decode with a
+    /// correction buffer defers to the blossom, whose choice is the pair.
+    #[test]
+    fn a_twin_that_walks_elsewhere_defers_to_the_blossom() {
+        let edge = |a, b, weight, flips_observable| GraphEdge {
+            a,
+            b,
+            probability: 0.1,
+            weight,
+            flips_observable,
+        };
+        // The direct edge comes first in both defects' incidence lists, so
+        // the walk from 0 to 1 takes it.
+        let graph = DecodingGraph::from_window_parts(
+            2,
+            vec![
+                edge(0, 1, 2.0, false),
+                edge(0, 2, 1.0, true),
+                edge(1, 2, 1.0, true),
+            ],
+            vec![0, 0],
+        );
+        let mut decoder = MwpmBatchDecoder::new(&graph);
+        let syndrome = Syndrome::new(vec![0, 1]);
+        let (flip, weight, reference) = blossom_walk(&mut decoder, &syndrome);
+        assert_eq!(
+            (flip, reference.as_slice()),
+            (false, &[0][..]),
+            "the blossom pairs them"
+        );
+        decoder.stage(&syndrome);
+        assert_eq!(decoder.matching.solve_certified(true), Answer::OneFlip);
+        assert_eq!(decoder.matching.solve_certified(false), Answer::TwinTie);
+        assert!(!decoder.twins_walk_neutral(&syndrome.defects));
+        let mut edges = Vec::new();
+        let out = decoder.decode(&syndrome, Some(&mut edges));
+        assert_eq!((out.flip, out.weight, &edges), (flip, weight, &reference));
+        assert!(!out.closed_form);
+        // Under erasures a tie with a correction buffer goes to the blossom
+        // too, walk-neutral or not.
+        let erased = Syndrome::with_erasures(vec![0, 1], vec![1, 2]);
+        let (flip, weight, reference) = blossom_walk(&mut decoder, &erased);
+        let out = decoder.decode(&erased, Some(&mut edges));
+        assert_eq!((out.flip, out.weight, &edges), (flip, weight, &reference));
     }
 
     /// Whether two optima of the problem staged in `m` (after a deferred
@@ -1915,8 +2080,6 @@ mod tests {
                 dense.stage_paths(&syndrome.defects);
                 let m = &mut dense.matching;
                 let reference = blossom(m);
-                m.pairs.clear();
-                m.to_boundary.clear();
                 let answer = m.solve_certified(true);
                 assert_eq!(answer, Answer::Deferred, "d={d} R={rounds}: {syndrome:?}");
                 assert!(
