@@ -55,14 +55,12 @@ impl Harness {
             .is_none_or(|filter| name.contains(filter.as_str()))
     }
 
-    /// Whether some bench named `prefix`… may pass the command-line filter:
-    /// the filter is part of `prefix`, or extends it (names one of its
-    /// rows). Gates a fixture shared by the benches under `prefix`, so that
-    /// a filter naming one full row still builds it.
-    pub fn matches_prefix(&self, prefix: &str) -> bool {
-        self.filter
-            .as_ref()
-            .is_none_or(|filter| prefix.contains(filter.as_str()) || filter.starts_with(prefix))
+    /// Whether any of `rows` passes the command-line filter. Gates a fixture
+    /// shared by several benches on the names of the rows it feeds, so any
+    /// filter that selects one of them — a whole row name, or any part of
+    /// one — builds it.
+    pub fn matches_any<S: AsRef<str>>(&self, rows: &[S]) -> bool {
+        rows.iter().any(|row| self.matches(row.as_ref()))
     }
 
     /// Runs `f` repeatedly for roughly the measurement budget and prints the
@@ -203,17 +201,24 @@ mod tests {
     }
 
     #[test]
-    fn a_prefix_gate_admits_filters_that_name_its_rows() {
-        let gate = "decode_window_shot";
-        let row = "decode_window_shot/d7_r110/windowed_tiered_mwpm";
-        for filter in [None, Some("window"), Some(gate), Some(row)] {
-            assert!(test_harness(filter).matches_prefix(gate), "{filter:?}");
+    fn a_fixture_gate_admits_any_filter_that_selects_one_of_its_rows() {
+        let rows = [
+            "decode_window_shot/d7_r110/monolithic_mwpm",
+            "decode_window_shot/d7_r110/windowed_tiered_mwpm",
+        ];
+        for filter in [
+            None,
+            Some("window"),
+            Some("decode_window_shot"),
+            Some("d7_r110/windowed"),
+            Some("tiered"),
+            Some(rows[1]),
+        ] {
+            assert!(test_harness(filter).matches_any(&rows), "{filter:?}");
         }
-        for filter in ["decode_batch", "memory_run"] {
-            assert!(!test_harness(Some(filter)).matches_prefix(gate), "{filter}");
+        for filter in ["decode_batch", "memory_run", "d5_r110"] {
+            assert!(!test_harness(Some(filter)).matches_any(&rows), "{filter}");
         }
-        // A plain name match would skip the fixture of the filtered row.
-        assert!(!test_harness(Some(row)).matches(gate));
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //!
 //! Shots run **stripe-at-a-time**: up to 64 shots are packed into one
 //! word-parallel [`BatchFrameSimulator`] stripe, driven by a *static* round
-//! schedule (`surface_code::MaskedRound`) whose dynamic LRC decisions are
-//! resolved each round into per-slot lane masks by the [`StripedPolicy`]
-//! layer. The standard policies (no-LRC, Always-LRC, ERASER, ERASER+M, the
-//! oracle) plan every lane at once with a native word planner; custom and
-//! adaptive policies run one scalar instance per lane behind a per-lane
-//! adapter. Either way the policy's read path comes back as lane words,
+//! schedule whose dynamic LRC decisions are resolved each round into
+//! per-slot lane masks by the [`StripedPolicy`] layer. The runner holds
+//! each protocol's schedule (`surface_code::MaskedRound`) only in compiled
+//! form, built once with the runner: [`CompiledOp`]s with their channel
+//! thresholds precomputed, grouped into blocks of consecutive ops that share
+//! one condition. Each stripe-round resolves a block's mask once and skips
+//! a block whose mask is empty — most LRC-slot blocks, in most rounds —
+//! with one check. The standard policies (no-LRC, Always-LRC, ERASER,
+//! ERASER+M, the oracle) plan every lane at once with a native word
+//! planner; custom and adaptive policies run one scalar instance per lane
+//! behind a per-lane adapter. Either way the policy's read path comes back as lane words,
 //! which one erasure loop turns into each lane's erasure flags, drawing
 //! each lane's detection-noise stream in a fixed order. After the stripe,
 //! each lane's defects and logged erasures are fed to the worker's one
@@ -54,12 +59,13 @@
 use crate::cache::{ArtifactCache, ArtifactKind, CacheKey, ExperimentKey};
 use crate::control::{ControllerStats, LeakageProfile};
 use crate::policy::{at_least, LrcPolicy, StripeRoundContext, StripedPolicy};
-use leak_sim::{BatchFrameSimulator, Discriminator, STRIPE_WIDTH};
+use leak_sim::{BatchFrameSimulator, CompiledOp, Discriminator, STRIPE_WIDTH};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{DetectorInfo, MeasKey, NoiseParams, Op, OpCond, Rng};
 use qec_decoder::{
     build_dem, DecodingGraph, StreamingDecoder, TierCounters, WindowPlan, WindowedDecoder,
 };
+use std::ops::Range;
 use std::sync::Arc;
 use surface_code::{MaskedRound, MemoryBasis, MemoryExperiment, RotatedCode, SlotTable};
 
@@ -643,6 +649,91 @@ impl PartialStats {
     }
 }
 
+/// A run of consecutive ops of one [`RoundProgram`] segment that share one
+/// condition: its lane mask is resolved once, and an empty mask skips the
+/// whole run with one check.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    cond: OpCond,
+    /// The block's ops, as a range of [`RoundProgram::ops`].
+    start: u32,
+    end: u32,
+}
+
+/// A static round schedule ([`MaskedRound`]) compiled once, when the runner
+/// is built: the schedule's ops in order as [`CompiledOp`]s (minus the ops
+/// that never act), grouped into [`Block`]s per segment.
+///
+/// Running the program is exactly running the schedule: the same ops in the
+/// same order under the same masks, so every lane makes the same draws. A
+/// block's mask equals each of its ops' masks because masks do not change
+/// within a segment: `Always`, `Slot` and `StabFree` are fixed for the
+/// round, and the label conditions read record words that only a `Measure`
+/// writes — and no label-conditioned block contains one.
+#[derive(Debug, Clone, Default)]
+struct RoundProgram {
+    ops: Vec<CompiledOp>,
+    blocks: Vec<Block>,
+    /// `blocks[segments[i]..segments[i + 1]]` is segment `i` of `pre`,
+    /// `measure`, `mr_reset`, `tails`, `post`.
+    segments: [usize; 6],
+}
+
+impl RoundProgram {
+    /// The segments before the LPR probe (`pre`).
+    const BEFORE_PROBE: Range<usize> = 0..1;
+    /// The segments after it (`measure` through `post`).
+    const AFTER_PROBE: Range<usize> = 1..5;
+
+    fn compile(round: &MaskedRound) -> RoundProgram {
+        let segments = [
+            &round.pre,
+            &round.measure,
+            &round.mr_reset,
+            &round.tails,
+            &round.post,
+        ];
+        let mut program = RoundProgram {
+            ops: Vec::with_capacity(segments.iter().map(|s| s.len()).sum()),
+            ..RoundProgram::default()
+        };
+        for (i, segment) in segments.into_iter().enumerate() {
+            for mop in segment {
+                let Some(op) = CompiledOp::compile(&mop.op) else {
+                    continue;
+                };
+                let at = program.ops.len() as u32;
+                program.ops.push(op);
+                match program.blocks[program.segments[i]..].last_mut() {
+                    Some(block) if block.cond == mop.cond => block.end = at + 1,
+                    _ => program.blocks.push(Block {
+                        cond: mop.cond,
+                        start: at,
+                        end: at + 1,
+                    }),
+                }
+            }
+            program.segments[i + 1] = program.blocks.len();
+        }
+        program.blocks.shrink_to_fit();
+        program
+    }
+
+    /// The blocks of `segments` (a range of segment indices).
+    fn blocks(&self, segments: Range<usize>) -> &[Block] {
+        &self.blocks[self.segments[segments.start]..self.segments[segments.end]]
+    }
+
+    fn block_ops(&self, block: &Block) -> &[CompiledOp] {
+        &self.ops[block.start as usize..block.end as usize]
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.ops.len() * std::mem::size_of::<CompiledOp>()
+            + self.blocks.len() * std::mem::size_of::<Block>()
+    }
+}
+
 /// Reusable memory-experiment runner: owns the experiment description, the
 /// detector list, and the decoding graph (built once from the base no-LRC
 /// circuit — the decoder's *error model* is LRC- and leakage-unaware, the
@@ -663,11 +754,11 @@ pub struct MemoryRunner {
     /// order — the address space of the striped runtime's per-round
     /// schedule bitmasks.
     slot_table: SlotTable,
-    /// Static SWAP-protocol round schedule (round-0 keys; the executor adds
-    /// the round's key offset).
-    masked_swap: MaskedRound,
-    /// Static DQLR-protocol round schedule.
-    masked_dqlr: MaskedRound,
+    /// The SWAP-protocol round schedule, compiled (round-0 keys; the
+    /// executor adds the round's key offset).
+    swap_program: RoundProgram,
+    /// The DQLR-protocol round schedule, compiled.
+    dqlr_program: RoundProgram,
     /// Detectors of the decoded basis grouped by round, as `(detector index,
     /// graph node)` pairs in ascending node order — the streaming path's
     /// per-round read schedule (detector round r is fully measured once
@@ -815,8 +906,9 @@ impl MemoryRunner {
         }
 
         let slot_table = SlotTable::new(exp.code());
-        let masked_swap = builder.masked_round(&slot_table, exp.keys());
-        let masked_dqlr = builder.masked_dqlr_round(&slot_table, exp.keys());
+        let swap_program = RoundProgram::compile(&builder.masked_round(&slot_table, exp.keys()));
+        let dqlr_program =
+            RoundProgram::compile(&builder.masked_dqlr_round(&slot_table, exp.keys()));
 
         let mut detector_nodes_by_round: Vec<Vec<(u32, u32)>> = vec![Vec::new(); rounds + 1];
         for (di, det) in detectors.iter().enumerate() {
@@ -833,8 +925,8 @@ impl MemoryRunner {
             init_segment,
             final_segment,
             slot_table,
-            masked_swap,
-            masked_dqlr,
+            swap_program,
+            dqlr_program,
             stab_deterministic_round0,
             detector_nodes_by_round,
             qubit_round_edges,
@@ -886,7 +978,8 @@ impl MemoryRunner {
     }
 
     /// Approximate heap footprint of the runner itself (DEM-derived graph,
-    /// round schedules, provenance buckets), for size-bounded caches.
+    /// compiled round programs and the init/final segments, provenance
+    /// buckets), for size-bounded caches.
     pub fn approx_bytes(&self) -> usize {
         let buckets: usize = self
             .qubit_round_edges
@@ -896,10 +989,11 @@ impl MemoryRunner {
         let detectors = self.detectors.len() * std::mem::size_of::<DetectorInfo>();
         let segments =
             (self.init_segment.len() + self.final_segment.len()) * std::mem::size_of::<Op>();
+        let programs = self.swap_program.approx_bytes() + self.dqlr_program.approx_bytes();
         // Per-edge/node constants are rough: endpoints, weight, provenance
         // vectors' headers.
         let graph = self.graph.edges().len() * 64 + self.graph.num_nodes() * 16;
-        buckets + detectors + segments + graph
+        buckets + detectors + segments + programs + graph
     }
 
     /// The `(window, stride)` geometry `config` resolves to on this runner.
@@ -1116,22 +1210,23 @@ impl MemoryRunner {
         }
     }
 
-    /// Executes one segment of a static round schedule on the stripe,
-    /// resolving each op's condition to a lane mask. `key_offset` rebases
-    /// the schedule's round-0 measurement keys onto the current round.
+    /// Executes `segments` of a compiled round program on the stripe,
+    /// resolving each block's condition to a lane mask once. `key_offset`
+    /// rebases the program's round-0 measurement keys onto the current
+    /// round.
     #[inline]
-    fn exec_segment(
+    fn exec_program(
         &self,
         sim: &mut BatchFrameSimulator,
-        segment: &[qec_core::MaskedOp],
+        program: &RoundProgram,
+        segments: Range<usize>,
         key_offset: usize,
-        active: u64,
         slot_masks: &[u64],
         stab_free: &[u64],
     ) {
-        for mop in segment {
-            let mask = match mop.cond {
-                OpCond::Always => active,
+        for block in program.blocks(segments) {
+            let mask = match block.cond {
+                OpCond::Always => sim.active(),
                 OpCond::Slot(i) => slot_masks[i],
                 OpCond::StabFree(s) => stab_free[s],
                 // The ERASER+M intra-round branch: the LRC's data readout
@@ -1150,11 +1245,9 @@ impl MemoryRunner {
             if mask == 0 {
                 continue;
             }
-            let mut op = mop.op;
-            if let Op::Measure { ref mut key, .. } = op {
-                *key += key_offset;
+            for op in program.block_ops(block) {
+                sim.apply_compiled(op, mask, key_offset);
             }
-            sim.apply_masked(&op, mask);
         }
     }
 
@@ -1181,9 +1274,9 @@ impl MemoryRunner {
         let num_stabs = code.num_stabs();
         let num_qubits = code.num_qubits();
         let slots = &self.slot_table;
-        let schedule = match config.protocol {
-            LrcProtocol::Swap => &self.masked_swap,
-            LrcProtocol::Dqlr => &self.masked_dqlr,
+        let program = match config.protocol {
+            LrcProtocol::Swap => &self.swap_program,
+            LrcProtocol::Dqlr => &self.dqlr_program,
         };
 
         let mut streaming = artifacts.stream();
@@ -1369,46 +1462,22 @@ impl MemoryRunner {
                 }
 
                 let key_offset = r * num_stabs;
-                self.exec_segment(
+                self.exec_program(
                     &mut sim,
-                    &schedule.pre,
+                    program,
+                    RoundProgram::BEFORE_PROBE,
                     key_offset,
-                    active,
                     &slot_masks,
                     &stab_free,
                 );
                 // LPR probe: after the entangling layers, before readout.
                 stats.lpr_data_sum[r] += sim.leaked_count_in(0..num_data) as f64;
                 stats.lpr_parity_sum[r] += sim.leaked_count_in(num_data..num_qubits) as f64;
-                self.exec_segment(
+                self.exec_program(
                     &mut sim,
-                    &schedule.measure,
+                    program,
+                    RoundProgram::AFTER_PROBE,
                     key_offset,
-                    active,
-                    &slot_masks,
-                    &stab_free,
-                );
-                self.exec_segment(
-                    &mut sim,
-                    &schedule.mr_reset,
-                    key_offset,
-                    active,
-                    &slot_masks,
-                    &stab_free,
-                );
-                self.exec_segment(
-                    &mut sim,
-                    &schedule.tails,
-                    key_offset,
-                    active,
-                    &slot_masks,
-                    &stab_free,
-                );
-                self.exec_segment(
-                    &mut sim,
-                    &schedule.post,
-                    key_offset,
-                    active,
                     &slot_masks,
                     &stab_free,
                 );
@@ -1995,5 +2064,76 @@ mod tests {
         let result = runner.run(&|c| Box::new(EraserPolicy::new(c)), &config);
         assert_eq!(result.shots, 30);
         assert_eq!(result.lpr_total.len(), 2);
+        // The cache's size estimate counts the compiled round programs and
+        // the init/final segments.
+        let programs = runner.swap_program.approx_bytes() + runner.dqlr_program.approx_bytes();
+        let segments =
+            (runner.init_segment.len() + runner.final_segment.len()) * std::mem::size_of::<Op>();
+        assert!(programs > 0);
+        assert!(runner.approx_bytes() >= programs + segments);
+    }
+
+    /// A compiled round program holds exactly its schedule's ops, in order
+    /// and under their conditions, minus the ops that never act; blocks
+    /// stay inside their segment; and no label-conditioned block contains
+    /// a `Measure` (the block mask is resolved once, before its ops run).
+    #[test]
+    fn compiled_programs_hold_exactly_the_schedule_ops() {
+        let mut dropped = 0;
+        for d in [3usize, 5, 7] {
+            let runner = MemoryRunner::new(d, NoiseParams::standard(1e-3), 2);
+            let builder = runner.exp.round_builder();
+            let keys = runner.exp.keys();
+            let schedules = [
+                (
+                    "swap",
+                    builder.masked_round(&runner.slot_table, keys),
+                    &runner.swap_program,
+                ),
+                (
+                    "dqlr",
+                    builder.masked_dqlr_round(&runner.slot_table, keys),
+                    &runner.dqlr_program,
+                ),
+            ];
+            for (what, schedule, program) in schedules {
+                let segments = [
+                    &schedule.pre,
+                    &schedule.measure,
+                    &schedule.mr_reset,
+                    &schedule.tails,
+                    &schedule.post,
+                ];
+                let mut next = 0u32;
+                for (i, segment) in segments.into_iter().enumerate() {
+                    let want: Vec<(OpCond, CompiledOp)> = segment
+                        .iter()
+                        .filter_map(|mop| Some((mop.cond, CompiledOp::compile(&mop.op)?)))
+                        .collect();
+                    dropped += segment.len() - want.len();
+                    let mut got = Vec::new();
+                    for block in program.blocks(i..i + 1) {
+                        assert_eq!(block.start, next, "d={d} {what}: blocks are contiguous");
+                        assert!(block.end > block.start, "d={d} {what}: empty block");
+                        next = block.end;
+                        let ops = program.block_ops(block);
+                        got.extend(ops.iter().map(|&op| (block.cond, op)));
+                        if matches!(
+                            block.cond,
+                            OpCond::SlotLabelLeaked(_) | OpCond::SlotLabelClean(_)
+                        ) {
+                            assert!(
+                                !ops.iter()
+                                    .any(|op| matches!(op, CompiledOp::Measure { .. })),
+                                "d={d} {what}: a label-conditioned block measures"
+                            );
+                        }
+                    }
+                    assert_eq!(got, want, "d={d} {what}: segment {i}");
+                }
+                assert_eq!(next as usize, program.ops.len(), "d={d} {what}");
+            }
+        }
+        assert!(dropped > 0, "some schedule ops never act");
     }
 }

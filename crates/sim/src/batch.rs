@@ -38,13 +38,15 @@
 //! Two implementation moves keep the draw engine fast without breaking the
 //! alignment:
 //!
-//! * **Integer Bernoulli thresholds.** `rng.bernoulli(p)` compares
-//!   `(u >> 11) as f64 * 2⁻⁵³ < p`; the compiled channel (`Chan`,
-//!   private) precomputes the exact integer
+//! * **Integer Bernoulli thresholds, computed at compile time.**
+//!   `rng.bernoulli(p)` compares `(u >> 11) as f64 * 2⁻⁵³ < p`; compiling
+//!   an op ([`CompiledOp::compile`]) replaces `p` by the exact integer
 //!   threshold `⌈p·2⁵³⌉` (both sides exactly representable), so the
 //!   decision — and the consumed draw — is identical while the hot loop
-//!   stays in integer registers. `p ≤ 0` / `p ≥ 1` consume no draw, as in
-//!   [`Rng::bernoulli`].
+//!   stays in integer registers. As in [`Rng::bernoulli`], `p ≥ 1` consumes
+//!   no draw: it compiles to the sentinel `u64::MAX`, which hits every lane.
+//!   `p ≤ 0` consumes no draw either, and such an op (like a `Tick`) has no
+//!   compiled form at all.
 //! * **Structure-of-arrays lane streams.** The 64 lane states live as four
 //!   64-entry arrays (one per xoshiro256++ state word), and one kernel,
 //!   `LaneRngs::step_word`, advances every lane of a mask by one step and
@@ -63,6 +65,15 @@
 //!
 //! The AVX-512 kernel is the crate's only `unsafe` code: its lane-group
 //! loads and stores, and the call into the `#[target_feature]` function.
+//!
+//! # One executor
+//!
+//! [`BatchFrameSimulator::apply_compiled`] is the only op interpreter.
+//! [`BatchFrameSimulator::apply_masked`] (and so
+//! [`BatchFrameSimulator::run_masked`]) compiles its [`Op`] and delegates;
+//! a caller that runs one schedule many times — the memory runner's
+//! per-round programs — compiles it once and calls `apply_compiled`
+//! directly, with a key offset that rebases the schedule's `Measure` keys.
 
 use crate::readout::Discriminator;
 use qec_core::{MeasKey, NoiseParams, Op, QubitId, Rng, TransportModel};
@@ -77,39 +88,162 @@ pub const STRIPE_WIDTH: usize = 64;
 /// value from 8 to 16; 1 and 64 are both measurably slower.
 const BULK_MIN_LANES: u32 = 8;
 
-/// A Bernoulli channel compiled to an exact integer threshold (see the
-/// module docs): `Never`/`Always` consume no randomness, matching
-/// [`Rng::bernoulli`]'s clamped fast paths.
-#[derive(Debug, Clone, Copy)]
-enum Chan {
-    Never,
-    Always,
-    Thresh(u64),
+/// The compiled threshold of a channel that always fires: `p ≥ 1` consumes
+/// no randomness, matching [`Rng::bernoulli`]'s clamped fast path. Every
+/// other threshold is at most 2⁵³, so the sentinel is unambiguous.
+const ALWAYS: u64 = u64::MAX;
+
+/// Compiles a Bernoulli probability to its exact integer threshold (see the
+/// module docs): `None` for `p ≤ 0`, which never fires and consumes no
+/// randomness, [`ALWAYS`] for `p ≥ 1`, else `⌈p·2⁵³⌉`.
+#[inline]
+fn threshold(p: f64) -> Option<u64> {
+    if p <= 0.0 {
+        None
+    } else if p >= 1.0 {
+        Some(ALWAYS)
+    } else {
+        // Exact: p·2⁵³ is a power-of-two scaling (no rounding), and
+        // `u >> 11 < ⌈p·2⁵³⌉` ⇔ `(u >> 11) as f64 * 2⁻⁵³ < p`.
+        Some((p * 9007199254740992.0).ceil() as u64)
+    }
 }
 
-impl Chan {
-    #[inline]
-    fn new(p: f64) -> Chan {
-        if p <= 0.0 {
-            Chan::Never
-        } else if p >= 1.0 {
-            Chan::Always
-        } else {
-            // Exact: p·2⁵³ is a power-of-two scaling (no rounding), and
-            // `u >> 11 < ⌈p·2⁵³⌉` ⇔ `(u >> 11) as f64 * 2⁻⁵³ < p`.
-            Chan::Thresh((p * 9007199254740992.0).ceil() as u64)
-        }
-    }
+/// Draws a compiled channel on one lane's stream, consuming exactly what
+/// `rng.bernoulli(p)` would.
+#[inline]
+fn fires(thresh: u64, rng: &mut Rng) -> bool {
+    thresh == ALWAYS || (rng.next_u64() >> 11) < thresh
+}
 
-    /// Draws the channel on one lane's stream, consuming exactly what
-    /// `rng.bernoulli(p)` would.
+/// One [`Op`] compiled for [`BatchFrameSimulator::apply_compiled`]: operands
+/// narrowed to `u32`, and a noise channel's probability replaced by its
+/// exact integer threshold (see the module docs), computed once. An op that
+/// never acts — [`Op::Tick`], a channel with `p ≤ 0` — has no compiled
+/// form. `Measure` keys are relative: the executor adds a key offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompiledOp {
+    /// [`Op::H`].
+    H(u32),
+    /// [`Op::Cnot`] (`transport`) or [`Op::CnotNoTransport`].
+    Cnot {
+        /// Control qubit.
+        control: u32,
+        /// Target qubit.
+        target: u32,
+        /// Whether the leakage-transport channel is enabled.
+        transport: bool,
+    },
+    /// [`Op::Measure`].
+    Measure {
+        /// Measured qubit.
+        qubit: u32,
+        /// Measurement key, before the executor's key offset.
+        key: u32,
+    },
+    /// [`Op::Reset`].
+    Reset(u32),
+    /// [`Op::Depolarize1`].
+    Depolarize1 {
+        /// Affected qubit.
+        qubit: u32,
+        /// Compiled channel threshold.
+        thresh: u64,
+    },
+    /// [`Op::Depolarize2`].
+    Depolarize2 {
+        /// First operand.
+        a: u32,
+        /// Second operand.
+        b: u32,
+        /// Compiled channel threshold.
+        thresh: u64,
+    },
+    /// [`Op::XError`].
+    XError {
+        /// Affected qubit.
+        qubit: u32,
+        /// Compiled channel threshold.
+        thresh: u64,
+    },
+    /// [`Op::LeakInject`].
+    LeakInject {
+        /// Affected qubit.
+        qubit: u32,
+        /// Compiled channel threshold.
+        thresh: u64,
+    },
+    /// [`Op::Seep`].
+    Seep {
+        /// Affected qubit.
+        qubit: u32,
+        /// Compiled channel threshold.
+        thresh: u64,
+    },
+    /// [`Op::LeakIswap`].
+    LeakIswap {
+        /// Data qubit.
+        data: u32,
+        /// Parity qubit.
+        parity: u32,
+    },
+}
+
+impl CompiledOp {
+    /// Compiles `op`, or returns `None` if it never acts (a `Tick`, or a
+    /// channel with `p ≤ 0`): executing such an op draws nothing and
+    /// changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a qubit id or measurement key does not fit in a `u32`.
     #[inline]
-    fn fire(self, rng: &mut Rng) -> bool {
-        match self {
-            Chan::Never => false,
-            Chan::Always => true,
-            Chan::Thresh(t) => (rng.next_u64() >> 11) < t,
-        }
+    pub fn compile(op: &Op) -> Option<CompiledOp> {
+        let n = |x: usize| u32::try_from(x).expect("qubit ids and keys fit in u32");
+        Some(match *op {
+            Op::H(q) => CompiledOp::H(n(q)),
+            Op::Cnot { control, target } => CompiledOp::Cnot {
+                control: n(control),
+                target: n(target),
+                transport: true,
+            },
+            Op::CnotNoTransport { control, target } => CompiledOp::Cnot {
+                control: n(control),
+                target: n(target),
+                transport: false,
+            },
+            Op::Measure { qubit, key } => CompiledOp::Measure {
+                qubit: n(qubit),
+                key: n(key),
+            },
+            Op::Reset(q) => CompiledOp::Reset(n(q)),
+            Op::Depolarize1 { qubit, p } => CompiledOp::Depolarize1 {
+                qubit: n(qubit),
+                thresh: threshold(p)?,
+            },
+            Op::Depolarize2 { a, b, p } => CompiledOp::Depolarize2 {
+                a: n(a),
+                b: n(b),
+                thresh: threshold(p)?,
+            },
+            Op::XError { qubit, p } => CompiledOp::XError {
+                qubit: n(qubit),
+                thresh: threshold(p)?,
+            },
+            Op::LeakInject { qubit, p } => CompiledOp::LeakInject {
+                qubit: n(qubit),
+                thresh: threshold(p)?,
+            },
+            Op::Seep { qubit, p } => CompiledOp::Seep {
+                qubit: n(qubit),
+                thresh: threshold(p)?,
+            },
+            Op::LeakIswap { data, parity } => CompiledOp::LeakIswap {
+                data: n(data),
+                parity: n(parity),
+            },
+            Op::Tick => return None,
+        })
     }
 }
 
@@ -136,7 +270,7 @@ struct LaneRngs {
 #[derive(Debug, Clone, Copy)]
 enum LaneTest {
     /// A Bernoulli hit: `draw >> 11` below an integer threshold (see
-    /// `Chan`).
+    /// `threshold`).
     Below(u64),
     /// The draw's top bit ([`Rng::bit`]).
     Msb,
@@ -367,6 +501,9 @@ pub struct BatchFrameSimulator {
     leaked: Vec<u64>,
     noise: NoiseParams,
     discriminator: Discriminator,
+    /// The compiled misclassification channel of a multi-level readout of a
+    /// leaked qubit (`None`: it never misclassifies).
+    readout_error: Option<u64>,
     /// One independent stream per lane (aligned with the scalar path's
     /// per-shot streams), in structure-of-arrays form.
     rngs: LaneRngs,
@@ -393,6 +530,7 @@ impl BatchFrameSimulator {
             leaked: vec![0; num_qubits],
             noise,
             discriminator,
+            readout_error: threshold(noise.multilevel_error_p()),
             rngs: LaneRngs::new(),
             active: 0,
             record: BatchMeasRecord::new(num_keys),
@@ -504,11 +642,16 @@ impl BatchFrameSimulator {
         }
     }
 
-    /// Draws one Bernoulli threshold over `lanes`, bulk or per-lane by
-    /// population, returning the hit word.
-    #[inline]
+    /// Draws one compiled channel over `lanes`, bulk or per-lane by
+    /// population, returning the hit word. [`ALWAYS`] hits every lane
+    /// without a draw. Kept out of line: inlined into each channel arm of
+    /// [`BatchFrameSimulator::apply_compiled`] it made `run_masked` over a
+    /// d = 7 round about 2× slower.
+    #[inline(never)]
     fn bernoulli_lanes(&mut self, lanes: u64, thresh: u64) -> u64 {
-        if lanes.count_ones() >= BULK_MIN_LANES {
+        if thresh == ALWAYS {
+            lanes
+        } else if lanes.count_ones() >= BULK_MIN_LANES {
             self.rngs.step_word(lanes, LaneTest::Below(thresh))
         } else {
             let mut hits = 0u64;
@@ -543,33 +686,50 @@ impl BatchFrameSimulator {
     /// Executes a single operation on `mask` lanes (implicitly intersected
     /// with the active mask). Per lane, the semantics — including the RNG
     /// draw sequence — are exactly [`crate::FrameSimulator::apply`]'s.
+    /// Compiles `op` and runs [`BatchFrameSimulator::apply_compiled`];
+    /// callers that run one op sequence many times compile it once.
     pub fn apply_masked(&mut self, op: &Op, mask: u64) {
+        if let Some(op) = CompiledOp::compile(op) {
+            self.apply_compiled(&op, mask, 0);
+        }
+    }
+
+    /// Executes a compiled operation on `mask` lanes (implicitly intersected
+    /// with the active mask), with `key_offset` added to a `Measure` key.
+    /// Per lane, the semantics — including the RNG draw sequence — are
+    /// exactly [`crate::FrameSimulator::apply`]'s on the source op.
+    /// Inlined, so that in `apply_masked` it fuses with the compile step.
+    #[inline]
+    pub fn apply_compiled(&mut self, op: &CompiledOp, mask: u64, key_offset: usize) {
         let m = mask & self.active;
         if m == 0 {
             return;
         }
         match *op {
-            Op::H(q) => {
+            CompiledOp::H(q) => {
+                let q = q as usize;
                 let u = m & !self.leaked[q];
                 let flip = (self.x[q] ^ self.z[q]) & u;
                 self.x[q] ^= flip;
                 self.z[q] ^= flip;
             }
-            Op::Cnot { control, target } => self.cnot(control, target, true, m),
-            Op::CnotNoTransport { control, target } => self.cnot(control, target, false, m),
-            Op::Measure { qubit, key } => self.measure(qubit, key, m),
-            Op::Reset(q) => {
+            CompiledOp::Cnot {
+                control,
+                target,
+                transport,
+            } => self.cnot(control as usize, target as usize, transport, m),
+            CompiledOp::Measure { qubit, key } => {
+                self.measure(qubit as usize, key as usize + key_offset, m)
+            }
+            CompiledOp::Reset(q) => {
+                let q = q as usize;
                 self.leaked[q] &= !m;
                 self.x[q] &= !m;
                 self.z[q] &= !m;
             }
-            Op::Depolarize1 { qubit, p } => {
-                let lanes = m & !self.leaked[qubit];
-                let hits = match Chan::new(p) {
-                    Chan::Never => return,
-                    Chan::Always => lanes,
-                    Chan::Thresh(t) => self.bernoulli_lanes(lanes, t),
-                };
+            CompiledOp::Depolarize1 { qubit, thresh } => {
+                let qubit = qubit as usize;
+                let hits = self.bernoulli_lanes(m & !self.leaked[qubit], thresh);
                 for_lanes(hits, |l| {
                     let e = self.rngs.with_lane(l, Rng::error_pauli);
                     let bit = 1u64 << l;
@@ -581,16 +741,13 @@ impl BatchFrameSimulator {
                     }
                 });
             }
-            Op::Depolarize2 { a, b, p } => {
+            CompiledOp::Depolarize2 { a, b, thresh } => {
+                let (a, b) = (a as usize, b as usize);
                 // Skipped when either operand is leaked (gate noise is
                 // calibrated for the computational basis; the leaked-CNOT
                 // kick already fired).
                 let lanes = m & !self.leaked[a] & !self.leaked[b];
-                let hits = match Chan::new(p) {
-                    Chan::Never => return,
-                    Chan::Always => lanes,
-                    Chan::Thresh(t) => self.bernoulli_lanes(lanes, t),
-                };
+                let hits = self.bernoulli_lanes(lanes, thresh);
                 for_lanes(hits, |l| {
                     let (pa, pb) = self.rngs.with_lane(l, |rng| loop {
                         let pa = rng.uniform_pauli();
@@ -614,37 +771,27 @@ impl BatchFrameSimulator {
                     }
                 });
             }
-            Op::XError { qubit, p } => {
-                let lanes = m & !self.leaked[qubit];
-                let hits = match Chan::new(p) {
-                    Chan::Never => return,
-                    Chan::Always => lanes,
-                    Chan::Thresh(t) => self.bernoulli_lanes(lanes, t),
-                };
+            CompiledOp::XError { qubit, thresh } => {
+                let qubit = qubit as usize;
+                let hits = self.bernoulli_lanes(m & !self.leaked[qubit], thresh);
                 self.x[qubit] ^= hits;
             }
-            Op::LeakInject { qubit, p } => {
+            CompiledOp::LeakInject { qubit, thresh } => {
+                let qubit = qubit as usize;
                 // Unlike the Pauli channels, injection draws on leaked
                 // lanes too (the scalar path has no leak guard here).
-                let hits = match Chan::new(p) {
-                    Chan::Never => return,
-                    Chan::Always => m,
-                    Chan::Thresh(t) => self.bernoulli_lanes(m, t),
-                };
+                let hits = self.bernoulli_lanes(m, thresh);
                 self.leaked[qubit] |= hits;
                 self.x[qubit] &= !hits;
                 self.z[qubit] &= !hits;
             }
-            Op::Seep { qubit, p } => {
+            CompiledOp::Seep { qubit, thresh } => {
+                let qubit = qubit as usize;
                 let lanes = m & self.leaked[qubit];
                 if lanes == 0 {
                     return;
                 }
-                let hits = match Chan::new(p) {
-                    Chan::Never => return,
-                    Chan::Always => lanes,
-                    Chan::Thresh(t) => self.bernoulli_lanes(lanes, t),
-                };
+                let hits = self.bernoulli_lanes(lanes, thresh);
                 if hits == 0 {
                     return;
                 }
@@ -655,8 +802,9 @@ impl BatchFrameSimulator {
                 self.x[qubit] = (self.x[qubit] & !hits) | xbits;
                 self.z[qubit] = (self.z[qubit] & !hits) | zbits;
             }
-            Op::LeakIswap { data, parity } => self.leak_iswap(data, parity, m),
-            Op::Tick => {}
+            CompiledOp::LeakIswap { data, parity } => {
+                self.leak_iswap(data as usize, parity as usize, m)
+            }
         }
     }
 
@@ -741,10 +889,11 @@ impl BatchFrameSimulator {
                 Discriminator::MultiLevel => {
                     // Per lane: classification draw, then the random
                     // computational value — the scalar order.
-                    let err = Chan::new(self.noise.multilevel_error_p());
+                    let err = self.readout_error;
                     let rngs = &mut self.rngs;
                     for_lanes(lk, |l| {
-                        let (mis, flip) = rngs.with_lane(l, |rng| (err.fire(rng), rng.bit()));
+                        let (mis, flip) = rngs
+                            .with_lane(l, |rng| (err.is_some_and(|t| fires(t, rng)), rng.bit()));
                         let bit = 1u64 << l;
                         if flip {
                             flips |= bit;
@@ -799,15 +948,60 @@ mod tests {
         for &p in &[
             0.0, -1.0, 1.0, 2.0, 1e-9, 1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999,
         ] {
-            let chan = Chan::new(p);
+            let thresh = threshold(p);
             let mut a = Rng::new(42);
             let mut b = Rng::new(42);
             for _ in 0..2000 {
-                assert_eq!(chan.fire(&mut a), b.bernoulli(p), "p={p}");
+                let fired = thresh.is_some_and(|t| fires(t, &mut a));
+                assert_eq!(fired, b.bernoulli(p), "p={p}");
                 // Streams must stay aligned draw-for-draw.
                 assert_eq!(a.next_u64(), b.next_u64(), "p={p}");
             }
         }
+    }
+
+    #[test]
+    fn compile_drops_ops_that_never_act_and_narrows_the_rest() {
+        assert_eq!(std::mem::size_of::<CompiledOp>(), 24);
+        for op in [
+            Op::Tick,
+            Op::XError { qubit: 1, p: 0.0 },
+            Op::Depolarize2 {
+                a: 0,
+                b: 1,
+                p: -1.0,
+            },
+            Op::Seep { qubit: 2, p: 0.0 },
+        ] {
+            assert_eq!(CompiledOp::compile(&op), None, "{op:?}");
+        }
+        assert_eq!(
+            CompiledOp::compile(&Op::LeakInject { qubit: 3, p: 2.0 }),
+            Some(CompiledOp::LeakInject {
+                qubit: 3,
+                thresh: ALWAYS
+            })
+        );
+        assert_eq!(
+            CompiledOp::compile(&Op::CnotNoTransport {
+                control: 4,
+                target: 5
+            }),
+            Some(CompiledOp::Cnot {
+                control: 4,
+                target: 5,
+                transport: false
+            })
+        );
+        // A key offset rebases a compiled Measure.
+        let noise = NoiseParams::without_leakage(0.0);
+        let mut sim = BatchFrameSimulator::new(1, 4, noise, Discriminator::TwoLevel);
+        sim.begin_stripe(&[Rng::new(1), Rng::new(2)]);
+        sim.apply_masked(&Op::XError { qubit: 0, p: 1.0 }, 0b10);
+        let measure = CompiledOp::compile(&Op::Measure { qubit: 0, key: 1 }).unwrap();
+        sim.apply_compiled(&measure, !0, 2);
+        assert_eq!(sim.record().flip_word(3), 0b10);
+        assert_eq!(sim.record().flip_word(1), 0);
     }
 
     /// Masks that exercise every kernel path: random, full, empty,
@@ -829,9 +1023,7 @@ mod tests {
     }
 
     fn kernel_tests() -> [LaneTest; 5] {
-        let Chan::Thresh(t) = Chan::new(1e-3) else {
-            unreachable!("1e-3 compiles to a threshold")
-        };
+        let t = threshold(1e-3).expect("1e-3 compiles to a threshold");
         [
             LaneTest::Below(0),
             LaneTest::Below(1),
@@ -845,7 +1037,7 @@ mod tests {
     fn masked_bulk_advance_matches_scalar_streams() {
         // step_word must advance exactly the masked lanes, by exactly one
         // scalar xoshiro step, leave the rest untouched, and report each
-        // advanced lane's draw under the test (Chan::fire / Rng::bit).
+        // advanced lane's draw under the test (`fires` / Rng::bit).
         let mut lanes = LaneRngs::new();
         let mut scalars: Vec<Rng> = (0..STRIPE_WIDTH as u64)
             .map(|l| Rng::new(l * 77 + 5))
@@ -861,7 +1053,7 @@ mod tests {
                 for (l, scalar) in scalars.iter_mut().enumerate() {
                     if mask >> l & 1 != 0 {
                         let hit = match test {
-                            LaneTest::Below(t) => Chan::Thresh(t).fire(scalar),
+                            LaneTest::Below(t) => fires(t, scalar),
                             LaneTest::Msb => scalar.bit(),
                         };
                         want |= (hit as u64) << l;

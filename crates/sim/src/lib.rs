@@ -42,7 +42,7 @@ pub mod frame;
 pub mod readout;
 pub mod tableau;
 
-pub use batch::{BatchFrameSimulator, BatchMeasRecord, STRIPE_WIDTH};
+pub use batch::{BatchFrameSimulator, BatchMeasRecord, CompiledOp, STRIPE_WIDTH};
 pub use frame::{FrameSimulator, MeasRecord};
 pub use readout::{Discriminator, ReadoutLabel};
 pub use tableau::TableauSimulator;
