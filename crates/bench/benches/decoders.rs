@@ -290,15 +290,13 @@ fn main() {
                 edges.push((u, v, (state >> 33) as i64 % 1000));
             }
         }
-        h.bench("blossom_k24", || {
-            max_weight_matching(black_box(&edges), true)
-        });
+        h.bench("blossom_k24", || max_weight_matching(black_box(&edges)));
 
         // Same problem through a reused context: the per-shot allocation
         // savings of the scratch-reusing matcher core.
         let mut ctx = qec_decoder::MatchingContext::new();
         h.bench("blossom_k24_reused_context", || {
-            ctx.solve(black_box(&edges), true).len()
+            ctx.solve(black_box(&edges)).len()
         });
     }
 }

@@ -5,21 +5,21 @@
 //! algorithm, also used by NetworkX), specialized to integer weights so the
 //! dual variables stay exact.
 //!
-//! The MWPM decoder reduces minimum-weight perfect matching to this routine
-//! by negating distances against a large constant and requesting maximum
-//! cardinality.
+//! Only maximum-cardinality matchings are considered: the MWPM decoders
+//! reduce minimum-weight perfect matching to this routine by negating
+//! distances against a large constant.
 //!
 //! The test-suite validates the implementation against an exhaustive
 //! brute-force matcher on thousands of random graphs.
 
 const NO: usize = usize::MAX;
 
-/// Computes a maximum-weight matching of an undirected graph.
+/// Computes a maximum-weight matching among the maximum-cardinality
+/// matchings of an undirected graph.
 ///
 /// `edges` are `(u, v, weight)` triples with `u != v`; vertices are the dense
-/// range `0..=max_vertex`. If `max_cardinality` is true, only maximum-
-/// cardinality matchings are considered (required for perfect-matching
-/// reductions).
+/// range `0..=max_vertex`. Negative weights still count: cardinality comes
+/// first, so an edge is never dropped to gain weight.
 ///
 /// Returns `mate`, where `mate[v]` is `Some(partner)` or `None`.
 ///
@@ -33,17 +33,12 @@ const NO: usize = usize::MAX;
 /// use qec_decoder::max_weight_matching;
 ///
 /// // Path 0-1-2 with a heavy middle edge: the middle edge wins.
-/// let mate = max_weight_matching(&[(0, 1, 2), (1, 2, 5)], false);
+/// let mate = max_weight_matching(&[(0, 1, 2), (1, 2, 5)]);
 /// assert_eq!(mate[1], Some(2));
 /// assert_eq!(mate[0], None);
 /// ```
-pub fn max_weight_matching(
-    edges: &[(usize, usize, i64)],
-    max_cardinality: bool,
-) -> Vec<Option<usize>> {
-    MatchingContext::new()
-        .solve(edges, max_cardinality)
-        .to_vec()
+pub fn max_weight_matching(edges: &[(usize, usize, i64)]) -> Vec<Option<usize>> {
+    MatchingContext::new().solve(edges).to_vec()
 }
 
 /// Reusable scratch arena for the blossom matcher.
@@ -58,10 +53,10 @@ pub fn max_weight_matching(
 /// use qec_decoder::MatchingContext;
 ///
 /// let mut ctx = MatchingContext::new();
-/// let mate = ctx.solve(&[(0, 1, 2), (1, 2, 5)], false);
+/// let mate = ctx.solve(&[(0, 1, 2), (1, 2, 5)]);
 /// assert_eq!(mate[1], Some(2));
 /// // The next solve reuses the same buffers.
-/// let mate = ctx.solve(&[(0, 1, 7)], false);
+/// let mate = ctx.solve(&[(0, 1, 7)]);
 /// assert_eq!(mate[0], Some(1));
 /// ```
 #[derive(Debug, Default)]
@@ -96,16 +91,12 @@ impl MatchingContext {
     /// Computes a maximum-weight matching (semantics of
     /// [`max_weight_matching`]) reusing this context's buffers. The returned
     /// slice is valid until the next `solve` call.
-    pub fn solve(
-        &mut self,
-        edges: &[(usize, usize, i64)],
-        max_cardinality: bool,
-    ) -> &[Option<usize>] {
+    pub fn solve(&mut self, edges: &[(usize, usize, i64)]) -> &[Option<usize>] {
         self.mate_out.clear();
         if edges.is_empty() {
             return &self.mate_out;
         }
-        let mut m = Matcher::from_context(edges, max_cardinality, self);
+        let mut m = Matcher::from_context(edges, self);
         m.solve();
         self.mate_out.extend(
             m.mate
@@ -130,7 +121,6 @@ fn reset_nested(v: &mut Vec<Vec<usize>>, n: usize) {
 
 struct Matcher<'e> {
     edges: &'e [(usize, usize, i64)],
-    max_cardinality: bool,
     nvertex: usize,
     endpoint: Vec<usize>,
     neighbend: Vec<Vec<usize>>,
@@ -158,11 +148,7 @@ impl<'e> Matcher<'e> {
     /// Builds a matcher over `edges`, borrowing the context's buffers (moved
     /// out, returned by [`Matcher::release`]). Reuses whatever capacity
     /// earlier solves grew; only genuinely larger problems allocate.
-    fn from_context(
-        edges: &'e [(usize, usize, i64)],
-        max_cardinality: bool,
-        ctx: &mut MatchingContext,
-    ) -> Matcher<'e> {
+    fn from_context(edges: &'e [(usize, usize, i64)], ctx: &mut MatchingContext) -> Matcher<'e> {
         let mut nvertex = 0;
         for &(i, j, _) in edges {
             assert!(i != j, "self-loop in matching input");
@@ -233,7 +219,6 @@ impl<'e> Matcher<'e> {
 
         Matcher {
             edges,
-            max_cardinality,
             nvertex,
             endpoint,
             neighbend,
@@ -712,15 +697,6 @@ impl<'e> Matcher<'e> {
                 let mut delta = 0i64;
                 let mut deltaedge = NO;
                 let mut deltablossom = NO;
-                if !self.max_cardinality {
-                    deltatype = 1;
-                    delta = self.dualvar[..nvertex]
-                        .iter()
-                        .copied()
-                        .min()
-                        .unwrap()
-                        .max(0);
-                }
                 for v in 0..nvertex {
                     if self.label[self.inblossom[v]] == 0 && self.bestedge[v] != NO {
                         let d = self.slack(self.bestedge[v]);
@@ -755,7 +731,9 @@ impl<'e> Matcher<'e> {
                     }
                 }
                 if deltatype == -1 {
-                    debug_assert!(self.max_cardinality);
+                    // No further improvement possible: the maximum-
+                    // cardinality optimum is reached. A final vertex-dual
+                    // update keeps the duals verifiable.
                     deltatype = 1;
                     delta = self.dualvar[..nvertex]
                         .iter()
@@ -821,9 +799,8 @@ impl<'e> Matcher<'e> {
 mod tests {
     use super::*;
 
-    /// Exhaustive matcher for validation: maximizes (cardinality, weight) if
-    /// `max_cardinality`, else plain weight.
-    fn brute_force(n: usize, edges: &[(usize, usize, i64)], max_cardinality: bool) -> (usize, i64) {
+    /// Exhaustive matcher for validation: maximizes (cardinality, weight).
+    fn brute_force(n: usize, edges: &[(usize, usize, i64)]) -> (usize, i64) {
         fn rec(
             edges: &[(usize, usize, i64)],
             used: &mut Vec<bool>,
@@ -831,40 +808,24 @@ mod tests {
             card: usize,
             weight: i64,
             best: &mut (usize, i64),
-            max_cardinality: bool,
         ) {
-            let better = if max_cardinality {
-                (card, weight) > *best
-            } else {
-                weight > best.1
-            };
-            if better {
-                *best = (card, weight);
-            }
+            *best = (*best).max((card, weight));
             if idx == edges.len() {
                 return;
             }
-            rec(edges, used, idx + 1, card, weight, best, max_cardinality);
+            rec(edges, used, idx + 1, card, weight, best);
             let (u, v, w) = edges[idx];
             if !used[u] && !used[v] {
                 used[u] = true;
                 used[v] = true;
-                rec(
-                    edges,
-                    used,
-                    idx + 1,
-                    card + 1,
-                    weight + w,
-                    best,
-                    max_cardinality,
-                );
+                rec(edges, used, idx + 1, card + 1, weight + w, best);
                 used[u] = false;
                 used[v] = false;
             }
         }
         let mut best = (0, 0);
         let mut used = vec![false; n];
-        rec(edges, &mut used, 0, 0, 0, &mut best, max_cardinality);
+        rec(edges, &mut used, 0, 0, 0, &mut best);
         best
     }
 
@@ -888,36 +849,20 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        assert!(max_weight_matching(&[], false).is_empty());
+        assert!(max_weight_matching(&[]).is_empty());
     }
 
     #[test]
     fn single_edge() {
-        let mate = max_weight_matching(&[(0, 1, 5)], false);
+        let mate = max_weight_matching(&[(0, 1, 5)]);
         assert_eq!(mate[0], Some(1));
         assert_eq!(mate[1], Some(0));
     }
 
     #[test]
-    fn negative_weight_ignored_without_cardinality() {
-        let mate = max_weight_matching(&[(0, 1, -5)], false);
-        assert_eq!(mate[0], None);
-    }
-
-    #[test]
     fn negative_weight_used_with_cardinality() {
-        let mate = max_weight_matching(&[(0, 1, -5)], true);
+        let mate = max_weight_matching(&[(0, 1, -5)]);
         assert_eq!(mate[0], Some(1));
-    }
-
-    #[test]
-    fn path_prefers_heavy_middle() {
-        let mate = max_weight_matching(&[(0, 1, 2), (1, 2, 5), (2, 3, 2)], false);
-        // Taking the two outer edges (weight 4) loses to… actually 2+2=4 < 5?
-        // No: outer edges are disjoint, total 4 < 5. Middle edge alone wins.
-        assert_eq!(mate[1], Some(2));
-        assert_eq!(mate[0], None);
-        assert_eq!(mate[3], None);
     }
 
     #[test]
@@ -925,7 +870,7 @@ mod tests {
         // Triangle 0-1-2 plus pendant 2-3: must form a blossom and match
         // (0,1), (2,3).
         let edges = [(0, 1, 6), (0, 2, 5), (1, 2, 5), (2, 3, 4)];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         assert_eq!(mate[0], Some(1));
         assert_eq!(mate[2], Some(3));
     }
@@ -943,7 +888,7 @@ mod tests {
             (4, 5, 10),
             (5, 6, 6),
         ];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         assert_eq!(mate[1], Some(3));
         assert_eq!(mate[2], Some(4));
         assert_eq!(mate[5], Some(6));
@@ -964,7 +909,7 @@ mod tests {
             (4, 7, 7),
             (5, 6, 7),
         ];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         let expect = [NO, 8, 3, 2, 7, 6, 5, 4, 1];
         for v in 1..=8 {
             assert_eq!(mate[v], Some(expect[v]), "vertex {v}");
@@ -987,7 +932,7 @@ mod tests {
             (5, 7, 26),
             (9, 10, 5),
         ];
-        let mate = max_weight_matching(&edges, false);
+        let mate = max_weight_matching(&edges);
         let expect = [NO, 6, 3, 2, 8, 7, 1, 5, 4, 10, 9];
         for v in 1..=10 {
             assert_eq!(mate[v], Some(expect[v]), "vertex {v}");
@@ -1011,22 +956,13 @@ mod tests {
             if edges.is_empty() {
                 continue;
             }
-            for &maxcard in &[false, true] {
-                let mate = max_weight_matching(&edges, maxcard);
-                let mut mate_full = mate.clone();
-                mate_full.resize(n, None);
-                let (card, weight) = matching_stats(&mate_full, &edges);
-                let (bcard, bweight) = brute_force(n, &edges, maxcard);
-                if maxcard {
-                    assert_eq!(
-                        (card, weight),
-                        (bcard, bweight),
-                        "trial {trial} maxcard: edges {edges:?}"
-                    );
-                } else {
-                    assert_eq!(weight, bweight, "trial {trial}: edges {edges:?}");
-                }
-            }
+            let mut mate = max_weight_matching(&edges);
+            mate.resize(n, None);
+            assert_eq!(
+                matching_stats(&mate, &edges),
+                brute_force(n, &edges),
+                "trial {trial}: edges {edges:?}"
+            );
         }
     }
 
@@ -1050,11 +986,8 @@ mod tests {
             if edges.is_empty() {
                 continue;
             }
-            for &maxcard in &[false, true] {
-                let reused = ctx.solve(&edges, maxcard).to_vec();
-                let fresh = max_weight_matching(&edges, maxcard);
-                assert_eq!(reused, fresh, "trial {trial} maxcard={maxcard}");
-            }
+            let reused = ctx.solve(&edges).to_vec();
+            assert_eq!(reused, max_weight_matching(&edges), "trial {trial}");
         }
     }
 
@@ -1075,34 +1008,24 @@ mod tests {
         };
         for trial in 0..20 {
             let big = complete(60, &mut rng);
-            assert_eq!(
-                ctx.solve(&big, true),
-                max_weight_matching(&big, true).as_slice()
-            );
+            assert_eq!(ctx.solve(&big), max_weight_matching(&big).as_slice());
             let small = complete(2 + trial % 5, &mut rng);
-            for maxcard in [false, true] {
-                let reused = ctx.solve(&small, maxcard).to_vec();
-                assert_eq!(
-                    reused,
-                    max_weight_matching(&small, maxcard),
-                    "trial {trial}"
-                );
-            }
+            let reused = ctx.solve(&small).to_vec();
+            assert_eq!(reused, max_weight_matching(&small), "trial {trial}");
         }
     }
 
     #[test]
     fn context_handles_empty_input() {
         let mut ctx = MatchingContext::new();
-        assert!(ctx.solve(&[], true).is_empty());
-        assert_eq!(ctx.solve(&[(0, 1, 3)], false), &[Some(1), Some(0)]);
-        assert!(ctx.solve(&[], false).is_empty());
+        assert!(ctx.solve(&[]).is_empty());
+        assert_eq!(ctx.solve(&[(0, 1, 3)]), &[Some(1), Some(0)]);
+        assert!(ctx.solve(&[]).is_empty());
     }
 
     #[test]
     fn perfect_matching_on_complete_even_graph() {
-        // Complete K6 with random weights must produce a perfect matching
-        // under max_cardinality.
+        // Complete K6 with random weights must produce a perfect matching.
         let mut rng = qec_core::Rng::new(9);
         for _ in 0..50 {
             let mut edges = Vec::new();
@@ -1111,7 +1034,7 @@ mod tests {
                     edges.push((u, v, rng.below(100) as i64));
                 }
             }
-            let mate = max_weight_matching(&edges, true);
+            let mate = max_weight_matching(&edges);
             assert!(mate.iter().all(|m| m.is_some()), "not perfect: {mate:?}");
         }
     }

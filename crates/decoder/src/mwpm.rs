@@ -780,7 +780,7 @@ impl DefectMatching {
             }
             self.edges.push((i, k + i, c - self.scaled_boundary[i]));
         }
-        let mate = self.blossom.solve(&self.edges, true);
+        let mate = self.blossom.solve(&self.edges);
         for (i, &partner) in mate.iter().enumerate().take(k) {
             match partner {
                 Some(j) if j < k => {

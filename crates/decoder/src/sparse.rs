@@ -69,12 +69,63 @@ pub struct SparseIndex {
     n: usize,
     /// Per-edge scaled integer weight.
     scaled: Vec<i64>,
+    /// Shortest paths to the boundary under `scaled`.
+    boundary: BoundaryTree,
+}
+
+/// Shortest paths from every node to the boundary: one integer Dijkstra
+/// rooted at the boundary.
+#[derive(Debug, Default)]
+struct BoundaryTree {
     /// Per-node scaled distance to the boundary.
-    d_b: Vec<i64>,
+    dist: Vec<i64>,
     /// Observable parity along the shortest path to the boundary.
-    par_b: Vec<bool>,
+    par: Vec<bool>,
     /// Predecessor edge toward the boundary (`u32::MAX` at the boundary).
-    pred_b: Vec<u32>,
+    pred: Vec<u32>,
+}
+
+impl BoundaryTree {
+    /// Recomputes the tree under the edge weights `weight(ei)`, reusing this
+    /// tree's buffers and `heap`. Strict relaxation and (dist, node) pop
+    /// order make the output a pure function of the weights.
+    fn compute(
+        &mut self,
+        graph: &DecodingGraph,
+        weight: impl Fn(usize) -> i64,
+        heap: &mut BinaryHeap<Reverse<(i64, u32)>>,
+    ) {
+        let n = graph.num_nodes() + 1;
+        let boundary = graph.boundary();
+        self.dist.clear();
+        self.dist.resize(n, i64::MAX);
+        self.par.clear();
+        self.par.resize(n, false);
+        self.pred.clear();
+        self.pred.resize(n, u32::MAX);
+        heap.clear();
+        self.dist[boundary] = 0;
+        heap.push(Reverse((0, boundary as u32)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            let u = u as usize;
+            // Strict relaxation pushes each node at most once per distance,
+            // so only stale (longer) entries reach here after `u` settles.
+            if d > self.dist[u] {
+                continue;
+            }
+            for &ei in graph.incident(u) {
+                let e = &graph.edges()[ei];
+                let v = if e.a == u { e.b } else { e.a };
+                let nd = d + weight(ei);
+                if nd < self.dist[v] {
+                    self.dist[v] = nd;
+                    self.par[v] = self.par[u] ^ e.flips_observable;
+                    self.pred[v] = ei as u32;
+                    heap.push(Reverse((nd, v as u32)));
+                }
+            }
+        }
+    }
 }
 
 impl SparseIndex {
@@ -85,57 +136,31 @@ impl SparseIndex {
     /// graph — and only becomes an error if a *defect* lands on such a
     /// node, which the decoder checks per shot.
     pub fn compute(graph: &DecodingGraph) -> SparseIndex {
-        let n = graph.num_nodes() + 1;
-        let boundary = graph.boundary();
         let scaled: Vec<i64> = graph
             .edges()
             .iter()
             .map(|e| scale_weight(e.weight))
             .collect();
-        let mut d_b = vec![i64::MAX; n];
-        let mut par_b = vec![false; n];
-        let mut pred_b = vec![u32::MAX; n];
-        let mut done = vec![false; n];
-        let mut heap: BinaryHeap<Reverse<(i64, usize)>> = BinaryHeap::new();
-        d_b[boundary] = 0;
-        heap.push(Reverse((0, boundary)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if done[u] {
-                continue;
-            }
-            done[u] = true;
-            for &ei in graph.incident(u) {
-                let e = &graph.edges()[ei];
-                let v = if e.a == u { e.b } else { e.a };
-                let nd = d + scaled[ei];
-                if nd < d_b[v] {
-                    d_b[v] = nd;
-                    par_b[v] = par_b[u] ^ e.flips_observable;
-                    pred_b[v] = ei as u32;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
+        let mut boundary = BoundaryTree::default();
+        boundary.compute(graph, |ei| scaled[ei], &mut BinaryHeap::new());
         SparseIndex {
-            n,
+            n: graph.num_nodes() + 1,
             scaled,
-            d_b,
-            par_b,
-            pred_b,
+            boundary,
         }
     }
 
     /// Approximate heap footprint, for size-bounded artifact caches.
     pub fn approx_bytes(&self) -> usize {
         self.scaled.len() * std::mem::size_of::<i64>()
-            + self.d_b.len() * std::mem::size_of::<i64>()
-            + self.par_b.len()
-            + self.pred_b.len() * std::mem::size_of::<u32>()
+            + self.boundary.dist.len() * std::mem::size_of::<i64>()
+            + self.boundary.par.len()
+            + self.boundary.pred.len() * std::mem::size_of::<u32>()
     }
 
     /// Scaled integer distance from `v` to the boundary.
     pub fn boundary_distance(&self, v: usize) -> i64 {
-        self.d_b[v]
+        self.boundary.dist[v]
     }
 
     /// Number of nodes including the boundary.
@@ -201,10 +226,8 @@ pub struct SparseMwpmDecoder<'g> {
     defect_epoch: u32,
     defect_stamp: Vec<u32>,
     defect_idx: Vec<u32>,
-    // Erasure-effective boundary index, recomputed per erasure shot.
-    eff_db: Vec<i64>,
-    eff_parb: Vec<bool>,
-    eff_predb: Vec<u32>,
+    // Erasure-effective boundary tree, recomputed per erasure shot.
+    eff_boundary: BoundaryTree,
     // Candidate pairs and component decomposition (defect-indexed).
     candidates: Vec<Candidate>,
     dsu: Vec<u32>,
@@ -255,9 +278,7 @@ impl<'g> SparseMwpmDecoder<'g> {
             defect_epoch: 0,
             defect_stamp: Vec::new(),
             defect_idx: Vec::new(),
-            eff_db: Vec::new(),
-            eff_parb: Vec::new(),
-            eff_predb: Vec::new(),
+            eff_boundary: BoundaryTree::default(),
             candidates: Vec::new(),
             dsu: Vec::new(),
             comp_id: Vec::new(),
@@ -283,14 +304,20 @@ impl<'g> SparseMwpmDecoder<'g> {
         &self.index
     }
 
+    /// Boundary tree under the shot's metric.
+    #[inline]
+    fn tree(&self, eff: bool) -> &BoundaryTree {
+        if eff {
+            &self.eff_boundary
+        } else {
+            &self.index.boundary
+        }
+    }
+
     /// Boundary distance under the shot's metric.
     #[inline]
     fn db(&self, eff: bool, v: usize) -> i64 {
-        if eff {
-            self.eff_db[v]
-        } else {
-            self.index.d_b[v]
-        }
+        self.tree(eff).dist[v]
     }
 
     /// Edge weight under the shot's metric: erased edges are free (0), which
@@ -382,38 +409,13 @@ impl<'g> SparseMwpmDecoder<'g> {
         }
     }
 
-    /// Recomputes the boundary index under the overlay-effective metric
+    /// Recomputes the boundary tree under the overlay-effective metric
     /// (erased edges free). Full-graph Dijkstra, only run on erasure shots.
     fn compute_eff_boundary(&mut self) {
-        let graph = self.graph;
-        let boundary = graph.boundary();
-        let n = self.index.n;
-        self.eff_db.clear();
-        self.eff_db.resize(n, i64::MAX);
-        self.eff_parb.clear();
-        self.eff_parb.resize(n, false);
-        self.eff_predb.clear();
-        self.eff_predb.resize(n, u32::MAX);
-        self.heap.clear();
-        self.eff_db[boundary] = 0;
-        self.heap.push(Reverse((0, boundary as u32)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            let u = u as usize;
-            if d > self.eff_db[u] {
-                continue;
-            }
-            for &ei in graph.incident(u) {
-                let e = &graph.edges()[ei];
-                let v = if e.a == u { e.b } else { e.a };
-                let nd = d + self.ew(true, ei);
-                if nd < self.eff_db[v] {
-                    self.eff_db[v] = nd;
-                    self.eff_parb[v] = self.eff_parb[u] ^ e.flips_observable;
-                    self.eff_predb[v] = ei as u32;
-                    self.heap.push(Reverse((nd, v as u32)));
-                }
-            }
-        }
+        let (overlay, scaled) = (&self.overlay, &self.index.scaled);
+        let weight = |ei| if overlay.is_erased(ei) { 0 } else { scaled[ei] };
+        self.eff_boundary
+            .compute(self.graph, weight, &mut self.heap);
     }
 
     fn find(&mut self, mut x: u32) -> u32 {
@@ -445,11 +447,7 @@ impl<'g> SparseMwpmDecoder<'g> {
         let mut cur = u;
         let mut guard = graph.edges().len() + 1;
         while cur != boundary {
-            let ei = if eff {
-                self.eff_predb[cur]
-            } else {
-                self.index.pred_b[cur]
-            } as usize;
+            let ei = self.tree(eff).pred[cur] as usize;
             out.push(ei);
             let e = &graph.edges()[ei];
             cur = if e.a == cur { e.b } else { e.a };
@@ -644,7 +642,7 @@ impl<'g> SparseMwpmDecoder<'g> {
                 let u = defects[self.member_order[ms + li] as usize];
                 self.redux.push((li, m + li, big - self.db(eff, u)));
             }
-            let mate = self.matching.solve(&self.redux, true);
+            let mate = self.matching.solve(&self.redux);
             for (li, &partner) in mate.iter().enumerate().take(m) {
                 match partner {
                     Some(lj) if lj < m => {
@@ -664,11 +662,7 @@ impl<'g> SparseMwpmDecoder<'g> {
         let mut wsum: i64 = 0;
         for t in 0..self.bnd_out.len() {
             let u = defects[self.bnd_out[t] as usize];
-            flip ^= if eff {
-                self.eff_parb[u]
-            } else {
-                self.index.par_b[u]
-            };
+            flip ^= self.tree(eff).par[u];
             wsum += self.db(eff, u);
             if let Some(c) = correction.as_deref_mut() {
                 self.emit_boundary(u, eff, c);
@@ -730,8 +724,8 @@ impl<'g> SparseMwpmDecoder<'g> {
         let mut flip = false;
         let mut wsum: i64 = 0;
         for &u in defects {
-            flip ^= self.index.par_b[u];
-            wsum += self.index.d_b[u];
+            flip ^= self.index.boundary.par[u];
+            wsum += self.index.boundary.dist[u];
             if let Some(c) = correction.as_deref_mut() {
                 self.emit_boundary(u, false, c);
             }

@@ -9,8 +9,8 @@ use qec_decoder::{
 };
 use surface_code::{MemoryExperiment, RotatedCode};
 
-/// Exhaustive matcher maximizing (cardinality, weight) or plain weight.
-fn brute_force(n: usize, edges: &[(usize, usize, i64)], maxcard: bool) -> (usize, i64) {
+/// Exhaustive matcher maximizing (cardinality, weight).
+fn brute_force(n: usize, edges: &[(usize, usize, i64)]) -> (usize, i64) {
     fn rec(
         edges: &[(usize, usize, i64)],
         used: &mut Vec<bool>,
@@ -18,31 +18,23 @@ fn brute_force(n: usize, edges: &[(usize, usize, i64)], maxcard: bool) -> (usize
         card: usize,
         weight: i64,
         best: &mut (usize, i64),
-        maxcard: bool,
     ) {
-        let better = if maxcard {
-            (card, weight) > *best
-        } else {
-            weight > best.1
-        };
-        if better {
-            *best = (card, weight);
-        }
+        *best = (*best).max((card, weight));
         if idx == edges.len() {
             return;
         }
-        rec(edges, used, idx + 1, card, weight, best, maxcard);
+        rec(edges, used, idx + 1, card, weight, best);
         let (u, v, w) = edges[idx];
         if !used[u] && !used[v] {
             used[u] = true;
             used[v] = true;
-            rec(edges, used, idx + 1, card + 1, weight + w, best, maxcard);
+            rec(edges, used, idx + 1, card + 1, weight + w, best);
             used[u] = false;
             used[v] = false;
         }
     }
     let mut best = (0, 0);
-    rec(edges, &mut vec![false; n], 0, 0, 0, &mut best, maxcard);
+    rec(edges, &mut vec![false; n], 0, 0, 0, &mut best);
     best
 }
 
@@ -76,9 +68,8 @@ fn blossom_matches_brute_force() {
         if edges.is_empty() {
             continue;
         }
-        let maxcard = rng.bit();
         let n = 7;
-        let mate = max_weight_matching(&edges, maxcard);
+        let mate = max_weight_matching(&edges);
         let mut mate_full = mate.clone();
         mate_full.resize(n, None);
         // Symmetry.
@@ -96,12 +87,11 @@ fn blossom_matches_brute_force() {
                 weight += w;
             }
         }
-        let (bcard, bweight) = brute_force(n, &edges, maxcard);
-        if maxcard {
-            assert_eq!((card, weight), (bcard, bweight), "case {case}: {edges:?}");
-        } else {
-            assert_eq!(weight, bweight, "case {case}: {edges:?}");
-        }
+        assert_eq!(
+            (card, weight),
+            brute_force(n, &edges),
+            "case {case}: {edges:?}"
+        );
         checked += 1;
     }
     assert!(checked > 150, "too few non-trivial cases ({checked})");

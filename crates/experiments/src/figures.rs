@@ -942,60 +942,6 @@ pub fn longmem(opts: &Opts) -> Result<(), String> {
     t.write_csv(&opts.out, "longmem")
 }
 
-/// Decode latency study (extension): p50/p99 per-round decode latency of
-/// the sequential window chain at fixed (d, R) for all three backends, on
-/// one worker thread, with the host's core count recorded.
-pub fn latency(opts: &Opts) -> Result<(), String> {
-    let d = if opts.d > 0 { opts.d } else { 7 };
-    // Fixed long-memory span matching the `decode_window_shot/d7_r110`
-    // bench fixture; --quick shrinks it to keep the smoke cheap.
-    let rounds = if opts.quick { 5 * d } else { 110 };
-    let window = 3 * d;
-    let shots = (opts.effective_shots() / 5).max(20);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut t = Table::new(
-        &format!(
-            "Decode latency per backend at d={d}, R={rounds}, w={window} (stride w-d), \
-             {shots} shots, 1 worker thread, host cores {cores}, seed {} \
-             (one sample per decoded window, in ns per committed round)",
-            opts.seed
-        ),
-        &["backend", "shots", "p50 ns/rd", "p99 ns/rd", "mean ns/rd"],
-    );
-    for decoder in [
-        DecoderKind::Mwpm,
-        DecoderKind::SparseMwpm,
-        DecoderKind::UnionFind,
-    ] {
-        let exp = Experiment::builder()
-            .distance(d)
-            .noise(NoiseParams::standard(opts.p))
-            .rounds(rounds)
-            .shots(shots)
-            .seed(opts.seed)
-            // One worker: the per-window latency number must not be
-            // polluted by workers contending for the same cores.
-            .threads(1)
-            .decoder(decoder)
-            .window_rounds(window)
-            .policy(PolicyKind::eraser())
-            .build()
-            .map_err(|e| e.to_string())?;
-        let run = exp.run();
-        t.row(vec![
-            run.decoder.clone(),
-            shots.to_string(),
-            fixed(run.decode_latency.p50_ns_per_round(), 0),
-            fixed(run.decode_latency.p99_ns_per_round(), 0),
-            fixed(run.decode_latency.mean_ns_per_round(), 0),
-        ]);
-    }
-    t.print();
-    t.write_csv(&opts.out, "latency")
-}
-
 /// Mean recorded latency of one tier's windows, in nanoseconds.
 fn mean_tier_ns(tiers: &TierCounters, tier: usize) -> f64 {
     if tiers.hits[tier] == 0 {
@@ -1007,10 +953,12 @@ fn mean_tier_ns(tiers: &TierCounters, tier: usize) -> f64 {
 
 /// Extension: tiered sparse-syndrome fast-path decoding (the predecoder).
 ///
-/// Runs the windowed memory experiment once per (d, p, backend) cell and
-/// reports per-tier hit rates, mean nanos per tier-1/tier-2 window, and ns
-/// per committed round. The ladder is always on; its bit-identity to the
-/// full decoders is the tier-1 contract `qec_decoder`'s tests check.
+/// Runs the windowed memory experiment once per (d, p, backend) cell on one
+/// worker thread and reports per-tier hit rates, mean nanos per
+/// tier-1/tier-2 window, and decode cost per committed round: the mean and
+/// the p50/p99 of the per-window samples. The ladder is always on; its
+/// bit-identity to the full decoders is the tier-1 contract `qec_decoder`'s
+/// tests check.
 pub fn predecode(opts: &Opts) -> Result<(), String> {
     let ds: Vec<usize> = [3usize, 5, 7]
         .into_iter()
@@ -1027,11 +975,15 @@ pub fn predecode(opts: &Opts) -> Result<(), String> {
     } else {
         "w=d+1, stride 1".to_string()
     };
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut t = Table::new(
         &format!(
             "Tiered predecode: hit rates and decode cost, windowed ({window_label}), \
-             R=10d, {shots} shots, 1 worker thread, seed {} (ns/rd = total decode \
-             nanos / total committed rounds)",
+             R=10d, {shots} shots, 1 worker thread, host cores {cores}, seed {} \
+             (ns/rd = total decode nanos / total committed rounds; p50/p99 over \
+             one sample per decoded window)",
             opts.seed
         ),
         &[
@@ -1043,7 +995,9 @@ pub fn predecode(opts: &Opts) -> Result<(), String> {
             "tier2 %",
             "t1 ns/win",
             "t2 ns/win",
-            "ns/rd tiered",
+            "ns/rd",
+            "p50 ns/rd",
+            "p99 ns/rd",
         ],
     );
     for &d in &ds {
@@ -1069,9 +1023,9 @@ pub fn predecode(opts: &Opts) -> Result<(), String> {
                         .rounds(rounds)
                         .shots(timing_shots)
                         .seed(opts.seed)
-                        // One worker, like the latency figure: the ns/rd
-                        // columns are wall-clock and must not be polluted
-                        // by workers contending for cores.
+                        // One worker: the ns/rd columns are wall-clock and
+                        // must not be polluted by workers contending for
+                        // cores.
                         .threads(1)
                         .decoder(decoder)
                         .window_rounds(window)
@@ -1097,6 +1051,8 @@ pub fn predecode(opts: &Opts) -> Result<(), String> {
                     fixed(mean_tier_ns(&result.predecode, 1), 0),
                     fixed(mean_tier_ns(&result.predecode, 2), 0),
                     fixed(ns_per_round, 0),
+                    fixed(result.decode_latency.p50_ns_per_round(), 0),
+                    fixed(result.decode_latency.p99_ns_per_round(), 0),
                 ]);
             }
         }

@@ -1,49 +1,7 @@
 //! Experiment harness reproducing every table and figure of the ERASER paper.
 //!
-//! ```text
-//! eraser-experiments <command> [options]
-//!
-//! commands:
-//!   analytic   Eq. (1)/(2) transport analysis (§3.1, Table 1)
-//!   table2     invisible-leakage probabilities (Eq. 3)
-//!   fig1c      LER: No-LRC vs Always-LRC vs Optimal over QEC cycles
-//!   fig2c      LER with vs without leakage over QEC cycles
-//!   fig5       LPR per round under Always-LRC (total/data/parity)
-//!   fig6       LPR + LER: Always-LRC vs Optimal
-//!   fig8       density-matrix leakage-spread study (single Z stabilizer)
-//!   fig14      LER vs distance for the four policies
-//!   fig15      LPR per round at d=11 for the four policies
-//!   fig16      speculation accuracy, FPR/FNR
-//!   table3     RTL generation + FPGA resource model
-//!   table4     average LRCs per round
-//!   fig17      LER vs distance, exchange-transport model (App A.1)
-//!   fig18      LPR at d=11, exchange-transport model (App A.1)
-//!   fig20      LER vs distance with the DQLR protocol (App A.2)
-//!   fig21      LPR at d=11 with the DQLR protocol (App A.2)
-//!   ablation   LSB threshold / PUTT / backup / decoder ablations
-//!   postselect offline post-selection vs real-time suppression (§7.1)
-//!   memx       memory-X vs memory-Z symmetry check (extension)
-//!   erasure    ERASER+M ± erasure-aware decoding across (d, p) (extension)
-//!   longmem    windowed vs monolithic decoding at R in {d,10d,100d} (extension)
-//!   latency    per-window decode latency at d=7, R=110, all backends (extension)
-//!   predecode  tiered fast-path hit rates and decode cost, all backends (extension)
-//!   adaptive   feedback-controlled LRC density vs static policies (extension)
-//!   all        run everything
-//!
-//! options:
-//!   --shots N      Monte-Carlo shots per configuration (default 1000)
-//!   --seed N       root RNG seed (default 2023)
-//!   --threads N    worker threads (default: all cores)
-//!   --p F          physical error rate (default 1e-3)
-//!   --d N          override the figure's code distance
-//!   --dmax N       cap the distance sweep (default 11)
-//!   --cycles N     QEC cycles (default 10; each cycle is d rounds)
-//!   --decoder K    auto | mwpm | sparse-mwpm | uf (default auto)
-//!   --window W[:S] sliding-window decoding: W rounds per window, S committed
-//!                  per step (S defaults to W - d; 0/unset = full cover)
-//!   --out DIR      CSV output directory (default results/)
-//!   --quick        tiny-budget smoke run (overrides --shots)
-//! ```
+//! Run `eraser-experiments help` for the commands and options; both are
+//! printed from [`COMMANDS`] and [`OPTIONS`] below.
 
 mod cli;
 mod figures;
@@ -51,6 +9,53 @@ mod output;
 mod paper;
 
 use cli::Opts;
+
+/// A figure command: name, runner, and the one-line summary `help` prints.
+type Command = (&'static str, fn(&Opts) -> Result<(), String>, &'static str);
+
+/// Every figure command, in the order `all` runs them.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    ("analytic", figures::analytic, "Eq. (1)/(2) transport analysis (§3.1, Table 1)"),
+    ("table2", figures::table2, "invisible-leakage probabilities (Eq. 3)"),
+    ("fig1c", figures::fig1c, "LER: No-LRC vs Always-LRC vs Optimal over QEC cycles"),
+    ("fig2c", figures::fig2c, "LER with vs without leakage over QEC cycles"),
+    ("fig5", figures::fig5, "LPR per round under Always-LRC (total/data/parity)"),
+    ("fig6", figures::fig6, "LPR + LER: Always-LRC vs Optimal"),
+    ("fig8", figures::fig8, "density-matrix leakage-spread study (single Z stabilizer)"),
+    ("fig14", figures::fig14, "LER vs distance for the four policies"),
+    ("fig15", figures::fig15, "LPR per round at d=11 for the four policies"),
+    ("fig16", figures::fig16, "speculation accuracy, FPR/FNR"),
+    ("table3", figures::table3, "RTL generation + FPGA resource model"),
+    ("table4", figures::table4, "average LRCs per round"),
+    ("fig17", figures::fig17, "LER vs distance, exchange-transport model (App A.1)"),
+    ("fig18", figures::fig18, "LPR at d=11, exchange-transport model (App A.1)"),
+    ("fig20", figures::fig20, "LER vs distance with the DQLR protocol (App A.2)"),
+    ("fig21", figures::fig21, "LPR at d=11 with the DQLR protocol (App A.2)"),
+    ("ablation", figures::ablation, "LSB threshold / PUTT / backup / decoder ablations"),
+    ("postselect", figures::postselect, "post-selection vs real-time suppression (§7.1)"),
+    ("memx", figures::memx, "memory-X vs memory-Z symmetry check (extension)"),
+    ("erasure", figures::erasure, "ERASER+M ± erasure-aware decoding (extension)"),
+    ("longmem", figures::longmem, "windowed vs full-cover decoding, R up to 100d (extension)"),
+    ("predecode", figures::predecode, "tier hit rates and per-window decode latency (extension)"),
+    ("adaptive", figures::adaptive, "feedback-controlled vs static LRC policies (extension)"),
+];
+
+/// The options every command accepts, as `help` prints them.
+const OPTIONS: &str = "\
+options:
+  --shots N      Monte-Carlo shots per configuration (default 1000)
+  --seed N       root RNG seed (default 2023)
+  --threads N    worker threads (default: all cores)
+  --p F          physical error rate (default 1e-3)
+  --d N          override the figure's code distance
+  --dmax N       cap the distance sweep (default 11)
+  --cycles N     QEC cycles (default 10; each cycle is d rounds)
+  --decoder K    auto | mwpm | sparse-mwpm | uf (default auto)
+  --window W[:S] sliding-window decoding: W rounds per window, S committed
+                 per step (S defaults to W - d; 0/unset = full cover)
+  --out DIR      CSV output directory (default results/)
+  --quick        tiny-budget smoke run (overrides --shots)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,64 +74,84 @@ fn main() {
 }
 
 fn dispatch(command: &str, opts: &Opts) -> Result<(), String> {
-    match command {
-        "analytic" => figures::analytic(opts),
-        "table2" => figures::table2(opts),
-        "fig1c" => figures::fig1c(opts),
-        "fig2c" => figures::fig2c(opts),
-        "fig5" => figures::fig5(opts),
-        "fig6" => figures::fig6(opts),
-        "fig8" => figures::fig8(opts),
-        "fig14" => figures::fig14(opts),
-        "fig15" => figures::fig15(opts),
-        "fig16" => figures::fig16(opts),
-        "table3" => figures::table3(opts),
-        "table4" => figures::table4(opts),
-        "fig17" => figures::fig17(opts),
-        "fig18" => figures::fig18(opts),
-        "fig20" => figures::fig20(opts),
-        "fig21" => figures::fig21(opts),
-        "ablation" => figures::ablation(opts),
-        "postselect" => figures::postselect(opts),
-        "memx" => figures::memx(opts),
-        "erasure" => figures::erasure(opts),
-        "longmem" => figures::longmem(opts),
-        "latency" => figures::latency(opts),
-        "predecode" => figures::predecode(opts),
-        "adaptive" => figures::adaptive(opts),
-        "all" => {
-            for cmd in [
-                "analytic",
-                "table2",
-                "fig8",
-                "table3",
-                "fig1c",
-                "fig2c",
-                "fig5",
-                "fig6",
-                "fig14",
-                "fig15",
-                "fig16",
-                "table4",
-                "fig17",
-                "fig18",
-                "fig20",
-                "fig21",
-                "ablation",
-                "erasure",
-                "longmem",
-                "latency",
-                "predecode",
-                "adaptive",
-            ] {
-                dispatch(cmd, opts)?;
-            }
-            Ok(())
+    if command == "help" || command == "-h" {
+        print!("{}", usage());
+        return Ok(());
+    }
+    for (_, run, _) in plan(command)? {
+        run(opts)?;
+    }
+    Ok(())
+}
+
+/// The figure commands `command` runs: all of them for `all`, else the one
+/// it names.
+fn plan(command: &str) -> Result<&'static [Command], String> {
+    if command == "all" {
+        return Ok(COMMANDS);
+    }
+    COMMANDS
+        .iter()
+        .position(|&(name, _, _)| name == command)
+        .map(|i| &COMMANDS[i..=i])
+        .ok_or_else(|| format!("unknown command `{command}`"))
+}
+
+/// The `help` text: usage line, command table, options.
+fn usage() -> String {
+    let mut text = String::from("eraser-experiments <command> [options]\n\ncommands:\n");
+    let extra = [
+        ("all", "run every command above"),
+        ("help", "print this message"),
+    ];
+    let figures = COMMANDS.iter().map(|&(name, _, summary)| (name, summary));
+    for (name, summary) in figures.chain(extra) {
+        text.push_str(&format!("  {name:<10} {summary}\n"));
+    }
+    text.push('\n');
+    text.push_str(OPTIONS);
+    text.push('\n');
+    text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(cmds: &[Command]) -> Vec<&'static str> {
+        cmds.iter().map(|c| c.0).collect()
+    }
+
+    #[test]
+    fn command_names_are_unique() {
+        let mut seen = names(COMMANDS);
+        seen.extend(["all", "help", "-h"]);
+        let count = seen.len();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), count);
+    }
+
+    #[test]
+    fn every_name_dispatches_and_is_listed() {
+        for cmd @ &(name, _, summary) in COMMANDS {
+            let picked = plan(name).unwrap();
+            assert_eq!(picked.len(), 1);
+            assert!(std::ptr::eq(&picked[0], cmd), "{name}");
+            assert!(usage().contains(&format!("  {name:<10} {summary}\n")));
         }
-        "help" | "--help" | "-h" => {
-            println!("see module docs in crates/experiments/src/main.rs for usage");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
+    }
+
+    #[test]
+    fn all_runs_every_figure_command() {
+        assert_eq!(names(plan("all").unwrap()), names(COMMANDS));
+    }
+
+    #[test]
+    fn unknown_command_is_an_error() {
+        assert_eq!(
+            dispatch("x", &Opts::default()).unwrap_err(),
+            "unknown command `x`"
+        );
     }
 }
