@@ -62,13 +62,28 @@ fn main() {
     }
 
     // One bulk window shape of the `stream-d7` plan (d = 7, R = 70, 21-round
-    // windows): the table every dense window of that workload decodes on.
-    if h.matches("shortest_paths_compute/d7_r70_w21") {
+    // windows): the table every dense window of that workload decodes on,
+    // and the walks every non-final window makes on it.
+    let w21_rows = ["shortest_paths_compute/d7_r70_w21", "path_walk/d7_r70_w21"];
+    if h.matches_any(&w21_rows) {
         let fixture = decode_fixture(7, 70, 0);
         let shape = WindowGraph::build(&fixture.graph, 14, 34);
-        h.bench("shortest_paths_compute/d7_r70_w21", || {
+        h.bench(w21_rows[0], || {
             ShortestPaths::compute(black_box(shape.graph()))
         });
+        if h.matches(w21_rows[1]) {
+            let graph = shape.graph();
+            let paths = ShortestPaths::compute(graph);
+            let pairs = window_walk_pairs(&fixture, &shape, 64);
+            let mut edges = Vec::new();
+            h.bench(w21_rows[1], || {
+                edges.clear();
+                for &(u, v) in black_box(&pairs) {
+                    paths.path_edges(graph, u, v, &mut edges);
+                }
+                edges.len()
+            });
+        }
     }
 
     // Stateful batch decoding (32 shots per iteration, one reused instance)
@@ -307,4 +322,42 @@ fn count_flips(decoder: &mut dyn SyndromeDecoder, syndromes: &[Syndrome]) -> usi
         .iter()
         .filter(|s| decoder.decode(s, None).flip)
         .count()
+}
+
+/// The walks of `syndromes` DEM-sampled syndromes of three faults each,
+/// every fault inside `shape`: each syndrome's defects paired in order,
+/// and each defect to the boundary, as local node pairs.
+fn window_walk_pairs(
+    fixture: &eraser_bench::DecodeFixture,
+    shape: &WindowGraph,
+    syndromes: usize,
+) -> Vec<(usize, usize)> {
+    let (graph, dem) = (&fixture.graph, &fixture.dem);
+    let boundary = shape.graph().boundary();
+    let mut rng = qec_core::Rng::new(0x721);
+    let mut pairs = Vec::new();
+    let mut events = vec![false; shape.graph().num_nodes()];
+    for _ in 0..syndromes {
+        events.fill(false);
+        let mut faults = 0;
+        while faults < 3 {
+            let mech = &dem.mechanisms[rng.below(dem.mechanisms.len() as u64) as usize];
+            let nodes: Option<Vec<usize>> = mech
+                .detectors
+                .iter()
+                .filter_map(|&det| graph.node_of_detector(det))
+                .map(|node| shape.local_node(node))
+                .collect();
+            if let Some(nodes) = nodes.filter(|nodes| !nodes.is_empty()) {
+                for node in nodes {
+                    events[node] ^= true;
+                }
+                faults += 1;
+            }
+        }
+        let defects: Vec<usize> = (0..events.len()).filter(|&n| events[n]).collect();
+        pairs.extend(defects.chunks_exact(2).map(|p| (p[0], p[1])));
+        pairs.extend(defects.iter().map(|&u| (u, boundary)));
+    }
+    pairs
 }

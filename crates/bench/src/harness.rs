@@ -3,7 +3,8 @@
 //! The workspace builds offline, so the criterion crate is not available;
 //! this module provides the small subset the suite needs: named benchmarks,
 //! substring filtering from the command line (`cargo bench -- <filter>`),
-//! automatic iteration-count calibration, and ns/µs/ms formatting.
+//! automatic iteration-count calibration, the fastest of several timed
+//! batches as the reading, and ns/µs/ms formatting.
 //!
 //! Set `ERASER_BENCH_QUICK=1` to shrink the measurement budget (useful as a
 //! smoke run in CI). Set `ERASER_BENCH_JSON=<path>` to additionally write
@@ -14,6 +15,9 @@ use eraser_json::Value;
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// Timed batches per benchmark; the fastest one is reported.
+const BATCHES: u32 = 5;
 
 /// Per-process benchmark driver. Construct once in `main` with
 /// [`Harness::from_args`], then call [`Harness::bench`] per benchmark.
@@ -63,25 +67,33 @@ impl Harness {
         rows.iter().any(|row| self.matches(row.as_ref()))
     }
 
-    /// Runs `f` repeatedly for roughly the measurement budget and prints the
-    /// mean time per iteration. Skipped (silently) if `name` does not match
-    /// the filter.
+    /// Runs `f` in `BATCHES` (5) equal batches that together take roughly
+    /// the measurement budget, and prints the fastest batch's mean time per
+    /// iteration. Skipped (silently) if `name` does not match the filter.
+    ///
+    /// One warm-up iteration sizes the batches. On a shared host
+    /// co-tenants slow whole stretches of a run; the fastest batch stays
+    /// near the uncontended time, where one long batch's mean takes in
+    /// every slow stretch it overlaps.
     pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) {
         if !self.matches(name) {
             return;
         }
-        // Warm-up and calibration in one: time a single iteration.
         let start = Instant::now();
         std::hint::black_box(f());
         let once = start.elapsed().max(Duration::from_nanos(1));
-        let iters = (self.target.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
+        let budget = self.target.as_nanos() / u128::from(BATCHES);
+        let iters = (budget / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        let mut per_iter = f64::INFINITY;
+        for _ in 0..BATCHES {
+            let start = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(f());
+            }
+            per_iter = per_iter.min(start.elapsed().as_nanos() as f64 / iters as f64);
         }
-        let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
         println!(
-            "{name:<44} {:>14}/iter  ({iters} iters)",
+            "{name:<44} {:>14}/iter  (fastest of {BATCHES} × {iters} iters)",
             format_ns(per_iter)
         );
         self.results.borrow_mut().push((name.to_string(), per_iter));
@@ -187,7 +199,10 @@ mod tests {
         let h = test_harness(None);
         let mut calls = 0u64;
         h.bench("noop", || calls += 1);
-        assert!(calls >= 2, "warm-up plus at least one measured iteration");
+        assert!(
+            calls > u64::from(BATCHES),
+            "warm-up plus at least one iteration per batch"
+        );
     }
 
     #[test]

@@ -398,23 +398,29 @@ impl PostSelection {
 /// aggregated over every decoded window of a run, each normalized by the
 /// rounds it settled, so window geometries are directly comparable.
 ///
-/// Samples land in power-of-two histogram buckets, which keeps the stats
-/// O(1) in memory, exactly mergeable across worker threads, and good to
-/// ~1.5× resolution on the reported quantiles — plenty for the real-time
-/// story the `longmem` figure tells.
+/// Samples land in histogram buckets, four equal sub-buckets per
+/// power-of-two octave, which keeps the stats O(1) in memory and exactly
+/// mergeable across worker threads. A reported quantile is its
+/// sub-bucket's midpoint, within 12.5% of every sample in the sub-bucket:
+/// fine enough to tell 768 from 1,000 ns/round on either side of a 1 µs
+/// budget.
 #[derive(Debug, Clone)]
 pub struct DecodeLatencyStats {
-    /// `buckets[i]` counts samples with ns/round in `[2^i, 2^(i+1))`.
-    buckets: [u64; 64],
+    /// `buckets[4 * i + s]` counts samples with ns/round in the `s`-th
+    /// quarter of `[2^i, 2^(i+1))`.
+    buckets: [u64; LATENCY_BUCKETS],
     count: u64,
     total_nanos: u64,
     total_rounds: u64,
 }
 
+/// Histogram buckets of [`DecodeLatencyStats`]: four per octave of `u64`.
+const LATENCY_BUCKETS: usize = 4 * 64;
+
 impl Default for DecodeLatencyStats {
     fn default() -> DecodeLatencyStats {
         DecodeLatencyStats {
-            buckets: [0; 64],
+            buckets: [0; LATENCY_BUCKETS],
             count: 0,
             total_nanos: 0,
             total_rounds: 0,
@@ -427,7 +433,14 @@ impl DecodeLatencyStats {
     pub fn record(&mut self, nanos: u64, rounds: usize) {
         let rounds = rounds.max(1) as u64;
         let per_round = (nanos / rounds).max(1);
-        self.buckets[63 - per_round.leading_zeros() as usize] += 1;
+        let octave = 63 - per_round.leading_zeros();
+        // The two bits below the leading one (zeros shifted in below 4).
+        let quarter = if octave >= 2 {
+            per_round >> (octave - 2)
+        } else {
+            per_round << (2 - octave)
+        } & 3;
+        self.buckets[4 * octave as usize + quarter as usize] += 1;
         self.count += 1;
         self.total_nanos += nanos;
         self.total_rounds += rounds;
@@ -446,8 +459,8 @@ impl DecodeLatencyStats {
         self.total_nanos as f64 / self.total_rounds as f64
     }
 
-    /// The `q`-quantile of ns/round, to bucket resolution (the geometric
-    /// midpoint of the winning power-of-two bucket).
+    /// The `q`-quantile of ns/round, to bucket resolution (the midpoint of
+    /// the winning quarter-octave bucket).
     ///
     /// Total on every input: an empty histogram returns 0.0; `q` is clamped
     /// into `[0, 1]` (`q ≤ 0` is the minimum bucket, `q ≥ 1` the maximum)
@@ -467,7 +480,8 @@ impl DecodeLatencyStats {
         for (i, &b) in self.buckets.iter().enumerate() {
             cumulative += b;
             if cumulative >= target {
-                return (1u64 << i) as f64 * 1.5;
+                let (octave, quarter) = (i / 4, i % 4);
+                return (1u64 << octave) as f64 * (9 + 2 * quarter) as f64 / 8.0;
             }
         }
         unreachable!("count is the sum of the buckets")
@@ -1994,19 +2008,19 @@ mod tests {
         assert_eq!(stats.samples(), 0);
         assert_eq!(stats.p50_ns_per_round(), 0.0);
         for _ in 0..99 {
-            stats.record(1000, 1); // bucket [512, 1024) -> midpoint 768
+            stats.record(1000, 1); // bucket [896, 1024) -> midpoint 960
         }
         stats.record(1 << 20, 1);
         assert_eq!(stats.samples(), 100);
-        assert_eq!(stats.p50_ns_per_round(), 768.0);
-        assert_eq!(stats.p99_ns_per_round(), 768.0);
+        assert_eq!(stats.p50_ns_per_round(), 960.0);
+        assert_eq!(stats.p99_ns_per_round(), 960.0);
         assert!(stats.quantile_ns_per_round(1.0) > 1e6);
         let mean = stats.mean_ns_per_round();
         assert!((mean - (99.0 * 1000.0 + (1u64 << 20) as f64) / 100.0).abs() < 1e-6);
         // Normalization: 10_000 ns over 10 rounds is a 1000 ns/round sample.
         let mut other = DecodeLatencyStats::default();
         other.record(10_000, 10);
-        assert_eq!(other.p50_ns_per_round(), 768.0);
+        assert_eq!(other.p50_ns_per_round(), 960.0);
         stats.merge(&other);
         assert_eq!(stats.samples(), 101);
     }
@@ -2026,23 +2040,23 @@ mod tests {
         // Single-bucket histogram: every q lands in that bucket.
         let mut single = DecodeLatencyStats::default();
         for _ in 0..5 {
-            single.record(700, 1); // bucket [512, 1024) -> midpoint 768
+            single.record(700, 1); // bucket [640, 768) -> midpoint 704
         }
         for q in [0.0, 0.25, 0.5, 0.99, 1.0, -1.0, 2.0] {
-            assert_eq!(single.quantile_ns_per_round(q), 768.0, "single, q={q}");
+            assert_eq!(single.quantile_ns_per_round(q), 704.0, "single, q={q}");
         }
 
         // Two-bucket histogram: q=0 is the minimum bucket, q=1 the maximum,
         // out-of-range q clamps to those, and non-finite q acts like 0.
         let mut two = DecodeLatencyStats::default();
         two.record(700, 1);
-        two.record(100_000, 1); // bucket [2^16, 2^17) -> midpoint 98304
-        assert_eq!(two.quantile_ns_per_round(0.0), 768.0);
-        assert_eq!(two.quantile_ns_per_round(-0.5), 768.0);
-        assert_eq!(two.quantile_ns_per_round(1.0), 98304.0);
-        assert_eq!(two.quantile_ns_per_round(1.5), 98304.0);
-        assert_eq!(two.quantile_ns_per_round(f64::NAN), 768.0);
-        assert_eq!(two.quantile_ns_per_round(f64::NEG_INFINITY), 768.0);
+        two.record(100_000, 1); // bucket [98304, 114688) -> midpoint 106496
+        assert_eq!(two.quantile_ns_per_round(0.0), 704.0);
+        assert_eq!(two.quantile_ns_per_round(-0.5), 704.0);
+        assert_eq!(two.quantile_ns_per_round(1.0), 106496.0);
+        assert_eq!(two.quantile_ns_per_round(1.5), 106496.0);
+        assert_eq!(two.quantile_ns_per_round(f64::NAN), 704.0);
+        assert_eq!(two.quantile_ns_per_round(f64::NEG_INFINITY), 704.0);
         for q in [0.0, 0.5, 1.0] {
             assert!(two.quantile_ns_per_round(q).is_finite());
         }
@@ -2052,6 +2066,28 @@ mod tests {
         floor.record(0, 1);
         assert_eq!(floor.samples(), 1);
         assert!(floor.quantile_ns_per_round(0.5) > 0.0);
+    }
+
+    /// Each quarter of an octave is its own bucket, down to the octaves
+    /// narrower than four nanoseconds and up to the top one.
+    #[test]
+    fn decode_latency_buckets_split_each_octave_in_four() {
+        let cases = [
+            (1, 1.125),
+            (2, 2.25),
+            (3, 3.25),
+            (768, 832.0),
+            (895, 832.0),
+            (896, 960.0),
+            (1000, 960.0),
+            (1024, 1152.0),
+            (u64::MAX, 1.875 * 2f64.powi(63)),
+        ];
+        for (nanos, midpoint) in cases {
+            let mut stats = DecodeLatencyStats::default();
+            stats.record(nanos, 1);
+            assert_eq!(stats.p50_ns_per_round(), midpoint, "{nanos} ns");
+        }
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! observable is the XOR of the observable parities of those paths.
 //!
 //! Implementation: all-pairs shortest paths (Dijkstra per node, tracking
-//! observable parity along the shortest path), then exact matching on the
-//! defect graph, staged as integer costs (pair `i`–`j`, or `i` to the
-//! boundary).
+//! observable parity along the shortest path and the first edge of a walk
+//! back to the source), then exact matching on the defect graph, staged as
+//! integer costs (pair `i`–`j`, or `i` to the boundary). Each table entry
+//! packs `index | step | parity` into 4 bytes: the distance's index in the
+//! table's dictionary of distinct distances, the walk step as a position
+//! in the node's incident list, and the parity. A correction walk reads one
+//! entry and one incident edge per step.
 //!
 //! # Certified matching ahead of the blossom
 //!
@@ -144,18 +148,29 @@ use std::time::Instant;
 /// with observable parity tracked along each shortest path.
 ///
 /// A table holds few distinct distances (hundreds to a few thousand of its
-/// n² entries), so each entry is 4 bytes: the index of its distance in the
-/// table's sorted dictionary of distinct `f64` bit patterns, and its
-/// parity. Every distance reads back bit for bit.
+/// n² entries), so each entry is 4 bytes, packed high to low as
+/// `index | step | parity`: the index of its distance in the table's sorted
+/// dictionary of distinct `f64` bit patterns, the walk step (which
+/// [`DecodingGraph::incident`] edge of the column's node a shortest path
+/// toward the row's node leaves by, see [`ShortestPaths::path_edges`]),
+/// and its parity. The step field is as wide as the table's largest
+/// incident list needs (8 bits for the boundary's 168 edges at d = 7 and
+/// 21 rounds); the index takes the rest. Every distance reads back bit for
+/// bit.
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
     n: usize,
     /// `entries[u * n + v]`: the index of `distance(u, v)` in `values`,
-    /// shifted left by one, with `observable_parity(u, v)` in the low bit.
+    /// shifted left by `index_shift`; above the low bit, the position in
+    /// `incident(v)` of the first edge on the walk from `v` toward `u`;
+    /// `observable_parity(u, v)` in the low bit.
     entries: Vec<u32>,
     /// The table's distinct distances, ascending. All are non-negative, so
     /// their bit patterns order as the values do.
     values: Vec<f64>,
+    /// Where the index field starts: the step field's width plus the
+    /// parity bit.
+    index_shift: u32,
 }
 
 impl ShortestPaths {
@@ -199,12 +214,7 @@ impl ShortestPaths {
     /// chunks, and one pass per chunk rewrites its ids as indices into them.
     fn from_adjacency(adj: &FlatAdjacency, threads: usize) -> ShortestPaths {
         let n = adj.num_nodes();
-        // Every id is below n², so the shifted id and its parity bit fit a
-        // u32 (and never reach the `UNREACHED` mark).
-        assert!(
-            n.checked_mul(n).is_some_and(|len| len < 1 << 31),
-            "a shortest-path table of {n} nodes exceeds 2^31 entries"
-        );
+        let layout = EntryLayout::new(n, adj.max_degree());
         // Zeroed table: every worker overwrites its own rows in full, so
         // their pages are first touched by the thread that fills them.
         let mut entries = vec![0u32; n * n];
@@ -213,15 +223,15 @@ impl ShortestPaths {
             let mut chunks = entries.chunks_mut(rows_per * n).enumerate();
             let (_, rows0) = chunks.next().expect("the boundary node is a row");
             let workers: Vec<_> = chunks
-                .map(|(k, rows)| scope.spawn(move || adj.fill_rows(k * rows_per, rows)))
+                .map(|(k, rows)| scope.spawn(move || adj.fill_rows(layout, k * rows_per, rows)))
                 .collect();
-            let first = adj.fill_rows(0, rows0);
+            let first = adj.fill_rows(layout, 0, rows0);
+            // A worker's panic (a dictionary overflow) carries its message.
             iter::once(first)
-                .chain(
-                    workers
-                        .into_iter()
-                        .map(|w| w.join().expect("row worker panicked")),
-                )
+                .chain(workers.into_iter().map(|w| {
+                    w.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }))
                 .collect()
         });
         let mut values: Vec<f64> = dicts
@@ -230,17 +240,24 @@ impl ShortestPaths {
             .collect();
         values.sort_unstable_by_key(|v| v.to_bits());
         values.dedup_by_key(|v| v.to_bits());
+        layout.check_index_capacity(values.len());
         let index_of = |v: &f64| {
             let at = values.binary_search_by_key(&v.to_bits(), |w| w.to_bits());
             at.expect("every chunk value is in the merged dictionary") as u32
         };
+        let (shift, low) = (layout.index_shift, layout.low_mask());
         for (rows, dict) in entries.chunks_mut(rows_per * n).zip(&dicts) {
             let remap: Vec<u32> = dict.values.iter().map(index_of).collect();
             for entry in rows {
-                *entry = (remap[(*entry >> 1) as usize] << 1) | (*entry & 1);
+                *entry = (remap[(*entry >> shift) as usize] << shift) | (*entry & low);
             }
         }
-        ShortestPaths { n, entries, values }
+        ShortestPaths {
+            n,
+            entries,
+            values,
+            index_shift: shift,
+        }
     }
 
     /// Approximate heap footprint, for size-bounded artifact caches.
@@ -263,7 +280,7 @@ impl ShortestPaths {
     /// [`ShortestPaths::observable_parity`]`(u, v)`, from one entry read.
     pub(crate) fn coded(&self, u: usize, v: usize) -> (usize, bool) {
         let entry = self.entries[u * self.n + v];
-        ((entry >> 1) as usize, entry & 1 != 0)
+        ((entry >> self.index_shift) as usize, entry & 1 != 0)
     }
 
     /// The table's distinct distances, ascending.
@@ -285,14 +302,18 @@ impl ShortestPaths {
     /// Reconstructs a shortest path from `u` to `v` as edge indices, appended
     /// to `out`.
     ///
-    /// The walk follows the relaxation equalities of the Dijkstra run rooted
-    /// at `v`: each step moves to a neighbor that preserves both the exact
-    /// stored distance *and* the stored observable parity. The parity
-    /// condition telescopes, so the XOR of the emitted edges' observable
-    /// flips equals [`ShortestPaths::observable_parity`]`(u, v)` exactly —
-    /// degenerate equal-weight paths of opposite parity can never be picked.
-    /// This is what lets the sliding-window committer work edge by edge while
-    /// staying bit-identical to whole-path matching.
+    /// Each step reads the step field of the entry `(v, cur)`: the first
+    /// edge in `cur`'s [`DecodingGraph::incident`] list whose far end `w`
+    /// has `distance(v, w) + weight == distance(v, cur)` bit for bit and
+    /// `observable_parity(v, w) ^ flips == observable_parity(v, cur)`,
+    /// recorded by the Dijkstra run rooted at `v` as it relaxed `cur`. The
+    /// parity condition telescopes, so the XOR of the emitted edges'
+    /// observable flips equals [`ShortestPaths::observable_parity`]`(u, v)`
+    /// exactly — degenerate equal-weight paths of opposite parity can never
+    /// be picked. This is what lets the sliding-window committer work edge
+    /// by edge while staying bit-identical to whole-path matching.
+    ///
+    /// `graph` must be the graph the table was computed from.
     ///
     /// # Panics
     ///
@@ -302,45 +323,59 @@ impl ShortestPaths {
             self.distance(v, u).is_finite(),
             "node {u} cannot reach node {v}"
         );
+        let row = &self.entries[v * self.n..(v + 1) * self.n];
+        let step_mask = (1u32 << self.index_shift) - 1;
         let mut cur = u;
         // A shortest path visits each edge at most once.
         let mut guard = graph.edges().len() + 1;
         while cur != v {
-            let d_cur = self.distance(v, cur);
-            let o_cur = self.observable_parity(v, cur);
-            let mut next: Option<(usize, usize)> = None;
-            // Exact pass: the final relaxation that produced `dist[cur]`
-            // guarantees a neighbor with bit-exact distance and parity.
-            for &ei in graph.incident(cur) {
-                let e = &graph.edges()[ei];
-                let w = if e.a == cur { e.b } else { e.a };
-                if self.distance(v, w) + e.weight == d_cur
-                    && (self.observable_parity(v, w) ^ e.flips_observable) == o_cur
-                {
-                    next = Some((ei, w));
-                    break;
-                }
-            }
-            // Paranoia fallback (never taken for tables produced by
-            // `ShortestPaths::compute`): epsilon comparison, parity first.
-            if next.is_none() {
-                for &ei in graph.incident(cur) {
-                    let e = &graph.edges()[ei];
-                    let w = if e.a == cur { e.b } else { e.a };
-                    if (self.distance(v, w) + e.weight - d_cur).abs() < 1e-9
-                        && (self.observable_parity(v, w) ^ e.flips_observable) == o_cur
-                    {
-                        next = Some((ei, w));
-                        break;
-                    }
-                }
-            }
-            let (ei, w) = next.expect("shortest-path walk found no consistent step");
+            let ei = graph.incident(cur)[((row[cur] & step_mask) >> 1) as usize];
+            let e = &graph.edges()[ei];
             out.push(ei);
-            cur = w;
+            cur = if e.a == cur { e.b } else { e.a };
             guard -= 1;
             assert!(guard > 0, "shortest-path walk failed to terminate");
         }
+    }
+}
+
+/// The widths of a table's entry fields. The step field holds a position
+/// in the largest incident list; the index field takes the remaining bits
+/// above it, less one value so that no entry is [`UNREACHED`].
+#[derive(Clone, Copy)]
+struct EntryLayout {
+    /// Nodes, boundary included, for the overflow message.
+    nodes: usize,
+    /// The step field's width plus the parity bit.
+    index_shift: u32,
+}
+
+impl EntryLayout {
+    fn new(nodes: usize, max_degree: usize) -> EntryLayout {
+        let step_bits = usize::BITS - max_degree.saturating_sub(1).leading_zeros();
+        EntryLayout {
+            nodes,
+            index_shift: step_bits + 1,
+        }
+    }
+
+    /// The step and parity bits.
+    fn low_mask(self) -> u32 {
+        (1 << self.index_shift) - 1
+    }
+
+    /// Rejects a dictionary of `len` distinct distances that the index
+    /// field cannot code.
+    fn check_index_capacity(self, len: usize) {
+        let bits = u32::BITS - self.index_shift;
+        assert!(
+            len < 1 << bits,
+            "a shortest-path table of {} nodes has more than {} distinct \
+             distances, past its {bits}-bit index field; decode this graph \
+             with `sparse-mwpm`",
+            self.nodes,
+            (1u64 << bits) - 1,
+        );
     }
 }
 
@@ -351,13 +386,17 @@ fn heap_key(dist: f64, node: usize) -> u128 {
     (u128::from(dist.to_bits()) << 64) | node as u128
 }
 
-/// One incident edge seen from a node: the far endpoint, the edge weight
-/// and its observable flip.
+/// One incident edge seen from a node: the far endpoint, the edge weight,
+/// and `code`: the edge's position in the far endpoint's
+/// [`DecodingGraph::incident`] list, shifted left by one, with its
+/// observable flip in the low bit. XOR-ed with a path's parity it is the
+/// far endpoint's pending entry (step and parity) for the path extended by
+/// the edge.
 #[derive(Clone, Copy)]
 struct Hop {
     weight: f64,
     to: u32,
-    flips: bool,
+    code: u32,
 }
 
 /// A packed copy of a graph's adjacency (CSR): node `u`'s incident edges,
@@ -370,16 +409,29 @@ struct FlatAdjacency {
 impl FlatAdjacency {
     fn new(graph: &DecodingGraph) -> FlatAdjacency {
         let n = graph.num_nodes() + 1;
+        // `at[ei]`: edge `ei`'s positions in its endpoints' incident lists,
+        // `a`'s first.
+        let mut at = vec![[0u32; 2]; graph.edges().len()];
+        for u in 0..n {
+            for (pos, &ei) in graph.incident(u).iter().enumerate() {
+                at[ei][usize::from(graph.edges()[ei].a != u)] = pos as u32;
+            }
+        }
         let mut start = Vec::with_capacity(n + 1);
         let mut hops = Vec::new();
         start.push(0);
         for u in 0..n {
             hops.extend(graph.incident(u).iter().map(|&ei| {
                 let e = &graph.edges()[ei];
+                let (to, back) = if e.a == u {
+                    (e.b, at[ei][1])
+                } else {
+                    (e.a, at[ei][0])
+                };
                 Hop {
                     weight: e.weight,
-                    to: (if e.a == u { e.b } else { e.a }) as u32,
-                    flips: e.flips_observable,
+                    to: to as u32,
+                    code: (back << 1) | u32::from(e.flips_observable),
                 }
             }));
             start.push(u32::try_from(hops.len()).expect("adjacency fits u32 offsets"));
@@ -392,14 +444,23 @@ impl FlatAdjacency {
         self.start.len() - 1
     }
 
+    /// The length of the longest incident list.
+    fn max_degree(&self) -> usize {
+        self.start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Fills the table rows of sources `first..`, `n` entries each, coded
     /// against the returned chunk dictionary, reusing one heap and one
     /// distance row across them.
-    fn fill_rows(&self, first: usize, entries: &mut [u32]) -> ChunkValues {
+    fn fill_rows(&self, layout: EntryLayout, first: usize, entries: &mut [u32]) -> ChunkValues {
         let n = self.num_nodes();
         let mut heap = BinaryHeap::new();
         let mut dist = vec![0.0; n];
-        let mut dict = ChunkValues::default();
+        let mut dict = ChunkValues::new(layout);
         for (k, row) in entries.chunks_exact_mut(n).enumerate() {
             self.dijkstra(first + k, row, &mut dist, &mut dict, &mut heap);
         }
@@ -409,6 +470,15 @@ impl FlatAdjacency {
     /// One source row. Nodes settle in pop order, whose distances never
     /// decrease, so equal distances settle one after another and the
     /// dictionary is asked only where the distance changes.
+    ///
+    /// Each node's step is recorded as edges relax it: a strict
+    /// improvement sets it, and an equal-distance relaxation of equal
+    /// parity keeps the smaller incident position. Every neighbour `w` with
+    /// `dist[w] + weight == dist[v]` settles before `v` and relaxes it then
+    /// (weights are positive), so the step is the first incident edge that
+    /// satisfies the walk's exact test. A settled node never ties: weights
+    /// are at least half a grid step (`validate_edge_weight`), far above
+    /// the rounding of any distance, so `d + weight > d`.
     fn dijkstra(
         &self,
         src: usize,
@@ -417,13 +487,14 @@ impl FlatAdjacency {
         dict: &mut ChunkValues,
         heap: &mut BinaryHeap<Reverse<u128>>,
     ) {
-        // Until a node settles, its entry holds only the parity of its
-        // best path so far; a node never reached keeps `UNREACHED`.
+        // Until a node settles, its entry holds only the step and parity
+        // of its best path so far; a node never reached keeps `UNREACHED`.
         row.fill(UNREACHED);
         dist.fill(f64::INFINITY);
         row[src] = 0;
         dist[src] = 0.0;
         heap.push(Reverse(heap_key(0.0, src)));
+        let shift = dict.layout.index_shift;
         let (mut last, mut id) = (None, 0);
         while let Some(Reverse(key)) = heap.pop() {
             let (bits, u) = ((key >> 64) as u64, key as u64 as usize);
@@ -438,20 +509,29 @@ impl FlatAdjacency {
             if last != Some(bits) {
                 (last, id) = (Some(bits), dict.id_of(bits));
             }
-            let parity = row[u];
-            row[u] = (id << 1) | parity;
+            let parity = row[u] & 1;
+            row[u] |= id << shift;
             for hop in &self.hops[self.start[u] as usize..self.start[u + 1] as usize] {
                 let v = hop.to as usize;
                 let nd = d + hop.weight;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    row[v] = parity ^ u32::from(hop.flips);
-                    heap.push(Reverse(heap_key(nd, v)));
+                // Distances are non-negative, so their bits order as they
+                // do (`heap_key`); one integer compare screens out the
+                // relaxations that neither improve nor tie.
+                let (nd_bits, old_bits) = (nd.to_bits(), dist[v].to_bits());
+                if nd_bits <= old_bits {
+                    let pending = hop.code ^ parity;
+                    if nd_bits < old_bits {
+                        dist[v] = nd;
+                        row[v] = pending;
+                        heap.push(Reverse(heap_key(nd, v)));
+                    } else if pending < row[v] && (pending ^ row[v]) & 1 == 0 {
+                        row[v] = pending;
+                    }
                 }
             }
         }
         if row.contains(&UNREACHED) {
-            let unreached = dict.id_of(f64::INFINITY.to_bits()) << 1;
+            let unreached = dict.id_of(f64::INFINITY.to_bits()) << shift;
             for entry in row.iter_mut().filter(|e| **e == UNREACHED) {
                 *entry = unreached;
             }
@@ -463,8 +543,8 @@ impl FlatAdjacency {
 const UNREACHED: u32 = u32::MAX;
 
 /// One row worker's distance dictionary, ids in first-seen order.
-#[derive(Default)]
 struct ChunkValues {
+    layout: EntryLayout,
     /// The distinct distances seen, by id.
     values: Vec<f64>,
     /// The id of each seen distance, by its bits.
@@ -472,12 +552,25 @@ struct ChunkValues {
 }
 
 impl ChunkValues {
+    fn new(layout: EntryLayout) -> ChunkValues {
+        ChunkValues {
+            layout,
+            values: Vec::new(),
+            ids: FxHashMap::default(),
+        }
+    }
+
     /// The id of the distance with bits `bits`, a new one if the chunk has
     /// not seen it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new id would not fit the index field.
     fn id_of(&mut self, bits: u64) -> u32 {
-        let values = &mut self.values;
+        let (values, layout) = (&mut self.values, self.layout);
         *self.ids.entry(bits).or_insert_with(|| {
             values.push(f64::from_bits(bits));
+            layout.check_index_capacity(values.len());
             (values.len() - 1) as u32
         })
     }

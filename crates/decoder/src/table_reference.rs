@@ -12,12 +12,15 @@
 //! reproduce them bit for bit: every mechanism's detectors, observable bit,
 //! probability bits and sources, every edge's endpoints, probability and
 //! weight bits and observable bit, every mechanism's edges, and every table
-//! entry's distance bits and parity, for any row split.
+//! entry's distance bits and parity, for any row split. [`scan_walk`]
+//! finds each step of a shortest-path walk by scanning the incident edges;
+//! [`ShortestPaths::path_edges`] reads the step the table build stored and
+//! must emit the same edges in the same order.
 
 use crate::dem::{combine_probability, DetectorErrorModel, ErrorMechanism};
 use crate::mwpm::ShortestPaths;
 use crate::weight::snap_weight;
-use crate::window::{DecoderKind, WindowPlan};
+use crate::window::{DecoderKind, WindowGraph, WindowPlan};
 use crate::{DecodingGraph, GraphEdge};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{Circuit, DetectorInfo, MeasKey, NoiseParams, Op, Rng};
@@ -637,5 +640,147 @@ fn shortest_paths_match_the_reference_on_every_window_shape() {
                 }
             }
         }
+    }
+}
+
+/// The walk from `u` to `v` by scanning: at each node, the first incident
+/// edge whose far end `w` has `distance(v, w) + weight` equal to the
+/// node's distance bit for bit and whose parity, flipped by the edge,
+/// equals the node's.
+fn scan_walk(paths: &ShortestPaths, graph: &DecodingGraph, u: usize, v: usize) -> Vec<usize> {
+    let mut walk = Vec::new();
+    let mut cur = u;
+    while cur != v {
+        let d_cur = paths.distance(v, cur);
+        let o_cur = paths.observable_parity(v, cur);
+        let (ei, w) = graph
+            .incident(cur)
+            .iter()
+            .map(|&ei| {
+                let e = &graph.edges()[ei];
+                (ei, if e.a == cur { e.b } else { e.a })
+            })
+            .find(|&(ei, w)| {
+                let e = &graph.edges()[ei];
+                paths.distance(v, w) + e.weight == d_cur
+                    && (paths.observable_parity(v, w) ^ e.flips_observable) == o_cur
+            })
+            .expect("a shortest path has a consistent step");
+        walk.push(ei);
+        cur = w;
+        assert!(walk.len() <= graph.edges().len(), "walk from {u} to {v}");
+    }
+    walk
+}
+
+/// Asserts that `path_edges` walks every reachable (u, v) pair of `graph`,
+/// the boundary's row and column included, as [`scan_walk`] does.
+fn assert_walks_match(graph: &DecodingGraph, label: &str) {
+    let paths = ShortestPaths::compute(graph);
+    let n = graph.num_nodes() + 1;
+    let mut walk = Vec::new();
+    for u in 0..n {
+        for v in (0..n).filter(|&v| paths.distance(v, u).is_finite()) {
+            walk.clear();
+            paths.path_edges(graph, u, v, &mut walk);
+            assert_eq!(walk, scan_walk(&paths, graph, u, v), "{label}: {u} -> {v}");
+        }
+    }
+}
+
+#[test]
+fn stored_steps_walk_as_the_incident_scan() {
+    for d in [3, 5] {
+        let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), d);
+        let detectors = exp.detectors();
+        let dem = crate::build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+        let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
+        assert_walks_match(&graph, &format!("d={d} R={d}"));
+    }
+    // The bulk window shape of a d = 7, 70-round plan with 21-round
+    // windows.
+    let exp = MemoryExperiment::new(RotatedCode::new(7), NoiseParams::standard(1e-3), 70);
+    let detectors = exp.detectors();
+    let dem = crate::build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
+    let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
+    let shape = WindowGraph::build(&graph, 14, 34);
+    assert_walks_match(shape.graph(), "d=7 R=70 rounds 14..=34");
+}
+
+#[test]
+fn stored_steps_keep_the_parity_of_equal_weight_paths() {
+    let edge = |a, b, weight, flips_observable| GraphEdge {
+        a,
+        b,
+        probability: 0.1,
+        weight,
+        flips_observable,
+    };
+    // From 0 to 3, through 2 (edge 0 first in 0's list) and through 1 tie
+    // in weight but not in parity; from 4 to 3, through 2 (edge 4 first in
+    // 4's list) and through 1 tie in both. Node 1 settles before node 2 in
+    // the Dijkstra rooted at 3, so it relaxes 0 and 4 first.
+    let graph = DecodingGraph::from_window_parts(
+        5,
+        vec![
+            edge(0, 2, 1.0, true),
+            edge(0, 1, 1.0, false),
+            edge(1, 3, 1.0, false),
+            edge(2, 3, 1.0, false),
+            edge(2, 4, 1.0, false),
+            edge(1, 4, 1.0, false),
+            edge(3, 5, 1.0, false),
+            edge(4, 5, 2.0, false),
+        ],
+        vec![0; 5],
+    );
+    assert_walks_match(&graph, "hand-built");
+    let paths = ShortestPaths::compute(&graph);
+    let mut walk = Vec::new();
+    paths.path_edges(&graph, 0, 3, &mut walk);
+    assert_eq!(
+        (walk.as_slice(), paths.observable_parity(3, 0)),
+        (&[1, 2][..], false)
+    );
+    walk.clear();
+    paths.path_edges(&graph, 4, 3, &mut walk);
+    assert_eq!(walk, [4, 3]);
+}
+
+#[test]
+fn a_dictionary_past_the_index_field_is_rejected() {
+    // 2^16 - 1 parallel boundary edges at node 0 give it 2^16 incident
+    // edges, a 16-bit step field and a 15-bit index field: at most 32,767
+    // distinct distances. A 300-node chain of random weights has about
+    // 45,000.
+    let mut rng = Rng::new(0x5eed);
+    let nodes = 300;
+    let mut edges: Vec<GraphEdge> = (0..nodes - 1)
+        .map(|a| GraphEdge {
+            a,
+            b: a + 1,
+            probability: 0.1,
+            weight: snap_weight(1.0 + rng.f64()),
+            flips_observable: false,
+        })
+        .collect();
+    edges.extend((0..(1 << 16) - 1).map(|_| GraphEdge {
+        a: 0,
+        b: nodes,
+        probability: 0.1,
+        weight: 1.0,
+        flips_observable: false,
+    }));
+    let graph = DecodingGraph::from_window_parts(nodes, edges, vec![0; nodes]);
+    for threads in [1, 2] {
+        let panic = std::panic::catch_unwind(|| ShortestPaths::compute_on(&graph, threads))
+            .expect_err("the table cannot code its distances");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.contains("15-bit index field") && message.contains("`sparse-mwpm`"),
+            "{threads} threads: {message}"
+        );
     }
 }

@@ -51,10 +51,12 @@ impl Opts {
     }
 }
 
-/// Parses `<command> [--key value | --flag]...`.
+/// Parses `<command> [--key value | --flag]...`. `--help` anywhere makes
+/// the command `help`.
 pub fn parse(args: &[String]) -> Result<(String, Opts), String> {
     let mut opts = Opts::default();
     let mut command = None;
+    let mut help = false;
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
@@ -109,6 +111,7 @@ pub fn parse(args: &[String]) -> Result<(String, Opts), String> {
                 }
                 "out" => opts.out = PathBuf::from(value(&mut i)?),
                 "quick" => opts.quick = true,
+                "help" => help = true,
                 other => return Err(format!("unknown option `--{other}`")),
             }
         } else if command.is_none() {
@@ -118,5 +121,9 @@ pub fn parse(args: &[String]) -> Result<(String, Opts), String> {
         }
         i += 1;
     }
-    Ok((command.unwrap_or_else(|| "help".to_string()), opts))
+    let command = match command {
+        Some(command) if !help => command,
+        _ => "help".to_string(),
+    };
+    Ok((command, opts))
 }

@@ -148,6 +148,16 @@ mod tests {
     }
 
     #[test]
+    fn help_flag_is_the_help_command() {
+        for line in ["--help", "fig14 --help", "--quick --help fig14", "", "help"] {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            assert_eq!(cli::parse(&args).unwrap().0, "help", "{line:?}");
+        }
+        assert_eq!(cli::parse(&["-h".to_string()]).unwrap().0, "-h");
+        assert!(dispatch("help", &Opts::default()).is_ok());
+    }
+
+    #[test]
     fn unknown_command_is_an_error() {
         assert_eq!(
             dispatch("x", &Opts::default()).unwrap_err(),
