@@ -156,9 +156,9 @@ impl LeakageProfile {
                 let mut rate = f64::NAN;
                 for (key, value) in parse_knobs(tail.unwrap_or(""))? {
                     match key {
-                        "start" => start = parse_usize(value)?,
-                        "len" => len = parse_usize(value)?,
-                        "period" => period = parse_usize(value)?,
+                        "start" => start = parse_int(value)?,
+                        "len" => len = parse_int(value)?,
+                        "period" => period = parse_int(value)?,
                         "rate" => rate = parse_f64(value)?,
                         _ => return Err("unknown burst knob (expected start/len/period/rate)"),
                     }
@@ -176,8 +176,8 @@ impl LeakageProfile {
                 let mut peak = f64::NAN;
                 for (key, value) in parse_knobs(tail.unwrap_or(""))? {
                     match key {
-                        "start" => start = parse_usize(value)?,
-                        "len" => len = parse_usize(value)?,
+                        "start" => start = parse_int(value)?,
+                        "len" => len = parse_int(value)?,
                         "peak" => peak = parse_f64(value)?,
                         _ => return Err("unknown ramp knob (expected start/len/peak)"),
                     }
@@ -406,9 +406,9 @@ impl ControllerConfig {
             match key {
                 "up" => config.up = parse_f64(value)?,
                 "down" => config.down = parse_f64(value)?,
-                "shift" => config.ewma_shift = parse_usize(value)? as u32,
-                "dwell" => config.min_dwell = parse_usize(value)? as u32,
-                "quota" => config.budget = parse_usize(value)? as u64,
+                "shift" => config.ewma_shift = parse_int(value)?,
+                "dwell" => config.min_dwell = parse_int(value)?,
+                "quota" => config.budget = parse_int(value)?,
                 "base" => {
                     config.base = match value {
                         "no-lrc" | "nolrc" | "none" => ControlBase::NoLrc,
@@ -448,8 +448,17 @@ fn parse_knobs(tail: &str) -> Result<Vec<(&str, &str)>, &'static str> {
     Ok(knobs)
 }
 
-fn parse_usize(value: &str) -> Result<usize, &'static str> {
-    value.parse().map_err(|_| "knob value is not an integer")
+/// An unsigned integer knob, parsed at its field's own width: a value the
+/// field cannot hold is rejected, never wrapped.
+fn parse_int<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+    value: &str,
+) -> Result<T, &'static str> {
+    value
+        .parse()
+        .map_err(|e: std::num::ParseIntError| match e.kind() {
+            std::num::IntErrorKind::PosOverflow => "knob value is out of range",
+            _ => "knob value is not an integer",
+        })
 }
 
 fn parse_f64(value: &str) -> Result<f64, &'static str> {
@@ -897,6 +906,11 @@ mod tests {
             ("ewma:up=2.0", thresholds),
             ("ewma:down=-1", thresholds),
             ("ewma:shift=16", "ewma shift must be at most 15"),
+            // One past `u32::MAX` plus 3: parsed at 64 bits and narrowed,
+            // these used to read as shift 3 and dwell 3.
+            ("ewma:shift=4294967299", "knob value is out of range"),
+            ("ewma:dwell=4294967299", "knob value is out of range"),
+            ("ewma:shift=-1", "knob value is not an integer"),
             ("budget:quota=0", "budget law needs a positive quota"),
             (
                 "ewma:base=optimal",

@@ -756,6 +756,22 @@ impl NoiseModel {
     }
 }
 
+impl FromStr for NoiseModel {
+    /// ``unknown noise family `name` ``.
+    type Err = String;
+
+    /// Parses a built-in family by name: `standard`, `without-leakage` or
+    /// `exchange-transport`.
+    fn from_str(s: &str) -> Result<NoiseModel, String> {
+        match s {
+            "standard" => Ok(NoiseModel::Standard),
+            "without-leakage" => Ok(NoiseModel::WithoutLeakage),
+            "exchange-transport" => Ok(NoiseModel::ExchangeTransport),
+            other => Err(format!("unknown noise family `{other}`")),
+        }
+    }
+}
+
 impl fmt::Debug for NoiseModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

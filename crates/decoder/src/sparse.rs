@@ -24,15 +24,20 @@
 //!    `x` on a shortest `u–v` path of a needed pair satisfies
 //!    `d(u,x) < d_B(u) + d_B(x)` (triangle inequality through `d_B`), so
 //!    the whole path survives exploration.
-//! 3. **Component decomposition**: union-find over candidate pairs splits
-//!    the defects into independent clusters — no optimal matching pairs
-//!    across clusters (any cross pair is non-candidate, hence dominated).
-//! 4. **Exact blossom per component**: size-1 components match to the
-//!    boundary, size-2 take their candidate pair (it beats two boundary
-//!    matches by the candidate inequality), larger ones run the standard
-//!    reduction (defects 0..m, private boundary copies m..2m) through the
-//!    exact [`MatchingContext`] solver — identical to the dense path, but
-//!    on a component of typically 2–4 defects instead of the whole shot.
+//! 3. **Shared component split**: the candidates and the defects' boundary
+//!    matches are staged into the matching core dense MWPM uses (the
+//!    private `defect_matching` module), every other pair at `i64::MAX`.
+//!    The core keeps exactly the candidates (each is cheaper than its two
+//!    boundary matches), so its split yields the candidate-connected
+//!    components; no optimal matching pairs across them (a cross pair is
+//!    non-candidate, hence dominated).
+//! 4. **DP first, blossom only on unproven components**: one defect goes
+//!    to the boundary, two take their candidate pair (cheaper than two
+//!    boundary matches), and a larger component runs the core's subset DP,
+//!    whose optimum is taken when the DP proves it unique: it is what the
+//!    blossom would return. A DP tie, a component past the DP's subset
+//!    budget or one of more than 64 defects runs the blossom, on that
+//!    component's candidate pairs alone.
 //!
 //! Because both backends optimize the same snapped integer metric, the
 //! total correction weight is *equal* to the dense decoder's on every
@@ -50,8 +55,8 @@
 //! no heap allocation per shot.
 
 use crate::api::{DecodeOutcome, Syndrome, SyndromeDecoder};
+use crate::defect_matching::DefectMatching;
 use crate::graph::DecodingGraph;
-use crate::matching::MatchingContext;
 use crate::overlay::WeightOverlay;
 use crate::weight::{scale_weight, WEIGHT_SCALE};
 use std::cmp::Reverse;
@@ -213,7 +218,7 @@ pub struct SparseMwpmDecoder<'g> {
     graph: &'g DecodingGraph,
     index: Arc<SparseIndex>,
     overlay: WeightOverlay,
-    matching: MatchingContext,
+    matching: DefectMatching,
     // Epoch-stamped bounded-Dijkstra scratch (node-indexed).
     epoch: u32,
     stamp: Vec<u32>,
@@ -228,20 +233,8 @@ pub struct SparseMwpmDecoder<'g> {
     defect_idx: Vec<u32>,
     // Erasure-effective boundary tree, recomputed per erasure shot.
     eff_boundary: BoundaryTree,
-    // Candidate pairs and component decomposition (defect-indexed).
+    // Candidate pairs (defect-indexed), ascending and deduplicated.
     candidates: Vec<Candidate>,
-    dsu: Vec<u32>,
-    comp_id: Vec<u32>,
-    comp_start: Vec<u32>,
-    member_order: Vec<u32>,
-    cursor: Vec<u32>,
-    cand_start: Vec<u32>,
-    cand_order: Vec<u32>,
-    local_of: Vec<u32>,
-    redux: Vec<(usize, usize, i64)>,
-    // Matching decisions, accumulated across components.
-    pair_out: Vec<(u32, u32)>,
-    bnd_out: Vec<u32>,
 }
 
 impl<'g> SparseMwpmDecoder<'g> {
@@ -267,7 +260,7 @@ impl<'g> SparseMwpmDecoder<'g> {
             graph,
             index,
             overlay: WeightOverlay::new(),
-            matching: MatchingContext::new(),
+            matching: DefectMatching::default(),
             epoch: 0,
             stamp: Vec::new(),
             dist: Vec::new(),
@@ -280,17 +273,6 @@ impl<'g> SparseMwpmDecoder<'g> {
             defect_idx: Vec::new(),
             eff_boundary: BoundaryTree::default(),
             candidates: Vec::new(),
-            dsu: Vec::new(),
-            comp_id: Vec::new(),
-            comp_start: Vec::new(),
-            member_order: Vec::new(),
-            cursor: Vec::new(),
-            cand_start: Vec::new(),
-            cand_order: Vec::new(),
-            local_of: Vec::new(),
-            redux: Vec::new(),
-            pair_out: Vec::new(),
-            bnd_out: Vec::new(),
         }
     }
 
@@ -418,27 +400,6 @@ impl<'g> SparseMwpmDecoder<'g> {
             .compute(self.graph, weight, &mut self.heap);
     }
 
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.dsu[x as usize] != x {
-            let p = self.dsu[x as usize];
-            let gp = self.dsu[p as usize];
-            self.dsu[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            // Smaller root wins: component ids come out in ascending
-            // defect-index order, deterministically.
-            let (hi, lo) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.dsu[lo as usize] = hi;
-        }
-    }
-
     /// Emits the boundary-match path of defect node `u` (predecessor chain
     /// of the boundary Dijkstra) as edge indices.
     fn emit_boundary(&self, u: usize, eff: bool, out: &mut Vec<usize>) {
@@ -511,174 +472,74 @@ impl<'g> SparseMwpmDecoder<'g> {
         }
     }
 
-    /// The general path, after `mark_defects`: one bounded Dijkstra per
-    /// defect collects the candidate pairs, which split the defects into
-    /// components; a component of one defect goes to the boundary, one of
-    /// two pairs up, and larger ones run the blossom. Returns the flip and
-    /// the integer matched weight.
-    fn match_general(
-        &mut self,
-        defects: &[usize],
-        eff: bool,
-        mut correction: Option<&mut Vec<usize>>,
-    ) -> (bool, i64) {
-        // Candidate discovery: one bounded Dijkstra per defect.
+    /// Candidate discovery: one bounded Dijkstra per defect, then the
+    /// candidates canonicalized. A pair found from both endpoints keeps
+    /// the low-`src` record (the sort is allocation-free; dedup keeps the
+    /// first).
+    fn discover_candidates(&mut self, defects: &[usize], eff: bool) {
         self.candidates.clear();
         for (i, &u) in defects.iter().enumerate() {
             self.bounded_dijkstra(u, i as u32, eff, true);
         }
-        // Canonicalize: pairs found from both endpoints keep the low-src
-        // record (sort is allocation-free; dedup keeps the first).
         self.candidates.sort_unstable_by_key(|c| (c.i, c.j, c.src));
         self.candidates.dedup_by(|a, b| a.i == b.i && a.j == b.j);
+    }
 
-        // Component decomposition over candidate pairs.
+    /// The general path, after `mark_defects`: the discovered candidates
+    /// and the defects' boundary matches are staged into the shared
+    /// [`DefectMatching`] and solved component by component (see the
+    /// module docs). Returns the flip and the integer matched weight; with
+    /// `correction`, the boundary matches' paths and then the pairs' are
+    /// appended to it.
+    fn match_general(
+        &mut self,
+        defects: &[usize],
+        eff: bool,
+        correction: Option<&mut Vec<usize>>,
+    ) -> (bool, i64) {
+        self.discover_candidates(defects, eff);
         let k = defects.len();
-        self.dsu.clear();
-        self.dsu.extend(0..k as u32);
-        for ci in 0..self.candidates.len() {
-            let (i, j) = (self.candidates[ci].i, self.candidates[ci].j);
-            self.union(i, j);
-        }
-        self.comp_id.clear();
-        self.comp_id.resize(k, u32::MAX);
-        let mut q = 0u32;
-        for i in 0..k {
-            if self.find(i as u32) as usize == i {
-                self.comp_id[i] = q;
-                q += 1;
-            }
-        }
-        for i in 0..k {
-            let r = self.find(i as u32) as usize;
-            self.comp_id[i] = self.comp_id[r];
-        }
-        let qn = q as usize;
-        // Members grouped per component (counting sort; ascending within).
-        self.comp_start.clear();
-        self.comp_start.resize(qn + 1, 0);
-        for i in 0..k {
-            self.comp_start[self.comp_id[i] as usize + 1] += 1;
-        }
-        for c in 0..qn {
-            self.comp_start[c + 1] += self.comp_start[c];
-        }
-        self.member_order.clear();
-        self.member_order.resize(k, 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.comp_start);
-        for i in 0..k {
-            let c = self.comp_id[i] as usize;
-            self.member_order[self.cursor[c] as usize] = i as u32;
-            self.cursor[c] += 1;
-        }
-        // Candidates grouped per component (stable, so sorted within).
-        self.cand_start.clear();
-        self.cand_start.resize(qn + 1, 0);
+        let tree = if eff {
+            &self.eff_boundary
+        } else {
+            &self.index.boundary
+        };
+        let m = &mut self.matching;
+        m.stage(k);
         for cand in &self.candidates {
-            self.cand_start[self.comp_id[cand.i as usize] as usize + 1] += 1;
+            let at = cand.i as usize * k + cand.j as usize;
+            m.scaled[at] = cand.dist;
+            m.parity[at] = cand.par;
         }
-        for c in 0..qn {
-            self.cand_start[c + 1] += self.cand_start[c];
+        for (i, &u) in defects.iter().enumerate() {
+            m.scaled_boundary[i] = tree.dist[u];
+            m.boundary_parity[i] = tree.par[u];
         }
-        self.cand_order.clear();
-        self.cand_order.resize(self.candidates.len(), 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.cand_start);
-        for ci in 0..self.candidates.len() {
-            let c = self.comp_id[self.candidates[ci].i as usize] as usize;
-            self.cand_order[self.cursor[c] as usize] = ci as u32;
-            self.cursor[c] += 1;
-        }
-
-        // Per-component optimal matching.
-        self.pair_out.clear();
-        self.bnd_out.clear();
-        if self.local_of.len() < k {
-            self.local_of.resize(k, 0);
-        }
-        for c in 0..qn {
-            let ms = self.comp_start[c] as usize;
-            let me = self.comp_start[c + 1] as usize;
-            let m = me - ms;
-            if m == 1 {
-                self.bnd_out.push(self.member_order[ms]);
-                continue;
+        m.solve_by_component();
+        let singles = m
+            .to_boundary
+            .iter()
+            .map(|&i| (m.scaled_boundary[i], m.boundary_parity[i]));
+        let pairs = m
+            .pairs
+            .iter()
+            .map(|&(i, j)| (m.pair_cost(i, j), m.pair_parity(i, j)));
+        let (wsum, flip) = singles
+            .chain(pairs)
+            .fold((0, false), |(wsum, flip), (cost, parity)| {
+                (wsum + cost, flip ^ parity)
+            });
+        if let Some(c) = correction {
+            for t in 0..self.matching.to_boundary.len() {
+                self.emit_boundary(defects[self.matching.to_boundary[t]], eff, c);
             }
-            if m == 2 {
-                // The candidate inequality d(u,v) < d_B(u) + d_B(v) makes
-                // the pair strictly cheaper than two boundary matches.
-                self.pair_out
-                    .push((self.member_order[ms], self.member_order[ms + 1]));
-                continue;
-            }
-            // Blossom on the component: defects 0..m, boundary copies
-            // m..2m. Only candidate pairs get pair edges — non-candidates
-            // are dominated and never needed in an optimal matching.
-            for t in ms..me {
-                self.local_of[self.member_order[t] as usize] = (t - ms) as u32;
-            }
-            let cs = self.cand_start[c] as usize;
-            let ce = self.cand_start[c + 1] as usize;
-            let mut cmax: i64 = 0;
-            for t in cs..ce {
-                cmax = cmax.max(self.candidates[self.cand_order[t] as usize].dist);
-            }
-            for t in ms..me {
-                cmax = cmax.max(self.db(eff, defects[self.member_order[t] as usize]));
-            }
-            let big = cmax + 1;
-            self.redux.clear();
-            for t in cs..ce {
-                let cand = self.candidates[self.cand_order[t] as usize];
-                let li = self.local_of[cand.i as usize] as usize;
-                let lj = self.local_of[cand.j as usize] as usize;
-                self.redux.push((li, lj, big - cand.dist));
-            }
-            for li in 0..m {
-                for lj in (li + 1)..m {
-                    self.redux.push((m + li, m + lj, big));
-                }
-                let u = defects[self.member_order[ms + li] as usize];
-                self.redux.push((li, m + li, big - self.db(eff, u)));
-            }
-            let mate = self.matching.solve(&self.redux);
-            for (li, &partner) in mate.iter().enumerate().take(m) {
-                match partner {
-                    Some(lj) if lj < m => {
-                        if li < lj {
-                            self.pair_out
-                                .push((self.member_order[ms + li], self.member_order[ms + lj]));
-                        }
-                    }
-                    Some(_) => self.bnd_out.push(self.member_order[ms + li]),
-                    None => unreachable!("perfect matching guaranteed"),
-                }
-            }
-        }
-
-        // Totals and correction emission.
-        let mut flip = false;
-        let mut wsum: i64 = 0;
-        for t in 0..self.bnd_out.len() {
-            let u = defects[self.bnd_out[t] as usize];
-            flip ^= self.tree(eff).par[u];
-            wsum += self.db(eff, u);
-            if let Some(c) = correction.as_deref_mut() {
-                self.emit_boundary(u, eff, c);
-            }
-        }
-        for t in 0..self.pair_out.len() {
-            let (i, j) = self.pair_out[t];
-            let ci = self
-                .candidates
-                .binary_search_by(|cand| (cand.i, cand.j).cmp(&(i, j)))
-                .expect("matched pair must be a candidate");
-            let cand = self.candidates[ci];
-            flip ^= cand.par;
-            wsum += cand.dist;
-            if let Some(c) = correction.as_deref_mut() {
-                self.emit_pair(cand, eff, defects, c);
+            for t in 0..self.matching.pairs.len() {
+                let (i, j) = self.matching.pairs[t];
+                let at = self
+                    .candidates
+                    .binary_search_by(|cand| (cand.i, cand.j).cmp(&(i as u32, j as u32)))
+                    .expect("matched pair must be a candidate");
+                self.emit_pair(self.candidates[at], eff, defects, c);
             }
         }
         (flip, wsum)
@@ -742,7 +603,26 @@ impl SyndromeDecoder for SparseMwpmDecoder<'_> {
     fn decode(
         &mut self,
         syndrome: &Syndrome,
+        correction: Option<&mut Vec<usize>>,
+    ) -> DecodeOutcome {
+        self.decode_with(syndrome, correction, Self::match_general)
+    }
+}
+
+/// A general path: matches the marked defects under the shot's metric
+/// (erasures overlaid or not) and returns the flip and integer weight,
+/// emitting correction edges when given a buffer.
+type GeneralPath<'g> =
+    fn(&mut SparseMwpmDecoder<'g>, &[usize], bool, Option<&mut Vec<usize>>) -> (bool, i64);
+
+impl<'g> SparseMwpmDecoder<'g> {
+    /// [`SyndromeDecoder::decode`] with `general` as the general path:
+    /// `match_general` there, the kept component matcher in the tests.
+    fn decode_with(
+        &mut self,
+        syndrome: &Syndrome,
         mut correction: Option<&mut Vec<usize>>,
+        general: GeneralPath<'g>,
     ) -> DecodeOutcome {
         if let Some(c) = correction.as_deref_mut() {
             c.clear();
@@ -762,7 +642,7 @@ impl SyndromeDecoder for SparseMwpmDecoder<'_> {
         let (flip, wsum) = if closed_form {
             self.match_closed_form(defects, correction)
         } else {
-            self.match_general(defects, eff, correction)
+            general(self, defects, eff, correction)
         };
         if eff {
             self.overlay.restore();
@@ -782,13 +662,18 @@ mod tests {
     use super::*;
     use crate::dem::build_dem;
     use crate::mwpm::MwpmBatchDecoder;
+    use crate::table_reference::{dem_syndromes, erase_every_third, sparse_components};
     use crate::window::WindowGraph;
     use qec_core::circuit::DetectorBasis;
     use qec_core::NoiseParams;
     use surface_code::{MemoryExperiment, RotatedCode};
 
     fn setup(d: usize, rounds: usize) -> (DecodingGraph, crate::DetectorErrorModel) {
-        let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(1e-3), rounds);
+        setup_at(d, rounds, 1e-3)
+    }
+
+    fn setup_at(d: usize, rounds: usize, p: f64) -> (DecodingGraph, crate::DetectorErrorModel) {
+        let exp = MemoryExperiment::new(RotatedCode::new(d), NoiseParams::standard(p), rounds);
         let detectors = exp.detectors();
         let dem = build_dem(&exp.base_circuit(), &detectors, &exp.observable_keys());
         let graph = DecodingGraph::from_dem(&dem, &detectors, DetectorBasis::Z);
@@ -963,5 +848,139 @@ mod tests {
         assert_eq!(xor, outcome.flip);
         let wsum: f64 = correction.iter().map(|&ei| graph.edges()[ei].weight).sum();
         assert_eq!(scale_weight(wsum), scale_weight(outcome.weight));
+    }
+
+    /// The general path as it was before the decoder shared the dense
+    /// backend's matcher: the same candidates, matched by the kept
+    /// component matcher ([`sparse_components`]), the totals read off the
+    /// candidates and the boundary tree, boundary paths emitted first.
+    fn match_by_reference(
+        decoder: &mut SparseMwpmDecoder<'_>,
+        defects: &[usize],
+        eff: bool,
+        mut correction: Option<&mut Vec<usize>>,
+    ) -> (bool, i64) {
+        decoder.discover_candidates(defects, eff);
+        let candidates: Vec<_> = decoder
+            .candidates
+            .iter()
+            .map(|c| (c.i, c.j, c.dist))
+            .collect();
+        let boundary: Vec<i64> = defects.iter().map(|&u| decoder.db(eff, u)).collect();
+        let (pairs, singles) = sparse_components(&candidates, &boundary);
+        let (mut flip, mut wsum) = (false, 0);
+        for i in singles {
+            let u = defects[i as usize];
+            flip ^= decoder.tree(eff).par[u];
+            wsum += decoder.db(eff, u);
+            if let Some(c) = correction.as_deref_mut() {
+                decoder.emit_boundary(u, eff, c);
+            }
+        }
+        for (i, j) in pairs {
+            let at = decoder
+                .candidates
+                .binary_search_by(|cand| (cand.i, cand.j).cmp(&(i, j)))
+                .expect("matched pair must be a candidate");
+            let cand = decoder.candidates[at];
+            flip ^= cand.par;
+            wsum += cand.dist;
+            if let Some(c) = correction.as_deref_mut() {
+                decoder.emit_pair(cand, eff, defects, c);
+            }
+        }
+        (flip, wsum)
+    }
+
+    /// How the shared matcher settled the components of three or more
+    /// defects it last split: `[by the DP, on a DP tie, past the budget or
+    /// 64 members]`, the last two by the per-component blossom.
+    fn count_components(matching: &mut DefectMatching, census: &mut [usize; 3]) {
+        let mut start = 0;
+        for c in 0..matching.ends.len() {
+            let end = matching.ends[c];
+            if end - start >= 3 {
+                census[match matching.solve_component(start, end) {
+                    Some(best) if best.count == 1 => 0,
+                    Some(_) => 1,
+                    None => 2,
+                }] += 1;
+            }
+            start = end;
+        }
+    }
+
+    /// Decodes `syndromes` on `graph` through the shared matcher and
+    /// through [`match_by_reference`], with and without a correction
+    /// buffer: flip, weight bits, `closed_form` and the sorted correction
+    /// edges must be identical.
+    fn assert_matches_reference(
+        graph: &DecodingGraph,
+        syndromes: &[Syndrome],
+        label: &str,
+        census: &mut [usize; 3],
+    ) {
+        let mut decoder = SparseMwpmDecoder::new(graph);
+        let (mut edges, mut reference) = (Vec::new(), Vec::new());
+        for syndrome in syndromes {
+            for with_correction in [false, true] {
+                let out = decoder.decode(syndrome, with_correction.then_some(&mut edges));
+                if !with_correction && !out.closed_form {
+                    count_components(&mut decoder.matching, census);
+                }
+                let old = decoder.decode_with(
+                    syndrome,
+                    with_correction.then_some(&mut reference),
+                    match_by_reference,
+                );
+                assert_eq!(out.flip, old.flip, "{label}: {syndrome:?}");
+                assert_eq!(
+                    out.weight.to_bits(),
+                    old.weight.to_bits(),
+                    "{label}: {syndrome:?}"
+                );
+                assert_eq!(out.closed_form, old.closed_form, "{label}: {syndrome:?}");
+                if with_correction {
+                    edges.sort_unstable();
+                    reference.sort_unstable();
+                    assert_eq!(edges, reference, "{label}: {syndrome:?}");
+                }
+            }
+        }
+    }
+
+    /// The general path through the shared `DefectMatching` answers as the
+    /// component matcher it replaced, on DEM-sampled syndromes of d = 3, 5
+    /// and 7 and of the bulk 33-round window shape of a d = 11 plan, a
+    /// third of them with erasures. The floors keep the census honest:
+    /// components the DP settles, and components sent to the blossom on a
+    /// DP tie or past the budget or 64 members, all occur.
+    #[test]
+    fn shared_matcher_matches_the_component_reference() {
+        let mut census = [0; 3];
+        for (d, rounds, p, n) in [(3, 9, 1e-2, 600), (5, 15, 5e-3, 300), (7, 21, 5e-3, 150)] {
+            let (graph, dem) = setup_at(d, rounds, p);
+            let mut syndromes = dem_syndromes(&graph, &dem, n, 0x5A11 ^ d as u64);
+            erase_every_third(&graph, &mut syndromes);
+            assert_matches_reference(&graph, &syndromes, &format!("d={d} p={p}"), &mut census);
+        }
+        let (graph, dem) = setup(11, 44);
+        let shape = WindowGraph::build(&graph, 11, 43);
+        let mut syndromes: Vec<Syndrome> = dem_syndromes(&graph, &dem, 40, 0x0B11)
+            .iter()
+            .map(|s| {
+                Syndrome::new(
+                    s.defects
+                        .iter()
+                        .filter_map(|&v| shape.local_node(v))
+                        .collect(),
+                )
+            })
+            .filter(|s| !s.is_empty())
+            .collect();
+        erase_every_third(shape.graph(), &mut syndromes);
+        assert_matches_reference(shape.graph(), &syndromes, "d=11 W=33", &mut census);
+        let [dp, tie, past] = census;
+        assert!(dp > 700 && tie > 30 && past > 80, "census {census:?}");
     }
 }

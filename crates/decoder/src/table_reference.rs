@@ -16,12 +16,18 @@
 //! finds each step of a shortest-path walk by scanning the incident edges;
 //! [`ShortestPaths::path_edges`] reads the step the table build stored and
 //! must emit the same edges in the same order.
+//!
+//! [`sparse_components`] is sparse MWPM's own component matcher from before
+//! it shared the dense backend's (a union-find over the candidate pairs and
+//! a blossom on every component of three or more defects); the decoder's
+//! general path must answer as it did. [`dem_syndromes`] and
+//! [`erase_every_third`] sample the syndromes the decoder tests share.
 
 use crate::dem::{combine_probability, DetectorErrorModel, ErrorMechanism};
 use crate::mwpm::ShortestPaths;
 use crate::weight::snap_weight;
 use crate::window::{DecoderKind, WindowGraph, WindowPlan};
-use crate::{DecodingGraph, GraphEdge};
+use crate::{DecodingGraph, GraphEdge, Syndrome};
 use qec_core::circuit::DetectorBasis;
 use qec_core::{Circuit, DetectorInfo, MeasKey, NoiseParams, Op, Rng};
 use std::cmp::Reverse;
@@ -782,5 +788,130 @@ fn a_dictionary_past_the_index_field_is_rejected() {
             message.contains("15-bit index field") && message.contains("`sparse-mwpm`"),
             "{threads} threads: {message}"
         );
+    }
+}
+
+/// Sparse MWPM's component matcher as it was before the decoder staged its
+/// candidates into the shared `DefectMatching`. A union-find over the
+/// candidate pairs `(i, j, dist)` (ascending, deduplicated, `i < j`) splits
+/// the defects, one per entry of `boundary` (their boundary distances),
+/// into components numbered by their lowest member. A component of one
+/// defect goes to the boundary and one of two pairs up; a larger one runs
+/// the blossom on its candidate pairs alone, members ascending as vertices
+/// 0..m and their private boundary copies m..2m. Returns the matched pairs
+/// and the boundary-matched defects, each in component order.
+pub(crate) fn sparse_components(
+    candidates: &[(u32, u32, i64)],
+    boundary: &[i64],
+) -> (Vec<(u32, u32)>, Vec<u32>) {
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            let grandparent = parent[parent[x as usize] as usize];
+            parent[x as usize] = grandparent;
+            x = grandparent;
+        }
+        x
+    }
+    let k = boundary.len() as u32;
+    let mut parent: Vec<u32> = (0..k).collect();
+    for &(i, j, _) in candidates {
+        let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+        // The smaller root wins, so every root is its component's lowest
+        // member.
+        parent[a.max(b) as usize] = a.min(b);
+    }
+    let roots: Vec<u32> = (0..k).map(|i| find(&mut parent, i)).collect();
+    let mut components: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+    for i in 0..k {
+        components.entry(roots[i as usize]).or_default().push(i);
+    }
+    let (mut pairs, mut singles) = (Vec::new(), Vec::new());
+    for (root, members) in &components {
+        let m = members.len();
+        match *members.as_slice() {
+            [u] => singles.push(u),
+            [u, v] => pairs.push((u, v)),
+            _ => {
+                let local = |u: u32| members.binary_search(&u).expect("a member");
+                let own: Vec<_> = candidates
+                    .iter()
+                    .filter(|&&(i, _, _)| roots[i as usize] == *root)
+                    .collect();
+                let largest = own
+                    .iter()
+                    .map(|c| c.2)
+                    .chain(members.iter().map(|&u| boundary[u as usize]))
+                    .fold(0, i64::max);
+                let big = largest + 1;
+                let mut edges: Vec<_> = own
+                    .iter()
+                    .map(|&&(i, j, dist)| (local(i), local(j), big - dist))
+                    .collect();
+                for (li, &u) in members.iter().enumerate() {
+                    for lj in li + 1..m {
+                        edges.push((m + li, m + lj, big));
+                    }
+                    edges.push((li, m + li, big - boundary[u as usize]));
+                }
+                let mate = crate::max_weight_matching(&edges);
+                for li in 0..m {
+                    match mate[li] {
+                        Some(lj) if lj < m => {
+                            if li < lj {
+                                pairs.push((members[li], members[lj]));
+                            }
+                        }
+                        Some(_) => singles.push(members[li]),
+                        None => unreachable!("perfect matching guaranteed"),
+                    }
+                }
+            }
+        }
+    }
+    (pairs, singles)
+}
+
+/// `n` syndromes sampled from the detector error model, every mechanism
+/// firing with its own probability; empty ones are skipped.
+pub(crate) fn dem_syndromes(
+    graph: &DecodingGraph,
+    dem: &DetectorErrorModel,
+    n: usize,
+    seed: u64,
+) -> Vec<Syndrome> {
+    let mut rng = Rng::new(seed);
+    let mut events = vec![false; graph.num_nodes()];
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        for mech in &dem.mechanisms {
+            if rng.bernoulli(mech.probability) {
+                for &det in &mech.detectors {
+                    if let Some(node) = graph.node_of_detector(det) {
+                        events[node] ^= true;
+                    }
+                }
+            }
+        }
+        let defects: Vec<usize> = (0..graph.num_nodes())
+            .filter(|&node| std::mem::take(&mut events[node]))
+            .collect();
+        if !defects.is_empty() {
+            out.push(Syndrome::new(defects));
+        }
+    }
+    out
+}
+
+/// Adds the incident edges of one to two random nodes as erasures to
+/// every third syndrome.
+pub(crate) fn erase_every_third(graph: &DecodingGraph, syndromes: &mut [Syndrome]) {
+    let mut rng = Rng::new(0xE2A5);
+    for syndrome in syndromes.iter_mut().step_by(3) {
+        for _ in 0..1 + rng.below(2) {
+            let node = rng.below(graph.num_nodes() as u64) as usize;
+            syndrome.erasures.extend_from_slice(graph.incident(node));
+        }
+        syndrome.erasures.sort_unstable();
+        syndrome.erasures.dedup();
     }
 }

@@ -332,17 +332,8 @@ impl JobSpec {
     /// Validates through the `Sweep` facade and returns the runnable grid.
     /// `threads` is the server's worker-pool width (shots shard across it).
     pub fn build_sweep(&self, threads: usize) -> Result<Sweep, String> {
-        let noise = match self.noise.as_str() {
-            "standard" => NoiseModel::Standard,
-            "without-leakage" => NoiseModel::WithoutLeakage,
-            "exchange-transport" => NoiseModel::ExchangeTransport,
-            other => return Err(format!("unknown noise family `{other}`")),
-        };
-        let basis = match self.basis.as_str() {
-            "z" | "Z" => surface_code::MemoryBasis::Z,
-            "x" | "X" => surface_code::MemoryBasis::X,
-            other => return Err(format!("unknown basis `{other}` (expected \"z\" or \"x\")")),
-        };
+        let noise: NoiseModel = self.noise.parse()?;
+        let basis: surface_code::MemoryBasis = self.basis.parse()?;
         let mut policies = self
             .policies
             .iter()

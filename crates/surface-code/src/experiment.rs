@@ -114,6 +114,20 @@ impl MemoryBasis {
     }
 }
 
+impl std::str::FromStr for MemoryBasis {
+    /// ``unknown basis `name` (expected "z" or "x")``.
+    type Err = String;
+
+    /// Parses `z` / `Z` or `x` / `X`.
+    fn from_str(s: &str) -> Result<MemoryBasis, String> {
+        match s {
+            "z" | "Z" => Ok(MemoryBasis::Z),
+            "x" | "X" => Ok(MemoryBasis::X),
+            other => Err(format!("unknown basis `{other}` (expected \"z\" or \"x\")")),
+        }
+    }
+}
+
 /// A memory experiment over a rotated surface code (memory-Z by default, the
 /// paper's workload; memory-X via [`MemoryExperiment::new_with_basis`]).
 ///
